@@ -257,7 +257,7 @@ def cmd_motion(args) -> tuple[dict, int]:
     checks = {"separated_stops": sep["ok"]}
     if standard is not None:
         results["standard"] = standard
-        ver = verify_source_sink_collisions(m, ms)
+        ver = verify_source_sink_collisions(m, ms, collisions=rep)
         results["source_sink_problems"] = ver["problems"]
         checks["sinks_even_sources_odd"] = ver["ok"]
     try:
@@ -265,7 +265,7 @@ def cmd_motion(args) -> tuple[dict, int]:
     except MotionError:
         mult = None
     if mult is not None:
-        bound = lemma16_bound(m, ms)
+        bound = lemma16_bound(m, ms, collisions=rep)
         results["multiplicities"] = {str(f): mult[f] for f in sorted(mult)}
         results["locus_bound"] = {k: bound[k] for k in ("chi", "bound", "loci")}
         checks["loci_meet_bound"] = bound["holds"]
@@ -507,14 +507,13 @@ def _fuzz_weights(rng, cases: int) -> list[dict]:
     return violations
 
 
-def _induced_comotion_problems(m: OrientedMap, ms) -> list[str]:
+def _induced_comotion_problems(m: OrientedMap, ms, rep) -> list[str]:
     T = ms.period
     problems = []
     mult = multiplicities(m, ms)
     com = induce_comotion(m, ms)
     if [c.degree for c in com.cocars] != [mult[f] for f in range(m.face_count())]:
         problems.append("cocar degrees disagree with face multiplicities")
-    rep = complete_collisions(m, ms)
     crep = comotion_collisions(m, com)
     if set(rep.vertex_loci) != set(crep.vertex_loci):
         problems.append("vertex loci differ")
@@ -536,10 +535,12 @@ def _fuzz_collisions(rng, cases: int) -> list[dict]:
     for i in range(cases):
         m = fuzzing.random_sphere_map(rng)
         ms = fuzzing.random_multiple_motion(m, rng)
-        count = complete_collisions(m, ms).spatial_count
-        if count < 2:
-            violations.append({"case": i, "problem": f"only {count} collision loci"})
-        for problem in _induced_comotion_problems(m, ms):
+        rep = complete_collisions(m, ms)
+        if rep.spatial_count < 2:
+            violations.append(
+                {"case": i, "problem": f"only {rep.spatial_count} collision loci"}
+            )
+        for problem in _induced_comotion_problems(m, ms, rep):
             violations.append({"case": i, "problem": problem})
     return violations
 

@@ -130,8 +130,16 @@ def map_to_json(m: OrientedMap) -> dict:
 
 
 def parse_map(doc) -> OrientedMap:
+    boundaries = _field(doc, "faces")
+    if not isinstance(boundaries, list) or not all(
+        isinstance(b, list) for b in boundaries
+    ):
+        raise JsonError("faces must be a list of dart lists")
+    surface = _field(doc, "surface")
+    if not isinstance(surface, str):
+        raise JsonError(f"surface must be a string, got {surface!r}")
     faces = []
-    for boundary in _field(doc, "faces"):
+    for boundary in boundaries:
         darts = []
         for dart in boundary:
             e = _field(dart, "edge")
@@ -140,7 +148,7 @@ def parse_map(doc) -> OrientedMap:
                 raise JsonError(f"bad dart on edge {e!r}: dir {d!r}")
             darts.append((e, 1 if d == "+" else -1))
         faces.append(tuple(darts))
-    return OrientedMap(_field(doc, "surface"), tuple(faces))
+    return OrientedMap(surface, tuple(faces))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,25 @@ to the real line: over one period the car climbs degree * L where L is
 the face boundary length, so position mod L is the actual boundary point.
 Integer positions are corners, fractional ones lie inside a dart.
 
+Time sets live on the circle of the collision horizon H, the lcm of all
+periods: a set is a sorted tuple of disjoint closed intervals inside
+[0, H].  The instants 0 and H are the same point, so a set holding one of
+them lists both.
+
+Collision loci come from one index per car over [0, H] (`car_index`):
+the time sets at which it visits each corner, and its dart windows, the
+linear stretches it spends inside one dart.  A vertex locus is a time at
+which every corner of the vertex is visited; an edge locus is a point
+inside an edge where cars on its two sides meet, found by one linear
+solve per pair of windows on the two darts of that edge.
+
 All arithmetic is exact over Fraction.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -33,17 +46,9 @@ def fraction_lcm(values: Iterable[Fraction]) -> Fraction:
     return Fraction(nums, dens)
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x) // 1)
-
-
 # ---------------------------------------------------------------------------
 # interval sets on the time circle [0, T]
 # ---------------------------------------------------------------------------
-
-# A time set is a tuple of closed intervals (a, b), 0 <= a <= b <= T,
-# sorted and disjoint.  The endpoints 0 and T name the same instant, so
-# normalization keeps both representatives present when either occurs.
 
 
 def normalize_intervals(items: Sequence[tuple[Fraction, Fraction]], T: Fraction):
@@ -86,17 +91,6 @@ def intersect_intervals(A, B) -> tuple:
 def intervals_instants(ivs, T: Fraction) -> list[Fraction]:
     """One representative point per component, reduced into [0, T)."""
     return sorted({a if a < T else Fraction(0) for a, b in ivs})
-
-
-def _reduce_interval(a: Fraction, b: Fraction, T: Fraction):
-    """Shift a closed interval into [0, T], splitting across the seam."""
-    if b - a >= T:
-        return [(Fraction(0), T)]
-    shift = T * (a // T)
-    a, b = a - shift, b - shift
-    if b <= T:
-        return [(a, b)]
-    return [(a, T), (Fraction(0), b - T)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +218,70 @@ def collision_horizon(ms: MotionSchedule) -> Fraction:
     return fraction_lcm([ms.period] + [c.period for c in ms.cars])
 
 
-def _replicated_segments(car: CarSchedule, L: int, horizon: Fraction):
+def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
+    """Where one car is over the horizon [0, H]: (visits, windows).
+
+    visits[j] is the time set at which the car sits on corner j of its
+    face.  windows[k] lists the stretches (t0, t1, lam0, slope) it spends
+    inside dart k, at dart parameter lam0 + slope * (t - t0), with
+    0 <= t0 < t1 <= H; they are sorted and overlap at most in their ends.
+    """
     reps = horizon / car.period
     if reps.denominator != 1:
         raise MotionError("horizon is not a multiple of the car period")
+    visits: dict[int, list] = {}
+    windows: dict[int, list] = {}
     segs = car_segments(car, L)
     climb = car.degree * L
-    out = []
-    for k in range(int(reps)):
+    # copies from one period back cover [0, H] whatever the first breakpoint
+    for k in range(-1, int(reps)):
         dt, dp = k * car.period, k * climb
-        out += [(ta + dt, pa + dp, tb + dt, pb + dp) for ta, pa, tb, pb in segs]
-    return out
+        for ta, pa, tb, pb in segs:
+            ta, pa, tb, pb = ta + dt, pa + dp, tb + dt, pb + dp
+            if tb < 0 or ta > horizon:
+                continue
+            lo, hi = max(ta, 0), min(tb, horizon)
+            if pa == pb:
+                if pa.denominator == 1:
+                    visits.setdefault(int(pa) % L, []).append((lo, hi))
+                elif lo < hi:
+                    stay = (lo, hi, pa % 1, 0)
+                    windows.setdefault(math.floor(pa) % L, []).append(stay)
+                continue
+            slope = (pb - pa) / (tb - ta)
+            for n in range(math.ceil(pa), math.floor(pb) + 1):
+                t = ta + (n - pa) / slope
+                if lo <= t <= hi:
+                    visits.setdefault(n % L, []).append((t, t))
+            for n in range(math.floor(pa), math.ceil(pb)):
+                t0 = max(lo, ta + (n - pa) / slope)
+                t1 = min(hi, ta + (n + 1 - pa) / slope)
+                if t0 < t1:
+                    lam0 = pa + slope * (t0 - ta) - n
+                    windows.setdefault(n % L, []).append((t0, t1, lam0, slope))
+    return (
+        {j: normalize_intervals(items, horizon) for j, items in visits.items()},
+        {k: sorted(items) for k, items in windows.items()},
+    )
 
 
 def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
     """Times in [0, horizon] at which the car sits on corner j of its face."""
-    items = []
-    for ta, pa, tb, pb in _replicated_segments(car, L, horizon):
-        if pa == pb:
-            if (pa - j) % L == 0:
-                items += _reduce_interval(ta, tb, horizon)
-        else:
-            slope = (pb - pa) / (tb - ta)
-            n = _ceil(Fraction(pa - j, L))
-            while j + n * L <= pb:
-                t = (ta + (j + n * L - pa) / slope) % horizon
-                items.append((t, t))
-                n += 1
+    return car_index(car, L, horizon)[0].get(j, ())
+
+
+def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction):
+    out: dict[int, list] = {}
+    for car in ms.cars:
+        L = len(m.faces[car.face])
+        out.setdefault(car.face, []).append(car_index(car, L, horizon))
+    return out
+
+
+def _corner_times(on_face: dict, corner: Corner, horizon: Fraction):
+    """Times at which some car of the face sits on the corner."""
+    f, j = corner
+    items = [iv for visits, _ in on_face.get(f, ()) for iv in visits.get(j, ())]
     return normalize_intervals(items, horizon)
 
 
@@ -270,22 +301,13 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     interior edge points where cars on the two sides meet."""
     validate_motion(m, ms)
     horizon = collision_horizon(ms)
-    by_face: dict[int, list[CarSchedule]] = {}
-    for car in ms.cars:
-        by_face.setdefault(car.face, []).append(car)
+    on_face = _indexes_by_face(m, ms, horizon)
 
     vertex_loci = {}
     for vertex in m.vertices():
-        sets = []
-        for f, j in vertex:
-            L = len(m.faces[f])
-            items = []
-            for car in by_face.get(f, []):
-                items += list(corner_occupancy(car, L, j, horizon))
-            sets.append(normalize_intervals(items, horizon))
-        times = sets[0]
-        for s in sets[1:]:
-            times = intersect_intervals(times, s)
+        times = _corner_times(on_face, vertex[0], horizon)
+        for corner in vertex[1:]:
+            times = intersect_intervals(times, _corner_times(on_face, corner, horizon))
         if times:
             vertex_loci[vertex] = normalize_intervals(times, horizon)
 
@@ -296,14 +318,9 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     for edge in m.edge_ids:
         fp, jp = owners[(edge, 1)]
         fm, jm = owners[(edge, -1)]
-        Lp, Lm = len(m.faces[fp]), len(m.faces[fm])
-        for cp in by_face.get(fp, []):
-            for cm in by_face.get(fm, []):
-                for sp in _replicated_segments(cp, Lp, horizon):
-                    for sm in _replicated_segments(cm, Lm, horizon):
-                        _edge_meetings(
-                            edge, sp, sm, jp, jm, Lp, Lm, horizon, edge_events
-                        )
+        for _, plus in on_face.get(fp, ()):
+            for _, minus in on_face.get(fm, ()):
+                _window_meetings(edge, plus.get(jp, ()), minus.get(jm, ()), edge_events)
     edge_loci = {
         key: normalize_intervals(items, horizon)
         for key, items in sorted(edge_events.items())
@@ -311,44 +328,31 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     return CollisionReport(horizon, vertex_loci, edge_loci)
 
 
-def _edge_meetings(edge, sp, sm, jp, jm, Lp, Lm, horizon, out):
-    """Meetings of two car segments in the interior of one edge.
+def _window_meetings(edge, plus, minus, out):
+    """Meetings inside one edge of a car on its + dart and one on its - dart.
 
     The + side car at dart parameter lam and the - side car at mu meet
     when lam + mu = 1, both strictly inside (0, 1)."""
-    ta, pa, tb, pb = sp
-    ua, qa, ub, qb = sm
-    lo, hi = max(ta, ua), min(tb, ub)
-    if lo > hi:
-        return
-    slope_p = (pb - pa) / (tb - ta)
-    slope_q = (qb - qa) / (ub - ua)
-    p_lo = pa + slope_p * (lo - ta)
-    p_hi = pa + slope_p * (hi - ta)
-    q_lo = qa + slope_q * (lo - ua)
-    q_hi = qa + slope_q * (hi - ua)
-    total = slope_p + slope_q
-    for n in range((p_lo - jp) // Lp - 1, (p_hi - jp) // Lp + 2):
-        for k in range((q_lo - jm) // Lm - 1, (q_hi - jm) // Lm + 2):
-            target = 1 + jp + jm + n * Lp + k * Lm
-            if total == 0:
-                # nonnegative slopes summing to zero: both cars parked
-                if p_lo + q_lo == target:
-                    lam = p_lo - jp - n * Lp
-                    mu = q_lo - jm - k * Lm
-                    if 0 < lam < 1 and 0 < mu < 1:
-                        out.setdefault((edge, lam), []).extend(
-                            _reduce_interval(lo, hi, horizon)
-                        )
+    ends = [w[1] for w in minus]
+    for a0, a1, lam0, sa in plus:
+        i = bisect_left(ends, a0)
+        while i < len(minus) and minus[i][0] <= a1:
+            b0, b1, mu0, sb = minus[i]
+            i += 1
+            lo, hi = max(a0, b0), min(a1, b1)
+            lam = lam0 + sa * (lo - a0)
+            gap = 1 - lam - mu0 - sb * (lo - b0)
+            if sa + sb == 0:
+                # both cars rest, strictly inside the edge
+                if gap == 0:
+                    out.setdefault((edge, lam), []).append((lo, hi))
                 continue
-            t = lo + (target - (p_lo + q_lo)) / total
-            if not (lo <= t <= hi):
-                continue
-            lam = pa + slope_p * (t - ta) - jp - n * Lp
-            mu = qa + slope_q * (t - ua) - jm - k * Lm
-            if 0 < lam < 1 and 0 < mu < 1:
-                tr = t % horizon
-                out.setdefault((edge, lam), []).append((tr, tr))
+            dt = gap / (sa + sb)
+            if 0 <= dt <= hi - lo:
+                lam += sa * dt
+                if 0 < lam < 1:
+                    t = lo + dt
+                    out.setdefault((edge, lam), []).append((t, t))
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +428,14 @@ def multiplicities(m: OrientedMap, ms: MotionSchedule) -> dict[int, int]:
     return {f: len(cars) for f, cars in as_multiple_motion(m, ms).items()}
 
 
-def lemma16_bound(m: OrientedMap, ms: MotionSchedule) -> dict:
+def lemma16_bound(m: OrientedMap, ms: MotionSchedule, collisions=None) -> dict:
     """Loci count of a multiple motion against chi + sum of (d_i - 1)."""
     mult = multiplicities(m, ms)
     chi = m.euler_characteristic()
     bound = chi + sum(d - 1 for d in mult.values())
-    loci = complete_collisions(m, ms).spatial_count
+    if collisions is None:
+        collisions = complete_collisions(m, ms)
+    loci = collisions.spatial_count
     return {"chi": chi, "bound": bound, "loci": loci, "holds": loci >= bound}
 
 
@@ -454,18 +460,7 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
             elif (car.face, int(p) % L) not in ms.stop_corners:
                 problems.append(f"undeclared stop at {(car.face, int(p) % L)}")
 
-    by_face: dict[int, list[CarSchedule]] = {}
-    for car in ms.cars:
-        by_face.setdefault(car.face, []).append(car)
-
-    def occupancy(corner):
-        f, j = corner
-        L = len(m.faces[f])
-        items = []
-        for car in by_face.get(f, []):
-            items += list(corner_occupancy(car, L, j, horizon))
-        return normalize_intervals(items, horizon)
-
+    on_face = _indexes_by_face(m, ms, horizon) if ms.stop_corners else {}
     for vertex in m.vertices():
         stops_here = [c for c in vertex if c in ms.stop_corners]
         if not stops_here:
@@ -476,7 +471,9 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
         k = len(stops_here)
         for i in range(k):
             a, b = stops_here[i], stops_here[(i + 1) % k]
-            if intersect_intervals(occupancy(a), occupancy(b)):
+            if intersect_intervals(
+                _corner_times(on_face, a, horizon), _corner_times(on_face, b, horizon)
+            ):
                 problems.append(
                     f"consecutive stop corners {a} and {b} occupied together"
                 )
@@ -611,10 +608,12 @@ def standard_multiple_motion(
     return MotionSchedule(T, tuple(cars), stops)
 
 
-def verify_source_sink_collisions(m: OrientedMap, ms: MotionSchedule) -> dict:
+def verify_source_sink_collisions(
+    m: OrientedMap, ms: MotionSchedule, collisions=None
+) -> dict:
     """For the standard schedules: collisions happen only at pure sink or
     pure source vertices, sinks at even instants and sources at odd."""
-    rep = complete_collisions(m, ms)
+    rep = collisions if collisions is not None else complete_collisions(m, ms)
     problems = []
     if rep.edge_loci:
         problems.append(f"edge collisions at {sorted(rep.edge_loci)}")

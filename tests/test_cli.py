@@ -80,6 +80,24 @@ def test_validate_unreadable_file(tmp_path, capsys):
     assert "cannot read" in report["error"]
 
 
+def test_validate_faces_not_a_list(tmp_path, capsys):
+    path = tmp_path / "bad.map.json"
+    path.write_text(json.dumps({"surface": "sphere", "faces": 5}))
+    code, report = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert "faces must be a list" in report["error"]
+
+
+def test_validate_surface_not_a_string(goldens, tmp_path, capsys):
+    doc = json.loads((goldens / "pinwheel.map.json").read_text())
+    doc["surface"] = 7
+    path = tmp_path / "bad.map.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert "surface must be a string" in report["error"]
+
+
 def test_text_format(goldens, capsys):
     code, out = run(
         capsys, "--format", "text", "validate", str(goldens / "pinwheel.map.json")

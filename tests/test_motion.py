@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheremotion.fuzzing import make_rng, random_multiple_motion, random_sphere_map
 from spheremotion.goldens import (
     PINWHEEL_VERTICES,
     banded_sphere_map,
@@ -238,6 +239,51 @@ def test_second_car_is_the_time_shift_of_the_first():
     first = ms.cars[1]
     second = ms.cars[5]
     assert time_shifted_car(first, 6, F(3)).breakpoints == second.breakpoints
+
+
+def test_edge_meeting_before_a_late_first_breakpoint():
+    # the same car B twice: its first breakpoint at t = 1/2, then at t = 0;
+    # the meeting inside edge 0 at t = 1/8 comes before the late breakpoint
+    m = doubled_polygon_map((1, 1, 1))
+    a = CarSchedule(0, F(3), ((F(0), F(0)),), degree=1)
+    want = {
+        (0, F(1, 8)): ((F(1, 8), F(1, 8)),),
+        (1, F(5, 8)): ((F(13, 8), F(13, 8)),),
+    }
+    for bps in (((F(1, 2), F(1, 4)),), ((F(0), F(11, 4)),)):
+        b = CarSchedule(1, F(3), bps, degree=1)
+        rep = complete_collisions(m, MotionSchedule(F(3), (a, b)))
+        assert rep.edge_loci == want
+        assert not rep.vertex_loci
+
+
+def shifted_times(spans, d, H):
+    """A time set on the circle [0, H] moved by -d."""
+    items = []
+    for a, b in spans:
+        a, b = (a - d) % H, (a - d) % H + (b - a)
+        items.append((a, min(b, H)))
+        if b > H:
+            items.append((F(0), b - H))
+    return normalize_intervals(items, H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d=st.fractions(0, 8, max_denominator=4))
+def test_time_shift_moves_every_instant(seed, d):
+    # every car running d earlier: the same loci, each instant at t - d
+    rng = make_rng(seed)
+    m = random_sphere_map(rng)
+    ms = random_multiple_motion(m, rng)
+    cars = tuple(time_shifted_car(c, len(m.faces[c.face]), d) for c in ms.cars)
+    before = complete_collisions(m, ms)
+    after = complete_collisions(m, MotionSchedule(ms.period, cars))
+    H = before.horizon
+    for old, new in ((before.vertex_loci, after.vertex_loci),
+                     (before.edge_loci, after.edge_loci)):
+        assert list(new) == list(old)
+        for key, spans in old.items():
+            assert new[key] == shifted_times(spans, d, H)
 
 
 # -- standard schedules --------------------------------------------------------
