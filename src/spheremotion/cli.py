@@ -21,6 +21,7 @@ from .comotion import (
     comotion_collisions,
     induce_comotion,
     lemma11_check,
+    solve_edges,
     weight_report,
 )
 from .diagram import (
@@ -287,8 +288,10 @@ def cmd_comotion(args) -> tuple[dict, int]:
     m = jsonio.parse_map(doc)
     cdoc, cdig = _load(args.comotion)
     com = jsonio.parse_comotion(cdoc, m)
-    weights = weight_report(m, com)
-    slack = lemma11_check(m, com)
+    components = solve_edges(m, com)
+    weights = weight_report(m, com, components)
+    crep = comotion_collisions(m, com, components)
+    slack = lemma11_check(m, com, crep)
     results = {
         "period": frac_to_str(com.period),
         "degrees": [c.degree for c in com.cocars],
@@ -302,7 +305,7 @@ def cmd_comotion(args) -> tuple[dict, int]:
             "total": weights["total"],
             "chi": weights["chi"],
         },
-        "collisions": _comotion_collisions_json(comotion_collisions(m, com)),
+        "collisions": _comotion_collisions_json(crep),
         "locus_slack": {k: slack[k] for k in ("loci", "slack", "chi")},
     }
     checks = {

@@ -8,12 +8,21 @@ lift too, climbing degree * T per boundary lap.
 Where a motion asks "where is the car at time t", a comotion asks "when
 does the face sweep past position x".  Collisions are the points whose
 surrounding faces all sweep past at one common instant.
+
+An edge is solved by `edge_components`: the two cocars' linear pieces
+over its two darts, found by bisecting each cocar's lap table, cut the
+edge into arcs on which the difference of arrival times is linear, and
+each arc is solved exactly for multiples of the period.  `solve_edges`
+solves every edge once; the `comotion` command hands that one result to
+both `weight_report` and `comotion_collisions`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .motion import MotionSchedule, as_multiple_motion
@@ -86,6 +95,11 @@ class Cocar:
         if not isinstance(self.degree, int) or self.degree < 0:
             raise ComotionError("degree must be a nonnegative integer")
 
+    @cached_property
+    def _laps(self) -> dict:
+        """Lap tables by (period, face length), built by `_lap`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Comotion:
@@ -115,38 +129,45 @@ def validate_comotion(m: OrientedMap, com: Comotion) -> None:
             raise ComotionError("times climb past the declared degree")
 
 
+def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple[list, list]:
+    """Positions and times of one lap, closed by (p0 + L, t0 + degree * T)."""
+    table = cocar._laps.get((T, L))
+    if table is None:
+        p0, t0 = cocar.breakpoints[0]
+        pts = cocar.breakpoints + ((p0 + L, t0 + cocar.degree * T),)
+        table = cocar._laps[(T, L)] = ([p for p, _ in pts], [t for _, t in pts])
+    return table
+
+
 def cotime_at(cocar: Cocar, T: Fraction, L: int, x: Fraction) -> Fraction:
     """Lifted arrival time at lifted position x."""
     x = Fraction(x)
-    p0, t0 = cocar.breakpoints[0]
-    laps = (x - p0) // L
+    ps, ts = _lap(cocar, T, L)
+    laps = (x - ps[0]) // L
     xi = x - laps * L
-    pts = cocar.breakpoints + ((p0 + L, t0 + cocar.degree * T),)
-    for (pa, ta), (pb, tb) in zip(pts, pts[1:]):
-        if pa <= xi <= pb:
-            t = ta if pb == pa else ta + (xi - pa) * (tb - ta) / (pb - pa)
-            return t + laps * cocar.degree * T
-    raise ComotionError(f"position {x} not covered")  # pragma: no cover
+    i = bisect_right(ps, xi) - 1
+    t = ts[i]
+    if xi != ps[i]:
+        t += (xi - ps[i]) * (ts[i + 1] - t) / (ps[i + 1] - ps[i])
+    return t + laps * cocar.degree * T
 
 
 def _pieces_over(cocar: Cocar, T: Fraction, L: int, x_lo: Fraction, x_hi: Fraction):
-    """Linear time pieces (pa, ta, pb, tb) covering positions [x_lo, x_hi]."""
-    p0, t0 = cocar.breakpoints[0]
-    base = list(
-        zip(cocar.breakpoints, cocar.breakpoints[1:] + ((p0 + L, t0 + cocar.degree * T),))
-    )
+    """Linear time pieces (pa, ta, pb, tb) covering positions [x_lo, x_hi].
+
+    Needs x_lo < x_hi: then every piece in the bisected range overlaps it."""
+    ps, ts = _lap(cocar, T, L)
     out = []
-    for lap in range((x_lo - p0) // L, (x_hi - p0) // L + 1):
+    for lap in range((x_lo - ps[0]) // L, (x_hi - ps[0]) // L + 1):
         dp, dt = lap * L, lap * cocar.degree * T
-        for (pa, ta), (pb, tb) in base:
+        first = max(bisect_right(ps, x_lo - dp) - 1, 0)
+        for i in range(first, min(bisect_left(ps, x_hi - dp), len(ps) - 1)):
+            pa, ta, pb, tb = ps[i], ts[i], ps[i + 1], ts[i + 1]
             lo, hi = max(pa + dp, x_lo), min(pb + dp, x_hi)
-            if lo >= hi:
-                continue
             slope = (tb - ta) / (pb - pa)
             out.append(
                 (lo, ta + dt + slope * (lo - pa - dp), hi, ta + dt + slope * (hi - pa - dp))
             )
-    out.sort()
     return out
 
 
@@ -183,9 +204,8 @@ def edge_components(m: OrientedMap, com: Comotion, edge: int):
     Components are closed in [0, 1]; a and b can coincide.
     """
     T = com.period
-    owners = {d: (f, j) for f, b in enumerate(m.faces) for j, d in enumerate(b)}
-    fp, jp = owners[(edge, 1)]
-    fm, jm = owners[(edge, -1)]
+    fp, jp = m.dart_owner((edge, 1))
+    fm, jm = m.dart_owner((edge, -1))
     Lp, Lm = len(m.faces[fp]), len(m.faces[fm])
 
     plus = _pieces_over(com.cocars[fp], T, Lp, Fraction(jp), Fraction(jp + 1))
@@ -224,15 +244,25 @@ def edge_components(m: OrientedMap, com: Comotion, edge: int):
     return [(a, b, at_plus(a) % T) for a, b in merged]
 
 
-def comotion_collisions(m: OrientedMap, com: Comotion) -> ComotionCollisions:
+def solve_edges(m: OrientedMap, com: Comotion) -> dict:
+    """`edge_components` of every edge, keyed by edge id."""
+    return {edge: edge_components(m, com, edge) for edge in m.edge_ids}
+
+
+def comotion_collisions(
+    m: OrientedMap, com: Comotion, components=None
+) -> ComotionCollisions:
     """Points of the surface all of whose sides sweep past together.
 
     Vertex loci map a vertex to the common instant; edge loci are keyed
     by (edge, lam) for isolated meetings and (edge, (a, b)) for whole
     arcs swept in one instant.  Components touching only the endpoints
-    of an edge belong to the vertices and are dropped here.
+    of an edge belong to the vertices and are dropped here.  Pass the
+    `solve_edges` result as `components` to reuse it.
     """
     validate_comotion(m, com)
+    if components is None:
+        components = solve_edges(m, com)
     T = com.period
     ct = corner_times(m, com)
     vertex_loci = {}
@@ -242,7 +272,7 @@ def comotion_collisions(m: OrientedMap, com: Comotion) -> ComotionCollisions:
             vertex_loci[vertex] = vals.pop()
     edge_loci = {}
     for edge in m.edge_ids:
-        for a, b, t in edge_components(m, com, edge):
+        for a, b, t in components[edge]:
             if (a, b) in ((ZERO, ZERO), (Fraction(1), Fraction(1))):
                 continue
             key = (edge, a) if a == b else (edge, (a, b))
@@ -255,40 +285,42 @@ def comotion_collisions(m: OrientedMap, com: Comotion) -> ComotionCollisions:
 # ---------------------------------------------------------------------------
 
 
-def _span_check(m: OrientedMap, com: Comotion) -> None:
+def _span_check(m: OrientedMap, com: Comotion, ct: dict) -> None:
     T = com.period
     for f, boundary in enumerate(m.faces):
         L = len(boundary)
         for j in range(L):
-            lo = cotime_at(com.cocars[f], T, L, Fraction(j))
-            hi = cotime_at(com.cocars[f], T, L, Fraction(j + 1))
-            if hi - lo >= T:
+            hi = ct[(f, (j + 1) % L)] + (com.cocars[f].degree * T if j + 1 == L else 0)
+            if hi - ct[(f, j)] >= T:
                 raise ComotionError(
                     f"dart {j} of face {f} sweeps a full period; subdivide first"
                 )
 
 
-def weight_report(m: OrientedMap, com: Comotion) -> dict:
+def weight_report(m: OrientedMap, com: Comotion, components=None) -> dict:
     """Cell weights whose total telescopes to the Euler characteristic.
 
     Faces carry 1 - degree, an edge carries one less than the number of
     meeting-free arcs in its interior, a vertex 1 - psi of its corner
-    instants.  Needs every dart swept in under one period.
+    instants.  Needs every dart swept in under one period.  Pass the
+    `solve_edges` result as `components` to reuse it.
     """
     validate_comotion(m, com)
-    _span_check(m, com)
+    ct = corner_times(m, com)
+    _span_check(m, com, ct)
+    if components is None:
+        components = solve_edges(m, com)
     T = com.period
     faces = {f: 1 - com.cocars[f].degree for f in range(m.face_count())}
     edges = {}
     for edge in m.edge_ids:
-        comps = edge_components(m, com, edge)
+        comps = components[edge]
         free = len(comps) - 1 if comps else 0
         if comps:
             free += int(comps[0][0] > 0) + int(comps[-1][1] < 1)
         else:
             free = 1
         edges[edge] = -1 + free
-    ct = corner_times(m, com)
     vertices = {}
     for vertex in m.vertices():
         vertices[vertex] = 1 - psi(T, [ct[c] for c in vertex])
@@ -316,13 +348,12 @@ def lemma14_total(
     validate_comotion(m, com)
     ct = corner_times(m, com)
     total = ZERO
-    owners = {d: (f, j) for f, b in enumerate(m.faces) for j, d in enumerate(b)}
     for f, boundary in enumerate(m.faces):
         L = len(boundary)
         total += 1 - sum(g(ct[(f, j)], ct[(f, (j + 1) % L)]) for j in range(L))
     for edge in m.edge_ids:
-        fp, jp = owners[(edge, 1)]
-        fm, jm = owners[(edge, -1)]
+        fp, jp = m.dart_owner((edge, 1))
+        fm, jm = m.dart_owner((edge, -1))
         Lp, Lm = len(m.faces[fp]), len(m.faces[fm])
         tail_p, head_p = ct[(fp, jp)], ct[(fp, (jp + 1) % Lp)]
         tail_m, head_m = ct[(fm, jm)], ct[(fm, (jm + 1) % Lm)]
@@ -341,18 +372,15 @@ def lemma14_total(
     return total
 
 
-def lemma11_check(m: OrientedMap, com: Comotion) -> dict:
+def lemma11_check(m: OrientedMap, com: Comotion, collisions=None) -> dict:
     """Collision cells must make up for the face weights: loci plus the
     sum of (1 - degree) is at least the Euler characteristic."""
-    rep = comotion_collisions(m, com)
+    if collisions is None:
+        collisions = comotion_collisions(m, com)
+    loci = collisions.spatial_count
     slack = sum(1 - c.degree for c in com.cocars)
     chi = m.euler_characteristic()
-    return {
-        "loci": rep.spatial_count,
-        "slack": slack,
-        "chi": chi,
-        "holds": rep.spatial_count + slack >= chi,
-    }
+    return {"loci": loci, "slack": slack, "chi": chi, "holds": loci + slack >= chi}
 
 
 # ---------------------------------------------------------------------------

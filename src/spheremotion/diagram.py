@@ -116,19 +116,9 @@ def face_label(d: HowieDiagram, f: int, start: int = 0) -> FreeProductWord:
     return FreeProductWord.from_syllables(d.base, syls)
 
 
-def vertex_corners_acw(d: HowieDiagram, vertex) -> tuple:
-    start = min(vertex)
-    out = [start]
-    c = d.map.next_corner_acw(start)
-    while c != start:
-        out.append(c)
-        c = d.map.next_corner_acw(c)
-    return tuple(out)
-
-
 def vertex_label(d: HowieDiagram, vertex, start: Optional[Corner] = None):
     """Clockwise corner product; the start choice only conjugates it."""
-    acw = vertex_corners_acw(d, vertex)
+    acw = d.map.vertex_of(min(vertex))
     if start is not None:
         if start not in acw:
             raise DiagramError(f"corner {start} is not at this vertex")
@@ -403,12 +393,8 @@ def audit_standard_collisions(
 # ---------------------------------------------------------------------------
 
 
-def _corner_fan(d: HowieDiagram, vertex):
-    return vertex_corners_acw(d, vertex)
-
-
 def _nonadjacent_at(d: HowieDiagram, vertex, c1: Corner, c2: Corner) -> bool:
-    fan = _corner_fan(d, vertex)
+    fan = d.map.vertex_of(min(vertex))
     if c1 == c2 or c1 not in fan or c2 not in fan:
         return False
     n = len(fan)
@@ -429,15 +415,11 @@ def _fragment_darts(m: OrientedMap, f: int, start_corner: int, end_corner: int):
 
 def _path_vertices(m: OrientedMap, darts):
     verts = []
-    corner_of = {}
-    for v in m.vertices():
-        for c in v:
-            corner_of[c] = v
     for e, s in darts:
         f, i = m.dart_owner((e, s))
         L = len(m.faces[f])
-        verts.append(corner_of[(f, i)])
-        verts.append(corner_of[(f, (i + 1) % L)])
+        verts.append(m.vertex_of((f, i)))
+        verts.append(m.vertex_of((f, (i + 1) % L)))
     return set(verts)
 
 

@@ -47,6 +47,27 @@ def _field(doc: dict, key: str):
     return doc[key]
 
 
+def _objects(doc: dict, key: str) -> list:
+    items = _field(doc, key)
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise JsonError(f"{key} must be a list of objects")
+    return items
+
+
+def _face_entries(doc: dict, key: str, m: OrientedMap):
+    """(entry, face, face length, breakpoints, degree) of each car or cocar."""
+    for entry in _objects(doc, key):
+        f = _field(entry, "face")
+        if not isinstance(f, int) or not 0 <= f < m.face_count():
+            raise JsonError(f"no such face: {f!r}")
+        bps, degree = _objects(entry, "breakpoints"), _field(entry, "degree")
+        if not bps:
+            raise JsonError("breakpoints must not be empty")
+        if type(degree) is not int:
+            raise JsonError(f"degree must be an int, got {degree!r}")
+        yield entry, f, len(m.faces[f]), bps, degree
+
+
 # ---------------------------------------------------------------------------
 # words and presentations
 # ---------------------------------------------------------------------------
@@ -164,7 +185,7 @@ def position_to_json(r: Fraction) -> dict:
 
 
 def parse_position(doc, L: int) -> Fraction:
-    if "corner" in doc:
+    if isinstance(doc, dict) and "corner" in doc:
         j = doc["corner"]
         if not isinstance(j, int) or not 0 <= j < L:
             raise JsonError(f"corner index {j!r} outside 0..{L - 1}")
@@ -223,14 +244,10 @@ def motion_to_json(m: OrientedMap, ms: MotionSchedule) -> dict:
 
 def parse_motion(doc, m: OrientedMap) -> MotionSchedule:
     cars = []
-    for entry in _field(doc, "cars"):
-        f = _field(entry, "face")
-        if not isinstance(f, int) or not 0 <= f < m.face_count():
-            raise JsonError(f"no such face: {f!r}")
-        L = len(m.faces[f])
+    for entry, f, L, bps, degree in _face_entries(doc, "cars", m):
         times = []
         reduced = []
-        for bp in _field(entry, "breakpoints"):
+        for bp in bps:
             times.append(parse_frac(_field(bp, "t")))
             reduced.append(parse_position(_field(bp, "at"), L))
         cars.append(
@@ -238,7 +255,7 @@ def parse_motion(doc, m: OrientedMap) -> MotionSchedule:
                 f,
                 parse_frac(_field(entry, "period")),
                 tuple(zip(times, _lift_positions(reduced, L))),
-                degree=_field(entry, "degree"),
+                degree=degree,
             )
         )
     stops = frozenset((f, j) for f, j in doc.get("stop_corners", ()))
@@ -272,20 +289,16 @@ def comotion_to_json(m: OrientedMap, com: Comotion) -> dict:
 
 def parse_comotion(doc, m: OrientedMap) -> Comotion:
     cocars = []
-    for entry in _field(doc, "cocars"):
-        f = _field(entry, "face")
-        if not isinstance(f, int) or not 0 <= f < m.face_count():
-            raise JsonError(f"no such face: {f!r}")
-        L = len(m.faces[f])
+    for entry, f, L, bps, degree in _face_entries(doc, "cocars", m):
         reduced = []
         times = []
-        for bp in _field(entry, "breakpoints"):
+        for bp in bps:
             reduced.append(parse_position(_field(bp, "at"), L))
             times.append(parse_frac(_field(bp, "time")))
         cocars.append(
             Cocar(
                 f,
-                _field(entry, "degree"),
+                degree,
                 tuple(zip(_lift_positions(reduced, L), times)),
             )
         )

@@ -312,12 +312,9 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
             vertex_loci[vertex] = normalize_intervals(times, horizon)
 
     edge_events: dict[tuple[int, Fraction], list] = {}
-    owners = {
-        d: (f, j) for f, b in enumerate(m.faces) for j, d in enumerate(b)
-    }
     for edge in m.edge_ids:
-        fp, jp = owners[(edge, 1)]
-        fm, jm = owners[(edge, -1)]
+        fp, jp = m.dart_owner((edge, 1))
+        fm, jm = m.dart_owner((edge, -1))
         for _, plus in on_face.get(fp, ()):
             for _, minus in on_face.get(fm, ()):
                 _window_meetings(edge, plus.get(jp, ()), minus.get(jm, ()), edge_events)

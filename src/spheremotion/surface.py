@@ -4,13 +4,14 @@ A map is stored face by face: each face is the cyclic sequence of darts
 (directed edge sides) along its boundary, read anticlockwise.  Every edge
 appears exactly twice over all faces, once with each direction, so the
 surface is closed and oriented.  Vertices are not stored; they are the
-orbits of the corner rotation and get reconstructed on demand.
+orbits of the corner rotation and get computed once per map, together
+with the dart-to-corner and corner-to-vertex tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -70,10 +71,9 @@ class OrientedMap:
 
     # -- basic census ------------------------------------------------------
 
-    @property
+    @cached_property
     def edge_ids(self) -> tuple[int, ...]:
-        out = sorted({e for b in self.faces for e, _ in b})
-        return tuple(out)
+        return tuple(sorted({e for b in self.faces for e, _ in b}))
 
     def edge_count(self) -> int:
         return len(self.edge_ids)
@@ -120,15 +120,15 @@ class OrientedMap:
         b = self.faces[f]
         return b[(j - 1) % len(b)]
 
-    def corner_out_dart(self, corner: Corner) -> Dart:
-        return self.dart_at(corner)
+    @cached_property
+    def _dart_corner(self) -> dict[Dart, Corner]:
+        return {d: (f, j) for f, b in enumerate(self.faces) for j, d in enumerate(b)}
 
     def dart_owner(self, dart: Dart) -> Corner:
-        for f, b in enumerate(self.faces):
-            for j, d in enumerate(b):
-                if d == dart:
-                    return (f, j)
-        raise MapError(f"dart {dart} not present")
+        try:
+            return self._dart_corner[dart]
+        except KeyError:
+            raise MapError(f"dart {dart} not present") from None
 
     def next_corner_acw(self, corner: Corner) -> Corner:
         """Next corner anticlockwise around the same vertex.
@@ -136,34 +136,39 @@ class OrientedMap:
         Its outgoing dart is the other side of this corner's incoming dart.
         """
         edge, sign = self.corner_in_dart(corner)
-        return self.dart_owner((edge, -sign))
+        return self._dart_corner[(edge, -sign)]
 
     def corner_type(self, corner: Corner) -> tuple[int, int]:
-        return (self.corner_in_dart(corner)[1], self.corner_out_dart(corner)[1])
+        return (self.corner_in_dart(corner)[1], self.dart_at(corner)[1])
 
     # -- vertices ------------------------------------------------------------
 
+    @cached_property
+    def _orbits(self) -> tuple[tuple[Corner, ...], ...]:
+        """Each orbit walked once, from its smallest corner."""
+        seen, out = set(), []
+        for start in self.corners():
+            if start not in seen:
+                cycle = [start]
+                while (c := self.next_corner_acw(cycle[-1])) != start:
+                    cycle.append(c)
+                seen.update(cycle)
+                out.append(tuple(cycle))
+        return tuple(out)
+
+    @cached_property
+    def _corner_vertex(self) -> dict[Corner, tuple[Corner, ...]]:
+        return {c: v for v in self._orbits for c in v}
+
     def vertices(self) -> list[tuple[Corner, ...]]:
         """Corner orbits of the rotation, each read anticlockwise."""
-        pending = set(self.corners())
-        out = []
-        while pending:
-            start = min(pending)
-            cycle = [start]
-            pending.discard(start)
-            c = self.next_corner_acw(start)
-            while c != start:
-                cycle.append(c)
-                pending.discard(c)
-                c = self.next_corner_acw(c)
-            out.append(tuple(cycle))
-        return out
+        return list(self._orbits)
 
     def vertex_of(self, corner: Corner) -> tuple[Corner, ...]:
-        for v in self.vertices():
-            if corner in v:
-                return v
-        raise MapError(f"no such corner: {corner}")
+        try:
+            return self._corner_vertex[corner]
+        except KeyError:
+            raise MapError(f"no such corner: {corner}") from None
 
     def multiplicity(self, vertex: Sequence[Corner]) -> int:
         return len(vertex)

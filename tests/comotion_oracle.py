@@ -1,0 +1,199 @@
+"""Reference comotion solver: breakpoint scans, one edge at a time.
+
+This is the original per-edge solver of `spheremotion.comotion`, kept as
+the oracle that the lap-table lookups are compared against.  Every
+`cotime_at` call scans the whole face, and every edge rebuilds the
+dart-to-corner table.  Slow on purpose: keep inputs small.
+"""
+
+from fractions import Fraction
+
+from spheremotion.comotion import (
+    ComotionCollisions,
+    ComotionError,
+    psi,
+    validate_comotion,
+)
+
+ZERO = Fraction(0)
+
+
+def cotime_at(cocar, T, L, x):
+    """Lifted arrival time at lifted position x."""
+    x = Fraction(x)
+    p0, t0 = cocar.breakpoints[0]
+    laps = (x - p0) // L
+    xi = x - laps * L
+    pts = cocar.breakpoints + ((p0 + L, t0 + cocar.degree * T),)
+    for (pa, ta), (pb, tb) in zip(pts, pts[1:]):
+        if pa <= xi <= pb:
+            t = ta if pb == pa else ta + (xi - pa) * (tb - ta) / (pb - pa)
+            return t + laps * cocar.degree * T
+    raise ComotionError(f"position {x} not covered")  # pragma: no cover
+
+
+def _pieces_over(cocar, T, L, x_lo, x_hi):
+    """Linear time pieces (pa, ta, pb, tb) covering positions [x_lo, x_hi]."""
+    p0, t0 = cocar.breakpoints[0]
+    base = list(
+        zip(cocar.breakpoints, cocar.breakpoints[1:] + ((p0 + L, t0 + cocar.degree * T),))
+    )
+    out = []
+    for lap in range((x_lo - p0) // L, (x_hi - p0) // L + 1):
+        dp, dt = lap * L, lap * cocar.degree * T
+        for (pa, ta), (pb, tb) in base:
+            lo, hi = max(pa + dp, x_lo), min(pb + dp, x_hi)
+            if lo >= hi:
+                continue
+            slope = (tb - ta) / (pb - pa)
+            out.append(
+                (lo, ta + dt + slope * (lo - pa - dp), hi, ta + dt + slope * (hi - pa - dp))
+            )
+    out.sort()
+    return out
+
+
+def corner_times(m, com):
+    """Lifted arrival time at every corner."""
+    out = {}
+    for f, boundary in enumerate(m.faces):
+        L = len(boundary)
+        for j in range(L):
+            out[(f, j)] = cotime_at(com.cocars[f], com.period, L, Fraction(j))
+    return out
+
+
+def edge_components(m, com, edge):
+    """Maximal solution components of the meeting equation on one edge."""
+    T = com.period
+    owners = {d: (f, j) for f, b in enumerate(m.faces) for j, d in enumerate(b)}
+    fp, jp = owners[(edge, 1)]
+    fm, jm = owners[(edge, -1)]
+    Lp, Lm = len(m.faces[fp]), len(m.faces[fm])
+
+    plus = _pieces_over(com.cocars[fp], T, Lp, Fraction(jp), Fraction(jp + 1))
+    minus = _pieces_over(com.cocars[fm], T, Lm, Fraction(jm), Fraction(jm + 1))
+    # both sides as functions of the + side parameter lam in [0, 1]
+    cuts = {pa - jp for pa, _, pb, _ in plus} | {pb - jp for _, _, pb, _ in plus}
+    cuts |= {jm + 1 - pa for pa, _, _, _ in minus} | {jm + 1 - pb for _, _, pb, _ in minus}
+    grid = sorted(c for c in cuts if 0 <= c <= 1)
+
+    def at_plus(lam):
+        return cotime_at(com.cocars[fp], T, Lp, jp + lam)
+
+    def at_minus(lam):
+        return cotime_at(com.cocars[fm], T, Lm, jm + 1 - lam)
+
+    raw = []
+    for a, b in zip(grid, grid[1:]):
+        Ha = at_plus(a) - at_minus(a)
+        Hb = at_plus(b) - at_minus(b)
+        if Ha == Hb:
+            if Ha % T == 0:
+                raw.append((a, b))
+            continue
+        k = -((-Ha) // T)  # first multiple of T at or above Ha
+        while k * T <= Hb:
+            lam = a + (k * T - Ha) * (b - a) / (Hb - Ha)
+            raw.append((lam, lam))
+            k += 1
+    raw.sort()
+    merged = []
+    for a, b in raw:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [(a, b, at_plus(a) % T) for a, b in merged]
+
+
+def comotion_collisions(m, com):
+    """Vertex and edge loci, every edge solved by the reference solver."""
+    validate_comotion(m, com)
+    T = com.period
+    ct = corner_times(m, com)
+    vertex_loci = {}
+    for vertex in m.vertices():
+        vals = {ct[c] % T for c in vertex}
+        if len(vals) == 1:
+            vertex_loci[vertex] = vals.pop()
+    edge_loci = {}
+    for edge in m.edge_ids:
+        for a, b, t in edge_components(m, com, edge):
+            if (a, b) in ((ZERO, ZERO), (Fraction(1), Fraction(1))):
+                continue
+            key = (edge, a) if a == b else (edge, (a, b))
+            edge_loci[key] = t
+    return ComotionCollisions(vertex_loci, edge_loci)
+
+
+def _span_check(m, com):
+    T = com.period
+    for f, boundary in enumerate(m.faces):
+        L = len(boundary)
+        for j in range(L):
+            lo = cotime_at(com.cocars[f], T, L, Fraction(j))
+            hi = cotime_at(com.cocars[f], T, L, Fraction(j + 1))
+            if hi - lo >= T:
+                raise ComotionError(
+                    f"dart {j} of face {f} sweeps a full period; subdivide first"
+                )
+
+
+def weight_report(m, com):
+    """Face, edge and vertex weights and their total."""
+    validate_comotion(m, com)
+    _span_check(m, com)
+    T = com.period
+    faces = {f: 1 - com.cocars[f].degree for f in range(m.face_count())}
+    edges = {}
+    for edge in m.edge_ids:
+        comps = edge_components(m, com, edge)
+        free = len(comps) - 1 if comps else 0
+        if comps:
+            free += int(comps[0][0] > 0) + int(comps[-1][1] < 1)
+        else:
+            free = 1
+        edges[edge] = -1 + free
+    ct = corner_times(m, com)
+    vertices = {}
+    for vertex in m.vertices():
+        vertices[vertex] = 1 - psi(T, [ct[c] for c in vertex])
+    total = sum(faces.values()) + sum(edges.values()) + sum(vertices.values())
+    return {
+        "faces": faces,
+        "edges": edges,
+        "vertices": vertices,
+        "total": total,
+        "chi": m.euler_characteristic(),
+    }
+
+
+def lemma14_total(m, com, g, h):
+    """The telescoping weight total for arbitrary pair functions g and h."""
+    validate_comotion(m, com)
+    ct = corner_times(m, com)
+    total = ZERO
+    owners = {d: (f, j) for f, b in enumerate(m.faces) for j, d in enumerate(b)}
+    for f, boundary in enumerate(m.faces):
+        L = len(boundary)
+        total += 1 - sum(g(ct[(f, j)], ct[(f, (j + 1) % L)]) for j in range(L))
+    for edge in m.edge_ids:
+        fp, jp = owners[(edge, 1)]
+        fm, jm = owners[(edge, -1)]
+        Lp, Lm = len(m.faces[fp]), len(m.faces[fm])
+        tail_p, head_p = ct[(fp, jp)], ct[(fp, (jp + 1) % Lp)]
+        tail_m, head_m = ct[(fm, jm)], ct[(fm, (jm + 1) % Lm)]
+        total += (
+            -1
+            + g(tail_p, head_p)
+            + h(head_p, tail_m)
+            + g(tail_m, head_m)
+            + h(head_m, tail_p)
+        )
+    for vertex in m.vertices():
+        k = len(vertex)
+        total += 1 - sum(
+            h(ct[vertex[i]], ct[vertex[(i + 1) % k]]) for i in range(k)
+        )
+    return total

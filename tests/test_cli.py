@@ -9,6 +9,7 @@ from spheremotion import jsonio
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
+from spheremotion.fuzzing import make_rng, random_comotion
 from spheremotion.goldens import doubled_polygon_map
 from spheremotion.groups import FreeGroup, FreeProductWord, word
 from spheremotion.rewriting import phi, rewrite_word
@@ -195,7 +196,52 @@ def test_motion_needs_schedule(goldens, capsys):
     assert "motion file or --standard" in report["error"]
 
 
+def test_motion_cars_not_a_list(goldens, tmp_path, capsys):
+    doc = json.loads((goldens / "unit-motion.motion.json").read_text())
+    doc["cars"] = 5
+    path = tmp_path / "bad.motion.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"), str(path))
+    assert code == 2
+    assert "cars must be a list of objects" in report["error"]
+
+
 # -- comotion --------------------------------------------------------------------
+
+
+def pinwheel_comotion_doc(goldens):
+    m = jsonio.parse_map(json.loads((goldens / "pinwheel.map.json").read_text()))
+    return jsonio.comotion_to_json(m, random_comotion(m, make_rng(0)))
+
+
+def run_bad_comotion(goldens, tmp_path, capsys, doc):
+    path = tmp_path / "bad.comotion.json"
+    path.write_text(json.dumps(doc))
+    return run_json(capsys, "comotion", str(goldens / "pinwheel.map.json"), str(path))
+
+
+def test_comotion_cocars_not_a_list(goldens, tmp_path, capsys):
+    doc = pinwheel_comotion_doc(goldens)
+    doc["cocars"] = 5
+    code, report = run_bad_comotion(goldens, tmp_path, capsys, doc)
+    assert code == 2
+    assert "cocars must be a list of objects" in report["error"]
+
+
+def test_comotion_empty_breakpoints(goldens, tmp_path, capsys):
+    doc = pinwheel_comotion_doc(goldens)
+    doc["cocars"][0]["breakpoints"] = []
+    code, report = run_bad_comotion(goldens, tmp_path, capsys, doc)
+    assert code == 2
+    assert "breakpoints must not be empty" in report["error"]
+
+
+def test_comotion_degree_not_an_int(goldens, tmp_path, capsys):
+    doc = pinwheel_comotion_doc(goldens)
+    doc["cocars"][0]["degree"] = True
+    code, report = run_bad_comotion(goldens, tmp_path, capsys, doc)
+    assert code == 2
+    assert "degree must be an int" in report["error"]
 
 
 @pytest.fixture

@@ -1,0 +1,105 @@
+"""The lap-table comotion solver against the reference breakpoint scans."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import comotion_oracle as oracle
+from spheremotion import comotion
+from spheremotion.fuzzing import (
+    make_rng,
+    pinwheel_variant,
+    random_comotion,
+    random_multiple_motion,
+    random_sphere_map,
+    random_subdivisions,
+    random_torus_map,
+)
+from spheremotion.surface import OrientedMap
+
+
+def genus_map(g):
+    """One 4g-gon glued as a1 b1 a1^-1 b1^-1 ... ag bg ag^-1 bg^-1."""
+    boundary = []
+    for k in range(g):
+        a, b = 2 * k, 2 * k + 1
+        boundary += [(a, 1), (b, 1), (a, -1), (b, -1)]
+    return OrientedMap(f"genus-{g}", (tuple(boundary),))
+
+
+def on_sphere_or_torus(rng):
+    m = rng.choice([random_sphere_map, random_torus_map])(rng)
+    m = random_subdivisions(m, rng, rng.randint(0, 3))
+    return m, random_comotion(m, rng)
+
+
+def on_genus(rng):
+    m = random_subdivisions(genus_map(rng.choice([2, 3])), rng, rng.randint(0, 6))
+    return m, random_comotion(m, rng)
+
+
+def on_pinwheel(rng):
+    m = pinwheel_variant(rng.randint(1, 20))
+    return m, random_comotion(m, rng, rng.choice([None, 2]))
+
+
+def induced(rng):
+    m = rng.choice([random_sphere_map, random_torus_map])(rng)
+    return m, comotion.induce_comotion(m, random_multiple_motion(m, rng))
+
+
+def subdivided(rng):
+    # the stretched darts put breakpoints at non-integer positions
+    m, com = rng.choice([on_sphere_or_torus, induced])(rng)
+    for _ in range(rng.randint(1, 3)):
+        nxt = max(m.edge_ids) + 1
+        m, com = comotion.subdivide_comotion(m, com, rng.choice(m.edge_ids), (nxt, nxt + 1))
+    return m, com
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except comotion.ComotionError as exc:
+        return ("raised", str(exc))
+
+
+def probe_positions(cocar, L, rng):
+    """Every breakpoint over four laps, lap boundaries, corners and random points."""
+    p0 = cocar.breakpoints[0][0]
+    xs = [p + k * L for p, _ in cocar.breakpoints for k in (-2, -1, 0, 1)]
+    xs += [p0 + k * L for k in (-2, -1, 0, 1, 2)]
+    xs += [F(j) for j in range(-L, 2 * L + 1)]
+    xs += [F(rng.randint(-8 * L, 8 * L), rng.choice([3, 4, 7])) for _ in range(20)]
+    return xs
+
+
+@pytest.mark.parametrize("build", [on_sphere_or_torus, on_genus, on_pinwheel, induced, subdivided])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_lap_tables_match_the_breakpoint_scans(build, seed):
+    rng = make_rng(seed)
+    m, com = build(rng)
+    T = com.period
+    for cocar in com.cocars:
+        L = len(m.faces[cocar.face])
+        for x in probe_positions(cocar, L, rng):
+            assert comotion.cotime_at(cocar, T, L, x) == oracle.cotime_at(cocar, T, L, x)
+    assert comotion.corner_times(m, com) == oracle.corner_times(m, com)
+    for edge in m.edge_ids:
+        assert comotion.edge_components(m, com, edge) == oracle.edge_components(m, com, edge)
+    got, want = comotion.comotion_collisions(m, com), oracle.comotion_collisions(m, com)
+    assert list(got.vertex_loci.items()) == list(want.vertex_loci.items())
+    assert list(got.edge_loci.items()) == list(want.edge_loci.items())
+    assert outcome(comotion.weight_report, m, com) == outcome(oracle.weight_report, m, com)
+    a, b, c = (F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))
+
+    def g(x, y):
+        return a * x + b * y + c * x * y
+
+    def h(x, y):
+        return b * x - a * y + c
+
+    assert comotion.lemma14_total(m, com, g, h) == oracle.lemma14_total(m, com, g, h)

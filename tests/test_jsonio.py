@@ -179,6 +179,9 @@ def test_motion_parse_rejections():
     doc["cars"][0]["breakpoints"][1]["at"] = {"corner": 3}
     with pytest.raises(JsonError, match="corner index"):
         parse_motion(doc, m)
+    doc["cars"][0]["breakpoints"][1]["at"] = 3
+    with pytest.raises(JsonError, match="missing field 'dart'"):
+        parse_motion(doc, m)
 
 
 def test_comotion_round_trip():

@@ -258,3 +258,89 @@ def test_census_consistency(m):
     # rotation is a bijection on corners
     imgs = {m.next_corner_acw(c) for c in m.corners()}
     assert imgs == set(m.corners())
+
+
+def scan_owner(m, dart):
+    """The original linear dart-owner scan."""
+    for f, b in enumerate(m.faces):
+        for j, d in enumerate(b):
+            if d == dart:
+                return (f, j)
+    raise MapError(f"dart {dart} not present")
+
+
+def scan_next(m, corner):
+    edge, sign = m.corner_in_dart(corner)
+    return scan_owner(m, (edge, -sign))
+
+
+def scan_vertices(m):
+    """The original orbit walk, one owner scan per step."""
+    pending = set(m.corners())
+    out = []
+    while pending:
+        start = min(pending)
+        cycle = [start]
+        pending.discard(start)
+        c = scan_next(m, start)
+        while c != start:
+            cycle.append(c)
+            pending.discard(c)
+            c = scan_next(m, c)
+        out.append(tuple(cycle))
+    return out
+
+
+@given(random_sphere_maps())
+@settings(max_examples=60, deadline=None)
+def test_tables_match_the_scans(m):
+    assert m.vertices() == scan_vertices(m)
+    for f, b in enumerate(m.faces):
+        for j, d in enumerate(b):
+            assert m.dart_owner(d) == scan_owner(m, d) == (f, j)
+    for v in m.vertices():
+        assert all(m.vertex_of(c) == v for c in v)
+
+
+def test_vertices_returns_a_fresh_list():
+    m = pinwheel_map()
+    first = m.vertices()
+    want = list(first)
+    first.clear()
+    assert m.vertices() == want
+    assert m.vertices() is not m.vertices()
+
+
+def test_absent_darts_and_corners_still_raise():
+    m = pinwheel_map()
+    with pytest.raises(MapError):
+        m.dart_owner((99, 1))
+    with pytest.raises(MapError):
+        m.dart_owner((0, 2))
+    with pytest.raises(MapError):
+        m.vertex_of((0, 99))
+    with pytest.raises(MapError):
+        m.vertex_of((99, 0))
+
+
+def test_tables_leave_equality_and_hash_alone():
+    built, fresh = pinwheel_map(), pinwheel_map()
+    built.vertex_of((0, 0))
+    built.dart_owner((0, 1))
+    assert built == fresh and hash(built) == hash(fresh)
+    assert {built: 1}[fresh] == 1
+    assert built != subdivide_edge(fresh, 3, (20, 21))
+
+
+def test_subdivided_maps_get_fresh_tables():
+    m = pinwheel_map()
+    v = m.vertex_of((0, 0))
+    m2 = subdivide_edge(m, 3, (20, 21))
+    assert m2.edge_ids == tuple(sorted(set(m.edge_ids) - {3} | {20, 21}))
+    assert m2.vertices() == scan_vertices(m2) != m.vertices()
+    assert m2.dart_owner((20, 1)) == scan_owner(m2, (20, 1))
+    with pytest.raises(MapError):
+        m.dart_owner((20, 1))
+    with pytest.raises(MapError):
+        m2.dart_owner((3, 1))
+    assert m.vertex_of((0, 0)) == v
