@@ -4,6 +4,10 @@ Every command assembles one JSON-able report and prints it with sorted
 keys, so identical inputs (and seed) give byte-identical output.  Exit
 codes: 0 all checks passed, 1 an invariant check failed, 2 unreadable
 or invalid input.
+
+The argument parser is built once per process, on the first `main` call,
+and reused.  A command dispatches by name to the module's `cmd_<command>`
+function, looked up at every call, so rebinding a handler takes effect.
 """
 
 from __future__ import annotations
@@ -726,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", parents=[common], help="check a map file and print its census"
     )
     p.add_argument("map")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(
         "motion", parents=[common], help="collision report for a motion on a map"
@@ -739,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build the standard A or B schedule instead of reading a file",
     )
     p.add_argument("--m", type=int, help="override the inferred m parameter")
-    p.set_defaults(func=cmd_motion)
 
     p = sub.add_parser(
         "comotion",
@@ -748,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("map")
     p.add_argument("comotion")
-    p.set_defaults(func=cmd_comotion)
 
     p = sub.add_parser(
         "word", parents=[common], help="classify or rewrite a coefficient word"
@@ -760,14 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the base group as simple in the criterion verdict",
     )
-    p.set_defaults(func=cmd_word)
 
     p = sub.add_parser(
         "diagram", parents=[common], help="census and label checks for a diagram"
     )
     p.add_argument("diagram")
     p.add_argument("--presentation", help="check the diagram over this presentation")
-    p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser(
         "fuzz", parents=[common], help="run a randomized invariant suite"
@@ -775,7 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
-    p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(
         "examples",
@@ -783,22 +781,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="list or write the shipped golden files",
     )
     esub = p.add_subparsers(dest="action", required=True)
-    e = esub.add_parser(
-        "list", parents=[common], help="names of the available goldens"
-    )
-    e.set_defaults(func=cmd_examples)
+    esub.add_parser("list", parents=[common], help="names of the available goldens")
     e = esub.add_parser(
         "emit", parents=[common], help="write golden files into a directory"
     )
     e.add_argument("name", choices=GOLDEN_NAMES + ("all",))
     e.add_argument("--dir", default=".", help="output directory")
-    e.set_defaults(func=cmd_examples)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     env_seed = os.environ.get("SPHEREMOTION_SEED")
     if env_seed is not None and hasattr(args, "seed"):
@@ -807,7 +807,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError:
             parser.error(f"SPHEREMOTION_SEED must be an integer, got {env_seed!r}")
     try:
-        report, code = args.func(args)
+        report, code = globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         _print_report(
             {"command": args.command, "error": str(exc), "ok": False}, args.format

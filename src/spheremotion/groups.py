@@ -4,6 +4,11 @@ Words live in G(0) * G(1) * ... * <t_1> * <t_2> * ..., where every G(i) is a
 copy of one base group (free or free abelian) and each t_j generates an
 infinite cyclic factor.  Everything is immutable and hashable; all operations
 are pure.
+
+A word built from many pieces (a power here; a relator or a copy
+substitution in `rewriting`) collects their syllables into one list and
+normalizes it with one `FreeProductWord.from_syllables` call, so each result
+is assembled and validated once instead of once per piece.
 """
 
 from __future__ import annotations
@@ -268,14 +273,6 @@ class FreeAbelianGroup(BaseGroup):
 Syllable = Tuple
 
 
-def g_syllable(copy: int, elem) -> Syllable:
-    return ("g", copy, elem)
-
-
-def t_syllable(j: int, exp: int) -> Syllable:
-    return ("t", j, exp)
-
-
 def _push_syllable(base: BaseGroup, stack: list, syl: Syllable) -> None:
     tag, idx, val = syl
     if tag == "g":
@@ -370,9 +367,6 @@ class FreeProductWord:
     def has_t(self) -> bool:
         return any(s[0] == "t" for s in self.syllables)
 
-    def t_syllables(self) -> Tuple[Syllable, ...]:
-        return tuple(s for s in self.syllables if s[0] == "t")
-
     def exponent_sum(self, j: int = 1) -> int:
         """Signed t_j exponent total; conjugation invariant."""
         if j < 1:
@@ -412,10 +406,7 @@ class FreeProductWord:
     def __pow__(self, k: int) -> "FreeProductWord":
         if k < 0:
             return self.inverse() ** (-k)
-        acc = FreeProductWord.one(self.base)
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return FreeProductWord.from_syllables(self.base, self.syllables * k)
 
     def conjugate_by(self, y: "FreeProductWord") -> "FreeProductWord":
         """Return y^-1 * self * y."""
@@ -458,11 +449,6 @@ class FreeProductWord:
         """Cyclically reduced conjugate of self; idempotent."""
         return self.cyclic_decompose()[1]
 
-    def rotations(self) -> Iterator["FreeProductWord"]:
-        n = len(self.syllables)
-        for i in range(max(n, 1)):
-            yield FreeProductWord(self.base, self.syllables[i:] + self.syllables[:i])
-
     def is_conjugate_to(self, other: "FreeProductWord") -> bool:
         """Conjugacy test via cyclic normal forms."""
         self._require_same_base(other)
@@ -479,7 +465,9 @@ class FreeProductWord:
             if sa[0] == "t":
                 return sa[2] == sb[2]
             return self.base.is_conjugate(sa[2], sb[2])
-        return any(rot.syllables == b.syllables for rot in a.rotations())
+        n = len(a)
+        doubled = a.syllables + a.syllables
+        return any(doubled[i : i + n] == b.syllables for i in range(n))
 
     def is_power_of(self, h: "FreeProductWord") -> bool:
         """True iff self = h**k for some integer k."""

@@ -258,8 +258,15 @@ def parse_motion(doc, m: OrientedMap) -> MotionSchedule:
                 degree=degree,
             )
         )
-    stops = frozenset((f, j) for f, j in doc.get("stop_corners", ()))
-    ms = MotionSchedule(parse_frac(_field(doc, "period")), tuple(cars), stops)
+    stops = doc.get("stop_corners", [])
+    if not isinstance(stops, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)
+        for c in stops
+    ):
+        raise JsonError("stop_corners must be a list of [face, index] int pairs")
+    ms = MotionSchedule(
+        parse_frac(_field(doc, "period")), tuple(cars), frozenset(map(tuple, stops))
+    )
     validate_motion(m, ms)
     return ms
 

@@ -270,9 +270,12 @@ def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
     return car_index(car, L, horizon)[0].get(j, ())
 
 
-def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction):
+def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction, faces):
+    """Indexes of the cars on the given faces, grouped by face."""
     out: dict[int, list] = {}
     for car in ms.cars:
+        if car.face not in faces:
+            continue
         L = len(m.faces[car.face])
         out.setdefault(car.face, []).append(car_index(car, L, horizon))
     return out
@@ -301,7 +304,7 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     interior edge points where cars on the two sides meet."""
     validate_motion(m, ms)
     horizon = collision_horizon(ms)
-    on_face = _indexes_by_face(m, ms, horizon)
+    on_face = _indexes_by_face(m, ms, horizon, range(m.face_count()))
 
     vertex_loci = {}
     for vertex in m.vertices():
@@ -457,7 +460,8 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
             elif (car.face, int(p) % L) not in ms.stop_corners:
                 problems.append(f"undeclared stop at {(car.face, int(p) % L)}")
 
-    on_face = _indexes_by_face(m, ms, horizon) if ms.stop_corners else {}
+    # only corner visits on faces that hold a stop corner are read below
+    on_face = _indexes_by_face(m, ms, horizon, {f for f, _ in ms.stop_corners})
     for vertex in m.vertices():
         stops_here = [c for c in vertex if c in ms.stop_corners]
         if not stops_here:

@@ -54,12 +54,11 @@ class ShiftedForm:
 
     def reassembled(self) -> FreeProductWord:
         """The word prod_i t^-k_i g_i t^k_i times t; conjugate to the input."""
-        acc = FreeProductWord.one(self.base)
+        syls = []
         for (g, _), k in zip(self.pairs, self.k):
-            acc = acc * FreeProductWord.from_syllables(
-                self.base, [("t", T_SYMBOL, -k), ("g", 0, g), ("t", T_SYMBOL, k)]
-            )
-        return acc * FreeProductWord.t(self.base, T_SYMBOL, 1)
+            syls += [("t", T_SYMBOL, -k), ("g", 0, g), ("t", T_SYMBOL, k)]
+        syls.append(("t", T_SYMBOL, 1))
+        return FreeProductWord.from_syllables(self.base, syls)
 
 
 def _validate_coefficient_word(w: FreeProductWord) -> None:
@@ -139,11 +138,11 @@ class RelativePresentationData:
 
     def relator(self) -> FreeProductWord:
         """The relator c t prod_i (b_i t^-1 a_i t) as a word over H and t."""
-        t = FreeProductWord.t(self.base, T_SYMBOL, 1)
-        acc = self.c * t
+        t, t_inv = ("t", T_SYMBOL, 1), ("t", T_SYMBOL, -1)
+        syls = [*self.c.syllables, t]
         for bi, ai in zip(self.b, self.a):
-            acc = acc * bi * t.inverse() * ai * t
-        return acc
+            syls += [*bi.syllables, t_inv, *ai.syllables, t]
+        return FreeProductWord.from_syllables(self.base, syls)
 
     def copies_in_coefficients(self) -> frozenset:
         used = frozenset()
@@ -353,15 +352,13 @@ def rewrite_word(w: FreeProductWord) -> RewriteResult:
 
 def substitute_copies(w: FreeProductWord) -> FreeProductWord:
     """Send g^(i) to t^-i g t^i, collapsing H-words back into G * <t>."""
-    acc = FreeProductWord.one(w.base)
+    syls = []
     for tag, idx, val in w.syllables:
         if tag == "g":
-            acc = acc * FreeProductWord.from_syllables(
-                w.base, [("t", T_SYMBOL, -idx), ("g", 0, val), ("t", T_SYMBOL, idx)]
-            )
+            syls += [("t", T_SYMBOL, -idx), ("g", 0, val), ("t", T_SYMBOL, idx)]
         else:
-            acc = acc * FreeProductWord.from_syllables(w.base, [(tag, idx, val)])
-    return acc
+            syls.append((tag, idx, val))
+    return FreeProductWord.from_syllables(w.base, syls)
 
 
 def reconstruct_relator(data: RelativePresentationData) -> FreeProductWord:
@@ -601,12 +598,6 @@ class RelativePresentation:
                 raise RewriteError("relators must involve t")
             if any(i > self.s for i in r.copies_used()):
                 raise RewriteError("relator uses a copy above s")
-
-
-def presentation_for(data: RelativePresentationData) -> RelativePresentation:
-    return RelativePresentation(
-        data.base, data.s, (data.relator(),), has_phi=data.s >= 1
-    )
 
 
 def build_augmented_presentation(

@@ -324,10 +324,6 @@ class EmbeddedGraph:
         return report
 
 
-def lemma18_check(graph: EmbeddedGraph) -> dict:
-    return graph.sparsity_check()
-
-
 # ---------------------------------------------------------------------------
 # subdivision
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reference collision search: every pair of replicated segments, per edge.
 
 This is the original quadratic search of `spheremotion.motion`, kept as
-the oracle that `complete_collisions` is compared against.  Each car is
+the oracle that `complete_collisions` is compared against, together with
+the stop audit of `check_separated_stops` on top of its corner occupancy.  Each car is
 replicated from one period before its first breakpoint, so every pair of
 cars is compared over the whole horizon [0, H] whatever their first
 breakpoint times.  Slow on purpose: keep inputs small.
@@ -13,6 +14,7 @@ from spheremotion.motion import (
     CollisionReport,
     car_segments,
     collision_horizon,
+    flat_segments,
     intersect_intervals,
     normalize_intervals,
     validate_motion,
@@ -134,3 +136,42 @@ def reference_collisions(m, ms) -> CollisionReport:
         for key, items in sorted(edge_events.items())
     }
     return CollisionReport(horizon, vertex_loci, edge_loci)
+
+
+def reference_stop_audit(m, ms) -> dict:
+    """The stop audit, every car's corner times walked from its segments."""
+    validate_motion(m, ms)
+    horizon = collision_horizon(ms)
+    problems = []
+    for car in ms.cars:
+        L = len(m.faces[car.face])
+        for ta, tb, p in flat_segments(car, L):
+            if tb - ta >= car.period:
+                continue
+            if p.denominator != 1:
+                problems.append(f"car on face {car.face} rests mid-dart at {p}")
+            elif (car.face, int(p) % L) not in ms.stop_corners:
+                problems.append(f"undeclared stop at {(car.face, int(p) % L)}")
+
+    def occupied(corner):
+        f, j = corner
+        L = len(m.faces[f])
+        items = []
+        for car in ms.cars:
+            if car.face == f:
+                items += list(corner_occupancy(car, L, j, horizon))
+        return normalize_intervals(items, horizon)
+
+    for vertex in m.vertices():
+        stops_here = [c for c in vertex if c in ms.stop_corners]
+        if not stops_here:
+            continue
+        if len(stops_here) < 2:
+            problems.append(f"vertex {vertex} has a lone stop corner")
+            continue
+        k = len(stops_here)
+        for i in range(k):
+            a, b = stops_here[i], stops_here[(i + 1) % k]
+            if intersect_intervals(occupied(a), occupied(b)):
+                problems.append(f"consecutive stop corners {a} and {b} occupied together")
+    return {"ok": not problems, "problems": problems}

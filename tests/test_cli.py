@@ -1,11 +1,16 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from spheremotion import jsonio
+import spheremotion
+from spheremotion import cli, jsonio
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
@@ -204,6 +209,17 @@ def test_motion_cars_not_a_list(goldens, tmp_path, capsys):
     code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"), str(path))
     assert code == 2
     assert "cars must be a list of objects" in report["error"]
+
+
+@pytest.mark.parametrize("stops", [5, [5], [[0]], [[0, "1"]], [[True, 0]]])
+def test_motion_stop_corners_not_int_pairs(goldens, tmp_path, capsys, stops):
+    doc = json.loads((goldens / "unit-motion.motion.json").read_text())
+    doc["stop_corners"] = stops
+    path = tmp_path / "bad.motion.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"), str(path))
+    assert code == 2
+    assert "stop_corners must be a list of [face, index] int pairs" in report["error"]
 
 
 # -- comotion --------------------------------------------------------------------
@@ -469,3 +485,72 @@ def test_fuzz_rejects_zero_cases(capsys):
     code, report = run_json(capsys, "fuzz", "--suite", "weights", "--cases", "0")
     assert code == 2
     assert "at least one" in report["error"]
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(goldens, tmp_path, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    path = word_file(tmp_path, difficult_word())
+    for argv in (
+        ["validate", str(goldens / "pinwheel.map.json")],
+        ["word", path, "classify"],
+        ["--format", "text", "word", path, "rewrite"],
+        ["examples", "list"],
+        ["fuzz", "--suite", "rewriting", "--cases", "2"],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def run_alone(argv, env_seed=None):
+    """stdout and exit code of one command in a fresh interpreter."""
+    env = dict(os.environ)
+    env.pop("SPHEREMOTION_SEED", None)
+    if env_seed is not None:
+        env["SPHEREMOTION_SEED"] = env_seed
+    src = str(Path(spheremotion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "spheremotion.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    return done.returncode, done.stdout
+
+
+def test_calls_in_one_process_do_not_leak_state(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SPHEREMOTION_SEED", raising=False)
+    path = word_file(tmp_path, difficult_word())
+    bad = tmp_path / "bad.word.json"
+    bad.write_text(json.dumps({"base": {"kind": "free", "rank": 0}}))
+    jobs = (
+        (["word", path, "rewrite", "--format", "text"], None),
+        (["word", path, "rewrite"], None),
+        (["fuzz", "--suite", "rewriting", "--cases", "3", "--seed", "1"], "7"),
+        (["word", str(bad), "classify"], None),
+    )
+    in_process = []
+    for argv, env_seed in jobs:
+        if env_seed is None:
+            monkeypatch.delenv("SPHEREMOTION_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SPHEREMOTION_SEED", env_seed)
+        in_process.append(run(capsys, *argv))
+    assert [code for code, _ in in_process] == [0, 0, 0, 2]
+    assert not in_process[0][1].startswith("{")
+    assert json.loads(in_process[2][1])["seed"] == 7
+    for (argv, env_seed), got in zip(jobs, in_process):
+        assert got == run_alone(argv, env_seed)

@@ -1,4 +1,4 @@
-"""The indexed collision search against the reference segment-pair search."""
+"""The indexed collision search and stop audit against the reference segment walks."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collision_oracle import reference_collisions
+from collision_oracle import reference_collisions, reference_stop_audit
 from spheremotion.fuzzing import (
     d_profile,
     doubled_polygon,
@@ -23,6 +23,7 @@ from spheremotion.goldens import unit_speed_motion
 from spheremotion.motion import (
     MotionSchedule,
     blow_up,
+    check_separated_stops,
     complete_collisions,
     standard_motion,
     standard_multiple_motion,
@@ -42,6 +43,16 @@ def shifted_multiple(rng):
     d = Fraction(rng.randint(1, 24), rng.randint(1, 4))
     cars = tuple(time_shifted_car(c, len(m.faces[c.face]), d) for c in ms.cars)
     return m, MotionSchedule(ms.period, cars)
+
+
+def declared_stops(rng):
+    # stops declared on random corners: lone stops, and stop pairs occupied together
+    m, ms = sphere_multiple(rng)
+    stops = set()
+    for v in m.vertices():
+        if rng.random() < 0.5:
+            stops.update(rng.sample(sorted(v), rng.randint(1, len(v))))
+    return m, MotionSchedule(ms.period, ms.cars, frozenset(stops))
 
 
 def torus_multiple(rng):
@@ -75,7 +86,7 @@ def blown_up(rng):
 
 @pytest.mark.parametrize(
     "build",
-    [sphere_multiple, shifted_multiple, torus_multiple, standard_a, standard_b, pinwheel_unit, blown_up],
+    [sphere_multiple, shifted_multiple, declared_stops, torus_multiple, standard_a, standard_b, pinwheel_unit, blown_up],
 )
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10**6))
@@ -86,3 +97,4 @@ def test_index_matches_segment_pair_search(build, seed):
     assert got.horizon == want.horizon
     assert list(got.vertex_loci.items()) == list(want.vertex_loci.items())
     assert list(got.edge_loci.items()) == list(want.edge_loci.items())
+    assert check_separated_stops(m, ms) == reference_stop_audit(m, ms)

@@ -11,6 +11,8 @@ from spheremotion.groups import (
     reduce_letters,
     word,
 )
+from spheremotion.fuzzing import make_rng, random_unit_sum_word
+from spheremotion.rewriting import reconstruct_relator, rewrite_word
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -73,6 +75,22 @@ def words_f2(max_size=8):
         return FreeProductWord.from_syllables(F2, syls)
 
     return st.lists(syllable_items(), max_size=max_size).map(build)
+
+
+def words_z2(max_size=8):
+    g_item = st.tuples(
+        st.just("g"), st.integers(0, 2), st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    )
+    t_item = st.tuples(st.just("t"), st.integers(1, 2), st.integers(-3, 3).filter(bool))
+    return st.lists(st.one_of(g_item, t_item), max_size=max_size).map(
+        lambda items: FreeProductWord.from_syllables(Z2, items)
+    )
+
+
+# three words over one base, free or free abelian
+word_triples = st.sampled_from([words_f2, words_z2]).flatmap(
+    lambda words: st.tuples(words(), words(), words())
+)
 
 
 # free base -------------------------------------------------------------------
@@ -345,3 +363,85 @@ def test_probe_mixed_t_words():
     u = word(F2, "a", ("t", 1, 1))
     v = word(F2, "b")
     assert free_subgroup_probe([u, v], 5)
+
+
+# oracles: the word-at-a-time forms of powers and conjugacy ----------------------
+
+
+def fold_power(w, k):
+    """w ** k as a left fold of products, each step a validated word."""
+    if k < 0:
+        return fold_power(w.inverse(), -k)
+    acc = FreeProductWord.one(w.base)
+    for _ in range(k):
+        acc = acc * w
+    return acc
+
+
+def rotation_conjugacy(u, v):
+    """Conjugacy by building every rotation of the cyclic core as a word."""
+    a = u.cyclic_reduce()
+    b = v.cyclic_reduce()
+    if len(a) != len(b):
+        return False
+    if len(a) == 0:
+        return True
+    if len(a) == 1:
+        sa, sb = a.syllables[0], b.syllables[0]
+        if sa[0] != sb[0] or sa[1] != sb[1]:
+            return False
+        if sa[0] == "t":
+            return sa[2] == sb[2]
+        return u.base.is_conjugate(sa[2], sb[2])
+    n = len(a.syllables)
+    rotations = (
+        FreeProductWord(a.base, a.syllables[i:] + a.syllables[:i]) for i in range(max(n, 1))
+    )
+    return any(rot.syllables == b.syllables for rot in rotations)
+
+
+def conjugacy_pairs(u, v, y):
+    """Pairs of mostly equal length, conjugate or nearly so."""
+    return (
+        (u, v),
+        (u, u.conjugate_by(y)),
+        (u * v, v * u),
+        (u * v, v.conjugate_by(y) * u),
+        (u, u.inverse()),
+        (u * y * v, v * y * u),
+    )
+
+
+@given(word_triples, st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_power_matches_left_fold(ws, k):
+    for w in ws:
+        assert w ** k == fold_power(w, k)
+
+
+@given(word_triples)
+@settings(max_examples=200, deadline=None)
+def test_conjugacy_matches_rotation_words(ws):
+    for a, b in conjugacy_pairs(*ws):
+        assert a.is_conjugate_to(b) == rotation_conjugacy(a, b)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_fast_paths_match_oracles_on_rewriting_words(seed):
+    w = random_unit_sum_word(make_rng(seed), max_minus=6)
+    res = rewrite_word(w)
+    target = (w.inverse() if res.inverted else w).cyclic_reduce()
+    relator = reconstruct_relator(res.data)
+    pairs = (
+        (relator, target),
+        (res.shifted.reassembled(), target),
+        (relator, w),
+        (res.data.relator(), res.initial.relator()),
+        *conjugacy_pairs(w, relator, target),
+    )
+    for a, b in pairs:
+        assert a.is_conjugate_to(b) == rotation_conjugacy(a, b)
+    for k in (-3, -1, 0, 2, 3):
+        assert w ** k == fold_power(w, k)
+        assert relator ** k == fold_power(relator, k)

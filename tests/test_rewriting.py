@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spheremotion.fuzzing import make_rng, random_base_element, random_unit_sum_word
 from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
 from spheremotion.rewriting import (
+    T_SYMBOL,
     RelativePresentationData,
     RewriteError,
     build_augmented_presentation,
@@ -19,10 +21,15 @@ from spheremotion.rewriting import (
     lemma2_auxiliary,
     main_theorem_verdict,
     minimize_presentation,
+    move_absorb_a,
+    move_absorb_b,
+    move_lower_s,
+    move_trim,
     phi,
     primitive_root_word,
     reconstruct_relator,
     rewrite_word,
+    substitute_copies,
     to_shifted_form,
 )
 
@@ -368,3 +375,90 @@ def test_shifted_form_abelian_base():
     res = rewrite_word(w)
     assert (res.data.s, res.data.m) == (0, 0)
     assert reconstruct_relator(res.data).is_conjugate_to(w)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the word-at-a-time left folds that assembled these words first
+# ---------------------------------------------------------------------------
+
+
+def fold_reassembled(sf):
+    acc = FreeProductWord.one(sf.base)
+    for (g, _), k in zip(sf.pairs, sf.k):
+        acc = acc * FreeProductWord.from_syllables(
+            sf.base, [("t", T_SYMBOL, -k), ("g", 0, g), ("t", T_SYMBOL, k)]
+        )
+    return acc * FreeProductWord.t(sf.base, T_SYMBOL, 1)
+
+
+def fold_relator(data):
+    t = FreeProductWord.t(data.base, T_SYMBOL, 1)
+    acc = data.c * t
+    for bi, ai in zip(data.b, data.a):
+        acc = acc * bi * t.inverse() * ai * t
+    return acc
+
+
+def fold_substitute_copies(w):
+    acc = FreeProductWord.one(w.base)
+    for tag, idx, val in w.syllables:
+        if tag == "g":
+            acc = acc * FreeProductWord.from_syllables(
+                w.base, [("t", T_SYMBOL, -idx), ("g", 0, val), ("t", T_SYMBOL, idx)]
+            )
+        else:
+            acc = acc * FreeProductWord.from_syllables(w.base, [(tag, idx, val)])
+    return acc
+
+
+MOVES = {
+    "lower": lambda data, _: move_lower_s(data),
+    "trim": lambda data, _: move_trim(data),
+    "absorb_a": move_absorb_a,
+    "absorb_b": move_absorb_b,
+}
+
+
+def presentations_along(res):
+    """Every presentation the minimization passes through, replayed."""
+    data = res.initial
+    out = [data]
+    for name, i in res.trace:
+        data = MOVES[name](data, i)
+        out.append(data)
+    assert data == res.data
+    return out
+
+
+BASES = (None, FreeGroup(1), F2, F3, FreeAbelianGroup(1), Z2, FreeAbelianGroup(3))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BASES))
+@settings(max_examples=150, deadline=None)
+def test_word_assembly_matches_left_folds(seed, base):
+    w = random_unit_sum_word(make_rng(seed), base=base, max_minus=6)
+    res = rewrite_word(w)
+    for sf in (res.shifted, to_shifted_form(w.inverse() if res.inverted else w)):
+        assert sf.reassembled() == fold_reassembled(sf)
+    for data in presentations_along(res):
+        relator = data.relator()
+        assert relator == fold_relator(data)
+        for x in (relator, data.c, *data.a, *data.b):
+            assert substitute_copies(x) == fold_substitute_copies(x)
+
+
+@given(
+    st.sampled_from((F2, Z2)),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 10**6), st.integers(-2, 2)),
+        max_size=10,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_substitute_copies_matches_left_fold_on_mixed_words(base, items):
+    syls = []
+    for copy, seed, exp in items:
+        syls.append(("g", copy, random_base_element(base, make_rng(seed))))
+        syls.append(("t", 1 + seed % 2, exp))
+    w = FreeProductWord.from_syllables(base, syls)
+    assert substitute_copies(w) == fold_substitute_copies(w)

@@ -8,7 +8,6 @@ from spheremotion.surface import (
     OrientedMap,
     classify_face,
     classify_map,
-    lemma18_check,
     subdivide_edge,
     surface_euler_characteristic,
 )
@@ -205,12 +204,12 @@ def test_embedded_graph_validation():
     with pytest.raises(MapError):
         EmbeddedGraph(2, 3, ((3, True), (2, True)))  # perimeters sum to 5
     g = EmbeddedGraph(2, 3, ((3, True), (3, True)))
-    assert lemma18_check(g)["bound_holds"]
+    assert g.sparsity_check()["bound_holds"]
 
 
 def test_embedded_graph_from_sphere_map():
     g = EmbeddedGraph.from_sphere_map(pinwheel_map())
-    rep = lemma18_check(g)
+    rep = g.sparsity_check()
     assert rep["hypothesis_holds"] and rep["bound_holds"]
 
 
@@ -219,7 +218,7 @@ def test_seven_parallel_edges_violate_hypothesis():
     # many 2-gon regions break the sparsity hypothesis
     regions = tuple((2, True) for _ in range(7))
     g = EmbeddedGraph(2, 7, regions)
-    rep = lemma18_check(g)
+    rep = g.sparsity_check()
     assert not rep["hypothesis_holds"]
     assert rep["short_regions"] == 7
     assert not rep["bound_holds"]
@@ -228,7 +227,7 @@ def test_seven_parallel_edges_violate_hypothesis():
 def test_sparsity_bound_exact_statement():
     # one short region is allowed and the bound still holds
     g = EmbeddedGraph(3, 6, ((2, True), (4, True), (3, True), (3, False)))
-    rep = lemma18_check(g)
+    rep = g.sparsity_check()
     assert rep["hypothesis_holds"] and rep["bound_holds"]
 
 
