@@ -3,7 +3,9 @@
 Every command assembles one JSON-able report and prints it with sorted
 keys, so identical inputs (and seed) give byte-identical output.  Exit
 codes: 0 all checks passed, 1 an invariant check failed, 2 unreadable
-or invalid input.
+or invalid input.  A failed internal consistency check raises
+RuntimeError: it is a bug, not bad input.  The fuzz suites live in
+`spheremotion.fuzzing`; `fuzz` runs one of them over its cases.
 
 The argument parser is built once per process, on the first `main` call,
 and reused.  A command dispatches by name to the module's `cmd_<command>`
@@ -23,20 +25,15 @@ from typing import Optional, Sequence
 from . import fuzzing, jsonio
 from .comotion import (
     comotion_collisions,
-    induce_comotion,
     lemma11_check,
     solve_edges,
     weight_report,
 )
 from .diagram import (
-    HowieDiagram,
-    audit_standard_collisions,
     check_diagram_over,
-    face_cells,
     find_reducible_pair,
     is_phi_cell,
     is_phi_reduced,
-    phi_reduce_move,
 )
 from .goldens import (
     banded_sphere_map,
@@ -46,7 +43,6 @@ from .goldens import (
     pinwheel_unit_motion,
     square_torus_map,
 )
-from .groups import FreeProductWord
 from .jsonio import frac_to_str
 from .motion import (
     MotionError,
@@ -66,8 +62,6 @@ from .rewriting import (
     is_conjugate_to_t_pm_g,
     is_difficult_pattern,
     main_theorem_verdict,
-    minimize_presentation,
-    phi,
     reconstruct_relator,
     rewrite_word,
 )
@@ -496,201 +490,20 @@ def cmd_examples(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# fuzz suites
+# fuzzing
 # ---------------------------------------------------------------------------
-
-
-def _fuzz_weights(rng, cases: int) -> list[dict]:
-    violations = []
-    for i in range(cases):
-        for builder, chi in ((fuzzing.random_sphere_map, 2), (fuzzing.random_torus_map, 0)):
-            m = builder(rng)
-            com = fuzzing.random_comotion(m, rng)
-            total = weight_report(m, com)["total"]
-            if total != chi:
-                violations.append(
-                    {"case": i, "problem": f"{m.surface} weight total {total} != {chi}"}
-                )
-    return violations
-
-
-def _induced_comotion_problems(m: OrientedMap, ms, rep) -> list[str]:
-    T = ms.period
-    problems = []
-    mult = multiplicities(m, ms)
-    com = induce_comotion(m, ms)
-    if [c.degree for c in com.cocars] != [mult[f] for f in range(m.face_count())]:
-        problems.append("cocar degrees disagree with face multiplicities")
-    crep = comotion_collisions(m, com)
-    if set(rep.vertex_loci) != set(crep.vertex_loci):
-        problems.append("vertex loci differ")
-    else:
-        for v, spans in rep.vertex_loci.items():
-            if {a % T for a, _ in spans} != {crep.vertex_loci[v] % T}:
-                problems.append(f"instants differ at vertex {v}")
-    if set(rep.edge_loci) != set(crep.edge_loci):
-        problems.append("edge loci differ")
-    else:
-        for key, spans in rep.edge_loci.items():
-            if {a % T for a, _ in spans} != {crep.edge_loci[key] % T}:
-                problems.append(f"instants differ inside edge {key[0]}")
-    return problems
-
-
-def _fuzz_collisions(rng, cases: int) -> list[dict]:
-    violations = []
-    for i in range(cases):
-        m = fuzzing.random_sphere_map(rng)
-        ms = fuzzing.random_multiple_motion(m, rng)
-        rep = complete_collisions(m, ms)
-        if rep.spatial_count < 2:
-            violations.append(
-                {"case": i, "problem": f"only {rep.spatial_count} collision loci"}
-            )
-        for problem in _induced_comotion_problems(m, ms, rep):
-            violations.append({"case": i, "problem": problem})
-    return violations
-
-
-def _fuzz_rewriting(rng, cases: int) -> list[dict]:
-    violations = []
-    for i in range(cases):
-        w = fuzzing.random_unit_sum_word(rng)
-        res = rewrite_word(w)
-        target = (w.inverse() if res.inverted else w).cyclic_reduce()
-        if not reconstruct_relator(res.data).is_conjugate_to(target):
-            violations.append(
-                {"case": i, "problem": "relator is not conjugate to the input"}
-            )
-        again, trace = minimize_presentation(res.data)
-        if trace != () or again != res.data:
-            violations.append({"case": i, "problem": "minimization is not a fixpoint"})
-        minimal = check_minimality(res.data)
-        if not (
-            minimal["a_outside_P"]
-            and minimal["b_outside_P_phi"]
-            and minimal["top_copy_used"]
-        ):
-            violations.append(
-                {"case": i, "problem": "fixpoint violates the minimality conditions"}
-            )
-    return violations
-
-
-def _lune_map(n: int) -> OrientedMap:
-    return OrientedMap(
-        "sphere", tuple(((i, -1), ((i + 1) % n, 1)) for i in range(n))
-    )
-
-
-def _random_phi_chain(rng):
-    """A necklace of phi cells with random nonidentity P-words."""
-    n = rng.randint(2, 5)
-    base = fuzzing.random_base(rng)
-    labels = {}
-    acc = FreeProductWord.one(base)
-    for i in range(n):
-        while True:
-            p = FreeProductWord.g(
-                base, fuzzing.random_base_element(base, rng, allow_identity=False)
-            )
-            if not p.is_identity() and p != acc.inverse():
-                break
-        acc = acc * p
-        labels[(i, 1)] = p
-        labels[(i, 0)] = phi(p).inverse()
-    m = _lune_map(n)
-    d = HowieDiagram(
-        m,
-        labels,
-        {e: 1 for e in m.edge_ids},
-        exterior_vertices=frozenset(m.vertices()),
-        phi_s=1,
-    )
-    return d, acc
-
-
-def _check_phi_chain(rng, i: int, violations: list) -> None:
-    d, product = _random_phi_chain(rng)
-    n = d.map.face_count()
-    pres = RelativePresentation(d.base, 1, (FreeProductWord.t(d.base),), has_phi=True)
-    for e in range(1, n):
-        faces_before = d.map.face_count()
-        d = phi_reduce_move(d, e)
-        if d.map.euler_characteristic() != 2:
-            violations.append({"case": i, "problem": "merge changed chi"})
-        if d.map.face_count() != faces_before - 1:
-            violations.append({"case": i, "problem": "merge did not drop one face"})
-        if not check_diagram_over(d, pres)["ok"]:
-            violations.append({"case": i, "problem": "merge left the presentation"})
-    cells = face_cells(d, 0)
-    if cells[0][1] == 1:
-        cells = (cells[1], cells[0])
-    (_, _, p), (_, _, q) = cells
-    if p != product or q != phi(product).inverse():
-        violations.append(
-            {"case": i, "problem": "merged cell is not the chain product"}
-        )
-    if not is_phi_reduced(d):
-        violations.append({"case": i, "problem": "single cell is not phi-reduced"})
-
-
-def _check_mirror_audit(rng, i: int, violations: list) -> None:
-    mval = rng.choice((0, 1, 2))
-    m = fuzzing.doubled_polygon(fuzzing.b_profile(mval))
-    base = fuzzing.random_base(rng)
-    labels = {
-        (0, j): FreeProductWord.g(base, fuzzing.random_base_element(base, rng))
-        for j in range(len(m.faces[0]))
-    }
-    for v in m.vertices():
-        (_, jf), (fb, jb) = sorted(v)
-        labels[(fb, jb)] = labels[(0, jf)].inverse()
-    edge_labels = {e: 1 for e in m.edge_ids}
-    ms = standard_motion(m)
-    audit = audit_standard_collisions(HowieDiagram(m, labels, edge_labels), ms)
-    if (
-        audit["passes"]
-        or not audit["vertices"]
-        or any(r["refuted"] for r in audit["vertices"])
-    ):
-        violations.append(
-            {"case": i, "problem": "mirror labels must satisfy every collision"}
-        )
-        return
-    bump = FreeProductWord.g(base, base.generators()[0])
-    bumped = dict(labels)
-    for record in audit["vertices"]:
-        back = max(record["vertex"])
-        bumped[back] = bumped[back] * bump
-    audit2 = audit_standard_collisions(HowieDiagram(m, bumped, edge_labels), ms)
-    if not audit2["passes"] or not all(r["refuted"] for r in audit2["vertices"]):
-        violations.append(
-            {"case": i, "problem": "perturbed labels must refute every collision"}
-        )
-
-
-def _fuzz_diagrams(rng, cases: int) -> list[dict]:
-    violations: list[dict] = []
-    for i in range(cases):
-        _check_phi_chain(rng, i, violations)
-        _check_mirror_audit(rng, i, violations)
-    return violations
-
-
-SUITES = {
-    "weights": _fuzz_weights,
-    "collisions": _fuzz_collisions,
-    "rewriting": _fuzz_rewriting,
-    "diagrams": _fuzz_diagrams,
-}
 
 
 def cmd_fuzz(args) -> tuple[dict, int]:
     if args.cases < 1:
         raise jsonio.JsonError("need at least one fuzz case")
     rng = fuzzing.make_rng(args.seed)
-    violations = SUITES[args.suite](rng, args.cases)
+    case = fuzzing.SUITES[args.suite]
+    violations = [
+        {"case": i, "problem": problem}
+        for i in range(args.cases)
+        for problem in case(rng)
+    ]
     ok = not violations
     report = {
         "command": "fuzz",
@@ -771,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fuzz", parents=[common], help="run a randomized invariant suite"
     )
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(fuzzing.SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
 

@@ -290,7 +290,7 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
         for v in new_vertices:
             if images & set(v):
                 return v
-        raise DiagramError("exterior vertex lost in surgery")  # pragma: no cover
+        raise RuntimeError("exterior vertex lost in surgery")  # pragma: no cover
 
     return HowieDiagram(
         new_map,

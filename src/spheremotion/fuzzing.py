@@ -1,7 +1,19 @@
-"""Seeded random generators for maps, schedules, comotions and words.
+"""Seeded random generators, the fuzzed invariants, and the fuzz suites.
 
-Everything takes a seed or a random.Random so runs reproduce exactly;
-the CLI fuzz command and the test suite share these builders.
+Everything takes a seed or a random.Random so runs reproduce exactly.
+Each fuzzed guarantee of the paper has one check here, which takes one
+instance and returns its problems as strings (none when it holds):
+
+- `weight_total_problems`: comotion weights sum to the Euler
+  characteristic of the surface
+- `bridge_problems`: a regular multiple motion and the comotion it
+  induces have the same collision loci at the same instants
+- `rewrite_problems`: the rewritten presentation reproduces the word up
+  to conjugacy, is a fixpoint of minimization, and is minimal
+
+`SUITES` maps each suite of `spheremotion fuzz` to a function that draws
+one case from an rng and returns its problems.  The acceptance criteria
+4, 10 and 9 call the same three checks on their own draws.
 """
 
 from __future__ import annotations
@@ -9,16 +21,35 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .comotion import Cocar, Comotion
-from .groups import (
-    BaseGroup,
-    FreeAbelianGroup,
-    FreeGroup,
-    FreeProductWord,
-    reduce_letters,
+from .comotion import Cocar, Comotion, comotion_collisions, induce_comotion, weight_report
+from .diagram import (
+    HowieDiagram,
+    audit_standard_collisions,
+    check_diagram_over,
+    face_cells,
+    is_phi_reduced,
+    phi_reduce_move,
 )
-from .motion import CarSchedule, MotionSchedule, time_shifted_car
-from .surface import OrientedMap, subdivide_edge
+from .goldens import doubled_polygon_map, square_torus_map
+from .groups import BaseGroup, FreeAbelianGroup, FreeGroup, FreeProductWord, reduce_letters
+from .motion import (
+    CarSchedule,
+    MotionSchedule,
+    complete_collisions,
+    is_regular,
+    multiplicities,
+    standard_motion,
+    time_shifted_car,
+)
+from .rewriting import (
+    RelativePresentation,
+    check_minimality,
+    minimize_presentation,
+    phi,
+    reconstruct_relator,
+    rewrite_word,
+)
+from .surface import OrientedMap, subdivide_edge, surface_euler_characteristic
 
 
 def make_rng(seed) -> random.Random:
@@ -53,9 +84,14 @@ def pinwheel_variant(n: int) -> OrientedMap:
 
 
 def doubled_polygon(signs) -> OrientedMap:
-    from .goldens import doubled_polygon_map
-
     return doubled_polygon_map(tuple(signs))
+
+
+def lune_map(n: int) -> OrientedMap:
+    """n two-sided faces around the sphere, lune i between edges i and i+1."""
+    return OrientedMap(
+        "sphere", tuple(((i, -1), ((i + 1) % n, 1)) for i in range(n))
+    )
 
 
 def rotate_map(m: OrientedMap, rng) -> OrientedMap:
@@ -118,8 +154,7 @@ def random_sphere_map(rng) -> OrientedMap:
 
 def random_torus_map(rng) -> OrientedMap:
     rng = make_rng(rng)
-    m = OrientedMap("torus", (((0, 1), (1, 1), (0, -1), (1, -1)),))
-    m = random_subdivisions(m, rng, rng.randint(0, 4))
+    m = random_subdivisions(square_torus_map(), rng, rng.randint(0, 4))
     return relabel_map(rotate_map(m, rng), rng)
 
 
@@ -254,3 +289,178 @@ def random_unit_sum_word(rng, base=None, max_minus=4) -> FreeProductWord:
         syls.append(("g", 0, random_base_element(base, rng)))
         syls.append(("t", 1, eps))
     return FreeProductWord.from_syllables(base, syls)
+
+
+# ---------------------------------------------------------------------------
+# invariants, one instance at a time
+# ---------------------------------------------------------------------------
+
+
+def weight_total_problems(m: OrientedMap, com: Comotion) -> list[str]:
+    """The comotion's weights against chi of the map's surface."""
+    total = weight_report(m, com)["total"]
+    chi = surface_euler_characteristic(m.surface)
+    return [] if total == chi else [f"{m.surface} weight total {total} != {chi}"]
+
+
+def bridge_problems(m: OrientedMap, ms: MotionSchedule, rep) -> list[str]:
+    """A regular multiple motion's collision report `rep` against the
+    collisions of its induced comotion, locus by locus and instant by
+    instant modulo the period."""
+    if not is_regular(m, ms):
+        return ["motion is not regular"]
+    T = ms.period
+    problems = []
+    mult = multiplicities(m, ms)
+    com = induce_comotion(m, ms)
+    if [c.degree for c in com.cocars] != [mult[f] for f in range(m.face_count())]:
+        problems.append("cocar degrees disagree with face multiplicities")
+    crep = comotion_collisions(m, com)
+    if set(rep.vertex_loci) != set(crep.vertex_loci):
+        problems.append("vertex loci differ")
+    else:
+        for v, spans in rep.vertex_loci.items():
+            if {a % T for a, _ in spans} != {crep.vertex_loci[v] % T}:
+                problems.append(f"instants differ at vertex {v}")
+    if set(rep.edge_loci) != set(crep.edge_loci):
+        problems.append("edge loci differ")
+    else:
+        for key, spans in rep.edge_loci.items():
+            if {a % T for a, _ in spans} != {crep.edge_loci[key] % T}:
+                problems.append(f"instants differ inside edge {key[0]}")
+    return problems
+
+
+def rewrite_problems(w: FreeProductWord) -> list[str]:
+    """Round trip, fixpoint and minimality of `rewrite_word(w)`."""
+    res = rewrite_word(w)
+    target = (w.inverse() if res.inverted else w).cyclic_reduce()
+    problems = []
+    if not reconstruct_relator(res.data).is_conjugate_to(target):
+        problems.append("relator is not conjugate to the input")
+    again, trace = minimize_presentation(res.data)
+    if trace != () or again != res.data:
+        problems.append("minimization is not a fixpoint")
+    minimal = check_minimality(res.data)
+    if not all(minimal[k] for k in ("a_outside_P", "b_outside_P_phi", "top_copy_used")):
+        problems.append("fixpoint violates the minimality conditions")
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# fuzz suites: one random case each
+# ---------------------------------------------------------------------------
+
+
+def _weights_case(rng) -> list[str]:
+    problems = []
+    for builder in (random_sphere_map, random_torus_map):
+        m = builder(rng)
+        problems += weight_total_problems(m, random_comotion(m, rng))
+    return problems
+
+
+def _collisions_case(rng) -> list[str]:
+    m = random_sphere_map(rng)
+    ms = random_multiple_motion(m, rng)
+    rep = complete_collisions(m, ms)
+    problems = []
+    if rep.spatial_count < 2:
+        problems.append(f"only {rep.spatial_count} collision loci")
+    return problems + bridge_problems(m, ms, rep)
+
+
+def _rewriting_case(rng) -> list[str]:
+    return rewrite_problems(random_unit_sum_word(rng))
+
+
+def _random_phi_chain(rng):
+    """A necklace of phi cells with random nonidentity P-words."""
+    n = rng.randint(2, 5)
+    base = random_base(rng)
+    labels = {}
+    acc = FreeProductWord.one(base)
+    for i in range(n):
+        while True:
+            g = random_base_element(base, rng, allow_identity=False)
+            p = FreeProductWord.g(base, g)
+            if not p.is_identity() and p != acc.inverse():
+                break
+        acc = acc * p
+        labels[(i, 1)] = p
+        labels[(i, 0)] = phi(p).inverse()
+    m = lune_map(n)
+    d = HowieDiagram(
+        m,
+        labels,
+        {e: 1 for e in m.edge_ids},
+        exterior_vertices=frozenset(m.vertices()),
+        phi_s=1,
+    )
+    return d, acc
+
+
+def _phi_chain_problems(rng) -> list[str]:
+    """Merging a phi chain cell by cell keeps chi and the presentation,
+    and ends in one phi-reduced cell labelled by the chain's product."""
+    d, product = _random_phi_chain(rng)
+    pres = RelativePresentation(d.base, 1, (FreeProductWord.t(d.base),), has_phi=True)
+    problems = []
+    for e in range(1, d.map.face_count()):
+        faces_before = d.map.face_count()
+        d = phi_reduce_move(d, e)
+        if d.map.euler_characteristic() != 2:
+            problems.append("merge changed chi")
+        if d.map.face_count() != faces_before - 1:
+            problems.append("merge did not drop one face")
+        if not check_diagram_over(d, pres)["ok"]:
+            problems.append("merge left the presentation")
+    cells = face_cells(d, 0)
+    if cells[0][1] == 1:
+        cells = (cells[1], cells[0])
+    (_, _, p), (_, _, q) = cells
+    if p != product or q != phi(product).inverse():
+        problems.append("merged cell is not the chain product")
+    if not is_phi_reduced(d):
+        problems.append("single cell is not phi-reduced")
+    return problems
+
+
+def _mirror_audit_problems(rng) -> list[str]:
+    """Mirror labels on a doubled polygon satisfy every standard collision;
+    bumping each back label refutes every one of them."""
+    m = doubled_polygon(b_profile(rng.choice((0, 1, 2))))
+    base = random_base(rng)
+    labels = {
+        (0, j): FreeProductWord.g(base, random_base_element(base, rng))
+        for j in range(len(m.faces[0]))
+    }
+    for v in m.vertices():
+        (_, jf), (fb, jb) = sorted(v)
+        labels[(fb, jb)] = labels[(0, jf)].inverse()
+    edge_labels = {e: 1 for e in m.edge_ids}
+    ms = standard_motion(m)
+    audit = audit_standard_collisions(HowieDiagram(m, labels, edge_labels), ms)
+    records = audit["vertices"]
+    if audit["passes"] or not records or any(r["refuted"] for r in records):
+        return ["mirror labels must satisfy every collision"]
+    bump = FreeProductWord.g(base, base.generators()[0])
+    for record in records:
+        back = max(record["vertex"])
+        labels[back] = labels[back] * bump
+    audit = audit_standard_collisions(HowieDiagram(m, labels, edge_labels), ms)
+    if not audit["passes"] or not all(r["refuted"] for r in audit["vertices"]):
+        return ["perturbed labels must refute every collision"]
+    return []
+
+
+def _diagrams_case(rng) -> list[str]:
+    return _phi_chain_problems(rng) + _mirror_audit_problems(rng)
+
+
+SUITES = {
+    "weights": _weights_case,
+    "collisions": _collisions_case,
+    "rewriting": _rewriting_case,
+    "diagrams": _diagrams_case,
+}

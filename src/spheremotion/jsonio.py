@@ -54,17 +54,36 @@ def _objects(doc: dict, key: str) -> list:
     return items
 
 
+def _int(doc: dict, key: str) -> int:
+    x = _field(doc, key)
+    if type(x) is not int:
+        raise JsonError(f"{key} must be an int, got {x!r}")
+    return x
+
+
+def _table(doc: dict, key: str, default=None) -> dict:
+    """An object-valued field; optional when a default is given."""
+    table = _field(doc, key) if default is None else doc.get(key, default)
+    if not isinstance(table, dict):
+        raise JsonError(f"{key} must be an object")
+    return table
+
+
+def _ints(items, key: str) -> list:
+    if not isinstance(items, list) or not all(type(x) is int for x in items):
+        raise JsonError(f"{key} must be a list of ints")
+    return items
+
+
 def _face_entries(doc: dict, key: str, m: OrientedMap):
     """(entry, face, face length, breakpoints, degree) of each car or cocar."""
     for entry in _objects(doc, key):
         f = _field(entry, "face")
         if not isinstance(f, int) or not 0 <= f < m.face_count():
             raise JsonError(f"no such face: {f!r}")
-        bps, degree = _objects(entry, "breakpoints"), _field(entry, "degree")
+        bps, degree = _objects(entry, "breakpoints"), _int(entry, "degree")
         if not bps:
             raise JsonError("breakpoints must not be empty")
-        if type(degree) is not int:
-            raise JsonError(f"degree must be an int, got {degree!r}")
         yield entry, f, len(m.faces[f]), bps, degree
 
 
@@ -104,12 +123,12 @@ def parse_word(doc, base: BaseGroup = None) -> FreeProductWord:
     if base is not None and found != base:
         raise JsonError(f"word base {found!r} does not match {base!r}")
     syllables = []
-    for syl in _field(doc, "syllables"):
+    for syl in _objects(doc, "syllables"):
         if "t" in syl:
-            syllables.append(("t", _field(syl, "t"), _field(syl, "exp")))
+            syllables.append(("t", _int(syl, "t"), _int(syl, "exp")))
         else:
             elem = found.parse(_field(syl, "elem"))
-            syllables.append(("g", _field(syl, "copy"), elem))
+            syllables.append(("g", _int(syl, "copy"), elem))
     return FreeProductWord.from_syllables(found, syllables)
 
 
@@ -128,12 +147,12 @@ def parse_presentation(doc):
     """Returns (RelativePresentationData, extra relator words)."""
     c = parse_word(_field(doc, "c"))
     base = c.base
-    b = tuple(parse_word(w, base) for w in _field(doc, "b"))
-    a = tuple(parse_word(w, base) for w in _field(doc, "a"))
-    extras = tuple(parse_word(w, base) for w in doc.get("extra_relators", ()))
-    data = RelativePresentationData(
-        base, _field(doc, "s"), _field(doc, "m"), c, b, a
-    )
+    b = tuple(parse_word(w, base) for w in _objects(doc, "b"))
+    a = tuple(parse_word(w, base) for w in _objects(doc, "a"))
+    extras = ()
+    if "extra_relators" in doc:
+        extras = tuple(parse_word(w, base) for w in _objects(doc, "extra_relators"))
+    data = RelativePresentationData(base, _int(doc, "s"), _int(doc, "m"), c, b, a)
     return data, extras
 
 
@@ -324,6 +343,8 @@ def _corner_key(corner) -> str:
 
 
 def _parse_corner(key: str):
+    if not isinstance(key, str):
+        raise JsonError(f"corner key must be a 'face,index' string, got {key!r}")
     try:
         f, j = key.split(",")
         return (int(f), int(j))
@@ -359,37 +380,45 @@ def parse_diagram(doc):
     m = parse_map(doc)
     corner_labels = {}
     base = None
-    for key, wdoc in _field(doc, "corner_labels").items():
+    for key, wdoc in _table(doc, "corner_labels").items():
         w = parse_word(wdoc, base)
         base = w.base
         corner_labels[_parse_corner(key)] = w
     edge_labels = {}
-    for key, sym in _field(doc, "edge_labels").items():
+    for key, sym in _table(doc, "edge_labels").items():
         if not isinstance(sym, str) or not sym.startswith("t_"):
             raise JsonError(f"edge symbol must look like 't_j', got {sym!r}")
         edge_labels[int(key)] = int(sym[2:])
-    for key, owner in doc.get("arrows", {}).items():
-        if m.dart_owner((int(key), 1)) != tuple(owner):
+    for key, owner in _table(doc, "arrows", {}).items():
+        if not isinstance(owner, list) or m.dart_owner((int(key), 1)) != tuple(owner):
             raise JsonError(f"arrow on edge {key} does not match the map")
 
     by_corners = {frozenset(v): v for v in m.vertices()}
     exterior_vertices = []
-    for corners in doc.get("exterior_vertices", ()):
+    vertex_docs = doc.get("exterior_vertices", [])
+    if not isinstance(vertex_docs, list) or not all(
+        isinstance(v, list) for v in vertex_docs
+    ):
+        raise JsonError("exterior_vertices must be a list of corner-key lists")
+    for corners in vertex_docs:
         wanted = frozenset(_parse_corner(c) for c in corners)
         if wanted not in by_corners:
             raise JsonError(f"exterior vertex {sorted(corners)} is not a vertex")
         exterior_vertices.append(by_corners[wanted])
 
-    phi_s = doc.get("phi", {}).get("s")
-    grading = doc.get("grading")
+    phi_s = _table(doc, "phi", {}).get("s")
+    if phi_s is not None and type(phi_s) is not int:
+        raise JsonError(f"phi s must be an int, got {phi_s!r}")
+    exterior_faces = _ints(doc.get("exterior_faces", []), "exterior_faces")
+    large_faces = doc.get("grading")
+    if large_faces is not None:
+        large_faces = frozenset(_ints(_field(large_faces, "large_faces"), "large_faces"))
     return HowieDiagram(
         m,
         corner_labels,
         edge_labels,
         exterior_vertices=frozenset(exterior_vertices),
-        exterior_faces=frozenset(doc.get("exterior_faces", ())),
+        exterior_faces=frozenset(exterior_faces),
         phi_s=phi_s,
-        large_faces=None
-        if grading is None
-        else frozenset(_field(grading, "large_faces")),
+        large_faces=large_faces,
     )

@@ -150,7 +150,7 @@ def position_at(car: CarSchedule, L: int, t: Fraction) -> Fraction:
         if ta <= tau <= tb:
             pos = pa if tb == ta else pa + (tau - ta) * (pb - pa) / (tb - ta)
             return pos + laps * car.degree * L
-    raise MotionError(f"time {t} not covered")  # pragma: no cover
+    raise RuntimeError(f"time {t} not covered")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -698,9 +698,9 @@ def _car_events(car: CarSchedule, L: int, stops: set):
     return t_ref, events
 
 
-def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction):
-    """Reroute one car through the doubled corners of its face."""
-    t_ref, events = _car_events(car, L, stops)
+def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, t_ref, events):
+    """Reroute one car through the doubled corners of its face, given
+    `_car_events(car, L, stops)` as (t_ref, events)."""
     P = car.period
     p_ref = position_at(car, L, t_ref)
     frac0 = p_ref % L
@@ -738,7 +738,7 @@ def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction):
             out.append((t0 + eps, c + base + 2 * cnt + s2 * eps))
 
     if cnt != car.degree * len(stops):
-        raise MotionError("miscounted corner crossings")  # pragma: no cover
+        raise RuntimeError("miscounted corner crossings")  # pragma: no cover
     L2 = L + 2 * len(stops)
     climb2 = car.degree * L2
     norm = sorted((t % P, p - (t // P) * climb2) for t, p in out)
@@ -746,7 +746,7 @@ def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction):
     for t, p in norm:
         if dedup and dedup[-1][0] == t:
             if dedup[-1][1] != p:
-                raise MotionError("inconsistent rewrite")  # pragma: no cover
+                raise RuntimeError("inconsistent rewrite")  # pragma: no cover
             continue
         dedup.append((t, p))
     drop = L2 * (dedup[0][1] // L2)
@@ -797,12 +797,14 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
     for f, j in ms.stop_corners:
         stops_by_face.setdefault(f, set()).add(j)
 
+    events_by_car = {}  # car index -> (t_ref, events), for cars with stops
     gaps = []
-    for car in ms.cars:
+    for k, car in enumerate(ms.cars):
         stops = stops_by_face.get(car.face, set())
         if not stops:
             continue
         t_ref, events = _car_events(car, len(m.faces[car.face]), stops)
+        events_by_car[k] = (t_ref, events)
         times = {t_ref % car.period}
         for ev in events:
             times |= {ev[1] % car.period, ev[2] % car.period} if ev[0] == "stop" \
@@ -817,12 +819,13 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
 
     for attempt in range(8):
         new_cars = []
-        for car in ms.cars:
-            stops = stops_by_face.get(car.face, set())
-            if not stops:
+        for k, car in enumerate(ms.cars):
+            if k not in events_by_car:
                 new_cars.append(car)
             else:
-                new_cars.append(_blow_up_car(car, len(m.faces[car.face]), stops, eps))
+                L = len(m.faces[car.face])
+                stops = stops_by_face[car.face]
+                new_cars.append(_blow_up_car(car, L, stops, eps, *events_by_car[k]))
         new_ms = MotionSchedule(ms.period, tuple(new_cars), frozenset())
         validate_motion(new_map, new_ms)
         rep = complete_collisions(new_map, new_ms)

@@ -276,7 +276,7 @@ def minimize_presentation(
     while True:
         guard += 1
         if guard > 10000:
-            raise RewriteError("minimization failed to terminate")
+            raise RuntimeError("minimization failed to terminate")
         if data.m == -1 and data.s > 0:
             data = move_lower_s(data)
             trace.append(("lower", data.s))

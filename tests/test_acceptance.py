@@ -9,17 +9,10 @@ import itertools
 import time
 from fractions import Fraction as F
 
-from spheremotion.comotion import (
-    chi_indicator,
-    comotion_collisions,
-    induce_comotion,
-    lemma14_total,
-    psi,
-    psi_progress,
-    weight_report,
-)
+from spheremotion.comotion import chi_indicator, lemma14_total, psi, psi_progress
 from spheremotion.fuzzing import (
     b_profile,
+    bridge_problems,
     doubled_polygon,
     make_rng,
     random_comotion,
@@ -29,7 +22,9 @@ from spheremotion.fuzzing import (
     random_torus_map,
     random_unit_sum_word,
     relabel_map,
+    rewrite_problems,
     rotate_map,
+    weight_total_problems,
 )
 from spheremotion.goldens import (
     banded_sphere_map,
@@ -50,13 +45,7 @@ from spheremotion.motion import (
     standard_multiple_motion,
     verify_source_sink_collisions,
 )
-from spheremotion.rewriting import (
-    is_difficult_case,
-    is_difficult_pattern,
-    minimize_presentation,
-    reconstruct_relator,
-    rewrite_word,
-)
+from spheremotion.rewriting import is_difficult_case, is_difficult_pattern
 from spheremotion.surface import classify_map
 
 
@@ -136,16 +125,11 @@ def test_criterion_04_weight_totals():
     t0 = time.perf_counter()
     rng = make_rng(4)
     problems = []
-    for i in range(100):
-        m = random_sphere_map(rng)
-        total = weight_report(m, random_comotion(m, rng))["total"]
-        if total != 2:
-            problems.append(f"sphere case {i}: total {total}")
-    for i in range(100):
-        m = random_torus_map(rng)
-        total = weight_report(m, random_comotion(m, rng))["total"]
-        if total != 0:
-            problems.append(f"torus case {i}: total {total}")
+    for surface, builder in (("sphere", random_sphere_map), ("torus", random_torus_map)):
+        for i in range(100):
+            m = builder(rng)
+            for p in weight_total_problems(m, random_comotion(m, rng)):
+                problems.append(f"{surface} case {i}: {p}")
     if time.perf_counter() - t0 >= 60.0:
         problems.append("weight sweep took 60 s or more")
     verdict(4, "comotion weight totals are 2 on spheres, 0 on tori", problems)
@@ -298,14 +282,7 @@ def test_criterion_09_rewriting_round_trip():
     rng = make_rng(9)
     problems = []
     for i in range(500):
-        w = random_unit_sum_word(rng)
-        res = rewrite_word(w)
-        source = (w.inverse() if res.inverted else w).cyclic_reduce()
-        if not reconstruct_relator(res.data).is_conjugate_to(source):
-            problems.append(f"case {i}: relator is not conjugate to the input")
-        again, trace = minimize_presentation(res.data)
-        if again != res.data or trace != ():
-            problems.append(f"case {i}: minimization is not a fixpoint")
+        problems += [f"case {i}: {p}" for p in rewrite_problems(random_unit_sum_word(rng))]
     base = FreeGroup(9)
     gens = "abcdefghi"
     for n in (1, 3, 5, 7, 9):
@@ -326,25 +303,6 @@ def test_criterion_10_motion_comotion_bridge():
     for i in range(50):
         m = random_sphere_map(rng)
         ms = random_multiple_motion(m, rng)
-        T = ms.period
-        if not is_regular(m, ms):
-            problems.append(f"case {i}: generated motion is not regular")
-            continue
-        mult = multiplicities(m, ms)
-        com = induce_comotion(m, ms)
-        if [c.degree for c in com.cocars] != [mult[f] for f in range(m.face_count())]:
-            problems.append(f"case {i}: cocar degrees disagree with multiplicities")
         rep = complete_collisions(m, ms)
-        crep = comotion_collisions(m, com)
-        if set(rep.vertex_loci) != set(crep.vertex_loci) or set(
-            rep.edge_loci
-        ) != set(crep.edge_loci):
-            problems.append(f"case {i}: locus sets differ")
-            continue
-        for key, spans in rep.vertex_loci.items():
-            if {a % T for a, _ in spans} != {crep.vertex_loci[key] % T}:
-                problems.append(f"case {i}: instants differ at vertex {key}")
-        for key, spans in rep.edge_loci.items():
-            if {a % T for a, _ in spans} != {crep.edge_loci[key] % T}:
-                problems.append(f"case {i}: instants differ inside edge {key[0]}")
+        problems += [f"case {i}: {p}" for p in bridge_problems(m, ms, rep)]
     verdict(10, "induced comotions mirror motion loci exactly", problems)

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import spheremotion
-from spheremotion import cli, jsonio
+from spheremotion import cli, fuzzing, jsonio, rewriting
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
-from spheremotion.fuzzing import make_rng, random_comotion
+from spheremotion.fuzzing import lune_map, make_rng, random_comotion
 from spheremotion.goldens import doubled_polygon_map
 from spheremotion.groups import FreeGroup, FreeProductWord, word
+from spheremotion.motion import CollisionReport
 from spheremotion.rewriting import phi, rewrite_word
 
 B2 = FreeGroup(2)
@@ -44,6 +45,15 @@ def word_file(tmp_path, w, name="word.json"):
     path = tmp_path / name
     path.write_text(jsonio.dumps(jsonio.word_to_json(w)))
     return str(path)
+
+
+def set_at(doc, where, value):
+    """doc with the entry at the key path `where` replaced by value."""
+    inner = doc
+    for key in where[:-1]:
+        inner = inner[key]
+    inner[where[-1]] = value
+    return doc
 
 
 # -- validate --------------------------------------------------------------------
@@ -334,6 +344,26 @@ def test_word_rewrite_rejects_balanced_words(tmp_path, capsys):
     assert "exponent sum" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("syllables",), 5, "syllables must be a list of objects"),
+        (("syllables",), [5], "syllables must be a list of objects"),
+        (("syllables", 1, "exp"), True, "exp must be an int"),
+        (("syllables", 1, "t"), True, "t must be an int"),
+        (("syllables", 0, "copy"), True, "copy must be an int"),
+    ],
+    ids=["syllables", "syllable", "exp", "t", "copy"],
+)
+def test_word_rejects_malformed_syllables(tmp_path, capsys, where, value, message):
+    doc = set_at(jsonio.word_to_json(difficult_word()), where, value)
+    path = tmp_path / "bad.word.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "word", str(path), "classify")
+    assert code == 2
+    assert message in report["error"]
+
+
 def test_word_criterion(tmp_path, capsys):
     tg = word(B2, ("t", 1, 1), "a")
     path = word_file(tmp_path, tg)
@@ -370,15 +400,7 @@ def test_diagram_reports_reducible_pair(tmp_path, capsys):
 
 def test_diagram_over_presentation(tmp_path, capsys):
     # a two-lune necklace of phi cells, checked over an s = 1 presentation
-    lunes = jsonio.parse_map(
-        {
-            "surface": "sphere",
-            "faces": [
-                [{"edge": 0, "dir": "-"}, {"edge": 1, "dir": "+"}],
-                [{"edge": 1, "dir": "-"}, {"edge": 0, "dir": "+"}],
-            ],
-        }
-    )
+    lunes = lune_map(2)
     pa, pb = FreeProductWord.g(B2, (1,)), FreeProductWord.g(B2, (2,))
     labels = {
         (0, 1): pa,
@@ -422,6 +444,51 @@ def test_diagram_over_presentation(tmp_path, capsys):
     assert report["results"]["face_violations"] == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("corner_labels",), 5, "corner_labels must be an object"),
+        (("edge_labels",), 5, "edge_labels must be an object"),
+        (("arrows", "0"), 5, "arrow on edge 0 does not match the map"),
+        (("phi",), 5, "phi must be an object"),
+        (("phi",), {"s": "1"}, "phi s must be an int"),
+        (("grading",), {"large_faces": 5}, "large_faces must be a list of ints"),
+        (("exterior_faces",), 5, "exterior_faces must be a list of ints"),
+        (("exterior_vertices",), [5], "exterior_vertices must be a list"),
+        (("exterior_vertices",), [[5]], "corner key must be a 'face,index' string"),
+    ],
+    ids=["corner_labels", "edge_labels", "arrows", "phi", "phi_s", "large_faces",
+         "exterior_faces", "exterior_vertices", "exterior_corner"],
+)
+def test_diagram_rejects_malformed_fields(tmp_path, capsys, where, value, message):
+    path = tmp_path / "bad.diagram.json"
+    path.write_text(json.dumps(set_at(mirror_pentagon_doc(), where, value)))
+    code, report = run_json(capsys, "diagram", str(path))
+    assert code == 2
+    assert message in report["error"]
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("b",), 5, "b must be a list of objects"),
+        (("extra_relators",), 5, "extra_relators must be a list of objects"),
+        (("s",), "0", "s must be an int"),
+        (("m",), None, "m must be an int"),
+    ],
+    ids=["b", "extra_relators", "s", "m"],
+)
+def test_diagram_rejects_malformed_presentations(tmp_path, capsys, where, value, message):
+    dpath = tmp_path / "mirror.diagram.json"
+    dpath.write_text(jsonio.dumps(mirror_pentagon_doc()))
+    pres = jsonio.presentation_to_json(rewrite_word(difficult_word()).data)
+    ppath = tmp_path / "bad.pres.json"
+    ppath.write_text(json.dumps(set_at(pres, where, value)))
+    code, report = run_json(capsys, "diagram", str(dpath), "--presentation", str(ppath))
+    assert code == 2
+    assert message in report["error"]
+
+
 # -- examples --------------------------------------------------------------------
 
 
@@ -461,6 +528,54 @@ def test_fuzz_suites_pass(suite, capsys):
     assert report["cases"] == 5
 
 
+def half_a_period_late(rep, m, ms):
+    """A collision report with every locus met half a period later."""
+
+    def late(loci):
+        return {
+            key: [(a + ms.period / 2, b + ms.period / 2) for a, b in spans]
+            for key, spans in loci.items()
+        }
+
+    return CollisionReport(rep.horizon, late(rep.vertex_loci), late(rep.edge_loci))
+
+
+# each suite with the function it checks broken: (name in fuzzing, spoiler of
+# its result given the call's arguments, the problem every case must report)
+BROKEN = {
+    "weights": (
+        "weight_report",
+        lambda rep, m, com: dict(rep, total=rep["total"] + 1),
+        "weight total",
+    ),
+    "collisions": ("complete_collisions", half_a_period_late, "instants differ"),
+    "rewriting": (
+        "reconstruct_relator",
+        lambda rel, data: rel * FreeProductWord.t(data.base),
+        "relator is not conjugate to the input",
+    ),
+    "diagrams": (
+        "phi_reduce_move",
+        lambda merged, d, edge: d,
+        "merge did not drop one face",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BROKEN))
+def test_fuzz_suite_reports_a_broken_check(suite, capsys, monkeypatch):
+    name, spoil, problem = BROKEN[suite]
+    real = getattr(fuzzing, name)
+    monkeypatch.setattr(fuzzing, name, lambda *args: spoil(real(*args), *args))
+    code, report = run_json(
+        capsys, "fuzz", "--suite", suite, "--cases", "3", "--seed", "0"
+    )
+    assert code == 1
+    assert report["ok"] is False
+    hits = [v for v in report["violations"] if problem in v["problem"]]
+    assert {v["case"] for v in hits} == {0, 1, 2}
+
+
 def test_fuzz_is_reproducible(capsys):
     args = ("fuzz", "--suite", "rewriting", "--cases", "20", "--seed", "11")
     _, first = run(capsys, *args)
@@ -485,6 +600,17 @@ def test_fuzz_rejects_zero_cases(capsys):
     code, report = run_json(capsys, "fuzz", "--suite", "weights", "--cases", "0")
     assert code == 2
     assert "at least one" in report["error"]
+
+
+def test_internal_invariant_failure_is_not_bad_input(tmp_path, capsys, monkeypatch):
+    # a lowering move that changes nothing trips minimization's termination
+    # guard: a bug of the program, so it must not exit 2 as bad input does
+    monkeypatch.setattr(rewriting, "move_lower_s", lambda data: data)
+    w = word(B2, "a", ("t", 1, 1), "b", ("t", 1, 1), "a", ("t", 1, 1),
+             "b", ("t", 1, -1), "a", ("t", 1, -1))
+    with pytest.raises(RuntimeError, match="minimization failed to terminate"):
+        main(["word", word_file(tmp_path, w), "rewrite"])
+    capsys.readouterr()
 
 
 # -- one parser per process ------------------------------------------------------

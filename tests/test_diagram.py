@@ -22,7 +22,7 @@ from spheremotion.diagram import (
     phi_reduce_move,
     vertex_label,
 )
-from spheremotion.fuzzing import make_rng, random_base_element, random_sphere_map
+from spheremotion.fuzzing import lune_map, make_rng, random_base_element, random_sphere_map
 from spheremotion.goldens import banded_sphere_map, doubled_polygon_map, unit_speed_motion
 from spheremotion.groups import FreeGroup, FreeProductWord, word
 from spheremotion.motion import (
@@ -49,12 +49,6 @@ def gw(*letters):
 def balloon_diagram():
     m = OrientedMap("sphere", (((0, 1),), ((0, -1),)))
     return HowieDiagram(m, {(0, 0): gw(1), (1, 0): gw(-1)}, {0: 1})
-
-
-def lune_map(n):
-    return OrientedMap(
-        "sphere", tuple(((i, -1), ((i + 1) % n, 1)) for i in range(n))
-    )
 
 
 def phi_chain(n):

@@ -7,6 +7,7 @@ import pytest
 
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
+from spheremotion.fuzzing import lune_map
 from spheremotion.goldens import (
     banded_sphere_map,
     doubled_polygon_map,
@@ -217,7 +218,7 @@ def test_diagram_round_trip():
     doc = json.loads(dumps(diagram_to_json(d)))
     assert parse_diagram(doc) == d
 
-    lunes = OrientedMap("sphere", (((0, -1), (1, 1)), ((1, -1), (0, 1))))
+    lunes = lune_map(2)
     p = FreeProductWord.g(B, (1,))
     q = p.shift_copies(1).inverse()
     dphi = HowieDiagram(

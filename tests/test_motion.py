@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheremotion import motion
 from spheremotion.fuzzing import make_rng, random_multiple_motion, random_sphere_map
 from spheremotion.goldens import (
     PINWHEEL_VERTICES,
@@ -461,6 +462,23 @@ def test_blow_up_doubled_pentagon():
     rep = complete_collisions(m2, ms2)
     assert rep.spatial_count == 2
     assert not rep.edge_loci
+
+
+def test_blow_up_finds_each_cars_stop_events_once(monkeypatch):
+    found = []
+    real = motion._car_events
+
+    def counting(car, L, stops):
+        found.append(car)
+        return real(car, L, stops)
+
+    monkeypatch.setattr(motion, "_car_events", counting)
+    m = doubled_polygon_map(b_profile(2))
+    ms = standard_motion(m)
+    stop_faces = {f for f, _ in ms.stop_corners}
+    blow_up(m, ms)
+    assert found == [car for car in ms.cars if car.face in stop_faces]
+    assert found
 
 
 @pytest.mark.parametrize("mval", [1, 2])

@@ -9,7 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from spheremotion import cli, jsonio
+from spheremotion import cli, fuzzing, jsonio
 from spheremotion.fuzzing import make_rng, random_comotion
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -40,3 +40,28 @@ def test_traced_comotion_and_motion_jobs(tmp_path, capsys):
     # the comotion command solves each edge once
     assert calls["comotion.edge_components"] == m.edge_count()
     assert tracer.distinct["comotion.edge_components"] == m.edge_count()
+
+
+def test_traced_fuzz_jobs(capsys):
+    suites = sorted(fuzzing.SUITES)
+    tracer = Tracer()
+    with tracer.installed():
+        for job, suite in enumerate(suites):
+            tracer.begin(job)
+            try:
+                argv = ["fuzz", "--suite", suite, "--cases", "2", "--seed", "3"]
+                assert cli.main(argv) == 0
+            finally:
+                tracer.end()
+    capsys.readouterr()
+    calls, _ = tracer.self_times()
+    assert calls["cli.cmd_fuzz"] == len(suites)
+    # the suites draw their cases through the traced generators ...
+    for name in ("sphere_map", "torus_map", "comotion", "multiple_motion",
+                 "unit_sum_word", "base", "base_element"):
+        assert calls[f"fuzzing.random_{name}"] > 0, name
+    # ... and reach the checked functions through their traced names
+    for name in ("comotion.weight_report", "motion.complete_collisions",
+                 "comotion.induce_comotion", "rewriting.rewrite_word",
+                 "diagram.phi_reduce_move", "diagram.audit_standard_collisions"):
+        assert calls[name] > 0, name
