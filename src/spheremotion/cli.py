@@ -51,7 +51,6 @@ from .motion import (
     intervals_instants,
     is_regular,
     lemma16_bound,
-    multiplicities,
     standard_motion,
     standard_multiple_motion,
     verify_source_sink_collisions,
@@ -260,11 +259,11 @@ def cmd_motion(args) -> tuple[dict, int]:
         results["source_sink_problems"] = ver["problems"]
         checks["sinks_even_sources_odd"] = ver["ok"]
     try:
-        mult = multiplicities(m, ms)
-    except MotionError:
-        mult = None
-    if mult is not None:
         bound = lemma16_bound(m, ms, collisions=rep)
+    except MotionError:
+        pass  # not a multiple motion: no bound to check
+    else:
+        mult = bound["multiplicities"]
         results["multiplicities"] = {str(f): mult[f] for f in sorted(mult)}
         results["locus_bound"] = {k: bound[k] for k in ("chi", "bound", "loci")}
         checks["loci_meet_bound"] = bound["holds"]

@@ -9,6 +9,10 @@ Where a motion asks "where is the car at time t", a comotion asks "when
 does the face sweep past position x".  Collisions are the points whose
 surrounding faces all sweep past at one common instant.
 
+Each cocar keeps one lap table per (period, face length), built by
+`motion.lap_table`; `cotime_at` reads it with `motion.lap_lookup`, the
+lookup that gives a car's position, with positions and times swapped.
+
 An edge is solved by `edge_components`: the two cocars' linear pieces
 over its two darts, found by bisecting each cocar's lap table, cut the
 edge into arcs on which the difference of arrival times is linear, and
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion
+from .motion import MotionSchedule, as_multiple_motion, lap_lookup, lap_table
 from .surface import OrientedMap
 
 ZERO = Fraction(0)
@@ -129,37 +133,27 @@ def validate_comotion(m: OrientedMap, com: Comotion) -> None:
             raise ComotionError("times climb past the declared degree")
 
 
-def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple[list, list]:
-    """Positions and times of one lap, closed by (p0 + L, t0 + degree * T)."""
+def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
+    """The cocar's lap table on a face of length L: time over position."""
     table = cocar._laps.get((T, L))
     if table is None:
-        p0, t0 = cocar.breakpoints[0]
-        pts = cocar.breakpoints + ((p0 + L, t0 + cocar.degree * T),)
-        table = cocar._laps[(T, L)] = ([p for p, _ in pts], [t for _, t in pts])
+        table = cocar._laps[(T, L)] = lap_table(cocar.breakpoints, L, cocar.degree * T)
     return table
 
 
 def cotime_at(cocar: Cocar, T: Fraction, L: int, x: Fraction) -> Fraction:
     """Lifted arrival time at lifted position x."""
-    x = Fraction(x)
-    ps, ts = _lap(cocar, T, L)
-    laps = (x - ps[0]) // L
-    xi = x - laps * L
-    i = bisect_right(ps, xi) - 1
-    t = ts[i]
-    if xi != ps[i]:
-        t += (xi - ps[i]) * (ts[i + 1] - t) / (ps[i + 1] - ps[i])
-    return t + laps * cocar.degree * T
+    return lap_lookup(_lap(cocar, T, L), Fraction(x))
 
 
 def _pieces_over(cocar: Cocar, T: Fraction, L: int, x_lo: Fraction, x_hi: Fraction):
     """Linear time pieces (pa, ta, pb, tb) covering positions [x_lo, x_hi].
 
     Needs x_lo < x_hi: then every piece in the bisected range overlaps it."""
-    ps, ts = _lap(cocar, T, L)
+    ps, ts, _, climb = _lap(cocar, T, L)
     out = []
     for lap in range((x_lo - ps[0]) // L, (x_hi - ps[0]) // L + 1):
-        dp, dt = lap * L, lap * cocar.degree * T
+        dp, dt = lap * L, lap * climb
         first = max(bisect_right(ps, x_lo - dp) - 1, 0)
         for i in range(first, min(bisect_left(ps, x_hi - dp), len(ps) - 1)):
             pa, ta, pb, tb = ps[i], ts[i], ps[i + 1], ts[i + 1]

@@ -69,6 +69,14 @@ def _table(doc: dict, key: str, default=None) -> dict:
     return table
 
 
+def _int_text(text: str, what: str) -> int:
+    """int(text) for a key or symbol part; `what` names it in the error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise JsonError(f"{what} must be an int, got {text!r}") from None
+
+
 def _ints(items, key: str) -> list:
     if not isinstance(items, list) or not all(type(x) is int for x in items):
         raise JsonError(f"{key} must be a list of ints")
@@ -388,9 +396,11 @@ def parse_diagram(doc):
     for key, sym in _table(doc, "edge_labels").items():
         if not isinstance(sym, str) or not sym.startswith("t_"):
             raise JsonError(f"edge symbol must look like 't_j', got {sym!r}")
-        edge_labels[int(key)] = int(sym[2:])
+        j = _int_text(sym[2:], f"the j of edge_labels[{key!r}] = {sym!r}")
+        edge_labels[_int_text(key, "edge_labels key")] = j
     for key, owner in _table(doc, "arrows", {}).items():
-        if not isinstance(owner, list) or m.dart_owner((int(key), 1)) != tuple(owner):
+        edge = _int_text(key, "arrows key")
+        if not isinstance(owner, list) or m.dart_owner((edge, 1)) != tuple(owner):
             raise JsonError(f"arrow on edge {key} does not match the map")
 
     by_corners = {frozenset(v): v for v in m.vertices()}

@@ -11,12 +11,17 @@ periods: a set is a sorted tuple of disjoint closed intervals inside
 [0, H].  The instants 0 and H are the same point, so a set holding one of
 them lists both.
 
+A car's lap table (`car_lap`) holds its breakpoints, closed one period
+and one climb later; `lap_lookup` reads a position from it with one
+bisect, and `comotion` reads cocar arrival times with the same lookup.
+
 Collision loci come from one index per car over [0, H] (`car_index`):
 the time sets at which it visits each corner, and its dart windows, the
 linear stretches it spends inside one dart.  A vertex locus is a time at
 which every corner of the vertex is visited; an edge locus is a point
 inside an edge where cars on its two sides meet, found by one linear
-solve per pair of windows on the two darts of that edge.
+solve per pair of windows on the two darts of that edge.  The index is
+cached on the car and shared by every audit, read-only.
 
 All arithmetic is exact over Fraction.
 """
@@ -24,9 +29,10 @@ All arithmetic is exact over Fraction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .surface import Corner, Dart, OrientedMap, classify_map
@@ -130,27 +136,51 @@ class CarSchedule:
         if not isinstance(self.degree, int) or self.degree < 0:
             raise MotionError("degree must be a nonnegative integer")
 
+    @cached_property
+    def _tables(self) -> dict:
+        """Lap tables by face length L (`car_lap`), indexes by (L, horizon)
+        (`car_index`)."""
+        return {}
 
-def car_segments(car: CarSchedule, L: int):
-    """Linear pieces (ta, pa, tb, pb) covering [t0, t0 + period]."""
-    bps = car.breakpoints
-    segs = []
-    for i in range(len(bps) - 1):
-        segs.append(bps[i] + bps[i + 1])
-    segs.append(bps[-1] + (bps[0][0] + car.period, bps[0][1] + car.degree * L))
-    return segs
+
+def lap_table(bps, span, climb) -> tuple:
+    """One lap of a piecewise-linear function that climbs `climb` per `span`,
+    as (xs, ys, span, climb): breakpoints closed by (x0 + span, y0 + climb)."""
+    x0, y0 = bps[0]
+    pts = tuple(bps) + ((x0 + span, y0 + climb),)
+    return [x for x, _ in pts], [y for _, y in pts], span, climb
+
+
+def lap_lookup(table: tuple, x: Fraction) -> Fraction:
+    """The value at x of the function a `lap_table` describes."""
+    xs, ys, span, climb = table
+    laps = (x - xs[0]) // span
+    if laps:
+        x -= laps * span
+    i = bisect_right(xs, x) - 1
+    y = ys[i]
+    if x != xs[i]:
+        y += (x - xs[i]) * (ys[i + 1] - y) / (xs[i + 1] - xs[i])
+    return y + laps * climb if laps else y
+
+
+def car_lap(car: CarSchedule, L: int) -> tuple:
+    """The car's lap table on a face of length L: position over time."""
+    table = car._tables.get(L)
+    if table is None:
+        table = car._tables[L] = lap_table(car.breakpoints, car.period, car.degree * L)
+    return table
 
 
 def position_at(car: CarSchedule, L: int, t: Fraction) -> Fraction:
-    t = Fraction(t)
-    t0 = car.breakpoints[0][0]
-    laps = (t - t0) // car.period
-    tau = t - laps * car.period
-    for ta, pa, tb, pb in car_segments(car, L):
-        if ta <= tau <= tb:
-            pos = pa if tb == ta else pa + (tau - ta) * (pb - pa) / (tb - ta)
-            return pos + laps * car.degree * L
-    raise RuntimeError(f"time {t} not covered")  # pragma: no cover
+    return lap_lookup(car_lap(car, L), Fraction(t))
+
+
+def _shift_into_range(bps, r, L: int):
+    """Breakpoints moved r along a face of length L, first position in [0, L)."""
+    shifted = [(t, p + r) for t, p in bps]
+    drop = L * (shifted[0][1] // L)
+    return tuple((t, p - drop) for t, p in shifted)
 
 
 @dataclass(frozen=True)
@@ -193,19 +223,14 @@ def validate_motion(m: OrientedMap, ms: MotionSchedule) -> None:
             raise MotionError(f"no such corner: {(f, j)}")
 
 
-def flat_segments(car: CarSchedule, L: int):
-    return [(ta, tb, pa) for ta, pa, tb, pb in car_segments(car, L) if pa == pb]
-
-
 def is_regular(m: OrientedMap, ms: MotionSchedule) -> bool:
     """Every car laps at least once and only rests at corners."""
     for car in ms.cars:
         if car.degree < 1:
             return False
-        L = len(m.faces[car.face])
-        for _, _, p in flat_segments(car, L):
-            if p.denominator != 1:
-                return False
+        _, ps, _, _ = car_lap(car, len(m.faces[car.face]))
+        if any(p == q and p.denominator != 1 for p, q in zip(ps, ps[1:])):
+            return False
     return True
 
 
@@ -225,18 +250,22 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
     face.  windows[k] lists the stretches (t0, t1, lam0, slope) it spends
     inside dart k, at dart parameter lam0 + slope * (t - t0), with
     0 <= t0 < t1 <= H; they are sorted and overlap at most in their ends.
+    The index is built once per (L, H) and cached on the car: read-only.
     """
+    index = car._tables.get((L, horizon))
+    if index is not None:
+        return index
     reps = horizon / car.period
     if reps.denominator != 1:
         raise MotionError("horizon is not a multiple of the car period")
     visits: dict[int, list] = {}
     windows: dict[int, list] = {}
-    segs = car_segments(car, L)
-    climb = car.degree * L
+    ts, ps, period, climb = car_lap(car, L)
+    pieces = list(zip(ts, ps, ts[1:], ps[1:]))
     # copies from one period back cover [0, H] whatever the first breakpoint
     for k in range(-1, int(reps)):
-        dt, dp = k * car.period, k * climb
-        for ta, pa, tb, pb in segs:
+        dt, dp = k * period, k * climb
+        for ta, pa, tb, pb in pieces:
             ta, pa, tb, pb = ta + dt, pa + dp, tb + dt, pb + dp
             if tb < 0 or ta > horizon:
                 continue
@@ -259,10 +288,11 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
                 if t0 < t1:
                     lam0 = pa + slope * (t0 - ta) - n
                     windows.setdefault(n % L, []).append((t0, t1, lam0, slope))
-    return (
+    index = car._tables[(L, horizon)] = (
         {j: normalize_intervals(items, horizon) for j, items in visits.items()},
         {k: sorted(items) for k, items in windows.items()},
     )
+    return index
 
 
 def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
@@ -270,12 +300,10 @@ def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
     return car_index(car, L, horizon)[0].get(j, ())
 
 
-def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction, faces):
-    """Indexes of the cars on the given faces, grouped by face."""
+def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction):
+    """The cars' indexes, grouped by face."""
     out: dict[int, list] = {}
     for car in ms.cars:
-        if car.face not in faces:
-            continue
         L = len(m.faces[car.face])
         out.setdefault(car.face, []).append(car_index(car, L, horizon))
     return out
@@ -304,7 +332,7 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     interior edge points where cars on the two sides meet."""
     validate_motion(m, ms)
     horizon = collision_horizon(ms)
-    on_face = _indexes_by_face(m, ms, horizon, range(m.face_count()))
+    on_face = _indexes_by_face(m, ms, horizon)
 
     vertex_loci = {}
     for vertex in m.vertices():
@@ -369,10 +397,7 @@ def time_shifted_car(car: CarSchedule, L: int, shift: Fraction) -> CarSchedule:
         tt = (t - shift) % P
         pts.append((tt, position_at(car, L, tt + shift)))
     pts.sort()
-    drop = L * (pts[0][1] // L)
-    return CarSchedule(
-        car.face, P, tuple((t, p - drop) for t, p in pts), degree=car.degree
-    )
+    return CarSchedule(car.face, P, _shift_into_range(pts, 0, L), degree=car.degree)
 
 
 def _functions_equal(car_a, car_b, L: int, shift: Fraction, offset: Fraction):
@@ -429,14 +454,16 @@ def multiplicities(m: OrientedMap, ms: MotionSchedule) -> dict[int, int]:
 
 
 def lemma16_bound(m: OrientedMap, ms: MotionSchedule, collisions=None) -> dict:
-    """Loci count of a multiple motion against chi + sum of (d_i - 1)."""
+    """Loci count of a multiple motion against chi + sum of (d_i - 1), with
+    the face multiplicities d_i; MotionError if ms is no multiple motion."""
     mult = multiplicities(m, ms)
     chi = m.euler_characteristic()
     bound = chi + sum(d - 1 for d in mult.values())
     if collisions is None:
         collisions = complete_collisions(m, ms)
     loci = collisions.spatial_count
-    return {"chi": chi, "bound": bound, "loci": loci, "holds": loci >= bound}
+    return {"chi": chi, "bound": bound, "loci": loci, "holds": loci >= bound,
+            "multiplicities": mult}
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +479,16 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
     problems = []
     for car in ms.cars:
         L = len(m.faces[car.face])
-        for ta, tb, p in flat_segments(car, L):
-            if tb - ta >= car.period:
-                continue  # parked car, not a stop
+        ts, ps, period, _ = car_lap(car, L)
+        for ta, tb, p, q in zip(ts, ts[1:], ps, ps[1:]):
+            if p != q or tb - ta >= period:
+                continue  # moving, or a parked car: not a stop
             if p.denominator != 1:
                 problems.append(f"car on face {car.face} rests mid-dart at {p}")
             elif (car.face, int(p) % L) not in ms.stop_corners:
                 problems.append(f"undeclared stop at {(car.face, int(p) % L)}")
 
-    # only corner visits on faces that hold a stop corner are read below
-    on_face = _indexes_by_face(m, ms, horizon, {f for f, _ in ms.stop_corners})
+    on_face = _indexes_by_face(m, ms, horizon)
     for vertex in m.vertices():
         stops_here = [c for c in vertex if c in ms.stop_corners]
         if not stops_here:
@@ -535,17 +562,35 @@ def _base_breakpoints(kind: str, mval: int, extras: dict):
     ]
 
 
-def _shift_into_range(bps, r: int, L: int):
-    """Move pattern coordinates to absolute ones, first position in [0, L)."""
-    shifted = [(t, p + r) for t, p in bps]
-    drop = L * (shifted[0][1] // L)
-    return tuple((t, p - drop) for t, p in shifted)
-
-
 def _saddle_corners(m: OrientedMap) -> frozenset[Corner]:
     return frozenset(
         c for c in m.corners() if m.corner_type(c) in ((1, 1), (-1, -1))
     )
+
+
+def _standard_schedule(m: OrientedMap, info: dict, lift: bool) -> MotionSchedule:
+    """The standard schedule of `info`; with `lift`, a face of s repeated
+    blocks carries s cars, each one block apart and one period behind the
+    next, and 2-gon faces are refused once m > 0."""
+    mval = info["m"] if info["m"] is not None else 0
+    T = Fraction(4 * mval + 2)
+    cars = []
+    for f, (kind, extras) in enumerate(info["faces"]):
+        profile = m.face_sign_profile(f)
+        r = _anchor_rotation(profile, _pattern(kind, mval, extras))
+        if lift and kind == "a" and mval > 0:
+            raise MotionError("2-gon faces have no lift at this period")
+        s = 1 if kind in ("a", "b", "c") else extras["s"]
+        block = len(profile) // s
+        base = _shift_into_range(_base_breakpoints(kind, mval, extras), r % block, block)
+        period = Fraction(2) if kind == "a" else s * T
+        for j in range(s):
+            bps = tuple(
+                (t + q * T, p + (j + q) * block) for q in range(s) for t, p in base
+            )
+            cars.append(CarSchedule(f, period, bps, degree=1))
+    stops = _saddle_corners(m) if mval > 0 else frozenset()
+    return MotionSchedule(T, tuple(cars), stops)
 
 
 def standard_motion(m: OrientedMap, info: Optional[dict] = None) -> MotionSchedule:
@@ -554,18 +599,7 @@ def standard_motion(m: OrientedMap, info: Optional[dict] = None) -> MotionSchedu
         info = classify_map(m)
     if info["family"] != "A":
         raise MotionError("map has repeating block faces; build lifts instead")
-    mval = info["m"] if info["m"] is not None else 0
-    T = Fraction(4 * mval + 2)
-    cars = []
-    for f, (kind, extras) in enumerate(info["faces"]):
-        profile = m.face_sign_profile(f)
-        L = len(profile)
-        r = _anchor_rotation(profile, _pattern(kind, mval, extras))
-        bps = _shift_into_range(_base_breakpoints(kind, mval, extras), r, L)
-        period = Fraction(2) if (kind == "a" or mval == 0) else T
-        cars.append(CarSchedule(f, period, bps, degree=1))
-    stops = _saddle_corners(m) if mval > 0 else frozenset()
-    return MotionSchedule(T, tuple(cars), stops)
+    return _standard_schedule(m, info, lift=False)
 
 
 def standard_multiple_motion(
@@ -576,37 +610,7 @@ def standard_multiple_motion(
     A face of s repeated blocks carries s cars, each one block apart and
     one global period behind the next.
     """
-    if info is None:
-        info = classify_map(m)
-    mval = info["m"] if info["m"] is not None else 0
-    T = Fraction(4 * mval + 2)
-    cars = []
-    for f, (kind, extras) in enumerate(info["faces"]):
-        profile = m.face_sign_profile(f)
-        L = len(profile)
-        pattern = _pattern(kind, mval, extras)
-        r = _anchor_rotation(profile, pattern)
-        if kind == "a" and mval > 0:
-            raise MotionError("2-gon faces have no lift at this period")
-        if kind in ("a", "b", "c") or extras["s"] == 1:
-            bps = _shift_into_range(_base_breakpoints(kind, mval, extras), r, L)
-            period = Fraction(2) if (kind == "a" or mval == 0) else T
-            cars.append(CarSchedule(f, period, bps, degree=1))
-            continue
-        s = extras["s"]
-        block = L // s
-        base = _shift_into_range(
-            _base_breakpoints(kind, mval, extras), r % block, block
-        )
-        for j in range(s):
-            bps = tuple(
-                (t + q * T, p + (j + q) * block)
-                for q in range(s)
-                for t, p in base
-            )
-            cars.append(CarSchedule(f, s * T, bps, degree=1))
-    stops = _saddle_corners(m) if mval > 0 else frozenset()
-    return MotionSchedule(T, tuple(cars), stops)
+    return _standard_schedule(m, info if info is not None else classify_map(m), lift=True)
 
 
 def verify_source_sink_collisions(
@@ -639,7 +643,8 @@ def verify_source_sink_collisions(
 
 def _reference_time(car: CarSchedule, L: int):
     """A time at which the car sits strictly inside a dart."""
-    for ta, pa, tb, pb in car_segments(car, L):
+    ts, ps, _, _ = car_lap(car, L)
+    for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]):
         if pa == pb:
             continue
         slope = (pb - pa) / (tb - ta)
@@ -658,20 +663,13 @@ def _car_events(car: CarSchedule, L: int, stops: set):
     the window [t_ref, t_ref + period].
     """
     P = car.period
-    climb = car.degree * L
     t_ref = _reference_time(car, L)
-    doubled = car_segments(car, L)
-    doubled += [
-        (ta + P, pa + climb, tb + P, pb + climb) for ta, pa, tb, pb in doubled
-    ]
-    window = []
-    for ta, pa, tb, pb in doubled:
-        lo, hi = max(ta, t_ref), min(tb, t_ref + P)
-        if lo >= hi:
-            continue
-        slope = (pb - pa) / (tb - ta)
-        window.append((lo, pa + slope * (lo - ta), hi, pa + slope * (hi - ta)))
-    window.sort()
+    # linear pieces (ta, pa, tb, pb) between t_ref, the breakpoints inside
+    # the window and t_ref + P; two laps of breakpoints cover the window
+    times = {t + k * P for t, _ in car.breakpoints for k in (0, 1)}
+    cuts = sorted({t_ref, t_ref + P} | {t for t in times if t_ref < t < t_ref + P})
+    at = [(t, position_at(car, L, t)) for t in cuts]
+    window = [a + b for a, b in zip(at, at[1:])]
 
     events = []
     for idx, (ta, pa, tb, pb) in enumerate(window):
@@ -749,9 +747,7 @@ def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, t_ref, eve
                 raise RuntimeError("inconsistent rewrite")  # pragma: no cover
             continue
         dedup.append((t, p))
-    drop = L2 * (dedup[0][1] // L2)
-    bps = tuple((t, p - drop) for t, p in dedup)
-    return CarSchedule(car.face, P, bps, degree=car.degree)
+    return CarSchedule(car.face, P, _shift_into_range(dedup, 0, L2), degree=car.degree)
 
 
 def blow_up(m: OrientedMap, ms: MotionSchedule):

@@ -6,19 +6,47 @@ the stop audit of `check_separated_stops` on top of its corner occupancy.  Each 
 replicated from one period before its first breakpoint, so every pair of
 cars is compared over the whole horizon [0, H] whatever their first
 breakpoint times.  Slow on purpose: keep inputs small.
+
+The segments come from the raw breakpoints here, not from the program's
+lap tables, and `position_at` is the original scan over them, the oracle
+of the program's bisecting lookup.
 """
 
 from fractions import Fraction
 
 from spheremotion.motion import (
     CollisionReport,
-    car_segments,
     collision_horizon,
-    flat_segments,
     intersect_intervals,
     normalize_intervals,
     validate_motion,
 )
+
+
+def car_segments(car, L: int):
+    """Linear pieces (ta, pa, tb, pb) covering [t0, t0 + period]."""
+    bps = car.breakpoints
+    segs = []
+    for i in range(len(bps) - 1):
+        segs.append(bps[i] + bps[i + 1])
+    segs.append(bps[-1] + (bps[0][0] + car.period, bps[0][1] + car.degree * L))
+    return segs
+
+
+def flat_segments(car, L: int):
+    return [(ta, tb, pa) for ta, pa, tb, pb in car_segments(car, L) if pa == pb]
+
+
+def position_at(car, L: int, t: Fraction) -> Fraction:
+    t = Fraction(t)
+    t0 = car.breakpoints[0][0]
+    laps = (t - t0) // car.period
+    tau = t - laps * car.period
+    for ta, pa, tb, pb in car_segments(car, L):
+        if ta <= tau <= tb:
+            pos = pa if tb == ta else pa + (tau - ta) * (pb - pa) / (tb - ta)
+            return pos + laps * car.degree * L
+    raise RuntimeError(f"time {t} not covered")
 
 
 def _reduce_interval(a: Fraction, b: Fraction, T: Fraction):

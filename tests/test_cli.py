@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spheremotion
-from spheremotion import cli, fuzzing, jsonio, rewriting
+from spheremotion import cli, fuzzing, jsonio, motion, rewriting
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
@@ -195,6 +195,34 @@ def test_motion_standard_banded(goldens, capsys):
     assert results["collisions"]["spatial_count"] == 8
     assert report["checks"]["sinks_even_sources_odd"] is True
     assert report["checks"]["separated_stops"] is True
+
+
+def test_motion_analyses_the_schedule_once(goldens, monkeypatch, capsys):
+    # one multiple-motion check, and one index per car shared by the
+    # collision search and the stop audit
+    checks, indexes = [], []
+    real_check, real_index = motion.as_multiple_motion, motion.car_index
+
+    def counting_check(m, ms):
+        checks.append(ms)
+        return real_check(m, ms)
+
+    def counting_index(car, L, horizon):
+        index = real_index(car, L, horizon)
+        indexes.append((car, index))
+        return index
+
+    monkeypatch.setattr(motion, "as_multiple_motion", counting_check)
+    monkeypatch.setattr(motion, "car_index", counting_index)
+    code, report = run_json(
+        capsys, "motion", str(goldens / "banded.map.json"), "--standard", "Bm", "--m", "1"
+    )
+    assert code == 0 and report["results"]["multiplicities"] == {"0": 4, "1": 4}
+    built = {}  # car -> the distinct index objects it was given
+    for car, index in indexes:
+        built.setdefault(id(car), {})[id(index)] = index
+    assert len(built) == report["results"]["cars"] == 8
+    assert (len(checks), [len(objs) for objs in built.values()]) == (1, [1] * 8)
 
 
 def test_motion_standard_rejects_unknown_family(goldens, capsys):
@@ -450,6 +478,10 @@ def test_diagram_over_presentation(tmp_path, capsys):
         (("corner_labels",), 5, "corner_labels must be an object"),
         (("edge_labels",), 5, "edge_labels must be an object"),
         (("arrows", "0"), 5, "arrow on edge 0 does not match the map"),
+        (("edge_labels", "x"), "t_1", "edge_labels key must be an int, got 'x'"),
+        (("edge_labels", "0"), "t_z",
+         "the j of edge_labels['0'] = 't_z' must be an int, got 'z'"),
+        (("arrows", "y"), [0, 0], "arrows key must be an int, got 'y'"),
         (("phi",), 5, "phi must be an object"),
         (("phi",), {"s": "1"}, "phi s must be an int"),
         (("grading",), {"large_faces": 5}, "large_faces must be a list of ints"),
@@ -457,8 +489,9 @@ def test_diagram_over_presentation(tmp_path, capsys):
         (("exterior_vertices",), [5], "exterior_vertices must be a list"),
         (("exterior_vertices",), [[5]], "corner key must be a 'face,index' string"),
     ],
-    ids=["corner_labels", "edge_labels", "arrows", "phi", "phi_s", "large_faces",
-         "exterior_faces", "exterior_vertices", "exterior_corner"],
+    ids=["corner_labels", "edge_labels", "arrows", "edge_key", "edge_symbol", "arrow_key",
+         "phi", "phi_s", "large_faces", "exterior_faces", "exterior_vertices",
+         "exterior_corner"],
 )
 def test_diagram_rejects_malformed_fields(tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.diagram.json"

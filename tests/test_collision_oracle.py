@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collision_oracle as oracle
 from collision_oracle import reference_collisions, reference_stop_audit
 from spheremotion.fuzzing import (
     d_profile,
@@ -21,10 +22,13 @@ from spheremotion.fuzzing import (
 )
 from spheremotion.goldens import unit_speed_motion
 from spheremotion.motion import (
+    CarSchedule,
     MotionSchedule,
     blow_up,
+    car_lap,
     check_separated_stops,
     complete_collisions,
+    position_at,
     standard_motion,
     standard_multiple_motion,
     time_shifted_car,
@@ -98,3 +102,39 @@ def test_index_matches_segment_pair_search(build, seed):
     assert list(got.vertex_loci.items()) == list(want.vertex_loci.items())
     assert list(got.edge_loci.items()) == list(want.edge_loci.items())
     assert check_separated_stops(m, ms) == reference_stop_audit(m, ms)
+
+
+@st.composite
+def cars_on_a_face(draw):
+    """(car, L): a parked car, or one with rests, mid-dart rests and laps."""
+    L = draw(st.integers(1, 6))
+    period = Fraction(draw(st.integers(1, 36)), draw(st.integers(1, 4)))
+    p0 = Fraction(draw(st.integers(0, 4 * L - 1)), 4)
+    if draw(st.booleans()):
+        t0 = period * Fraction(draw(st.integers(0, 23)), 24)
+        return CarSchedule(0, period, ((t0, p0),)), L
+    degree = draw(st.integers(0, 2))
+    ticks = draw(st.lists(st.integers(0, 23), min_size=1, max_size=6, unique=True))
+    climbs = draw(st.lists(st.integers(0, 12 * degree * L), min_size=len(ticks),
+                           max_size=len(ticks)))
+    positions = [p0] + [p0 + Fraction(c, 12) for c in sorted(climbs)[1:]]
+    times = [period * Fraction(k, 24) for k in sorted(ticks)]
+    return CarSchedule(0, period, tuple(zip(times, positions)), degree=degree), L
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=cars_on_a_face(), extra=st.lists(st.fractions(-40, 40, max_denominator=12)))
+def test_position_at_matches_the_segment_scan(drawn, extra):
+    car, L = drawn
+    P = car.period
+    ts, ps, _, _ = car_lap(car, L)
+    assert list(zip(ts, ps, ts[1:], ps[1:])) == oracle.car_segments(car, L)
+    # every breakpoint over laps -3..2 (the first one is the lap seam),
+    # so negative times too, each midpoint between breakpoints, and
+    # random instants
+    times = [t + k * P for t, _ in car.breakpoints for k in range(-3, 3)]
+    times += [(a + b) / 2 + k * P for a, b in zip(ts, ts[1:]) for k in (-1, 0, 1)]
+    for t in times + extra:
+        got = position_at(car, L, t)
+        assert got == oracle.position_at(car, L, t)
+        assert type(got) is Fraction

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collision_oracle as oracle
 from spheremotion import motion
 from spheremotion.fuzzing import make_rng, random_multiple_motion, random_sphere_map
 from spheremotion.goldens import (
@@ -23,7 +24,7 @@ from spheremotion.motion import (
     MotionSchedule,
     as_multiple_motion,
     blow_up,
-    car_segments,
+    car_lap,
     check_separated_stops,
     collision_horizon,
     complete_collisions,
@@ -93,8 +94,9 @@ def test_position_at_laps_and_parking():
     assert position_at(car, 3, F(-1)) == F(-1)
     parked = CarSchedule(2, F(5), ((F(1), F(2)),))
     assert position_at(parked, 3, F(100)) == F(2)
-    segs = car_segments(parked, 3)
+    segs = oracle.car_segments(parked, 3)
     assert segs == [(F(1), F(2), F(6), F(2))]
+    assert car_lap(parked, 3) == ([F(1), F(6)], [F(2), F(2)], F(5), 0)
 
 
 def test_is_regular():
@@ -222,7 +224,10 @@ def test_double_car_motion_is_multiple():
         F(9, 2),
     ]
     res = lemma16_bound(m, ms)
-    assert res == {"chi": 2, "bound": 3, "loci": 3, "holds": True}
+    assert res == {
+        "chi": 2, "bound": 3, "loci": 3, "holds": True,
+        "multiplicities": {0: 1, 1: 2, 2: 1, 3: 1, 4: 1},
+    }
 
 
 def test_double_car_chain_is_checked():

@@ -7,6 +7,7 @@ a renamed entry point, fails here before it fails the benchmark.
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from spheremotion import cli, fuzzing, jsonio
@@ -25,6 +26,7 @@ def test_traced_comotion_and_motion_jobs(tmp_path, capsys):
     jobs = (
         ["comotion", str(pinwheel), str(com)],
         ["motion", str(pinwheel), str(tmp_path / "unit-motion.motion.json")],
+        ["motion", str(pinwheel), str(tmp_path / "double-car.motion.json")],
     )
     tracer = Tracer()
     with tracer.installed():
@@ -36,7 +38,11 @@ def test_traced_comotion_and_motion_jobs(tmp_path, capsys):
                 tracer.end()
     capsys.readouterr()
     calls, _ = tracer.self_times()
-    assert calls["cli.cmd_comotion"] == calls["cli.cmd_motion"] == 1
+    assert calls["cli.cmd_comotion"] == 1 and calls["cli.cmd_motion"] == 2
+    # each motion job checks the multiple motion once: the unit motion's
+    # check fails, the double-car motion's passes
+    checked = Counter(span[4] for span in tracer.spans if span[0] == "motion.multiplicities")
+    assert checked == {1: 1, 2: 1}
     # the comotion command solves each edge once
     assert calls["comotion.edge_components"] == m.edge_count()
     assert tracer.distinct["comotion.edge_components"] == m.edge_count()
