@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from . import fuzzing, jsonio
 from .comotion import (
     comotion_collisions,
+    corner_times,
     lemma11_check,
     solve_edges,
     weight_report,
@@ -284,10 +285,10 @@ def cmd_comotion(args) -> tuple[dict, int]:
     doc, digest = _load(args.map)
     m = jsonio.parse_map(doc)
     cdoc, cdig = _load(args.comotion)
-    com = jsonio.parse_comotion(cdoc, m)
-    components = solve_edges(m, com)
-    weights = weight_report(m, com, components)
-    crep = comotion_collisions(m, com, components)
+    com = jsonio.parse_comotion(cdoc, m)  # validates
+    ct, components = corner_times(m, com), solve_edges(m, com)
+    weights = weight_report(m, com, components, ct)
+    crep = comotion_collisions(m, com, components, ct)
     slack = lemma11_check(m, com, crep)
     results = {
         "period": frac_to_str(com.period),

@@ -10,15 +10,23 @@ does the face sweep past position x".  Collisions are the points whose
 surrounding faces all sweep past at one common instant.
 
 Each cocar keeps one lap table per (period, face length), built by
-`motion.lap_table`; `cotime_at` reads it with `motion.lap_lookup`, the
-lookup that gives a car's position, with positions and times swapped.
+`motion.lap_table` in integers: positions are scaled by X, the lcm of
+the cocar's position denominators, and times and degree * T by Y, the
+lcm of its time denominators and T's.  `cotime_at` reads the table with
+`motion.lap_lookup`, the lookup that gives a car's position, with
+positions and times swapped, at the Fraction x * X, and divides by Y.
 
-An edge is solved by `edge_components`: the two cocars' linear pieces
-over its two darts, found by bisecting each cocar's lap table, cut the
-edge into arcs on which the difference of arrival times is linear, and
-each arc is solved exactly for multiples of the period.  `solve_edges`
-solves every edge once; the `comotion` command hands that one result to
-both `weight_report` and `comotion_collisions`.
+An edge is solved by `edge_components` on one scale for the edge: the
+lcm of its two cocars' X for positions and of their Y for times, so the
+integers stay bounded by the two cocars, not by the map.  A two-pointer
+walk over the two sides' sorted pieces cuts the edge into arcs on which
+each side is one linear piece; scaled by both piece widths, the
+difference of arrival times is an integer linear function there, and
+floor division finds the multiples of the period it meets.  A Fraction
+is built only for each reported parameter, arc end and instant; there
+are no floats.  `solve_edges` solves every edge once, `corner_times`
+reads every corner once, and the `comotion` command hands both results
+to `weight_report` and `comotion_collisions`.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Sequence
 
 from .motion import MotionSchedule, as_multiple_motion, lap_lookup, lap_table
@@ -101,7 +110,8 @@ class Cocar:
 
     @cached_property
     def _laps(self) -> dict:
-        """Lap tables by (period, face length), built by `_lap`."""
+        """Int lap tables with their scales, by (period, face length), built
+        by `_lap`."""
         return {}
 
 
@@ -134,35 +144,46 @@ def validate_comotion(m: OrientedMap, com: Comotion) -> None:
 
 
 def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
-    """The cocar's lap table on a face of length L: time over position."""
-    table = cocar._laps.get((T, L))
-    if table is None:
-        table = cocar._laps[(T, L)] = lap_table(cocar.breakpoints, L, cocar.degree * T)
-    return table
+    """The cocar's int lap table on a face of length L, time over position,
+    with its scales (table, X, Y): positions times X and times times Y are
+    ints, X the lcm of the position denominators, Y that of the time
+    denominators and T's."""
+    lap = cocar._laps.get((T, L))
+    if lap is None:
+        X = lcm(*(p.denominator for p, _ in cocar.breakpoints))
+        Y = lcm(T.denominator, *(t.denominator for _, t in cocar.breakpoints))
+        bps = [(p.numerator * (X // p.denominator), t.numerator * (Y // t.denominator))
+               for p, t in cocar.breakpoints]
+        climb = cocar.degree * T.numerator * (Y // T.denominator)
+        lap = cocar._laps[(T, L)] = (lap_table(bps, L * X, climb), X, Y)
+    return lap
 
 
 def cotime_at(cocar: Cocar, T: Fraction, L: int, x: Fraction) -> Fraction:
     """Lifted arrival time at lifted position x."""
-    return lap_lookup(_lap(cocar, T, L), Fraction(x))
+    table, X, Y = _lap(cocar, T, L)
+    return Fraction(lap_lookup(table, Fraction(x) * X), Y)
 
 
-def _pieces_over(cocar: Cocar, T: Fraction, L: int, x_lo: Fraction, x_hi: Fraction):
-    """Linear time pieces (pa, ta, pb, tb) covering positions [x_lo, x_hi].
-
-    Needs x_lo < x_hi: then every piece in the bisected range overlaps it."""
-    ps, ts, _, climb = _lap(cocar, T, L)
+def _side(lap: tuple, j: int, sign: int, X: int, Y: int):
+    """Dart j of a face, given its `_lap`, as lines in u = X * lam, lam the
+    + side parameter in [0, 1], by increasing u: (u_end, w, c0, c1) with
+    w * Y * time = c0 + c1 * u up to u_end.  Lam runs along the dart on
+    the + side (sign 1) and against it on the - side (sign -1)."""
+    (ps, ts, span, climb), Xc, Yc = lap
+    sx, sy = X // Xc, Y // Yc
+    offset = -X * j if sign > 0 else X * (j + 1)
+    lo, hi = j * Xc, (j + 1) * Xc
     out = []
-    for lap in range((x_lo - ps[0]) // L, (x_hi - ps[0]) // L + 1):
-        dp, dt = lap * L, lap * climb
-        first = max(bisect_right(ps, x_lo - dp) - 1, 0)
-        for i in range(first, min(bisect_left(ps, x_hi - dp), len(ps) - 1)):
-            pa, ta, pb, tb = ps[i], ts[i], ps[i + 1], ts[i + 1]
-            lo, hi = max(pa + dp, x_lo), min(pb + dp, x_hi)
-            slope = (tb - ta) / (pb - pa)
-            out.append(
-                (lo, ta + dt + slope * (lo - pa - dp), hi, ta + dt + slope * (hi - pa - dp))
-            )
-    return out
+    for laps in range((lo - ps[0]) // span, (hi - ps[0]) // span + 1):
+        dp, dt = laps * span, laps * climb
+        first = max(bisect_right(ps, lo - dp) - 1, 0)
+        for i in range(first, min(bisect_left(ps, hi - dp), len(ps) - 1)):
+            w, c1 = (ps[i + 1] - ps[i]) * sx, (ts[i + 1] - ts[i]) * sy * sign
+            ua = offset + sign * (ps[i] + dp) * sx
+            c0 = (ts[i] + dt) * sy * w - c1 * ua
+            out.append((ua + w if sign > 0 else ua, w, c0, c1))
+    return out if sign > 0 else out[::-1]
 
 
 def corner_times(m: OrientedMap, com: Comotion) -> dict:
@@ -200,42 +221,38 @@ def edge_components(m: OrientedMap, com: Comotion, edge: int):
     T = com.period
     fp, jp = m.dart_owner((edge, 1))
     fm, jm = m.dart_owner((edge, -1))
-    Lp, Lm = len(m.faces[fp]), len(m.faces[fm])
-
-    plus = _pieces_over(com.cocars[fp], T, Lp, Fraction(jp), Fraction(jp + 1))
-    minus = _pieces_over(com.cocars[fm], T, Lm, Fraction(jm), Fraction(jm + 1))
-    # both sides as functions of the + side parameter lam in [0, 1]
-    cuts = {pa - jp for pa, _, pb, _ in plus} | {pb - jp for _, _, pb, _ in plus}
-    cuts |= {jm + 1 - pa for pa, _, _, _ in minus} | {jm + 1 - pb for _, _, pb, _ in minus}
-    grid = sorted(c for c in cuts if 0 <= c <= 1)
-
-    def at_plus(lam):
-        return cotime_at(com.cocars[fp], T, Lp, jp + lam)
-
-    def at_minus(lam):
-        return cotime_at(com.cocars[fm], T, Lm, jm + 1 - lam)
-
-    raw = []
-    for a, b in zip(grid, grid[1:]):
-        Ha = at_plus(a) - at_minus(a)
-        Hb = at_plus(b) - at_minus(b)
-        if Ha == Hb:
-            if Ha % T == 0:
-                raw.append((a, b))
-            continue
-        k = -((-Ha) // T)  # first multiple of T at or above Ha
-        while k * T <= Hb:
-            lam = a + (k * T - Ha) * (b - a) / (Hb - Ha)
-            raw.append((lam, lam))
-            k += 1
-    raw.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in raw:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
+    lp = _lap(com.cocars[fp], T, len(m.faces[fp]))
+    lm = _lap(com.cocars[fm], T, len(m.faces[fm]))
+    X, Y = lcm(lp[1], lm[1]), lcm(lp[2], lm[2])
+    TY = T.numerator * (Y // T.denominator)
+    plus, minus = _side(lp, jp, 1, X, Y), _side(lm, jm, -1, X, Y)
+    # on [u, v] each side is one line, so wp * wm * Y times the + side's
+    # time minus the - side's is the int line A + B * u, B >= 0 as both
+    # times are monotone; the sides meet where it is a multiple of
+    # K = wp * wm * Y * T.  Hits arrive in order of u and can only touch
+    # the last component at its end.
+    comps = []  # [n, d, e, f, time]: lam runs from n / (d * X) to e / (f * X)
+    i = j = u = 0
+    while u < X:
+        ep, wp, ap, bp = plus[i]
+        em, wm, am, bm = minus[j]
+        v = min(ep, em, X)
+        A, B, K = wm * ap - wp * am, wm * bp - wp * bm, TY * wp * wm
+        if B == 0:
+            hits = [(u, 1, v, 1)] if A % K == 0 else []
         else:
-            merged.append([a, b])
-    return [(a, b, at_plus(a) % T) for a, b in merged]
+            kKs = range(-(-(A + B * u) // K) * K, (A + B * v) // K * K + 1, K)
+            hits = [(kK - A, B, kK - A, B) for kK in kKs]
+        for n, d, e, f in hits:
+            if comps and n * comps[-1][3] == comps[-1][2] * d:
+                comps[-1][2:4] = e, f
+            else:
+                t = (ap * d + bp * n) % (TY * wp * d)
+                comps.append([n, d, e, f, Fraction(t, wp * d * Y)])
+        i += ep == v
+        j += em == v
+        u = v
+    return [(Fraction(n, d * X), Fraction(e, f * X), t) for n, d, e, f, t in comps]
 
 
 def solve_edges(m: OrientedMap, com: Comotion) -> dict:
@@ -244,7 +261,7 @@ def solve_edges(m: OrientedMap, com: Comotion) -> dict:
 
 
 def comotion_collisions(
-    m: OrientedMap, com: Comotion, components=None
+    m: OrientedMap, com: Comotion, components=None, ct=None
 ) -> ComotionCollisions:
     """Points of the surface all of whose sides sweep past together.
 
@@ -252,13 +269,15 @@ def comotion_collisions(
     by (edge, lam) for isolated meetings and (edge, (a, b)) for whole
     arcs swept in one instant.  Components touching only the endpoints
     of an edge belong to the vertices and are dropped here.  Pass the
-    `solve_edges` result as `components` to reuse it.
+    `solve_edges` result as `components` and the `corner_times` of the
+    validated comotion as `ct` to reuse them.
     """
-    validate_comotion(m, com)
+    if ct is None:
+        validate_comotion(m, com)
+        ct = corner_times(m, com)
     if components is None:
         components = solve_edges(m, com)
     T = com.period
-    ct = corner_times(m, com)
     vertex_loci = {}
     for vertex in m.vertices():
         vals = {ct[c] % T for c in vertex}
@@ -291,16 +310,18 @@ def _span_check(m: OrientedMap, com: Comotion, ct: dict) -> None:
                 )
 
 
-def weight_report(m: OrientedMap, com: Comotion, components=None) -> dict:
+def weight_report(m: OrientedMap, com: Comotion, components=None, ct=None) -> dict:
     """Cell weights whose total telescopes to the Euler characteristic.
 
     Faces carry 1 - degree, an edge carries one less than the number of
     meeting-free arcs in its interior, a vertex 1 - psi of its corner
     instants.  Needs every dart swept in under one period.  Pass the
-    `solve_edges` result as `components` to reuse it.
+    `solve_edges` result as `components` and the `corner_times` of the
+    validated comotion as `ct` to reuse them.
     """
-    validate_comotion(m, com)
-    ct = corner_times(m, com)
+    if ct is None:
+        validate_comotion(m, com)
+        ct = corner_times(m, com)
     _span_check(m, com, ct)
     if components is None:
         components = solve_edges(m, com)
@@ -382,14 +403,16 @@ def lemma11_check(m: OrientedMap, com: Comotion, collisions=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def induce_comotion(m: OrientedMap, ms: MotionSchedule) -> Comotion:
+def induce_comotion(m: OrientedMap, ms: MotionSchedule, groups=None) -> Comotion:
     """Invert the first car of each face of a multiple motion.
 
     Works when every car strictly climbs (stops would need time jumps)
     and laps exactly once per period.  The cocar degree comes out as the
-    face multiplicity.
+    face multiplicity.  Pass the `as_multiple_motion` result as `groups`
+    to reuse it.
     """
-    groups = as_multiple_motion(m, ms)
+    if groups is None:
+        groups = as_multiple_motion(m, ms)
     cocars = []
     for f in range(m.face_count()):
         car = groups[f][0]

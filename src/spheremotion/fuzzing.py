@@ -35,9 +35,9 @@ from .groups import BaseGroup, FreeAbelianGroup, FreeGroup, FreeProductWord, red
 from .motion import (
     CarSchedule,
     MotionSchedule,
+    as_multiple_motion,
     complete_collisions,
     is_regular,
-    multiplicities,
     standard_motion,
     time_shifted_car,
 )
@@ -311,9 +311,9 @@ def bridge_problems(m: OrientedMap, ms: MotionSchedule, rep) -> list[str]:
         return ["motion is not regular"]
     T = ms.period
     problems = []
-    mult = multiplicities(m, ms)
-    com = induce_comotion(m, ms)
-    if [c.degree for c in com.cocars] != [mult[f] for f in range(m.face_count())]:
+    groups = as_multiple_motion(m, ms)
+    com = induce_comotion(m, ms, groups)
+    if [c.degree for c in com.cocars] != [len(groups[f]) for f in range(m.face_count())]:
         problems.append("cocar degrees disagree with face multiplicities")
     crep = comotion_collisions(m, com)
     if set(rep.vertex_loci) != set(crep.vertex_loci):

@@ -526,9 +526,10 @@ def _pattern(kind: str, mval: int, extras: dict) -> tuple[int, ...]:
 
 def _anchor_rotation(profile, pattern) -> int:
     L = len(profile)
-    for r in range(L):
-        if all(profile[(r + p) % L] == pattern[p] for p in range(L)):
-            return r
+    if len(pattern) == L:
+        for r in range(L):
+            if all(profile[(r + p) % L] == pattern[p] for p in range(L)):
+                return r
     raise MotionError(f"profile {profile} does not match pattern {pattern}")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spheremotion
-from spheremotion import cli, fuzzing, jsonio, motion, rewriting
+from spheremotion import cli, comotion, fuzzing, jsonio, motion, rewriting
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
@@ -231,6 +231,17 @@ def test_motion_standard_rejects_unknown_family(goldens, capsys):
     )
     assert code == 2
     assert "unknown standard family" in report["error"]
+
+
+@pytest.mark.parametrize("mval, override", [(2, "1"), (1, "0")])
+def test_motion_standard_rejects_an_m_that_misfits_the_faces(tmp_path, capsys, mval, override):
+    # the override's face pattern is shorter than the doubled polygon's faces
+    path = tmp_path / "doubled.map.json"
+    m = fuzzing.doubled_polygon(fuzzing.b_profile(mval))
+    path.write_text(jsonio.dumps(jsonio.map_to_json(m)))
+    code, report = run_json(capsys, "motion", str(path), "--standard", "A", "--m", override)
+    assert code == 2
+    assert "does not match pattern" in report["error"]
 
 
 def test_motion_needs_schedule(goldens, capsys):
@@ -607,6 +618,25 @@ def test_fuzz_suite_reports_a_broken_check(suite, capsys, monkeypatch):
     assert report["ok"] is False
     hits = [v for v in report["violations"] if problem in v["problem"]]
     assert {v["case"] for v in hits} == {0, 1, 2}
+
+
+def test_fuzz_collisions_checks_each_multiple_motion_once(capsys, monkeypatch):
+    # the bridge groups the cars once for the degree check and the induced comotion
+    calls = []
+    real = motion.as_multiple_motion
+
+    def counting(m, ms):
+        calls.append(ms)
+        return real(m, ms)
+
+    for module in (motion, comotion, fuzzing):
+        if hasattr(module, "as_multiple_motion"):
+            monkeypatch.setattr(module, "as_multiple_motion", counting)
+    code, report = run_json(
+        capsys, "fuzz", "--suite", "collisions", "--cases", "5", "--seed", "3"
+    )
+    assert code == 0 and report["cases"] == 5
+    assert len(calls) == 5
 
 
 def test_fuzz_is_reproducible(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import comotion_oracle as oracle
 from spheremotion import comotion
+from spheremotion.comotion import Cocar, Comotion
 from spheremotion.fuzzing import (
     make_rng,
     pinwheel_variant,
@@ -59,6 +60,51 @@ def subdivided(rng):
     return m, com
 
 
+def rational_period(rng):
+    # half the draws put the period's denominator in no breakpoint time:
+    # single-breakpoint cocars at integer times meet it only in degree * T
+    m = rng.choice([random_sphere_map, random_torus_map])(rng)
+    m = random_subdivisions(m, rng, rng.randint(0, 3))
+    T = rng.choice([F(3, 2), F(5, 12), F(7, 3)])
+    if rng.random() < 0.5:
+        return m, random_comotion(m, rng, T)
+    cocars = []
+    for f, boundary in enumerate(m.faces):
+        L = len(boundary)
+        at = F(rng.randint(0, 4 * L - 1), 4)
+        cocars.append(Cocar(f, rng.randint(0, min(2, L - 1)), ((at, F(rng.randint(0, 5))),)))
+    return m, Comotion(T, tuple(cocars))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def coprime_pinwheel(rng):
+    # face f's positions and times have denominator PRIMES[f] or 1, so no
+    # two cocars share a scale and each edge solves on the lcm of two
+    m = pinwheel_variant(rng.randint(1, 8))
+    T = rng.randint(2, 3)
+    cocars = []
+    for f, (boundary, q) in enumerate(zip(m.faces, PRIMES)):
+        L = len(boundary)
+        d = min(rng.choice([0, 1, 1, 2]), L - 1)
+        t = F(rng.randint(1, 4 * q), q)
+        if not L <= d * T * q <= L * (T * q - 1):  # always so for d = 0
+            cocars.append(Cocar(f, 0, ((F(rng.randint(0, L * q - 1), q), t),)))
+            continue
+        w = [1] * L  # dart sweeps in units of 1/q, each under T
+        for _ in range(d * T * q - L):
+            w[rng.choice([j for j in range(L) if w[j] < T * q - 1])] += 1
+        bps = []
+        for j in range(L):
+            bps.append((F(j), t))
+            if rng.random() < 0.5:
+                bps.append((j + F(rng.randint(1, q - 1), q), t + F(rng.randint(0, w[j]), q)))
+            t += F(w[j], q)
+        cocars.append(Cocar(f, d, tuple(bps)))
+    return m, Comotion(F(T), tuple(cocars))
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -76,7 +122,11 @@ def probe_positions(cocar, L, rng):
     return xs
 
 
-@pytest.mark.parametrize("build", [on_sphere_or_torus, on_genus, on_pinwheel, induced, subdivided])
+@pytest.mark.parametrize(
+    "build",
+    [on_sphere_or_torus, on_genus, on_pinwheel, induced, subdivided, rational_period,
+     coprime_pinwheel],
+)
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_lap_tables_match_the_breakpoint_scans(build, seed):
@@ -86,10 +136,14 @@ def test_lap_tables_match_the_breakpoint_scans(build, seed):
     for cocar in com.cocars:
         L = len(m.faces[cocar.face])
         for x in probe_positions(cocar, L, rng):
-            assert comotion.cotime_at(cocar, T, L, x) == oracle.cotime_at(cocar, T, L, x)
+            got = comotion.cotime_at(cocar, T, L, x)
+            # a float equal to the oracle's Fraction would pass == alone
+            assert type(got) is F and got == oracle.cotime_at(cocar, T, L, x)
     assert comotion.corner_times(m, com) == oracle.corner_times(m, com)
     for edge in m.edge_ids:
-        assert comotion.edge_components(m, com, edge) == oracle.edge_components(m, com, edge)
+        got = comotion.edge_components(m, com, edge)
+        assert got == oracle.edge_components(m, com, edge)
+        assert all(type(v) is F for a_b_time in got for v in a_b_time)
     got, want = comotion.comotion_collisions(m, com), oracle.comotion_collisions(m, com)
     assert list(got.vertex_loci.items()) == list(want.vertex_loci.items())
     assert list(got.edge_loci.items()) == list(want.edge_loci.items())
