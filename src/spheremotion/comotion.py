@@ -38,7 +38,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion, lap_lookup, lap_table
+from .motion import MotionSchedule, as_multiple_motion, int_lap, lap_lookup
 from .surface import OrientedMap
 
 ZERO = Fraction(0)
@@ -150,12 +150,8 @@ def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
     denominators and T's."""
     lap = cocar._laps.get((T, L))
     if lap is None:
-        X = lcm(*(p.denominator for p, _ in cocar.breakpoints))
-        Y = lcm(T.denominator, *(t.denominator for _, t in cocar.breakpoints))
-        bps = [(p.numerator * (X // p.denominator), t.numerator * (Y // t.denominator))
-               for p, t in cocar.breakpoints]
-        climb = cocar.degree * T.numerator * (Y // T.denominator)
-        lap = cocar._laps[(T, L)] = (lap_table(bps, L * X, climb), X, Y)
+        lap = cocar._laps[(T, L)] = int_lap(cocar.breakpoints, L, cocar.degree * T,
+                                            T.denominator)
     return lap
 
 
@@ -187,12 +183,20 @@ def _side(lap: tuple, j: int, sign: int, X: int, Y: int):
 
 
 def corner_times(m: OrientedMap, com: Comotion) -> dict:
-    """Lifted arrival time at every corner."""
+    """Lifted arrival time at every corner: `cotime_at` at the corner,
+    read in ints, corner j at j * X."""
     out = {}
     for f, boundary in enumerate(m.faces):
         L = len(boundary)
+        (ps, ts, span, climb), X, Y = _lap(com.cocars[f], com.period, L)
         for j in range(L):
-            out[(f, j)] = cotime_at(com.cocars[f], com.period, L, Fraction(j))
+            x = j * X
+            laps = (x - ps[0]) // span
+            x -= laps * span
+            i = bisect_right(ps, x) - 1
+            dx = ps[i + 1] - ps[i]
+            t = (ts[i] + laps * climb) * dx + (x - ps[i]) * (ts[i + 1] - ts[i])
+            out[(f, j)] = Fraction(t, dx * Y)
     return out
 
 

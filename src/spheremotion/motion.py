@@ -23,19 +23,32 @@ inside an edge where cars on its two sides meet, found by one linear
 solve per pair of windows on the two darts of that edge.  The index is
 cached on the car and shared by every audit, read-only.
 
-All arithmetic is exact over Fraction.
+The index is built in integers, from the car's int lap table (`int_lap`,
+which `comotion` shares): positions are scaled by X, the lcm of the
+car's position denominators, and times by D = Y * g, Y the lcm of its
+time denominators and the period's, g the lcm over its moving pieces of
+each slope's reduced position step, so every corner crossing is an
+integer.  One lap of corner visits and dart windows is computed once;
+the replicas over [0, H] are integer shifts by the period, and only the
+first and the last are clipped.  Visits are normalized as integers, and
+a Fraction is built only for each instant, lam0 and slope the index
+holds.  Arithmetic is exact throughout: there are no floats.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .surface import Corner, Dart, OrientedMap, classify_map
+
+
+ZERO = Fraction(0)
 
 
 class MotionError(ValueError):
@@ -57,15 +70,12 @@ def fraction_lcm(values: Iterable[Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def normalize_intervals(items: Sequence[tuple[Fraction, Fraction]], T: Fraction):
-    parts = []
-    for a, b in items:
+def normalize_intervals(items: Sequence[tuple], T):
+    """Sorted, merged intervals with the seam closed; ints or Fractions alike."""
+    merged: list[list] = []
+    for a, b in sorted(items):
         if b < a:
             raise MotionError(f"bad interval ({a}, {b})")
-        parts.append((Fraction(a), Fraction(b)))
-    parts.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in parts:
         if merged and a <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], b)
         else:
@@ -75,7 +85,7 @@ def normalize_intervals(items: Sequence[tuple[Fraction, Fraction]], T: Fraction)
         if out[0][0] == 0 and out[-1][1] != T:
             out.append((T, T))
         if out[-1][1] == T and out[0][0] != 0:
-            out.insert(0, (Fraction(0), Fraction(0)))
+            out.insert(0, (T - T, T - T))
     return tuple(out)
 
 
@@ -149,6 +159,21 @@ def lap_table(bps, span, climb) -> tuple:
     x0, y0 = bps[0]
     pts = tuple(bps) + ((x0 + span, y0 + climb),)
     return [x for x, _ in pts], [y for _, y in pts], span, climb
+
+
+def int_lap(bps, span, climb, *dens) -> tuple:
+    """`lap_table` of rational breakpoints (x, y) in integers, with its
+    scales: (table, sx, sy), x times sx and y times sy ints, sx the lcm of
+    the x denominators and span's, sy that of the y denominators, climb's
+    and the extra denominators `dens`."""
+    sx = math.lcm(span.denominator, *(x.denominator for x, _ in bps))
+    sy = math.lcm(climb.denominator, *dens, *(y.denominator for _, y in bps))
+
+    def scaled(v, s):
+        return v.numerator * (s // v.denominator)
+
+    pts = [(scaled(x, sx), scaled(y, sy)) for x, y in bps]
+    return lap_table(pts, scaled(span, sx), scaled(climb, sy)), sx, sy
 
 
 def lap_lookup(table: tuple, x: Fraction) -> Fraction:
@@ -258,40 +283,84 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
     reps = horizon / car.period
     if reps.denominator != 1:
         raise MotionError("horizon is not a multiple of the car period")
+    # positions times X and times times Y are ints; times times D = Y * g
+    # too, and so is every corner crossing, g clearing each slope's
+    # denominator
+    (ts, ps, span, _), Y, X = int_lap(car.breakpoints, car.period, car.degree * L)
+    pieces = list(zip(ts, ps, ts[1:], ps[1:]))
+    g = math.lcm(*((pb - pa) // math.gcd(pb - pa, tb - ta)
+                   for ta, pa, tb, pb in pieces if pb != pa))
+    D, P = Y * g, span * g
+    H = int(reps) * P
+    # one lap of events in D units, by corner or dart: visits (a, b) and
+    # windows (t0, t1, lam0, slope); whole laps keep corners mod L
+    lap_visits: dict[int, list] = defaultdict(list)
+    lap_windows: dict[int, list] = defaultdict(list)
+    for ta, pa, tb, pb in pieces:
+        ta, tb, dp = ta * g, tb * g, pb - pa
+        n0, r = divmod(pa, X)
+        if dp == 0:
+            if r == 0:
+                lap_visits[n0 % L].append((ta, tb))
+            else:
+                lap_windows[n0 % L].append((ta, tb, Fraction(r, X), ZERO))
+            continue
+        # the corners met: at ta, strictly inside and at tb; in between,
+        # dart n0 + i from ends[i] to ends[i + 1]
+        dt, n1 = tb - ta, -(-pb // X)
+        inner = [ta + (n * X - pa) * dt // dp for n in range(n0 + 1, n1)]
+        if r == 0:
+            lap_visits[n0 % L].append((ta, ta))
+        for n, t in enumerate(inner, n0 + 1):
+            lap_visits[n % L].append((t, t))
+        if pb % X == 0:
+            lap_visits[n1 % L].append((tb, tb))
+        ends = [ta] + inner + [tb]
+        slope, lam0 = Fraction(dp * D, X * dt), Fraction(r, X)
+        for n, t0, t1 in zip(range(n0, n1), ends, ends[1:]):
+            lap_windows[n % L].append((t0, t1, lam0, slope))
+            lam0 = ZERO
+    # replicas from one period back cover [0, H] whatever the first
+    # breakpoint; only the first and the last can cross 0 or H
     visits: dict[int, list] = {}
     windows: dict[int, list] = {}
-    ts, ps, period, climb = car_lap(car, L)
-    pieces = list(zip(ts, ps, ts[1:], ps[1:]))
-    # copies from one period back cover [0, H] whatever the first breakpoint
-    for k in range(-1, int(reps)):
-        dt, dp = k * period, k * climb
-        for ta, pa, tb, pb in pieces:
-            ta, pa, tb, pb = ta + dt, pa + dp, tb + dt, pb + dp
-            if tb < 0 or ta > horizon:
+    last = int(reps) - 1
+    for k in range(-1, last + 1):
+        s = k * P
+        for j, events in lap_visits.items():
+            out = visits.setdefault(j, [])
+            if 0 <= k < last:
+                out += [(a + s, b + s) for a, b in events]
+            else:
+                out += [(max(a + s, 0), min(b + s, H))
+                        for a, b in events if b + s >= 0 and a + s <= H]
+        for j, events in lap_windows.items():
+            out = windows.setdefault(j, [])
+            if 0 <= k < last:
+                out += [(a + s, b + s, lam0, slope) for a, b, lam0, slope in events]
                 continue
-            lo, hi = max(ta, 0), min(tb, horizon)
-            if pa == pb:
-                if pa.denominator == 1:
-                    visits.setdefault(int(pa) % L, []).append((lo, hi))
-                elif lo < hi:
-                    stay = (lo, hi, pa % 1, 0)
-                    windows.setdefault(math.floor(pa) % L, []).append(stay)
-                continue
-            slope = (pb - pa) / (tb - ta)
-            for n in range(math.ceil(pa), math.floor(pb) + 1):
-                t = ta + (n - pa) / slope
-                if lo <= t <= hi:
-                    visits.setdefault(n % L, []).append((t, t))
-            for n in range(math.floor(pa), math.ceil(pb)):
-                t0 = max(lo, ta + (n - pa) / slope)
-                t1 = min(hi, ta + (n + 1 - pa) / slope)
+            for a, b, lam0, slope in events:
+                t0, t1 = max(a + s, 0), min(b + s, H)
                 if t0 < t1:
-                    lam0 = pa + slope * (t0 - ta) - n
-                    windows.setdefault(n % L, []).append((t0, t1, lam0, slope))
-    index = car._tables[(L, horizon)] = (
-        {j: normalize_intervals(items, horizon) for j, items in visits.items()},
-        {k: sorted(items) for k, items in windows.items()},
-    )
+                    if t0 != a + s:
+                        lam0 += slope * Fraction(t0 - a - s, D)
+                    out.append((t0, t1, lam0, slope))
+    # a Fraction for each instant the index holds, built once, one corner
+    # or dart at a time
+    instants: dict[int, Fraction] = {}
+
+    def at(t):
+        q = instants.get(t)
+        if q is None:
+            q = instants[t] = Fraction(t, D)
+        return q
+
+    for j, items in visits.items():
+        visits[j] = tuple((at(a), at(b)) for a, b in normalize_intervals(items, H))
+    for j, items in windows.items():
+        items.sort()
+        windows[j] = [(at(a), at(b), lam0, slope) for a, b, lam0, slope in items]
+    index = car._tables[(L, horizon)] = (visits, windows)
     return index
 
 
@@ -312,7 +381,10 @@ def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction):
 def _corner_times(on_face: dict, corner: Corner, horizon: Fraction):
     """Times at which some car of the face sits on the corner."""
     f, j = corner
-    items = [iv for visits, _ in on_face.get(f, ()) for iv in visits.get(j, ())]
+    indexes = on_face.get(f, ())
+    if len(indexes) == 1:
+        return indexes[0][0].get(j, ())  # normalized by `car_index` already
+    items = [iv for visits, _ in indexes for iv in visits.get(j, ())]
     return normalize_intervals(items, horizon)
 
 

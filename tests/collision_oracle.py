@@ -12,10 +12,13 @@ lap tables, and `position_at` is the original scan over them, the oracle
 of the program's bisecting lookup.
 """
 
+import math
 from fractions import Fraction
 
 from spheremotion.motion import (
     CollisionReport,
+    MotionError,
+    car_lap,
     collision_horizon,
     intersect_intervals,
     normalize_intervals,
@@ -47,6 +50,48 @@ def position_at(car, L: int, t: Fraction) -> Fraction:
             pos = pa if tb == ta else pa + (tau - ta) * (pb - pa) / (tb - ta)
             return pos + laps * car.degree * L
     raise RuntimeError(f"time {t} not covered")
+
+
+def car_index(car, L: int, horizon: Fraction) -> tuple[dict, dict]:
+    """The index of `spheremotion.motion.car_index` over Fractions, piece by
+    piece and replica by replica, uncached: its oracle."""
+    reps = horizon / car.period
+    if reps.denominator != 1:
+        raise MotionError("horizon is not a multiple of the car period")
+    visits: dict[int, list] = {}
+    windows: dict[int, list] = {}
+    ts, ps, period, climb = car_lap(car, L)
+    pieces = list(zip(ts, ps, ts[1:], ps[1:]))
+    # copies from one period back cover [0, H] whatever the first breakpoint
+    for k in range(-1, int(reps)):
+        dt, dp = k * period, k * climb
+        for ta, pa, tb, pb in pieces:
+            ta, pa, tb, pb = ta + dt, pa + dp, tb + dt, pb + dp
+            if tb < 0 or ta > horizon:
+                continue
+            lo, hi = max(ta, 0), min(tb, horizon)
+            if pa == pb:
+                if pa.denominator == 1:
+                    visits.setdefault(int(pa) % L, []).append((lo, hi))
+                elif lo < hi:
+                    stay = (lo, hi, pa % 1, 0)
+                    windows.setdefault(math.floor(pa) % L, []).append(stay)
+                continue
+            slope = (pb - pa) / (tb - ta)
+            for n in range(math.ceil(pa), math.floor(pb) + 1):
+                t = ta + (n - pa) / slope
+                if lo <= t <= hi:
+                    visits.setdefault(n % L, []).append((t, t))
+            for n in range(math.floor(pa), math.ceil(pb)):
+                t0 = max(lo, ta + (n - pa) / slope)
+                t1 = min(hi, ta + (n + 1 - pa) / slope)
+                if t0 < t1:
+                    lam0 = pa + slope * (t0 - ta) - n
+                    windows.setdefault(n % L, []).append((t0, t1, lam0, slope))
+    return (
+        {j: normalize_intervals(items, horizon) for j, items in visits.items()},
+        {k: sorted(items) for k, items in windows.items()},
+    )
 
 
 def _reduce_interval(a: Fraction, b: Fraction, T: Fraction):

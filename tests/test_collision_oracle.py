@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import collision_oracle as oracle
@@ -25,6 +25,7 @@ from spheremotion.motion import (
     CarSchedule,
     MotionSchedule,
     blow_up,
+    car_index,
     car_lap,
     check_separated_stops,
     complete_collisions,
@@ -138,3 +139,33 @@ def test_position_at_matches_the_segment_scan(drawn, extra):
         got = position_at(car, L, t)
         assert got == oracle.position_at(car, L, t)
         assert type(got) is Fraction
+
+
+@st.composite
+def indexed_cars(draw):
+    """(car, L, H): a drawn car, run a random time earlier, so that its
+    first breakpoint mostly sits off zero, over 1 to 4 periods."""
+    car, L = draw(cars_on_a_face())
+    car = time_shifted_car(car, L, car.period * Fraction(draw(st.integers(0, 47)), 48))
+    return car, L, car.period * draw(st.integers(1, 4))
+
+
+# a window clipped at t = 0, whose start and lam0 the clip sets
+CLIPPED = CarSchedule(0, Fraction(5, 6), degree=2, breakpoints=(
+    (Fraction(1, 16), Fraction(3, 4)), (Fraction(5, 24), 2), (Fraction(5, 16), 3)))
+# a rest in the middle of a dart: a window of slope 0
+MID_DART = CarSchedule(0, 2, ((0, Fraction(1, 2)), (1, Fraction(1, 2))), degree=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=indexed_cars())
+@example(drawn=(CLIPPED, 5, Fraction(5, 6)))
+@example(drawn=(MID_DART, 3, Fraction(4)))
+def test_index_matches_the_replica_walk(drawn):
+    car, L, H = drawn
+    visits, windows = car_index(car, L, H)
+    assert (visits, windows) == oracle.car_index(car, L, H)
+    # an int equal to the oracle's Fraction would pass == alone
+    values = [x for times in visits.values() for iv in times for x in iv]
+    values += [x for stretches in windows.values() for w in stretches for x in w]
+    assert all(type(x) is Fraction for x in values)

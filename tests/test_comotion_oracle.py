@@ -139,7 +139,10 @@ def test_lap_tables_match_the_breakpoint_scans(build, seed):
             got = comotion.cotime_at(cocar, T, L, x)
             # a float equal to the oracle's Fraction would pass == alone
             assert type(got) is F and got == oracle.cotime_at(cocar, T, L, x)
-    assert comotion.corner_times(m, com) == oracle.corner_times(m, com)
+    ct = comotion.corner_times(m, com)
+    assert ct == oracle.corner_times(m, com)
+    for (f, j), t in ct.items():
+        assert type(t) is F and t == comotion.cotime_at(com.cocars[f], T, len(m.faces[f]), F(j))
     for edge in m.edge_ids:
         got = comotion.edge_components(m, com, edge)
         assert got == oracle.edge_components(m, com, edge)

@@ -121,6 +121,21 @@ def test_normalize_intervals_merges_and_closes_seam():
     assert intervals_instants(ivs, T) == [F(0), F(1), F(5)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(T=st.integers(1, 8), den=st.sampled_from([None, 1, 3]), data=st.data())
+def test_normalize_intervals_is_idempotent(T, den, data):
+    # so a face with one car can hand on its car's visits as they are;
+    # ints stay ints (den None) and Fractions stay Fractions
+    n = T * (den or 1)
+    ends = st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
+    pairs = data.draw(st.lists(ends, max_size=8))
+    if den is not None:
+        T, pairs = F(T), [(F(a, den), F(b, den)) for a, b in pairs]
+    once = normalize_intervals(pairs, T)
+    assert normalize_intervals(once, T) == once
+    assert all(type(x) is type(T) for iv in once for x in iv)
+
+
 def test_intersect_intervals():
     T = F(4)
     A = normalize_intervals([(F(0), F(2))], T)
