@@ -10,11 +10,11 @@ does the face sweep past position x".  Collisions are the points whose
 surrounding faces all sweep past at one common instant.
 
 Each cocar keeps one lap table per (period, face length), built by
-`motion.lap_table` in integers: positions are scaled by X, the lcm of
-the cocar's position denominators, and times and degree * T by Y, the
-lcm of its time denominators and T's.  `cotime_at` reads the table with
-`motion.lap_lookup`, the lookup that gives a car's position, with
-positions and times swapped, at the Fraction x * X, and divides by Y.
+`motion.int_lap` in integers, as each car keeps one: positions are
+scaled by X, the lcm of the cocar's position denominators, and times
+and degree * T by Y, the lcm of its time denominators and T's.
+`cotime_at` and `corner_times` read it with `motion.lap_at`, the reader
+that gives a car's position, with positions and times swapped.
 
 An edge is solved by `edge_components` on one scale for the edge: the
 lcm of its two cocars' X for positions and of their Y for times, so the
@@ -38,7 +38,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion, int_lap, lap_lookup
+from .motion import MotionSchedule, as_multiple_motion, int_lap, lap_at
 from .surface import OrientedMap
 
 ZERO = Fraction(0)
@@ -155,10 +155,9 @@ def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
     return lap
 
 
-def cotime_at(cocar: Cocar, T: Fraction, L: int, x: Fraction) -> Fraction:
-    """Lifted arrival time at lifted position x."""
-    table, X, Y = _lap(cocar, T, L)
-    return Fraction(lap_lookup(table, Fraction(x) * X), Y)
+def cotime_at(cocar: Cocar, T: Fraction, L: int, x) -> Fraction:
+    """Lifted arrival time at lifted position x, an int or a Fraction."""
+    return lap_at(_lap(cocar, T, L), x)
 
 
 def _side(lap: tuple, j: int, sign: int, X: int, Y: int):
@@ -183,20 +182,13 @@ def _side(lap: tuple, j: int, sign: int, X: int, Y: int):
 
 
 def corner_times(m: OrientedMap, com: Comotion) -> dict:
-    """Lifted arrival time at every corner: `cotime_at` at the corner,
-    read in ints, corner j at j * X."""
+    """Lifted arrival time at every corner: `cotime_at` at the corner."""
     out = {}
     for f, boundary in enumerate(m.faces):
         L = len(boundary)
-        (ps, ts, span, climb), X, Y = _lap(com.cocars[f], com.period, L)
+        lap = _lap(com.cocars[f], com.period, L)
         for j in range(L):
-            x = j * X
-            laps = (x - ps[0]) // span
-            x -= laps * span
-            i = bisect_right(ps, x) - 1
-            dx = ps[i + 1] - ps[i]
-            t = (ts[i] + laps * climb) * dx + (x - ps[i]) * (ts[i + 1] - ts[i])
-            out[(f, j)] = Fraction(t, dx * Y)
+            out[(f, j)] = lap_at(lap, j)
     return out
 
 

@@ -20,7 +20,7 @@ from .motion import (
     collision_horizon,
     complete_collisions,
     intervals_instants,
-    multiplicities,
+    lemma16_bound,
     standard_motion,
     standard_multiple_motion,
 )
@@ -577,7 +577,8 @@ def lemma17_audit(
         collisions = complete_collisions(d.map, ms)
 
     report: dict = {"conditions": {}, "contradiction": False}
-    mult = multiplicities(d.map, ms)
+    lemma16 = lemma16_bound(d.map, ms, collisions)
+    mult = lemma16["multiplicities"]
     small = set(range(d.map.face_count())) - set(d.large_faces)
     cond1 = all(mult[f] >= 4 for f in d.large_faces) and all(
         mult[f] >= 1 for f in small
@@ -617,7 +618,7 @@ def lemma17_audit(
     report["conditions"]["no_bad_contact"] = not contacts
     report["bad_contacts"] = contacts
 
-    floor = d.map.euler_characteristic() + sum(df - 1 for df in mult.values())
+    floor = lemma16["bound"]
     cap = 3 * len(d.large_faces)
     report["gamma"] = {
         "nodes": len(d.large_faces),

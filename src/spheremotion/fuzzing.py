@@ -49,7 +49,13 @@ from .rewriting import (
     reconstruct_relator,
     rewrite_word,
 )
-from .surface import OrientedMap, subdivide_edge, surface_euler_characteristic
+from .surface import (  # b_profile and d_profile are re-exported
+    OrientedMap,
+    b_profile,
+    d_profile,
+    subdivide_edge,
+    surface_euler_characteristic,
+)
 
 
 def make_rng(seed) -> random.Random:
@@ -59,14 +65,6 @@ def make_rng(seed) -> random.Random:
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------
-
-
-def b_profile(m: int) -> tuple[int, ...]:
-    return (1,) + (1, -1) * (m + 1)
-
-
-def d_profile(k: int, l: int, s: int) -> tuple[int, ...]:
-    return ((1,) * (k + 1) + (-1,) * (l + 1)) * s
 
 
 def pinwheel_variant(n: int) -> OrientedMap:

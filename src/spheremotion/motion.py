@@ -11,9 +11,14 @@ periods: a set is a sorted tuple of disjoint closed intervals inside
 [0, H].  The instants 0 and H are the same point, so a set holding one of
 them lists both.
 
-A car's lap table (`car_lap`) holds its breakpoints, closed one period
-and one climb later; `lap_lookup` reads a position from it with one
-bisect, and `comotion` reads cocar arrival times with the same lookup.
+Each car keeps one lap table per face length (`car_lap`): its
+breakpoints, closed one period and one climb later, in integers
+(`int_lap`), times scaled by Y, the lcm of the car's time denominators
+and the period's, and positions by X, the lcm of its position
+denominators.  `lap_at` reads such a table at an int or a Fraction with
+one int bisect and one Fraction: `position_at` reads a car's position
+with it, and `comotion` a cocar's arrival time.  The stop scans and the
+blow-up's reference time read the same table.
 
 Collision loci come from one index per car over [0, H] (`car_index`):
 the time sets at which it visits each corner, and its dart windows, the
@@ -23,16 +28,14 @@ inside an edge where cars on its two sides meet, found by one linear
 solve per pair of windows on the two darts of that edge.  The index is
 cached on the car and shared by every audit, read-only.
 
-The index is built in integers, from the car's int lap table (`int_lap`,
-which `comotion` shares): positions are scaled by X, the lcm of the
-car's position denominators, and times by D = Y * g, Y the lcm of its
-time denominators and the period's, g the lcm over its moving pieces of
-each slope's reduced position step, so every corner crossing is an
-integer.  One lap of corner visits and dart windows is computed once;
-the replicas over [0, H] are integer shifts by the period, and only the
-first and the last are clipped.  Visits are normalized as integers, and
-a Fraction is built only for each instant, lam0 and slope the index
-holds.  Arithmetic is exact throughout: there are no floats.
+The index is built in integers from the same lap table: positions are
+scaled by X and times by D = Y * g, g the lcm over the car's moving
+pieces of each slope's reduced position step, so every corner crossing
+is an integer.  One lap of corner visits and dart windows is computed
+once; the replicas over [0, H] are integer shifts by the period, and
+only the first and the last are clipped.  Visits are normalized as
+integers, and a Fraction is built only for each instant, lam0 and slope
+the index holds.  Arithmetic is exact throughout: there are no floats.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .surface import Corner, Dart, OrientedMap, classify_map
+from .surface import Corner, Dart, OrientedMap, b_profile, classify_map, d_profile
 
 
 ZERO = Fraction(0)
@@ -153,52 +156,51 @@ class CarSchedule:
         return {}
 
 
-def lap_table(bps, span, climb) -> tuple:
-    """One lap of a piecewise-linear function that climbs `climb` per `span`,
-    as (xs, ys, span, climb): breakpoints closed by (x0 + span, y0 + climb)."""
-    x0, y0 = bps[0]
-    pts = tuple(bps) + ((x0 + span, y0 + climb),)
-    return [x for x, _ in pts], [y for _, y in pts], span, climb
-
-
 def int_lap(bps, span, climb, *dens) -> tuple:
-    """`lap_table` of rational breakpoints (x, y) in integers, with its
-    scales: (table, sx, sy), x times sx and y times sy ints, sx the lcm of
-    the x denominators and span's, sy that of the y denominators, climb's
-    and the extra denominators `dens`."""
+    """One lap of a piecewise-linear function of rational breakpoints
+    (x, y) that climbs `climb` per `span`, in integers, with its scales:
+    ((xs, ys, span, climb), sx, sy), the breakpoints closed by
+    (x0 + span, y0 + climb), x times sx and y times sy.  sx is the lcm of
+    the x denominators and span's, sy that of the y denominators,
+    climb's and the extra denominators `dens`."""
     sx = math.lcm(span.denominator, *(x.denominator for x, _ in bps))
     sy = math.lcm(climb.denominator, *dens, *(y.denominator for _, y in bps))
+    xs = [x.numerator * (sx // x.denominator) for x, _ in bps]
+    ys = [y.numerator * (sy // y.denominator) for _, y in bps]
+    span = span.numerator * (sx // span.denominator)
+    climb = climb.numerator * (sy // climb.denominator)
+    xs.append(xs[0] + span)
+    ys.append(ys[0] + climb)
+    return (xs, ys, span, climb), sx, sy
 
-    def scaled(v, s):
-        return v.numerator * (s // v.denominator)
 
-    pts = [(scaled(x, sx), scaled(y, sy)) for x, y in bps]
-    return lap_table(pts, scaled(span, sx), scaled(climb, sy)), sx, sy
-
-
-def lap_lookup(table: tuple, x: Fraction) -> Fraction:
-    """The value at x of the function a `lap_table` describes."""
-    xs, ys, span, climb = table
-    laps = (x - xs[0]) // span
-    if laps:
-        x -= laps * span
-    i = bisect_right(xs, x) - 1
-    y = ys[i]
-    if x != xs[i]:
-        y += (x - xs[i]) * (ys[i + 1] - y) / (xs[i + 1] - xs[i])
-    return y + laps * climb if laps else y
+def lap_at(lap: tuple, x) -> Fraction:
+    """The value at x, an int or a Fraction, of the function an `int_lap`
+    describes: one bisect on ints and one Fraction."""
+    (xs, ys, span, climb), sx, sy = lap
+    # x * sx == n / d; whole laps move the value by climb
+    n, d = x.numerator * sx, x.denominator
+    laps = (n - d * xs[0]) // (d * span)
+    n -= laps * span * d
+    i = bisect_right(xs, n // d) - 1
+    dx = xs[i + 1] - xs[i]
+    y = (ys[i] + laps * climb) * d * dx + (n - xs[i] * d) * (ys[i + 1] - ys[i])
+    return Fraction(y, d * dx * sy)
 
 
 def car_lap(car: CarSchedule, L: int) -> tuple:
-    """The car's lap table on a face of length L: position over time."""
-    table = car._tables.get(L)
-    if table is None:
-        table = car._tables[L] = lap_table(car.breakpoints, car.period, car.degree * L)
-    return table
+    """The car's int lap table on a face of length L, position over time,
+    with its scales (table, Y, X): times times Y and positions times X are
+    ints, Y the lcm of the time denominators and the period's, X that of
+    the position denominators."""
+    lap = car._tables.get(L)
+    if lap is None:
+        lap = car._tables[L] = int_lap(car.breakpoints, car.period, car.degree * L)
+    return lap
 
 
-def position_at(car: CarSchedule, L: int, t: Fraction) -> Fraction:
-    return lap_lookup(car_lap(car, L), Fraction(t))
+def position_at(car: CarSchedule, L: int, t) -> Fraction:
+    return lap_at(car_lap(car, L), t)
 
 
 def _shift_into_range(bps, r, L: int):
@@ -253,8 +255,8 @@ def is_regular(m: OrientedMap, ms: MotionSchedule) -> bool:
     for car in ms.cars:
         if car.degree < 1:
             return False
-        _, ps, _, _ = car_lap(car, len(m.faces[car.face]))
-        if any(p == q and p.denominator != 1 for p, q in zip(ps, ps[1:])):
+        (_, ps, _, _), _, X = car_lap(car, len(m.faces[car.face]))
+        if any(p == q and p % X for p, q in zip(ps, ps[1:])):
             return False
     return True
 
@@ -286,7 +288,7 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
     # positions times X and times times Y are ints; times times D = Y * g
     # too, and so is every corner crossing, g clearing each slope's
     # denominator
-    (ts, ps, span, _), Y, X = int_lap(car.breakpoints, car.period, car.degree * L)
+    (ts, ps, span, _), Y, X = car_lap(car, L)
     pieces = list(zip(ts, ps, ts[1:], ps[1:]))
     g = math.lcm(*((pb - pa) // math.gcd(pb - pa, tb - ta)
                    for ta, pa, tb, pb in pieces if pb != pa))
@@ -551,14 +553,15 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
     problems = []
     for car in ms.cars:
         L = len(m.faces[car.face])
-        ts, ps, period, _ = car_lap(car, L)
+        (ts, ps, span, _), _, X = car_lap(car, L)
         for ta, tb, p, q in zip(ts, ts[1:], ps, ps[1:]):
-            if p != q or tb - ta >= period:
+            if p != q or tb - ta >= span:
                 continue  # moving, or a parked car: not a stop
-            if p.denominator != 1:
-                problems.append(f"car on face {car.face} rests mid-dart at {p}")
-            elif (car.face, int(p) % L) not in ms.stop_corners:
-                problems.append(f"undeclared stop at {(car.face, int(p) % L)}")
+            if p % X:
+                at = Fraction(p, X)
+                problems.append(f"car on face {car.face} rests mid-dart at {at}")
+            elif (car.face, p // X % L) not in ms.stop_corners:
+                problems.append(f"undeclared stop at {(car.face, p // X % L)}")
 
     on_face = _indexes_by_face(m, ms, horizon)
     for vertex in m.vertices():
@@ -589,11 +592,10 @@ def _pattern(kind: str, mval: int, extras: dict) -> tuple[int, ...]:
     if kind == "a":
         return (1, -1)
     if kind == "b":
-        return (1,) + (1, -1) * (mval + 1)
+        return b_profile(mval)
     if kind == "c":
-        return (-1,) + (-1, 1) * (mval + 1)
-    k, l, s = extras["k"], extras["l"], extras["s"]
-    return ((1,) * (k + 1) + (-1,) * (l + 1)) * s
+        return tuple(-sign for sign in b_profile(mval))
+    return d_profile(extras["k"], extras["l"], extras["s"])
 
 
 def _anchor_rotation(profile, pattern) -> int:
@@ -716,15 +718,17 @@ def verify_source_sink_collisions(
 
 def _reference_time(car: CarSchedule, L: int):
     """A time at which the car sits strictly inside a dart."""
-    ts, ps, _, _ = car_lap(car, L)
+    (ts, ps, _, _), Y, X = car_lap(car, L)
     for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]):
         if pa == pb:
             continue
-        slope = (pb - pa) / (tb - ta)
-        g = pa // 1 + 1
-        pm = (max(pa, g - 1) + g) / 2 if g <= pb else (pa + pb) / 2
-        if pm % 1 != 0:
-            return ta + (pm - pa) / slope
+        # twice the midpoint, in X units, of the piece's first stretch
+        # inside one dart
+        g = (pa // X + 1) * X
+        pm = pa + g if g <= pb else pa + pb
+        if pm % (2 * X):
+            dp = pb - pa
+            return Fraction(2 * ta * dp + (pm - 2 * pa) * (tb - ta), 2 * Y * dp)
     raise MotionError("car never leaves the corners")
 
 

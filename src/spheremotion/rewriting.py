@@ -531,6 +531,20 @@ def lemma1_v(
     return b.inverse() * a * b
 
 
+def _probe_freeness(samples, s: int, depth: int, with_p, with_p_phi,
+                    p_message: str, p_phi_message: str) -> None:
+    """Spot-check each nontrivial sample p: <p, *with_p> must look free up to
+    `depth` when p lies in P, and <p, *with_p_phi> when p lies in P^phi;
+    RewriteError with the matching message otherwise."""
+    for p in samples:
+        if p.is_identity():
+            continue
+        if in_P(p, s) and not free_subgroup_probe([p, *with_p], depth):
+            raise RewriteError(p_message)
+        if in_P_phi(p, s) and not free_subgroup_probe([p, *with_p_phi], depth):
+            raise RewriteError(p_phi_message)
+
+
 def lemma2_auxiliary(
     data: RelativePresentationData,
     i: int,
@@ -557,17 +571,9 @@ def lemma2_auxiliary(
     a_prime = lemma1_v(data.base, lower, [data.s], data.a[i])
     b_prime = lemma1_v(data.base, upper, [0], data.b[i])
     if probe_depth:
-        for p in samples:
-            if p.is_identity():
-                continue
-            if in_P(p, data.s) and not free_subgroup_probe(
-                [p, data.a[i], a_prime], probe_depth
-            ):
-                raise RewriteError("auxiliary pair failed the freeness probe")
-            if in_P_phi(p, data.s) and not free_subgroup_probe(
-                [p, data.b[i], b_prime], probe_depth
-            ):
-                raise RewriteError("auxiliary pair failed the freeness probe")
+        message = "auxiliary pair failed the freeness probe"
+        _probe_freeness(samples, data.s, probe_depth, (data.a[i], a_prime),
+                        (data.b[i], b_prime), message, message)
     return a_prime, b_prime
 
 
@@ -635,17 +641,9 @@ def build_augmented_presentation(
     elif power == 1:
         if data.s < 1:
             raise RewriteError("the single-power relator applies only at s >= 1")
-        for p in samples:
-            if p.is_identity():
-                continue
-            if in_P(p, data.s) and not free_subgroup_probe(
-                [p, data.a[data.m], a], probe_depth
-            ):
-                raise RewriteError("freeness probe failed for <P, a_m, a>")
-            if in_P_phi(p, data.s) and not free_subgroup_probe(
-                [p, data.b[0], b], probe_depth
-            ):
-                raise RewriteError("freeness probe failed for <P^phi, b_0, b>")
+        _probe_freeness(samples, data.s, probe_depth, (data.a[data.m], a), (data.b[0], b),
+                        "freeness probe failed for <P, a_m, a>",
+                        "freeness probe failed for <P^phi, b_0, b>")
     else:
         raise RewriteError(f"power must be 1 or 4, got {power}")
 

@@ -206,6 +206,17 @@ def _runs(signs: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+def b_profile(m: int) -> tuple[int, ...]:
+    """The sign profile of the b shape with number m: 2m + 3 darts,
+    alternating but for one doubled + run.  Negated, the c shape."""
+    return (1,) + (1, -1) * (m + 1)
+
+
+def d_profile(k: int, l: int, s: int) -> tuple[int, ...]:
+    """The sign profile of the d shape: ((+)^(k+1) (-)^(l+1))^s."""
+    return ((1,) * (k + 1) + (-1,) * (l + 1)) * s
+
+
 def classify_face(signs: Sequence[int]) -> tuple[str, Optional[int], dict]:
     """Classify a cyclic sign profile as one of the standard face shapes.
 

@@ -8,8 +8,9 @@ cars is compared over the whole horizon [0, H] whatever their first
 breakpoint times.  Slow on purpose: keep inputs small.
 
 The segments come from the raw breakpoints here, not from the program's
-lap tables, and `position_at` is the original scan over them, the oracle
-of the program's bisecting lookup.
+int lap tables.  `position_at` is the original scan over them, the oracle
+of the program's bisecting reader, and `car_index`, `reference_time` and
+`is_regular` are the program's earlier Fraction walks over them.
 """
 
 import math
@@ -18,7 +19,6 @@ from fractions import Fraction
 from spheremotion.motion import (
     CollisionReport,
     MotionError,
-    car_lap,
     collision_horizon,
     intersect_intervals,
     normalize_intervals,
@@ -34,6 +34,14 @@ def car_segments(car, L: int):
         segs.append(bps[i] + bps[i + 1])
     segs.append(bps[-1] + (bps[0][0] + car.period, bps[0][1] + car.degree * L))
     return segs
+
+
+def unscaled(lap) -> tuple:
+    """An `int_lap` table divided by its scales: (xs, ys, span, climb) as
+    Fractions."""
+    (xs, ys, span, climb), sx, sy = lap
+    return ([Fraction(x, sx) for x in xs], [Fraction(y, sy) for y in ys],
+            Fraction(span, sx), Fraction(climb, sy))
 
 
 def flat_segments(car, L: int):
@@ -52,6 +60,30 @@ def position_at(car, L: int, t: Fraction) -> Fraction:
     raise RuntimeError(f"time {t} not covered")
 
 
+def reference_time(car, L: int):
+    """`spheremotion.motion._reference_time` over Fractions: its oracle."""
+    for ta, pa, tb, pb in car_segments(car, L):
+        if pa == pb:
+            continue
+        slope = (pb - pa) / (tb - ta)
+        g = pa // 1 + 1
+        pm = (max(pa, g - 1) + g) / 2 if g <= pb else (pa + pb) / 2
+        if pm % 1 != 0:
+            return ta + (pm - pa) / slope
+    raise MotionError("car never leaves the corners")
+
+
+def is_regular(m, ms) -> bool:
+    """`spheremotion.motion.is_regular` over Fractions: its oracle."""
+    for car in ms.cars:
+        if car.degree < 1:
+            return False
+        segs = car_segments(car, len(m.faces[car.face]))
+        if any(pa == pb and pa.denominator != 1 for _, pa, _, pb in segs):
+            return False
+    return True
+
+
 def car_index(car, L: int, horizon: Fraction) -> tuple[dict, dict]:
     """The index of `spheremotion.motion.car_index` over Fractions, piece by
     piece and replica by replica, uncached: its oracle."""
@@ -60,8 +92,8 @@ def car_index(car, L: int, horizon: Fraction) -> tuple[dict, dict]:
         raise MotionError("horizon is not a multiple of the car period")
     visits: dict[int, list] = {}
     windows: dict[int, list] = {}
-    ts, ps, period, climb = car_lap(car, L)
-    pieces = list(zip(ts, ps, ts[1:], ps[1:]))
+    pieces = car_segments(car, L)
+    period, climb = car.period, car.degree * L
     # copies from one period back cover [0, H] whatever the first breakpoint
     for k in range(-1, int(reps)):
         dt, dp = k * period, k * climb

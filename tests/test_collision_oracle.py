@@ -23,12 +23,15 @@ from spheremotion.fuzzing import (
 from spheremotion.goldens import unit_speed_motion
 from spheremotion.motion import (
     CarSchedule,
+    MotionError,
     MotionSchedule,
+    _reference_time,
     blow_up,
     car_index,
     car_lap,
     check_separated_stops,
     complete_collisions,
+    is_regular,
     position_at,
     standard_motion,
     standard_multiple_motion,
@@ -128,7 +131,7 @@ def cars_on_a_face(draw):
 def test_position_at_matches_the_segment_scan(drawn, extra):
     car, L = drawn
     P = car.period
-    ts, ps, _, _ = car_lap(car, L)
+    ts, ps, _, _ = oracle.unscaled(car_lap(car, L))
     assert list(zip(ts, ps, ts[1:], ps[1:])) == oracle.car_segments(car, L)
     # every breakpoint over laps -3..2 (the first one is the lap seam),
     # so negative times too, each midpoint between breakpoints, and
@@ -139,6 +142,42 @@ def test_position_at_matches_the_segment_scan(drawn, extra):
         got = position_at(car, L, t)
         assert got == oracle.position_at(car, L, t)
         assert type(got) is Fraction
+
+
+@st.composite
+def maybe_shifted_cars(draw):
+    """(car, L): a drawn car, half the time run a random time earlier."""
+    car, L = draw(cars_on_a_face())
+    if draw(st.booleans()):
+        car = time_shifted_car(car, L, car.period * Fraction(draw(st.integers(1, 47)), 48))
+    return car, L
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=maybe_shifted_cars(), extra=st.lists(st.integers(-40, 40), max_size=6),
+       stops=st.sets(st.integers(0, 5)))
+def test_int_lap_scans_match_the_fraction_walks(drawn, extra, stops):
+    car, L = drawn
+    try:
+        want = oracle.reference_time(car, L)
+    except MotionError as e:
+        assert str(e) == "car never leaves the corners"
+        with pytest.raises(MotionError, match="^car never leaves the corners$"):
+            _reference_time(car, L)
+    else:
+        got = _reference_time(car, L)
+        assert type(got) is Fraction and got == want
+    m = doubled_polygon((1,) * L)
+    ms = MotionSchedule(car.period, (car,), frozenset((0, j) for j in stops if j < L))
+    assert is_regular(m, ms) == oracle.is_regular(m, ms)
+    assert check_separated_stops(m, ms) == reference_stop_audit(m, ms)
+    # int instants: the lap seams, the breakpoints rounded down, and random
+    P = car.period
+    times = [P.numerator * k for k in range(-2, 3)]
+    times += [t.numerator // t.denominator + k for t, _ in car.breakpoints for k in (-1, 0, 1)]
+    for t in times + extra:
+        got = position_at(car, L, t)
+        assert type(got) is Fraction and got == oracle.position_at(car, L, t)
 
 
 @st.composite

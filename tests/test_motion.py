@@ -43,7 +43,7 @@ from spheremotion.motion import (
     validate_motion,
     verify_source_sink_collisions,
 )
-from spheremotion.surface import classify_map
+from spheremotion.surface import b_profile, classify_map
 
 
 def unit_car(face, L):
@@ -96,7 +96,7 @@ def test_position_at_laps_and_parking():
     assert position_at(parked, 3, F(100)) == F(2)
     segs = oracle.car_segments(parked, 3)
     assert segs == [(F(1), F(2), F(6), F(2))]
-    assert car_lap(parked, 3) == ([F(1), F(6)], [F(2), F(2)], F(5), 0)
+    assert oracle.unscaled(car_lap(parked, 3)) == ([F(1), F(6)], [F(2), F(2)], F(5), 0)
 
 
 def test_is_regular():
@@ -327,10 +327,6 @@ def test_standard_motion_pinwheel():
     rep = v["report"]
     assert rep.spatial_count == 2
     assert named_vertex_loci(m, rep) == {"tip": [F(1)], "center": [F(1)]}
-
-
-def b_profile(m):
-    return (1,) + (1, -1) * (m + 1)
 
 
 def test_standard_motion_doubled_pentagon():

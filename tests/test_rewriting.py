@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,6 +360,19 @@ def test_build_augmented_power_one():
     assert report["face_type"] == "d"
     assert report["face_k"] == report["face_l"] == 2
     assert pres.relators[1].t_sign_sequence() == (-1, -1, -1, 1, 1, 1)
+
+
+def test_build_augmented_power_one_failed_probes():
+    w = chain(FreeGroup(5), ("a", 1), ("b", 1), ("c", 1), ("d", -1), ("e", -1))
+    d = rewrite_word(w).data
+    base = d.base
+    a_aux, b_aux = lemma2_auxiliary(d, d.m)
+    # a sample equal to a (in P) or to b (in P^phi) repeats a generator
+    a, b = g_at(base, 0, "a"), phi(g_at(base, 0, "b"))
+    with pytest.raises(RewriteError, match=re.escape("probe failed for <P, a_m, a>")):
+        build_augmented_presentation(d, a, b_aux, d=3, power=1, samples=[a])
+    with pytest.raises(RewriteError, match=re.escape("probe failed for <P^phi, b_0, b>")):
+        build_augmented_presentation(d, a_aux, b, d=3, power=1, samples=[b])
 
 
 def test_build_augmented_power_one_wrong_s():
