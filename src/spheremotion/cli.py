@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import fuzzing, jsonio
 from .comotion import (
     comotion_collisions,
-    corner_times,
+    corner_ticks,
     lemma11_check,
     solve_edges,
     weight_report,
@@ -286,7 +286,7 @@ def cmd_comotion(args) -> tuple[dict, int]:
     m = jsonio.parse_map(doc)
     cdoc, cdig = _load(args.comotion)
     com = jsonio.parse_comotion(cdoc, m)  # validates
-    ct, components = corner_times(m, com), solve_edges(m, com)
+    ct, components = corner_ticks(m, com), solve_edges(m, com)
     weights = weight_report(m, com, components, ct)
     crep = comotion_collisions(m, com, components, ct)
     slack = lemma11_check(m, com, crep)

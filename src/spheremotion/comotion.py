@@ -13,8 +13,8 @@ Each cocar keeps one lap table per (period, face length), built by
 `motion.int_lap` in integers, as each car keeps one: positions are
 scaled by X, the lcm of the cocar's position denominators, and times
 and degree * T by Y, the lcm of its time denominators and T's.
-`cotime_at` and `corner_times` read it with `motion.lap_at`, the reader
-that gives a car's position, with positions and times swapped.
+`cotime_at` reads it with `motion.lap_at`, the reader that gives a car's
+position, with positions and times swapped.
 
 An edge is solved by `edge_components` on one scale for the edge: the
 lcm of its two cocars' X for positions and of their Y for times, so the
@@ -24,9 +24,24 @@ each side is one linear piece; scaled by both piece widths, the
 difference of arrival times is an integer linear function there, and
 floor division finds the multiples of the period it meets.  A Fraction
 is built only for each reported parameter, arc end and instant; there
-are no floats.  `solve_edges` solves every edge once, `corner_times`
+are no floats.  `solve_edges` solves every edge once, `corner_ticks`
 reads every corner once, and the `comotion` command hands both results
 to `weight_report` and `comotion_collisions`.
+
+The weight report and the vertex loci read corners in integers.
+`corner_ticks` reads every corner of a face with `motion.lap_read`, the
+read of `lap_at` at an int position, and puts the face's corner times
+over one scale: its lap's Y times the lcm of the widths of the pieces
+its corners fall in.  The scale stays per face, never one lcm over the
+comotion, so the integers stay bounded by one cocar.  Instants on the time circle are
+residues mod T times the scale; the span check compares ticks, psi
+counts descents by cross-multiplying (residue, scale) pairs, and a
+Fraction is built only for each reported vertex instant.
+`corner_times`, for `lemma14_total` and other Fraction callers, divides
+the ticks by the scales.  `subdivide_comotion` remaps a cocar's
+breakpoints and the stretch's kinks in the lap table's X units with
+divmod, reads each time with `lap_read`, and builds one Fraction per new
+coordinate.  `psi` and `chi_indicator` stay the Fraction definitions.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion, int_lap, lap_at
+from .motion import MotionSchedule, as_multiple_motion, int_lap, lap_at, lap_read
 from .surface import OrientedMap
 
 ZERO = Fraction(0)
@@ -96,7 +111,12 @@ class Cocar:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        bps = tuple((Fraction(p), Fraction(t)) for p, t in self.breakpoints)
+        # pairs that already hold Fractions, as subdivision builds them, are
+        # kept: wrapping them again costs more than the rest of a subdivision
+        bps = tuple(
+            (p, t) if type(p) is type(t) is Fraction else (Fraction(p), Fraction(t))
+            for p, t in self.breakpoints
+        )
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
             raise ComotionError("cocar needs at least one breakpoint")
@@ -181,15 +201,36 @@ def _side(lap: tuple, j: int, sign: int, X: int, Y: int):
     return out if sign > 0 else out[::-1]
 
 
-def corner_times(m: OrientedMap, com: Comotion) -> dict:
-    """Lifted arrival time at every corner: `cotime_at` at the corner."""
-    out = {}
+def corner_ticks(m: OrientedMap, com: Comotion) -> tuple[dict, list]:
+    """Lifted arrival time at every corner in ints: (ticks, scales), the
+    time at corner (f, j) being ticks[(f, j)] / scales[f].  A face's scale
+    is its lap's Y times the lcm of the widths of the pieces its corners
+    fall in, so it depends on that face's cocar alone."""
+    ticks, scales = {}, []
     for f, boundary in enumerate(m.faces):
         L = len(boundary)
         lap = _lap(com.cocars[f], com.period, L)
-        for j in range(L):
-            out[(f, j)] = lap_at(lap, j)
-    return out
+        reads = [lap_read(lap, j * lap[1]) for j in range(L)]
+        g = lcm(*(w for _, w in reads))
+        for j, (y, w) in enumerate(reads):
+            ticks[(f, j)] = y * (g // w)
+        scales.append(lap[2] * g)
+    return ticks, scales
+
+
+def corner_times(m: OrientedMap, com: Comotion) -> dict:
+    """Lifted arrival time at every corner, as Fractions of `corner_ticks`."""
+    ticks, scales = corner_ticks(m, com)
+    return {c: Fraction(t, scales[c[0]]) for c, t in ticks.items()}
+
+
+def _residues(com: Comotion, ct: tuple) -> dict:
+    """Every corner's instant on the time circle from `corner_ticks`, as
+    (r, s): the instant is r / s, with 0 <= r < T * s."""
+    ticks, scales = ct
+    T = com.period
+    periods = [T.numerator * (s // T.denominator) for s in scales]
+    return {c: (t % periods[c[0]], scales[c[0]]) for c, t in ticks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +306,20 @@ def comotion_collisions(
     by (edge, lam) for isolated meetings and (edge, (a, b)) for whole
     arcs swept in one instant.  Components touching only the endpoints
     of an edge belong to the vertices and are dropped here.  Pass the
-    `solve_edges` result as `components` and the `corner_times` of the
+    `solve_edges` result as `components` and the `corner_ticks` of the
     validated comotion as `ct` to reuse them.
     """
     if ct is None:
         validate_comotion(m, com)
-        ct = corner_times(m, com)
+        ct = corner_ticks(m, com)
     if components is None:
         components = solve_edges(m, com)
-    T = com.period
+    res = _residues(com, ct)
     vertex_loci = {}
     for vertex in m.vertices():
-        vals = {ct[c] % T for c in vertex}
-        if len(vals) == 1:
-            vertex_loci[vertex] = vals.pop()
+        (r, s), *rest = (res[c] for c in vertex)
+        if all(r2 * s == r * s2 for r2, s2 in rest):
+            vertex_loci[vertex] = Fraction(r, s)
     edge_loci = {}
     for edge in m.edge_ids:
         for a, b, t in components[edge]:
@@ -294,13 +335,16 @@ def comotion_collisions(
 # ---------------------------------------------------------------------------
 
 
-def _span_check(m: OrientedMap, com: Comotion, ct: dict) -> None:
+def _span_check(m: OrientedMap, com: Comotion, ct: tuple) -> None:
+    ticks, scales = ct
     T = com.period
     for f, boundary in enumerate(m.faces):
         L = len(boundary)
+        TS = T.numerator * (scales[f] // T.denominator)
+        wrap = ticks[(f, 0)] + com.cocars[f].degree * TS  # corner 0 a lap on
         for j in range(L):
-            hi = ct[(f, (j + 1) % L)] + (com.cocars[f].degree * T if j + 1 == L else 0)
-            if hi - ct[(f, j)] >= T:
+            hi = ticks[(f, j + 1)] if j + 1 < L else wrap
+            if hi - ticks[(f, j)] >= TS:
                 raise ComotionError(
                     f"dart {j} of face {f} sweeps a full period; subdivide first"
                 )
@@ -312,16 +356,15 @@ def weight_report(m: OrientedMap, com: Comotion, components=None, ct=None) -> di
     Faces carry 1 - degree, an edge carries one less than the number of
     meeting-free arcs in its interior, a vertex 1 - psi of its corner
     instants.  Needs every dart swept in under one period.  Pass the
-    `solve_edges` result as `components` and the `corner_times` of the
+    `solve_edges` result as `components` and the `corner_ticks` of the
     validated comotion as `ct` to reuse them.
     """
     if ct is None:
         validate_comotion(m, com)
-        ct = corner_times(m, com)
+        ct = corner_ticks(m, com)
     _span_check(m, com, ct)
     if components is None:
         components = solve_edges(m, com)
-    T = com.period
     faces = {f: 1 - com.cocars[f].degree for f in range(m.face_count())}
     edges = {}
     for edge in m.edge_ids:
@@ -332,9 +375,13 @@ def weight_report(m: OrientedMap, com: Comotion, components=None, ct=None) -> di
         else:
             free = 1
         edges[edge] = -1 + free
+    # psi of a vertex counts the descents of its cyclic tuple of instants
+    res = _residues(com, ct)
     vertices = {}
     for vertex in m.vertices():
-        vertices[vertex] = 1 - psi(T, [ct[c] for c in vertex])
+        ins = [res[c] for c in vertex]
+        pairs = zip(ins, ins[1:] + ins[:1])
+        vertices[vertex] = 1 - sum(r * s2 > r2 * s for (r, s), (r2, s2) in pairs)
     total = sum(faces.values()) + sum(edges.values()) + sum(vertices.values())
     return {
         "faces": faces,
@@ -445,20 +492,24 @@ def subdivide_comotion(
             cocars.append(cocar)
             continue
 
-        def remap(x):
-            base = x % L
-            lap = (x - base) // L
-            new = base + sum(max(ZERO, min(base - j, Fraction(1))) for j in js)
-            return new + lap * (L + len(js))
+        # positions in the lap table's X units, times read from it
+        lap = _lap(cocar, T, L)
+        (ps, _, span, _), X, Y = lap
+        stretched = (L + len(js)) * X
 
-        # breakpoints of the stretch itself become breakpoints of the cocar
-        p0 = cocar.breakpoints[0][0]
-        kinks = {Fraction(j + off) for j in js for off in (0, 1)}
-        xs = {p for p, _ in cocar.breakpoints}
-        xs |= {k + L * ((p0 - k) // L + 1) for k in kinks}
-        xs = {x for x in xs if p0 <= x < p0 + L}
-        bps = tuple(
-            sorted((remap(x), cotime_at(cocar, T, L, x)) for x in xs)
-        )
+        def remap(x):
+            laps, base = divmod(x, span)
+            new = base + sum(max(0, min(base - j * X, X)) for j in js)
+            return Fraction(new + laps * stretched, X)
+
+        def time(x):
+            y, w = lap_read(lap, x)
+            return Fraction(y, w * Y)
+
+        # breakpoints of the stretch itself become breakpoints of the cocar;
+        # the stretch is increasing, so sorting positions sorts the result
+        kinks = {(j + off) * X for j in js for off in (0, 1)}
+        xs = set(ps[:-1]) | {k + span * ((ps[0] - k) // span + 1) for k in kinks}
+        bps = tuple((remap(x), time(x)) for x in sorted(xs) if x < ps[0] + span)
         cocars.append(Cocar(cocar.face, cocar.degree, bps))
     return m2, Comotion(T, tuple(cocars))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .groups import FreeProductWord
 from .motion import (
     MotionSchedule,
-    _functions_equal,
+    _offset,
     check_separated_stops,
     collision_horizon,
     complete_collisions,
@@ -348,7 +348,7 @@ def _require_standard_on_interior(d: HowieDiagram, ms: MotionSchedule, info=None
         L = len(d.map.faces[f])
         want, got = by_face.get(f, []), given.get(f, [])
         if len(want) != len(got) or not all(
-            _functions_equal(a, b, L, Fraction(0), Fraction(0))
+            _offset(a, b, L, Fraction(0)) == 0
             for a, b in zip(want, got)
         ):
             raise DiagramError(f"motion is not standard on interior face {f}")

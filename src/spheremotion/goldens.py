@@ -79,6 +79,15 @@ def square_torus_map() -> OrientedMap:
     return OrientedMap("torus", (((0, 1), (1, 1), (0, -1), (1, -1)),))
 
 
+def genus_map(g: int) -> OrientedMap:
+    """One 4g-gon glued as a1 b1 a1^-1 b1^-1 ... ag bg ag^-1 bg^-1."""
+    boundary = []
+    for k in range(g):
+        a, b = 2 * k, 2 * k + 1
+        boundary += [(a, 1), (b, 1), (a, -1), (b, -1)]
+    return OrientedMap(f"genus-{g}", (tuple(boundary),))
+
+
 def unit_speed_motion(m: OrientedMap) -> MotionSchedule:
     """One car per face running at unit speed, corner to corner."""
     from .motion import fraction_lcm

@@ -17,8 +17,10 @@ breakpoints, closed one period and one climb later, in integers
 and the period's, and positions by X, the lcm of its position
 denominators.  `lap_at` reads such a table at an int or a Fraction with
 one int bisect and one Fraction: `position_at` reads a car's position
-with it, and `comotion` a cocar's arrival time.  The stop scans and the
-blow-up's reference time read the same table.
+with it, and `comotion` a cocar's arrival time.  `lap_read` is the same
+read at an int position in the table's units, the value as an int over
+an int, for `comotion`'s corner ticks and subdivision.  The stop scans
+and the blow-up's reference time read the same table.
 
 Collision loci come from one index per car over [0, H] (`car_index`):
 the time sets at which it visits each corner, and its dart windows, the
@@ -174,9 +176,25 @@ def int_lap(bps, span, climb, *dens) -> tuple:
     return (xs, ys, span, climb), sx, sy
 
 
+def lap_read(lap: tuple, n: int) -> tuple[int, int]:
+    """The value at x == n / sx, n an int, of the function an `int_lap`
+    describes, in ints: (y, w) with value y / (w * sy), w the width of the
+    table piece x falls in.  One bisect, no Fraction."""
+    (xs, ys, span, climb), _, _ = lap
+    # whole laps move the value by climb
+    laps = (n - xs[0]) // span
+    n -= laps * span
+    i = bisect_right(xs, n) - 1
+    dx = xs[i + 1] - xs[i]
+    return (ys[i] + laps * climb) * dx + (n - xs[i]) * (ys[i + 1] - ys[i]), dx
+
+
 def lap_at(lap: tuple, x) -> Fraction:
     """The value at x, an int or a Fraction, of the function an `int_lap`
-    describes: one bisect on ints and one Fraction."""
+    describes: one bisect on ints and one Fraction.  This is `lap_read`
+    at a rational x, inlined: `position_at` is on the path of every
+    multiple-motion check, and calling `lap_read` made each read a tenth
+    slower."""
     (xs, ys, span, climb), sx, sy = lap
     # x * sx == n / d; whole laps move the value by climb
     n, d = x.numerator * sx, x.denominator
@@ -474,27 +492,35 @@ def time_shifted_car(car: CarSchedule, L: int, shift: Fraction) -> CarSchedule:
     return CarSchedule(car.face, P, _shift_into_range(pts, 0, L), degree=car.degree)
 
 
-def _functions_equal(car_a, car_b, L: int, shift: Fraction, offset: Fraction):
-    """Does car_a(t + shift) == car_b(t) + offset hold identically?"""
+def _offset(car_a, car_b, L: int, shift: Fraction) -> Optional[Fraction]:
+    """The offset with car_a(t + shift) == car_b(t) + offset identically,
+    or None when the gap between the two is not constant."""
     if car_a.period != car_b.period or car_a.degree != car_b.degree:
-        return False
+        return None
     Pc = car_a.period
     times = {t % Pc for t, _ in car_b.breakpoints}
     times |= {(t - shift) % Pc for t, _ in car_a.breakpoints}
     # agreement at every breakpoint of either side pins both piecewise
     # linear functions on the intervals in between
-    return all(
-        position_at(car_a, L, t + shift) == position_at(car_b, L, t) + offset
-        for t in times
-    )
+    offset = None
+    for t in times:
+        gap = position_at(car_a, L, t + shift) - position_at(car_b, L, t)
+        if offset is None:
+            offset = gap
+        elif gap != offset:
+            return None
+    return offset
 
 
 def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
     """Group cars by face and verify the successor property.
 
-    Car j of a face must run one global period ahead of car j+1, the last
-    wrapping around to the first shifted by one full lap.  Every face
-    needs a car and every car a positive share of the lap per period.
+    Car j of a face must run one global period ahead of car j+1, up to
+    whole laps, and those laps add up to one around the face's cycle of
+    cars: unshifted, the last car wraps around to the first one lap on,
+    but a schedule run earlier in time can lift the lap anywhere along
+    the cycle.  Every face needs a car and every car a positive share of
+    the lap per period.
     """
     validate_motion(m, ms)
     T = ms.period
@@ -513,13 +539,21 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
                 )
             if position_at(car, L, T) <= position_at(car, L, Fraction(0)):
                 raise MotionError(f"face {f}: car makes no progress over T")
+        offsets = []
         for j in range(d):
             nxt = (j + 1) % d
-            offset = Fraction(L if nxt == 0 else 0)
-            if not _functions_equal(cars[j], cars[nxt], L, T, offset):
+            offset = _offset(cars[j], cars[nxt], L, T)
+            if offset is None or offset % L:
                 raise MotionError(
                     f"face {f}: car {j} shifted by T does not match car {nxt}"
                 )
+            offsets.append(offset)
+        if sum(offsets) != L:
+            # name the first car whose offset is not the unshifted one
+            j = next(j for j, o in enumerate(offsets) if o != (L if j == d - 1 else 0))
+            raise MotionError(
+                f"face {f}: car {j} shifted by T does not match car {(j + 1) % d}"
+            )
     return groups
 
 

@@ -3,17 +3,22 @@
 This is the original per-edge solver of `spheremotion.comotion`, kept as
 the oracle that the lap-table lookups are compared against.  Every
 `cotime_at` call scans the whole face, and every edge rebuilds the
-dart-to-corner table.  Slow on purpose: keep inputs small.
+dart-to-corner table.  Corner times, the span check, psi and the
+subdivision remap work on Fractions, as the integer corner ticks'
+oracle.  Slow on purpose: keep inputs small.
 """
 
 from fractions import Fraction
 
 from spheremotion.comotion import (
+    Cocar,
+    Comotion,
     ComotionCollisions,
     ComotionError,
     psi,
     validate_comotion,
 )
+from spheremotion.surface import subdivide_edge
 
 ZERO = Fraction(0)
 
@@ -167,6 +172,39 @@ def weight_report(m, com):
         "total": total,
         "chi": m.euler_characteristic(),
     }
+
+
+def subdivide_comotion(m, com, edge, new_edges):
+    """The comotion carried over to the map with one edge subdivided."""
+    validate_comotion(m, com)
+    m2 = subdivide_edge(m, edge, new_edges)
+    T = com.period
+    cocars = []
+    for cocar in com.cocars:
+        boundary = m.faces[cocar.face]
+        L = len(boundary)
+        js = [j for j, d in enumerate(boundary) if d[0] == edge]
+        if not js:
+            cocars.append(cocar)
+            continue
+
+        def remap(x):
+            base = x % L
+            lap = (x - base) // L
+            new = base + sum(max(ZERO, min(base - j, Fraction(1))) for j in js)
+            return new + lap * (L + len(js))
+
+        # breakpoints of the stretch itself become breakpoints of the cocar
+        p0 = cocar.breakpoints[0][0]
+        kinks = {Fraction(j + off) for j in js for off in (0, 1)}
+        xs = {p for p, _ in cocar.breakpoints}
+        xs |= {k + L * ((p0 - k) // L + 1) for k in kinks}
+        xs = {x for x in xs if p0 <= x < p0 + L}
+        bps = tuple(
+            sorted((remap(x), cotime_at(cocar, T, L, x)) for x in xs)
+        )
+        cocars.append(Cocar(cocar.face, cocar.degree, bps))
+    return m2, Comotion(T, tuple(cocars))
 
 
 def lemma14_total(m, com, g, h):

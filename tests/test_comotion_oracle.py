@@ -18,16 +18,7 @@ from spheremotion.fuzzing import (
     random_subdivisions,
     random_torus_map,
 )
-from spheremotion.surface import OrientedMap
-
-
-def genus_map(g):
-    """One 4g-gon glued as a1 b1 a1^-1 b1^-1 ... ag bg ag^-1 bg^-1."""
-    boundary = []
-    for k in range(g):
-        a, b = 2 * k, 2 * k + 1
-        boundary += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    return OrientedMap(f"genus-{g}", (tuple(boundary),))
+from spheremotion.goldens import doubled_polygon_map, genus_map
 
 
 def on_sphere_or_torus(rng):
@@ -149,6 +140,7 @@ def test_lap_tables_match_the_breakpoint_scans(build, seed):
         assert all(type(v) is F for a_b_time in got for v in a_b_time)
     got, want = comotion.comotion_collisions(m, com), oracle.comotion_collisions(m, com)
     assert list(got.vertex_loci.items()) == list(want.vertex_loci.items())
+    assert all(type(t) is F for t in got.vertex_loci.values())
     assert list(got.edge_loci.items()) == list(want.edge_loci.items())
     assert outcome(comotion.weight_report, m, com) == outcome(oracle.weight_report, m, com)
     a, b, c = (F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))
@@ -160,3 +152,54 @@ def test_lap_tables_match_the_breakpoint_scans(build, seed):
         return b * x - a * y + c
 
     assert comotion.lemma14_total(m, com, g, h) == oracle.lemma14_total(m, com, g, h)
+    nxt = max(m.edge_ids) + 1
+    for edge in rng.sample(m.edge_ids, min(3, len(m.edge_ids))):
+        m2, got = comotion.subdivide_comotion(m, com, edge, (nxt, nxt + 1))
+        assert (m2, got) == oracle.subdivide_comotion(m, com, edge, (nxt, nxt + 1))
+        assert all(type(v) is F for c in got.cocars for bp in c.breakpoints for v in bp)
+
+
+@pytest.mark.parametrize("start", range(3))
+@pytest.mark.parametrize("j", range(3))
+def test_span_check_refuses_a_full_period_at_its_boundary(j, start):
+    # dart j of a triangle sweeps exactly T, then T - 1/q; dart 2 is the
+    # one that wraps to the next lap, and the lap table starts at `start`
+    m, T, q = doubled_polygon_map((1, 1, 1)), F(5, 3), 7
+    for sweep, refused in ((T, True), (T - F(1, q), False)):
+        steps = [(2 * T - sweep) / 2] * 3
+        steps[j] = sweep
+        times = [F(1, q), F(1, q) + steps[0], F(1, q) + steps[0] + steps[1]]
+        bps = tuple((F(k), times[k % 3] + k // 3 * 2 * T) for k in range(start, start + 3))
+        com = Comotion(T, (Cocar(0, 2, bps), Cocar(1, 0, ((F(0), F(0)),))))
+        comotion.validate_comotion(m, com)
+        if refused:
+            msg = f"^dart {j} of face 0 sweeps a full period; subdivide first$"
+            with pytest.raises(comotion.ComotionError, match=msg):
+                comotion.weight_report(m, com)
+            with pytest.raises(comotion.ComotionError, match=msg):
+                oracle._span_check(m, com)
+        else:
+            oracle._span_check(m, com)
+            assert comotion.weight_report(m, com) == oracle.weight_report(m, com)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_corner_scales_belong_to_their_face(seed):
+    # every other cocar's times move by 1/31, a prime no other face uses:
+    # the untouched faces keep their ticks and scales, as one lcm over the
+    # whole comotion would not
+    m, com = coprime_pinwheel(make_rng(seed))
+    moved = tuple(
+        Cocar(c.face, c.degree, tuple((p, t + F(1, 31)) for p, t in c.breakpoints))
+        if c.face % 2 else c
+        for c in com.cocars
+    )
+    ticks, scales = comotion.corner_ticks(m, com)
+    ticks2, scales2 = comotion.corner_ticks(m, Comotion(com.period, moved))
+    for f, boundary in enumerate(m.faces):
+        if f % 2:
+            assert scales2[f] % 31 == 0 and scales[f] % 31 != 0
+        else:
+            assert scales2[f] == scales[f]
+            assert all(ticks2[(f, j)] == ticks[(f, j)] for j in range(len(boundary)))

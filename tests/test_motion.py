@@ -255,6 +255,47 @@ def test_double_car_chain_is_checked():
         as_multiple_motion(m, bad)
 
 
+def test_time_shifted_multiple_motions_keep_their_multiplicities():
+    # time_shifted_car lifts each car into [0, L) on its own, which can move
+    # the lap between two successive cars anywhere along the face's cycle
+    rng = make_rng(5)
+    lifted_elsewhere = 0
+    for _ in range(60):
+        m = random_sphere_map(rng)
+        ms = random_multiple_motion(m, rng)
+        d = F(rng.randint(1, 24), rng.randint(1, 4))
+        cars = tuple(time_shifted_car(c, len(m.faces[c.face]), d) for c in ms.cars)
+        groups = as_multiple_motion(m, MotionSchedule(ms.period, cars))
+        assert {f: len(cs) for f, cs in groups.items()} == multiplicities(m, ms)
+        # a lap between two cars before the last one: refused until now
+        lifted_elsewhere += any(
+            position_at(a, len(m.faces[f]), ms.period) != position_at(b, len(m.faces[f]), 0)
+            for f, cs in groups.items() for a, b in zip(cs, cs[1:])
+        )
+    assert lifted_elsewhere > 10
+    m, ms = pinwheel_map(), pinwheel_double_car_motion()
+    cars = tuple(time_shifted_car(c, len(m.faces[c.face]), F(7, 2)) for c in ms.cars)
+    assert multiplicities(m, MotionSchedule(ms.period, cars)) == multiplicities(m, ms)
+
+
+def test_lap_offsets_must_add_up_to_one_lap():
+    m, ms = pinwheel_map(), pinwheel_double_car_motion()
+    msg = "^face 1: car 0 shifted by T does not match car 1$"
+    # two hexagon cars each climbing two laps per period: every car matches
+    # the next one lap on, so the offsets add up to two laps
+    fast = CarSchedule(1, F(6), ((F(0), F(0)),), degree=2)
+    bad = MotionSchedule(F(3), tuple(c for c in ms.cars if c.face != 1) + (fast, fast))
+    with pytest.raises(MotionError, match=msg):
+        as_multiple_motion(m, bad)
+    # a genuine mismatch, time shifted, names the same pair as unshifted
+    rogue = CarSchedule(1, F(6), tuple((F(i), F(2 + i)) for i in range(6)), degree=1)
+    for d in (F(0), F(7, 2)):
+        cars = pinwheel_unit_motion().cars + (rogue,)
+        cars = tuple(time_shifted_car(c, len(m.faces[c.face]), d) for c in cars)
+        with pytest.raises(MotionError, match=msg):
+            as_multiple_motion(m, MotionSchedule(F(3), cars))
+
+
 def test_second_car_is_the_time_shift_of_the_first():
     ms = pinwheel_double_car_motion()
     first = ms.cars[1]
