@@ -128,6 +128,20 @@ def _census(m: OrientedMap) -> dict:
     }
 
 
+def _checked(command: str, inputs, results, checks, **extra) -> tuple[dict, int]:
+    """The report of a command with checks, and its exit code."""
+    ok = all(checks.values())
+    report = {
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "checks": checks,
+        "ok": ok,
+        **extra,
+    }
+    return report, 0 if ok else 1
+
+
 def _vertex_json(vertex) -> list:
     return [[f, j] for f, j in vertex]
 
@@ -270,15 +284,7 @@ def cmd_motion(args) -> tuple[dict, int]:
         checks["loci_meet_bound"] = bound["holds"]
     if m.surface == "sphere" and regular:
         checks["at_least_two_loci"] = rep.spatial_count >= 2
-    ok = all(checks.values())
-    report = {
-        "command": "motion",
-        "inputs": inputs,
-        "results": results,
-        "checks": checks,
-        "ok": ok,
-    }
-    return report, 0 if ok else 1
+    return _checked("motion", inputs, results, checks)
 
 
 def cmd_comotion(args) -> tuple[dict, int]:
@@ -310,15 +316,7 @@ def cmd_comotion(args) -> tuple[dict, int]:
         "weight_total_equals_chi": weights["total"] == weights["chi"],
         "loci_cover_chi": slack["holds"],
     }
-    ok = all(checks.values())
-    report = {
-        "command": "comotion",
-        "inputs": [digest, cdig],
-        "results": results,
-        "checks": checks,
-        "ok": ok,
-    }
-    return report, 0 if ok else 1
+    return _checked("comotion", [digest, cdig], results, checks)
 
 
 def cmd_word(args) -> tuple[dict, int]:
@@ -362,16 +360,7 @@ def cmd_word(args) -> tuple[dict, int]:
             "g_is_simple": verdict["g_is_simple"],
             "failing": list(verdict["failing"]),
         }
-    ok = all(checks.values())
-    report = {
-        "command": "word",
-        "action": args.action,
-        "inputs": [digest],
-        "results": results,
-        "checks": checks,
-        "ok": ok,
-    }
-    return report, 0 if ok else 1
+    return _checked("word", [digest], results, checks, action=args.action)
 
 
 def cmd_diagram(args) -> tuple[dict, int]:
@@ -406,60 +395,36 @@ def cmd_diagram(args) -> tuple[dict, int]:
             _vertex_json(v) for v in over["vertex_violations"]
         ]
         checks["over_presentation"] = over["ok"]
-    ok = all(checks.values())
-    report = {
-        "command": "diagram",
-        "inputs": inputs,
-        "results": results,
-        "checks": checks,
-        "ok": ok,
-    }
-    return report, 0 if ok else 1
+    return _checked("diagram", inputs, results, checks)
 
 
 # ---------------------------------------------------------------------------
 # golden examples
 # ---------------------------------------------------------------------------
 
-GOLDEN_NAMES = (
-    "pinwheel",
-    "torus",
-    "unit-motion",
-    "retimed",
-    "double-car",
-    "banded",
-)
+def _pinwheel_motion(fname: str, build):
+    return lambda: [(fname, jsonio.motion_to_json(pinwheel_map(), build()))]
 
 
-def _golden_docs(name: str) -> list[tuple[str, dict]]:
-    pm = pinwheel_map()
-    if name == "pinwheel":
-        return [("pinwheel.map.json", jsonio.map_to_json(pm))]
-    if name == "torus":
-        return [("torus.map.json", jsonio.map_to_json(square_torus_map()))]
-    if name == "unit-motion":
-        return [
-            ("unit-motion.motion.json", jsonio.motion_to_json(pm, pinwheel_unit_motion()))
-        ]
-    if name == "retimed":
-        return [
-            ("retimed.motion.json", jsonio.motion_to_json(pm, pinwheel_retimed_motion()))
-        ]
-    if name == "double-car":
-        return [
-            (
-                "double-car.motion.json",
-                jsonio.motion_to_json(pm, pinwheel_double_car_motion()),
-            )
-        ]
-    if name == "banded":
-        bm = banded_sphere_map()
-        ms = standard_multiple_motion(bm, dict(classify_map(bm), m=1))
-        return [
-            ("banded.map.json", jsonio.map_to_json(bm)),
-            ("banded.motion.json", jsonio.motion_to_json(bm, ms)),
-        ]
-    raise jsonio.JsonError(f"unknown example {name!r}")
+def _banded_docs() -> list[tuple[str, dict]]:
+    bm = banded_sphere_map()
+    ms = standard_multiple_motion(bm, dict(classify_map(bm), m=1))
+    return [
+        ("banded.map.json", jsonio.map_to_json(bm)),
+        ("banded.motion.json", jsonio.motion_to_json(bm, ms)),
+    ]
+
+
+# example name -> builder of the (file name, document) pairs it writes
+GOLDENS = {
+    "pinwheel": lambda: [("pinwheel.map.json", jsonio.map_to_json(pinwheel_map()))],
+    "torus": lambda: [("torus.map.json", jsonio.map_to_json(square_torus_map()))],
+    "unit-motion": _pinwheel_motion("unit-motion.motion.json", pinwheel_unit_motion),
+    "retimed": _pinwheel_motion("retimed.motion.json", pinwheel_retimed_motion),
+    "double-car": _pinwheel_motion("double-car.motion.json", pinwheel_double_car_motion),
+    "banded": _banded_docs,
+}
+GOLDEN_NAMES = tuple(GOLDENS)
 
 
 def cmd_examples(args) -> tuple[dict, int]:
@@ -473,7 +438,7 @@ def cmd_examples(args) -> tuple[dict, int]:
         raise jsonio.JsonError(f"cannot create {outdir}: {exc}") from exc
     written = []
     for name in names:
-        for fname, doc in _golden_docs(name):
+        for fname, doc in GOLDENS[name]():
             text = jsonio.dumps(doc)
             path = outdir / fname
             try:

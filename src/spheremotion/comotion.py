@@ -263,8 +263,7 @@ def edge_components(m: OrientedMap, com: Comotion, edge: int):
     Components are closed in [0, 1]; a and b can coincide.
     """
     T = com.period
-    fp, jp = m.dart_owner((edge, 1))
-    fm, jm = m.dart_owner((edge, -1))
+    (fp, jp), (fm, jm) = m.edge_sides[edge]
     lp = _lap(com.cocars[fp], T, len(m.faces[fp]))
     lm = _lap(com.cocars[fm], T, len(m.faces[fm]))
     X, Y = lcm(lp[1], lm[1]), lcm(lp[2], lm[2])
@@ -415,8 +414,7 @@ def lemma14_total(
         L = len(boundary)
         total += 1 - sum(g(ct[(f, j)], ct[(f, (j + 1) % L)]) for j in range(L))
     for edge in m.edge_ids:
-        fp, jp = m.dart_owner((edge, 1))
-        fm, jm = m.dart_owner((edge, -1))
+        (fp, jp), (fm, jm) = m.edge_sides[edge]
         Lp, Lm = len(m.faces[fp]), len(m.faces[fm])
         tail_p, head_p = ct[(fp, jp)], ct[(fp, (jp + 1) % Lp)]
         tail_m, head_m = ct[(fm, jm)], ct[(fm, (jm + 1) % Lm)]

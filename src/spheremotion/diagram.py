@@ -25,7 +25,7 @@ from .motion import (
     standard_multiple_motion,
 )
 from .rewriting import RelativePresentation, in_P, phi
-from .surface import Corner, OrientedMap, classify_map
+from .surface import Corner, MapError, OrientedMap, classify_map
 
 
 class DiagramError(ValueError):
@@ -198,9 +198,8 @@ def mirror_cells(cells: Sequence) -> tuple:
 def find_reducible_pair(d: HowieDiagram):
     """A witness (face, face, edge) whose labels written from the shared
     edge are mutually inverse, or None when the diagram is reduced."""
-    for e in sorted(d.map.edge_ids):
-        f1, i1 = d.map.dart_owner((e, 1))
-        f2, i2 = d.map.dart_owner((e, -1))
+    for e in d.map.edge_ids:
+        (f1, i1), (f2, i2) = d.map.edge_sides[e]
         if f1 == f2:
             continue
         if f1 in d.exterior_faces or f2 in d.exterior_faces:
@@ -222,9 +221,8 @@ def is_phi_reduced(d: HowieDiagram) -> bool:
 
 
 def _adjacent_phi_cells(d: HowieDiagram):
-    for e in sorted(d.map.edge_ids):
-        f1, _ = d.map.dart_owner((e, 1))
-        f2, _ = d.map.dart_owner((e, -1))
+    for e in d.map.edge_ids:
+        (f1, _), (f2, _) = d.map.edge_sides[e]
         if f1 == f2 or f1 in d.exterior_faces or f2 in d.exterior_faces:
             continue
         if is_phi_cell(d, f1) and is_phi_cell(d, f2):
@@ -241,8 +239,9 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     pair, not a removable edge.
     """
     m = d.map
-    f1, i1 = m.dart_owner((edge, 1))
-    f2, i2 = m.dart_owner((edge, -1))
+    if edge not in m.edge_sides:
+        raise MapError(f"no such edge: {edge}")
+    (f1, i1), (f2, i2) = m.edge_sides[edge]
     if f1 == f2:
         raise DiagramError("both sides of the edge lie on one face")
     if f1 in d.exterior_faces or f2 in d.exterior_faces:
@@ -423,33 +422,6 @@ def _path_vertices(m: OrientedMap, darts):
     return set(verts)
 
 
-def _sides_of_path(m: OrientedMap, path_edges) -> list:
-    """Connected face classes crossing only edges off the path."""
-    adj = {f: set() for f in range(m.face_count())}
-    for e in m.edge_ids:
-        if e in path_edges:
-            continue
-        f1, _ = m.dart_owner((e, 1))
-        f2, _ = m.dart_owner((e, -1))
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    seen = set()
-    comps = []
-    for f in adj:
-        if f in seen:
-            continue
-        comp = {f}
-        todo = [f]
-        while todo:
-            g = todo.pop()
-            for h in adj[g] - comp:
-                comp.add(h)
-                todo.append(h)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def _region_is_quiet(d: HowieDiagram, region, path_vertices) -> bool:
     """Only small interior cells, and interior vertices off the path."""
     large = d.large_faces or frozenset()
@@ -475,8 +447,7 @@ def _contact_region(d: HowieDiagram, A, B, a1, a2, b1, b2):
     path_vertices = _path_vertices(m, darts)
     if any(v in d.exterior_vertices for v in path_vertices):
         return None
-    path_edges = {e for e, _ in darts}
-    sides = _sides_of_path(m, path_edges)
+    sides = m.face_components(frozenset(e for e, _ in darts))
     candidates = [s for s in sides if A not in s and B not in s]
     for region in candidates:
         if _region_is_quiet(d, region, path_vertices):
@@ -606,8 +577,7 @@ def lemma17_audit(
         else:
             cond2 = False
     for (e, _lam) in edge_points:
-        s1, _ = d.map.dart_owner((e, 1))
-        s2, _ = d.map.dart_owner((e, -1))
+        (s1, _), (s2, _) = d.map.edge_sides[e]
         if s1 in d.large_faces and s2 in d.large_faces:
             gamma_edges.append((s1, s2))
         else:

@@ -31,7 +31,7 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise JsonError(f"rational must be a 'p/q' string, got {s!r}")
@@ -87,7 +87,7 @@ def _face_entries(doc: dict, key: str, m: OrientedMap):
     """(entry, face, face length, breakpoints, degree) of each car or cocar."""
     for entry in _objects(doc, key):
         f = _field(entry, "face")
-        if not isinstance(f, int) or not 0 <= f < m.face_count():
+        if type(f) is not int or not 0 <= f < m.face_count():
             raise JsonError(f"no such face: {f!r}")
         bps, degree = _objects(entry, "breakpoints"), _int(entry, "degree")
         if not bps:
@@ -107,7 +107,7 @@ def base_to_json(base: BaseGroup) -> dict:
 def parse_base(doc) -> BaseGroup:
     kind = _field(doc, "kind")
     rank = _field(doc, "rank")
-    if not isinstance(rank, int):
+    if type(rank) is not int:
         raise JsonError(f"rank must be an int, got {rank!r}")
     if kind == "free":
         return FreeGroup(rank)
@@ -192,7 +192,7 @@ def parse_map(doc) -> OrientedMap:
         for dart in boundary:
             e = _field(dart, "edge")
             d = _field(dart, "dir")
-            if not isinstance(e, int) or d not in ("+", "-"):
+            if type(e) is not int or d not in ("+", "-"):
                 raise JsonError(f"bad dart on edge {e!r}: dir {d!r}")
             darts.append((e, 1 if d == "+" else -1))
         faces.append(tuple(darts))
@@ -214,12 +214,12 @@ def position_to_json(r: Fraction) -> dict:
 def parse_position(doc, L: int) -> Fraction:
     if isinstance(doc, dict) and "corner" in doc:
         j = doc["corner"]
-        if not isinstance(j, int) or not 0 <= j < L:
+        if type(j) is not int or not 0 <= j < L:
             raise JsonError(f"corner index {j!r} outside 0..{L - 1}")
         return Fraction(j)
     k = _field(doc, "dart")
     lam = parse_frac(_field(doc, "lambda"))
-    if not isinstance(k, int) or not 0 <= k < L:
+    if type(k) is not int or not 0 <= k < L:
         raise JsonError(f"dart index {k!r} outside 0..{L - 1}")
     if not 0 < lam < 1:
         raise JsonError(f"lambda {lam} not strictly inside the dart")
@@ -366,9 +366,7 @@ def diagram_to_json(d) -> dict:
         _corner_key(c): word_to_json(w) for c, w in d.corner_labels.items()
     }
     doc["edge_labels"] = {str(e): f"t_{j}" for e, j in d.edge_labels.items()}
-    doc["arrows"] = {
-        str(e): list(d.map.dart_owner((e, 1))) for e in d.map.edge_ids
-    }
+    doc["arrows"] = {str(e): list(d.map.edge_sides[e][0]) for e in d.map.edge_ids}
     if d.exterior_vertices:
         doc["exterior_vertices"] = sorted(
             sorted(_corner_key(c) for c in v) for v in d.exterior_vertices

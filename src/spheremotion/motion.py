@@ -429,8 +429,7 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
 
     edge_events: dict[tuple[int, Fraction], list] = {}
     for edge in m.edge_ids:
-        fp, jp = m.dart_owner((edge, 1))
-        fm, jm = m.dart_owner((edge, -1))
+        (fp, jp), (fm, jm) = m.edge_sides[edge]
         for _, plus in on_face.get(fp, ()):
             for _, minus in on_face.get(fm, ()):
                 _window_meetings(edge, plus.get(jp, ()), minus.get(jm, ()), edge_events)
@@ -927,7 +926,6 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
                 stops = stops_by_face[car.face]
                 new_cars.append(_blow_up_car(car, L, stops, eps, *events_by_car[k]))
         new_ms = MotionSchedule(ms.period, tuple(new_cars), frozenset())
-        validate_motion(new_map, new_ms)
         rep = complete_collisions(new_map, new_ms)
         bad_edges = [key for key in rep.edge_loci if key[0] in new_edge_ids]
         bad_centers = [

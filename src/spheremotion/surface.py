@@ -3,14 +3,17 @@
 A map is stored face by face: each face is the cyclic sequence of darts
 (directed edge sides) along its boundary, read anticlockwise.  Every edge
 appears exactly twice over all faces, once with each direction, so the
-surface is closed and oriented.  Vertices are not stored; they are the
-orbits of the corner rotation and get computed once per map, together
-with the dart-to-corner and corner-to-vertex tables.
+surface is closed and oriented.  The constructor reads the faces once
+into one incidence table, `edge_sides`: each edge's + and - dart, as the
+corners they start at.  Dart owners, the corner rotation, the edge ids and
+the face components read it, and so do the edge loops of motion, comotion
+and diagram.  Vertices are not stored; they are the orbits of the corner
+rotation and get computed once per map, with the corner-to-vertex table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -25,11 +28,9 @@ SURFACE_CHI = {"sphere": 2, "torus": 0}
 def surface_euler_characteristic(surface: str) -> int:
     if surface in SURFACE_CHI:
         return SURFACE_CHI[surface]
-    if surface.startswith("genus-"):
-        g = int(surface[len("genus-"):])
-        if g < 0:
-            raise MapError(f"negative genus: {surface}")
-        return 2 - 2 * g
+    g = surface[len("genus-"):]
+    if surface.startswith("genus-") and g.isascii() and g.isdigit():
+        return 2 - 2 * int(g)
     raise MapError(f"unknown surface: {surface!r}")
 
 
@@ -44,21 +45,30 @@ class OrientedMap:
     surface: str
     faces: tuple[tuple[Dart, ...], ...]
 
+    # edge -> (corner of its + dart, corner of its - dart)
+    edge_sides: dict[int, tuple[Corner, Corner]] = field(
+        init=False, repr=False, compare=False
+    )
+
     def __post_init__(self):
-        seen: dict[int, list[int]] = {}
+        seen: dict[int, list[tuple[int, Corner]]] = {}  # edge -> [(sign, corner)]
         for f, boundary in enumerate(self.faces):
             if not boundary:
                 raise MapError(f"face {f} has empty boundary")
-            for edge, sign in boundary:
+            for j, (edge, sign) in enumerate(boundary):
                 if sign not in (1, -1):
                     raise MapError(f"bad dart sign {sign} in face {f}")
-                seen.setdefault(edge, []).append(sign)
-        for edge, signs in seen.items():
-            if sorted(signs) != [-1, 1]:
+                seen.setdefault(edge, []).append((sign, (f, j)))
+        sides = {}
+        for edge, found in seen.items():
+            if len(found) != 2 or found[0][0] == found[1][0]:
                 raise MapError(
                     f"edge {edge} must appear exactly twice with opposite "
-                    f"directions, got {signs}"
+                    f"directions, got {[sign for sign, _ in found]}"
                 )
+            (sign, a), (_, b) = found
+            sides[edge] = (a, b) if sign == 1 else (b, a)
+        object.__setattr__(self, "edge_sides", sides)
         chi = self.euler_characteristic()
         want = surface_euler_characteristic(self.surface)
         if chi != want:
@@ -66,14 +76,14 @@ class OrientedMap:
                 f"Euler characteristic {chi} does not match {self.surface} "
                 f"(expected {want})"
             )
-        if not self._face_edge_connected():
+        if len(self.face_components()) > 1:
             raise MapError("face-edge incidence graph is not connected")
 
     # -- basic census ------------------------------------------------------
 
     @cached_property
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({e for b in self.faces for e, _ in b}))
+        return tuple(sorted(self.edge_sides))
 
     def edge_count(self) -> int:
         return len(self.edge_ids)
@@ -90,23 +100,25 @@ class OrientedMap:
     def euler_characteristic(self) -> int:
         return len(self.vertices()) - self.edge_count() + self.face_count()
 
-    def _face_edge_connected(self) -> bool:
-        if not self.faces:
-            return True
-        by_edge: dict[int, set[int]] = {}
-        for f, b in enumerate(self.faces):
-            for e, _ in b:
-                by_edge.setdefault(e, set()).add(f)
-        todo = [0]
-        reached = {0}
-        while todo:
-            f = todo.pop()
-            for e, _ in self.faces[f]:
-                for g in by_edge[e]:
-                    if g not in reached:
-                        reached.add(g)
+    def face_components(self, cut: frozenset = frozenset()) -> list[frozenset[int]]:
+        """Classes of faces joined across the edges not in `cut`, in order
+        of their smallest face."""
+        adj: list[set[int]] = [set() for _ in self.faces]
+        for edge, ((f1, _), (f2, _)) in self.edge_sides.items():
+            if edge not in cut:
+                adj[f1].add(f2)
+                adj[f2].add(f1)
+        comps, seen = [], set()
+        for f in range(len(adj)):
+            if f not in seen:
+                comp, todo = {f}, [f]
+                while todo:
+                    for g in adj[todo.pop()] - comp:
+                        comp.add(g)
                         todo.append(g)
-        return len(reached) == len(self.faces)
+                seen |= comp
+                comps.append(frozenset(comp))
+        return comps
 
     # -- darts and corners -------------------------------------------------
 
@@ -120,15 +132,12 @@ class OrientedMap:
         b = self.faces[f]
         return b[(j - 1) % len(b)]
 
-    @cached_property
-    def _dart_corner(self) -> dict[Dart, Corner]:
-        return {d: (f, j) for f, b in enumerate(self.faces) for j, d in enumerate(b)}
-
     def dart_owner(self, dart: Dart) -> Corner:
-        try:
-            return self._dart_corner[dart]
-        except KeyError:
-            raise MapError(f"dart {dart} not present") from None
+        edge, sign = dart
+        sides = self.edge_sides.get(edge)
+        if sides is None or sign not in (1, -1):
+            raise MapError(f"dart {dart} not present")
+        return sides[sign < 0]
 
     def next_corner_acw(self, corner: Corner) -> Corner:
         """Next corner anticlockwise around the same vertex.
@@ -136,7 +145,7 @@ class OrientedMap:
         Its outgoing dart is the other side of this corner's incoming dart.
         """
         edge, sign = self.corner_in_dart(corner)
-        return self._dart_corner[(edge, -sign)]
+        return self.edge_sides[edge][sign > 0]
 
     def corner_type(self, corner: Corner) -> tuple[int, int]:
         return (self.corner_in_dart(corner)[1], self.dart_at(corner)[1])

@@ -309,6 +309,39 @@ def test_comotion_degree_not_an_int(goldens, tmp_path, capsys):
     assert "degree must be an int" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "doc_name, where, message",
+    [
+        ("torus.map.json", ("faces", 0, 1, "edge"), "bad dart on edge True: dir '+'"),
+        ("unit-motion.motion.json", ("cars", 0, "face"), "no such face: True"),
+        ("unit-motion.motion.json", ("cars", 0, "breakpoints", 1, "at", "corner"),
+         "corner index True outside 0..2"),
+        ("unit-motion.motion.json", ("cars", 0, "breakpoints", 1, "at"),
+         "dart index True outside 0..2"),
+        ("word", ("base", "rank"), "rank must be an int, got True"),
+        ("unit-motion.motion.json", ("cars", 0, "breakpoints", 1, "t"),
+         "rational must be a 'p/q' string, got True"),
+    ],
+    ids=["edge", "face", "corner", "dart", "rank", "rational"],
+)
+def test_json_booleans_are_not_ints(goldens, tmp_path, capsys, doc_name, where, message):
+    if doc_name == "word":
+        doc = jsonio.word_to_json(difficult_word())
+    else:
+        doc = json.loads((goldens / doc_name).read_text())
+    value = {"dart": True, "lambda": "1/2"} if where[-1] == "at" else True
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(set_at(doc, where, value)))
+    if doc_name == "word":
+        argv = ["word", str(path), "classify"]
+    elif doc_name.endswith(".map.json"):
+        argv = ["validate", str(path)]
+    else:
+        argv = ["motion", str(goldens / "pinwheel.map.json"), str(path)]
+    code, report = run_json(capsys, *argv)
+    assert (code, report.get("error")) == (2, message)
+
+
 @pytest.fixture
 def beach_files(tmp_path):
     m = doubled_polygon_map((1, -1))

@@ -37,7 +37,7 @@ from spheremotion.motion import (
     time_shifted_car,
 )
 from spheremotion.rewriting import RelativePresentation, phi
-from spheremotion.surface import OrientedMap, classify_map
+from spheremotion.surface import MapError, OrientedMap, classify_map
 
 B2 = FreeGroup(2)
 
@@ -260,6 +260,8 @@ def test_phi_merge_refusals():
     pd = HowieDiagram(purse, {c: one for c in purse.corners()}, {0: 1}, phi_s=1)
     with pytest.raises(DiagramError, match="one face"):
         phi_reduce_move(pd, 0)
+    with pytest.raises(MapError, match="no such edge: 9"):
+        phi_reduce_move(pd, 9)
 
     walled = HowieDiagram(
         d.map,

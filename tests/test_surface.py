@@ -1,7 +1,17 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spheremotion.goldens import PINWHEEL_VERTICES, pinwheel_map, banded_sphere_map
+from spheremotion.cli import main
+from spheremotion.fuzzing import (
+    make_rng,
+    random_sphere_map,
+    random_subdivisions,
+    random_torus_map,
+)
+from spheremotion.goldens import PINWHEEL_VERTICES, banded_sphere_map, genus_map, pinwheel_map
 from spheremotion.surface import (
     EmbeddedGraph,
     MapError,
@@ -30,8 +40,12 @@ def test_surface_chi_values():
     assert surface_euler_characteristic("sphere") == 2
     assert surface_euler_characteristic("torus") == 0
     assert surface_euler_characteristic("genus-2") == -2
-    with pytest.raises(MapError):
-        surface_euler_characteristic("klein")
+    assert surface_euler_characteristic("genus-0") == 2
+    assert surface_euler_characteristic("genus-01") == 0
+    for name in ("klein", "genus-x", "genus-", "genus- 1", "genus-1_0", "genus--1",
+                 "genus-+1", "genus-1 ", "genus-\u0661", "Genus-1"):
+        with pytest.raises(MapError, match=re.escape(f"unknown surface: {name!r}")):
+            surface_euler_characteristic(name)
 
 
 def test_validation_rejects_bad_edges():
@@ -46,6 +60,73 @@ def test_validation_rejects_bad_edges():
             "sphere",
             (((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),)),
         )
+
+
+BALLOON = (((0, 1),), ((0, -1),))
+SQUARE = (((1, 1), (2, 1), (1, -1), (2, -1)),)
+
+# (surface, faces, message) of every refusal of the constructor, in its
+# check order: faces and signs in one reading, then the edge pairings in
+# the order the edges are first read, then chi, then connectivity
+CONSTRUCTOR_ERRORS = {
+    "empty_face": ("sphere", (((0, 1),), (), ((0, 2),)), "face 1 has empty boundary"),
+    "bad_sign": ("sphere", (((0, 1),), ((0, 0),), ()), "bad dart sign 0 in face 1"),
+    "sign_before_pairing": ("sphere", (((0, 1),), ((1, 3),)), "bad dart sign 3 in face 1"),
+    "seen_once": ("sphere", (((0, 1),),),
+                  "edge 0 must appear exactly twice with opposite directions, got [1]"),
+    "one_sign_twice": ("sphere", (((0, 1), (0, 1)), ((1, 1), (1, -1))),
+                       "edge 0 must appear exactly twice with opposite directions, "
+                       "got [1, 1]"),
+    "seen_three_times": ("sphere", (((0, 1), (0, -1)), ((0, 1),)),
+                         "edge 0 must appear exactly twice with opposite directions, "
+                         "got [1, -1, 1]"),
+    "first_read_edge_first": ("sphere", (((5, 1), (0, -1)), ((0, -1), (0, 1))),
+                              "edge 5 must appear exactly twice with opposite "
+                              "directions, got [1]"),
+    "signs_in_reading_order": ("sphere", (((0, -1), (0, -1)), ((0, 1),)),
+                               "edge 0 must appear exactly twice with opposite "
+                               "directions, got [-1, -1, 1]"),
+    "euler": ("torus", BALLOON, "Euler characteristic 2 does not match torus (expected 0)"),
+    "euler_before_connectivity": ("sphere", BALLOON + (((1, 1),), ((1, -1),)),
+                                  "Euler characteristic 4 does not match sphere "
+                                  "(expected 2)"),
+    "unknown_surface": ("klein", BALLOON, "unknown surface: 'klein'"),
+    "disconnected": ("sphere", BALLOON + SQUARE, "face-edge incidence graph is not connected"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_ERRORS))
+def test_constructor_refusals_keep_their_messages(case):
+    surface, faces, message = CONSTRUCTOR_ERRORS[case]
+    with pytest.raises(MapError) as info:
+        OrientedMap(surface, faces)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(k for k, (_, faces, _) in CONSTRUCTOR_ERRORS.items()
+           if all(s in (1, -1) for b in faces for _, s in b)),
+)
+def test_validate_reports_the_constructor_refusals(case, tmp_path, capsys):
+    surface, faces, message = CONSTRUCTOR_ERRORS[case]
+    doc = {
+        "surface": surface,
+        "faces": [[{"edge": e, "dir": "+" if s > 0 else "-"} for e, s in b] for b in faces],
+    }
+    path = tmp_path / "bad.map.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "validate", "error": message, "ok": False
+    }
+
+
+def test_maps_without_faces_stay_valid_on_the_torus():
+    m = OrientedMap("torus", ())
+    assert (m.edge_ids, m.vertices(), m.euler_characteristic()) == ((), [], 0)
+    with pytest.raises(MapError, match="Euler characteristic 0 does not match sphere"):
+        OrientedMap("sphere", ())
 
 
 def test_pinwheel_census():
@@ -299,6 +380,8 @@ def test_tables_match_the_scans(m):
             assert m.dart_owner(d) == scan_owner(m, d) == (f, j)
     for v in m.vertices():
         assert all(m.vertex_of(c) == v for c in v)
+    for e in m.edge_ids:
+        assert m.edge_sides[e] == (scan_owner(m, (e, 1)), scan_owner(m, (e, -1)))
 
 
 def test_vertices_returns_a_fresh_list():
@@ -343,3 +426,50 @@ def test_subdivided_maps_get_fresh_tables():
     with pytest.raises(MapError):
         m2.dart_owner((3, 1))
     assert m.vertex_of((0, 0)) == v
+
+
+def sides_of_path(m, path_edges) -> list:
+    """Connected face classes crossing only edges off the path: the
+    adjacency walk diagram's contact search used before `face_components`."""
+    adj = {f: set() for f in range(m.face_count())}
+    for e in m.edge_ids:
+        if e in path_edges:
+            continue
+        f1, _ = scan_owner(m, (e, 1))
+        f2, _ = scan_owner(m, (e, -1))
+        adj[f1].add(f2)
+        adj[f2].add(f1)
+    seen = set()
+    comps = []
+    for f in adj:
+        if f in seen:
+            continue
+        comp = {f}
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            for h in adj[g] - comp:
+                comp.add(h)
+                todo.append(h)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+@given(st.sampled_from(["sphere", "torus", "genus-2"]), st.integers(0, 2**32), st.data())
+@settings(max_examples=120, deadline=None)
+def test_face_components_match_the_path_sides(kind, seed, data):
+    rng = make_rng(seed)
+    if kind == "sphere":
+        m = random_sphere_map(rng)
+    elif kind == "torus":
+        m = random_torus_map(rng)
+    else:
+        m = random_subdivisions(genus_map(2), rng, rng.randint(0, 4))
+    cut = data.draw(st.frozensets(st.sampled_from(m.edge_ids)))
+    comps = m.face_components(cut)
+    assert comps == sides_of_path(m, cut)
+    assert all(type(c) is frozenset for c in comps)
+    assert m.face_components() == sides_of_path(m, frozenset()) == [
+        frozenset(range(m.face_count()))
+    ]
