@@ -28,6 +28,7 @@ from .comotion import (
     corner_ticks,
     lemma11_check,
     solve_edges,
+    span_check,
     weight_report,
 )
 from .diagram import (
@@ -292,7 +293,9 @@ def cmd_comotion(args) -> tuple[dict, int]:
     m = jsonio.parse_map(doc)
     cdoc, cdig = _load(args.comotion)
     com = jsonio.parse_comotion(cdoc, m)  # validates
-    ct, components = corner_ticks(m, com), solve_edges(m, com)
+    ct = corner_ticks(m, com)
+    span_check(m, com, ct)  # before any edge is solved
+    components = solve_edges(m, com)
     weights = weight_report(m, com, components, ct)
     crep = comotion_collisions(m, com, components, ct)
     slack = lemma11_check(m, com, crep)

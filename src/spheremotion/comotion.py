@@ -341,7 +341,8 @@ def comotion_collisions(
 # ---------------------------------------------------------------------------
 
 
-def _span_check(m: OrientedMap, com: Comotion, ct: tuple) -> None:
+def span_check(m: OrientedMap, com: Comotion, ct: tuple) -> None:
+    """Refuse a dart swept in a full period or more, from `corner_ticks`."""
     ticks, scales = ct
     for f, (boundary, TS) in enumerate(zip(m.faces, _periods(com, scales))):
         L = len(boundary)
@@ -366,7 +367,7 @@ def weight_report(m: OrientedMap, com: Comotion, components=None, ct=None) -> di
     if ct is None:
         validate_comotion(m, com)
         ct = corner_ticks(m, com)
-    _span_check(m, com, ct)
+    span_check(m, com, ct)
     if components is None:
         components = solve_edges(m, com)
     faces = {f: 1 - com.cocars[f].degree for f in range(m.face_count())}

@@ -125,10 +125,8 @@ def vertex_label(d: HowieDiagram, vertex, start: Optional[Corner] = None):
         k = acw.index(start)
         acw = acw[k:] + acw[:k]
     cw = (acw[0],) + tuple(reversed(acw[1:]))
-    out = FreeProductWord.one(d.base)
-    for c in cw:
-        out = out * d.corner_labels[c]
-    return out
+    syls = [s for c in cw for s in d.corner_labels[c].syllables]
+    return FreeProductWord.from_syllables(d.base, syls)
 
 
 # ---------------------------------------------------------------------------

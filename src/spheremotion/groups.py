@@ -123,7 +123,7 @@ class FreeGroup(BaseGroup):
         if not isinstance(x, tuple):
             raise GroupError(f"free-group element must be a tuple, got {x!r}")
         for c in x:
-            if not isinstance(c, int) or c == 0 or abs(c) > self.rank:
+            if type(c) is not int or c == 0 or abs(c) > self.rank:
                 raise GroupError(f"letter {c!r} out of range for rank {self.rank}")
         if reduce_letters(x) != x:
             raise GroupError(f"element {x!r} is not freely reduced")
@@ -224,7 +224,7 @@ class FreeAbelianGroup(BaseGroup):
     def validate(self, x) -> None:
         if not isinstance(x, tuple) or len(x) != self.rank:
             raise GroupError(f"abelian element must be a {self.rank}-tuple, got {x!r}")
-        if not all(isinstance(c, int) for c in x):
+        if not all(type(c) is int for c in x):
             raise GroupError(f"abelian element entries must be ints: {x!r}")
 
     def multiply(self, x, y):
@@ -431,17 +431,12 @@ class FreeProductWord:
         syl = list(self.syllables)
         conj: list = []
         while len(syl) >= 3 and syl[0][:2] == syl[-1][:2]:
-            first = syl[0]
+            first, last = syl[0], syl[-1]
             conj.append(first)
-            rest = syl[1:-1]
-            last = syl[-1]
-            stack = rest
-            _push_syllable(self.base, stack, last)
-            _push_syllable(self.base, stack, first)
-            # re-normalize the tail in case the merge cascaded
-            syl = []
-            for s in stack:
-                _push_syllable(self.base, syl, s)
+            # the stack stays in normal form through both pushes
+            syl = syl[1:-1]
+            _push_syllable(self.base, syl, last)
+            _push_syllable(self.base, syl, first)
         u = FreeProductWord.from_syllables(self.base, conj)
         return u, FreeProductWord(self.base, tuple(syl))
 

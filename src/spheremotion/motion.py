@@ -19,8 +19,9 @@ denominators.  `lap_read` reads such a table with one int bisect and
 gives the value as an int over an int; `comotion`'s corner ticks and
 subdivision call it directly.  `lap_at` is `lap_read` at an int or a
 Fraction plus one Fraction: `position_at` reads a car's position with
-it, and `comotion` a cocar's arrival time.  The stop scans and the
-blow-up's reference time read the same table.
+it, and `comotion` a cocar's arrival time.  The rest scan of
+`check_separated_stops` and the blow-up's reference time read the same
+table.
 
 Collision loci come from one index per car over [0, H] (`car_index`):
 the time sets at which it visits each corner, and its dart windows, the
@@ -28,7 +29,10 @@ linear stretches it spends inside one dart.  A vertex locus is a time at
 which every corner of the vertex is visited; an edge locus is a point
 inside an edge where cars on its two sides meet, found by one linear
 solve per pair of windows on the two darts of that edge.  The index is
-cached on the car and shared by every audit, read-only.
+cached on the car and shared by every audit, read-only.  The blow-up
+reads a car's stops and passes off its index over two periods: a visit
+to a stop corner that lasts is a stop, an instant one a pass, with the
+slopes of the dart windows that end and start there.
 
 The index is built in integers from the same lap table: positions are
 scaled by X and times by D = Y * g, g the lcm over the car's moving
@@ -761,85 +765,64 @@ def _reference_time(car: CarSchedule, L: int):
 def _car_events(car: CarSchedule, L: int, stops: set):
     """Stops at and passes through the stop corners over one period.
 
-    Returns (t_ref, events); events are ("stop", u, u2, lifted_pos) or
-    ("pass", t, lifted_pos, slope_in, slope_out), time-ordered inside
-    the window [t_ref, t_ref + period].
+    Returns (t_ref, events), t_ref reduced into [0, period); events are
+    ("stop", u, u2, lifted_pos) or ("pass", t, lifted_pos, slope_in,
+    slope_out), time-ordered inside the window (t_ref, t_ref + period).
+    They are the car index's visits to the stop corners: a visit that
+    lasts is a stop, an instant one a pass, with the slopes of the dart
+    windows ending and starting at it.
     """
     P = car.period
-    t_ref = _reference_time(car, L)
-    # linear pieces (ta, pa, tb, pb) between t_ref, the breakpoints inside
-    # the window and t_ref + P; two laps of breakpoints cover the window
-    times = {t + k * P for t, _ in car.breakpoints for k in (0, 1)}
-    cuts = sorted({t_ref, t_ref + P} | {t for t in times if t_ref < t < t_ref + P})
-    at = [(t, position_at(car, L, t)) for t in cuts]
-    window = [a + b for a, b in zip(at, at[1:])]
-
+    t_ref = _reference_time(car, L) % P
+    visits, windows = car_index(car, L, 2 * P)
     events = []
-    for idx, (ta, pa, tb, pb) in enumerate(window):
-        if pa == pb:
-            if pa % L in stops:
-                events.append(("stop", ta, tb, pa))
-            continue
-        slope = (pb - pa) / (tb - ta)
-        n = pa // 1 + 1
-        while n <= pb:
-            if n % L in stops:
-                t = ta + (n - pa) / slope
-                if t < tb:
-                    events.append(("pass", t, Fraction(n), slope, slope))
-                elif idx + 1 < len(window):
-                    nta, npa, ntb, npb = window[idx + 1]
-                    if npa != npb:
-                        # crossing exactly at a junction of moving pieces
-                        s2 = (npb - npa) / (ntb - nta)
-                        events.append(("pass", t, Fraction(n), slope, s2))
-                    # a flat right after the junction is a stop instead
-            n += 1
+    for j in stops:
+        for a, b in visits.get(j, ()):
+            if not t_ref < a < t_ref + P:
+                continue
+            c = position_at(car, L, a)
+            if a < b:
+                events.append(("stop", a, b, c))
+            else:
+                s1 = next(w[3] for w in windows[(j - 1) % L] if w[1] == a)
+                s2 = next(w[3] for w in windows[j] if w[0] == a)
+                events.append(("pass", a, c, s1, s2))
     events.sort(key=lambda e: e[1])
     return t_ref, events
 
 
 def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, t_ref, events):
     """Reroute one car through the doubled corners of its face, given
-    `_car_events(car, L, stops)` as (t_ref, events)."""
-    P = car.period
-    p_ref = position_at(car, L, t_ref)
-    frac0 = p_ref % L
-    base = frac0 + 2 * sum(1 for q in stops if q < frac0) - p_ref
-    cnt = 0
+    `_car_events(car, L, stops)` as (t_ref, events).
 
-    consumed = set()
+    An old lifted position p becomes p plus two for each stop corner
+    lifted below it: every stop corner it has passed grew a spur."""
+    P = car.period
+    if len(events) != car.degree * len(stops):
+        raise RuntimeError("miscounted corner crossings")  # pragma: no cover
+
+    def stretch(p):
+        laps, r = divmod(p, L)
+        return p + 2 * (laps * len(stops) + sum(1 for q in stops if q < r))
+
+    out = [(t_ref, stretch(position_at(car, L, t_ref)))]
+    busy = []  # the closed time spans the events reroute
     for ev in events:
         if ev[0] == "stop":
-            consumed |= {ev[1] % P, ev[2] % P}
-        else:
-            consumed.add(ev[1] % P)
-    plain = []
-    for t, _ in car.breakpoints:
-        tt = t if t >= t_ref else t + P
-        if t_ref < tt < t_ref + P and tt % P not in consumed:
-            plain.append((tt, None))
-
-    out = [(t_ref, p_ref + base)]
-    for tt, ev in sorted(plain + [(ev[1], ev) for ev in events]):
-        if ev is None:
-            out.append((tt, position_at(car, L, tt) + base + 2 * cnt))
-        elif ev[0] == "stop":
             _, u, u2, c = ev
-            out.append((u, c + base + 2 * cnt))
-            cnt += 1
-            out.append((u2, c + base + 2 * cnt))
+            out += [(u, stretch(c)), (u2, stretch(c) + 2)]
+            busy.append((u, u2))
         else:
             _, t0, c, s1, s2 = ev
-            at = c + base + 2 * cnt
-            out.append((t0 - eps, at - s1 * eps))
-            out.append((t0 - eps / 2, at))
-            cnt += 1
-            out.append((t0 + eps / 2, c + base + 2 * cnt))
-            out.append((t0 + eps, c + base + 2 * cnt + s2 * eps))
+            at = stretch(c)
+            out += [(t0 - eps, at - s1 * eps), (t0 - eps / 2, at),
+                    (t0 + eps / 2, at + 2), (t0 + eps, at + 2 + s2 * eps)]
+            busy.append((t0, t0))
+    for t, _ in car.breakpoints:
+        tt = t if t >= t_ref else t + P
+        if t_ref < tt < t_ref + P and not any(u <= tt <= u2 for u, u2 in busy):
+            out.append((tt, stretch(position_at(car, L, tt))))
 
-    if cnt != car.degree * len(stops):
-        raise RuntimeError("miscounted corner crossings")  # pragma: no cover
     L2 = L + 2 * len(stops)
     climb2 = car.degree * L2
     norm = sorted((t % P, p - (t // P) * climb2) for t, p in out)
@@ -904,7 +887,7 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
             continue
         t_ref, events = _car_events(car, len(m.faces[car.face]), stops)
         events_by_car[k] = (t_ref, events)
-        times = {t_ref % car.period}
+        times = {t_ref}
         for ev in events:
             times |= {ev[1] % car.period, ev[2] % car.period} if ev[0] == "stop" \
                 else {ev[1] % car.period}

@@ -16,7 +16,7 @@ from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
 from spheremotion.fuzzing import lune_map, make_rng, random_comotion
 from spheremotion.goldens import doubled_polygon_map
-from spheremotion.groups import FreeGroup, FreeProductWord, word
+from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
 from spheremotion.motion import CollisionReport
 from spheremotion.rewriting import phi, rewrite_word
 
@@ -309,6 +309,22 @@ def test_comotion_degree_not_an_int(goldens, tmp_path, capsys):
     assert "degree must be an int" in report["error"]
 
 
+def test_comotion_refuses_a_full_period_sweep_before_solving_edges(
+    goldens, tmp_path, capsys, monkeypatch
+):
+    # a huge degree makes the edge solve sweep ~10^5 laps; the span check
+    # must refuse the document first
+    solved = []
+    monkeypatch.setattr(cli, "solve_edges", lambda *a: solved.append(a))
+    doc = pinwheel_comotion_doc(goldens)
+    doc["cocars"][0]["degree"] += 10**5
+    code, report = run_bad_comotion(goldens, tmp_path, capsys, doc)
+    assert (code, report["error"]) == (
+        2, "dart 2 of face 0 sweeps a full period; subdivide first"
+    )
+    assert solved == []
+
+
 @pytest.mark.parametrize(
     "doc_name, where, message",
     [
@@ -321,18 +337,23 @@ def test_comotion_degree_not_an_int(goldens, tmp_path, capsys):
         ("word", ("base", "rank"), "rank must be an int, got True"),
         ("unit-motion.motion.json", ("cars", 0, "breakpoints", 1, "t"),
          "rational must be a 'p/q' string, got True"),
+        ("abelian word", ("syllables", 0, "elem", 0),
+         "abelian element entries must be ints: (True, 0)"),
     ],
-    ids=["edge", "face", "corner", "dart", "rank", "rational"],
+    ids=["edge", "face", "corner", "dart", "rank", "rational", "abelian"],
 )
 def test_json_booleans_are_not_ints(goldens, tmp_path, capsys, doc_name, where, message):
     if doc_name == "word":
         doc = jsonio.word_to_json(difficult_word())
+    elif doc_name == "abelian word":
+        z2 = FreeAbelianGroup(2)
+        doc = jsonio.word_to_json(word(z2, ("g", 0, (1, 0)), ("t", 1, 1)))
     else:
         doc = json.loads((goldens / doc_name).read_text())
     value = {"dart": True, "lambda": "1/2"} if where[-1] == "at" else True
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(set_at(doc, where, value)))
-    if doc_name == "word":
+    if doc_name.endswith("word"):
         argv = ["word", str(path), "classify"]
     elif doc_name.endswith(".map.json"):
         argv = ["validate", str(path)]

@@ -198,6 +198,8 @@ def test_normal_form_rejects_bad_syllables():
         FreeProductWord(F2, (("g", 0, (1,)), ("g", 0, (2,))))
     with pytest.raises(GroupError):
         FreeProductWord(F2, (("t", 0, 1),))
+    with pytest.raises(GroupError, match=r"^letter True out of range for rank 2$"):
+        FreeProductWord(F2, (("g", 0, (True,)),))
 
 
 def test_t_squared_example():

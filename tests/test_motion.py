@@ -538,6 +538,36 @@ def test_blow_up_finds_each_cars_stop_events_once(monkeypatch):
     assert found
 
 
+def test_car_events_pass_at_a_kink_takes_both_slopes():
+    # corner 1 is passed at t = 1, where the slope steps from 1 to 2;
+    # corner 2 is a stop
+    bps = ((F(0), F(0)), (F(1), F(1)), (F(3, 2), F(2)), (F(5, 2), F(2)))
+    car = CarSchedule(0, F(4), bps, degree=1)
+    assert motion._car_events(car, 3, {1, 2}) == (
+        F(1, 2),
+        [("pass", F(1), F(1), F(1), F(2)), ("stop", F(3, 2), F(5, 2), F(2))],
+    )
+
+
+def test_blow_up_reads_a_split_rest_as_one_stop():
+    # a redundant breakpoint in the middle of each rest changes no motion,
+    # so the blow-up must not change either
+    m = doubled_polygon_map(b_profile(1))
+    ms = standard_motion(m)
+    cars = []
+    for car in ms.cars:
+        bps = list(car.breakpoints)
+        for (t, p), (t2, p2) in zip(car.breakpoints, car.breakpoints[1:]):
+            if p == p2:
+                bps.append(((t + t2) / 2, p))
+        assert len(bps) > len(car.breakpoints)
+        cars.append(CarSchedule(car.face, car.period, sorted(bps), degree=car.degree))
+    split = MotionSchedule(ms.period, tuple(cars), ms.stop_corners)
+    assert check_separated_stops(m, split)["ok"] and is_regular(m, split)
+    assert complete_collisions(m, split).spatial_count == 2
+    assert blow_up(m, split) == blow_up(m, ms)
+
+
 @pytest.mark.parametrize("mval", [1, 2])
 def test_blow_up_keeps_collisions_off_new_edges(mval):
     m = doubled_polygon_map(b_profile(mval))
