@@ -9,8 +9,9 @@ breakpoint times.  Slow on purpose: keep inputs small.
 
 The segments come from the raw breakpoints here, not from the program's
 int lap tables.  `position_at` is the original scan over them, the oracle
-of the program's bisecting reader, and `car_index`, `reference_time` and
-`is_regular` are the program's earlier Fraction walks over them.
+of the program's bisecting reader, and `car_index`, `reference_time`,
+`is_regular` and `offset` are the program's earlier Fraction walks over
+them.
 """
 
 import math
@@ -82,6 +83,19 @@ def is_regular(m, ms) -> bool:
         if any(pa == pb and pa.denominator != 1 for _, pa, _, pb in segs):
             return False
     return True
+
+
+def offset(car_a, car_b, L: int, shift: Fraction):
+    """`spheremotion.motion._offset` over Fractions: the gap between
+    car_a(t + shift) and car_b(t) at every breakpoint time of either, or
+    None when it is not constant; its oracle."""
+    if car_a.period != car_b.period or car_a.degree != car_b.degree:
+        return None
+    Pc = car_a.period
+    times = {t % Pc for t, _ in car_b.breakpoints}
+    times |= {(t - shift) % Pc for t, _ in car_a.breakpoints}
+    gaps = {position_at(car_a, L, t + shift) - position_at(car_b, L, t) for t in times}
+    return gaps.pop() if len(gaps) == 1 else None
 
 
 def car_index(car, L: int, horizon: Fraction) -> tuple[dict, dict]:

@@ -25,6 +25,7 @@ from spheremotion.motion import (
     CarSchedule,
     MotionError,
     MotionSchedule,
+    _offset,
     _reference_time,
     blow_up,
     car_index,
@@ -92,9 +93,32 @@ def blown_up(rng):
     return m2, ms2
 
 
+def mid_dart_rests(rng):
+    # one or two cars per face resting at quarter-dart positions, inside
+    # darts as often as on corners: the edge search meets moving and
+    # resting cars on either side of an edge
+    m = random_sphere_map(rng)
+    T = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    cars = []
+    for f, boundary in enumerate(m.faces):
+        L = len(boundary)
+        for _ in range(rng.randint(1, 2)):
+            n, degree = rng.randint(2, 4), rng.randint(0, 1)
+            ticks = sorted(rng.sample(range(8), n))
+            quarters = [0] + sorted(rng.choices(range(4 * degree * L + 1), k=n - 1))
+            i = rng.randrange(n - 1)
+            quarters[i + 1] = quarters[i]  # at least one rest
+            p0, period = rng.randrange(4 * L), T * rng.randint(1, 2)
+            bps = tuple((period * Fraction(k, 8), Fraction(p0 + q, 4))
+                        for k, q in zip(ticks, quarters))
+            cars.append(CarSchedule(f, period, bps, degree=degree))
+    return m, MotionSchedule(T, tuple(cars))
+
+
 @pytest.mark.parametrize(
     "build",
-    [sphere_multiple, shifted_multiple, declared_stops, torus_multiple, standard_a, standard_b, pinwheel_unit, blown_up],
+    [sphere_multiple, shifted_multiple, declared_stops, torus_multiple, standard_a, standard_b, pinwheel_unit, blown_up,
+     mid_dart_rests],
 )
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10**6))
@@ -178,6 +202,30 @@ def test_int_lap_scans_match_the_fraction_walks(drawn, extra, stops):
     for t in times + extra:
         got = position_at(car, L, t)
         assert type(got) is Fraction and got == oracle.position_at(car, L, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=cars_on_a_face(), d=st.integers(0, 47), kind=st.sampled_from(
+    ["shifted", "bumped", "period", "degree"]), bump=st.integers(1, 5),
+    shift=st.fractions(-20, 20, max_denominator=12))
+def test_offset_matches_the_fraction_scan(drawn, d, kind, bump, shift):
+    # car_a against its own time shift by d, or a rogue: one breakpoint on
+    # raised, or another period or degree
+    car, L = drawn
+    P = car.period
+    other = time_shifted_car(car, L, P * Fraction(d, 48))
+    bps = other.breakpoints
+    if kind == "bumped":
+        bps = bps[:bump] + tuple((t, p + Fraction(1, 12)) for t, p in bps[bump:])
+    period, degree = other.period * (2 if kind == "period" else 1), other.degree
+    other = CarSchedule(0, period, bps, degree=degree + (kind == "degree"))
+    # the shift that matches, a drawn one, and 0 as the diagram audit uses it
+    for s in (P * Fraction(d, 48), shift, Fraction(0)):
+        got = _offset(car, other, L, s)
+        assert got == oracle.offset(car, other, L, s)
+        assert got is None or type(got) is Fraction
+    if kind == "shifted":
+        assert _offset(car, other, L, P * Fraction(d, 48)) is not None
 
 
 @st.composite
