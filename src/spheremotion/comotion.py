@@ -126,7 +126,7 @@ class Cocar:
                 raise ComotionError("positions must strictly increase")
             if bps[i][1] < bps[i - 1][1]:
                 raise ComotionError("times may not decrease")
-        if not isinstance(self.degree, int) or self.degree < 0:
+        if type(self.degree) is not int or self.degree < 0:
             raise ComotionError("degree must be a nonnegative integer")
 
     @cached_property

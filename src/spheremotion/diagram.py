@@ -66,7 +66,7 @@ class HowieDiagram:
         if set(self.edge_labels) != set(self.map.edge_ids):
             raise DiagramError("every edge needs a symbol, and nothing else")
         for e, j in self.edge_labels.items():
-            if not isinstance(j, int) or j < 1:
+            if type(j) is not int or j < 1:
                 raise DiagramError(f"edge {e}: symbol index must be a positive int")
         vertices = set(self.map.vertices())
         if not set(self.exterior_vertices) <= vertices:

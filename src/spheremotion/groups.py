@@ -317,14 +317,14 @@ class FreeProductWord:
             if len(syl) != 3 or syl[0] not in ("g", "t"):
                 raise GroupError(f"malformed syllable {syl!r}")
             tag, idx, val = syl
-            if not isinstance(idx, int) or idx < 0 or (tag == "t" and idx < 1):
+            if type(idx) is not int or idx < 0 or (tag == "t" and idx < 1):
                 raise GroupError(f"bad factor index in {syl!r}")
             if tag == "g":
                 self.base.validate(val)
                 if self.base.is_identity(val):
                     raise GroupError("identity g-syllable in normal form")
             else:
-                if not isinstance(val, int) or val == 0:
+                if type(val) is not int or val == 0:
                     raise GroupError(f"t-exponent must be a nonzero int: {syl!r}")
             if prev is not None and prev[:2] == (tag, idx):
                 raise GroupError(f"adjacent syllables share factor {tag}{idx}")

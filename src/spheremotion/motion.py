@@ -57,9 +57,6 @@ from typing import Iterable, Optional, Sequence
 from .surface import Corner, Dart, OrientedMap, b_profile, classify_map, d_profile
 
 
-ZERO = Fraction(0)
-
-
 class MotionError(ValueError):
     pass
 
@@ -152,7 +149,7 @@ class CarSchedule:
                 raise MotionError("breakpoint times must strictly increase")
             if bps[i][1] < bps[i - 1][1]:
                 raise MotionError("positions may not decrease")
-        if not isinstance(self.degree, int) or self.degree < 0:
+        if type(self.degree) is not int or self.degree < 0:
             raise MotionError("degree must be a nonnegative integer")
 
     @cached_property
@@ -285,47 +282,62 @@ def collision_horizon(ms: MotionSchedule) -> Fraction:
     return fraction_lcm([ms.period] + [c.period for c in ms.cars])
 
 
-def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
-    """Where one car is over the horizon [0, H]: (visits, windows).
+def car_scale(car: CarSchedule, L: int) -> int:
+    """The least time scale D at which every corner crossing of the car on
+    a face of length L is an int: Y * g, Y the time scale of its lap table
+    and g the lcm over its moving pieces of each slope's reduced position
+    step, so that g clears every slope's denominator."""
+    (ts, ps, _, _), Y, _ = car_lap(car, L)
+    return Y * math.lcm(*((pb - pa) // math.gcd(pb - pa, tb - ta)
+                          for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]) if pb != pa))
+
+
+def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict, dict]:
+    """Where one car is over the horizon [0, H], in ints at the time scale
+    D, a multiple of `car_scale(car, L)`: (visits, windows), every time
+    times D.
 
     visits[j] is the time set at which the car sits on corner j of its
-    face.  windows[k] lists the stretches (t0, t1, lam0, slope) it spends
-    inside dart k, at dart parameter lam0 + slope * (t - t0), with
-    0 <= t0 < t1 <= H; they are sorted and overlap at most in their ends.
-    The index is built once per (L, H) and cached on the car: read-only.
+    face.  windows[k] lists the stretches (t0, t1, u, c) it spends inside
+    dart k, with 0 <= t0 < t1 <= H * D; they are sorted and overlap at
+    most in their ends.  A moving stretch takes c > 0 time units per
+    position unit 1 / X, X the position scale of the car's lap table, and
+    is at dart parameter (u + t - t0) / (c * X); a rest has c == 0 and sits
+    at u / X.  The index is built once per (L, H, D) and cached on the
+    car: read-only.
     """
-    index = car._tables.get((L, horizon))
+    index = car._tables.get((L, horizon, D))
     if index is not None:
         return index
     reps = horizon / car.period
     if reps.denominator != 1:
         raise MotionError("horizon is not a multiple of the car period")
-    # positions times X and times times Y are ints; times times D = Y * g
-    # too, and so is every corner crossing, g clearing each slope's
-    # denominator
+    if D % car_scale(car, L):
+        raise MotionError(f"time scale {D} splits a corner crossing")
+    # positions times X and times times Y are ints; times times D = Y * G
+    # too, and G clears every slope, so each piece's time per position
+    # unit c and every corner crossing are ints
     (ts, ps, span, _), Y, X = car_lap(car, L)
-    pieces = list(zip(ts, ps, ts[1:], ps[1:]))
-    g = math.lcm(*((pb - pa) // math.gcd(pb - pa, tb - ta)
-                   for ta, pa, tb, pb in pieces if pb != pa))
-    D, P = Y * g, span * g
+    G = D // Y
+    P = span * G
     H = int(reps) * P
     # one lap of events in D units, by corner or dart: visits (a, b) and
-    # windows (t0, t1, lam0, slope); whole laps keep corners mod L
+    # windows (t0, t1, u, c); whole laps keep corners mod L
     lap_visits: dict[int, list] = defaultdict(list)
     lap_windows: dict[int, list] = defaultdict(list)
-    for ta, pa, tb, pb in pieces:
-        ta, tb, dp = ta * g, tb * g, pb - pa
+    for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]):
+        ta, tb, dp = ta * G, tb * G, pb - pa
         n0, r = divmod(pa, X)
         if dp == 0:
             if r == 0:
                 lap_visits[n0 % L].append((ta, tb))
             else:
-                lap_windows[n0 % L].append((ta, tb, Fraction(r, X), ZERO))
+                lap_windows[n0 % L].append((ta, tb, r, 0))
             continue
         # the corners met: at ta, strictly inside and at tb; in between,
         # dart n0 + i from ends[i] to ends[i + 1]
-        dt, n1 = tb - ta, -(-pb // X)
-        inner = [ta + (n * X - pa) * dt // dp for n in range(n0 + 1, n1)]
+        c, n1 = (tb - ta) // dp, -(-pb // X)
+        inner = [ta + (n * X - pa) * c for n in range(n0 + 1, n1)]
         if r == 0:
             lap_visits[n0 % L].append((ta, ta))
         for n, t in enumerate(inner, n0 + 1):
@@ -333,10 +345,10 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
         if pb % X == 0:
             lap_visits[n1 % L].append((tb, tb))
         ends = [ta] + inner + [tb]
-        slope, lam0 = Fraction(dp * D, X * dt), Fraction(r, X)
+        u = r * c
         for n, t0, t1 in zip(range(n0, n1), ends, ends[1:]):
-            lap_windows[n % L].append((t0, t1, lam0, slope))
-            lam0 = ZERO
+            lap_windows[n % L].append((t0, t1, u, c))
+            u = 0
     # replicas from one period back cover [0, H] whatever the first
     # breakpoint; only the first and the last can cross 0 or H
     visits: dict[int, list] = {}
@@ -354,55 +366,58 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction) -> tuple[dict, dict]:
         for j, events in lap_windows.items():
             out = windows.setdefault(j, [])
             if 0 <= k < last:
-                out += [(a + s, b + s, lam0, slope) for a, b, lam0, slope in events]
+                out += [(a + s, b + s, u, c) for a, b, u, c in events]
                 continue
-            for a, b, lam0, slope in events:
+            for a, b, u, c in events:
                 t0, t1 = max(a + s, 0), min(b + s, H)
                 if t0 < t1:
-                    if t0 != a + s:
-                        lam0 += slope * Fraction(t0 - a - s, D)
-                    out.append((t0, t1, lam0, slope))
-    # a Fraction for each instant the index holds, built once, one corner
-    # or dart at a time
-    instants: dict[int, Fraction] = {}
-
-    def at(t):
-        q = instants.get(t)
-        if q is None:
-            q = instants[t] = Fraction(t, D)
-        return q
-
+                    # a clip at 0 moves a moving stretch's start on
+                    out.append((t0, t1, u + t0 - a - s if c else u, c))
     for j, items in visits.items():
-        visits[j] = tuple((at(a), at(b)) for a, b in normalize_intervals(items, H))
-    for j, items in windows.items():
+        visits[j] = normalize_intervals(items, H)
+    for items in windows.values():
         items.sort()
-        windows[j] = [(at(a), at(b), lam0, slope) for a, b, lam0, slope in items]
-    index = car._tables[(L, horizon)] = (visits, windows)
+    index = car._tables[(L, horizon, D)] = (visits, windows)
     return index
+
+
+def _unscaled(ivs, D: int) -> tuple:
+    """Int intervals over the time scale D as Fraction pairs."""
+    out = []
+    for a, b in ivs:
+        q = Fraction(a, D)
+        out.append((q, q if a == b else Fraction(b, D)))
+    return tuple(out)
 
 
 def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
     """Times in [0, horizon] at which the car sits on corner j of its face."""
-    return car_index(car, L, horizon)[0].get(j, ())
+    D = car_scale(car, L)
+    return _unscaled(car_index(car, L, horizon, D)[0].get(j, ()), D)
 
 
 def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction):
-    """The cars' indexes, grouped by face."""
+    """The cars' indexes at the schedule's time scale D, the lcm of the
+    cars' `car_scale`s, grouped by face as (visits, windows, X), X the
+    car's position scale; with D and the horizon times D."""
+    cars = [(car, len(m.faces[car.face])) for car in ms.cars]
+    D = math.lcm(*(car_scale(car, L) for car, L in cars))
     out: dict[int, list] = {}
-    for car in ms.cars:
-        L = len(m.faces[car.face])
-        out.setdefault(car.face, []).append(car_index(car, L, horizon))
-    return out
+    for car, L in cars:
+        visits, windows = car_index(car, L, horizon, D)
+        out.setdefault(car.face, []).append((visits, windows, car_lap(car, L)[2]))
+    return out, D, horizon.numerator * D // horizon.denominator
 
 
-def _corner_times(on_face: dict, corner: Corner, horizon: Fraction):
-    """Times at which some car of the face sits on the corner."""
+def _corner_times(on_face: dict, corner: Corner, H: int):
+    """Times, over the schedule's scale, at which some car of the face
+    sits on the corner."""
     f, j = corner
     indexes = on_face.get(f, ())
     if len(indexes) == 1:
         return indexes[0][0].get(j, ())  # normalized by `car_index` already
-    items = [iv for visits, _ in indexes for iv in visits.get(j, ())]
-    return normalize_intervals(items, horizon)
+    items = [iv for visits, _, _ in indexes for iv in visits.get(j, ())]
+    return normalize_intervals(items, H)
 
 
 @dataclass(frozen=True)
@@ -421,22 +436,23 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     interior edge points where cars on the two sides meet."""
     validate_motion(m, ms)
     horizon = collision_horizon(ms)
-    on_face = _indexes_by_face(m, ms, horizon)
+    on_face, D, H = _indexes_by_face(m, ms, horizon)
 
     vertex_loci = {}
     for vertex in m.vertices():
-        times = _corner_times(on_face, vertex[0], horizon)
+        times = _corner_times(on_face, vertex[0], H)
         for corner in vertex[1:]:
-            times = intersect_intervals(times, _corner_times(on_face, corner, horizon))
+            times = intersect_intervals(times, _corner_times(on_face, corner, H))
         if times:
-            vertex_loci[vertex] = normalize_intervals(times, horizon)
+            vertex_loci[vertex] = _unscaled(normalize_intervals(times, H), D)
 
     edge_events: dict[tuple[int, Fraction], list] = {}
     for edge in m.edge_ids:
         (fp, jp), (fm, jm) = m.edge_sides[edge]
-        for _, plus in on_face.get(fp, ()):
-            for _, minus in on_face.get(fm, ()):
-                _window_meetings(edge, plus.get(jp, ()), minus.get(jm, ()), edge_events)
+        for _, plus, Xp in on_face.get(fp, ()):
+            for _, minus, Xm in on_face.get(fm, ()):
+                _window_meetings(edge, plus.get(jp, ()), Xp, minus.get(jm, ()), Xm, D,
+                                 edge_events)
     edge_loci = {
         key: normalize_intervals(items, horizon)
         for key, items in sorted(edge_events.items())
@@ -444,31 +460,52 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     return CollisionReport(horizon, vertex_loci, edge_loci)
 
 
-def _window_meetings(edge, plus, minus, out):
+def _window_meetings(edge, plus, Xp, minus, Xm, D: int, out):
     """Meetings inside one edge of a car on its + dart and one on its - dart.
 
-    The + side car at dart parameter lam and the - side car at mu meet
-    when lam + mu = 1, both strictly inside (0, 1)."""
+    The dart windows are `car_index`'s, at the time scale D, of cars with
+    the position scales Xp and Xm.  The + side car at dart parameter lam
+    and the - side car at mu meet when lam + mu = 1, both strictly inside
+    (0, 1).  Each overlapping pair is solved and tested in ints; a meeting
+    found adds its dart parameter lam and its time set to `out`, the only
+    Fractions built."""
     ends = [w[1] for w in minus]
-    for a0, a1, lam0, sa in plus:
+    for a0, a1, ua, ca in plus:
         i = bisect_left(ends, a0)
         while i < len(minus) and minus[i][0] <= a1:
-            b0, b1, mu0, sb = minus[i]
+            b0, b1, ub, cb = minus[i]
             i += 1
             lo, hi = max(a0, b0), min(a1, b1)
-            lam = lam0 + sa * (lo - a0)
-            gap = 1 - lam - mu0 - sb * (lo - b0)
-            if sa + sb == 0:
-                # both cars rest, strictly inside the edge
-                if gap == 0:
-                    out.setdefault((edge, lam), []).append((lo, hi))
+            if ca and cb:
+                # lam = (ua - a0 + t) / Ca and mu = (ub - b0 + t) / Cb, Ca and
+                # Cb the times per dart: the meeting's t and lam over den
+                Ca, Cb = ca * Xp, cb * Xm
+                den = Ca + Cb
+                t = Ca * Cb - (ua - a0) * Cb - (ub - b0) * Ca
+                lam = ua - a0 - ub + b0 + Cb
+                if not (lo * den <= t <= hi * den and 0 < lam < den):
+                    continue
+                lam, t = Fraction(lam, den), Fraction(t, den * D)
+            elif ca:
+                # the - car rests at mu = ub / Xm, strictly inside the dart
+                t = ca * Xp * (Xm - ub) - (ua - a0) * Xm  # over Xm
+                if not lo * Xm <= t <= hi * Xm:
+                    continue
+                lam, t = Fraction(Xm - ub, Xm), Fraction(t, Xm * D)
+            elif cb:
+                # the + car rests at lam = ua / Xp, strictly inside the dart
+                t = cb * Xm * (Xp - ua) - (ub - b0) * Xp  # over Xp
+                if not lo * Xp <= t <= hi * Xp:
+                    continue
+                lam, t = Fraction(ua, Xp), Fraction(t, Xp * D)
+            else:
+                # both cars rest, and meet where their dart parameters add up
+                # to one
+                if ua * Xm + ub * Xp == Xp * Xm:
+                    out.setdefault((edge, Fraction(ua, Xp)), []).append(
+                        (Fraction(lo, D), Fraction(hi, D)))
                 continue
-            dt = gap / (sa + sb)
-            if 0 <= dt <= hi - lo:
-                lam += sa * dt
-                if 0 < lam < 1:
-                    t = lo + dt
-                    out.setdefault((edge, lam), []).append((t, t))
+            out.setdefault((edge, lam), []).append((t, t))
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +530,28 @@ def _offset(car_a, car_b, L: int, shift: Fraction) -> Optional[Fraction]:
     or None when the gap between the two is not constant."""
     if car_a.period != car_b.period or car_a.degree != car_b.degree:
         return None
-    Pc = car_a.period
-    times = {t % Pc for t, _ in car_b.breakpoints}
-    times |= {(t - shift) % Pc for t, _ in car_a.breakpoints}
+    # the two lap tables on their common time scale Y, car_b's clock: the
+    # breakpoint times of either, the shift s and the readers' widths
+    lap_a, lap_b = car_lap(car_a, L), car_lap(car_b, L)
+    (ta, _, _, _), Ya, Xa = lap_a
+    (tb, _, _, _), Yb, Xb = lap_b
+    Y = math.lcm(Ya, Yb, shift.denominator)
+    s, wa, wb = shift.numerator * (Y // shift.denominator), Y // Ya, Y // Yb
+    times = {t * wb for t in tb[:-1]} | {t * wa - s for t in ta[:-1]}
     # agreement at every breakpoint of either side pins both piecewise
-    # linear functions on the intervals in between
-    offset = None
+    # linear functions on the intervals in between; both cars climb the
+    # same per period, so whole periods apart the gap is the same.  The
+    # gaps are num / den, compared crosswise
+    num = den = None
     for t in times:
-        gap = position_at(car_a, L, t + shift) - position_at(car_b, L, t)
-        if offset is None:
-            offset = gap
-        elif gap != offset:
+        ya, da = lap_read(lap_a, t + s, wa)
+        yb, db = lap_read(lap_b, t, wb)
+        n, d = ya * db * Xb - yb * da * Xa, da * db * Xa * Xb
+        if num is None:
+            num, den = n, d
+        elif n * den != num * d:
             return None
-    return offset
+    return Fraction(num, den)
 
 
 def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
@@ -533,7 +579,10 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
                 raise MotionError(
                     f"face {f}: car period {car.period} is not {d} * {T}"
                 )
-            if position_at(car, L, T) <= position_at(car, L, Fraction(0)):
+            lap = car_lap(car, L)
+            y1, w1 = lap_read(lap, T.numerator * lap[1], T.denominator)
+            y0, w0 = lap_read(lap, 0)
+            if y1 * w0 <= y0 * w1:
                 raise MotionError(f"face {f}: car makes no progress over T")
         offsets = []
         for j in range(d):
@@ -593,7 +642,7 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
             elif (car.face, p // X % L) not in ms.stop_corners:
                 problems.append(f"undeclared stop at {(car.face, p // X % L)}")
 
-    on_face = _indexes_by_face(m, ms, horizon)
+    on_face, _, H = _indexes_by_face(m, ms, horizon)
     for vertex in m.vertices():
         stops_here = [c for c in vertex if c in ms.stop_corners]
         if not stops_here:
@@ -604,9 +653,7 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
         k = len(stops_here)
         for i in range(k):
             a, b = stops_here[i], stops_here[(i + 1) % k]
-            if intersect_intervals(
-                _corner_times(on_face, a, horizon), _corner_times(on_face, b, horizon)
-            ):
+            if intersect_intervals(_corner_times(on_face, a, H), _corner_times(on_face, b, H)):
                 problems.append(
                     f"consecutive stop corners {a} and {b} occupied together"
                 )
@@ -774,21 +821,38 @@ def _car_events(car: CarSchedule, L: int, stops: set):
     """
     P = car.period
     t_ref = _reference_time(car, L) % P
-    visits, windows = car_index(car, L, 2 * P)
+    D, X = car_scale(car, L), car_lap(car, L)[2]
+    visits, windows = car_index(car, L, 2 * P, D)
+    lo, hi = t_ref * D, (t_ref + P) * D
     events = []
     for j in stops:
         for a, b in visits.get(j, ()):
-            if not t_ref < a < t_ref + P:
+            if not lo < a < hi:
                 continue
-            c = position_at(car, L, a)
+            t = Fraction(a, D)
+            c = position_at(car, L, t)
             if a < b:
-                events.append(("stop", a, b, c))
+                events.append(("stop", t, Fraction(b, D), c))
             else:
-                s1 = next(w[3] for w in windows[(j - 1) % L] if w[1] == a)
-                s2 = next(w[3] for w in windows[j] if w[0] == a)
-                events.append(("pass", a, c, s1, s2))
+                # a regular car moves through a pass: c > 0 on both sides
+                c1 = next(w[3] for w in windows[(j - 1) % L] if w[1] == a)
+                c2 = next(w[3] for w in windows[j] if w[0] == a)
+                events.append(("pass", t, c, Fraction(D, c1 * X), Fraction(D, c2 * X)))
     events.sort(key=lambda e: e[1])
     return t_ref, events
+
+
+def _free_times(car: CarSchedule, t_ref, events) -> list:
+    """The car's breakpoint times moved into (t_ref, t_ref + period) that
+    no stop or pass of `events` spans: the ones its blow-up keeps."""
+    P = car.period
+    busy = [(ev[1], ev[2] if ev[0] == "stop" else ev[1]) for ev in events]
+    out = []
+    for t, _ in car.breakpoints:
+        tt = t if t >= t_ref else t + P
+        if t_ref < tt < t_ref + P and not any(u <= tt <= u2 for u, u2 in busy):
+            out.append(tt)
+    return out
 
 
 def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, t_ref, events):
@@ -806,22 +870,16 @@ def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, t_ref, eve
         return p + 2 * (laps * len(stops) + sum(1 for q in stops if q < r))
 
     out = [(t_ref, stretch(position_at(car, L, t_ref)))]
-    busy = []  # the closed time spans the events reroute
     for ev in events:
         if ev[0] == "stop":
             _, u, u2, c = ev
             out += [(u, stretch(c)), (u2, stretch(c) + 2)]
-            busy.append((u, u2))
         else:
             _, t0, c, s1, s2 = ev
             at = stretch(c)
             out += [(t0 - eps, at - s1 * eps), (t0 - eps / 2, at),
                     (t0 + eps / 2, at + 2), (t0 + eps, at + 2 + s2 * eps)]
-            busy.append((t0, t0))
-    for t, _ in car.breakpoints:
-        tt = t if t >= t_ref else t + P
-        if t_ref < tt < t_ref + P and not any(u <= tt <= u2 for u, u2 in busy):
-            out.append((tt, stretch(position_at(car, L, tt))))
+    out += [(tt, stretch(position_at(car, L, tt))) for tt in _free_times(car, t_ref, events)]
 
     L2 = L + 2 * len(stops)
     climb2 = car.degree * L2
@@ -891,7 +949,8 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
         for ev in events:
             times |= {ev[1] % car.period, ev[2] % car.period} if ev[0] == "stop" \
                 else {ev[1] % car.period}
-        times |= {t for t, _ in car.breakpoints}
+        # a breakpoint inside a stop is dropped by the blow-up: no gap
+        times |= {t % car.period for t in _free_times(car, t_ref, events)}
         ordered = sorted(times)
         for i, t in enumerate(ordered):
             gap = (ordered[(i + 1) % len(ordered)] - t) % car.period

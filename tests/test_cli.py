@@ -207,8 +207,8 @@ def test_motion_analyses_the_schedule_once(goldens, monkeypatch, capsys):
         checks.append(ms)
         return real_check(m, ms)
 
-    def counting_index(car, L, horizon):
-        index = real_index(car, L, horizon)
+    def counting_index(car, L, horizon, D):
+        index = real_index(car, L, horizon, D)
         indexes.append((car, index))
         return index
 

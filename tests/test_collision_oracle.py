@@ -30,6 +30,7 @@ from spheremotion.motion import (
     blow_up,
     car_index,
     car_lap,
+    car_scale,
     check_separated_stops,
     complete_collisions,
     is_regular,
@@ -250,9 +251,18 @@ MID_DART = CarSchedule(0, 2, ((0, Fraction(1, 2)), (1, Fraction(1, 2))), degree=
 @example(drawn=(MID_DART, 3, Fraction(4)))
 def test_index_matches_the_replica_walk(drawn):
     car, L, H = drawn
-    visits, windows = car_index(car, L, H)
-    assert (visits, windows) == oracle.car_index(car, L, H)
-    # an int equal to the oracle's Fraction would pass == alone
+    D, X = car_scale(car, L), car_lap(car, L)[2]
+    visits, windows = car_index(car, L, H, D)
+    # the int index over D: windows as (t0, t1, lam0, slope), a rest at
+    # slope 0
+    unscaled = (
+        {j: tuple((Fraction(a, D), Fraction(b, D)) for a, b in times)
+         for j, times in visits.items()},
+        {k: [(Fraction(t0, D), Fraction(t1, D), Fraction(u, c * X) if c else Fraction(u, X),
+              Fraction(D, c * X) if c else 0) for t0, t1, u, c in stretches]
+         for k, stretches in windows.items()},
+    )
+    assert unscaled == oracle.car_index(car, L, H)
     values = [x for times in visits.values() for iv in times for x in iv]
     values += [x for stretches in windows.values() for w in stretches for x in w]
-    assert all(type(x) is Fraction for x in values)
+    assert all(type(x) is int for x in values)

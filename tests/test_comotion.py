@@ -90,6 +90,8 @@ def test_cocar_rejects_bad_breakpoints():
         Cocar(0, 1, ((F(0), F(1)), (F(1), F(0))))
     with pytest.raises(ComotionError, match="nonnegative"):
         Cocar(0, -1, ((F(0), F(0)),))
+    with pytest.raises(ComotionError, match="nonnegative"):
+        Cocar(0, True, ((F(0), F(0)),))
 
 
 def test_validate_comotion_rejects_mismatched_schedules():

@@ -96,6 +96,8 @@ def test_diagram_rejects_bad_data():
         HowieDiagram(m, labels, {})
     with pytest.raises(DiagramError, match="positive int"):
         HowieDiagram(m, labels, {0: 0})
+    with pytest.raises(DiagramError, match="positive int"):
+        HowieDiagram(m, labels, {0: True})
     with pytest.raises(DiagramError, match="not a vertex"):
         HowieDiagram(m, labels, {0: 1}, exterior_vertices=frozenset({((9, 9),)}))
     with pytest.raises(DiagramError, match="exterior face"):

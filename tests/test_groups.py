@@ -200,6 +200,10 @@ def test_normal_form_rejects_bad_syllables():
         FreeProductWord(F2, (("t", 0, 1),))
     with pytest.raises(GroupError, match=r"^letter True out of range for rank 2$"):
         FreeProductWord(F2, (("g", 0, (True,)),))
+    with pytest.raises(GroupError, match="^bad factor index"):
+        FreeProductWord(F2, (("t", True, 1),))
+    with pytest.raises(GroupError, match="^t-exponent must be a nonzero int"):
+        FreeProductWord(F2, (("t", 1, True),))
 
 
 def test_t_squared_example():

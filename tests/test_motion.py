@@ -66,6 +66,8 @@ def test_car_schedule_rejects_bad_data():
         CarSchedule(0, F(2), ((F(0), F(1)), (F(1), F(0))))
     with pytest.raises(MotionError):
         CarSchedule(0, F(2), ((F(0), F(0)),), degree=-1)
+    with pytest.raises(MotionError, match="^degree must be a nonnegative integer$"):
+        CarSchedule(0, F(2), ((F(0), F(0)),), degree=True)
 
 
 def test_validate_motion_rejections():
@@ -549,23 +551,37 @@ def test_car_events_pass_at_a_kink_takes_both_slopes():
     )
 
 
-def test_blow_up_reads_a_split_rest_as_one_stop():
-    # a redundant breakpoint in the middle of each rest changes no motion,
-    # so the blow-up must not change either
-    m = doubled_polygon_map(b_profile(1))
+@settings(max_examples=16, deadline=None)
+@given(mval=st.sampled_from([1, 2]), splits=st.lists(
+    st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1), min_size=2, max_size=2))
+def test_blow_up_reads_a_split_rest_as_one_stop(mval, splits):
+    # a redundant breakpoint anywhere inside each rest changes no motion,
+    # so the blow-up must not change either, its epsilon included
+    m = doubled_polygon_map(b_profile(mval))
     ms = standard_motion(m)
     cars = []
-    for car in ms.cars:
+    for car, x in zip(ms.cars, splits):
         bps = list(car.breakpoints)
         for (t, p), (t2, p2) in zip(car.breakpoints, car.breakpoints[1:]):
             if p == p2:
-                bps.append(((t + t2) / 2, p))
+                bps.append((t + x * (t2 - t), p))
         assert len(bps) > len(car.breakpoints)
         cars.append(CarSchedule(car.face, car.period, sorted(bps), degree=car.degree))
     split = MotionSchedule(ms.period, tuple(cars), ms.stop_corners)
     assert check_separated_stops(m, split)["ok"] and is_regular(m, split)
     assert complete_collisions(m, split).spatial_count == 2
     assert blow_up(m, split) == blow_up(m, ms)
+
+
+def test_window_meetings_build_no_fraction_without_a_meeting(monkeypatch):
+    # on both darts a car climbs to a quarter and rests there: every pair
+    # of moving and resting windows overlaps, and none meets
+    built = []
+    monkeypatch.setattr(motion, "Fraction", lambda *args: built.append(args))
+    windows = [(0, 4, 0, 4), (4, 8, 1, 0)]
+    out = {}
+    motion._window_meetings(0, windows, 4, windows, 4, 1, out)
+    assert (out, built) == ({}, [])
 
 
 @pytest.mark.parametrize("mval", [1, 2])
