@@ -30,18 +30,28 @@ which every corner of the vertex is visited; an edge locus is a point
 inside an edge where cars on its two sides meet, found by one linear
 solve per pair of windows on the two darts of that edge.  The index is
 cached on the car and shared by every audit, read-only.  The blow-up
-reads a car's stops and passes off its index over two periods: a visit
-to a stop corner that lasts is a stop, an instant one a pass, with the
-slopes of the dart windows that end and start there.
+reads a car's stops and passes off its index over two periods, at the
+car's own scale: a visit to a stop corner that lasts is a stop, an
+instant one a pass, with the slopes of the dart windows that end and
+start there.  It builds Fractions for these events only.
 
-The index is built in integers from the same lap table: positions are
-scaled by X and times by D = Y * g, g the lcm over the car's moving
-pieces of each slope's reduced position step, so every corner crossing
-is an integer.  One lap of corner visits and dart windows is computed
-once; the replicas over [0, H] are integer shifts by the period, and
-only the first and the last are clipped.  Visits are normalized as
-integers, and a Fraction is built only for each instant, lam0 and slope
-the index holds.  Arithmetic is exact throughout: there are no floats.
+The whole collision search runs in integers, on one time scale per
+schedule.  A car's scale (`car_scale`) is D = Y * g, g the lcm over its
+moving pieces of each slope's reduced position step: the least scale at
+which every corner crossing is an integer.  The schedule's scale is the
+lcm of its cars' scales, and every index of the search is built at it
+from the lap table: one lap of corner visits and dart windows, with the
+replicas over [0, H] as integer shifts by the period, only the first
+and the last clipped.  Visits are normalized int intervals.  A window
+(t0, t1, u, c) holds c, the time per position unit 1 / X, so a moving
+car sits at dart parameter (u + t - t0) / (c * X) and a resting one at
+u / X.  Vertex loci intersect int visits, and each pair of windows on an
+edge is solved and bounded by cross-multiplying.  A Fraction is built
+only for each reported value: a vertex instant, and a meeting's instant
+and dart parameter.  The successor check of multiple motions reads the
+two cars' lap tables at every breakpoint, on their common time scale,
+and compares the gaps crosswise.  Arithmetic is exact throughout: there
+are no floats.
 """
 
 from __future__ import annotations
@@ -154,7 +164,8 @@ class CarSchedule:
 
     @cached_property
     def _tables(self) -> dict:
-        """Lap tables by face length L (`car_lap`), indexes by (L, horizon)
+        """Lap tables by face length L (`car_lap`), time scales by
+        ("scale", L) (`car_scale`), indexes by (L, horizon, D)
         (`car_index`)."""
         return {}
 
@@ -286,10 +297,14 @@ def car_scale(car: CarSchedule, L: int) -> int:
     """The least time scale D at which every corner crossing of the car on
     a face of length L is an int: Y * g, Y the time scale of its lap table
     and g the lcm over its moving pieces of each slope's reduced position
-    step, so that g clears every slope's denominator."""
-    (ts, ps, _, _), Y, _ = car_lap(car, L)
-    return Y * math.lcm(*((pb - pa) // math.gcd(pb - pa, tb - ta)
-                          for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]) if pb != pa))
+    step, so that g clears every slope's denominator.  Cached on the car."""
+    D = car._tables.get(("scale", L))
+    if D is None:
+        (ts, ps, _, _), Y, _ = car_lap(car, L)
+        D = car._tables[("scale", L)] = Y * math.lcm(
+            *((pb - pa) // math.gcd(pb - pa, tb - ta)
+              for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]) if pb != pa))
+    return D
 
 
 def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict, dict]:
@@ -312,8 +327,6 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict
     reps = horizon / car.period
     if reps.denominator != 1:
         raise MotionError("horizon is not a multiple of the car period")
-    if D % car_scale(car, L):
-        raise MotionError(f"time scale {D} splits a corner crossing")
     # positions times X and times times Y are ints; times times D = Y * G
     # too, and G clears every slope, so each piece's time per position
     # unit c and every corner crossing are ints
@@ -349,34 +362,27 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict
         for n, t0, t1 in zip(range(n0, n1), ends, ends[1:]):
             lap_windows[n % L].append((t0, t1, u, c))
             u = 0
-    # replicas from one period back cover [0, H] whatever the first
-    # breakpoint; only the first and the last can cross 0 or H
-    visits: dict[int, list] = {}
-    windows: dict[int, list] = {}
+    # replicas shifted from one period back cover [0, H] whatever the
+    # first breakpoint; only the first and the last can cross 0 or H
     last = int(reps) - 1
-    for k in range(-1, last + 1):
-        s = k * P
-        for j, events in lap_visits.items():
-            out = visits.setdefault(j, [])
-            if 0 <= k < last:
-                out += [(a + s, b + s) for a, b in events]
-            else:
-                out += [(max(a + s, 0), min(b + s, H))
-                        for a, b in events if b + s >= 0 and a + s <= H]
-        for j, events in lap_windows.items():
-            out = windows.setdefault(j, [])
-            if 0 <= k < last:
-                out += [(a + s, b + s, u, c) for a, b, u, c in events]
-                continue
+    whole, clipped = range(0, last * P, P), (-P, last * P)
+    visits: dict[int, tuple] = {}
+    for j, events in lap_visits.items():
+        items = [(a + s, b + s) for s in whole for a, b in events]
+        items += [(max(a + s, 0), min(b + s, H))
+                  for s in clipped for a, b in events if b + s >= 0 and a + s <= H]
+        visits[j] = normalize_intervals(items, H)
+    windows: dict[int, list] = {}
+    for j, events in lap_windows.items():
+        items = [(a + s, b + s, u, c) for s in whole for a, b, u, c in events]
+        for s in clipped:
             for a, b, u, c in events:
                 t0, t1 = max(a + s, 0), min(b + s, H)
                 if t0 < t1:
                     # a clip at 0 moves a moving stretch's start on
-                    out.append((t0, t1, u + t0 - a - s if c else u, c))
-    for j, items in visits.items():
-        visits[j] = normalize_intervals(items, H)
-    for items in windows.values():
+                    items.append((t0, t1, u + t0 - a - s if c else u, c))
         items.sort()
+        windows[j] = items
     index = car._tables[(L, horizon, D)] = (visits, windows)
     return index
 
