@@ -585,6 +585,7 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
                 raise MotionError(
                     f"face {f}: car period {car.period} is not {d} * {T}"
                 )
+            # the positions at T and at 0, compared crosswise
             lap = car_lap(car, L)
             y1, w1 = lap_read(lap, T.numerator * lap[1], T.denominator)
             y0, w0 = lap_read(lap, 0)

@@ -118,8 +118,8 @@ def mid_dart_rests(rng):
 
 @pytest.mark.parametrize(
     "build",
-    [sphere_multiple, shifted_multiple, declared_stops, torus_multiple, standard_a, standard_b, pinwheel_unit, blown_up,
-     mid_dart_rests],
+    [sphere_multiple, shifted_multiple, declared_stops, torus_multiple, standard_a, standard_b,
+     pinwheel_unit, blown_up, mid_dart_rests],
 )
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10**6))
@@ -210,8 +210,8 @@ def test_int_lap_scans_match_the_fraction_walks(drawn, extra, stops):
     ["shifted", "bumped", "period", "degree"]), bump=st.integers(1, 5),
     shift=st.fractions(-20, 20, max_denominator=12))
 def test_offset_matches_the_fraction_scan(drawn, d, kind, bump, shift):
-    # car_a against its own time shift by d, or a rogue: one breakpoint on
-    # raised, or another period or degree
+    # car_a against its own time shift by d, or a rogue: raised from one
+    # breakpoint on, or of another period or degree
     car, L = drawn
     P = car.period
     other = time_shifted_car(car, L, P * Fraction(d, 48))
@@ -251,18 +251,21 @@ MID_DART = CarSchedule(0, 2, ((0, Fraction(1, 2)), (1, Fraction(1, 2))), degree=
 @example(drawn=(MID_DART, 3, Fraction(4)))
 def test_index_matches_the_replica_walk(drawn):
     car, L, H = drawn
-    D, X = car_scale(car, L), car_lap(car, L)[2]
-    visits, windows = car_index(car, L, H, D)
-    # the int index over D: windows as (t0, t1, lam0, slope), a rest at
-    # slope 0
-    unscaled = (
-        {j: tuple((Fraction(a, D), Fraction(b, D)) for a, b in times)
-         for j, times in visits.items()},
-        {k: [(Fraction(t0, D), Fraction(t1, D), Fraction(u, c * X) if c else Fraction(u, X),
-              Fraction(D, c * X) if c else 0) for t0, t1, u, c in stretches]
-         for k, stretches in windows.items()},
-    )
-    assert unscaled == oracle.car_index(car, L, H)
-    values = [x for times in visits.values() for iv in times for x in iv]
-    values += [x for stretches in windows.values() for w in stretches for x in w]
-    assert all(type(x) is int for x in values)
+    X = car_lap(car, L)[2]
+    # at the car's own scale, and at a multiple as a schedule's scale
+    for D in (car_scale(car, L), 6 * car_scale(car, L)):
+        visits, windows = car_index(car, L, H, D)
+        # the int index over D: windows as (t0, t1, lam0, slope), a rest
+        # at slope 0
+        unscaled = (
+            {j: tuple((Fraction(a, D), Fraction(b, D)) for a, b in times)
+             for j, times in visits.items()},
+            {k: [(Fraction(t0, D), Fraction(t1, D),
+                  Fraction(u, c * X) if c else Fraction(u, X), Fraction(D, c * X) if c else 0)
+                 for t0, t1, u, c in stretches]
+             for k, stretches in windows.items()},
+        )
+        assert unscaled == oracle.car_index(car, L, H)
+        values = [x for times in visits.values() for iv in times for x in iv]
+        values += [x for stretches in windows.values() for w in stretches for x in w]
+        assert all(type(x) is int for x in values)

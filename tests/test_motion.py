@@ -553,7 +553,8 @@ def test_car_events_pass_at_a_kink_takes_both_slopes():
 
 @settings(max_examples=16, deadline=None)
 @given(mval=st.sampled_from([1, 2]), splits=st.lists(
-    st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1), min_size=2, max_size=2))
+    st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1),
+    min_size=2, max_size=2))
 def test_blow_up_reads_a_split_rest_as_one_stop(mval, splits):
     # a redundant breakpoint anywhere inside each rest changes no motion,
     # so the blow-up must not change either, its epsilon included
