@@ -841,10 +841,11 @@ def _car_events(car: CarSchedule, L: int, stops: set):
             if a < b:
                 events.append(("stop", t, Fraction(b, D), c))
             else:
-                # a regular car moves through a pass: c > 0 on both sides
-                c1 = next(w[3] for w in windows[(j - 1) % L] if w[1] == a)
-                c2 = next(w[3] for w in windows[j] if w[0] == a)
-                events.append(("pass", t, c, Fraction(D, c1 * X), Fraction(D, c2 * X)))
+                # the windows ending and starting at a pass are moving ones,
+                # of slopes D / (c * X)
+                c_in = next(w[3] for w in windows[(j - 1) % L] if w[1] == a)
+                c_out = next(w[3] for w in windows[j] if w[0] == a)
+                events.append(("pass", t, c, Fraction(D, c_in * X), Fraction(D, c_out * X)))
     events.sort(key=lambda e: e[1])
     return t_ref, events
 
