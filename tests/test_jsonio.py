@@ -264,3 +264,68 @@ def test_dumps_is_deterministic():
     b = dumps(json.loads(a))
     assert a == b and a.endswith("\n")
     assert '"t": "0"' in a
+
+
+# The rational language `parse_frac` accepts is `Fraction(str)`'s: these
+# pins hold whatever fast path the reader takes.
+ACCEPTED_RATIONALS = [
+    ("1.5", F(3, 2)),
+    ("1e2", F(100)),
+    ("+1/2", F(1, 2)),
+    (" 1/2", F(1, 2)),
+    ("1_0/3", F(10, 3)),
+    ("١/2", F(1, 2)),
+    ("10/4", F(5, 2)),
+    ("007/003", F(7, 3)),
+]
+
+REFUSED_RATIONALS = ["1/", "/2", "1/-2", "--1/2", "1/0", "1/00", "1" * 5000]
+
+
+@pytest.mark.parametrize("text, value", ACCEPTED_RATIONALS)
+def test_parse_frac_accepts_what_fraction_accepts(text, value):
+    got = parse_frac(text)
+    assert type(got) is F and got == value == F(text)
+
+
+@pytest.mark.parametrize("text", REFUSED_RATIONALS, ids=lambda s: s[:8])
+def test_parse_frac_refuses_what_fraction_refuses(text):
+    with pytest.raises(JsonError) as info:
+        parse_frac(text)
+    assert str(info.value).startswith(f"bad rational {text!r}")
+
+
+def test_motion_document_reads_every_spelling_of_a_time():
+    m = pinwheel_map()
+    ms = pinwheel_unit_motion()
+    spellings = {"1": " +1.0", "2": "2e0", "3": "00٣/1", "6": "1_2/2"}
+    doc = motion_to_json(m, ms)
+    doc["period"] = spellings[doc["period"]]
+    for car in doc["cars"]:
+        car["period"] = spellings.get(car["period"], car["period"])
+        for bp in car["breakpoints"]:
+            bp["t"] = spellings.get(bp["t"], bp["t"])
+    assert parse_motion(doc, m) == ms
+
+
+def test_comotion_document_reads_lambda_spellings():
+    m = doubled_polygon_map((1, -1))
+    com = Comotion(
+        F(4),
+        (
+            Cocar(0, 1, ((F(0), F(0)), (F(1), F(1)))),
+            Cocar(1, 1, ((F(3, 2), F(2)), (F(2), F(5, 2)), (F(11, 4), F(3)))),
+        ),
+    )
+    doc = comotion_to_json(m, com)
+    bps = doc["cocars"][1]["breakpoints"]
+    assert bps[0]["at"] == {"dart": 1, "lambda": "1/2"}
+    assert bps[2]["at"] == {"dart": 0, "lambda": "3/4"}
+    for half, three_quarters in [("2/4", "6/8"), (" 1/2", "0.75"), ("+1/2", "75e-2")]:
+        bps[0]["at"]["lambda"] = half
+        bps[2]["at"]["lambda"] = three_quarters
+        assert parse_comotion(doc, m) == com
+    for edge in ("0/1", "3/3"):
+        bps[0]["at"]["lambda"] = edge
+        with pytest.raises(JsonError, match="not strictly inside the dart"):
+            parse_comotion(doc, m)
