@@ -131,8 +131,8 @@ class Cocar:
 
     @cached_property
     def _laps(self) -> dict:
-        """Int lap tables with their scales, by (period, face length), built
-        by `_lap`."""
+        """Int lap tables with their scales, by (period numerator, period
+        denominator, face length), built by `_lap`."""
         return {}
 
 
@@ -169,10 +169,11 @@ def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
     with its scales (table, X, Y): positions times X and times times Y are
     ints, X the lcm of the position denominators, Y that of the time
     denominators and T's."""
-    lap = cocar._laps.get((T, L))
+    key = (T.numerator, T.denominator, L)
+    lap = cocar._laps.get(key)
     if lap is None:
-        lap = cocar._laps[(T, L)] = int_lap(cocar.breakpoints, L, cocar.degree * T,
-                                            T.denominator)
+        lap = cocar._laps[key] = int_lap(cocar.breakpoints, L, cocar.degree * T,
+                                         T.denominator)
     return lap
 
 

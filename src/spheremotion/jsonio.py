@@ -3,11 +3,29 @@
 Rationals travel as "p/q" strings, never floats.  Writers sort keys and
 emit positions geometrically (a corner index, or a dart index with a
 fraction along it), so equal objects produce byte-identical files.
+
+`dumps` is one writer for every document and report.  It recurses over
+str, int, bool, None, list, tuple and dict with str keys, and prints the
+text of `json.dumps(doc, sort_keys=True, indent=2)` plus a final newline,
+byte for byte; anything else raises TypeError.  (CPython's C encoder
+runs only without an indent, so `json.dumps` would take its pure-Python
+one here.)
+
+`parse_frac` reads an ASCII "p" or "p/q" with q nonzero straight into
+`Fraction(int(p), int(q))`, and `parse_position` turns a dart point with
+such a lambda, 0 < p < q, into one `Fraction(k * q + p, q)`.  Every other
+string goes to `Fraction(str)`, so the accepted language (signs,
+surrounding spaces, decimals, `_` and non-ASCII digits) and every error
+message are `Fraction`'s, with one bound of our own: a decimal exponent
+beyond +-4300, the digit limit `json.loads` puts on an int literal, is
+refused before any int is built, since `Fraction("1e999999999")` would
+compute a billion-digit power.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .comotion import Cocar, Comotion, validate_comotion
@@ -21,13 +39,88 @@ class JsonError(ValueError):
     pass
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, from one writer."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, out: list, nl: str) -> None:
+    """Append the text of x to out; nl is a newline and the current indent."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(x[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+# the largest decimal exponent `parse_frac` reads: `json.loads`'s digit
+# limit on an int literal (`sys.int_info.default_max_str_digits`)
+MAX_EXPONENT = 4300
+
+# a decimal exponent closing a string, as `Fraction(str)` reads one
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _plain_ratio(s: str):
+    """(p, q) for an ASCII digit string "p" or "p/q" with q nonzero;
+    None for any other string."""
+    p, slash, q = s.partition("/")
+    if not (p.isdigit() and p.isascii()):
+        return None
+    if not slash:
+        q = "1"
+    elif not (q.isdigit() and q.isascii()):
+        return None
+    try:
+        p, q = int(p), int(q)
+    except ValueError:  # over the int digit limit
+        return None
+    return (p, q) if q else None
 
 
 def parse_frac(s) -> Fraction:
@@ -35,7 +128,13 @@ def parse_frac(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise JsonError(f"rational must be a 'p/q' string, got {s!r}")
+    pq = _plain_ratio(s)
+    if pq is not None:
+        return Fraction(*pq)
+    exp = _EXPONENT.search(s)
     try:
+        if exp is not None and abs(int(exp[1])) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent {int(exp[1])} beyond +-{MAX_EXPONENT}")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise JsonError(f"bad rational {s!r}: {exc}") from None
@@ -218,7 +317,13 @@ def parse_position(doc, L: int) -> Fraction:
             raise JsonError(f"corner index {j!r} outside 0..{L - 1}")
         return Fraction(j)
     k = _field(doc, "dart")
-    lam = parse_frac(_field(doc, "lambda"))
+    lam = _field(doc, "lambda")
+    if type(k) is int and 0 <= k < L and type(lam) is str:
+        pq = _plain_ratio(lam)
+        if pq is not None and 0 < pq[0] < pq[1]:
+            p, q = pq
+            return Fraction(k * q + p, q)
+    lam = parse_frac(lam)
     if type(k) is not int or not 0 <= k < L:
         raise JsonError(f"dart index {k!r} outside 0..{L - 1}")
     if not 0 < lam < 1:
@@ -228,9 +333,14 @@ def parse_position(doc, L: int) -> Fraction:
 
 def _lift_positions(reduced, L: int):
     """Rebuild nondecreasing lifted positions, each step less than a lap."""
-    lifted = [reduced[0]]
+    prev = reduced[0]
+    lifted = [prev]
+    lap = 0
     for r in reduced[1:]:
-        lifted.append(lifted[-1] + (r - lifted[-1]) % L)
+        if r < prev:
+            lap += L
+        lifted.append(r + lap if lap else r)
+        prev = r
     return lifted
 
 

@@ -253,6 +253,7 @@ class MotionSchedule:
 
 def validate_motion(m: OrientedMap, ms: MotionSchedule) -> None:
     """Check a schedule against its map; raises MotionError on violation."""
+    n, d = ms.period.numerator, ms.period.denominator
     for car in ms.cars:
         if not (0 <= car.face < m.face_count()):
             raise MotionError(f"no such face: {car.face}")
@@ -262,9 +263,9 @@ def validate_motion(m: OrientedMap, ms: MotionSchedule) -> None:
             raise MotionError(f"initial position {p0} outside [0, {L})")
         if car.breakpoints[-1][1] > p0 + car.degree * L:
             raise MotionError("positions climb past the declared degree")
-        if (ms.period / car.period).denominator != 1 and (
-            car.period / ms.period
-        ).denominator != 1:
+        # the schedule period over the car's is a / b; one must divide the other
+        a, b = n * car.period.denominator, d * car.period.numerator
+        if a % b and b % a:
             raise MotionError(
                 f"car period {car.period} incommensurable with {ms.period}"
             )

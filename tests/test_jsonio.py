@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
@@ -18,13 +20,16 @@ from spheremotion.goldens import (
 )
 from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
 from spheremotion.jsonio import (
+    MAX_EXPONENT,
     JsonError,
+    _lift_positions,
     comotion_to_json,
     diagram_to_json,
     dumps,
     frac_to_str,
     map_to_json,
     motion_to_json,
+    parse_position,
     parse_comotion,
     parse_diagram,
     parse_frac,
@@ -329,3 +334,124 @@ def test_comotion_document_reads_lambda_spellings():
         bps[0]["at"]["lambda"] = edge
         with pytest.raises(JsonError, match="not strictly inside the dart"):
             parse_comotion(doc, m)
+
+
+def test_parse_frac_bounds_the_decimal_exponent():
+    assert MAX_EXPONENT == 4300
+    assert parse_frac("1e4300") == 10**4300
+    assert parse_frac("-1E-4300") == F(-1, 10**4300)
+    for text in ("1e4301", "1e-4301", " 2.5E+4301 ", "1e4_301"):
+        with pytest.raises(JsonError, match=r"decimal exponent -?4301 beyond") as info:
+            parse_frac(text)
+        assert str(info.value).startswith(f"bad rational {text!r}")
+
+
+def test_motion_cli_refuses_a_huge_exponent_before_working(tmp_path, capsys):
+    from spheremotion.cli import main
+
+    m = pinwheel_map()
+    doc = motion_to_json(m, pinwheel_unit_motion())
+    doc["cars"][0]["breakpoints"][1]["t"] = "1e4301"
+    (tmp_path / "pin.map.json").write_text(dumps(map_to_json(m)))
+    (tmp_path / "huge.motion.json").write_text(dumps(doc))
+    code = main(["motion", str(tmp_path / "pin.map.json"), str(tmp_path / "huge.motion.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["error"].startswith("bad rational '1e4301': decimal exponent 4301")
+
+
+# strings near the "p/q" form, to hit the fast path and each way off it
+RATIONAL_TEXT = st.text(alphabet="0123456789/_ +-.eE١", max_size=9) | st.from_regex(
+    r"\A[0-9]{1,12}(/[0-9]{1,12})?\Z"
+)
+
+
+def _fraction_or_refusal(text):
+    """F(text), or "refused" where Fraction refuses or the exponent is over
+    MAX_EXPONENT."""
+    head, _, exp = text.replace("E", "e").rpartition("e")
+    try:
+        if head and abs(int(exp)) > MAX_EXPONENT:
+            return "refused"
+    except ValueError:
+        pass
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=RATIONAL_TEXT)
+def test_parse_frac_matches_fraction(text):
+    want = _fraction_or_refusal(text)
+    try:
+        got = parse_frac(text)
+    except JsonError as exc:
+        assert str(exc).startswith(f"bad rational {text!r}")
+        got = "refused"
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(-1, 4), lam=RATIONAL_TEXT)
+def test_parse_position_matches_dart_plus_lambda(k, lam):
+    L = 4
+    want = _fraction_or_refusal(lam)
+    if want == "refused" or not 0 <= k < L or not 0 < want < 1:
+        with pytest.raises(JsonError):
+            parse_position({"dart": k, "lambda": lam}, L)
+    else:
+        got = parse_position({"dart": k, "lambda": lam}, L)
+        assert type(got) is F and got == k + want
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(1, 6), data=st.data())
+def test_lift_positions_matches_the_modular_walk(L, data):
+    reduced = data.draw(
+        st.lists(st.fractions(0, L).filter(lambda r: r < L), min_size=1, max_size=8)
+    )
+    want = [reduced[0]]
+    for r in reduced[1:]:
+        want.append(want[-1] + (r - want[-1]) % L)
+    assert _lift_positions(reduced, L) == want
+
+
+def _dumps_oracle(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé€雪\U0001f600 ab')
+JSON_SCALARS = (
+    JSON_TEXT
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.booleans()
+    | st.none()
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOCS)
+def test_dumps_matches_json_dumps(doc):
+    assert dumps(doc) == _dumps_oracle(doc)
+
+
+def test_dumps_matches_json_dumps_on_empty_and_nested_containers():
+    for doc in ([], {}, (), [[]], {"a": {}}, [(), {"b": [[], {}]}], {"": [None]}):
+        assert dumps(doc) == _dumps_oracle(doc)
+
+
+def test_dumps_refuses_floats_and_non_str_keys():
+    with pytest.raises(TypeError):
+        dumps({"x": [1.5]})
+    with pytest.raises(TypeError):
+        dumps({1: "one"})

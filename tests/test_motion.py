@@ -89,6 +89,18 @@ def test_validate_motion_rejections():
         )
 
 
+def test_validate_motion_takes_periods_dividing_either_way():
+    m = pinwheel_map()
+    ok = unit_car(0, 3)  # period 3
+    for period in (F(3), F(1), F(3, 2), F(3, 4), F(3, 7), F(6), F(9)):
+        validate_motion(m, MotionSchedule(period, (ok,)))
+    slow = CarSchedule(0, F(9, 2), ((F(0), F(0)),))
+    validate_motion(m, MotionSchedule(F(3, 2), (ok, slow)))
+    for period in (F(2), F(9, 2), F(4, 3), F(5)):
+        with pytest.raises(MotionError, match="incommensurable"):
+            validate_motion(m, MotionSchedule(period, (ok,)))
+
+
 def test_position_at_laps_and_parking():
     car = unit_car(0, 3)
     assert position_at(car, 3, F(1, 2)) == F(1, 2)
