@@ -11,15 +11,15 @@ byte for byte; anything else raises TypeError.  (CPython's C encoder
 runs only without an indent, so `json.dumps` would take its pure-Python
 one here.)
 
-`parse_frac` reads an ASCII "p" or "p/q" with q nonzero straight into
-`Fraction(int(p), int(q))`, and `parse_position` turns a dart point with
-such a lambda, 0 < p < q, into one `Fraction(k * q + p, q)`.  Every other
-string goes to `Fraction(str)`, so the accepted language (signs,
-surrounding spaces, decimals, `_` and non-ASCII digits) and every error
-message are `Fraction`'s, with one bound of our own: a decimal exponent
+`parse_frac` reads a digit string "p" or "p/q" with q nonzero straight
+into `Fraction(int(p), int(q))`, and `parse_position` turns a dart point
+with such a lambda, 0 < p < q, into one `Fraction(k * q + p, q)`.  Every
+other string goes to `Fraction(str)`, so the accepted language (signs,
+surrounding spaces, decimals, `_`) and every error message are
+`Fraction`'s, with one bound of our own: a decimal exponent
 beyond +-4300, the digit limit `json.loads` puts on an int literal, is
-refused before any int is built, since `Fraction("1e999999999")` would
-compute a billion-digit power.
+refused before `Fraction` computes the power: `Fraction("1e999999999")`
+would build a billion-digit int.
 """
 
 from __future__ import annotations
@@ -107,14 +107,15 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _plain_ratio(s: str):
-    """(p, q) for an ASCII digit string "p" or "p/q" with q nonzero;
-    None for any other string."""
+    """(p, q) for a string "p" or "p/q" of decimal digits with q nonzero;
+    None for any other string.  The digits are those `Fraction(str)` and
+    `int` read, so (p, q) is `Fraction(s)`'s value."""
     p, slash, q = s.partition("/")
-    if not (p.isdigit() and p.isascii()):
+    if not p.isdecimal():
         return None
     if not slash:
         q = "1"
-    elif not (q.isdigit() and q.isascii()):
+    elif not q.isdecimal():
         return None
     try:
         p, q = int(p), int(q)

@@ -284,7 +284,7 @@ ACCEPTED_RATIONALS = [
     ("007/003", F(7, 3)),
 ]
 
-REFUSED_RATIONALS = ["1/", "/2", "1/-2", "--1/2", "1/0", "1/00", "1" * 5000]
+REFUSED_RATIONALS = ["1/", "/2", "1/-2", "--1/2", "1/0", "1/00", "²/3", "1" * 5000]
 
 
 @pytest.mark.parametrize("text, value", ACCEPTED_RATIONALS)
@@ -361,7 +361,7 @@ def test_motion_cli_refuses_a_huge_exponent_before_working(tmp_path, capsys):
 
 
 # strings near the "p/q" form, to hit the fast path and each way off it
-RATIONAL_TEXT = st.text(alphabet="0123456789/_ +-.eE١", max_size=9) | st.from_regex(
+RATIONAL_TEXT = st.text(alphabet="0123456789/_ +-.eE١²", max_size=9) | st.from_regex(
     r"\A[0-9]{1,12}(/[0-9]{1,12})?\Z"
 )
 
