@@ -23,14 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fuzzing, jsonio
-from .comotion import (
-    comotion_collisions,
-    corner_ticks,
-    lemma11_check,
-    solve_edges,
-    span_check,
-    weight_report,
-)
+from .comotion import comotion_collisions, lemma11_check, weight_report
 from .diagram import (
     check_diagram_over,
     find_reducible_pair,
@@ -293,11 +286,8 @@ def cmd_comotion(args) -> tuple[dict, int]:
     m = jsonio.parse_map(doc)
     cdoc, cdig = _load(args.comotion)
     com = jsonio.parse_comotion(cdoc, m)  # validates
-    ct = corner_ticks(m, com)
-    span_check(m, com, ct)  # before any edge is solved
-    components = solve_edges(m, com)
-    weights = weight_report(m, com, components, ct)
-    crep = comotion_collisions(m, com, components, ct)
+    weights = weight_report(m, com)
+    crep = comotion_collisions(m, com)
     slack = lemma11_check(m, com, crep)
     results = {
         "period": frac_to_str(com.period),

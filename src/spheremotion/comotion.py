@@ -24,9 +24,10 @@ each side is one linear piece; scaled by both piece widths, the
 difference of arrival times is an integer linear function there, and
 floor division finds the multiples of the period it meets.  A Fraction
 is built only for each reported parameter, arc end and instant; there
-are no floats.  `solve_edges` solves every edge once, `corner_ticks`
-reads every corner once, and the `comotion` command hands both results
-to `weight_report` and `comotion_collisions`.
+are no floats.  `validate_comotion` checks a comotion on a map once and
+keeps a record per map on the comotion, as each cocar keeps its lap
+tables: the `corner_ticks`, their `_residues` and, once
+`weight_report`'s span check has passed, the `solve_edges` result.
 
 The weight report and the vertex loci read corners in integers.
 `corner_ticks` reads every corner of a face with `motion.lap_read`, the
@@ -38,11 +39,11 @@ face's ticks.  Instants on the time circle are residues mod that period;
 the span check compares ticks, psi counts descents by cross-multiplying
 (residue, scale) pairs, and a Fraction is built only for each reported
 vertex instant.  `corner_times`, for `lemma14_total` and other Fraction
-callers, divides the ticks by the scales.  `subdivide_comotion` remaps a
-cocar's breakpoints and the stretch's kinks in the lap table's X units
-with divmod, reads each time with `lap_read`, and builds one Fraction
-per new coordinate.  `psi` and `chi_indicator` stay the Fraction
-definitions.
+callers, divides the recorded ticks by the scales.  `subdivide_comotion`
+remaps a cocar's breakpoints and the stretch's kinks in the lap table's
+X units with divmod, reads each time with `lap_read`, and builds one
+Fraction per new coordinate.  `psi` and `chi_indicator` stay the
+Fraction definitions.
 """
 
 from __future__ import annotations
@@ -112,8 +113,10 @@ class Cocar:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        # pairs that already hold Fractions, as subdivision builds them, are
-        # kept: wrapping them again took about 8% of a subdivision chain
+        # pairs that already hold Fractions, as `jsonio` and subdivision
+        # build them, are kept: wrapping them again cost `weights` 5% of its
+        # jobs_per_s (median 605 against 573 over 6 pairs of runs at
+        # --seconds 30, on a 2-core x86-64 VM with Python 3.11)
         bps = tuple(
             (p, t) if type(p) is type(t) is Fraction else (Fraction(p), Fraction(t))
             for p, t in self.breakpoints
@@ -128,6 +131,8 @@ class Cocar:
                 raise ComotionError("times may not decrease")
         if type(self.degree) is not int or self.degree < 0:
             raise ComotionError("degree must be a nonnegative integer")
+        if type(self.face) is not int:
+            raise ComotionError(f"face must be an int, got {self.face!r}")
 
     @cached_property
     def _laps(self) -> dict:
@@ -147,8 +152,26 @@ class Comotion:
         if self.period <= 0:
             raise ComotionError("period must be positive")
 
+    @cached_property
+    def _records(self) -> dict:
+        """By map, what `validate_comotion` recorded once the checks passed."""
+        return {}
 
-def validate_comotion(m: OrientedMap, com: Comotion) -> None:
+
+def validate_comotion(m: OrientedMap, com: Comotion) -> dict:
+    """The comotion's record on m, made by the first call once `_check`
+    passes: the `corner_ticks` as "ct", their `_residues` as "res" and,
+    once `weight_report` has solved them, the edges as "edges"."""
+    rec = com._records.get(m)
+    if rec is None:
+        _check(m, com)
+        ct = corner_ticks(m, com)
+        rec = com._records[m] = {"ct": ct, "res": _residues(com, ct)}
+    return rec
+
+
+def _check(m: OrientedMap, com: Comotion) -> None:
+    """Refuse a comotion whose cocars do not fit the faces of m."""
     if [c.face for c in com.cocars] != list(range(m.face_count())):
         raise ComotionError("need exactly one cocar per face, in face order")
     T = com.period
@@ -228,8 +251,8 @@ def _periods(com: Comotion, scales: list) -> list:
 
 
 def corner_times(m: OrientedMap, com: Comotion) -> dict:
-    """Lifted arrival time at every corner, as Fractions of `corner_ticks`."""
-    ticks, scales = corner_ticks(m, com)
+    """Lifted arrival time at every corner: the recorded ticks as Fractions."""
+    ticks, scales = validate_comotion(m, com)["ct"]
     return {c: Fraction(t, scales[c[0]]) for c, t in ticks.items()}
 
 
@@ -304,27 +327,20 @@ def solve_edges(m: OrientedMap, com: Comotion) -> dict:
     return {edge: edge_components(m, com, edge) for edge in m.edge_ids}
 
 
-def comotion_collisions(
-    m: OrientedMap, com: Comotion, components=None, ct=None
-) -> ComotionCollisions:
+def comotion_collisions(m: OrientedMap, com: Comotion) -> ComotionCollisions:
     """Points of the surface all of whose sides sweep past together.
 
     Vertex loci map a vertex to the common instant; edge loci are keyed
     by (edge, lam) for isolated meetings and (edge, (a, b)) for whole
     arcs swept in one instant.  Components touching only the endpoints
-    of an edge belong to the vertices and are dropped here.  Pass the
-    `solve_edges` result as `components` and the `corner_ticks` of the
-    validated comotion as `ct` to reuse them.
+    of an edge belong to the vertices and are dropped here.  Reads the
+    edges `weight_report` recorded, or solves them without the span check.
     """
-    if ct is None:
-        validate_comotion(m, com)
-        ct = corner_ticks(m, com)
-    if components is None:
-        components = solve_edges(m, com)
-    res = _residues(com, ct)
+    rec = validate_comotion(m, com)
+    components = rec["edges"] if "edges" in rec else solve_edges(m, com)
     vertex_loci = {}
     for vertex in m.vertices():
-        (r, s), *rest = (res[c] for c in vertex)
+        (r, s), *rest = (rec["res"][c] for c in vertex)
         if all(r2 * s == r * s2 for r2, s2 in rest):
             vertex_loci[vertex] = Fraction(r, s)
     edge_loci = {}
@@ -356,25 +372,22 @@ def span_check(m: OrientedMap, com: Comotion, ct: tuple) -> None:
                 )
 
 
-def weight_report(m: OrientedMap, com: Comotion, components=None, ct=None) -> dict:
+def weight_report(m: OrientedMap, com: Comotion) -> dict:
     """Cell weights whose total telescopes to the Euler characteristic.
 
     Faces carry 1 - degree, an edge carries one less than the number of
     meeting-free arcs in its interior, a vertex 1 - psi of its corner
-    instants.  Needs every dart swept in under one period.  Pass the
-    `solve_edges` result as `components` and the `corner_ticks` of the
-    validated comotion as `ct` to reuse them.
+    instants.  Needs every dart swept in under one period: the span check
+    runs before any edge is solved, and the solved edges are recorded.
     """
-    if ct is None:
-        validate_comotion(m, com)
-        ct = corner_ticks(m, com)
-    span_check(m, com, ct)
-    if components is None:
-        components = solve_edges(m, com)
+    rec = validate_comotion(m, com)
+    if "edges" not in rec:
+        span_check(m, com, rec["ct"])
+        rec["edges"] = solve_edges(m, com)
     faces = {f: 1 - com.cocars[f].degree for f in range(m.face_count())}
     edges = {}
     for edge in m.edge_ids:
-        comps = components[edge]
+        comps = rec["edges"][edge]
         free = len(comps) - 1 if comps else 0
         if comps:
             free += int(comps[0][0] > 0) + int(comps[-1][1] < 1)
@@ -382,10 +395,9 @@ def weight_report(m: OrientedMap, com: Comotion, components=None, ct=None) -> di
             free = 1
         edges[edge] = -1 + free
     # psi of a vertex counts the descents of its cyclic tuple of instants
-    res = _residues(com, ct)
     vertices = {}
     for vertex in m.vertices():
-        ins = [res[c] for c in vertex]
+        ins = [rec["res"][c] for c in vertex]
         pairs = zip(ins, ins[1:] + ins[:1])
         vertices[vertex] = 1 - sum(r * s2 > r2 * s for (r, s), (r2, s2) in pairs)
     total = sum(faces.values()) + sum(edges.values()) + sum(vertices.values())
@@ -409,7 +421,6 @@ def lemma14_total(
     Whatever g and h do, the g terms cancel between faces and edges and
     the h terms between edges and vertices, leaving F - E + V.
     """
-    validate_comotion(m, com)
     ct = corner_times(m, com)
     total = ZERO
     for f, boundary in enumerate(m.faces):

@@ -273,7 +273,23 @@ class FreeAbelianGroup(BaseGroup):
 Syllable = Tuple
 
 
+def _check_syllables(base: BaseGroup, syllables: Sequence[Syllable]) -> None:
+    """Refuse any syllable of the wrong shape, tag, factor index, base
+    element or exponent type.  Identity elements and zero exponents pass."""
+    for syl in syllables:
+        if len(syl) != 3 or syl[0] not in ("g", "t"):
+            raise GroupError(f"malformed syllable {syl!r}")
+        tag, idx, val = syl
+        if type(idx) is not int or idx < 0 or (tag == "t" and idx < 1):
+            raise GroupError(f"bad factor index in {syl!r}")
+        if tag == "g":
+            base.validate(val)
+        elif type(val) is not int:
+            raise GroupError(f"t-exponent must be a nonzero int: {syl!r}")
+
+
 def _push_syllable(base: BaseGroup, stack: list, syl: Syllable) -> None:
+    """Push a checked syllable onto a normal-form stack, merging its factor."""
     tag, idx, val = syl
     if tag == "g":
         if base.is_identity(val):
@@ -285,7 +301,7 @@ def _push_syllable(base: BaseGroup, stack: list, syl: Syllable) -> None:
                 stack.append(("g", idx, merged))
         else:
             stack.append(("g", idx, val))
-    elif tag == "t":
+    else:
         if val == 0:
             return
         if stack and stack[-1][0] == "t" and stack[-1][1] == idx:
@@ -295,8 +311,6 @@ def _push_syllable(base: BaseGroup, stack: list, syl: Syllable) -> None:
                 stack.append(("t", idx, merged))
         else:
             stack.append(("t", idx, val))
-    else:
-        raise GroupError(f"unknown syllable tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -312,20 +326,14 @@ class FreeProductWord:
     syllables: Tuple[Syllable, ...]
 
     def __post_init__(self):
+        _check_syllables(self.base, self.syllables)
         prev = None
         for syl in self.syllables:
-            if len(syl) != 3 or syl[0] not in ("g", "t"):
-                raise GroupError(f"malformed syllable {syl!r}")
             tag, idx, val = syl
-            if type(idx) is not int or idx < 0 or (tag == "t" and idx < 1):
-                raise GroupError(f"bad factor index in {syl!r}")
-            if tag == "g":
-                self.base.validate(val)
-                if self.base.is_identity(val):
-                    raise GroupError("identity g-syllable in normal form")
-            else:
-                if type(val) is not int or val == 0:
-                    raise GroupError(f"t-exponent must be a nonzero int: {syl!r}")
+            if tag == "g" and self.base.is_identity(val):
+                raise GroupError("identity g-syllable in normal form")
+            if tag == "t" and val == 0:
+                raise GroupError(f"t-exponent must be a nonzero int: {syl!r}")
             if prev is not None and prev[:2] == (tag, idx):
                 raise GroupError(f"adjacent syllables share factor {tag}{idx}")
             prev = syl
@@ -335,9 +343,9 @@ class FreeProductWord:
     @classmethod
     def from_syllables(cls, base: BaseGroup, syllables: Iterable[Syllable]):
         stack: list = []
+        syllables = tuple(syllables)
+        _check_syllables(base, syllables)
         for syl in syllables:
-            if syl[0] == "g":
-                base.validate(syl[2])
             _push_syllable(base, stack, syl)
         return cls(base, tuple(stack))
 

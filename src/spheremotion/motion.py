@@ -161,6 +161,8 @@ class CarSchedule:
                 raise MotionError("positions may not decrease")
         if type(self.degree) is not int or self.degree < 0:
             raise MotionError("degree must be a nonnegative integer")
+        if type(self.face) is not int:
+            raise MotionError(f"face must be an int, got {self.face!r}")
 
     @cached_property
     def _tables(self) -> dict:

@@ -315,7 +315,7 @@ def test_comotion_refuses_a_full_period_sweep_before_solving_edges(
     # a huge degree makes the edge solve sweep ~10^5 laps; the span check
     # must refuse the document first
     solved = []
-    monkeypatch.setattr(cli, "solve_edges", lambda *a: solved.append(a))
+    monkeypatch.setattr(comotion, "solve_edges", lambda *a: solved.append(a))
     doc = pinwheel_comotion_doc(goldens)
     doc["cocars"][0]["degree"] += 10**5
     code, report = run_bad_comotion(goldens, tmp_path, capsys, doc)
@@ -323,6 +323,30 @@ def test_comotion_refuses_a_full_period_sweep_before_solving_edges(
         2, "dart 2 of face 0 sweeps a full period; subdivide first"
     )
     assert solved == []
+
+
+def test_comotion_checks_and_solves_once(goldens, tmp_path, capsys, monkeypatch):
+    # the parse validates and records the corner ticks and residues; the
+    # weight report span-checks and solves the edges, and the collisions
+    # reuse all of it
+    path = tmp_path / "pinwheel.comotion.json"
+    path.write_text(json.dumps(pinwheel_comotion_doc(goldens)))
+    calls = {name: [] for name in ("_check", "corner_ticks", "_residues", "span_check")}
+    solved = []
+    for name, seen in calls.items():
+        real = getattr(comotion, name)
+        monkeypatch.setattr(
+            comotion, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a)
+        )
+    real_solve = comotion.edge_components
+    monkeypatch.setattr(
+        comotion, "edge_components", lambda m, com, e: solved.append(e) or real_solve(m, com, e)
+    )
+    code, report = run_json(capsys, "comotion", str(goldens / "pinwheel.map.json"), str(path))
+    assert code == 0 and report["results"]["weights"]["total"] == 2
+    assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
+    # every edge once
+    assert sorted(solved) == sorted(map(int, report["results"]["weights"]["edges"])) != []
 
 
 @pytest.mark.parametrize(
@@ -455,6 +479,19 @@ def test_word_rejects_malformed_syllables(tmp_path, capsys, where, value, messag
     code, report = run_json(capsys, "word", str(path), "classify")
     assert code == 2
     assert message in report["error"]
+
+
+def test_word_refuses_bad_syllables_that_cancel(tmp_path, capsys):
+    # the copy -1 and t_0 syllables cancel in pairs; each is refused anyway
+    syllables = [
+        {"copy": -1, "elem": "a"}, {"copy": -1, "elem": "A"}, {"copy": 0, "elem": "a"},
+        {"t": 1, "exp": 1}, {"t": 0, "exp": 2}, {"t": 0, "exp": -2},
+    ]
+    doc = {"base": {"kind": "free", "rank": 2}, "syllables": syllables}
+    path = tmp_path / "bad.word.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "word", str(path), "classify")
+    assert (code, report["error"]) == (2, "bad factor index in ('g', -1, (1,))")
 
 
 def test_word_criterion(tmp_path, capsys):

@@ -92,6 +92,8 @@ def test_cocar_rejects_bad_breakpoints():
         Cocar(0, -1, ((F(0), F(0)),))
     with pytest.raises(ComotionError, match="nonnegative"):
         Cocar(0, True, ((F(0), F(0)),))
+    with pytest.raises(ComotionError, match="^face must be an int, got True$"):
+        Cocar(True, 0, ((F(0), F(0)),))
 
 
 def test_validate_comotion_rejects_mismatched_schedules():
@@ -105,6 +107,34 @@ def test_validate_comotion_rejects_mismatched_schedules():
         validate_comotion(m, Comotion(F(4), (Cocar(0, 1, ((F(0), F(0)), (F(2), F(4)))), resting)))
     with pytest.raises(ComotionError, match="past the declared degree"):
         validate_comotion(m, Comotion(F(4), (Cocar(0, 1, ((F(0), F(0)), (F(1), F(5)))), resting)))
+
+
+def test_a_comotion_is_checked_on_every_map():
+    # a report on one map records nothing that lets a second map, with as
+    # many faces, skip the checks
+    com = beach_comotion()
+    assert weight_report(beach_ball(), com)["total"] == 2
+    short = doubled_polygon_map((1,))  # two 1-gons: position 1 is a whole lap
+    assert short.face_count() == 2
+    for call in (validate_comotion, weight_report, comotion_collisions, corner_times):
+        with pytest.raises(ComotionError, match=r"^breakpoints span more than one lap$"):
+            call(short, com)
+    assert weight_report(beach_ball(), com)["total"] == 2
+
+
+def test_cocars_out_of_face_order_get_no_result():
+    front, back = beach_comotion().cocars
+    com = Comotion(F(4), (back, front))
+    m = beach_ball()
+    calls = (
+        weight_report,
+        comotion_collisions,
+        lambda m, com: lemma14_total(m, com, lambda x, y: x, lambda x, y: y),
+        lambda m, com: subdivide_comotion(m, com, 0, (2, 3)),
+    )
+    for call in calls * 2:
+        with pytest.raises(ComotionError, match="^need exactly one cocar per face, in face order$"):
+            call(m, com)
 
 
 def test_cotime_interpolates_and_lifts():

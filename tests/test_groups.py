@@ -206,6 +206,23 @@ def test_normal_form_rejects_bad_syllables():
         FreeProductWord(F2, (("t", 1, True),))
 
 
+@pytest.mark.parametrize(
+    "syls, message",
+    [
+        ([("t", 0, 1), ("t", 0, -1)], r"^bad factor index in \('t', 0, 1\)$"),
+        ([("g", -1, (1,)), ("g", -1, (-1,))], r"^bad factor index in \('g', -1, \(1,\)\)$"),
+        ([("t", 1, True), ("t", 1, -1)], r"^t-exponent must be a nonzero int: \('t', 1, True\)$"),
+        ([("t", 1, 0.5), ("t", 1, -0.5)], r"^t-exponent must be a nonzero int: \('t', 1, 0.5\)$"),
+    ],
+    ids=["t-index", "copy", "bool-exponent", "float-exponent"],
+)
+def test_from_syllables_refuses_bad_syllables_that_cancel(syls, message):
+    # each pair cancels to the empty word, which alone would pass
+    for one in syls[:1], syls:
+        with pytest.raises(GroupError, match=message):
+            FreeProductWord.from_syllables(F2, one)
+
+
 def test_t_squared_example():
     tg = word(F2, ("t", 1, 1), "a")
     ginv_t = word(F2, "A", ("t", 1, 1))

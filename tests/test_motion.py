@@ -68,6 +68,8 @@ def test_car_schedule_rejects_bad_data():
         CarSchedule(0, F(2), ((F(0), F(0)),), degree=-1)
     with pytest.raises(MotionError, match="^degree must be a nonnegative integer$"):
         CarSchedule(0, F(2), ((F(0), F(0)),), degree=True)
+    with pytest.raises(MotionError, match="^face must be an int, got True$"):
+        CarSchedule(True, F(2), ((F(0), F(0)),))
 
 
 def test_validate_motion_rejections():
