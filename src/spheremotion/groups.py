@@ -5,10 +5,11 @@ copy of one base group (free or free abelian) and each t_j generates an
 infinite cyclic factor.  Everything is immutable and hashable; all operations
 are pure.
 
-A word built from many pieces (a power here; a relator or a copy
-substitution in `rewriting`) collects their syllables into one list and
-normalizes it with one `FreeProductWord.from_syllables` call, so each result
-is assembled and validated once instead of once per piece.
+Syllables are checked once, where they enter: the dataclass constructor
+called directly, `FreeProductWord.from_syllables` and `jsonio.parse_word`.
+A word made from checked words (a product, inverse, power, copy shift or
+cyclic split here; a slice in `rewriting`) is already in normal form, so it
+is wrapped by the one private builder `_from_checked`, which skips the check.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class FreeGroup(BaseGroup):
     kind = "free"
 
     def __init__(self, rank: int):
+        if type(rank) is not int:
+            raise GroupError(f"free rank must be an int, got {rank!r}")
         if not 1 <= rank <= 26:
             raise GroupError(f"free rank must be in 1..26, got {rank}")
         self.rank = rank
@@ -213,6 +216,8 @@ class FreeAbelianGroup(BaseGroup):
     kind = "abelian"
 
     def __init__(self, rank: int):
+        if type(rank) is not int:
+            raise GroupError(f"abelian rank must be an int, got {rank!r}")
         if rank < 1:
             raise GroupError(f"abelian rank must be >= 1, got {rank}")
         self.rank = rank
@@ -347,7 +352,7 @@ class FreeProductWord:
         _check_syllables(base, syllables)
         for syl in syllables:
             _push_syllable(base, stack, syl)
-        return cls(base, tuple(stack))
+        return _from_checked(base, tuple(stack))
 
     @classmethod
     def one(cls, base: BaseGroup) -> "FreeProductWord":
@@ -377,12 +382,12 @@ class FreeProductWord:
 
     def exponent_sum(self, j: int = 1) -> int:
         """Signed t_j exponent total; conjugation invariant."""
-        if j < 1:
-            raise GroupError(f"unknown generator symbol t_{j}")
+        _require_symbol(j)
         return sum(s[2] for s in self.syllables if s[0] == "t" and s[1] == j)
 
     def t_sign_sequence(self, j: int = 1) -> Tuple[int, ...]:
         """Signs of the unit t_j letters in reading order."""
+        _require_symbol(j)
         signs: list = []
         for s in self.syllables:
             if s[0] == "t" and s[1] == j:
@@ -400,7 +405,7 @@ class FreeProductWord:
         stack = list(self.syllables)
         for syl in other.syllables:
             _push_syllable(self.base, stack, syl)
-        return FreeProductWord(self.base, tuple(stack))
+        return _from_checked(self.base, tuple(stack))
 
     def inverse(self) -> "FreeProductWord":
         inv = []
@@ -409,12 +414,17 @@ class FreeProductWord:
                 inv.append(("g", idx, self.base.inverse(val)))
             else:
                 inv.append(("t", idx, -val))
-        return FreeProductWord(self.base, tuple(inv))
+        return _from_checked(self.base, tuple(inv))
 
     def __pow__(self, k: int) -> "FreeProductWord":
+        if type(k) is not int:
+            raise GroupError(f"word exponent must be an int, got {k!r}")
         if k < 0:
             return self.inverse() ** (-k)
-        return FreeProductWord.from_syllables(self.base, self.syllables * k)
+        stack: list = []
+        for syl in self.syllables * k:
+            _push_syllable(self.base, stack, syl)
+        return _from_checked(self.base, tuple(stack))
 
     def conjugate_by(self, y: "FreeProductWord") -> "FreeProductWord":
         """Return y^-1 * self * y."""
@@ -422,6 +432,8 @@ class FreeProductWord:
 
     def shift_copies(self, delta: int) -> "FreeProductWord":
         """Send every g-syllable of copy i to copy i + delta."""
+        if type(delta) is not int:
+            raise GroupError(f"copy shift must be an int, got {delta!r}")
         out = []
         for tag, idx, val in self.syllables:
             if tag == "g":
@@ -430,7 +442,7 @@ class FreeProductWord:
                 out.append(("g", idx + delta, val))
             else:
                 out.append((tag, idx, val))
-        return FreeProductWord(self.base, tuple(out))
+        return _from_checked(self.base, tuple(out))
 
     # -- cyclic structure ----------------------------------------------------
 
@@ -440,13 +452,14 @@ class FreeProductWord:
         conj: list = []
         while len(syl) >= 3 and syl[0][:2] == syl[-1][:2]:
             first, last = syl[0], syl[-1]
+            # conj gains the stack's front, which never shares a factor with
+            # the front before it; the stack stays in normal form through
+            # both pushes
             conj.append(first)
-            # the stack stays in normal form through both pushes
             syl = syl[1:-1]
             _push_syllable(self.base, syl, last)
             _push_syllable(self.base, syl, first)
-        u = FreeProductWord.from_syllables(self.base, conj)
-        return u, FreeProductWord(self.base, tuple(syl))
+        return _from_checked(self.base, tuple(conj)), _from_checked(self.base, tuple(syl))
 
     def cyclic_reduce(self) -> "FreeProductWord":
         """Cyclically reduced conjugate of self; idempotent."""
@@ -521,6 +534,28 @@ class FreeProductWord:
             else:
                 parts.append(f"t{idx}^{val}" if val != 1 else f"t{idx}")
         return "W(" + " ".join(parts) + ")"
+
+
+def _from_checked(base: BaseGroup, syllables: Tuple[Syllable, ...]) -> FreeProductWord:
+    """Wrap `syllables` as a word over `base` without `__post_init__`.
+
+    Precondition: `syllables` is a tuple already in normal form over `base`:
+    every syllable passes `_check_syllables`, no g-syllable is the identity,
+    no t-exponent is zero, and no two adjacent syllables share a factor.
+    That holds for syllables taken from checked words by the normal-form
+    stack, by inversion, by a copy shift or by a contiguous slice.  Syllables
+    from anywhere else go through `FreeProductWord.from_syllables` or the
+    constructor, which check them.
+    """
+    w = object.__new__(FreeProductWord)
+    object.__setattr__(w, "base", base)
+    object.__setattr__(w, "syllables", syllables)
+    return w
+
+
+def _require_symbol(j) -> None:
+    if type(j) is not int or j < 1:
+        raise GroupError(f"unknown generator symbol t_{j}")
 
 
 def word(base: BaseGroup, *items) -> FreeProductWord:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
+from . import groups
 from .groups import (
     BaseGroup,
     FreeGroup,
@@ -192,7 +193,7 @@ def _split_at_top_copy(c: FreeProductWord, s: int):
             h_parts.append([])
         else:
             h_parts[-1].append(syl)
-    h_words = [FreeProductWord(c.base, tuple(p)) for p in h_parts]
+    h_words = [groups._from_checked(c.base, tuple(p)) for p in h_parts]
     return h_words, tops
 
 
@@ -439,7 +440,7 @@ def primitive_root_word(w: FreeProductWord) -> Tuple[FreeProductWord, int]:
     if n >= 2:
         for d in range(1, n + 1):
             if n % d == 0 and syls[:d] * (n // d) == syls:
-                block = FreeProductWord(w.base, syls[:d])
+                block = groups._from_checked(w.base, syls[:d])
                 return u * block * u.inverse(), n // d
     tag, idx, val = syls[0]
     if tag == "t":
@@ -497,7 +498,7 @@ def lemma1_v(
         syls.pop(0)
     while syls and syls[-1][1] in A:
         syls.pop()
-    u0 = FreeProductWord(base, tuple(syls))
+    u0 = groups._from_checked(base, tuple(syls))
 
     b_gens = _copy_generators(base, B)
     if u0.copies_used() <= B:
@@ -519,8 +520,8 @@ def lemma1_v(
                 last_run.insert(0, syl)
             else:
                 break
-        b1 = FreeProductWord(base, tuple(first_run))
-        bk = FreeProductWord(base, tuple(last_run))
+        b1 = groups._from_checked(base, tuple(first_run))
+        bk = groups._from_checked(base, tuple(last_run))
         banned = {b1, b1.inverse(), bk, bk.inverse()}
         x, y = b_gens[0], b_gens[1]
         candidates = [x, y, x * y, x * y.inverse(), x * x * y]

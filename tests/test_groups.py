@@ -12,7 +12,7 @@ from spheremotion.groups import (
     word,
 )
 from spheremotion.fuzzing import make_rng, random_unit_sum_word
-from spheremotion.rewriting import reconstruct_relator, rewrite_word
+from spheremotion.rewriting import primitive_root_word, reconstruct_relator, rewrite_word
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -161,7 +161,20 @@ def test_free_conjugacy():
     assert F2.is_conjugate(F2.parse("Bab"), F2.parse("a"))
 
 
+@pytest.mark.parametrize("rank", [2.0, True, "2", None])
+def test_free_rank_must_be_an_int(rank):
+    with pytest.raises(GroupError, match=r"^free rank must be an int, got "):
+        FreeGroup(rank)
+
+
 # abelian base ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rank", [2.0, True, "2", None])
+def test_abelian_rank_must_be_an_int(rank):
+    with pytest.raises(GroupError, match=r"^abelian rank must be an int, got "):
+        FreeAbelianGroup(rank)
+
 
 
 def test_abelian_ops():
@@ -355,6 +368,22 @@ def test_shift_copies():
         s.shift_copies(-2)
 
 
+def test_word_operations_refuse_non_int_parameters():
+    w = word(F2, "a", ("t", 1, 2))
+    for delta in (0.5, True, 1.0, "1"):
+        with pytest.raises(GroupError, match=r"^copy shift must be an int, got "):
+            w.shift_copies(delta)
+    for k in (1.5, True, 2.0, None):
+        with pytest.raises(GroupError, match=r"^word exponent must be an int, got "):
+            w ** k
+    for j in (0, -1, True, 1.0):
+        with pytest.raises(GroupError, match=r"^unknown generator symbol t_"):
+            w.exponent_sum(j)
+        with pytest.raises(GroupError, match=r"^unknown generator symbol t_"):
+            w.t_sign_sequence(j)
+    assert w.t_sign_sequence(2) == ()
+
+
 # probe ---------------------------------------------------------------------------
 
 
@@ -468,3 +497,76 @@ def test_fast_paths_match_oracles_on_rewriting_words(seed):
     for k in (-3, -1, 0, 2, 3):
         assert w ** k == fold_power(w, k)
         assert relator ** k == fold_power(relator, k)
+
+
+# word arithmetic on every base group, against the full check ----------------
+
+BASES = [FreeGroup(1), FreeGroup(2), FreeGroup(3),
+         FreeAbelianGroup(1), FreeAbelianGroup(2), FreeAbelianGroup(3)]
+
+
+def base_elements(base):
+    if base.kind == "free":
+        letters = [c for i in range(1, base.rank + 1) for c in (i, -i)]
+        return st.lists(st.sampled_from(letters), max_size=4).map(reduce_letters)
+    return st.tuples(*[st.integers(-2, 2)] * base.rank)
+
+
+def loose_syllables(base, max_size=7):
+    """Syllables that may cancel, merge, or be the identity."""
+    g_item = st.tuples(st.just("g"), st.integers(0, 2), base_elements(base))
+    t_item = st.tuples(st.just("t"), st.integers(1, 2), st.integers(-3, 3))
+    return st.lists(st.one_of(g_item, t_item), max_size=max_size)
+
+
+def words_over(base):
+    return loose_syllables(base).map(lambda syls: FreeProductWord.from_syllables(base, syls))
+
+
+word_sets = st.sampled_from(BASES).flatmap(
+    lambda base: st.tuples(words_over(base), words_over(base), words_over(base))
+)
+
+
+def fully_checked(w):
+    """w, after asserting that the constructor's full check rebuilds it."""
+    assert type(w.syllables) is tuple
+    assert FreeProductWord(w.base, w.syllables) == w
+    return w
+
+
+def inverse_syllables(w):
+    return [
+        ("g", idx, w.base.inverse(val)) if tag == "g" else ("t", idx, -val)
+        for tag, idx, val in reversed(w.syllables)
+    ]
+
+
+@given(word_sets, st.integers(-4, 4), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_word_arithmetic_passes_the_full_check(ws, k, delta):
+    u, v, y = ws
+    base = u.base
+
+    def same(result, syllables):
+        assert fully_checked(result) == FreeProductWord.from_syllables(base, syllables)
+
+    same(u * v, u.syllables + v.syllables)
+    same(u.inverse(), inverse_syllables(u))
+    same(u ** k, (u.syllables if k >= 0 else tuple(inverse_syllables(u))) * abs(k))
+    same(u.conjugate_by(y), inverse_syllables(y) + list(u.syllables) + list(y.syllables))
+    same(u.shift_copies(delta), [
+        (tag, idx + delta, val) if tag == "g" else (tag, idx, val)
+        for tag, idx, val in u.syllables
+    ])
+    for w in (u, v * y, u ** k):
+        conj, core = w.cyclic_decompose()
+        fully_checked(conj)
+        fully_checked(core)
+        assert len(core) < 3 or core.syllables[0][:2] != core.syllables[-1][:2]
+        same(w, conj.syllables + core.syllables + tuple(inverse_syllables(conj)))
+        if not w.is_identity():
+            root, e = primitive_root_word(w)
+            assert e >= 1
+            same(fully_checked(root) ** e, root.syllables * e)
+            assert root ** e == w
