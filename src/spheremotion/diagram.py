@@ -280,20 +280,13 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     translate[(f1, 1 - i1)] = (nf1, 0)
 
     edge_labels = {e: j for e, j in d.edge_labels.items() if e != edge}
-    new_vertices = new_map.vertices()
-
-    def find_vertex(old):
-        images = {translate[c] for c in old}
-        for v in new_vertices:
-            if images & set(v):
-                return v
-        raise RuntimeError("exterior vertex lost in surgery")  # pragma: no cover
-
     return HowieDiagram(
         new_map,
         corner_labels,
         edge_labels,
-        exterior_vertices=frozenset(find_vertex(v) for v in d.exterior_vertices),
+        exterior_vertices=frozenset(
+            new_map.vertex_of(translate[v[0]]) for v in d.exterior_vertices
+        ),
         exterior_faces=frozenset(new_index[f] for f in d.exterior_faces),
         phi_s=d.phi_s,
         large_faces=None

@@ -7,9 +7,9 @@ are pure.
 
 Syllables are checked once, where they enter: the dataclass constructor
 called directly, `FreeProductWord.from_syllables` and `jsonio.parse_word`.
-A word made from checked words (a product, inverse, power, copy shift or
-cyclic split here; a slice in `rewriting`) is already in normal form, so it
-is wrapped by the one private builder `_from_checked`, which skips the check.
+A word made from checked words (a product, inverse, power, copy shift,
+cyclic split or `FreeProductWord.span`) is already in normal form, so it is
+wrapped by the one private builder `_from_checked`, which skips the check.
 """
 
 from __future__ import annotations
@@ -374,6 +374,13 @@ class FreeProductWord:
     def __len__(self) -> int:
         return len(self.syllables)
 
+    def span(self, i: int, j: int) -> "FreeProductWord":
+        """The word of syllables i to j - 1, read as the slice [i:j].  A
+        contiguous run of a normal form is one, so it is not checked again."""
+        if type(i) is not int or type(j) is not int:
+            raise GroupError(f"span ends must be ints, got {i!r} and {j!r}")
+        return _from_checked(self.base, self.syllables[i:j])
+
     def copies_used(self) -> frozenset:
         return frozenset(s[1] for s in self.syllables if s[0] == "g")
 
@@ -543,9 +550,9 @@ def _from_checked(base: BaseGroup, syllables: Tuple[Syllable, ...]) -> FreeProdu
     every syllable passes `_check_syllables`, no g-syllable is the identity,
     no t-exponent is zero, and no two adjacent syllables share a factor.
     That holds for syllables taken from checked words by the normal-form
-    stack, by inversion, by a copy shift or by a contiguous slice.  Syllables
-    from anywhere else go through `FreeProductWord.from_syllables` or the
-    constructor, which check them.
+    stack, by inversion, by a copy shift or by `FreeProductWord.span`, a
+    contiguous run.  Syllables from anywhere else go through
+    `FreeProductWord.from_syllables` or the constructor, which check them.
     """
     w = object.__new__(FreeProductWord)
     object.__setattr__(w, "base", base)

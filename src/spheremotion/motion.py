@@ -251,6 +251,9 @@ class MotionSchedule:
             raise MotionError("period must be positive")
         if not self.cars:
             raise MotionError("schedule needs at least one car")
+        for c in self.stop_corners:
+            if type(c) is not tuple or len(c) != 2 or any(type(x) is not int for x in c):
+                raise MotionError(f"stop corner must be a pair of ints, got {c!r}")
 
 
 def validate_motion(m: OrientedMap, ms: MotionSchedule) -> None:

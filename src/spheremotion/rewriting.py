@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
-from . import groups
 from .groups import (
     BaseGroup,
     FreeGroup,
@@ -184,17 +183,11 @@ def initial_data(sf: ShiftedForm) -> RelativePresentationData:
 
 
 def _split_at_top_copy(c: FreeProductWord, s: int):
-    """Write c = h_0 g_1^(s) h_1 ... g_r^(s) h_r; returns (h_words, top_elems)."""
-    h_parts: List[list] = [[]]
-    tops: List[tuple] = []
-    for syl in c.syllables:
-        if syl[0] == "g" and syl[1] == s:
-            tops.append(syl)
-            h_parts.append([])
-        else:
-            h_parts[-1].append(syl)
-    h_words = [groups._from_checked(c.base, tuple(p)) for p in h_parts]
-    return h_words, tops
+    """Write c = h_0 g_1^(s) h_1 ... g_r^(s) h_r; returns (h_words, top_words)."""
+    cuts = [i for i, syl in enumerate(c.syllables) if syl[0] == "g" and syl[1] == s]
+    starts = [0] + [i + 1 for i in cuts]
+    h_words = [c.span(i, j) for i, j in zip(starts, cuts + [len(c)])]
+    return h_words, [c.span(i, i + 1) for i in cuts]
 
 
 def move_lower_s(data: RelativePresentationData) -> RelativePresentationData:
@@ -209,17 +202,13 @@ def move_lower_s(data: RelativePresentationData) -> RelativePresentationData:
     r = len(tops)
     if r == 0:
         return replace(data, s=data.s - 1)
-    new_a = tuple(
-        FreeProductWord.from_syllables(data.base, [("g", data.s - 1, syl[2])])
-        for syl in tops
-    )
     return replace(
         data,
         s=data.s - 1,
         m=r - 1,
         c=h_words[r],
         b=tuple(h_words[:r]),
-        a=new_a,
+        a=tuple(phi_inv(top) for top in tops),
     )
 
 
@@ -440,7 +429,7 @@ def primitive_root_word(w: FreeProductWord) -> Tuple[FreeProductWord, int]:
     if n >= 2:
         for d in range(1, n + 1):
             if n % d == 0 and syls[:d] * (n // d) == syls:
-                block = groups._from_checked(w.base, syls[:d])
+                block = core.span(0, d)
                 return u * block * u.inverse(), n // d
     tag, idx, val = syls[0]
     if tag == "t":
@@ -464,6 +453,13 @@ def _shares_root(x: FreeProductWord, y: FreeProductWord) -> bool:
     rx, _ = primitive_root_word(x)
     ry, _ = primitive_root_word(y)
     return rx == ry or rx == ry.inverse()
+
+
+def _ends_outside(w: FreeProductWord, copies) -> Tuple[int, int]:
+    """Indices of the first and last syllable of w whose factor index is
+    outside `copies`; w must have one."""
+    outside = [i for i, syl in enumerate(w.syllables) if syl[1] not in copies]
+    return outside[0], outside[-1]
 
 
 def lemma1_v(
@@ -493,12 +489,8 @@ def lemma1_v(
         raise RewriteError("u must not lie in A")
 
     # factor u = pre * u0 * suf with pre, suf in A; <A, u> = <A, u0>
-    syls = list(u.syllables)
-    while syls and syls[0][1] in A:
-        syls.pop(0)
-    while syls and syls[-1][1] in A:
-        syls.pop()
-    u0 = groups._from_checked(base, tuple(syls))
+    first, last = _ends_outside(u, A)
+    u0 = u.span(first, last + 1)
 
     b_gens = _copy_generators(base, B)
     if u0.copies_used() <= B:
@@ -508,20 +500,9 @@ def lemma1_v(
             raise RewriteError("no independent generator found in B")
     else:
         # u0 = b_1 a_1 ... b_k alternating; dodge the flanking B-runs
-        first_run: List[tuple] = []
-        for syl in syls:
-            if syl[1] in B:
-                first_run.append(syl)
-            else:
-                break
-        last_run: List[tuple] = []
-        for syl in reversed(syls):
-            if syl[1] in B:
-                last_run.insert(0, syl)
-            else:
-                break
-        b1 = groups._from_checked(base, tuple(first_run))
-        bk = groups._from_checked(base, tuple(last_run))
+        first, last = _ends_outside(u0, B)
+        b1 = u0.span(0, first)
+        bk = u0.span(last + 1, len(u0))
         banned = {b1, b1.inverse(), bk, bk.inverse()}
         x, y = b_gens[0], b_gens[1]
         candidates = [x, y, x * y, x * y.inverse(), x * x * y]

@@ -1,10 +1,12 @@
 """Suite-wide oracle for the unchecked word builder.
 
 `groups._from_checked` wraps syllables as a word without the constructor's
-check, on the promise that they came from checked words.  For the whole
-run this fixture wraps the builder and rebuilds every word it makes with the
-full check, `FreeProductWord(base, syllables)`; a word that fails the check
-or differs fails the test that made it, and the session as well.
+check, on the promise that they are already in normal form: taken from
+checked words by an operation of `groups`, such as `FreeProductWord.span`.
+No other module names it.  For the whole run this fixture wraps the builder
+and rebuilds every word it makes with the full check,
+`FreeProductWord(base, syllables)`; a word that fails the check or differs
+fails the test that made it, and the session as well.
 Run with `--noconftest` to time the suite without it.
 """
 

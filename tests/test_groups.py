@@ -384,6 +384,16 @@ def test_word_operations_refuse_non_int_parameters():
     assert w.t_sign_sequence(2) == ()
 
 
+def test_span_ends_must_be_ints():
+    w = word(F2, "a", ("t", 1, 2), "b")
+    for i, j in ((0.5, 1), (True, 1), (0, None), (0, 1.0), ("0", 1)):
+        with pytest.raises(GroupError, match=r"^span ends must be ints, got "):
+            w.span(i, j)
+    assert w.span(1, 3) == word(F2, ("t", 1, 2), "b")
+    assert w.span(-1, 5) == word(F2, "b")
+    assert w.span(2, 1).is_identity()
+
+
 # probe ---------------------------------------------------------------------------
 
 
@@ -542,14 +552,22 @@ def inverse_syllables(w):
     ]
 
 
-@given(word_sets, st.integers(-4, 4), st.integers(0, 3))
+@given(word_sets, st.integers(-4, 4), st.integers(0, 3), st.data())
 @settings(max_examples=200, deadline=None)
-def test_word_arithmetic_passes_the_full_check(ws, k, delta):
+def test_word_arithmetic_passes_the_full_check(ws, k, delta, data):
     u, v, y = ws
     base = u.base
 
+    def spanned(w):
+        """w, after checking one random span of it, ends as a slice reads them."""
+        ends = st.integers(-len(w) - 1, len(w) + 1)
+        i, j = data.draw(ends), data.draw(ends)
+        assert fully_checked(w.span(i, j)) == FreeProductWord.from_syllables(
+            base, w.syllables[i:j])
+        return w
+
     def same(result, syllables):
-        assert fully_checked(result) == FreeProductWord.from_syllables(base, syllables)
+        assert spanned(fully_checked(result)) == FreeProductWord.from_syllables(base, syllables)
 
     same(u * v, u.syllables + v.syllables)
     same(u.inverse(), inverse_syllables(u))
@@ -561,12 +579,12 @@ def test_word_arithmetic_passes_the_full_check(ws, k, delta):
     ])
     for w in (u, v * y, u ** k):
         conj, core = w.cyclic_decompose()
-        fully_checked(conj)
-        fully_checked(core)
+        spanned(fully_checked(conj))
+        spanned(fully_checked(core))
         assert len(core) < 3 or core.syllables[0][:2] != core.syllables[-1][:2]
         same(w, conj.syllables + core.syllables + tuple(inverse_syllables(conj)))
         if not w.is_identity():
             root, e = primitive_root_word(w)
             assert e >= 1
-            same(fully_checked(root) ** e, root.syllables * e)
+            same(spanned(fully_checked(root)) ** e, root.syllables * e)
             assert root ** e == w

@@ -91,6 +91,14 @@ def test_validate_motion_rejections():
         )
 
 
+@pytest.mark.parametrize("corner", [(0.0, 1), (0, 0.5), (True, 0), (0,)],
+                         ids=["float-face", "float-index", "bool-face", "short"])
+def test_stop_corners_must_be_int_pairs(corner):
+    ms = pinwheel_unit_motion()
+    with pytest.raises(MotionError, match=r"^stop corner must be a pair of ints, got "):
+        MotionSchedule(ms.period, ms.cars, {corner})
+
+
 def test_validate_motion_takes_periods_dividing_either_way():
     m = pinwheel_map()
     ok = unit_car(0, 3)  # period 3
