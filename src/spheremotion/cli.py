@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 from . import fuzzing, jsonio
 from .comotion import comotion_collisions, lemma11_check, weight_report
 from .diagram import (
+    adjacent_phi_cells,
     check_diagram_over,
     find_reducible_pair,
-    is_phi_cell,
-    is_phi_reduced,
+    phi_cells,
 )
 from .goldens import (
     banded_sphere_map,
@@ -361,19 +361,19 @@ def cmd_diagram(args) -> tuple[dict, int]:
     d = jsonio.parse_diagram(doc)
     inputs = [digest]
     pair = find_reducible_pair(d)
+    cells = phi_cells(d)
     results = {
         "census": _census(d.map),
         "base": jsonio.base_to_json(d.base),
         "interior_faces": sorted(d.interior_faces()),
         "exterior_faces": sorted(d.exterior_faces),
         "exterior_vertices": [_vertex_json(v) for v in sorted(d.exterior_vertices)],
-        "phi_cells": [
-            f for f in range(d.map.face_count()) if is_phi_cell(d, f)
-        ],
+        "phi_cells": cells,
         "reducible_pair": list(pair) if pair is not None else None,
     }
     if d.phi_s is not None:
-        results["phi_reduced"] = is_phi_reduced(d)
+        # is_phi_reduced, from the pair and the cells found once above
+        results["phi_reduced"] = pair is None and adjacent_phi_cells(d, cells) is None
     checks = {}
     if args.presentation is not None:
         pdoc, pdig = _load(args.presentation)

@@ -4,11 +4,15 @@ A diagram is an oriented map whose corners carry t-free words over the
 base free product and whose edges carry cyclic-generator symbols; the
 edge arrow is the + dart.  Faces read anticlockwise, vertices clockwise,
 both from the single global anticlockwise convention by reversal.
+
+A diagram is checked once, by its constructor.  A move on a checked
+diagram (`phi_reduce_move`) builds its result through one private builder,
+`_unchecked_diagram`, which skips that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -25,7 +29,7 @@ from .motion import (
     standard_multiple_motion,
 )
 from .rewriting import RelativePresentation, in_P, phi
-from .surface import Corner, MapError, OrientedMap, classify_map
+from .surface import Corner, OrientedMap, classify_map
 
 
 class DiagramError(ValueError):
@@ -209,21 +213,27 @@ def find_reducible_pair(d: HowieDiagram):
     return None
 
 
+def phi_cells(d: HowieDiagram) -> list[int]:
+    """The faces that are phi cells, in order."""
+    return [f for f in range(d.map.face_count()) if is_phi_cell(d, f)]
+
+
 def is_phi_reduced(d: HowieDiagram) -> bool:
     """Reduced, and no two distinct interior phi cells share an edge."""
     if d.phi_s is None:
         raise DiagramError("no phi structure on this diagram")
-    if find_reducible_pair(d) is not None:
-        return False
-    return _adjacent_phi_cells(d) is None
+    return find_reducible_pair(d) is None and adjacent_phi_cells(d, phi_cells(d)) is None
 
 
-def _adjacent_phi_cells(d: HowieDiagram):
+def adjacent_phi_cells(d: HowieDiagram, cells):
+    """A witness (face, face, edge): two distinct interior faces, both in
+    `cells`, sharing an edge; or None."""
+    cells = set(cells)
     for e in d.map.edge_ids:
         (f1, _), (f2, _) = d.map.edge_sides[e]
         if f1 == f2 or f1 in d.exterior_faces or f2 in d.exterior_faces:
             continue
-        if is_phi_cell(d, f1) and is_phi_cell(d, f2):
+        if f1 in cells and f2 in cells:
             return (f1, f2, e)
     return None
 
@@ -236,10 +246,7 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     mutually inverse pair (q = p^-1) is refused: that is a reducible
     pair, not a removable edge.
     """
-    m = d.map
-    if edge not in m.edge_sides:
-        raise MapError(f"no such edge: {edge}")
-    (f1, i1), (f2, i2) = m.edge_sides[edge]
+    (f1, i1), (f2, i2) = d.map.sides_of(edge)
     if f1 == f2:
         raise DiagramError("both sides of the edge lie on one face")
     if f1 in d.exterior_faces or f2 in d.exterior_faces:
@@ -249,50 +256,32 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     if face_cells(d, f2, i2) == mirror_cells(face_cells(d, f1, i1)):
         raise DiagramError("mutually inverse cells form a reducible pair")
 
-    other1 = m.faces[f1][1 - i1]
-    other2 = m.faces[f2][1 - i2]
-    # corner after other1 merges F1's then F2's label, in boundary order
-    lab1 = d.corner_labels[(f1, i1)] * d.corner_labels[(f2, 1 - i2)]
-    lab2 = d.corner_labels[(f2, i2)] * d.corner_labels[(f1, 1 - i1)]
-
-    keep = [f for f in range(m.face_count()) if f != f2]
-    new_index = {f: k for k, f in enumerate(keep)}
-    faces = []
-    for f in keep:
-        faces.append((other1, other2) if f == f1 else m.faces[f])
-    new_map = OrientedMap(m.surface, tuple(faces))
-
-    corner_labels = {}
-    translate = {}
-    for f in keep:
-        nf = new_index[f]
-        if f == f1:
-            continue
-        for j in range(len(m.faces[f])):
-            corner_labels[(nf, j)] = d.corner_labels[(f, j)]
-            translate[(f, j)] = (nf, j)
-    nf1 = new_index[f1]
-    corner_labels[(nf1, 1)] = lab1  # after other1 = before other2
-    corner_labels[(nf1, 0)] = lab2
-    translate[(f1, i1)] = (nf1, 1)
-    translate[(f2, 1 - i2)] = (nf1, 1)
-    translate[(f2, i2)] = (nf1, 0)
-    translate[(f1, 1 - i1)] = (nf1, 0)
-
-    edge_labels = {e: j for e, j in d.edge_labels.items() if e != edge}
-    return HowieDiagram(
+    new_map, translate = d.map.remove_edge(edge)
+    old = d.corner_labels
+    labels = {translate[c]: w for c, w in old.items()}
+    # each merged corner reads the + cell's label, then the - cell's
+    labels[translate[(f1, i1)]] = old[(f1, i1)] * old[(f2, 1 - i2)]
+    labels[translate[(f2, i2)]] = old[(f2, i2)] * old[(f1, 1 - i1)]
+    return _unchecked_diagram(
         new_map,
-        corner_labels,
-        edge_labels,
-        exterior_vertices=frozenset(
-            new_map.vertex_of(translate[v[0]]) for v in d.exterior_vertices
-        ),
-        exterior_faces=frozenset(new_index[f] for f in d.exterior_faces),
-        phi_s=d.phi_s,
-        large_faces=None
+        labels,
+        {e: j for e, j in d.edge_labels.items() if e != edge},
+        frozenset(new_map.vertex_of(translate[v[0]]) for v in d.exterior_vertices),
+        frozenset(f - (f > f2) for f in d.exterior_faces),
+        d.phi_s,
+        None
         if d.large_faces is None
-        else frozenset(new_index[f] for f in d.large_faces if f != f2),
+        else frozenset(f - (f > f2) for f in d.large_faces if f != f2),
     )
+
+
+def _unchecked_diagram(*parts) -> HowieDiagram:
+    """`HowieDiagram(*parts)` without `__post_init__`, for a move on a checked
+    diagram: each part is translated from that diagram's, and each new corner
+    label is a product of two of its t-free labels over its base."""
+    d = object.__new__(HowieDiagram)
+    d.__dict__.update(zip((f.name for f in fields(HowieDiagram)), parts, strict=True))
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ corners they start at.  Dart owners, the corner rotation, the edge ids and
 the face components read it, and so do the edge loops of motion, comotion
 and diagram.  Vertices are not stored; they are the orbits of the corner
 rotation and get computed once per map, with the corner-to-vertex table.
+An edit (`remove_edge`) carries the orbits over to the map it builds
+instead of walking them again.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class OrientedMap:
             if not boundary:
                 raise MapError(f"face {f} has empty boundary")
             for j, (edge, sign) in enumerate(boundary):
-                if sign not in (1, -1):
+                if type(edge) is not int:
+                    raise MapError(f"edge ids must be ints, got {edge!r} in face {f}")
+                if type(sign) is not int or sign not in (1, -1):
                     raise MapError(f"bad dart sign {sign} in face {f}")
                 seen.setdefault(edge, []).append((sign, (f, j)))
         sides = {}
@@ -132,6 +136,14 @@ class OrientedMap:
         b = self.faces[f]
         return b[(j - 1) % len(b)]
 
+    def sides_of(self, edge: int) -> tuple[Corner, Corner]:
+        """The corners of the edge's + and - darts."""
+        if type(edge) is not int:
+            raise MapError(f"edge ids must be ints, got {edge!r}")
+        if edge not in self.edge_sides:
+            raise MapError(f"no such edge: {edge}")
+        return self.edge_sides[edge]
+
     def dart_owner(self, dart: Dart) -> Corner:
         edge, sign = dart
         sides = self.edge_sides.get(edge)
@@ -194,6 +206,51 @@ class OrientedMap:
             if t == saddles[i - 1]:
                 raise MapError("saddle corners fail to alternate around vertex")
         return "mixed"
+
+    # -- edits ---------------------------------------------------------------
+
+    def remove_edge(self, edge: int) -> tuple["OrientedMap", dict[Corner, Corner]]:
+        """The map without `edge`, its two faces merged, and a dict from
+        each old corner to its new corner.
+
+        The merged face reads the + dart's face from just after the edge,
+        then the - dart's face; it takes the + face's index, and the faces
+        after the - face move down by one.  V stays and E and F drop by one,
+        so no invariant needs checking again: the map is built without the
+        constructor, with the old vertex orbits translated.
+        """
+        (f1, i1), (f2, i2) = plus, minus = self.sides_of(edge)
+        if f1 == f2:
+            raise MapError(f"edge {edge} has face {f1} on both sides")
+        b1, b2 = self.faces[f1], self.faces[f2]
+        L1, L2 = len(b1), len(b2)
+        if L1 == L2 == 1:
+            raise MapError(f"removing edge {edge} would leave an empty face")
+        faces = list(self.faces)
+        faces[f1] = b1[i1 + 1:] + b1[:i1] + b2[i2 + 1:] + b2[:i2]
+        del faces[f2]
+        nf = f1 - (f2 < f1)
+        translate = {(f, j): (f - (f > f2), j) for f, b in enumerate(self.faces)
+                     if f != f1 and f != f2 for j in range(len(b))}
+        merged = [(f1, (i1 + k) % L1) for k in range(1, L1)]
+        merged += [(f2, (i2 + k) % L2) for k in range(1, L2)]
+        translate.update((c, (nf, k)) for k, c in enumerate(merged))
+        # the corner the + dart starts at merges with the one after the -
+        # dart, and the other way round; orbits keep one corner of each pair
+        translate[plus] = (nf, (L1 - 1) % (L1 + L2 - 2))
+        translate[minus] = (nf, 0)
+        orbits = []
+        for orbit in self._orbits:
+            new = [translate[c] for c in orbit if c != plus and c != minus]
+            k = new.index(min(new))
+            orbits.append(tuple(new[k:] + new[:k]))
+        orbits.sort()
+        sides = {e: (translate[a], translate[b])
+                 for e, (a, b) in self.edge_sides.items() if e != edge}
+        out = object.__new__(OrientedMap)
+        out.__dict__.update(surface=self.surface, faces=tuple(faces),
+                            edge_sides=sides, _orbits=tuple(orbits))
+        return out, translate
 
     # -- face profiles -------------------------------------------------------
 
@@ -356,11 +413,12 @@ def subdivide_edge(m: OrientedMap, edge: int, new_edges: tuple[int, int]) -> Ori
     the opposite order.
     """
     e1, e2 = new_edges
+    if type(e1) is not int or type(e2) is not int:
+        raise MapError(f"edge ids must be ints, got {e1!r} and {e2!r}")
     used = set(m.edge_ids)
     if e1 in used or e2 in used or e1 == e2:
         raise MapError("new edge ids must be fresh and distinct")
-    if edge not in used:
-        raise MapError(f"no such edge: {edge}")
+    m.sides_of(edge)  # refuses an absent edge, or an id that is not an int
     faces = []
     for b in m.faces:
         out: list[Dart] = []

@@ -1,4 +1,4 @@
-"""Suite-wide oracle for the unchecked word builder.
+"""Suite-wide oracles for the builders that skip a constructor's check.
 
 `groups._from_checked` wraps syllables as a word without the constructor's
 check, on the promise that they are already in normal form: taken from
@@ -7,12 +7,26 @@ No other module names it.  For the whole run this fixture wraps the builder
 and rebuilds every word it makes with the full check,
 `FreeProductWord(base, syllables)`; a word that fails the check or differs
 fails the test that made it, and the session as well.
-Run with `--noconftest` to time the suite without it.
+
+Map edits work the same way.  `OrientedMap.remove_edge` builds its map
+without the constructor and carries the vertex orbits over, and
+`diagram._unchecked_diagram` builds the diagram of a phi merge without
+`HowieDiagram.__post_init__`.  Every map the edit makes is compared with
+the full rebuild of `map_edit_oracle.edit_problem` (faces, `edge_sides`,
+`vertices()` in order, `vertex_of` and the corner translation), and every
+diagram the builder makes is rebuilt with `HowieDiagram(...)` over
+`OrientedMap(surface, faces)` and compared.
+
+Run with `--noconftest` to time the suite without them.
 """
+
+import functools
 
 import pytest
 
-from spheremotion import groups
+from map_edit_oracle import edit_problem
+from spheremotion import diagram, groups
+from spheremotion.surface import OrientedMap
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -35,4 +49,44 @@ def checked_word_oracle():
         yield
     finally:
         groups._from_checked = build
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checked_edit_oracle():
+    remove = OrientedMap.remove_edge
+    build = diagram._unchecked_diagram
+    violations = []
+
+    def fail(what, problem):
+        violations.append((what, problem))
+        raise AssertionError(f"{what}: {problem}")
+
+    @functools.wraps(remove)
+    def checked_remove(m, edge):
+        new, translate = remove(m, edge)
+        problem = edit_problem(m, edge, new, translate)
+        if problem is not None:
+            fail(f"remove_edge({edge}) on {m.faces}", problem)
+        return new, translate
+
+    @functools.wraps(build)
+    def checked_build(*parts):
+        d = build(*parts)
+        m = parts[0]
+        try:
+            full = diagram.HowieDiagram(OrientedMap(m.surface, m.faces), *parts[1:])
+        except ValueError as exc:
+            fail("unchecked diagram", f"the full check refuses it: {exc}")
+        if full != d or full.map.vertices() != d.map.vertices():
+            fail("unchecked diagram", "not the diagram the full check builds")
+        return d
+
+    OrientedMap.remove_edge = checked_remove
+    diagram._unchecked_diagram = checked_build
+    try:
+        yield
+    finally:
+        OrientedMap.remove_edge = remove
+        diagram._unchecked_diagram = build
     assert not violations, violations[:5]

@@ -1,11 +1,16 @@
 """Labelled diagrams, phi-cell surgery and the collision audits."""
 
+import inspect
+from collections import Counter
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from map_edit_oracle import rebuilt_phi_move
+from spheremotion import diagram
 from spheremotion.diagram import (
     DiagramError,
     HowieDiagram,
@@ -277,6 +282,74 @@ def test_phi_merge_refusals():
 
     with pytest.raises(DiagramError, match="no phi structure"):
         is_phi_reduced(balloon_diagram())
+
+
+def test_phi_merge_refuses_an_edge_id_that_is_not_an_int():
+    d = phi_chain(4)
+    for edge in (True, 1.0):
+        with pytest.raises(MapError, match=f"edge ids must be ints, got {edge!r}"):
+            phi_reduce_move(d, edge)
+
+
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=40, deadline=None)
+def test_phi_merges_in_any_edge_order_match_the_full_rebuild(n, data):
+    # edge 0 of a lune chain has its - face before its + face, so random
+    # orders also merge across edges whose - face has the lower index
+    chain = phi_chain(n)
+    d = HowieDiagram(
+        chain.map,
+        chain.corner_labels,
+        chain.edge_labels,
+        chain.exterior_vertices,
+        data.draw(st.frozensets(st.integers(0, n - 1), max_size=1)),
+        chain.phi_s,
+        data.draw(st.frozensets(st.integers(0, n - 1))),
+    )
+    while True:
+        edges = [
+            e for e, ((f1, _), (f2, _)) in sorted(d.map.edge_sides.items())
+            if f1 != f2 and not {f1, f2} & d.exterior_faces
+        ]
+        if not edges:
+            break
+        edge = data.draw(st.sampled_from(edges))
+        want = rebuilt_phi_move(d, edge)
+        d = phi_reduce_move(d, edge)
+        assert d == want
+        assert d.map.edge_sides == want.map.edge_sides
+        assert d.map.vertices() == want.map.vertices()
+    assert d.map.face_count() == 1 + len(d.exterior_faces)
+
+
+def test_phi_chain_moves_build_and_walk_nothing_again(monkeypatch):
+    """A k-move chain runs neither constructor nor the orbit walk, where a
+    full rebuild runs each of them k times."""
+    d = phi_chain(7)
+    # the suite's oracles rebuild every move in full: count the moves alone
+    monkeypatch.setattr(OrientedMap, "remove_edge", inspect.unwrap(OrientedMap.remove_edge))
+    monkeypatch.setattr(diagram, "_unchecked_diagram", inspect.unwrap(diagram._unchecked_diagram))
+    calls = Counter()
+
+    def counted(name, fn):
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counting
+
+    monkeypatch.setattr(OrientedMap, "__post_init__", counted("map", OrientedMap.__post_init__))
+    monkeypatch.setattr(HowieDiagram, "__post_init__",
+                        counted("diagram", HowieDiagram.__post_init__))
+    walk = cached_property(counted("orbits", vars(OrientedMap)["_orbits"].func))
+    walk.__set_name__(OrientedMap, "_orbits")
+    monkeypatch.setattr(OrientedMap, "_orbits", walk)
+    for e in range(1, 7):
+        d = phi_reduce_move(d, e)
+    assert d.map.face_count() == 1 and len(d.exterior_vertices) == 2
+    assert calls == {}
+    # the counters count: a full rebuild of the result runs each once
+    HowieDiagram(OrientedMap(d.map.surface, d.map.faces), d.corner_labels, d.edge_labels)
+    assert calls == {"map": 1, "diagram": 1, "orbits": 1}
 
 
 # -- standard collision audit ----------------------------------------------------

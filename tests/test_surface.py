@@ -4,12 +4,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from map_edit_oracle import edit_problem
 from spheremotion.cli import main
 from spheremotion.fuzzing import (
     make_rng,
     random_sphere_map,
     random_subdivisions,
     random_torus_map,
+    relabel_map,
+    rotate_map,
 )
 from spheremotion.goldens import PINWHEEL_VERTICES, banded_sphere_map, genus_map, pinwheel_map
 from spheremotion.surface import (
@@ -473,3 +476,97 @@ def test_face_components_match_the_path_sides(kind, seed, data):
     assert m.face_components() == sides_of_path(m, frozenset()) == [
         frozenset(range(m.face_count()))
     ]
+
+
+# -- edge ids and signs are ints ----------------------------------------------
+
+
+@pytest.mark.parametrize("faces, message", [
+    ((((0, True), (1, 1)), ((1, -1), (0, -1))), "bad dart sign True in face 0"),
+    ((((0.0, 1),), ((0, -1),)), "edge ids must be ints, got 0.0 in face 0"),
+    ((((0, 1),), ((False, -1),)), "edge ids must be ints, got False in face 1"),
+], ids=["bool-sign", "float-edge", "bool-edge"])
+def test_darts_take_int_edges_and_signs(faces, message):
+    with pytest.raises(MapError) as info:
+        OrientedMap("sphere", faces)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edge, new_edges, message", [
+    (True, (5, 6), "edge ids must be ints, got True"),
+    (1.0, (5, 6), "edge ids must be ints, got 1.0"),
+    (1, (5.0, 6), "edge ids must be ints, got 5.0 and 6"),
+    (1, (5, True), "edge ids must be ints, got 5 and True"),
+], ids=["bool-edge", "float-edge", "float-new", "bool-new"])
+def test_subdivide_edge_takes_int_ids(edge, new_edges, message):
+    with pytest.raises(MapError) as info:
+        subdivide_edge(sphere_2gon(), edge, new_edges)
+    assert str(info.value) == message
+
+
+# -- removing an edge ----------------------------------------------------------
+
+
+def test_remove_edge_refusals():
+    m = sphere_2gon()
+    for edge, message in ((True, "edge ids must be ints, got True"),
+                          (1.0, "edge ids must be ints, got 1.0"),
+                          (7, "no such edge: 7")):
+        with pytest.raises(MapError) as info:
+            m.remove_edge(edge)
+        assert str(info.value) == message
+    with pytest.raises(MapError, match="edge 0 has face 0 on both sides"):
+        torus_square().remove_edge(0)
+    with pytest.raises(MapError, match="removing edge 0 would leave an empty face"):
+        balloon().remove_edge(0)
+
+
+def beads(k: int) -> OrientedMap:
+    """A string of k + 1 loops on the sphere, a 1-gon at each end."""
+    inner = tuple(((e, -1), (e + 1, 1)) for e in range(k))
+    return OrientedMap("sphere", (((0, 1),),) + inner + (((k, -1),),))
+
+
+def test_remove_edge_merges_two_faces():
+    m = pinwheel_map()
+    new, translate = m.remove_edge(3)
+    assert new.face_count() == m.face_count() - 1
+    assert new.edge_ids == tuple(e for e in m.edge_ids if e != 3)
+    assert len(new.vertices()) == len(m.vertices())
+    assert new.euler_characteristic() == 2
+    assert set(translate) == set(m.corners())
+    assert set(translate.values()) == set(new.corners())
+    assert edit_problem(m, 3, new, translate) is None
+    # a 1-gon's one corner joins the two corners beside the other dart
+    b = beads(1)
+    new, translate = b.remove_edge(0)
+    assert new.faces == (((1, 1),), ((1, -1),))
+    assert translate[(0, 0)] == translate[(1, 0)] == translate[(1, 1)] == (0, 0)
+    assert edit_problem(b, 0, new, translate) is None
+    new, translate = b.remove_edge(1)
+    assert new.faces == (((0, 1),), ((0, -1),))
+    assert translate[(2, 0)] == translate[(1, 0)] == translate[(1, 1)] == (1, 0)
+    assert edit_problem(b, 1, new, translate) is None
+
+
+@given(st.sampled_from(["sphere", "beads", "torus", "genus-2"]), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_remove_edge_matches_the_full_rebuild(kind, seed):
+    rng = make_rng(seed)
+    if kind == "beads":  # with faces shuffled, so a 1-gon may come first or last
+        faces = list(rotate_map(beads(rng.randint(1, 4)), rng).faces)
+        rng.shuffle(faces)
+        m = relabel_map(OrientedMap("sphere", tuple(faces)), rng)
+    elif kind == "sphere":
+        m = random_sphere_map(rng)
+    elif kind == "torus":
+        m = random_torus_map(rng)
+    else:
+        m = random_subdivisions(genus_map(2), rng, rng.randint(0, 4))
+    for edge in m.edge_ids:
+        (f1, _), (f2, _) = m.edge_sides[edge]
+        if f1 == f2:
+            with pytest.raises(MapError, match="on both sides"):
+                m.remove_edge(edge)
+        else:
+            assert edit_problem(m, edge, *m.remove_edge(edge)) is None
