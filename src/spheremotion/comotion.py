@@ -9,12 +9,17 @@ Where a motion asks "where is the car at time t", a comotion asks "when
 does the face sweep past position x".  Collisions are the points whose
 surrounding faces all sweep past at one common instant.
 
-Each cocar keeps one lap table per (period, face length), built by
-`motion.int_lap` in integers, as each car keeps one: positions are
-scaled by X, the lcm of the cocar's position denominators, and times
-and degree * T by Y, the lcm of its time denominators and T's.
-`cotime_at` reads it with `motion.lap_at`, the reader that gives a car's
-position, with positions and times swapped.
+A cocar stores its breakpoints once, in ints: positions xs over X and
+times ys over Y, X and Y the least scales that clear them.  One checked
+constructor, `Cocar.from_ints`, builds every cocar: the document reader
+and `subdivide_comotion` hand it ints, and `Cocar(face, degree,
+breakpoints)` converts its rational pairs once and calls it.  The
+`Fraction` breakpoints are built only when read.  Each cocar keeps one
+lap table per (period, face length), in the layout of `motion.int_lap`,
+as each car keeps one: `_lap` moves the times to Y, the lcm of the
+cocar's Y and T's denominator, and closes the lap with L * X and
+degree * T * Y.  `cotime_at` reads it with `motion.lap_at`, the reader
+that gives a car's position, with positions and times swapped.
 
 An edge is solved by `edge_components` on one scale for the edge: the
 lcm of its two cocars' X for positions and of their Y for times, so the
@@ -41,9 +46,10 @@ the span check compares ticks, psi counts descents by cross-multiplying
 vertex instant.  `corner_times`, for `lemma14_total` and other Fraction
 callers, divides the recorded ticks by the scales.  `subdivide_comotion`
 remaps a cocar's breakpoints and the stretch's kinks in the lap table's
-X units with divmod, reads each time with `lap_read`, and builds one
-Fraction per new coordinate.  `psi` and `chi_indicator` stay the
-Fraction definitions.
+X units with divmod, reads each time with `lap_read`, puts the times
+over one scale, Y times the lcm of the widths, and hands the ints to
+`Cocar.from_ints`.  `psi` and `chi_indicator` stay the Fraction
+definitions.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion, int_lap, lap_at, lap_read
+from .motion import MotionSchedule, as_multiple_motion, lap_at, lap_read
 from .surface import OrientedMap
 
 ZERO = Fraction(0)
@@ -98,7 +104,7 @@ def psi_progress(T: Fraction, values: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Cocar:
     """Arrival times along one face boundary.
 
@@ -106,33 +112,57 @@ class Cocar:
     strictly increase within one lap and times never decrease.  Time
     jumps are not representable, so a cocar cannot express a car that
     parks; dually, a flat piece sweeps a whole arc in one instant.
+    Breakpoint i is (xs[i] / X, ys[i] / Y), X and Y the least scales.
     """
 
     face: int
     degree: int
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    xs: tuple[int, ...]
+    X: int
+    ys: tuple[int, ...]
+    Y: int
 
-    def __post_init__(self):
-        # pairs that already hold Fractions, as `jsonio` and subdivision
-        # build them, are kept: wrapping them again cost `weights` 5% of its
-        # jobs_per_s (median 605 against 573 over 6 pairs of runs at
-        # --seconds 30, on a 2-core x86-64 VM with Python 3.11)
-        bps = tuple(
-            (p, t) if type(p) is type(t) is Fraction else (Fraction(p), Fraction(t))
-            for p, t in self.breakpoints
-        )
-        object.__setattr__(self, "breakpoints", bps)
-        if not bps:
+    def __new__(cls, face, degree, breakpoints):
+        bps = [(Fraction(p), Fraction(t)) for p, t in breakpoints]
+        X = lcm(*(p.denominator for p, _ in bps))
+        Y = lcm(*(t.denominator for _, t in bps))
+        xs = [p.numerator * (X // p.denominator) for p, _ in bps]
+        ys = [t.numerator * (Y // t.denominator) for _, t in bps]
+        return cls.from_ints(face, degree, xs, X, ys, Y)
+
+    @classmethod
+    def from_ints(cls, face, degree, xs, X: int, ys, Y: int) -> Cocar:
+        """The cocar with breakpoints (xs[i] / X, ys[i] / Y), X, Y > 0."""
+        g, h = gcd(X, *xs), gcd(Y, *ys)
+        xs = tuple(x // g for x in xs) if g > 1 else tuple(xs)
+        ys = tuple(y // h for y in ys) if h > 1 else tuple(ys)
+        if not xs:
             raise ComotionError("cocar needs at least one breakpoint")
-        for i in range(1, len(bps)):
-            if bps[i][0] <= bps[i - 1][0]:
+        for i in range(1, len(xs)):
+            if xs[i] <= xs[i - 1]:
                 raise ComotionError("positions must strictly increase")
-            if bps[i][1] < bps[i - 1][1]:
+            if ys[i] < ys[i - 1]:
                 raise ComotionError("times may not decrease")
-        if type(self.degree) is not int or self.degree < 0:
+        if type(degree) is not int or degree < 0:
             raise ComotionError("degree must be a nonnegative integer")
-        if type(self.face) is not int:
-            raise ComotionError(f"face must be an int, got {self.face!r}")
+        if type(face) is not int:
+            raise ComotionError(f"face must be an int, got {face!r}")
+        self = object.__new__(cls)
+        self.__dict__.update(face=face, degree=degree, xs=xs, X=X // g, ys=ys, Y=Y // h)
+        return self
+
+    def __repr__(self):
+        return (f"Cocar(face={self.face!r}, degree={self.degree!r}, "
+                f"breakpoints={self.breakpoints!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild through the ints
+        return Cocar.from_ints, (self.face, self.degree, self.xs, self.X, self.ys, self.Y)
+
+    @cached_property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (position, time) pairs as Fractions, built on first read."""
+        X, Y = self.X, self.Y
+        return tuple((Fraction(x, X), Fraction(y, Y)) for x, y in zip(self.xs, self.ys))
 
     @cached_property
     def _laps(self) -> dict:
@@ -177,26 +207,30 @@ def _check(m: OrientedMap, com: Comotion) -> None:
     T = com.period
     for cocar in com.cocars:
         L = len(m.faces[cocar.face])
-        p0, t0 = cocar.breakpoints[0]
-        pl, tl = cocar.breakpoints[-1]
-        if not (0 <= p0 < L):
-            raise ComotionError(f"first position {p0} outside [0, {L})")
-        if pl >= p0 + L:
+        xs, X, ys = cocar.xs, cocar.X, cocar.ys
+        if not (0 <= xs[0] < L * X):
+            raise ComotionError(f"first position {Fraction(xs[0], X)} outside [0, {L})")
+        if xs[-1] >= xs[0] + L * X:
             raise ComotionError("breakpoints span more than one lap")
-        if tl > t0 + cocar.degree * T:
+        if (ys[-1] - ys[0]) * T.denominator > cocar.degree * T.numerator * cocar.Y:
             raise ComotionError("times climb past the declared degree")
 
 
 def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
     """The cocar's int lap table on a face of length L, time over position,
-    with its scales (table, X, Y): positions times X and times times Y are
-    ints, X the lcm of the position denominators, Y that of the time
-    denominators and T's."""
+    with its scales (table, X, Y): the cocar's xs over its X, its ys moved
+    to Y, the lcm of its Y and T's denominator, closed by L * X and
+    degree * T * Y."""
     key = (T.numerator, T.denominator, L)
     lap = cocar._laps.get(key)
     if lap is None:
-        lap = cocar._laps[key] = int_lap(cocar.breakpoints, L, cocar.degree * T,
-                                         T.denominator)
+        X, Y = cocar.X, lcm(cocar.Y, T.denominator)
+        s = Y // cocar.Y
+        xs, ys = list(cocar.xs), [y * s for y in cocar.ys]
+        span, climb = L * X, cocar.degree * T.numerator * (Y // T.denominator)
+        xs.append(xs[0] + span)
+        ys.append(ys[0] + climb)
+        lap = cocar._laps[key] = (xs, ys, span, climb), X, Y
     return lap
 
 
@@ -516,16 +550,18 @@ def subdivide_comotion(
         def remap(x):
             laps, base = divmod(x, span)
             new = base + sum(max(0, min(base - j * X, X)) for j in js)
-            return Fraction(new + laps * stretched, X)
-
-        def time(x):
-            y, w = lap_read(lap, x)
-            return Fraction(y, w * Y)
+            return new + laps * stretched
 
         # breakpoints of the stretch itself become breakpoints of the cocar;
-        # the stretch is increasing, so sorting positions sorts the result
+        # the stretch is increasing, so sorting positions sorts the result.
+        # Times are read from the lap and put over one scale, Y times the
+        # lcm of the widths of the pieces they fall in
         kinks = {(j + off) * X for j in js for off in (0, 1)}
         xs = set(ps[:-1]) | {k + span * ((ps[0] - k) // span + 1) for k in kinks}
-        bps = tuple((remap(x), time(x)) for x in sorted(xs) if x < ps[0] + span)
-        cocars.append(Cocar(cocar.face, cocar.degree, bps))
+        xs = sorted(x for x in xs if x < ps[0] + span)
+        reads = [lap_read(lap, x) for x in xs]
+        g = lcm(*(w for _, w in reads))
+        ys = [y * (g // w) for y, w in reads]
+        cocars.append(Cocar.from_ints(cocar.face, cocar.degree, [remap(x) for x in xs],
+                                      X, ys, Y * g))
     return m2, Comotion(T, tuple(cocars))

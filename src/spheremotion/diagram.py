@@ -13,6 +13,7 @@ diagram (`phi_reduce_move`) builds its result through one private builder,
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -93,6 +94,11 @@ class HowieDiagram:
     def interior_vertices(self):
         return tuple(v for v in self.map.vertices() if v not in self.exterior_vertices)
 
+    @cached_property
+    def _phi_cells(self) -> tuple[int, ...]:
+        """The faces that are phi cells, tested once per diagram."""
+        return tuple(f for f in range(self.map.face_count()) if is_phi_cell(self, f))
+
 
 # ---------------------------------------------------------------------------
 # labels
@@ -159,8 +165,9 @@ def check_diagram_over(d: HowieDiagram, pres: RelativePresentation) -> dict:
     if pres.base != d.base:
         raise DiagramError("presentation over a different base group")
     face_violations = []
+    phi_faces = d._phi_cells if pres.has_phi and d.phi_s is not None else ()
     for f in d.interior_faces():
-        if pres.has_phi and d.phi_s is not None and is_phi_cell(d, f):
+        if f in phi_faces:
             continue
         w = face_label(d, f)
         # labels alternate t and corner syllables, so rotation agreement
@@ -215,7 +222,7 @@ def find_reducible_pair(d: HowieDiagram):
 
 def phi_cells(d: HowieDiagram) -> list[int]:
     """The faces that are phi cells, in order."""
-    return [f for f in range(d.map.face_count()) if is_phi_cell(d, f)]
+    return list(d._phi_cells)
 
 
 def is_phi_reduced(d: HowieDiagram) -> bool:

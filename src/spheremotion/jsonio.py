@@ -11,15 +11,21 @@ byte for byte; anything else raises TypeError.  (CPython's C encoder
 runs only without an indent, so `json.dumps` would take its pure-Python
 one here.)
 
-`parse_frac` reads a digit string "p" or "p/q" with q nonzero straight
-into `Fraction(int(p), int(q))`, and `parse_position` turns a dart point
-with such a lambda, 0 < p < q, into one `Fraction(k * q + p, q)`.  Every
-other string goes to `Fraction(str)`, so the accepted language (signs,
-surrounding spaces, decimals, `_`) and every error message are
-`Fraction`'s, with one bound of our own: a decimal exponent
-beyond +-4300, the digit limit `json.loads` puts on an int literal, is
-refused before `Fraction` computes the power: `Fraction("1e999999999")`
-would build a billion-digit int.
+Rationals and dart points are read as reduced (p, q) pairs, q > 0, by
+`_ratio` and `_position`, the one home of the grammar; `parse_frac` and
+`parse_position` wrap their pairs in one `Fraction`.  A digit string "p"
+or "p/q" with q nonzero is read straight into ints, and a dart point
+with such a lambda, 0 < p < q, is (k * q + p, q).  Every other string
+goes to `Fraction(str)`, so the accepted language (signs, surrounding
+spaces, decimals, `_`) and every error message are `Fraction`'s, with
+one bound of our own: a decimal exponent beyond +-4300, the digit limit
+`json.loads` puts on an int literal, is refused before `Fraction`
+computes the power: `Fraction("1e999999999")` would build a
+billion-digit int.
+
+`_lift_positions` lifts a face's positions in ints, over the lcm of
+their qs, for motions and comotions alike, and `parse_comotion` hands
+the ints to `Cocar.from_ints` without building a `Fraction`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .comotion import Cocar, Comotion, validate_comotion
 from .groups import BaseGroup, FreeAbelianGroup, FreeGroup, FreeProductWord
@@ -124,21 +131,28 @@ def _plain_ratio(s: str):
     return (p, q) if q else None
 
 
-def parse_frac(s) -> Fraction:
+def _ratio(s) -> tuple[int, int]:
+    """A rational field as a reduced (p, q), q > 0."""
     if type(s) is int:
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str):
         raise JsonError(f"rational must be a 'p/q' string, got {s!r}")
     pq = _plain_ratio(s)
     if pq is not None:
-        return Fraction(*pq)
+        g = gcd(*pq)
+        return pq if g == 1 else (pq[0] // g, pq[1] // g)
     exp = _EXPONENT.search(s)
     try:
         if exp is not None and abs(int(exp[1])) > MAX_EXPONENT:
             raise ValueError(f"decimal exponent {int(exp[1])} beyond +-{MAX_EXPONENT}")
-        return Fraction(s)
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise JsonError(f"bad rational {s!r}: {exc}") from None
+    return x.numerator, x.denominator
+
+
+def parse_frac(s) -> Fraction:
+    return Fraction(*_ratio(s))
 
 
 def _field(doc: dict, key: str):
@@ -311,38 +325,35 @@ def position_to_json(r: Fraction) -> dict:
     return {"dart": int(r // 1), "lambda": frac_to_str(r % 1)}
 
 
-def parse_position(doc, L: int) -> Fraction:
+def _position(doc, L: int) -> tuple[int, int]:
+    """A position in [0, L) as a reduced (p, q), q > 0."""
     if isinstance(doc, dict) and "corner" in doc:
         j = doc["corner"]
         if type(j) is not int or not 0 <= j < L:
             raise JsonError(f"corner index {j!r} outside 0..{L - 1}")
-        return Fraction(j)
+        return j, 1
     k = _field(doc, "dart")
-    lam = _field(doc, "lambda")
-    if type(k) is int and 0 <= k < L and type(lam) is str:
-        pq = _plain_ratio(lam)
-        if pq is not None and 0 < pq[0] < pq[1]:
-            p, q = pq
-            return Fraction(k * q + p, q)
-    lam = parse_frac(lam)
+    p, q = _ratio(_field(doc, "lambda"))
     if type(k) is not int or not 0 <= k < L:
         raise JsonError(f"dart index {k!r} outside 0..{L - 1}")
-    if not 0 < lam < 1:
-        raise JsonError(f"lambda {lam} not strictly inside the dart")
-    return k + lam
+    if not 0 < p < q:
+        raise JsonError(f"lambda {Fraction(p, q)} not strictly inside the dart")
+    return k * q + p, q
 
 
-def _lift_positions(reduced, L: int):
-    """Rebuild nondecreasing lifted positions, each step less than a lap."""
-    prev = reduced[0]
-    lifted = [prev]
-    lap = 0
-    for r in reduced[1:]:
-        if r < prev:
-            lap += L
-        lifted.append(r + lap if lap else r)
-        prev = r
-    return lifted
+def parse_position(doc, L: int) -> Fraction:
+    return Fraction(*_position(doc, L))
+
+
+def _lift_positions(reduced, L: int) -> tuple[list, int]:
+    """Lift (p, q) positions in [0, L) to nondecreasing ones, each step less
+    than a lap, in ints: (xs, X), position i being xs[i] / X, X the lcm of
+    the qs."""
+    X = lcm(*(q for _, q in reduced))
+    xs = [p * (X // q) for p, q in reduced]
+    for i in range(1, len(xs)):
+        xs[i] = xs[i - 1] + (xs[i] - xs[i - 1]) % (L * X)
+    return xs, X
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +398,14 @@ def parse_motion(doc, m: OrientedMap) -> MotionSchedule:
         reduced = []
         for bp in bps:
             times.append(parse_frac(_field(bp, "t")))
-            reduced.append(parse_position(_field(bp, "at"), L))
+            reduced.append(_position(_field(bp, "at"), L))
+        # the car wraps each position in a Fraction, and ints take its fast path
+        xs, X = _lift_positions(reduced, L)
         cars.append(
             CarSchedule(
                 f,
                 parse_frac(_field(entry, "period")),
-                tuple(zip(times, _lift_positions(reduced, L))),
+                tuple(zip(times, xs if X == 1 else (Fraction(x, X) for x in xs))),
                 degree=degree,
             )
         )
@@ -438,15 +451,12 @@ def parse_comotion(doc, m: OrientedMap) -> Comotion:
         reduced = []
         times = []
         for bp in bps:
-            reduced.append(parse_position(_field(bp, "at"), L))
-            times.append(parse_frac(_field(bp, "time")))
-        cocars.append(
-            Cocar(
-                f,
-                degree,
-                tuple(zip(_lift_positions(reduced, L), times)),
-            )
-        )
+            reduced.append(_position(_field(bp, "at"), L))
+            times.append(_ratio(_field(bp, "time")))
+        xs, X = _lift_positions(reduced, L)
+        Y = lcm(*(q for _, q in times))
+        ys = [p * (Y // q) for p, q in times]
+        cocars.append(Cocar.from_ints(f, degree, xs, X, ys, Y))
     com = Comotion(parse_frac(_field(doc, "period")), tuple(cocars))
     validate_comotion(m, com)
     return com

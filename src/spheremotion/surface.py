@@ -149,6 +149,8 @@ class OrientedMap:
         sides = self.edge_sides.get(edge)
         if sides is None or sign not in (1, -1):
             raise MapError(f"dart {dart} not present")
+        if not (type(edge) is int is type(sign)):  # True and 1.0 hash like 1
+            raise MapError(f"darts must be int pairs, got {dart!r}")
         return sides[sign < 0]
 
     def next_corner_acw(self, corner: Corner) -> Corner:
@@ -186,10 +188,12 @@ class OrientedMap:
         return list(self._orbits)
 
     def vertex_of(self, corner: Corner) -> tuple[Corner, ...]:
-        try:
-            return self._corner_vertex[corner]
-        except KeyError:
-            raise MapError(f"no such corner: {corner}") from None
+        vertex = self._corner_vertex.get(corner)
+        if vertex is None:
+            raise MapError(f"no such corner: {corner}")
+        if not (type(corner[0]) is int is type(corner[1])):
+            raise MapError(f"corners must be int pairs, got {corner!r}")
+        return vertex
 
     def multiplicity(self, vertex: Sequence[Corner]) -> int:
         return len(vertex)

@@ -5,7 +5,9 @@ the oracle that the lap-table lookups are compared against.  Every
 `cotime_at` call scans the whole face, and every edge rebuilds the
 dart-to-corner table.  Corner times, the span check, psi and the
 subdivision remap work on Fractions, as the integer corner ticks'
-oracle.  Slow on purpose: keep inputs small.
+oracle.  `parse_comotion` is the document reader that built every cocar
+from Fractions, the oracle of the int reader.  Slow on purpose: keep
+inputs small.
 """
 
 from fractions import Fraction
@@ -18,7 +20,15 @@ from spheremotion.comotion import (
     psi,
     validate_comotion,
 )
-from spheremotion.surface import subdivide_edge
+from spheremotion.jsonio import (
+    _EXPONENT,
+    MAX_EXPONENT,
+    JsonError,
+    _face_entries,
+    _field,
+    _plain_ratio,
+)
+from spheremotion.surface import OrientedMap, subdivide_edge
 
 ZERO = Fraction(0)
 
@@ -235,3 +245,80 @@ def lemma14_total(m, com, g, h):
             h(ct[vertex[i]], ct[vertex[(i + 1) % k]]) for i in range(k)
         )
     return total
+
+
+# ---------------------------------------------------------------------------
+# the document reader: `jsonio.parse_comotion` as it was before cocars were
+# stored in ints, with its Fraction helpers, verbatim
+# ---------------------------------------------------------------------------
+
+
+def parse_frac(s) -> Fraction:
+    if type(s) is int:
+        return Fraction(s)
+    if not isinstance(s, str):
+        raise JsonError(f"rational must be a 'p/q' string, got {s!r}")
+    pq = _plain_ratio(s)
+    if pq is not None:
+        return Fraction(*pq)
+    exp = _EXPONENT.search(s)
+    try:
+        if exp is not None and abs(int(exp[1])) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent {int(exp[1])} beyond +-{MAX_EXPONENT}")
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise JsonError(f"bad rational {s!r}: {exc}") from None
+
+
+def parse_position(doc, L: int) -> Fraction:
+    if isinstance(doc, dict) and "corner" in doc:
+        j = doc["corner"]
+        if type(j) is not int or not 0 <= j < L:
+            raise JsonError(f"corner index {j!r} outside 0..{L - 1}")
+        return Fraction(j)
+    k = _field(doc, "dart")
+    lam = _field(doc, "lambda")
+    if type(k) is int and 0 <= k < L and type(lam) is str:
+        pq = _plain_ratio(lam)
+        if pq is not None and 0 < pq[0] < pq[1]:
+            p, q = pq
+            return Fraction(k * q + p, q)
+    lam = parse_frac(lam)
+    if type(k) is not int or not 0 <= k < L:
+        raise JsonError(f"dart index {k!r} outside 0..{L - 1}")
+    if not 0 < lam < 1:
+        raise JsonError(f"lambda {lam} not strictly inside the dart")
+    return k + lam
+
+
+def _lift_positions(reduced, L: int):
+    """Rebuild nondecreasing lifted positions, each step less than a lap."""
+    prev = reduced[0]
+    lifted = [prev]
+    lap = 0
+    for r in reduced[1:]:
+        if r < prev:
+            lap += L
+        lifted.append(r + lap if lap else r)
+        prev = r
+    return lifted
+
+
+def parse_comotion(doc, m: OrientedMap) -> Comotion:
+    cocars = []
+    for entry, f, L, bps, degree in _face_entries(doc, "cocars", m):
+        reduced = []
+        times = []
+        for bp in bps:
+            reduced.append(parse_position(_field(bp, "at"), L))
+            times.append(parse_frac(_field(bp, "time")))
+        cocars.append(
+            Cocar(
+                f,
+                degree,
+                tuple(zip(_lift_positions(reduced, L), times)),
+            )
+        )
+    com = Comotion(parse_frac(_field(doc, "period")), tuple(cocars))
+    validate_comotion(m, com)
+    return com

@@ -17,15 +17,23 @@ the full rebuild of `map_edit_oracle.edit_problem` (faces, `edge_sides`,
 diagram the builder makes is rebuilt with `HowieDiagram(...)` over
 `OrientedMap(surface, faces)` and compared.
 
+Cocars are stored in ints.  Every lap table `comotion._lap` builds is
+compared with `motion.int_lap` over the cocar's `Fraction` breakpoints,
+and every cocar `Cocar.from_ints` builds is compared, by equality, hash
+and repr, with `Cocar(face, degree, breakpoints)` over the Fractions its
+ints stand for.  Neither check leaves the breakpoints cached on the cocar.
+
 Run with `--noconftest` to time the suite without them.
 """
 
 import functools
+from fractions import Fraction
 
 import pytest
 
 from map_edit_oracle import edit_problem
-from spheremotion import diagram, groups
+from spheremotion import comotion, diagram, groups
+from spheremotion.motion import int_lap
 from spheremotion.surface import OrientedMap
 
 
@@ -89,4 +97,56 @@ def checked_edit_oracle():
     finally:
         OrientedMap.remove_edge = remove
         diagram._unchecked_diagram = build
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def int_cocar_oracle():
+    Cocar = comotion.Cocar
+    lap, from_ints = comotion._lap, Cocar.__dict__["from_ints"]
+    build = from_ints.__func__
+    fractions = Cocar.breakpoints.func  # builds them without caching them
+    violations = []
+    rebuilding = []
+
+    def fail(what, problem):
+        violations.append((what, problem))
+        raise AssertionError(f"{what}: {problem}")
+
+    @functools.wraps(lap)
+    def checked_lap(cocar, T, L):
+        table = lap(cocar, T, L)
+        want = int_lap(fractions(cocar), L, cocar.degree * T, T.denominator)
+        if table != want:
+            fail(f"_lap of {cocar!r} at T={T}, L={L}", f"{table} is not {want}")
+        return table
+
+    @functools.wraps(build)
+    def checked_build(cls, face, degree, xs, X, ys, Y):
+        c = build(cls, face, degree, xs, X, ys, Y)
+        if rebuilding:
+            return c
+        bps = tuple((Fraction(x, X), Fraction(y, Y)) for x, y in zip(xs, ys))
+        rebuilding.append(True)  # the rebuild below goes through from_ints too
+        try:
+            full = Cocar(face, degree, bps)
+        except comotion.ComotionError as exc:
+            fail(f"from_ints{(face, degree, xs, X, ys, Y)}", f"the Fractions are refused: {exc}")
+        finally:
+            rebuilding.pop()
+        ints = (*c.xs, c.X, *c.ys, c.Y)
+        if not all(type(n) is int for n in ints):
+            fail(f"from_ints{(face, degree, xs, X, ys, Y)}", "stores a part that is not an int")
+        if (full, hash(full), repr(full)) != (c, hash(c), repr(c)):
+            fail(f"from_ints{(face, degree, xs, X, ys, Y)}", f"{c!r} is not {full!r}")
+        vars(c).pop("breakpoints")  # built by repr: leave it unbuilt
+        return c
+
+    comotion._lap = checked_lap
+    Cocar.from_ints = classmethod(checked_build)
+    try:
+        yield
+    finally:
+        comotion._lap = lap
+        Cocar.from_ints = from_ints
     assert not violations, violations[:5]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spheremotion
-from spheremotion import cli, comotion, fuzzing, jsonio, motion, rewriting
+from spheremotion import cli, comotion, diagram, fuzzing, jsonio, motion, rewriting
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
@@ -528,8 +528,8 @@ def test_diagram_reports_reducible_pair(tmp_path, capsys):
     assert report["results"]["census"]["faces"] == 2
 
 
-def test_diagram_over_presentation(tmp_path, capsys):
-    # a two-lune necklace of phi cells, checked over an s = 1 presentation
+def phi_necklace_files(tmp_path):
+    """A two-lune necklace of phi cells and an s = 1 presentation, as files."""
     lunes = lune_map(2)
     pa, pb = FreeProductWord.g(B2, (1,)), FreeProductWord.g(B2, (2,))
     labels = {
@@ -555,7 +555,11 @@ def test_diagram_over_presentation(tmp_path, capsys):
     assert res.data.s == 1
     ppath = tmp_path / "pres.json"
     ppath.write_text(jsonio.dumps(jsonio.presentation_to_json(res.data)))
+    return dpath, ppath
 
+
+def test_diagram_over_presentation(tmp_path, capsys):
+    dpath, ppath = phi_necklace_files(tmp_path)
     code, report = run_json(
         capsys, "diagram", str(dpath), "--presentation", str(ppath)
     )
@@ -572,6 +576,22 @@ def test_diagram_over_presentation(tmp_path, capsys):
     )
     assert code == 1
     assert report["results"]["face_violations"] == [0, 1]
+
+
+def test_diagram_over_presentation_tests_each_face_once(tmp_path, capsys, monkeypatch):
+    # the report's phi cells and the diagram-over check share one search
+    dpath, ppath = phi_necklace_files(tmp_path)
+    tested = []
+    is_phi_cell = diagram.is_phi_cell
+    monkeypatch.setattr(
+        diagram, "is_phi_cell", lambda d, f: tested.append(f) or is_phi_cell(d, f)
+    )
+    code, report = run_json(
+        capsys, "diagram", str(dpath), "--presentation", str(ppath)
+    )
+    assert code == 0 and report["checks"]["over_presentation"] is True
+    assert report["results"]["phi_cells"] == [0, 1]
+    assert tested == [0, 1]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
 """Arrival-time schedules: winding counts, weights and induced cocars."""
 
+import copy
+import json
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheremotion import comotion, motion
 from spheremotion.comotion import (
     Cocar,
     Comotion,
@@ -31,6 +36,7 @@ from spheremotion.goldens import (
     pinwheel_map,
     pinwheel_unit_motion,
 )
+from spheremotion.jsonio import comotion_to_json, dumps, parse_comotion
 from spheremotion.motion import MotionError, standard_motion
 from spheremotion.surface import classify_map
 
@@ -94,6 +100,21 @@ def test_cocar_rejects_bad_breakpoints():
         Cocar(0, True, ((F(0), F(0)),))
     with pytest.raises(ComotionError, match="^face must be an int, got True$"):
         Cocar(True, 0, ((F(0), F(0)),))
+
+
+def test_cocars_store_ints_over_least_scales():
+    c = Cocar(2, 1, ((F(1, 2), 1), (F(3, 2), F(7, 3))))
+    assert (c.xs, c.X, c.ys, c.Y) == ((1, 3), 2, (3, 7), 3)
+    same = Cocar.from_ints(2, 1, [4, 12], 8, [6, 14], 6)
+    assert same == c and hash(same) == hash(c)
+    assert "breakpoints" not in vars(same)  # built on first read
+    assert repr(same) == repr(c)
+    assert same.breakpoints == ((F(1, 2), F(1)), (F(3, 2), F(7, 3)))
+    assert pickle.loads(pickle.dumps(c)) == copy.copy(c) == c
+    with pytest.raises(FrozenInstanceError):
+        c.X = 4
+    with pytest.raises(ComotionError, match="^cocar needs at least one breakpoint$"):
+        Cocar(0, 0, ())
 
 
 def test_validate_comotion_rejects_mismatched_schedules():
@@ -293,3 +314,23 @@ def test_subdivision_never_changes_the_total(seed):
     before = comotion_collisions(m, com).spatial_count
     after = comotion_collisions(m2, com2).spatial_count
     assert after >= before
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_documents_to_weights_build_no_fraction_breakpoints(seed, monkeypatch):
+    # cocars are read and solved in ints: no `int_lap` and no breakpoints
+    m, subdivisions = random_sphere_map(seed), seed % 3
+    doc = json.loads(dumps(comotion_to_json(m, random_comotion(m, seed))))
+    laps = []
+    int_lap = motion.int_lap
+    monkeypatch.setattr(motion, "int_lap", lambda *a: laps.append(a) or int_lap(*a))
+    com = parse_comotion(doc, m)
+    for k in range(subdivisions):
+        nxt = max(m.edge_ids) + 1
+        m, com = subdivide_comotion(m, com, m.edge_ids[k], (nxt, nxt + 1))
+    weight_report(m, com)
+    comotion_collisions(m, com)
+    assert laps == []
+    assert "int_lap" not in vars(comotion)
+    assert [c for c in com.cocars if "breakpoints" in vars(c)] == []
+    assert all(c._laps for c in com.cocars)

@@ -2,14 +2,22 @@
 
 import json
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremotion.comotion import Cocar, Comotion
+import comotion_oracle
+from spheremotion.comotion import Cocar, Comotion, ComotionError, subdivide_comotion
 from spheremotion.diagram import HowieDiagram
-from spheremotion.fuzzing import lune_map
+from spheremotion.fuzzing import (
+    lune_map,
+    make_rng,
+    pinwheel_variant,
+    random_comotion,
+    random_sphere_map,
+)
 from spheremotion.goldens import (
     banded_sphere_map,
     doubled_polygon_map,
@@ -415,7 +423,9 @@ def test_lift_positions_matches_the_modular_walk(L, data):
     want = [reduced[0]]
     for r in reduced[1:]:
         want.append(want[-1] + (r - want[-1]) % L)
-    assert _lift_positions(reduced, L) == want
+    xs, X = _lift_positions([(r.numerator, r.denominator) for r in reduced], L)
+    assert X == lcm(*(r.denominator for r in reduced))
+    assert [F(x, X) for x in xs] == want
 
 
 def _dumps_oracle(doc):
@@ -455,3 +465,101 @@ def test_dumps_refuses_floats_and_non_str_keys():
         dumps({"x": [1.5]})
     with pytest.raises(TypeError):
         dumps({1: "one"})
+
+
+# -- comotion documents against the Fraction reader ------------------------------
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def spellings(v):
+    """Spellings of the rational v that the tests above pin: "p/q",
+    unreduced, int, decimal, exponent, sign and spaces, "_", other digits."""
+    p, q = abs(v.numerator), v.denominator
+    sign = "-" if v < 0 else ""
+    plain = f"{p}" if q == 1 else f"{p}/{q}"
+    bodies = [plain, f"{2 * p}/{2 * q}", f"{7 * p}/{7 * q}", f"{p}_0/{q}0",
+              plain.translate(ARABIC_INDIC), f"00{plain}"]
+    n = next((n for n in range(7) if 10**n % q == 0), None)
+    if n is not None:
+        d = p * 10**n // q
+        bodies += [f"{d // 10**n}.{d % 10**n:0{n}d}" if n else f"{d}.0",
+                   f"{d}e-{n}", f"{d}E-{n}", f"{d}0e-{n + 1}", f"{d}.0e-{n}"]
+    out = [sign + b for b in bodies]
+    out += [f" {sign}{plain} ", f"\t{sign}{plain}"]
+    if not sign:
+        out += [f"+{plain}", f" +{plain}\t"]
+    if q == 1:
+        out.append(v.numerator)  # a JSON int
+    return out
+
+
+def respelled_comotion(rng, draw):
+    """(map, comotion, document): a random comotion, perhaps subdivided and
+    shifted to negative times, whose document spells each rational anew."""
+    m = pinwheel_variant(rng.randint(1, 6)) if rng.random() < 0.3 else random_sphere_map(rng)
+    com = random_comotion(m, rng)
+    for _ in range(rng.randint(0, 2)):
+        nxt = max(m.edge_ids) + 1
+        m, com = subdivide_comotion(m, com, rng.choice(m.edge_ids), (nxt, nxt + 1))
+    shift = rng.choice([F(0), F(5, 3), F(7)])
+    com = Comotion(com.period, tuple(
+        Cocar(c.face, c.degree, tuple((p, t - shift) for p, t in c.breakpoints))
+        for c in com.cocars))
+    doc = json.loads(dumps(comotion_to_json(m, com)))
+
+    def spell(text):
+        return draw(st.sampled_from(spellings(F(text))))
+
+    doc["period"] = spell(doc["period"])
+    for cocar in doc["cocars"]:
+        for bp in cocar["breakpoints"]:
+            bp["time"] = spell(bp["time"])
+            if "lambda" in bp["at"]:
+                bp["at"]["lambda"] = spell(bp["at"]["lambda"])
+    return m, com, doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_comotion_documents_read_every_spelling_as_the_fraction_reader(seed, data):
+    m, com, doc = respelled_comotion(make_rng(seed), data.draw)
+    got, want = parse_comotion(doc, m), comotion_oracle.parse_comotion(doc, m)
+    assert got == want == com
+    for a, b in zip(got.cocars, want.cocars, strict=True):
+        assert (hash(a), repr(a)) == (hash(b), repr(b))
+        assert a.breakpoints == b.breakpoints
+        assert all(type(v) is F for bp in a.breakpoints for v in bp)
+    assert dumps(comotion_to_json(m, got)) == dumps(comotion_to_json(m, com))
+
+
+def _parsed(parse, doc, m):
+    """The cocars' fields and the period, or the error a reader raises."""
+    try:
+        com = parse(doc, m)
+    except (JsonError, ComotionError) as exc:
+        return type(exc).__name__, str(exc)
+    return com.period, [(c.face, c.degree, c.breakpoints) for c in com.cocars]
+
+
+FIELD_VALUES = (RATIONAL_TEXT | st.integers(-2, 9) | st.sampled_from([True, 1.0, None, "x"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data(), value=FIELD_VALUES)
+def test_comotion_documents_refuse_as_the_fraction_reader(seed, data, value):
+    # one field of a respelled document takes an arbitrary value
+    m, _, doc = respelled_comotion(make_rng(seed), data.draw)
+    cocar = data.draw(st.sampled_from(doc["cocars"]))
+    bp = data.draw(st.sampled_from(cocar["breakpoints"]))
+    where = data.draw(st.sampled_from(["period", "degree", "time", "at"]))
+    if where == "period":
+        doc["period"] = value
+    elif where == "degree":
+        cocar["degree"] = value
+    elif where == "time":
+        bp["time"] = value
+    else:
+        key = data.draw(st.sampled_from(["corner", "dart", "lambda"]))
+        bp["at"] = {"corner": value} if key == "corner" else dict(bp["at"], **{key: value})
+    assert _parsed(parse_comotion, doc, m) == _parsed(comotion_oracle.parse_comotion, doc, m)

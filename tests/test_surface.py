@@ -408,6 +408,27 @@ def test_absent_darts_and_corners_still_raise():
         m.vertex_of((99, 0))
 
 
+def test_dart_owner_refuses_a_boolean_edge():
+    m = pinwheel_map()
+    assert m.dart_owner((1, 1)) == (0, 1)
+    with pytest.raises(MapError, match=r"^darts must be int pairs, got \(True, 1\)$"):
+        m.dart_owner((True, 1))
+
+
+def test_dart_owner_refuses_a_float_edge():
+    m = pinwheel_map()
+    assert m.dart_owner((1, -1)) == (1, 5)
+    with pytest.raises(MapError, match=r"^darts must be int pairs, got \(1\.0, -1\)$"):
+        m.dart_owner((1.0, -1))
+
+
+def test_vertex_of_refuses_float_and_boolean_corner_parts():
+    m = pinwheel_map()
+    assert m.vertex_of((0, 1))
+    with pytest.raises(MapError, match=r"^corners must be int pairs, got \(0\.0, True\)$"):
+        m.vertex_of((0.0, True))
+
+
 def test_tables_leave_equality_and_hash_alone():
     built, fresh = pinwheel_map(), pinwheel_map()
     built.vertex_of((0, 0))
