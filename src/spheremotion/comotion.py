@@ -61,7 +61,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion, lap_at, lap_read
+from .motion import MotionSchedule, as_multiple_motion, lap_at, lap_read, rational, rational_pairs
 from .surface import OrientedMap
 
 ZERO = Fraction(0)
@@ -123,7 +123,8 @@ class Cocar:
     Y: int
 
     def __new__(cls, face, degree, breakpoints):
-        bps = [(Fraction(p), Fraction(t)) for p, t in breakpoints]
+        bps = rational_pairs(breakpoints, "breakpoint position", "breakpoint time",
+                             ComotionError)
         X = lcm(*(p.denominator for p, _ in bps))
         Y = lcm(*(t.denominator for _, t in bps))
         xs = [p.numerator * (X // p.denominator) for p, _ in bps]
@@ -177,7 +178,7 @@ class Comotion:
     cocars: tuple[Cocar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "period", Fraction(self.period))
+        object.__setattr__(self, "period", rational(self.period, "period", ComotionError))
         object.__setattr__(self, "cocars", tuple(self.cocars))
         if self.period <= 0:
             raise ComotionError("period must be positive")

@@ -22,12 +22,12 @@ from .motion import (
     MotionSchedule,
     _offset,
     check_separated_stops,
-    collision_horizon,
     complete_collisions,
     intervals_instants,
     lemma16_bound,
     standard_motion,
     standard_multiple_motion,
+    validate_motion,
 )
 from .rewriting import RelativePresentation, in_P, phi
 from .surface import Corner, OrientedMap, classify_map
@@ -300,7 +300,7 @@ def _interior_vertex_loci(d: HowieDiagram, ms: MotionSchedule, collisions=None):
     """(vertex, instants) at interior vertices, plus leftover edge loci."""
     if collisions is None:
         collisions = complete_collisions(d.map, ms)
-    horizon = collision_horizon(ms)
+    horizon = validate_motion(d.map, ms)["horizon"]
     vertex = []
     for v, spans in collisions.vertex_loci.items():
         if v in d.exterior_vertices:

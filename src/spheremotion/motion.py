@@ -52,6 +52,17 @@ and dart parameter.  The successor check of multiple motions reads the
 two cars' lap tables at every breakpoint, on their common time scale,
 and compares the gaps crosswise.  Arithmetic is exact throughout: there
 are no floats.
+
+A schedule is checked and indexed once per map.  The first
+`validate_motion` on a map runs the checks and keeps a record on the
+schedule, as a comotion keeps one: the collision horizon, and, once
+`_indexes_by_face` has built them, the schedule's time scale D, the
+horizon times D and the cars' indexes grouped by face.  The collision
+search, the stop audit, the multiple-motion check, `jsonio.parse_motion`
+and the diagram audits read it.  The standard and lifted schedules are
+built in ints, periods included; the only Fractions made are the
+half-integer times of the m = 0 b and c shapes.  The schedule
+constructors take ints and Fractions only, and keep Fraction fields.
 """
 
 from __future__ import annotations
@@ -69,6 +80,28 @@ from .surface import Corner, Dart, OrientedMap, b_profile, classify_map, d_profi
 
 class MotionError(ValueError):
     pass
+
+
+_RATIONALS = frozenset((int, Fraction))  # not bool, float or str
+
+
+def rational(x, what: str, error=MotionError) -> Fraction:
+    """x as a Fraction, when it is an int or a Fraction; `error` naming
+    `what` and x otherwise."""
+    if type(x) in _RATIONALS:
+        return Fraction(x)
+    raise error(f"{what} must be an int or a Fraction, got {x!r}")
+
+
+def rational_pairs(pairs, first: str, second: str, error=MotionError) -> tuple:
+    """Pairs of ints or Fractions as Fraction pairs; `error` naming the
+    first value of another type, as the `first` or `second` of its pair."""
+    pairs = tuple(pairs)
+    if not {type(x) for pair in pairs for x in pair} <= _RATIONALS:
+        for a, b in pairs:
+            rational(a, first, error)
+            rational(b, second, error)
+    return tuple((Fraction(a), Fraction(b)) for a, b in pairs)
 
 
 def fraction_lcm(values: Iterable[Fraction]) -> Fraction:
@@ -145,8 +178,8 @@ class CarSchedule:
     degree: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "period", Fraction(self.period))
-        bps = tuple((Fraction(t), Fraction(p)) for t, p in self.breakpoints)
+        object.__setattr__(self, "period", rational(self.period, "period"))
+        bps = rational_pairs(self.breakpoints, "breakpoint time", "breakpoint position")
         object.__setattr__(self, "breakpoints", bps)
         if self.period <= 0:
             raise MotionError("period must be positive")
@@ -244,7 +277,7 @@ class MotionSchedule:
     stop_corners: frozenset[Corner] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "period", Fraction(self.period))
+        object.__setattr__(self, "period", rational(self.period, "period"))
         object.__setattr__(self, "cars", tuple(self.cars))
         object.__setattr__(self, "stop_corners", frozenset(self.stop_corners))
         if self.period <= 0:
@@ -255,9 +288,26 @@ class MotionSchedule:
             if type(c) is not tuple or len(c) != 2 or any(type(x) is not int for x in c):
                 raise MotionError(f"stop corner must be a pair of ints, got {c!r}")
 
+    @cached_property
+    def _records(self) -> dict:
+        """By map, what `validate_motion` recorded once the checks passed."""
+        return {}
 
-def validate_motion(m: OrientedMap, ms: MotionSchedule) -> None:
-    """Check a schedule against its map; raises MotionError on violation."""
+
+def validate_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
+    """The schedule's record on m, made by the first call once `_check`
+    passes: the `collision_horizon` as "horizon" and, once
+    `_indexes_by_face` has built them, the cars' indexes as "faces", the
+    schedule's time scale as "D" and the horizon times D as "H"."""
+    rec = ms._records.get(m)
+    if rec is None:
+        _check(m, ms)
+        rec = ms._records[m] = {"horizon": collision_horizon(ms)}
+    return rec
+
+
+def _check(m: OrientedMap, ms: MotionSchedule) -> None:
+    """Refuse a schedule whose cars or stop corners do not fit m."""
     n, d = ms.period.numerator, ms.period.denominator
     for car in ms.cars:
         if not (0 <= car.face < m.face_count()):
@@ -408,17 +458,22 @@ def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
     return _unscaled(car_index(car, L, horizon, D)[0].get(j, ()), D)
 
 
-def _indexes_by_face(m: OrientedMap, ms: MotionSchedule, horizon: Fraction):
-    """The cars' indexes at the schedule's time scale D, the lcm of the
-    cars' `car_scale`s, grouped by face as (visits, windows, X), X the
-    car's position scale; with D and the horizon times D."""
-    cars = [(car, len(m.faces[car.face])) for car in ms.cars]
-    D = math.lcm(*(car_scale(car, L) for car, L in cars))
-    out: dict[int, list] = {}
-    for car, L in cars:
-        visits, windows = car_index(car, L, horizon, D)
-        out.setdefault(car.face, []).append((visits, windows, car_lap(car, L)[2]))
-    return out, D, horizon.numerator * D // horizon.denominator
+def _indexes_by_face(m: OrientedMap, ms: MotionSchedule) -> dict:
+    """The schedule's record on m (`validate_motion`) with the cars'
+    indexes, built on the first call: at the schedule's time scale D, the
+    lcm of the cars' `car_scale`s, grouped by face as (visits, windows, X),
+    X the car's position scale."""
+    rec = validate_motion(m, ms)
+    if "faces" not in rec:
+        horizon = rec["horizon"]
+        cars = [(car, len(m.faces[car.face])) for car in ms.cars]
+        D = math.lcm(*(car_scale(car, L) for car, L in cars))
+        out: dict[int, list] = {}
+        for car, L in cars:
+            visits, windows = car_index(car, L, horizon, D)
+            out.setdefault(car.face, []).append((visits, windows, car_lap(car, L)[2]))
+        rec.update(faces=out, D=D, H=horizon.numerator * D // horizon.denominator)
+    return rec
 
 
 def _corner_times(on_face: dict, corner: Corner, H: int):
@@ -446,9 +501,8 @@ class CollisionReport:
 def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     """All collision loci: vertices where every corner is hit at once, and
     interior edge points where cars on the two sides meet."""
-    validate_motion(m, ms)
-    horizon = collision_horizon(ms)
-    on_face, D, H = _indexes_by_face(m, ms, horizon)
+    rec = _indexes_by_face(m, ms)
+    horizon, on_face, D, H = rec["horizon"], rec["faces"], rec["D"], rec["H"]
 
     vertex_loci = {}
     for vertex in m.vertices():
@@ -640,8 +694,7 @@ def lemma16_bound(m: OrientedMap, ms: MotionSchedule, collisions=None) -> dict:
 def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
     """Stops must sit on declared corners, grouped at least two per vertex,
     with cyclically consecutive stop corners never occupied at once."""
-    validate_motion(m, ms)
-    horizon = collision_horizon(ms)
+    rec = _indexes_by_face(m, ms)
     problems = []
     for car in ms.cars:
         L = len(m.faces[car.face])
@@ -655,7 +708,7 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
             elif (car.face, p // X % L) not in ms.stop_corners:
                 problems.append(f"undeclared stop at {(car.face, p // X % L)}")
 
-    on_face, _, H = _indexes_by_face(m, ms, horizon)
+    on_face, H = rec["faces"], rec["H"]
     for vertex in m.vertices():
         stops_here = [c for c in vertex if c in ms.stop_corners]
         if not stops_here:
@@ -698,32 +751,28 @@ def _anchor_rotation(profile, pattern) -> int:
 
 
 def _base_breakpoints(kind: str, mval: int, extras: dict):
-    """Pattern-coordinate breakpoints of the standard car."""
-    F = Fraction
+    """Pattern-coordinate breakpoints of the standard car, in ints but for
+    the half-integer time of the m = 0 b and c shapes."""
     if kind == "a":
-        return [(F(0), F(1))]
+        return [(0, 1)]
     if kind == "b":
         if mval == 0:
-            return [(F(0), F(2)), (F(1), F(3)), (F(3, 2), F(4))]
-        return [
-            (F(0), F(2)),
-            (F(2 * mval + 2), F(2 * mval + 4)),
-            (F(4 * mval + 1), F(2 * mval + 4)),
-        ]
+            return [(0, 2), (1, 3), (Fraction(3, 2), 4)]
+        return [(0, 2), (2 * mval + 2, 2 * mval + 4), (4 * mval + 1, 2 * mval + 4)]
     if kind == "c":
         if mval == 0:
-            return [(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(2))]
-        return [(F(0), F(0)), (F(1), F(1)), (F(2 * mval), F(1))]
+            return [(0, 0), (Fraction(1, 2), 1), (1, 2)]
+        return [(0, 0), (1, 1), (2 * mval, 1)]
     k, l = extras["k"], extras["l"]
     if mval == 0:
-        return [(F(0), F(k + 1)), (F(1), F(k + l + 2))]
+        return [(0, k + 1), (1, k + l + 2)]
     return [
-        (F(0), F(k + 1)),
-        (F(1), F(k + 2)),
-        (F(2 * mval), F(k + 2)),
-        (F(2 * mval + 1), F(k + l + 2)),
-        (F(2 * mval + 2), F(2 * k + l + 2)),
-        (F(4 * mval + 1), F(2 * k + l + 2)),
+        (0, k + 1),
+        (1, k + 2),
+        (2 * mval, k + 2),
+        (2 * mval + 1, k + l + 2),
+        (2 * mval + 2, 2 * k + l + 2),
+        (4 * mval + 1, 2 * k + l + 2),
     ]
 
 
@@ -736,9 +785,12 @@ def _saddle_corners(m: OrientedMap) -> frozenset[Corner]:
 def _standard_schedule(m: OrientedMap, info: dict, lift: bool) -> MotionSchedule:
     """The standard schedule of `info`; with `lift`, a face of s repeated
     blocks carries s cars, each one block apart and one period behind the
-    next, and 2-gon faces are refused once m > 0."""
+    next, and 2-gon faces are refused once m > 0.  Times and positions are
+    ints but for the half-integer times of the m = 0 b and c shapes."""
     mval = info["m"] if info["m"] is not None else 0
-    T = Fraction(4 * mval + 2)
+    if type(mval) is not int or mval < 0:
+        raise MotionError(f"m must be a nonnegative integer, got {mval!r}")
+    T = 4 * mval + 2
     cars = []
     for f, (kind, extras) in enumerate(info["faces"]):
         profile = m.face_sign_profile(f)
@@ -748,7 +800,7 @@ def _standard_schedule(m: OrientedMap, info: dict, lift: bool) -> MotionSchedule
         s = 1 if kind in ("a", "b", "c") else extras["s"]
         block = len(profile) // s
         base = _shift_into_range(_base_breakpoints(kind, mval, extras), r % block, block)
-        period = Fraction(2) if kind == "a" else s * T
+        period = 2 if kind == "a" else s * T
         for j in range(s):
             bps = tuple(
                 (t + q * T, p + (j + q) * block) for q in range(s) for t, p in base

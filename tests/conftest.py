@@ -23,16 +23,26 @@ and every cocar `Cocar.from_ints` builds is compared, by equality, hash
 and repr, with `Cocar(face, degree, breakpoints)` over the Fractions its
 ints stand for.  Neither check leaves the breakpoints cached on the cocar.
 
+A motion schedule keeps one record per map: `motion.validate_motion` makes
+it once the checks pass, and `motion._indexes_by_face` adds the cars'
+indexes.  Every record completed there is compared with the analysis of a
+record-free copy of the schedule, its cars rebuilt too so that no lap
+table or index is shared: the checks must pass and the horizon, the time
+scales and every car's visits and windows must be equal.  The rebuild
+calls the functions as they were when the session started, so a test that
+counts calls does not see it.
+
 Run with `--noconftest` to time the suite without them.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
 
 from map_edit_oracle import edit_problem
-from spheremotion import comotion, diagram, groups
+from spheremotion import comotion, diagram, groups, motion
 from spheremotion.motion import int_lap
 from spheremotion.surface import OrientedMap
 
@@ -149,4 +159,50 @@ def int_cocar_oracle():
     finally:
         comotion._lap = lap
         Cocar.from_ints = from_ints
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def motion_record_oracle():
+    indexes = motion._indexes_by_face
+    check, scale, index, lap = motion._check, motion.car_scale, motion.car_index, motion.car_lap
+    violations = []
+
+    def fail(what, problem):
+        violations.append((what, problem))
+        raise AssertionError(f"{what}: {problem}")
+
+    def analysis(m, ms):
+        """The record's contents, from a copy of ms with no record and no
+        car tables."""
+        cars = tuple(motion.CarSchedule(c.face, c.period, c.breakpoints, c.degree)
+                     for c in ms.cars)
+        fresh = motion.MotionSchedule(ms.period, cars, ms.stop_corners)
+        check(m, fresh)
+        horizon = motion.fraction_lcm([fresh.period] + [c.period for c in cars])
+        on_face = [(car, len(m.faces[car.face])) for car in cars]
+        D = math.lcm(*(scale(car, L) for car, L in on_face))
+        faces = {}
+        for car, L in on_face:
+            faces.setdefault(car.face, []).append((*index(car, L, horizon, D), lap(car, L)[2]))
+        return {"horizon": horizon, "faces": faces, "D": D, "H": horizon * D}
+
+    @functools.wraps(indexes)
+    def checked_indexes(m, ms):
+        new = "faces" not in ms._records.get(m, ())
+        rec = indexes(m, ms)
+        if new:
+            try:
+                want = analysis(m, ms)
+            except motion.MotionError as exc:
+                fail(f"record of {ms!r}", f"the checks refuse the schedule: {exc}")
+            if rec != want or ms._records[m] is not rec:
+                fail(f"record of {ms!r}", "not the analysis of a record-free copy")
+        return rec
+
+    motion._indexes_by_face = checked_indexes
+    try:
+        yield
+    finally:
+        motion._indexes_by_face = indexes
     assert not violations, violations[:5]

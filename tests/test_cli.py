@@ -197,32 +197,56 @@ def test_motion_standard_banded(goldens, capsys):
     assert report["checks"]["separated_stops"] is True
 
 
-def test_motion_analyses_the_schedule_once(goldens, monkeypatch, capsys):
-    # one multiple-motion check, and one index per car shared by the
-    # collision search and the stop audit
-    checks, indexes = [], []
-    real_check, real_index = motion.as_multiple_motion, motion.car_index
+def _count_analyses(monkeypatch, capsys, goldens, *args):
+    """`spheremotion motion` on golden files, counting the schedule checks,
+    horizons, car indexes and multiple-motion checks it makes."""
+    counts = dict.fromkeys(("_check", "collision_horizon", "car_index", "as_multiple_motion"), 0)
 
-    def counting_check(m, ms):
-        checks.append(ms)
-        return real_check(m, ms)
+    def count(name):
+        real = getattr(motion, name)
 
-    def counting_index(car, L, horizon, D):
-        index = real_index(car, L, horizon, D)
-        indexes.append((car, index))
-        return index
+        def counting(*a):
+            counts[name] += 1
+            return real(*a)
+        monkeypatch.setattr(motion, name, counting)
 
-    monkeypatch.setattr(motion, "as_multiple_motion", counting_check)
-    monkeypatch.setattr(motion, "car_index", counting_index)
+    for name in counts:
+        count(name)
     code, report = run_json(
-        capsys, "motion", str(goldens / "banded.map.json"), "--standard", "Bm", "--m", "1"
+        capsys, "motion", *(str(goldens / a) if a.endswith(".json") else a for a in args)
     )
-    assert code == 0 and report["results"]["multiplicities"] == {"0": 4, "1": 4}
-    built = {}  # car -> the distinct index objects it was given
-    for car, index in indexes:
-        built.setdefault(id(car), {})[id(index)] = index
-    assert len(built) == report["results"]["cars"] == 8
-    assert (len(checks), [len(objs) for objs in built.values()]) == (1, [1] * 8)
+    assert code == 0
+    return counts, report["results"]
+
+
+def test_motion_analyses_the_schedule_once(goldens, monkeypatch, capsys):
+    # one check, one horizon and one index per car, kept in the schedule's
+    # record on the map and read by every audit; one multiple-motion check
+    counts, results = _count_analyses(
+        monkeypatch, capsys, goldens, "banded.map.json", "--standard", "Bm", "--m", "1"
+    )
+    assert results["multiplicities"] == {"0": 4, "1": 4} and results["cars"] == 8
+    assert counts == {"_check": 1, "collision_horizon": 1, "car_index": 8,
+                      "as_multiple_motion": 1}
+
+
+def test_motion_file_analyses_the_schedule_once(goldens, monkeypatch, capsys):
+    # the document reader makes the record that the audits read
+    counts, results = _count_analyses(
+        monkeypatch, capsys, goldens, "pinwheel.map.json", "double-car.motion.json"
+    )
+    assert results["multiplicities"] and results["cars"] == 6
+    assert counts == {"_check": 1, "collision_horizon": 1, "car_index": 6,
+                      "as_multiple_motion": 1}
+
+
+@pytest.mark.parametrize("mval", ["-1", "-3"])
+def test_motion_standard_refuses_a_negative_m(goldens, capsys, mval):
+    code, report = run_json(
+        capsys, "motion", str(goldens / "banded.map.json"), "--standard", "B", "--m", mval
+    )
+    assert code == 2
+    assert report["error"] == f"m must be a nonnegative integer, got {mval}"
 
 
 def test_motion_standard_rejects_unknown_family(goldens, capsys):

@@ -102,6 +102,20 @@ def test_cocar_rejects_bad_breakpoints():
         Cocar(True, 0, ((F(0), F(0)),))
 
 
+def test_comotion_refuses_a_float_period():
+    with pytest.raises(ComotionError, match=r"^period must be an int or a Fraction, got 0\.3$"):
+        Comotion(0.3, ())
+
+
+def test_cocar_refuses_float_breakpoints():
+    with pytest.raises(ComotionError, match=r"^breakpoint position must be an int or a "
+                                            r"Fraction, got 0\.5$"):
+        Cocar(0, 1, ((0.5, 0.25),))
+    with pytest.raises(ComotionError, match="^breakpoint time must be an int or a Fraction, "
+                                            "got True$"):
+        Cocar(0, 1, ((0, 0), (1, True)))
+
+
 def test_cocars_store_ints_over_least_scales():
     c = Cocar(2, 1, ((F(1, 2), 1), (F(3, 2), F(7, 3))))
     assert (c.xs, c.X, c.ys, c.Y) == ((1, 3), 2, (3, 7), 3)

@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collision_oracle as oracle
-from spheremotion import motion
-from spheremotion.fuzzing import make_rng, random_multiple_motion, random_sphere_map
+import standard_oracle
+from spheremotion import jsonio, motion
+from spheremotion.fuzzing import (
+    make_rng,
+    random_multiple_motion,
+    random_shape_map,
+    random_sphere_map,
+)
 from spheremotion.goldens import (
     PINWHEEL_VERTICES,
     banded_sphere_map,
@@ -43,7 +49,7 @@ from spheremotion.motion import (
     validate_motion,
     verify_source_sink_collisions,
 )
-from spheremotion.surface import b_profile, classify_map
+from spheremotion.surface import b_profile, classify_map, d_profile
 
 
 def unit_car(face, L):
@@ -72,6 +78,28 @@ def test_car_schedule_rejects_bad_data():
         CarSchedule(True, F(2), ((F(0), F(0)),))
 
 
+def test_car_schedule_refuses_a_float_period():
+    with pytest.raises(MotionError, match=r"^period must be an int or a Fraction, got 0\.1$"):
+        CarSchedule(0, 0.1, ((0, 0),))
+
+
+def test_motion_schedule_refuses_a_boolean_period():
+    with pytest.raises(MotionError, match="^period must be an int or a Fraction, got True$"):
+        MotionSchedule(True, (unit_car(0, 3),))
+
+
+def test_car_schedule_refuses_float_and_boolean_breakpoints():
+    with pytest.raises(MotionError, match=r"^breakpoint time must be an int or a Fraction, "
+                                          r"got 0\.5$"):
+        CarSchedule(0, 2, ((0.5, 0),))
+    with pytest.raises(MotionError, match="^breakpoint position must be an int or a Fraction, "
+                                          "got False$"):
+        CarSchedule(0, 2, [(0, 0), (1, False)])
+    car = CarSchedule(0, 2, ((0, F(1, 2)),))  # ints and Fractions are taken
+    assert car.period == 2 and car.breakpoints == ((0, F(1, 2)),)
+    assert all(type(x) is F for x in (car.period, *car.breakpoints[0]))
+
+
 def test_validate_motion_rejections():
     m = pinwheel_map()
     ok = unit_car(0, 3)
@@ -89,6 +117,22 @@ def test_validate_motion_rejections():
         validate_motion(
             m, MotionSchedule(F(3), (ok,), stop_corners={(0, 5)})
         )
+
+
+def test_validate_motion_keeps_one_record_per_map():
+    pentagon, triangle = doubled_polygon_map(b_profile(1)), doubled_polygon_map(b_profile(0))
+    ms = standard_motion(pentagon)
+    rec = validate_motion(pentagon, ms)
+    assert rec == {"horizon": collision_horizon(ms)}
+    # an equal map reads the same record; the collision search adds the indexes
+    assert validate_motion(doubled_polygon_map(b_profile(1)), ms) is rec
+    complete_collisions(pentagon, ms)
+    assert validate_motion(pentagon, ms) is rec and {"faces", "D", "H"} <= set(rec)
+    # another map of two faces gets its own checks
+    with pytest.raises(MotionError, match="^positions climb past the declared degree$"):
+        validate_motion(triangle, ms)
+    with pytest.raises(MotionError, match="^positions climb past the declared degree$"):
+        complete_collisions(triangle, ms)
 
 
 @pytest.mark.parametrize("corner", [(0.0, 1), (0, 0.5), (True, 0), (0,)],
@@ -477,6 +521,58 @@ def test_successive_banded_cars_are_time_shifts():
     for j in range(4):
         shifted = time_shifted_car(front[j], 24, F(6))
         assert shifted.breakpoints == front[(j + 1) % 4].breakpoints
+
+
+@pytest.mark.parametrize("mval", [-1, True, 1.0, "1"])
+def test_standard_builders_refuse_an_m_that_is_no_nonnegative_int(mval):
+    m = banded_sphere_map()
+    with pytest.raises(MotionError, match=f"^m must be a nonnegative integer, got {mval!r}$"):
+        standard_multiple_motion(m, dict(classify_map(m), m=mval))
+    pentagon = doubled_polygon_map(b_profile(1))
+    with pytest.raises(MotionError, match=f"^m must be a nonnegative integer, got {mval!r}$"):
+        standard_motion(pentagon, dict(classify_map(pentagon), m=mval))
+
+
+def _standard_outcome(build, m, info):
+    """The schedule `build` makes, its repr and its document text; or the
+    message it refuses with."""
+    try:
+        ms = build(m, info)
+    except MotionError as exc:
+        return "refused", str(exc)
+    try:
+        text = jsonio.dumps(jsonio.motion_to_json(m, ms))
+    except jsonio.JsonError as exc:
+        text = f"JsonError: {exc}"
+    return ms, repr(ms), text
+
+
+def _doubled_polygon(rng):
+    k, l = rng.randint(1, 3), rng.randint(1, 3)
+    signs = rng.choice([b_profile(rng.randint(0, 3)), d_profile(k, l, rng.randint(1, 3))])
+    if rng.random() < 0.5:
+        signs = tuple(-s for s in signs)  # the c shapes, and d with k and l swapped
+    return doubled_polygon_map(signs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       source=st.sampled_from(["A", "B", "banded", "doubled"]),
+       mval=st.sampled_from([None, 0, 1, 2, 3]))
+def test_int_standard_builder_matches_the_fraction_builder(seed, source, mval):
+    rng = make_rng(seed)
+    if source in ("A", "B"):
+        m = random_shape_map(rng, source)
+    elif source == "banded":
+        m = banded_sphere_map()
+    else:
+        m = _doubled_polygon(rng)
+    info = classify_map(m)
+    if mval is not None:
+        info = dict(info, m=mval)
+    for ints, fractions in ((standard_motion, standard_oracle.standard_motion),
+                            (standard_multiple_motion, standard_oracle.standard_multiple_motion)):
+        assert _standard_outcome(ints, m, info) == _standard_outcome(fractions, m, info)
 
 
 # -- separated stops -----------------------------------------------------------
