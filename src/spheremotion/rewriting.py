@@ -200,8 +200,6 @@ def move_lower_s(data: RelativePresentationData) -> RelativePresentationData:
         raise RewriteError("move applies only at m = -1 with s > 0")
     h_words, tops = _split_at_top_copy(data.c, data.s)
     r = len(tops)
-    if r == 0:
-        return replace(data, s=data.s - 1)
     return replace(
         data,
         s=data.s - 1,
@@ -210,29 +208,6 @@ def move_lower_s(data: RelativePresentationData) -> RelativePresentationData:
         b=tuple(h_words[:r]),
         a=tuple(phi_inv(top) for top in tops),
     )
-
-
-def move_trim(data: RelativePresentationData) -> RelativePresentationData:
-    """Drop an unused top copy from H."""
-    if data.s == 0 or data.s in data.copies_in_coefficients():
-        raise RewriteError("top copy is in use or s = 0")
-    return replace(data, s=data.s - 1)
-
-
-def move_absorb_a(data: RelativePresentationData, i: int) -> RelativePresentationData:
-    """Remove a pair via a_i in P, replacing t^-1 a_i t by a_i^phi."""
-    if not 0 <= i <= data.m:
-        raise RewriteError(f"index {i} out of range")
-    ai = data.a[i]
-    if not in_P(ai, data.s):
-        raise RewriteError(f"a_{i} is not in P")
-    if i == data.m:
-        new_c = data.b[i] * phi(ai) * data.c
-        return replace(data, m=data.m - 1, c=new_c, b=data.b[:i], a=data.a[:i])
-    merged = data.b[i] * phi(ai) * data.b[i + 1]
-    new_b = data.b[:i] + (merged,) + data.b[i + 2 :]
-    new_a = data.a[:i] + data.a[i + 1 :]
-    return replace(data, m=data.m - 1, b=new_b, a=new_a)
 
 
 def move_absorb_b(data: RelativePresentationData, i: int) -> RelativePresentationData:
@@ -254,38 +229,33 @@ def move_absorb_b(data: RelativePresentationData, i: int) -> RelativePresentatio
 def minimize_presentation(
     data: RelativePresentationData,
 ) -> Tuple[RelativePresentationData, Tuple[Tuple[str, int], ...]]:
-    """Drive the moves to a fixpoint, minimizing s first and then m.
+    """Drive two moves to a fixpoint, minimizing s first and then m: lower
+    s at m = -1, else absorb the first pair with b_i in P^phi.
 
-    Deterministic order: lower s at m = -1, trim unused top copies, then
-    absorb pairs with a_i in P (smallest i), then pairs with b_i in P^phi.
-    Each move strictly decreases (s, m) lexicographically except the lowering
-    move, which decreases s while resetting m.
+    From `initial_data` the fixpoint meets `check_minimality`, which still
+    tests each condition on its own, because no move cancels a letter.
+    Under `substitute_copies` each relator spells the input's cyclically
+    reduced word letter for letter, and consecutive letters lie at different
+    t-heights, so syllables a move puts side by side (c and a_0 too, when
+    b_0 is empty) lie in different copies.  A lowering makes each a_i one
+    copy-s letter and each b_i, i >= 1, nonempty; absorbing joins
+    a_(i-1) phi^-1(b_i) a_i or c phi^-1(b_0) a_0.  So each a_i starts and
+    ends in copy s, outside P; while m >= 0, a_0 keeps copy s in use; and c
+    gains a_0's copy-s letters as m returns to -1, so every lowering has
+    r >= 1 (the first too: a highest letter sits between t^-1 and t).
     """
     trace: List[Tuple[str, int]] = []
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("minimization failed to terminate")
+    for _ in range(10000):
         if data.m == -1 and data.s > 0:
             data = move_lower_s(data)
             trace.append(("lower", data.s))
             continue
-        if data.s > 0 and data.s not in data.copies_in_coefficients():
-            data = move_trim(data)
-            trace.append(("trim", data.s))
-            continue
-        i = next((j for j in range(data.m + 1) if in_P(data.a[j], data.s)), None)
-        if i is not None:
-            data = move_absorb_a(data, i)
-            trace.append(("absorb_a", i))
-            continue
         i = next((j for j in range(data.m + 1) if in_P_phi(data.b[j], data.s)), None)
-        if i is not None:
-            data = move_absorb_b(data, i)
-            trace.append(("absorb_b", i))
-            continue
-        return data, tuple(trace)
+        if i is None:
+            return data, tuple(trace)
+        data = move_absorb_b(data, i)
+        trace.append(("absorb_b", i))
+    raise RuntimeError("minimization failed to terminate")
 
 
 def check_minimality(data: RelativePresentationData) -> dict:

@@ -269,3 +269,23 @@ def test_index_matches_the_replica_walk(drawn):
         values = [x for times in visits.values() for iv in times for x in iv]
         values += [x for stretches in windows.values() for w in stretches for x in w]
         assert all(type(x) is int for x in values)
+
+
+@pytest.mark.parametrize("lam, mu, meets", [
+    (Fraction(1, 3), Fraction(2, 3), True),
+    (Fraction(1, 2), Fraction(1, 2), True),
+    (Fraction(1, 3), Fraction(1, 2), False),
+])
+def test_two_parked_cars_meet_where_their_dart_parameters_add_to_one(lam, mu, meets):
+    # one parked car on each side of edge 0 of a doubled triangle: the +
+    # side car at dart parameter lam, the - side car at mu; they meet for
+    # the whole period exactly when lam + mu = 1
+    m = doubled_polygon([1, 1, 1])
+    (fp, jp), (fm, jm) = m.edge_sides[0]
+    ms = MotionSchedule(1, (CarSchedule(fp, 1, ((0, jp + lam),)),
+                            CarSchedule(fm, 1, ((0, jm + mu),))))
+    got = complete_collisions(m, ms)
+    want = reference_collisions(m, ms)
+    assert got.vertex_loci == want.vertex_loci == {}
+    expected = {(0, lam): ((0, 1),)} if meets else {}
+    assert got.edge_loci == want.edge_loci == expected

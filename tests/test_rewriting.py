@@ -4,12 +4,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spheremotion import fuzzing
 from spheremotion.fuzzing import make_rng, random_base_element, random_unit_sum_word
 from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
 from spheremotion.rewriting import (
     T_SYMBOL,
     RelativePresentationData,
     RewriteError,
+    RewriteResult,
     build_augmented_presentation,
     check_minimality,
     in_P,
@@ -22,10 +24,8 @@ from spheremotion.rewriting import (
     lemma2_auxiliary,
     main_theorem_verdict,
     minimize_presentation,
-    move_absorb_a,
     move_absorb_b,
     move_lower_s,
-    move_trim,
     phi,
     primitive_root_word,
     reconstruct_relator,
@@ -427,8 +427,6 @@ def fold_substitute_copies(w):
 
 MOVES = {
     "lower": lambda data, _: move_lower_s(data),
-    "trim": lambda data, _: move_trim(data),
-    "absorb_a": move_absorb_a,
     "absorb_b": move_absorb_b,
 }
 
@@ -476,3 +474,82 @@ def test_substitute_copies_matches_left_fold_on_mixed_words(base, items):
         syls.append(("t", 1 + seed % 2, exp))
     w = FreeProductWord.from_syllables(base, syls)
     assert substitute_copies(w) == fold_substitute_copies(w)
+
+
+# ---------------------------------------------------------------------------
+# minimization takes two moves: the invariant behind them
+# ---------------------------------------------------------------------------
+
+
+def assert_two_move_invariant(res):
+    """The invariant of `minimize_presentation`'s docstring, at every
+    presentation along the trace: no letter ever cancels, each a_i starts
+    and ends in copy s, each b_i with i >= 1 is nonempty, copy s is in use
+    while m >= 0, and every lowering makes at least one pair."""
+    assert {name for name, _ in res.trace} <= {"lower", "absorb_b"}
+    base = res.word.base
+    letters = sum(not base.is_identity(g) for g, _ in res.shifted.pairs)
+    presentations = presentations_along(res)
+    for (name, _), data in zip(res.trace, presentations[1:]):
+        assert name != "lower" or data.m >= 0
+    for data in presentations:
+        assert sum(len(x) for x in (data.c, *data.b, *data.a)) == letters
+        for ai in data.a:
+            assert ai.syllables[0][:2] == ai.syllables[-1][:2] == ("g", data.s)
+            assert not in_P(ai, data.s)
+        assert all(not bi.is_identity() for bi in data.b[1:])
+        assert data.m == -1 or data.s in data.copies_in_coefficients()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BASES))
+@settings(max_examples=150, deadline=None)
+def test_two_move_invariant_on_unit_sum_words(seed, base):
+    w = random_unit_sum_word(make_rng(seed), base=base, max_minus=6)
+    assert_two_move_invariant(rewrite_word(w))
+
+
+@st.composite
+def rank_one_t_power_words(draw):
+    """Exponent-sum +-1 words over a rank-1 base with t-exponents in
+    {+-1, +-2, +-3} and coefficients a^k, |k| <= 2, the identity included:
+    there adjacent copy-s syllables would merge or cancel if a move let them
+    touch."""
+    base = draw(st.sampled_from((FreeGroup(1), FreeAbelianGroup(1))))
+    exps = draw(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=8))
+    rest = draw(st.sampled_from((1, -1))) - sum(exps)
+    while rest:
+        exps.append(max(-3, min(3, rest)))
+        rest -= exps[-1]
+    powers = draw(st.lists(st.integers(-2, 2), min_size=len(exps), max_size=len(exps)))
+    a = base.generators()[0]
+    syls = []
+    for k, e in zip(powers, exps):
+        syls += [("g", 0, base.power(a, k)), ("t", T_SYMBOL, e)]
+    return FreeProductWord.from_syllables(base, syls)
+
+
+@given(rank_one_t_power_words())
+@settings(max_examples=150, deadline=None)
+def test_two_move_invariant_on_rank_one_t_powers(w):
+    assert_two_move_invariant(rewrite_word(w))
+
+
+@pytest.mark.parametrize("c_copy, top_used", [(1, True), (0, False)])
+def test_minimality_check_flags_what_the_two_moves_leave(c_copy, top_used, monkeypatch):
+    # s = 1, m = 0, a_0 and b_0 in copy 0: a_0 lies in P, so the pair fails
+    # a_outside_P, and with c in copy 0 copy 1 goes unused; b_0 lies outside
+    # P^phi, so neither move applies and the data is its own fixpoint
+    data = RelativePresentationData(
+        F2, 1, 0, g_at(F2, c_copy, "a"), (g_at(F2, 0, "b"),), (g_at(F2, 0, "ab"),)
+    )
+    assert check_minimality(data) == {
+        "has_pairs": True,
+        "a_outside_P": False,
+        "b_outside_P_phi": True,
+        "top_copy_used": top_used,
+    }
+    assert minimize_presentation(data) == (data, ())
+    w = reconstruct_relator(data)
+    fixpoint = RewriteResult(w, False, to_shifted_form(w), data, data, ())
+    monkeypatch.setattr(fuzzing, "rewrite_word", lambda _: fixpoint)
+    assert fuzzing.rewrite_problems(w) == ["fixpoint violates the minimality conditions"]

@@ -1,0 +1,94 @@
+"""List the lines of function bodies in src/spheremotion that the tests never run.
+
+A stdlib line tracer: `coverage` is not a dependency, and Python 3.10 and
+3.11 have no `sys.monitoring`.  It runs pytest in this process under
+`sys.settrace`, records every line executed in the package, and prints each
+statement inside a function body that never ran, then their count.  It is a
+diagnostic and gates nothing; its exit code is pytest's.
+
+    python tests/tools/unreached.py                  # the whole tier-1 suite
+    python tests/tools/unreached.py tests/test_rewriting.py -x
+
+Tracing the package's lines makes the suite run about three times slower.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = ROOT / "src" / "spheremotion"
+
+
+def body_lines(source: str) -> set[int]:
+    """Lines of the statements inside function bodies.  Docstrings, `try:`
+    headers and `global`/`nonlocal` declarations are left out, as they emit
+    no line event of their own; a decorated nested def starts at its first
+    decorator."""
+    tree = ast.parse(source)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if ast.get_docstring(node) is not None:
+                docstrings.add(id(node.body[0]))
+    silent = (ast.Try, ast.Global, ast.Nonlocal)
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for stmt in fn.body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.stmt) or isinstance(node, silent):
+                    continue
+                if id(node) in docstrings:
+                    continue
+                decorators = getattr(node, "decorator_list", ())
+                lines.add(min([node.lineno, *(d.lineno for d in decorators)]))
+    return lines
+
+
+def traced_pytest(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
+    """Run pytest with `args`; return its exit code and the (file, line)
+    pairs executed in the package."""
+    prefix = str(PACKAGE) + os.sep
+    hits: set[tuple[str, int]] = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(prefix) else None
+
+    sys.settrace(calls)
+    try:
+        code = pytest.main(args)
+    finally:
+        sys.settrace(None)
+    return int(code), hits
+
+
+def main(argv: list[str]) -> int:
+    os.chdir(ROOT)
+    sys.path.insert(0, str(PACKAGE.parent))
+    code, hits = traced_pytest(["-q", "-p", "no:cacheprovider", *argv])
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        text = source.splitlines()
+        ran = {line for name, line in hits if name == str(path)}
+        for line in sorted(body_lines(source) - ran):
+            print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
+            total += 1
+    print(f"{total} unreached lines in function bodies under {PACKAGE.relative_to(ROOT)}")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
