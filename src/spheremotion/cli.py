@@ -24,12 +24,7 @@ from typing import Optional, Sequence
 
 from . import fuzzing, jsonio
 from .comotion import comotion_collisions, lemma11_check, weight_report
-from .diagram import (
-    adjacent_phi_cells,
-    check_diagram_over,
-    find_reducible_pair,
-    phi_cells,
-)
+from .diagram import check_diagram_over, find_reducible_pair, is_phi_reduced, phi_cells
 from .goldens import (
     banded_sphere_map,
     pinwheel_double_car_motion,
@@ -372,8 +367,7 @@ def cmd_diagram(args) -> tuple[dict, int]:
         "reducible_pair": list(pair) if pair is not None else None,
     }
     if d.phi_s is not None:
-        # is_phi_reduced, from the pair and the cells found once above
-        results["phi_reduced"] = pair is None and adjacent_phi_cells(d, cells) is None
+        results["phi_reduced"] = is_phi_reduced(d)
     checks = {}
     if args.presentation is not None:
         pdoc, pdig = _load(args.presentation)

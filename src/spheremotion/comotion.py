@@ -62,7 +62,7 @@ from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .motion import MotionSchedule, as_multiple_motion, lap_at, lap_read, rational, rational_pairs
-from .surface import OrientedMap
+from .surface import OrientedMap, subdivide_edge
 
 ZERO = Fraction(0)
 
@@ -529,8 +529,6 @@ def subdivide_comotion(
     The split dart doubles in length, so positions stretch through an
     affine reparametrization; arrival times do not change.
     """
-    from .surface import subdivide_edge
-
     validate_comotion(m, com)
     m2 = subdivide_edge(m, edge, new_edges)
     T = com.period

@@ -99,6 +99,21 @@ class HowieDiagram:
         """The faces that are phi cells, tested once per diagram."""
         return tuple(f for f in range(self.map.face_count()) if is_phi_cell(self, f))
 
+    @cached_property
+    def _reducible_pair(self):
+        """`find_reducible_pair`'s witness, searched once per diagram."""
+        for e in self.map.edge_ids:
+            (f1, i1), (f2, i2) = self.map.edge_sides[e]
+            if f1 == f2:
+                continue
+            if f1 in self.exterior_faces or f2 in self.exterior_faces:
+                continue
+            cells1 = face_cells(self, f1, i1)
+            cells2 = face_cells(self, f2, i2)
+            if len(cells1) == len(cells2) and cells2 == mirror_cells(cells1):
+                return (f1, f2, e)
+        return None
+
 
 # ---------------------------------------------------------------------------
 # labels
@@ -207,17 +222,7 @@ def mirror_cells(cells: Sequence) -> tuple:
 def find_reducible_pair(d: HowieDiagram):
     """A witness (face, face, edge) whose labels written from the shared
     edge are mutually inverse, or None when the diagram is reduced."""
-    for e in d.map.edge_ids:
-        (f1, i1), (f2, i2) = d.map.edge_sides[e]
-        if f1 == f2:
-            continue
-        if f1 in d.exterior_faces or f2 in d.exterior_faces:
-            continue
-        cells1 = face_cells(d, f1, i1)
-        cells2 = face_cells(d, f2, i2)
-        if len(cells1) == len(cells2) and cells2 == mirror_cells(cells1):
-            return (f1, f2, e)
-    return None
+    return d._reducible_pair
 
 
 def phi_cells(d: HowieDiagram) -> list[int]:
@@ -229,7 +234,7 @@ def is_phi_reduced(d: HowieDiagram) -> bool:
     """Reduced, and no two distinct interior phi cells share an edge."""
     if d.phi_s is None:
         raise DiagramError("no phi structure on this diagram")
-    return find_reducible_pair(d) is None and adjacent_phi_cells(d, phi_cells(d)) is None
+    return d._reducible_pair is None and adjacent_phi_cells(d, d._phi_cells) is None
 
 
 def adjacent_phi_cells(d: HowieDiagram, cells):
@@ -424,13 +429,13 @@ def _region_is_quiet(d: HowieDiagram, region, path_vertices) -> bool:
 
 
 def _contact_region(d: HowieDiagram, A, B, a1, a2, b1, b2):
-    """The side bounded by [a1,a2] on A plus [b2,b1] on B, if it is quiet."""
+    """The side bounded by [a1,a2] on A plus [b2,b1] on B, if it is quiet.
+
+    The path is never empty: a1 and a2 are distinct corners of A, as they
+    sit at distinct vertices or are the nonadjacent pair of a self-contact.
+    """
     m = d.map
-    frag_a = _fragment_darts(m, A, a1[1], a2[1])
-    frag_b = _fragment_darts(m, B, b2[1], b1[1])
-    darts = frag_a + frag_b
-    if not darts:
-        return None
+    darts = _fragment_darts(m, A, a1[1], a2[1]) + _fragment_darts(m, B, b2[1], b1[1])
     path_vertices = _path_vertices(m, darts)
     if any(v in d.exterior_vertices for v in path_vertices):
         return None
@@ -442,23 +447,18 @@ def _contact_region(d: HowieDiagram, A, B, a1, a2, b1, b2):
     return None
 
 
-def bad_contact_report(
-    d: HowieDiagram, ms: Optional[MotionSchedule] = None, collisions=None
-) -> tuple:
+def bad_contact_report(d: HowieDiagram, collisions) -> tuple:
     """All pairs of large faces contacting around a quiet region.
 
     Two large faces (or one face with itself) contact badly when they
-    hold nonadjacent corners at two distinct interior collision vertices
-    and one side of the resulting closed path contains neither of them,
-    no exterior or large cell, and no exterior vertex.  The one-vertex
-    self-contact clause is included.
+    hold nonadjacent corners at two distinct interior vertex loci of
+    `collisions` and one side of the resulting closed path contains
+    neither of them, no exterior or large cell, and no exterior vertex.
+    The one-vertex self-contact clause is included.  Corners at distinct
+    vertices are distinct, so a self-contact at two vertices has four.
     """
     if d.large_faces is None:
         raise DiagramError("bad contact needs the 2-grading")
-    if collisions is None:
-        if ms is None:
-            raise DiagramError("need a motion or explicit collisions")
-        collisions = complete_collisions(d.map, ms)
     loci = [
         v for v in collisions.vertex_loci if v not in d.exterior_vertices
     ]
@@ -483,8 +483,6 @@ def bad_contact_report(
                         continue
                     for a1, b1 in corner_pairs(v1, A, B):
                         for a2, b2 in corner_pairs(v2, A, B):
-                            if A == B and len({a1, a2, b1, b2}) < 4:
-                                continue
                             region = _contact_region(d, A, B, a1, a2, b1, b2)
                             if region is not None:
                                 found.append(
@@ -571,7 +569,7 @@ def lemma17_audit(
             cond2 = False
     report["conditions"]["nonadjacent_large_corners"] = cond2
 
-    contacts = bad_contact_report(d, ms, collisions=collisions)
+    contacts = bad_contact_report(d, collisions)
     report["conditions"]["no_bad_contact"] = not contacts
     report["bad_contacts"] = contacts
 

@@ -36,6 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .comotion import Cocar, Comotion, validate_comotion
+from .diagram import HowieDiagram
 from .groups import BaseGroup, FreeAbelianGroup, FreeGroup, FreeProductWord
 from .motion import CarSchedule, MotionSchedule, validate_motion
 from .rewriting import RelativePresentationData
@@ -502,8 +503,6 @@ def diagram_to_json(d) -> dict:
 
 
 def parse_diagram(doc):
-    from .diagram import HowieDiagram
-
     m = parse_map(doc)
     corner_labels = {}
     base = None

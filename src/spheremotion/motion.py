@@ -73,6 +73,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from typing import Iterable, Optional, Sequence
 
 from .surface import Corner, Dart, OrientedMap, b_profile, classify_map, d_profile
@@ -964,8 +965,15 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
     """Split every stop vertex into a star: each stop corner gets a spur to
     a fresh center vertex and cars traverse the spur instead of resting.
 
-    Returns (new_map, new_motion, report).  Needs separated stops; retries
-    with smaller detour windows until nothing collides on the new edges.
+    Returns (new_map, new_motion, report).  Needs a separated, regular
+    schedule, and never refuses one.  A pass at t0 runs out along the spur
+    and back over [t0 - eps/2, t0 + eps/2], a stop over the stop.  eps
+    halves ("retries") while a new edge or centre sees a collision, until
+    eps * D < 1, D the schedule's time scale.  Then no two cars share a
+    spur: visits to the consecutive stop corners on its two sides are int
+    intervals at scale D, so at least 1/D apart, and a pass widens its
+    visit by eps/2 each way; and a centre is occupied only at visit
+    instants.  A collision then is a bug.
     """
     if not ms.stop_corners:
         return m, ms, {"identity": True, "new_edges": (), "retries": 0}
@@ -1024,7 +1032,8 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
                 gaps.append(gap)
     eps = min(gaps) / 4 if gaps else Fraction(1, 4)
 
-    for attempt in range(8):
+    D = validate_motion(m, ms)["D"]  # stored by check_separated_stops
+    for retries in count():
         new_cars = []
         for k, car in enumerate(ms.cars):
             if k not in events_by_car:
@@ -1046,7 +1055,8 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
                 "identity": False,
                 "new_edges": tuple(sorted(new_edge_ids)),
                 "epsilon": eps,
-                "retries": attempt,
+                "retries": retries,
             }
+        if eps * D < 1:
+            raise RuntimeError("spurs collide below the time scale")  # pragma: no cover
         eps /= 2
-    raise MotionError("blow-up kept colliding on the new edges")

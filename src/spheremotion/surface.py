@@ -195,9 +195,6 @@ class OrientedMap:
             raise MapError(f"corners must be int pairs, got {corner!r}")
         return vertex
 
-    def multiplicity(self, vertex: Sequence[Corner]) -> int:
-        return len(vertex)
-
     def classify_vertex(self, vertex: Sequence[Corner]) -> str:
         types = [self.corner_type(c) for c in vertex]
         if all(t == (1, -1) for t in types):

@@ -123,6 +123,12 @@ def test_balloon_diagram_over_and_reducible():
     assert find_reducible_pair(d) == (0, 1, 0)
 
 
+def test_a_pair_across_an_exterior_face_is_not_reducible():
+    d = balloon_diagram()
+    walled = HowieDiagram(d.map, d.corner_labels, d.edge_labels, exterior_faces=frozenset({1}))
+    assert find_reducible_pair(walled) is None
+
+
 def test_check_diagram_over_base_mismatch():
     d = balloon_diagram()
     pres = RelativePresentation(
@@ -207,6 +213,16 @@ def test_phi_cell_recognition():
     one = FreeProductWord.one(base)
     blank = HowieDiagram(m, {c: one for c in m.corners()}, {0: 1, 1: 1}, phi_s=1)
     assert not is_phi_cell(blank, 0)
+
+
+def test_phi_cell_reads_one_symbol_against_and_along():
+    d = phi_chain(2)
+    # two symbols, or both darts along the face, make no phi cell
+    two_symbols = HowieDiagram(d.map, d.corner_labels, {0: 1, 1: 2}, phi_s=1)
+    assert not is_phi_cell(two_symbols, 0)
+    m = OrientedMap("sphere", (((0, 1), (1, 1)), ((1, -1), (0, -1))))
+    along = HowieDiagram(m, d.corner_labels, {0: 1, 1: 1}, phi_s=1)
+    assert not is_phi_cell(along, 0) and not is_phi_cell(along, 1)
 
 
 def test_phi_cells_satisfy_diagram_over():
@@ -365,6 +381,18 @@ def test_audit_mirror_pentagon_cannot_refute():
     assert audit["interior_edge_loci"] == ()
 
 
+def test_audit_skips_collisions_at_exterior_vertices():
+    d = mirror_pentagon()
+    ms = standard_motion(d.map)
+    hit = set(complete_collisions(d.map, ms).vertex_loci)
+    outside = min(hit)
+    marked = HowieDiagram(
+        d.map, d.corner_labels, d.edge_labels, exterior_vertices=frozenset({outside})
+    )
+    audit = audit_standard_collisions(marked, ms)
+    assert {r["vertex"] for r in audit["vertices"]} == hit - {outside}
+
+
 def test_audit_perturbed_labels_refute_but_break_validity():
     d = mirror_pentagon()
     ms = standard_motion(d.map)
@@ -471,8 +499,52 @@ def test_bad_contact_negatives():
     assert bad_contact_report(crowded, collisions=fake) == ()
     with pytest.raises(DiagramError, match="2-grading"):
         bad_contact_report(beach4_diagram(), collisions=fake)
-    with pytest.raises(DiagramError, match="motion or explicit collisions"):
-        bad_contact_report(beach4_diagram(large_faces=frozenset({0})))
+
+
+def blank_diagram(faces, **marks):
+    m = OrientedMap("sphere", faces)
+    one = FreeProductWord.one(B2)
+    return HowieDiagram(
+        m, {c: one for c in m.corners()}, {e: 1 for e in m.edge_ids}, **marks
+    )
+
+
+def contact_regions(d, hub):
+    """The regions of the bad contacts of a collision at `hub` alone."""
+    fake = CollisionReport(F(1), {hub: ((F(0), F(0)),)}, {})
+    return [c["region"] for c in bad_contact_report(d, collisions=fake)]
+
+
+# two loops at one vertex, each bounding a 1-gon, inside a 2-gon
+TWO_LOOPS = (((0, 1),), ((1, 1),), ((0, -1), (1, -1)))
+# loop 0 with a pendant edge 2 hanging into its 1-gon
+PENDANT = (((0, 1), (2, 1), (2, -1)), ((1, 1),), ((0, -1), (1, -1)))
+# loop 0 cut in two by a middle vertex
+CUT_LOOP = (((0, 1), (2, 1)), ((1, 1),), ((2, -1), (0, -1), (1, -1)))
+
+
+def test_self_contact_at_one_vertex():
+    hub = OrientedMap("sphere", TWO_LOOPS).vertices()[0]
+    # the 2-gon meets itself at the hub around either loop's 1-gon
+    outer = blank_diagram(TWO_LOOPS, large_faces=frozenset({2}))
+    fake = CollisionReport(F(1), {hub: ((F(0), F(0)),)}, {})
+    contacts = bad_contact_report(outer, collisions=fake)
+    assert {(c["faces"], c["vertices"]) for c in contacts} == {((2, 2), (hub,))}
+    assert contact_regions(outer, hub) == [frozenset({0}), frozenset({1})]
+    # a large 1-gon is no quiet region
+    both = blank_diagram(TWO_LOOPS, large_faces=frozenset({1, 2}))
+    assert contact_regions(both, hub) == [frozenset({0})]
+
+
+@pytest.mark.parametrize("faces", [PENDANT, CUT_LOOP], ids=["inside", "on_path"])
+def test_exterior_vertex_in_a_region_or_on_its_path_blocks_it(faces):
+    hub, other = OrientedMap("sphere", faces).vertices()
+    large = frozenset({2})
+    assert contact_regions(blank_diagram(faces, large_faces=large), hub) == [
+        frozenset({0}), frozenset({1})
+    ]
+    marked = blank_diagram(faces, large_faces=large, exterior_vertices=frozenset({other}))
+    assert contact_regions(marked, hub) == [frozenset({1})]
 
 
 # -- the impossibility audit -----------------------------------------------------
@@ -526,6 +598,22 @@ def test_lemma17_edge_point_on_small_side_fails_condition2():
     assert out["interior_points"] == 2
     assert not out["conditions"]["nonadjacent_large_corners"]
     assert not out["contradiction"]
+
+
+def test_lemma17_edge_point_between_large_faces_is_a_gamma_edge():
+    m = beach4()
+    north, south = poles(m)
+    d = beach4_diagram(
+        large_faces=frozenset({0, 1, 2}), exterior_vertices=frozenset({south})
+    )
+    (f1, _), (f2, _) = m.edge_sides[1]
+    assert {f1, f2} == {0, 1}
+    fake = CollisionReport(
+        F(2), {north: ((F(0), F(0)),)}, {(1, F(1, 2)): ((F(1), F(1)),)}
+    )
+    out = lemma17_audit(d, beach4_multiple_motion(), collisions=fake)
+    assert out["conditions"]["nonadjacent_large_corners"]
+    assert out["gamma"]["edges"] == ((0, 2), (f1, f2))
 
 
 def test_lemma17_banded_map_fails_honestly():

@@ -10,6 +10,7 @@ import collision_oracle as oracle
 import standard_oracle
 from spheremotion import jsonio, motion
 from spheremotion.fuzzing import (
+    lune_map,
     make_rng,
     random_multiple_motion,
     random_shape_map,
@@ -26,6 +27,7 @@ from spheremotion.goldens import (
 )
 from spheremotion.motion import (
     CarSchedule,
+    CollisionReport,
     MotionError,
     MotionSchedule,
     as_multiple_motion,
@@ -478,6 +480,31 @@ def test_standard_motion_doubled_block_face(k, l):
     assert v["ok"], v["problems"]
 
 
+def test_source_sink_audit_flags_the_pinwheel_unit_motion():
+    # not a standard schedule: it meets on an edge, and at sources at t = 0
+    v = verify_source_sink_collisions(pinwheel_map(), pinwheel_unit_motion())
+    assert not v["ok"]
+    assert v["problems"] == [
+        "edge collisions at [(3, Fraction(1, 2))]",
+        "source vertex ((0, 0),) collides at t=0",
+        "source vertex ((2, 0), (3, 0), (4, 0)) collides at t=0",
+    ]
+
+
+def test_source_sink_audit_names_mixed_vertices_and_lasting_collisions():
+    m = pinwheel_map()
+    kinds = {m.classify_vertex(v): v for v in m.vertices()}
+    source, mixed = kinds["source"], kinds["mixed"]
+    # one instant at a mixed vertex, and a source held over [1, 2]
+    fake = CollisionReport(F(4), {mixed: ((F(0), F(0)),), source: ((F(1), F(2)),)}, {})
+    v = verify_source_sink_collisions(m, pinwheel_unit_motion(), collisions=fake)
+    assert not v["ok"]
+    assert v["problems"] == [
+        f"collision at mixed vertex {mixed}",
+        f"vertex {source} occupied over an interval",
+    ]
+
+
 def test_standard_motion_refuses_lifted_family():
     m = banded_sphere_map()
     with pytest.raises(MotionError, match="repeating block"):
@@ -716,6 +743,46 @@ def test_blow_up_keeps_collisions_off_new_edges(mval):
     assert not any(e in new_edges for e, _ in rep.edge_loci)
     old = complete_collisions(m, ms)
     assert rep.spatial_count == old.spatial_count
+
+
+def near_passes(d):
+    """The 2-gon sphere with both corners of one vertex declared stops: the
+    front car passes its corner at t = 1, the back car d later."""
+    m = doubled_polygon_map((1, -1))
+    cars = (
+        CarSchedule(0, F(2), ((F(1), F(1)),), degree=1),
+        CarSchedule(1, F(2), ((1 + d, F(1)),), degree=1),
+    )
+    return m, MotionSchedule(F(2), cars, frozenset(m.vertices()[0]))
+
+
+@pytest.mark.parametrize("d,retries,eps", [
+    (F(1, 10), 1, F(1, 16)),
+    (F(1, 100), 4, F(1, 128)),
+    (F(1, 2000), 8, F(1, 2048)),
+], ids=["d=1/10", "d=1/100", "d=1/2000"])
+def test_blow_up_halves_epsilon_until_the_spurs_are_free(d, retries, eps):
+    # the passes are d apart, so the first detours, a quarter period wide,
+    # collide on the spurs; halving stops below one tick of scale 1/d
+    m, ms = near_passes(d)
+    assert check_separated_stops(m, ms)["ok"] and is_regular(m, ms)
+    assert validate_motion(m, ms)["D"] == 1 / d
+    m2, ms2, report = blow_up(m, ms)
+    assert (report["retries"], report["epsilon"]) == (retries, eps)
+    new_edges = set(report["new_edges"])
+    rep = complete_collisions(m2, ms2)
+    assert not any(e in new_edges for e, _ in rep.edge_loci)
+    assert not any(all(m2.dart_at(c)[0] in new_edges for c in v) for v in rep.vertex_loci)
+
+
+def test_blow_up_keeps_the_car_of_a_face_without_stops():
+    m = lune_map(3)
+    stops = frozenset(c for c in m.vertices()[0] if c[0] in (0, 1))
+    cars = tuple(CarSchedule(f, F(2), ((F(f, 3), F(0)),), degree=1) for f in range(3))
+    ms = MotionSchedule(F(2), cars, stops)
+    m2, ms2, report = blow_up(m, ms)
+    assert ms2.cars[2] is ms.cars[2]
+    assert (report["retries"], report["epsilon"]) == (0, F(1, 8))
 
 
 def test_blow_up_requires_separated_stops():

@@ -3,8 +3,10 @@
 A stdlib line tracer: `coverage` is not a dependency, and Python 3.10 and
 3.11 have no `sys.monitoring`.  It runs pytest in this process under
 `sys.settrace`, records every line executed in the package, and prints each
-statement inside a function body that never ran, then their count.  It is a
-diagnostic and gates nothing; its exit code is pytest's.
+statement inside a function body that never ran, then their count, split
+into `raise` statements (mostly input refusals) and all other lines (mostly
+branches of the procedures).  It is a diagnostic and gates nothing; its exit
+code is pytest's.
 
     python tests/tools/unreached.py                  # the whole tier-1 suite
     python tests/tools/unreached.py tests/test_rewriting.py -x
@@ -25,10 +27,11 @@ ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "spheremotion"
 
 
-def body_lines(source: str) -> set[int]:
-    """Lines of the statements inside function bodies.  Docstrings, `try:`
-    headers and `global`/`nonlocal` declarations are left out, as they emit
-    no line event of their own; a decorated nested def starts at its first
+def body_lines(source: str) -> dict[int, bool]:
+    """Lines of the statements inside function bodies, each mapped to
+    whether a `raise` starts there.  Docstrings, `try:` headers and
+    `global`/`nonlocal` declarations are left out, as they emit no line
+    event of their own; a decorated nested def starts at its first
     decorator."""
     tree = ast.parse(source)
     docstrings = set()
@@ -37,7 +40,7 @@ def body_lines(source: str) -> set[int]:
             if ast.get_docstring(node) is not None:
                 docstrings.add(id(node.body[0]))
     silent = (ast.Try, ast.Global, ast.Nonlocal)
-    lines = set()
+    lines: dict[int, bool] = {}
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -48,7 +51,8 @@ def body_lines(source: str) -> set[int]:
                 if id(node) in docstrings:
                     continue
                 decorators = getattr(node, "decorator_list", ())
-                lines.add(min([node.lineno, *(d.lineno for d in decorators)]))
+                line = min([node.lineno, *(d.lineno for d in decorators)])
+                lines[line] = lines.get(line, False) or isinstance(node, ast.Raise)
     return lines
 
 
@@ -78,15 +82,20 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(PACKAGE.parent))
     code, hits = traced_pytest(["-q", "-p", "no:cacheprovider", *argv])
-    total = 0
+    raises = other = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         text = source.splitlines()
         ran = {line for name, line in hits if name == str(path)}
-        for line in sorted(body_lines(source) - ran):
+        lines = body_lines(source)
+        for line in sorted(lines.keys() - ran):
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-            total += 1
-    print(f"{total} unreached lines in function bodies under {PACKAGE.relative_to(ROOT)}")
+            if lines[line]:
+                raises += 1
+            else:
+                other += 1
+    print(f"{raises + other} unreached lines in function bodies under "
+          f"{PACKAGE.relative_to(ROOT)}: {raises} raise statements, {other} other lines")
     return code
 
 
