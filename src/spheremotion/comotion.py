@@ -11,15 +11,16 @@ surrounding faces all sweep past at one common instant.
 
 A cocar stores its breakpoints once, in ints: positions xs over X and
 times ys over Y, X and Y the least scales that clear them.  One checked
-constructor, `Cocar.from_ints`, builds every cocar: the document reader
-and `subdivide_comotion` hand it ints, and `Cocar(face, degree,
-breakpoints)` converts its rational pairs once and calls it.  The
-`Fraction` breakpoints are built only when read.  Each cocar keeps one
-lap table per (period, face length), in the layout of `motion.int_lap`,
-as each car keeps one: `_lap` moves the times to Y, the lcm of the
-cocar's Y and T's denominator, and closes the lap with L * X and
-degree * T * Y.  `cotime_at` reads it with `motion.lap_at`, the reader
-that gives a car's position, with positions and times swapped.
+constructor, `Cocar.from_ints`, builds every cocar: the document reader,
+`subdivide_comotion` and `induce_comotion` hand it ints, and
+`Cocar(face, degree, breakpoints)` converts its rational pairs once,
+with `motion.scaled_pairs`, and calls it.  The `Fraction` breakpoints
+are built only when read.  Each cocar keeps one lap table per (period,
+face length), in the layout of `motion.car_lap`, as each car keeps one:
+`_lap` moves the times to Y, the lcm of the cocar's Y and T's
+denominator, and closes the lap with L * X and degree * T * Y.
+`cotime_at` reads it with `motion.lap_at`, the reader that gives a
+car's position, with positions and times swapped.
 
 An edge is solved by `edge_components` on one scale for the edge: the
 lcm of its two cocars' X for positions and of their Y for times, so the
@@ -61,7 +62,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion, lap_at, lap_read, rational, rational_pairs
+from .motion import MotionSchedule, as_multiple_motion, lap_at, lap_read, rational, scaled_pairs
 from .surface import OrientedMap, subdivide_edge
 
 ZERO = Fraction(0)
@@ -123,12 +124,8 @@ class Cocar:
     Y: int
 
     def __new__(cls, face, degree, breakpoints):
-        bps = rational_pairs(breakpoints, "breakpoint position", "breakpoint time",
-                             ComotionError)
-        X = lcm(*(p.denominator for p, _ in bps))
-        Y = lcm(*(t.denominator for _, t in bps))
-        xs = [p.numerator * (X // p.denominator) for p, _ in bps]
-        ys = [t.numerator * (Y // t.denominator) for _, t in bps]
+        xs, X, ys, Y = scaled_pairs(breakpoints, "breakpoint position", "breakpoint time",
+                                    ComotionError)
         return cls.from_ints(face, degree, xs, X, ys, Y)
 
     @classmethod
@@ -512,12 +509,10 @@ def induce_comotion(m: OrientedMap, ms: MotionSchedule, groups=None) -> Comotion
         car = groups[f][0]
         if car.degree != 1:
             raise ComotionError("only single-lap cars invert to one-lap cocars")
-        positions = [p for _, p in car.breakpoints]
-        positions.append(positions[0] + len(m.faces[f]))  # wrap segment
+        positions = [*car.ps, car.ps[0] + len(m.faces[f]) * car.X]  # wrap segment
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ComotionError(f"face {f}: car rests, arrival time would jump")
-        bps = tuple((p, t) for t, p in car.breakpoints)
-        cocars.append(Cocar(f, len(groups[f]), bps))
+        cocars.append(Cocar.from_ints(f, len(groups[f]), car.ps, car.X, car.ts, car.Y))
     return Comotion(ms.period, tuple(cocars))
 
 

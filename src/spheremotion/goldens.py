@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .motion import CarSchedule, MotionSchedule
+from .motion import CarSchedule, MotionSchedule, fraction_lcm
 from .surface import OrientedMap
 
 # edge names for the pinwheel map
@@ -90,13 +90,8 @@ def genus_map(g: int) -> OrientedMap:
 
 def unit_speed_motion(m: OrientedMap) -> MotionSchedule:
     """One car per face running at unit speed, corner to corner."""
-    from .motion import fraction_lcm
-
-    cars = []
-    for f, boundary in enumerate(m.faces):
-        L = len(boundary)
-        bps = tuple((Fraction(i), Fraction(i)) for i in range(L))
-        cars.append(CarSchedule(f, Fraction(L), bps, degree=1))
+    cars = [CarSchedule.from_ints(f, len(b), range(len(b)), 1, range(len(b)), 1, 1)
+            for f, b in enumerate(m.faces)]
     return MotionSchedule(fraction_lcm([c.period for c in cars]), tuple(cars))
 
 
@@ -113,10 +108,7 @@ def pinwheel_retimed_motion() -> MotionSchedule:
     edge PR and leaves just two collision loci.
     """
     ms = pinwheel_unit_motion()
-    F = Fraction
-    retimed = CarSchedule(
-        4, F(3), ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(2))), degree=1
-    )
+    retimed = CarSchedule(4, 3, ((0, 0), (Fraction(1, 2), 1), (1, 2)), degree=1)
     return MotionSchedule(ms.period, ms.cars[:4] + (retimed,))
 
 
@@ -127,8 +119,5 @@ def pinwheel_double_car_motion() -> MotionSchedule:
     other faces one.
     """
     ms = pinwheel_unit_motion()
-    F = Fraction
-    second = CarSchedule(
-        1, F(6), tuple((F(i), F(3 + i)) for i in range(6)), degree=1
-    )
-    return MotionSchedule(F(3), ms.cars + (second,))
+    second = CarSchedule.from_ints(1, 6, range(6), 1, range(3, 9), 1, 1)
+    return MotionSchedule(3, ms.cars + (second,))

@@ -24,8 +24,9 @@ computes the power: `Fraction("1e999999999")` would build a
 billion-digit int.
 
 `_lift_positions` lifts a face's positions in ints, over the lcm of
-their qs, for motions and comotions alike, and `parse_comotion` hands
-the ints to `Cocar.from_ints` without building a `Fraction`.
+their qs, for motions and comotions alike, and `parse_motion` and
+`parse_comotion` hand the ints to `CarSchedule.from_ints` and
+`Cocar.from_ints` without building a `Fraction` per breakpoint.
 """
 
 from __future__ import annotations
@@ -367,9 +368,8 @@ def motion_to_json(m: OrientedMap, ms: MotionSchedule) -> dict:
     cars = []
     for car in ms.cars:
         L = len(m.faces[car.face])
-        positions = [p for _, p in car.breakpoints]
-        for a, b in zip(positions, positions[1:]):
-            if b - a >= L:
+        for a, b in zip(car.ps, car.ps[1:]):
+            if b - a >= L * car.X:
                 raise JsonError(
                     f"face {car.face}: a car laps between breakpoints; "
                     "subdivide first"
@@ -380,8 +380,9 @@ def motion_to_json(m: OrientedMap, ms: MotionSchedule) -> dict:
                 "period": frac_to_str(car.period),
                 "degree": car.degree,
                 "breakpoints": [
-                    {"t": frac_to_str(t), "at": position_to_json(p % L)}
-                    for t, p in car.breakpoints
+                    {"t": frac_to_str(Fraction(t, car.Y)),
+                     "at": position_to_json(Fraction(p % (L * car.X), car.X))}
+                    for t, p in zip(car.ts, car.ps)
                 ],
             }
         )
@@ -398,18 +399,13 @@ def parse_motion(doc, m: OrientedMap) -> MotionSchedule:
         times = []
         reduced = []
         for bp in bps:
-            times.append(parse_frac(_field(bp, "t")))
+            times.append(_ratio(_field(bp, "t")))
             reduced.append(_position(_field(bp, "at"), L))
-        # the car wraps each position in a Fraction, and ints take its fast path
         xs, X = _lift_positions(reduced, L)
-        cars.append(
-            CarSchedule(
-                f,
-                parse_frac(_field(entry, "period")),
-                tuple(zip(times, xs if X == 1 else (Fraction(x, X) for x in xs))),
-                degree=degree,
-            )
-        )
+        Y = lcm(*(q for _, q in times))
+        ts = [p * (Y // q) for p, q in times]
+        period = parse_frac(_field(entry, "period"))
+        cars.append(CarSchedule.from_ints(f, period, ts, Y, xs, X, degree))
     stops = doc.get("stop_corners", [])
     if not isinstance(stops, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)

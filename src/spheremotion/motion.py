@@ -11,17 +11,15 @@ periods: a set is a sorted tuple of disjoint closed intervals inside
 [0, H].  The instants 0 and H are the same point, so a set holding one of
 them lists both.
 
-Each car keeps one lap table per face length (`car_lap`): its
-breakpoints, closed one period and one climb later, in integers
-(`int_lap`), times scaled by Y, the lcm of the car's time denominators
-and the period's, and positions by X, the lcm of its position
-denominators.  `lap_read` reads such a table with one int bisect and
-gives the value as an int over an int; `comotion`'s corner ticks and
-subdivision call it directly.  `lap_at` is `lap_read` at an int or a
-Fraction plus one Fraction: `position_at` reads a car's position with
-it, and `comotion` a cocar's arrival time.  The rest scan of
-`check_separated_stops` and the blow-up's reference time read the same
-table.
+A car stores its breakpoints once, in ints over least scales, as a
+cocar does.  `CarSchedule.from_ints` is the one checked constructor: the
+document reader, the standard builders and the time shift hand it ints;
+`CarSchedule(face, period, breakpoints, degree)` converts rationals once
+and calls it.  `Fraction` breakpoints are built only when read.  Each
+car keeps one int lap table per face length (`car_lap`), read with one
+int bisect by `lap_read`, as are a cocar's in `comotion`, and by
+`lap_at` plus one Fraction in `position_at`.  The stop audit and the
+blow-up's reference time scan the same table.
 
 Collision loci come from one index per car over [0, H] (`car_index`):
 the time sets at which it visits each corner, and its dart windows, the
@@ -59,10 +57,9 @@ schedule, as a comotion keeps one: the collision horizon, and, once
 `_indexes_by_face` has built them, the schedule's time scale D, the
 horizon times D and the cars' indexes grouped by face.  The collision
 search, the stop audit, the multiple-motion check, `jsonio.parse_motion`
-and the diagram audits read it.  The standard and lifted schedules are
-built in ints, periods included; the only Fractions made are the
-half-integer times of the m = 0 b and c shapes.  The schedule
-constructors take ints and Fractions only, and keep Fraction fields.
+and the diagram audits read it, and `_check` compares the cars' ints.
+The schedule constructors take ints and Fractions only; a period is kept
+as a Fraction.
 """
 
 from __future__ import annotations
@@ -90,29 +87,28 @@ def rational(x, what: str, error=MotionError) -> Fraction:
     """x as a Fraction, when it is an int or a Fraction; `error` naming
     `what` and x otherwise."""
     if type(x) in _RATIONALS:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
     raise error(f"{what} must be an int or a Fraction, got {x!r}")
 
 
-def rational_pairs(pairs, first: str, second: str, error=MotionError) -> tuple:
-    """Pairs of ints or Fractions as Fraction pairs; `error` naming the
-    first value of another type, as the `first` or `second` of its pair."""
+def scaled_pairs(pairs, first: str, second: str, error=MotionError) -> tuple:
+    """Pairs of ints or Fractions as ints over least scales, (xs, X, ys, Y);
+    `error` naming the first value of another type, as `first` or `second`."""
     pairs = tuple(pairs)
     if not {type(x) for pair in pairs for x in pair} <= _RATIONALS:
         for a, b in pairs:
             rational(a, first, error)
             rational(b, second, error)
-    return tuple((Fraction(a), Fraction(b)) for a, b in pairs)
+    X = math.lcm(*(a.denominator for a, _ in pairs))
+    Y = math.lcm(*(b.denominator for _, b in pairs))
+    return ([a.numerator * (X // a.denominator) for a, _ in pairs], X,
+            [b.numerator * (Y // b.denominator) for _, b in pairs], Y)
 
 
 def fraction_lcm(values: Iterable[Fraction]) -> Fraction:
-    nums = 1
-    dens = 1
-    for v in values:
-        v = Fraction(v)
-        nums = nums * v.numerator // math.gcd(nums, v.numerator)
-        dens = math.gcd(dens, v.denominator)
-    return Fraction(nums, dens)
+    # the lcm of the numerators: a common multiple of the values, and the
+    # least one unless the denominators have a common factor
+    return Fraction(math.lcm(*(v.numerator for v in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +160,14 @@ def intervals_instants(ivs, T: Fraction) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CarSchedule:
     """One car: a face index, a period, breakpoints, and a lap count.
 
     Breakpoint times live in [0, period) and strictly increase; lifted
     positions never decrease.  The car climbs degree * L per period; with
-    a single breakpoint and degree 0 the car is parked.
+    a single breakpoint and degree 0 the car is parked.  Breakpoint i is
+    (ts[i] / Y, ps[i] / X), Y and X the least scales.
     """
 
     face: int
@@ -178,57 +175,70 @@ class CarSchedule:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
     degree: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "period", rational(self.period, "period"))
-        bps = rational_pairs(self.breakpoints, "breakpoint time", "breakpoint position")
-        object.__setattr__(self, "breakpoints", bps)
-        if self.period <= 0:
+    def __new__(cls, face, period, breakpoints, degree=0):
+        period = rational(period, "period")
+        ts, Y, ps, X = scaled_pairs(breakpoints, "breakpoint time", "breakpoint position")
+        return cls.from_ints(face, period, ts, Y, ps, X, degree)
+
+    @classmethod
+    def from_ints(cls, face, period, ts, Y: int, ps, X: int, degree) -> CarSchedule:
+        """The car with breakpoints (ts[i] / Y, ps[i] / X), Y, X > 0 ints."""
+        period = rational(period, "period")
+        g, h = math.gcd(Y, *ts), math.gcd(X, *ps)
+        ts = tuple(t // g for t in ts) if g > 1 else tuple(ts)
+        ps = tuple(p // h for p in ps) if h > 1 else tuple(ps)
+        Y, X = Y // g, X // h
+        if period.numerator <= 0:
             raise MotionError("period must be positive")
-        if not bps:
+        if not ts:
             raise MotionError("car needs at least one breakpoint")
-        if bps[0][0] < 0 or bps[-1][0] >= self.period:
+        if ts[0] < 0 or ts[-1] * period.denominator >= period.numerator * Y:
             raise MotionError("breakpoint times must lie in [0, period)")
-        for i in range(1, len(bps)):
-            if bps[i][0] <= bps[i - 1][0]:
+        for i in range(1, len(ts)):
+            if ts[i] <= ts[i - 1]:
                 raise MotionError("breakpoint times must strictly increase")
-            if bps[i][1] < bps[i - 1][1]:
+            if ps[i] < ps[i - 1]:
                 raise MotionError("positions may not decrease")
-        if type(self.degree) is not int or self.degree < 0:
+        if type(degree) is not int or degree < 0:
             raise MotionError("degree must be a nonnegative integer")
-        if type(self.face) is not int:
-            raise MotionError(f"face must be an int, got {self.face!r}")
+        if type(face) is not int:
+            raise MotionError(f"face must be an int, got {face!r}")
+        self = object.__new__(cls)
+        self.__dict__.update(face=face, period=period, ts=ts, Y=Y, ps=ps, X=X, degree=degree)
+        return self
+
+    def _ints(self) -> tuple:
+        """The arguments of `from_ints` that rebuild the car."""
+        return self.face, self.period, self.ts, self.Y, self.ps, self.X, self.degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ints() == other._ints()
+
+    def __hash__(self):
+        return hash(self._ints())
+
+    def __reduce__(self):  # copy and pickle rebuild through the ints
+        return CarSchedule.from_ints, self._ints()
+
+    @cached_property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (time, position) pairs as Fractions, built on first read."""
+        return tuple((Fraction(t, self.Y), Fraction(p, self.X)) for t, p in zip(self.ts, self.ps))
 
     @cached_property
     def _tables(self) -> dict:
         """Lap tables by face length L (`car_lap`), time scales by
-        ("scale", L) (`car_scale`), indexes by (L, horizon, D)
-        (`car_index`)."""
+        ("scale", L) (`car_scale`), indexes by (L, reps, D) (`car_index`)."""
         return {}
-
-
-def int_lap(bps, span, climb, *dens) -> tuple:
-    """One lap of a piecewise-linear function of rational breakpoints
-    (x, y) that climbs `climb` per `span`, in integers, with its scales:
-    ((xs, ys, span, climb), sx, sy), the breakpoints closed by
-    (x0 + span, y0 + climb), x times sx and y times sy.  sx is the lcm of
-    the x denominators and span's, sy that of the y denominators,
-    climb's and the extra denominators `dens`."""
-    sx = math.lcm(span.denominator, *(x.denominator for x, _ in bps))
-    sy = math.lcm(climb.denominator, *dens, *(y.denominator for _, y in bps))
-    xs = [x.numerator * (sx // x.denominator) for x, _ in bps]
-    ys = [y.numerator * (sy // y.denominator) for _, y in bps]
-    span = span.numerator * (sx // span.denominator)
-    climb = climb.numerator * (sy // climb.denominator)
-    xs.append(xs[0] + span)
-    ys.append(ys[0] + climb)
-    return (xs, ys, span, climb), sx, sy
 
 
 def lap_read(lap: tuple, n: int, d: int = 1) -> tuple[int, int]:
     """The value at x == n / (d * sx), n and d > 0 ints, of the function
-    an `int_lap` describes, in ints: (y, w) with value y / (w * sy), w
-    the width of the table piece x falls in times d.  One bisect, no
-    Fraction."""
+    a lap table ((xs, ys, span, climb), sx, sy) describes, in ints: (y, w)
+    with value y / (w * sy), w the width of the table piece x falls in
+    times d.  One bisect, no Fraction."""
     (xs, ys, span, climb), _, _ = lap
     # whole laps move the value by climb
     laps = (n - d * xs[0]) // (d * span)
@@ -240,7 +250,7 @@ def lap_read(lap: tuple, n: int, d: int = 1) -> tuple[int, int]:
 
 
 def lap_at(lap: tuple, x) -> Fraction:
-    """The value at x, an int or a Fraction, of the function an `int_lap`
+    """The value at x, an int or a Fraction, of the function a lap table
     describes: `lap_read` and one Fraction."""
     _, sx, sy = lap
     y, w = lap_read(lap, x.numerator * sx, x.denominator)
@@ -248,25 +258,30 @@ def lap_at(lap: tuple, x) -> Fraction:
 
 
 def car_lap(car: CarSchedule, L: int) -> tuple:
-    """The car's int lap table on a face of length L, position over time,
-    with its scales (table, Y, X): times times Y and positions times X are
-    ints, Y the lcm of the time denominators and the period's, X that of
-    the position denominators."""
+    """The car's int lap table on a face of length L, position over time:
+    ((ts, ps, span, climb), Y, X), the car's ps over its X and its ts moved
+    to Y, the lcm of its Y and the period's denominator, closed one lap on
+    by ts[0] + span and ps[0] + climb, the period and degree * L."""
     lap = car._tables.get(L)
     if lap is None:
-        lap = car._tables[L] = int_lap(car.breakpoints, car.period, car.degree * L)
+        P, X = car.period, car.X
+        s = P.denominator // math.gcd(car.Y, P.denominator)
+        Y = car.Y * s
+        span, climb = P.numerator * (Y // P.denominator), car.degree * L * X
+        ts = [t * s for t in car.ts] + [car.ts[0] * s + span]
+        lap = car._tables[L] = (ts, [*car.ps, car.ps[0] + climb], span, climb), Y, X
     return lap
 
 
 def position_at(car: CarSchedule, L: int, t) -> Fraction:
-    return lap_at(car_lap(car, L), t)
+    """The car's lifted position at time t, an int or a Fraction."""
+    return lap_at(car_lap(car, L), rational(t, "time"))
 
 
 def _shift_into_range(bps, r, L: int):
     """Breakpoints moved r along a face of length L, first position in [0, L)."""
-    shifted = [(t, p + r) for t, p in bps]
-    drop = L * (shifted[0][1] // L)
-    return tuple((t, p - drop) for t, p in shifted)
+    drop = L * ((bps[0][1] + r) // L) - r
+    return tuple((t, p - drop) for t, p in bps)
 
 
 @dataclass(frozen=True)
@@ -314,10 +329,10 @@ def _check(m: OrientedMap, ms: MotionSchedule) -> None:
         if not (0 <= car.face < m.face_count()):
             raise MotionError(f"no such face: {car.face}")
         L = len(m.faces[car.face])
-        p0 = car.breakpoints[0][1]
-        if not (0 <= p0 < L):
-            raise MotionError(f"initial position {p0} outside [0, {L})")
-        if car.breakpoints[-1][1] > p0 + car.degree * L:
+        ps, X = car.ps, car.X
+        if not (0 <= ps[0] < L * X):
+            raise MotionError(f"initial position {Fraction(ps[0], X)} outside [0, {L})")
+        if ps[-1] > ps[0] + car.degree * L * X:
             raise MotionError("positions climb past the declared degree")
         # the schedule period over the car's is a / b; one must divide the other
         a, b = n * car.period.denominator, d * car.period.numerator
@@ -364,10 +379,10 @@ def car_scale(car: CarSchedule, L: int) -> int:
     return D
 
 
-def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict, dict]:
-    """Where one car is over the horizon [0, H], in ints at the time scale
-    D, a multiple of `car_scale(car, L)`: (visits, windows), every time
-    times D.
+def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
+    """Where one car is over the horizon [0, H], H = reps periods, in ints
+    at the time scale D, a multiple of `car_scale(car, L)`: (visits,
+    windows), every time times D.
 
     visits[j] is the time set at which the car sits on corner j of its
     face.  windows[k] lists the stretches (t0, t1, u, c) it spends inside
@@ -375,22 +390,19 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict
     most in their ends.  A moving stretch takes c > 0 time units per
     position unit 1 / X, X the position scale of the car's lap table, and
     is at dart parameter (u + t - t0) / (c * X); a rest has c == 0 and sits
-    at u / X.  The index is built once per (L, H, D) and cached on the
+    at u / X.  The index is built once per (L, reps, D) and cached on the
     car: read-only.
     """
-    index = car._tables.get((L, horizon, D))
+    index = car._tables.get((L, reps, D))
     if index is not None:
         return index
-    reps = horizon / car.period
-    if reps.denominator != 1:
-        raise MotionError("horizon is not a multiple of the car period")
     # positions times X and times times Y are ints; times times D = Y * G
     # too, and G clears every slope, so each piece's time per position
     # unit c and every corner crossing are ints
     (ts, ps, span, _), Y, X = car_lap(car, L)
     G = D // Y
     P = span * G
-    H = int(reps) * P
+    H = reps * P
     # one lap of events in D units, by corner or dart: visits (a, b) and
     # windows (t0, t1, u, c); whole laps keep corners mod L
     lap_visits: dict[int, list] = defaultdict(list)
@@ -421,7 +433,7 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict
             u = 0
     # replicas shifted from one period back cover [0, H] whatever the
     # first breakpoint; only the first and the last can cross 0 or H
-    last = int(reps) - 1
+    last = reps - 1
     whole, clipped = range(0, last * P, P), (-P, last * P)
     visits: dict[int, tuple] = {}
     for j, events in lap_visits.items():
@@ -440,7 +452,7 @@ def car_index(car: CarSchedule, L: int, horizon: Fraction, D: int) -> tuple[dict
                     items.append((t0, t1, u + t0 - a - s if c else u, c))
         items.sort()
         windows[j] = items
-    index = car._tables[(L, horizon, D)] = (visits, windows)
+    index = car._tables[(L, reps, D)] = (visits, windows)
     return index
 
 
@@ -455,8 +467,11 @@ def _unscaled(ivs, D: int) -> tuple:
 
 def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
     """Times in [0, horizon] at which the car sits on corner j of its face."""
+    reps, rest = divmod(horizon, car.period)
+    if rest:
+        raise MotionError("horizon is not a multiple of the car period")
     D = car_scale(car, L)
-    return _unscaled(car_index(car, L, horizon, D)[0].get(j, ()), D)
+    return _unscaled(car_index(car, L, reps, D)[0].get(j, ()), D)
 
 
 def _indexes_by_face(m: OrientedMap, ms: MotionSchedule) -> dict:
@@ -471,8 +486,8 @@ def _indexes_by_face(m: OrientedMap, ms: MotionSchedule) -> dict:
         D = math.lcm(*(car_scale(car, L) for car, L in cars))
         out: dict[int, list] = {}
         for car, L in cars:
-            visits, windows = car_index(car, L, horizon, D)
-            out.setdefault(car.face, []).append((visits, windows, car_lap(car, L)[2]))
+            visits, windows = car_index(car, L, int(horizon / car.period), D)
+            out.setdefault(car.face, []).append((visits, windows, car.X))
         rec.update(faces=out, D=D, H=horizon.numerator * D // horizon.denominator)
     return rec
 
@@ -580,16 +595,19 @@ def _window_meetings(edge, plus, Xp, minus, Xm, D: int, out):
 # ---------------------------------------------------------------------------
 
 
-def time_shifted_car(car: CarSchedule, L: int, shift: Fraction) -> CarSchedule:
-    """The car running `shift` earlier: new(t) == old(t + shift)."""
-    shift = Fraction(shift)
-    P = car.period
-    pts = []
-    for t, _ in car.breakpoints:
-        tt = (t - shift) % P
-        pts.append((tt, position_at(car, L, tt + shift)))
-    pts.sort()
-    return CarSchedule(car.face, P, _shift_into_range(pts, 0, L), degree=car.degree)
+def time_shifted_car(car: CarSchedule, L: int, shift) -> CarSchedule:
+    """The car running `shift`, an int or a Fraction, earlier: new(t) ==
+    old(t + shift)."""
+    shift = rational(shift, "shift")
+    (ts, ps, span, climb), Y, X = car_lap(car, L)
+    # on the time scale Z of the lap and the shift, breakpoint (t, p) moves to
+    # tt = t - shift reduced into [0, period), k periods back: k climbs lower
+    Z = math.lcm(Y, shift.denominator)
+    w, s = Z // Y, shift.numerator * (Z // shift.denominator)
+    moved = [(divmod(t * w - s, span * w), p) for t, p in zip(ts, ps[:-1])]
+    pts = sorted((tt, p - k * climb) for (k, tt), p in moved)
+    ts, ps = zip(*_shift_into_range(pts, 0, L * X))
+    return CarSchedule.from_ints(car.face, car.period, ts, Z, ps, X, car.degree)
 
 
 def _offset(car_a, car_b, L: int, shift: Fraction) -> Optional[Fraction]:
@@ -752,21 +770,22 @@ def _anchor_rotation(profile, pattern) -> int:
 
 
 def _base_breakpoints(kind: str, mval: int, extras: dict):
-    """Pattern-coordinate breakpoints of the standard car, in ints but for
-    the half-integer time of the m = 0 b and c shapes."""
+    """Pattern-coordinate breakpoints of the standard car as int pairs
+    (t * Y, p), and Y: 2 for the half-integer times of the m = 0 b and c
+    shapes, 1 otherwise."""
     if kind == "a":
-        return [(0, 1)]
+        return [(0, 1)], 1
     if kind == "b":
         if mval == 0:
-            return [(0, 2), (1, 3), (Fraction(3, 2), 4)]
-        return [(0, 2), (2 * mval + 2, 2 * mval + 4), (4 * mval + 1, 2 * mval + 4)]
+            return [(0, 2), (2, 3), (3, 4)], 2
+        return [(0, 2), (2 * mval + 2, 2 * mval + 4), (4 * mval + 1, 2 * mval + 4)], 1
     if kind == "c":
         if mval == 0:
-            return [(0, 0), (Fraction(1, 2), 1), (1, 2)]
-        return [(0, 0), (1, 1), (2 * mval, 1)]
+            return [(0, 0), (1, 1), (2, 2)], 2
+        return [(0, 0), (1, 1), (2 * mval, 1)], 1
     k, l = extras["k"], extras["l"]
     if mval == 0:
-        return [(0, k + 1), (1, k + l + 2)]
+        return [(0, k + 1), (1, k + l + 2)], 1
     return [
         (0, k + 1),
         (1, k + 2),
@@ -774,7 +793,7 @@ def _base_breakpoints(kind: str, mval: int, extras: dict):
         (2 * mval + 1, k + l + 2),
         (2 * mval + 2, 2 * k + l + 2),
         (4 * mval + 1, 2 * k + l + 2),
-    ]
+    ], 1
 
 
 def _saddle_corners(m: OrientedMap) -> frozenset[Corner]:
@@ -786,8 +805,8 @@ def _saddle_corners(m: OrientedMap) -> frozenset[Corner]:
 def _standard_schedule(m: OrientedMap, info: dict, lift: bool) -> MotionSchedule:
     """The standard schedule of `info`; with `lift`, a face of s repeated
     blocks carries s cars, each one block apart and one period behind the
-    next, and 2-gon faces are refused once m > 0.  Times and positions are
-    ints but for the half-integer times of the m = 0 b and c shapes."""
+    next, and 2-gon faces are refused once m > 0.  Breakpoints are built
+    in ints and handed to `CarSchedule.from_ints`."""
     mval = info["m"] if info["m"] is not None else 0
     if type(mval) is not int or mval < 0:
         raise MotionError(f"m must be a nonnegative integer, got {mval!r}")
@@ -800,13 +819,13 @@ def _standard_schedule(m: OrientedMap, info: dict, lift: bool) -> MotionSchedule
             raise MotionError("2-gon faces have no lift at this period")
         s = 1 if kind in ("a", "b", "c") else extras["s"]
         block = len(profile) // s
-        base = _shift_into_range(_base_breakpoints(kind, mval, extras), r % block, block)
+        base, Y = _base_breakpoints(kind, mval, extras)
+        base = _shift_into_range(base, r % block, block)
         period = 2 if kind == "a" else s * T
+        ts = [t + q * T * Y for q in range(s) for t, _ in base]
         for j in range(s):
-            bps = tuple(
-                (t + q * T, p + (j + q) * block) for q in range(s) for t, p in base
-            )
-            cars.append(CarSchedule(f, period, bps, degree=1))
+            ps = [p + (j + q) * block for q in range(s) for _, p in base]
+            cars.append(CarSchedule.from_ints(f, period, ts, Y, ps, 1, 1))
     stops = _saddle_corners(m) if mval > 0 else frozenset()
     return MotionSchedule(T, tuple(cars), stops)
 
@@ -887,8 +906,8 @@ def _car_events(car: CarSchedule, L: int, stops: set):
     """
     P = car.period
     t_ref = _reference_time(car, L) % P
-    D, X = car_scale(car, L), car_lap(car, L)[2]
-    visits, windows = car_index(car, L, 2 * P, D)
+    D, X = car_scale(car, L), car.X
+    visits, windows = car_index(car, L, 2, D)
     lo, hi = t_ref * D, (t_ref + P) * D
     events = []
     for j in stops:

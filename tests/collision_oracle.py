@@ -10,14 +10,17 @@ breakpoint times.  Slow on purpose: keep inputs small.
 The segments come from the raw breakpoints here, not from the program's
 int lap tables.  `position_at` is the original scan over them, the oracle
 of the program's bisecting reader, and `car_index`, `reference_time`,
-`is_regular` and `offset` are the program's earlier Fraction walks over
-them.
+`is_regular`, `offset` and `time_shifted_car` are the program's earlier
+Fraction walks over them.  `int_lap` is the program's earlier builder of
+lap tables from Fraction breakpoints, the oracle of the tables that cars
+and cocars build from their stored ints.
 """
 
 import math
 from fractions import Fraction
 
 from spheremotion.motion import (
+    CarSchedule,
     CollisionReport,
     MotionError,
     collision_horizon,
@@ -35,6 +38,24 @@ def car_segments(car, L: int):
         segs.append(bps[i] + bps[i + 1])
     segs.append(bps[-1] + (bps[0][0] + car.period, bps[0][1] + car.degree * L))
     return segs
+
+
+def int_lap(bps, span, climb, *dens) -> tuple:
+    """One lap of a piecewise-linear function of rational breakpoints
+    (x, y) that climbs `climb` per `span`, in integers, with its scales:
+    ((xs, ys, span, climb), sx, sy), the breakpoints closed by
+    (x0 + span, y0 + climb), x times sx and y times sy.  sx is the lcm of
+    the x denominators and span's, sy that of the y denominators,
+    climb's and the extra denominators `dens`."""
+    sx = math.lcm(span.denominator, *(x.denominator for x, _ in bps))
+    sy = math.lcm(climb.denominator, *dens, *(y.denominator for _, y in bps))
+    xs = [x.numerator * (sx // x.denominator) for x, _ in bps]
+    ys = [y.numerator * (sy // y.denominator) for _, y in bps]
+    span = span.numerator * (sx // span.denominator)
+    climb = climb.numerator * (sy // climb.denominator)
+    xs.append(xs[0] + span)
+    ys.append(ys[0] + climb)
+    return (xs, ys, span, climb), sx, sy
 
 
 def unscaled(lap) -> tuple:
@@ -96,6 +117,20 @@ def offset(car_a, car_b, L: int, shift: Fraction):
     times |= {(t - shift) % Pc for t, _ in car_a.breakpoints}
     gaps = {position_at(car_a, L, t + shift) - position_at(car_b, L, t) for t in times}
     return gaps.pop() if len(gaps) == 1 else None
+
+
+def time_shifted_car(car, L: int, shift: Fraction):
+    """`spheremotion.motion.time_shifted_car` over Fractions, reading the
+    position at every moved breakpoint: its oracle."""
+    shift = Fraction(shift)
+    P = car.period
+    pts = []
+    for t, _ in car.breakpoints:
+        tt = (t - shift) % P
+        pts.append((tt, position_at(car, L, tt + shift)))
+    pts.sort()
+    drop = L * (pts[0][1] // L)
+    return CarSchedule(car.face, P, tuple((t, p - drop) for t, p in pts), degree=car.degree)
 
 
 def car_index(car, L: int, horizon: Fraction) -> tuple[dict, dict]:

@@ -17,18 +17,23 @@ the full rebuild of `map_edit_oracle.edit_problem` (faces, `edge_sides`,
 diagram the builder makes is rebuilt with `HowieDiagram(...)` over
 `OrientedMap(surface, faces)` and compared.
 
-Cocars are stored in ints.  Every lap table `comotion._lap` builds is
-compared with `motion.int_lap` over the cocar's `Fraction` breakpoints,
-and every cocar `Cocar.from_ints` builds is compared, by equality, hash
-and repr, with `Cocar(face, degree, breakpoints)` over the Fractions its
-ints stand for.  Neither check leaves the breakpoints cached on the cocar.
+Cocars and cars are stored in ints.  Every lap table `comotion._lap`
+builds is compared with `collision_oracle.int_lap` over the cocar's
+`Fraction` breakpoints, and every cocar `Cocar.from_ints` builds is
+compared, by equality, hash and repr, with `Cocar(face, degree,
+breakpoints)` over the Fractions its ints stand for.  Cars work the same
+way: every lap table `motion.car_lap` builds is compared with `int_lap`
+over the car's Fraction breakpoints, and every car `CarSchedule.from_ints`
+builds is compared with `CarSchedule(face, period, breakpoints, degree)`.
+No check leaves the breakpoints cached on a cocar or a car.
 
 A motion schedule keeps one record per map: `motion.validate_motion` makes
 it once the checks pass, and `motion._indexes_by_face` adds the cars'
 indexes.  Every record completed there is compared with the analysis of a
-record-free copy of the schedule, its cars rebuilt too so that no lap
-table or index is shared: the checks must pass and the horizon, the time
-scales and every car's visits and windows must be equal.  The rebuild
+record-free copy of the schedule, its cars rebuilt from their Fractions
+too so that no lap table or index is shared: the checks must pass and the
+horizon, the time scales and every car's visits and windows must be
+equal.  The rebuild
 calls the functions as they were when the session started, so a test that
 counts calls does not see it.
 
@@ -41,9 +46,9 @@ from fractions import Fraction
 
 import pytest
 
+from collision_oracle import int_lap
 from map_edit_oracle import edit_problem
 from spheremotion import comotion, diagram, groups, motion
-from spheremotion.motion import int_lap
 from spheremotion.surface import OrientedMap
 
 
@@ -163,6 +168,61 @@ def int_cocar_oracle():
 
 
 @pytest.fixture(scope="session", autouse=True)
+def int_car_oracle():
+    Car = motion.CarSchedule
+    lap, from_ints = motion.car_lap, Car.__dict__["from_ints"]
+    build = from_ints.__func__
+    fractions = Car.breakpoints.func  # builds them without caching them
+    violations = []
+    rebuilding = []
+
+    def fail(what, problem):
+        violations.append((what, problem))
+        raise AssertionError(f"{what}: {problem}")
+
+    @functools.wraps(lap)
+    def checked_lap(car, L):
+        new = L not in car._tables
+        table = lap(car, L)
+        if new:
+            want = int_lap(fractions(car), car.period, car.degree * L)
+            if table != want:
+                fail(f"car_lap of {car!r} at L={L}", f"{table} is not {want}")
+        return table
+
+    @functools.wraps(build)
+    def checked_build(cls, face, period, ts, Y, ps, X, degree):
+        c = build(cls, face, period, ts, Y, ps, X, degree)
+        if rebuilding:
+            return c
+        what = f"from_ints{(face, period, ts, Y, ps, X, degree)}"
+        bps = tuple((Fraction(t, Y), Fraction(p, X)) for t, p in zip(ts, ps))
+        rebuilding.append(True)  # the rebuild below goes through from_ints too
+        try:
+            full = Car(face, period, bps, degree)
+        except motion.MotionError as exc:
+            fail(what, f"the Fractions are refused: {exc}")
+        finally:
+            rebuilding.pop()
+        ints = (*c.ts, c.Y, *c.ps, c.X)
+        if not all(type(n) is int for n in ints) or type(c.period) is not Fraction:
+            fail(what, "stores a part that is not an int, or a period that is no Fraction")
+        if (full, hash(full), repr(full)) != (c, hash(c), repr(c)):
+            fail(what, f"{c!r} is not {full!r}")
+        vars(c).pop("breakpoints")  # built by repr: leave it unbuilt
+        return c
+
+    motion.car_lap = checked_lap
+    Car.from_ints = classmethod(checked_build)
+    try:
+        yield
+    finally:
+        motion.car_lap = lap
+        Car.from_ints = from_ints
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
 def motion_record_oracle():
     indexes = motion._indexes_by_face
     check, scale, index, lap = motion._check, motion.car_scale, motion.car_index, motion.car_lap
@@ -175,7 +235,8 @@ def motion_record_oracle():
     def analysis(m, ms):
         """The record's contents, from a copy of ms with no record and no
         car tables."""
-        cars = tuple(motion.CarSchedule(c.face, c.period, c.breakpoints, c.degree)
+        fractions = motion.CarSchedule.breakpoints.func  # without caching them
+        cars = tuple(motion.CarSchedule(c.face, c.period, fractions(c), c.degree)
                      for c in ms.cars)
         fresh = motion.MotionSchedule(ms.period, cars, ms.stop_corners)
         check(m, fresh)
@@ -184,7 +245,8 @@ def motion_record_oracle():
         D = math.lcm(*(scale(car, L) for car, L in on_face))
         faces = {}
         for car, L in on_face:
-            faces.setdefault(car.face, []).append((*index(car, L, horizon, D), lap(car, L)[2]))
+            reps = int(horizon / car.period)
+            faces.setdefault(car.face, []).append((*index(car, L, reps, D), lap(car, L)[2]))
         return {"horizon": horizon, "faces": faces, "D": D, "H": horizon * D}
 
     @functools.wraps(indexes)

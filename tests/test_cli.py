@@ -240,6 +240,29 @@ def test_motion_file_analyses_the_schedule_once(goldens, monkeypatch, capsys):
                       "as_multiple_motion": 1}
 
 
+@pytest.mark.parametrize("args", [
+    ("pinwheel.map.json", "retimed.motion.json"),
+    ("banded.map.json", "banded.motion.json"),
+    ("banded.map.json", "--standard", "B", "--m", "1"),
+])
+def test_motion_builds_no_fraction_breakpoints(goldens, monkeypatch, capsys, args):
+    # cars are read or built in ints and audited from their int lap tables:
+    # no car has its Fraction breakpoints built, and the package has no
+    # builder of a lap table from Fraction breakpoints
+    schedules = []
+    indexes = motion._indexes_by_face
+    monkeypatch.setattr(motion, "_indexes_by_face",
+                        lambda m, ms: schedules.append(ms) or indexes(m, ms))
+    code, _ = run_json(
+        capsys, "motion", *(str(goldens / a) if a.endswith(".json") else a for a in args)
+    )
+    assert code == 0 and schedules
+    cars = [car for ms in schedules for car in ms.cars]
+    assert [c for c in cars if "breakpoints" in vars(c)] == []
+    assert all(c._tables for c in cars)
+    assert not hasattr(motion, "int_lap")
+
+
 @pytest.mark.parametrize("mval", ["-1", "-3"])
 def test_motion_standard_refuses_a_negative_m(goldens, capsys, mval):
     code, report = run_json(

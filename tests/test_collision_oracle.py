@@ -178,6 +178,13 @@ def maybe_shifted_cars(draw):
     return car, L
 
 
+@settings(max_examples=200, deadline=None)
+@given(drawn=cars_on_a_face(), shift=st.fractions(-30, 30, max_denominator=12))
+def test_time_shift_matches_the_fraction_walk(drawn, shift):
+    car, L = drawn
+    assert time_shifted_car(car, L, shift) == oracle.time_shifted_car(car, L, shift)
+
+
 @settings(max_examples=300, deadline=None)
 @given(drawn=maybe_shifted_cars(), extra=st.lists(st.integers(-40, 40), max_size=6),
        stops=st.sets(st.integers(0, 5)))
@@ -254,7 +261,7 @@ def test_index_matches_the_replica_walk(drawn):
     X = car_lap(car, L)[2]
     # at the car's own scale, and at a multiple as a schedule's scale
     for D in (car_scale(car, L), 6 * car_scale(car, L)):
-        visits, windows = car_index(car, L, H, D)
+        visits, windows = car_index(car, L, int(H / car.period), D)
         # the int index over D: windows as (t0, t1, lam0, slope), a rest
         # at slope 0
         unscaled = (

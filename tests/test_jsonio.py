@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import comotion_oracle
+import motion_oracle
 from spheremotion.comotion import Cocar, Comotion, ComotionError, subdivide_comotion
 from spheremotion.diagram import HowieDiagram
 from spheremotion.fuzzing import (
@@ -16,6 +17,7 @@ from spheremotion.fuzzing import (
     make_rng,
     pinwheel_variant,
     random_comotion,
+    random_multiple_motion,
     random_sphere_map,
 )
 from spheremotion.goldens import (
@@ -48,7 +50,14 @@ from spheremotion.jsonio import (
     presentation_to_json,
     word_to_json,
 )
-from spheremotion.motion import CarSchedule, MotionSchedule, standard_motion, standard_multiple_motion
+from spheremotion.motion import (
+    CarSchedule,
+    MotionError,
+    MotionSchedule,
+    standard_motion,
+    standard_multiple_motion,
+    time_shifted_car,
+)
 from spheremotion.rewriting import rewrite_word
 from spheremotion.surface import MapError, OrientedMap, classify_map
 
@@ -563,3 +572,83 @@ def test_comotion_documents_refuse_as_the_fraction_reader(seed, data, value):
         key = data.draw(st.sampled_from(["corner", "dart", "lambda"]))
         bp["at"] = {"corner": value} if key == "corner" else dict(bp["at"], **{key: value})
     assert _parsed(parse_comotion, doc, m) == _parsed(comotion_oracle.parse_comotion, doc, m)
+
+
+# -- motion documents against the Fraction reader --------------------------------
+
+
+def respelled_motion(rng, draw):
+    """(map, schedule, document): a random multiple motion run a random
+    time earlier, with a few stop corners, whose document spells each
+    rational anew."""
+    m = pinwheel_variant(rng.randint(1, 6)) if rng.random() < 0.3 else random_sphere_map(rng)
+    ms = random_multiple_motion(m, rng, rng.choice([None, F(5, 3), F(7, 2)]))
+    shift = ms.period * F(rng.randrange(12), 12)
+    cars = tuple(time_shifted_car(c, len(m.faces[c.face]), shift) for c in ms.cars)
+    stops = frozenset(rng.sample(sorted(m.corners()), rng.randint(0, 2)))
+    ms = MotionSchedule(ms.period, cars, stops)
+    doc = json.loads(dumps(motion_to_json(m, ms)))
+
+    def spell(text):
+        return draw(st.sampled_from(spellings(F(text))))
+
+    doc["period"] = spell(doc["period"])
+    for car in doc["cars"]:
+        car["period"] = spell(car["period"])
+        for bp in car["breakpoints"]:
+            bp["t"] = spell(bp["t"])
+            if "lambda" in bp["at"]:
+                bp["at"]["lambda"] = spell(bp["at"]["lambda"])
+    return m, ms, doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_motion_documents_read_every_spelling_as_the_fraction_reader(seed, data):
+    m, ms, doc = respelled_motion(make_rng(seed), data.draw)
+    got, want = parse_motion(doc, m), motion_oracle.parse_motion(doc, m)
+    assert got == ms
+    assert (got.period, got.stop_corners) == (want.period, want.stop_corners)
+    for a, b in zip(got.cars, want.cars, strict=True):
+        # the Fraction reader's car, stored in ints
+        c = CarSchedule(b.face, b.period, b.breakpoints, b.degree)
+        assert a == c and (hash(a), repr(a)) == (hash(c), repr(b))
+        assert a.breakpoints == b.breakpoints
+        assert all(type(v) is F for bp in a.breakpoints for v in bp)
+    assert dumps(motion_to_json(m, got)) == dumps(motion_oracle.motion_to_json(m, want))
+
+
+def _parsed_motion(parse, doc, m):
+    """The cars' fields, the period and the stop corners, or the error a
+    reader raises."""
+    try:
+        ms = parse(doc, m)
+    except (JsonError, MotionError) as exc:
+        return type(exc).__name__, str(exc)
+    cars = [(c.face, c.period, c.breakpoints, c.degree) for c in ms.cars]
+    return ms.period, ms.stop_corners, cars
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data(), value=FIELD_VALUES)
+def test_motion_documents_refuse_as_the_fraction_reader(seed, data, value):
+    # one field of a respelled document takes an arbitrary value
+    m, _, doc = respelled_motion(make_rng(seed), data.draw)
+    car = data.draw(st.sampled_from(doc["cars"]))
+    bp = data.draw(st.sampled_from(car["breakpoints"]))
+    where = data.draw(st.sampled_from(["period", "car period", "degree", "t", "at", "stop"]))
+    if where == "period":
+        doc["period"] = value
+    elif where == "car period":
+        car["period"] = value
+    elif where == "degree":
+        car["degree"] = value
+    elif where == "t":
+        bp["t"] = value
+    elif where == "stop":
+        doc["stop_corners"] = [[car["face"], value]]
+    else:
+        key = data.draw(st.sampled_from(["corner", "dart", "lambda"]))
+        bp["at"] = {"corner": value} if key == "corner" else dict(bp["at"], **{key: value})
+    want = _parsed_motion(motion_oracle.parse_motion, doc, m)
+    assert _parsed_motion(parse_motion, doc, m) == want

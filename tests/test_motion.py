@@ -1,5 +1,8 @@
 """Car schedules, collision detection, standard motions and blow-up."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -100,6 +103,39 @@ def test_car_schedule_refuses_float_and_boolean_breakpoints():
     car = CarSchedule(0, 2, ((0, F(1, 2)),))  # ints and Fractions are taken
     assert car.period == 2 and car.breakpoints == ((0, F(1, 2)),)
     assert all(type(x) is F for x in (car.period, *car.breakpoints[0]))
+
+
+def test_cars_store_ints_over_least_scales():
+    car = CarSchedule(2, F(5, 2), ((F(1, 2), 1), (F(3, 2), F(7, 3))), degree=1)
+    assert (car.ts, car.Y, car.ps, car.X) == ((1, 3), 2, (3, 7), 3)
+    same = CarSchedule.from_ints(2, F(5, 2), [3, 9], 6, [6, 14], 6, 1)
+    assert same == car and hash(same) == hash(car)
+    assert "breakpoints" not in vars(same)  # built on first read
+    assert repr(same) == repr(car) == (
+        "CarSchedule(face=2, period=Fraction(5, 2), breakpoints=((Fraction(1, 2), "
+        "Fraction(1, 1)), (Fraction(3, 2), Fraction(7, 3))), degree=1)")
+    assert same.breakpoints == ((F(1, 2), F(1)), (F(3, 2), F(7, 3)))
+    assert pickle.loads(pickle.dumps(car)) == copy.copy(car) == car
+    assert [f.name for f in dataclasses.fields(CarSchedule)] == [
+        "face", "period", "breakpoints", "degree"]
+    assert car != CarSchedule(2, F(5, 2), ((F(1, 2), 1), (F(3, 2), F(7, 3))), degree=2)
+    assert car != car._ints() and car.__eq__(car._ints()) is NotImplemented
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        car.Y = 4
+    with pytest.raises(MotionError, match=r"^breakpoint times must lie in \[0, period\)$"):
+        CarSchedule.from_ints(0, 2, [4], 2, [0], 1, 0)
+
+
+def test_time_functions_refuse_floats_and_booleans():
+    car = unit_car(0, 4)
+    with pytest.raises(MotionError, match=r"^shift must be an int or a Fraction, got 0\.1$"):
+        time_shifted_car(car, 4, 0.1)
+    with pytest.raises(MotionError, match="^shift must be an int or a Fraction, got True$"):
+        time_shifted_car(car, 4, True)
+    with pytest.raises(MotionError, match=r"^time must be an int or a Fraction, got 0\.5$"):
+        position_at(car, 4, 0.5)
+    assert time_shifted_car(car, 4, 1) == time_shifted_car(car, 4, F(1))
+    assert position_at(car, 4, 1) == position_at(car, 4, F(1)) == 1
 
 
 def test_validate_motion_rejections():
@@ -224,6 +260,8 @@ def test_corner_occupancy_unit_car():
     assert occ == ((F(1), F(1)), (F(4), F(4)))
     occ0 = corner_occupancy(car, 3, 0, F(6))
     assert occ0 == ((F(0), F(0)), (F(3), F(3)), (F(6), F(6)))
+    with pytest.raises(MotionError, match="^horizon is not a multiple of the car period$"):
+        corner_occupancy(car, 3, 0, F(9, 2))
 
 
 @given(

@@ -27,12 +27,16 @@ ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "spheremotion"
 
 
-def body_lines(source: str) -> dict[int, bool]:
+def body_lines(source: str) -> dict[int, tuple[bool, int]]:
     """Lines of the statements inside function bodies, each mapped to
-    whether a `raise` starts there.  Docstrings, `try:` headers and
-    `global`/`nonlocal` declarations are left out, as they emit no line
-    event of their own; a decorated nested def starts at its first
-    decorator."""
+    whether a `raise` starts there and to the last line of its header.
+    The header of an `if` or a `while` ends with its test and that of a
+    `for` with its iterable; it counts as reached when any of its lines
+    ran, as Python reports a test that spans lines on the line of the
+    operand it evaluates, not always on the `if`.  Other statements are
+    one line.  Docstrings, `try:` headers and `global`/`nonlocal`
+    declarations are left out, as they emit no line event of their own; a
+    decorated nested def starts at its first decorator."""
     tree = ast.parse(source)
     docstrings = set()
     for node in ast.walk(tree):
@@ -40,7 +44,7 @@ def body_lines(source: str) -> dict[int, bool]:
             if ast.get_docstring(node) is not None:
                 docstrings.add(id(node.body[0]))
     silent = (ast.Try, ast.Global, ast.Nonlocal)
-    lines: dict[int, bool] = {}
+    lines: dict[int, tuple[bool, int]] = {}
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -52,7 +56,14 @@ def body_lines(source: str) -> dict[int, bool]:
                     continue
                 decorators = getattr(node, "decorator_list", ())
                 line = min([node.lineno, *(d.lineno for d in decorators)])
-                lines[line] = lines.get(line, False) or isinstance(node, ast.Raise)
+                if isinstance(node, (ast.If, ast.While)):
+                    end = node.test.end_lineno
+                elif isinstance(node, (ast.For, ast.AsyncFor)):
+                    end = node.iter.end_lineno
+                else:
+                    end = line
+                raises, last = lines.get(line, (False, line))
+                lines[line] = (raises or isinstance(node, ast.Raise), max(last, end))
     return lines
 
 
@@ -87,10 +98,11 @@ def main(argv: list[str]) -> int:
         source = path.read_text()
         text = source.splitlines()
         ran = {line for name, line in hits if name == str(path)}
-        lines = body_lines(source)
-        for line in sorted(lines.keys() - ran):
+        for line, (is_raise, end) in sorted(body_lines(source).items()):
+            if not ran.isdisjoint(range(line, end + 1)):
+                continue
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-            if lines[line]:
+            if is_raise:
                 raises += 1
             else:
                 other += 1
