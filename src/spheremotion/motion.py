@@ -6,10 +6,10 @@ to the real line: over one period the car climbs degree * L where L is
 the face boundary length, so position mod L is the actual boundary point.
 Integer positions are corners, fractional ones lie inside a dart.
 
-Time sets live on the circle of the collision horizon H, the lcm of all
-periods: a set is a sorted tuple of disjoint closed intervals inside
-[0, H].  The instants 0 and H are the same point, so a set holding one of
-them lists both.
+Time sets live on the circle of the collision horizon H, the lcm of the
+periods' numerators, a common multiple of the periods: a set is a sorted
+tuple of disjoint closed intervals inside [0, H].  The instants 0 and H
+are the same point, so a set holding one of them lists both.
 
 A car stores its breakpoints once, in ints over least scales, as a
 cocar does.  `CarSchedule.from_ints` is the one checked constructor: the
@@ -38,9 +38,8 @@ schedule.  A car's scale (`car_scale`) is D = Y * g, g the lcm over its
 moving pieces of each slope's reduced position step: the least scale at
 which every corner crossing is an integer.  The schedule's scale is the
 lcm of its cars' scales, and every index of the search is built at it
-from the lap table: one lap of corner visits and dart windows, with the
-replicas over [0, H] as integer shifts by the period, only the first
-and the last clipped.  Visits are normalized int intervals.  A window
+by one forward walk over the lap table, lap after lap, clipped only at 0
+and H: visits and windows arrive in time order.  A window
 (t0, t1, u, c) holds c, the time per position unit 1 / X, so a moving
 car sits at dart parameter (u + t - t0) / (c * X) and a resting one at
 u / X.  Vertex loci intersect int visits, and each pair of windows on an
@@ -66,7 +65,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -380,8 +378,8 @@ def car_scale(car: CarSchedule, L: int) -> int:
 
 
 def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
-    """Where one car is over the horizon [0, H], H = reps periods, in ints
-    at the time scale D, a multiple of `car_scale(car, L)`: (visits,
+    """Where one car is over the horizon [0, H], H = reps >= 1 periods, in
+    ints at the time scale D, a multiple of `car_scale(car, L)`: (visits,
     windows), every time times D.
 
     visits[j] is the time set at which the car sits on corner j of its
@@ -390,8 +388,9 @@ def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
     most in their ends.  A moving stretch takes c > 0 time units per
     position unit 1 / X, X the position scale of the car's lap table, and
     is at dart parameter (u + t - t0) / (c * X); a rest has c == 0 and sits
-    at u / X.  The index is built once per (L, reps, D) and cached on the
-    car: read-only.
+    at u / X.  One walk forward over the lap table, from one period before
+    t = 0, finds them in time order.  The index is built once per (L,
+    reps, D) and cached on the car: read-only.
     """
     index = car._tables.get((L, reps, D))
     if index is not None:
@@ -401,57 +400,51 @@ def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
     # unit c and every corner crossing are ints
     (ts, ps, span, _), Y, X = car_lap(car, L)
     G = D // Y
-    P = span * G
-    H = reps * P
-    # one lap of events in D units, by corner or dart: visits (a, b) and
-    # windows (t0, t1, u, c); whole laps keep corners mod L
-    lap_visits: dict[int, list] = defaultdict(list)
-    lap_windows: dict[int, list] = defaultdict(list)
-    for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]):
-        ta, tb, dp = ta * G, tb * G, pb - pa
-        n0, r = divmod(pa, X)
-        if dp == 0:
+    P, H = span * G, reps * span * G
+    visits, windows = {}, {}
+
+    def visit(j, a, b):
+        # visits come in time order: one that touches the last one extends it
+        ivs = visits.setdefault(j, [])
+        if ivs and a <= ivs[-1][1]:
+            a = ivs.pop()[0]
+        ivs.append((a, b))
+
+    # from the piece that holds t = 0 one period back, lap after lap, up to
+    # the one that holds H; whole laps keep corners and darts mod L, and a
+    # piece starts where the one before ends, so it visits corners after ta
+    n = len(ts) - 1
+    i, shift = bisect_left(ts, span) - 1, -P
+    while True:
+        ta, tb = ts[i] * G + shift, ts[i + 1] * G + shift
+        if ta >= H:
+            break
+        pa, pb = ps[i], ps[i + 1]
+        j, r = divmod(pa, X)
+        lo, hi = ta if ta > 0 else 0, tb if tb < H else H  # clipped to [0, H]
+        if pa == pb:
             if r == 0:
-                lap_visits[n0 % L].append((ta, tb))
-            else:
-                lap_windows[n0 % L].append((ta, tb, r, 0))
-            continue
-        # the corners met: at ta, strictly inside and at tb; in between,
-        # dart n0 + i from ends[i] to ends[i + 1]
-        c, n1 = (tb - ta) // dp, -(-pb // X)
-        inner = [ta + (n * X - pa) * c for n in range(n0 + 1, n1)]
-        if r == 0:
-            lap_visits[n0 % L].append((ta, ta))
-        for n, t in enumerate(inner, n0 + 1):
-            lap_visits[n % L].append((t, t))
-        if pb % X == 0:
-            lap_visits[n1 % L].append((tb, tb))
-        ends = [ta] + inner + [tb]
-        u = r * c
-        for n, t0, t1 in zip(range(n0, n1), ends, ends[1:]):
-            lap_windows[n % L].append((t0, t1, u, c))
-            u = 0
-    # replicas shifted from one period back cover [0, H] whatever the
-    # first breakpoint; only the first and the last can cross 0 or H
-    last = reps - 1
-    whole, clipped = range(0, last * P, P), (-P, last * P)
-    visits: dict[int, tuple] = {}
-    for j, events in lap_visits.items():
-        items = [(a + s, b + s) for s in whole for a, b in events]
-        items += [(max(a + s, 0), min(b + s, H))
-                  for s in clipped for a, b in events if b + s >= 0 and a + s <= H]
-        visits[j] = normalize_intervals(items, H)
-    windows: dict[int, list] = {}
-    for j, events in lap_windows.items():
-        items = [(a + s, b + s, u, c) for s in whole for a, b, u, c in events]
-        for s in clipped:
-            for a, b, u, c in events:
-                t0, t1 = max(a + s, 0), min(b + s, H)
-                if t0 < t1:
-                    # a clip at 0 moves a moving stretch's start on
-                    items.append((t0, t1, u + t0 - a - s if c else u, c))
-        items.sort()
-        windows[j] = items
+                visit(j % L, lo, hi)
+            elif lo < hi:
+                windows.setdefault(j % L, []).append((lo, hi, r, 0))
+        else:
+            # the car reaches corner j + 1 at t1; a clip at 0 moves a
+            # moving stretch's start u on
+            c = (tb - ta) // (pb - pa)
+            t0, u, t1 = ta, r * c, ta + (X - r) * c
+            while t0 < hi:
+                a, b = t0 if t0 > lo else lo, t1 if t1 < hi else hi
+                if a < b:
+                    windows.setdefault(j % L, []).append((a, b, u + a - t0, c))
+                j += 1
+                if lo <= t1 <= hi:
+                    visit(j % L, t1, t1)
+                t0, u, t1 = t1, 0, t1 + X * c
+        i += 1
+        if i == n:
+            i, shift = 0, shift + P
+    # the walk covers 0 and H both, so a set holding one lists the other
+    visits = {j: tuple(ivs) for j, ivs in visits.items()}
     index = car._tables[(L, reps, D)] = (visits, windows)
     return index
 
@@ -470,6 +463,8 @@ def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
     reps, rest = divmod(horizon, car.period)
     if rest:
         raise MotionError("horizon is not a multiple of the car period")
+    if reps < 1:
+        raise MotionError("horizon must be positive")
     D = car_scale(car, L)
     return _unscaled(car_index(car, L, reps, D)[0].get(j, ()), D)
 

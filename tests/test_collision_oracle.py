@@ -239,10 +239,10 @@ def test_offset_matches_the_fraction_scan(drawn, d, kind, bump, shift):
 @st.composite
 def indexed_cars(draw):
     """(car, L, H): a drawn car, run a random time earlier, so that its
-    first breakpoint mostly sits off zero, over 1 to 4 periods."""
+    first breakpoint mostly sits off zero, over 1 to 6 periods."""
     car, L = draw(cars_on_a_face())
     car = time_shifted_car(car, L, car.period * Fraction(draw(st.integers(0, 47)), 48))
-    return car, L, car.period * draw(st.integers(1, 4))
+    return car, L, car.period * draw(st.integers(1, 6))
 
 
 # a window clipped at t = 0, whose start and lam0 the clip sets
@@ -250,12 +250,29 @@ CLIPPED = CarSchedule(0, Fraction(5, 6), degree=2, breakpoints=(
     (Fraction(1, 16), Fraction(3, 4)), (Fraction(5, 24), 2), (Fraction(5, 16), 3)))
 # a rest in the middle of a dart: a window of slope 0
 MID_DART = CarSchedule(0, 2, ((0, Fraction(1, 2)), (1, Fraction(1, 2))), degree=1)
+# the first breakpoint at t = 0 on a corner: the walk starts with the
+# piece that ends there, one period back
+AT_ZERO = CarSchedule(0, 3, ((0, 0), (1, 1), (2, 3)), degree=1)
+# a rest on corner 0 from 5/2 to 7/2: across the seam of [0, 3]
+SEAM_REST = CarSchedule(0, 3, ((Fraction(1, 2), 0), (Fraction(5, 2), 3)), degree=1)
+# parked on corner 1: degree 0 and one breakpoint, a one-piece lap
+PARKED = CarSchedule(0, 2, ((Fraction(1, 2), 1),))
+# the last piece moves from corner 1 to corner 2 over [1, 2] and so ends
+# on a corner at H = 4
+ENDS_AT_H = CarSchedule(0, 2, ((0, 0), (1, 1)), degree=1)
+# a stop at corner 1 as the blow-up indexes it: two periods at the car's scale
+STOPPING = CarSchedule(0, Fraction(7, 2), ((Fraction(1, 3), 0), (1, 1), (2, 1)), degree=1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=indexed_cars())
 @example(drawn=(CLIPPED, 5, Fraction(5, 6)))
 @example(drawn=(MID_DART, 3, Fraction(4)))
+@example(drawn=(AT_ZERO, 3, Fraction(3)))
+@example(drawn=(SEAM_REST, 3, Fraction(3)))
+@example(drawn=(PARKED, 3, Fraction(6)))
+@example(drawn=(ENDS_AT_H, 2, Fraction(4)))
+@example(drawn=(STOPPING, 3, Fraction(7)))
 def test_index_matches_the_replica_walk(drawn):
     car, L, H = drawn
     X = car_lap(car, L)[2]

@@ -264,6 +264,12 @@ def test_corner_occupancy_unit_car():
         corner_occupancy(car, 3, 0, F(9, 2))
 
 
+@pytest.mark.parametrize("horizon", [F(0), F(-6)], ids=["0", "-6"])
+def test_corner_occupancy_refuses_a_horizon_that_is_no_positive_multiple(horizon):
+    with pytest.raises(MotionError, match="^horizon must be positive$"):
+        corner_occupancy(unit_car(0, 3), 3, 0, horizon)
+
+
 @given(
     speeds=st.lists(st.integers(1, 4), min_size=2, max_size=5),
     j=st.integers(0, 3),
