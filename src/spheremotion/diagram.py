@@ -115,6 +115,10 @@ class HowieDiagram:
         return None
 
 
+# the constructor's parameters in order, for `_unchecked_diagram`
+_DIAGRAM_FIELDS = tuple(f.name for f in fields(HowieDiagram))
+
+
 # ---------------------------------------------------------------------------
 # labels
 # ---------------------------------------------------------------------------
@@ -138,7 +142,7 @@ def face_label(d: HowieDiagram, f: int, start: int = 0) -> FreeProductWord:
     for j, s, w in face_cells(d, f, start):
         syls.append(("t", j, s))
         syls.extend(w.syllables)
-    return FreeProductWord.from_syllables(d.base, syls)
+    return FreeProductWord.join(d.base, syls)
 
 
 def vertex_label(d: HowieDiagram, vertex, start: Optional[Corner] = None):
@@ -151,7 +155,7 @@ def vertex_label(d: HowieDiagram, vertex, start: Optional[Corner] = None):
         acw = acw[k:] + acw[:k]
     cw = (acw[0],) + tuple(reversed(acw[1:]))
     syls = [s for c in cw for s in d.corner_labels[c].syllables]
-    return FreeProductWord.from_syllables(d.base, syls)
+    return FreeProductWord.join(d.base, syls)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +296,7 @@ def _unchecked_diagram(*parts) -> HowieDiagram:
     diagram: each part is translated from that diagram's, and each new corner
     label is a product of two of its t-free labels over its base."""
     d = object.__new__(HowieDiagram)
-    d.__dict__.update(zip((f.name for f in fields(HowieDiagram)), parts, strict=True))
+    d.__dict__.update(zip(_DIAGRAM_FIELDS, parts, strict=True))
     return d
 
 

@@ -5,11 +5,14 @@ copy of one base group (free or free abelian) and each t_j generates an
 infinite cyclic factor.  Everything is immutable and hashable; all operations
 are pure.
 
-Syllables are checked once, where they enter: the dataclass constructor
-called directly, `FreeProductWord.from_syllables` and `jsonio.parse_word`.
-A word made from checked words (a product, inverse, power, copy shift,
-cyclic split or `FreeProductWord.span`) is already in normal form, so it is
-wrapped by the one private builder `_from_checked`, which skips the check.
+Elements are validated once, where they enter: the dataclass constructor
+called directly, `FreeProductWord.from_syllables` and `BaseGroup.parse`, on
+which `jsonio.parse_word` relies.  A word made from checked words (a
+product, inverse, power, copy shift, cyclic split or `FreeProductWord.span`)
+is already in normal form, so it is wrapped by the one private builder
+`_from_checked`, which skips the check.  Syllables joined from checked words
+or from their elements (`FreeProductWord.join`) are checked for shape and
+indices only, then brought to normal form.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class BaseGroup:
         raise NotImplementedError
 
     def is_identity(self, x) -> bool:
-        return x == self.identity
+        raise NotImplementedError
 
     def power(self, x, k: int):
         if k < 0:
@@ -121,6 +124,9 @@ class FreeGroup(BaseGroup):
     @property
     def identity(self) -> Tuple[int, ...]:
         return ()
+
+    def is_identity(self, x) -> bool:
+        return not x
 
     def validate(self, x) -> None:
         if not isinstance(x, tuple):
@@ -226,6 +232,9 @@ class FreeAbelianGroup(BaseGroup):
     def identity(self) -> Tuple[int, ...]:
         return (0,) * self.rank
 
+    def is_identity(self, x) -> bool:
+        return not any(x)
+
     def validate(self, x) -> None:
         if not isinstance(x, tuple) or len(x) != self.rank:
             raise GroupError(f"abelian element must be a {self.rank}-tuple, got {x!r}")
@@ -278,19 +287,26 @@ class FreeAbelianGroup(BaseGroup):
 Syllable = Tuple
 
 
+def _check_shape(syl: Syllable) -> None:
+    """Refuse a syllable of the wrong shape, tag or factor index, or a
+    t-syllable whose exponent is no int.  The base element of a g-syllable
+    is not looked at."""
+    if len(syl) != 3 or syl[0] not in ("g", "t"):
+        raise GroupError(f"malformed syllable {syl!r}")
+    tag, idx, val = syl
+    if type(idx) is not int or idx < 0 or (tag == "t" and idx < 1):
+        raise GroupError(f"bad factor index in {syl!r}")
+    if tag == "t" and type(val) is not int:
+        raise GroupError(f"t-exponent must be a nonzero int: {syl!r}")
+
+
 def _check_syllables(base: BaseGroup, syllables: Sequence[Syllable]) -> None:
     """Refuse any syllable of the wrong shape, tag, factor index, base
     element or exponent type.  Identity elements and zero exponents pass."""
     for syl in syllables:
-        if len(syl) != 3 or syl[0] not in ("g", "t"):
-            raise GroupError(f"malformed syllable {syl!r}")
-        tag, idx, val = syl
-        if type(idx) is not int or idx < 0 or (tag == "t" and idx < 1):
-            raise GroupError(f"bad factor index in {syl!r}")
-        if tag == "g":
-            base.validate(val)
-        elif type(val) is not int:
-            raise GroupError(f"t-exponent must be a nonzero int: {syl!r}")
+        _check_shape(syl)
+        if syl[0] == "g":
+            base.validate(syl[2])
 
 
 def _push_syllable(base: BaseGroup, stack: list, syl: Syllable) -> None:
@@ -347,10 +363,27 @@ class FreeProductWord:
 
     @classmethod
     def from_syllables(cls, base: BaseGroup, syllables: Iterable[Syllable]):
-        stack: list = []
+        """The normal form of loose syllables from outside: every syllable,
+        its base element too, is checked in full, then they are joined."""
         syllables = tuple(syllables)
         _check_syllables(base, syllables)
+        return cls.join(base, syllables)
+
+    @classmethod
+    def join(cls, base: BaseGroup, syllables: Iterable[Syllable]):
+        """The normal form of syllables whose base elements are already
+        valid over `base`: taken from checked words, made by `base.multiply`
+        or `base.inverse` of such elements, or read by `base.parse`.
+
+        Elements are validated once, where they enter, so a join checks
+        each syllable's shape, tag, factor index and exponent type only,
+        with the messages of the full check; identity elements and zero
+        exponents drop out.  Syllables with any other elements go through
+        `from_syllables`.
+        """
+        stack: list = []
         for syl in syllables:
+            _check_shape(syl)
             _push_syllable(base, stack, syl)
         return _from_checked(base, tuple(stack))
 

@@ -253,7 +253,7 @@ def parse_word(doc, base: BaseGroup = None) -> FreeProductWord:
         else:
             elem = found.parse(_field(syl, "elem"))
             syllables.append(("g", _int(syl, "copy"), elem))
-    return FreeProductWord.from_syllables(found, syllables)
+    return FreeProductWord.join(found, syllables)  # parse validated each elem
 
 
 def presentation_to_json(data: RelativePresentationData, extra_relators=()) -> dict:
@@ -478,6 +478,14 @@ def _parse_corner(key: str):
         raise JsonError(f"bad corner key {key!r}") from None
 
 
+def _spelled_once(spellings: dict, table: str, key: str, parsed, what: str) -> None:
+    """Refuse a key of `table` that names what an earlier key named: JSON
+    keeps both spellings, and the later label would silently win."""
+    first = spellings.setdefault(parsed, key)
+    if first != key:
+        raise JsonError(f"{table} keys {first!r} and {key!r} both name {what}")
+
+
 def diagram_to_json(d) -> dict:
     doc = map_to_json(d.map)
     doc["corner_labels"] = {
@@ -501,17 +509,23 @@ def diagram_to_json(d) -> dict:
 def parse_diagram(doc):
     m = parse_map(doc)
     corner_labels = {}
+    spellings = {}
     base = None
     for key, wdoc in _table(doc, "corner_labels").items():
         w = parse_word(wdoc, base)
         base = w.base
-        corner_labels[_parse_corner(key)] = w
+        corner = _parse_corner(key)
+        _spelled_once(spellings, "corner_labels", key, corner, f"corner {corner}")
+        corner_labels[corner] = w
     edge_labels = {}
+    spellings = {}
     for key, sym in _table(doc, "edge_labels").items():
         if not isinstance(sym, str) or not sym.startswith("t_"):
             raise JsonError(f"edge symbol must look like 't_j', got {sym!r}")
         j = _int_text(sym[2:], f"the j of edge_labels[{key!r}] = {sym!r}")
-        edge_labels[_int_text(key, "edge_labels key")] = j
+        edge = _int_text(key, "edge_labels key")
+        _spelled_once(spellings, "edge_labels", key, edge, f"edge {edge}")
+        edge_labels[edge] = j
     for key, owner in _table(doc, "arrows", {}).items():
         edge = _int_text(key, "arrows key")
         if not isinstance(owner, list) or m.dart_owner((edge, 1)) != tuple(owner):

@@ -9,7 +9,7 @@ and builds the auxiliary elements used by the augmented presentations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .groups import (
@@ -142,7 +142,7 @@ class RelativePresentationData:
         syls = [*self.c.syllables, t]
         for bi, ai in zip(self.b, self.a):
             syls += [*bi.syllables, t_inv, *ai.syllables, t]
-        return FreeProductWord.from_syllables(self.base, syls)
+        return FreeProductWord.join(self.base, syls)
 
     def copies_in_coefficients(self) -> frozenset:
         used = frozenset()
@@ -171,9 +171,12 @@ def phi_inv(w: FreeProductWord) -> FreeProductWord:
 
 
 def initial_data(sf: ShiftedForm) -> RelativePresentationData:
-    """Starting presentation: s = max k_i, m = -1, c = prod g_i^(k_i)."""
+    """Starting presentation: s = max k_i, m = -1, c = prod g_i^(k_i).
+
+    `sf` comes from `to_shifted_form`, whose g_i are products of a checked
+    word's elements, so c is joined without validating them again."""
     syls = [("g", k, g) for (g, _), k in zip(sf.pairs, sf.k)]
-    c = FreeProductWord.from_syllables(sf.base, syls)
+    c = FreeProductWord.join(sf.base, syls)
     return RelativePresentationData(sf.base, max(sf.k), -1, c, (), ())
 
 
@@ -200,13 +203,13 @@ def move_lower_s(data: RelativePresentationData) -> RelativePresentationData:
         raise RewriteError("move applies only at m = -1 with s > 0")
     h_words, tops = _split_at_top_copy(data.c, data.s)
     r = len(tops)
-    return replace(
-        data,
-        s=data.s - 1,
-        m=r - 1,
-        c=h_words[r],
-        b=tuple(h_words[:r]),
-        a=tuple(phi_inv(top) for top in tops),
+    return _unchecked_data(
+        data.base,
+        data.s - 1,
+        r - 1,
+        h_words[r],
+        tuple(h_words[:r]),
+        tuple(phi_inv(top) for top in tops),
     )
 
 
@@ -219,11 +222,21 @@ def move_absorb_b(data: RelativePresentationData, i: int) -> RelativePresentatio
         raise RewriteError(f"b_{i} is not in P^phi")
     if i == 0:
         new_c = data.c * phi_inv(bi) * data.a[0]
-        return replace(data, m=data.m - 1, c=new_c, b=data.b[1:], a=data.a[1:])
+        return _unchecked_data(data.base, data.s, data.m - 1, new_c, data.b[1:], data.a[1:])
     merged = data.a[i - 1] * phi_inv(bi) * data.a[i]
     new_a = data.a[: i - 1] + (merged,) + data.a[i + 1 :]
     new_b = data.b[:i] + data.b[i + 1 :]
-    return replace(data, m=data.m - 1, a=new_a, b=new_b)
+    return _unchecked_data(data.base, data.s, data.m - 1, data.c, new_b, new_a)
+
+
+def _unchecked_data(base, s, m, c, b, a) -> RelativePresentationData:
+    """`RelativePresentationData(base, s, m, c, b, a)` without `__post_init__`,
+    for a move on checked data: every coefficient is a cut, copy shift or
+    product of that data's t-free words over its base, with copies at most
+    s, and b and a have m + 1 words each."""
+    data = object.__new__(RelativePresentationData)
+    data.__dict__.update(base=base, s=s, m=m, c=c, b=b, a=a)
+    return data
 
 
 def minimize_presentation(
@@ -318,7 +331,7 @@ def substitute_copies(w: FreeProductWord) -> FreeProductWord:
             syls += [("t", T_SYMBOL, -idx), ("g", 0, val), ("t", T_SYMBOL, idx)]
         else:
             syls.append((tag, idx, val))
-    return FreeProductWord.from_syllables(w.base, syls)
+    return FreeProductWord.join(w.base, syls)
 
 
 def reconstruct_relator(data: RelativePresentationData) -> FreeProductWord:

@@ -17,6 +17,11 @@ the full rebuild of `map_edit_oracle.edit_problem` (faces, `edge_sides`,
 diagram the builder makes is rebuilt with `HowieDiagram(...)` over
 `OrientedMap(surface, faces)` and compared.
 
+The presentation moves `rewriting.move_lower_s` and `move_absorb_b` build
+their data through `rewriting._unchecked_data`, without
+`RelativePresentationData.__post_init__`.  Every presentation it makes is
+rebuilt with `RelativePresentationData(...)` and compared.
+
 Cocars and cars are stored in ints.  Every lap table `comotion._lap`
 builds is compared with `collision_oracle.int_lap` over the cocar's
 `Fraction` breakpoints, and every cocar `Cocar.from_ints` builds is
@@ -48,7 +53,7 @@ import pytest
 
 from collision_oracle import int_lap
 from map_edit_oracle import edit_problem
-from spheremotion import comotion, diagram, groups, motion
+from spheremotion import comotion, diagram, groups, motion, rewriting
 from spheremotion.surface import OrientedMap
 
 
@@ -57,6 +62,7 @@ def checked_word_oracle():
     build = groups._from_checked
     violations = []
 
+    @functools.wraps(build)
     def checked(base, syllables):
         w = build(base, syllables)
         try:
@@ -72,6 +78,32 @@ def checked_word_oracle():
         yield
     finally:
         groups._from_checked = build
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checked_presentation_oracle():
+    build = rewriting._unchecked_data
+    violations = []
+
+    @functools.wraps(build)
+    def checked(base, s, m, c, b, a):
+        data = build(base, s, m, c, b, a)
+        try:
+            if type(b) is not tuple or type(a) is not tuple:
+                raise rewriting.RewriteError("coefficient lists that are not tuples")
+            if rewriting.RelativePresentationData(base, s, m, c, b, a) != data:
+                raise rewriting.RewriteError("not the data the full check builds")
+        except rewriting.RewriteError as exc:
+            violations.append(((base, s, m, c, b, a), str(exc)))
+            raise AssertionError(f"unchecked presentation (s, m) = ({s}, {m}): {exc}")
+        return data
+
+    rewriting._unchecked_data = checked
+    try:
+        yield
+    finally:
+        rewriting._unchecked_data = build
     assert not violations, violations[:5]
 
 

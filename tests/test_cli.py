@@ -1,16 +1,18 @@
 """End-to-end runs of the command line front end."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import spheremotion
-from spheremotion import cli, comotion, diagram, fuzzing, jsonio, motion, rewriting
+from spheremotion import cli, comotion, diagram, fuzzing, groups, jsonio, motion, rewriting
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
@@ -689,6 +691,76 @@ def test_diagram_rejects_malformed_presentations(tmp_path, capsys, where, value,
     code, report = run_json(capsys, "diagram", str(dpath), "--presentation", str(ppath))
     assert code == 2
     assert message in report["error"]
+
+
+@pytest.mark.parametrize(
+    "table, key, respelled, message",
+    [
+        ("corner_labels", "0,0", " 0,0",
+         "corner_labels keys '0,0' and ' 0,0' both name corner (0, 0)"),
+        ("edge_labels", "0", "00", "edge_labels keys '0' and '00' both name edge 0"),
+    ],
+    ids=["corner_labels", "edge_labels"],
+)
+def test_diagram_refuses_two_spellings_of_one_key(tmp_path, capsys, table, key, respelled,
+                                                  message):
+    # the second spelling carries another label, which would silently win
+    doc = mirror_pentagon_doc()
+    other = {"corner_labels": doc["corner_labels"]["0,1"], "edge_labels": "t_2"}[table]
+    doc[table][respelled] = other
+    path = tmp_path / "twice.diagram.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "diagram", str(path))
+    assert (code, report["error"]) == (2, message)
+
+
+def _count_validations_outside_readers(monkeypatch):
+    """Count the base-element validations made outside `jsonio`'s word,
+    diagram and presentation readers, with the session's word oracle, which
+    validates every word it sees again, taken out."""
+    monkeypatch.setattr(groups, "_from_checked", inspect.unwrap(groups._from_checked))
+    counts = Counter()
+    reading = []
+    for cls in (FreeGroup, FreeAbelianGroup):
+        def counted(self, x, validate=cls.validate):
+            if not reading:
+                counts[self.kind] += 1
+            return validate(self, x)
+        monkeypatch.setattr(cls, "validate", counted)
+    for name in ("parse_word", "parse_diagram", "parse_presentation"):
+        def read(*args, parse=getattr(jsonio, name)):
+            reading.append(parse)
+            try:
+                return parse(*args)
+            finally:
+                reading.pop()
+        monkeypatch.setattr(jsonio, name, read)
+    return counts
+
+
+def test_words_and_diagrams_validate_no_element_after_parsing(tmp_path, capsys, monkeypatch):
+    # elements are validated where they enter; joins, rewriting moves and
+    # label products of checked words never validate them again
+    dpath, ppath = phi_necklace_files(tmp_path)
+    mpath = tmp_path / "mirror.diagram.json"
+    mpath.write_text(jsonio.dumps(mirror_pentagon_doc()))
+    rng = make_rng(5)
+    words = [difficult_word()] + [
+        fuzzing.random_unit_sum_word(rng, base, max_minus=8)
+        for base in (B2, FreeGroup(3), FreeAbelianGroup(1), FreeAbelianGroup(2))
+        for _ in range(5)
+    ]
+    counts = _count_validations_outside_readers(monkeypatch)
+    for k, w in enumerate(words):
+        path = word_file(tmp_path, w, f"word-{k}.json")
+        for action in ("classify", "rewrite"):
+            assert run_json(capsys, "word", path, action)[0] == 0
+    for diagram_path in (dpath, mpath):
+        code, _ = run_json(capsys, "diagram", str(diagram_path), "--presentation", str(ppath))
+        assert code in (0, 1)
+    assert counts == {}
+    FreeProductWord.g(FreeAbelianGroup(2), (1, 0))  # the counter sees the full check
+    assert counts == {"abelian": 1}
 
 
 # -- examples --------------------------------------------------------------------

@@ -588,3 +588,76 @@ def test_word_arithmetic_passes_the_full_check(ws, k, delta, data):
             assert e >= 1
             same(spanned(fully_checked(root)) ** e, root.syllables * e)
             assert root ** e == w
+
+
+# joins of checked words, against the full check ------------------------------
+
+BAD_SYLLABLES = [
+    ("g", 0), ("t", 1, 1, 1), ("x", 0, 1), (),
+    ("g", -1, None), ("g", True, None), ("g", 1.0, None), ("g", "0", None),
+    ("t", 0, 1), ("t", -1, 1), ("t", True, 1), ("t", "1", 1),
+    ("t", 1, True), ("t", 1, 0.5), ("t", 1, "1"), ("t", 1, None),
+]
+
+
+def joined_pieces(base, words, data):
+    """Syllables as the program joins them: runs cut from checked words,
+    copy-shifted or not, unit and zero t-letters, identity elements, and
+    products and inverses of checked elements."""
+    elements = [val for w in words for tag, _, val in w.syllables if tag == "g"]
+    element = st.sampled_from(elements) if elements else st.just(base.identity)
+    pieces = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(["run", "shifted", "t", "identity", "product"]))
+        if kind in ("run", "shifted"):
+            w = data.draw(st.sampled_from(words))
+            ends = st.integers(0, len(w))
+            i, j = sorted((data.draw(ends), data.draw(ends)))
+            delta = data.draw(st.integers(0, 2)) if kind == "shifted" else 0
+            pieces += [(tag, idx + delta, val) if tag == "g" else (tag, idx, val)
+                       for tag, idx, val in w.syllables[i:j]]
+        elif kind == "t":
+            pieces.append(("t", data.draw(st.integers(1, 2)), data.draw(st.integers(-2, 2))))
+        elif kind == "identity":
+            pieces.append(("g", data.draw(st.integers(0, 3)), base.identity))
+        else:
+            x, y = data.draw(element), data.draw(element)
+            val = data.draw(st.sampled_from([base.multiply(x, y), base.inverse(x)]))
+            pieces.append(("g", data.draw(st.integers(0, 3)), val))
+    return pieces
+
+
+def _joined(build, base, syllables):
+    try:
+        return build(base, syllables)
+    except GroupError as exc:
+        return str(exc)
+
+
+@given(word_sets, st.data())
+@settings(max_examples=300, deadline=None)
+def test_join_matches_from_syllables_on_checked_words(ws, data):
+    base = ws[0].base
+    syllables = joined_pieces(base, ws, data)
+    joined = FreeProductWord.join(base, syllables)
+    assert fully_checked(joined) == FreeProductWord.from_syllables(base, syllables)
+    assert FreeProductWord.join(base, iter(syllables)) == joined
+
+    # a bad syllable anywhere is refused as the full check refuses it
+    bad = data.draw(st.sampled_from(BAD_SYLLABLES))
+    if bad[:1] == ("g",) and len(bad) == 3:
+        bad = (*bad[:2], data.draw(st.sampled_from([base.identity, *base.generators()])))
+    at = data.draw(st.integers(0, len(syllables)))
+    spoiled = [*syllables[:at], bad, *syllables[at:]]
+    message = _joined(FreeProductWord.join, base, spoiled)
+    assert isinstance(message, str)
+    assert message == _joined(FreeProductWord.from_syllables, base, spoiled)
+
+
+@given(st.sampled_from(BASES).flatmap(lambda base: st.tuples(st.just(base), base_elements(base))))
+@settings(max_examples=100, deadline=None)
+def test_is_identity_matches_the_identity(case):
+    base, x = case
+    assert base.is_identity(x) is (x == base.identity)
+    assert base.is_identity(base.identity) and not any(
+        base.is_identity(g) for g in base.generators())

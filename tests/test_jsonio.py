@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import comotion_oracle
 import motion_oracle
+import word_oracle
 from spheremotion.comotion import Cocar, Comotion, ComotionError, subdivide_comotion
 from spheremotion.diagram import HowieDiagram
 from spheremotion.fuzzing import (
@@ -19,6 +20,7 @@ from spheremotion.fuzzing import (
     random_comotion,
     random_multiple_motion,
     random_sphere_map,
+    random_unit_sum_word,
 )
 from spheremotion.goldens import (
     banded_sphere_map,
@@ -652,3 +654,66 @@ def test_motion_documents_refuse_as_the_fraction_reader(seed, data, value):
         bp["at"] = {"corner": value} if key == "corner" else dict(bp["at"], **{key: value})
     want = _parsed_motion(motion_oracle.parse_motion, doc, m)
     assert _parsed_motion(parse_motion, doc, m) == want
+
+
+# -- word documents against the reader that validated every element twice -------
+
+# mostly well-formed documents, with every kind of wrong value mixed in
+_ODD_VALUES = st.one_of(st.booleans(), st.none(), st.floats(-2, 2), st.text("ab1,", max_size=2))
+
+
+@st.composite
+def _mostly(draw, values, odd=_ODD_VALUES):
+    """A draw from `values`, or from `odd` about one time in eight."""
+    return draw(odd if draw(st.sampled_from(range(8))) == 7 else values)
+
+
+@st.composite
+def word_docs(draw):
+    kind = draw(_mostly(st.sampled_from(["free", "abelian"]), st.just("cyclic")))
+    rank = draw(_mostly(st.integers(1, 3), st.one_of(st.integers(-1, 27), _ODD_VALUES)))
+    if kind == "free":
+        elems = st.text("abcAz" if rank == 3 else "abAB" + "cz" * (rank != 2), max_size=5)
+    else:
+        size = rank if type(rank) is int and 0 <= rank <= 3 else 2
+        entry = _mostly(st.integers(-2, 2), st.one_of(st.booleans(), st.floats(-1, 1)))
+        elems = _mostly(st.lists(entry, min_size=size, max_size=size),
+                        st.lists(st.integers(-2, 2), max_size=4))
+    t_doc = st.fixed_dictionaries({"t": _mostly(st.integers(0, 3)),
+                                   "exp": _mostly(st.integers(-2, 2))})
+    g_doc = st.fixed_dictionaries({"copy": _mostly(st.integers(-1, 3)), "elem": _mostly(elems)})
+    partial = st.dictionaries(st.sampled_from(["t", "exp", "copy", "elem"]),
+                              st.integers(-1, 2), max_size=2)
+    syllable = st.sampled_from([t_doc, g_doc, g_doc, partial]).flatmap(lambda x: x)
+    syllables = _mostly(st.lists(syllable, min_size=1, max_size=6))
+    return {"base": {"kind": kind, "rank": rank}, "syllables": draw(syllables)}
+
+
+def _read_word(parse, doc, base):
+    """The word's base and syllables, or the error the reader raises."""
+    try:
+        w = parse(doc, base)
+    except Exception as exc:  # every refusal, whatever its type, must agree
+        return type(exc).__name__, str(exc)
+    return w.base, w.syllables
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=word_docs(), base=st.sampled_from([None, FreeGroup(2), FreeAbelianGroup(2)]))
+def test_word_documents_read_as_the_twice_validating_reader(doc, base):
+    # parse_word joins the elements that BaseGroup.parse validated, without
+    # validating them again
+    want = _read_word(word_oracle.parse_word, doc, base)
+    assert _read_word(parse_word, doc, base) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_written_words_read_as_the_twice_validating_reader(seed):
+    rng = make_rng(seed)
+    w = random_unit_sum_word(rng, max_minus=rng.randint(0, 8))
+    doc = json.loads(dumps(word_to_json(w)))
+    got = parse_word(doc)
+    assert got == word_oracle.parse_word(doc) == w
+    assert got.syllables == w.syllables
+
