@@ -69,7 +69,7 @@ def _load(path):
         raise jsonio.JsonError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise jsonio.JsonError(f"{path}: {exc}") from exc
     return doc, {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}
 

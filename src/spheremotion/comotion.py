@@ -9,18 +9,17 @@ Where a motion asks "where is the car at time t", a comotion asks "when
 does the face sweep past position x".  Collisions are the points whose
 surrounding faces all sweep past at one common instant.
 
-A cocar stores its breakpoints once, in ints: positions xs over X and
-times ys over Y, X and Y the least scales that clear them.  One checked
-constructor, `Cocar.from_ints`, builds every cocar: the document reader,
-`subdivide_comotion` and `induce_comotion` hand it ints, and
-`Cocar(face, degree, breakpoints)` converts its rational pairs once,
-with `motion.scaled_pairs`, and calls it.  The `Fraction` breakpoints
-are built only when read.  Each cocar keeps one lap table per (period,
-face length), in the layout of `motion.car_lap`, as each car keeps one:
-`_lap` moves the times to Y, the lcm of the cocar's Y and T's
-denominator, and closes the lap with L * X and degree * T * Y.
-`cotime_at` reads it with `motion.lap_at`, the reader that gives a
-car's position, with positions and times swapped.
+A cocar shares a car's int core, `motion._IntLap`, read the other way
+round: positions xs over X and times ys over Y, X and Y the least
+scales that clear them.  `Cocar.from_ints` runs the core's check and
+builds every cocar: the document reader, `subdivide_comotion` and
+`induce_comotion` hand it ints, and `Cocar(face, degree, breakpoints)`
+converts its rational pairs once, with `motion.scaled_pairs`, and calls
+it.  The `Fraction` breakpoints are built only when read.  The core's
+builder makes each cocar's lap table per (period, face length): `_lap`
+closes the lap with L and degree * T, so the times move to Y, the lcm
+of the cocar's Y and T's denominator.  `cotime_at` reads it with
+`motion.lap_at`, the reader that gives a car's position.
 
 An edge is solved by `edge_components` on one scale for the edge: the
 lcm of its two cocars' X for positions and of their Y for times, so the
@@ -59,10 +58,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
+from operator import attrgetter
 from typing import Callable, Sequence
 
-from .motion import MotionSchedule, as_multiple_motion, lap_at, lap_read, rational, scaled_pairs
+from .motion import (MotionSchedule, _IntLap, as_multiple_motion, lap_at, lap_read, rational,
+                     scaled_pairs)
 from .surface import OrientedMap, subdivide_edge
 
 ZERO = Fraction(0)
@@ -106,7 +107,7 @@ def psi_progress(T: Fraction, values: Sequence) -> Fraction:
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class Cocar:
+class Cocar(_IntLap):
     """Arrival times along one face boundary.
 
     Breakpoints pair a lifted position with a lifted time; positions
@@ -123,6 +124,8 @@ class Cocar:
     ys: tuple[int, ...]
     Y: int
 
+    _axes = attrgetter("xs", "X", "ys", "Y")
+
     def __new__(cls, face, degree, breakpoints):
         xs, X, ys, Y = scaled_pairs(breakpoints, "breakpoint position", "breakpoint time",
                                     ComotionError)
@@ -131,22 +134,10 @@ class Cocar:
     @classmethod
     def from_ints(cls, face, degree, xs, X: int, ys, Y: int) -> Cocar:
         """The cocar with breakpoints (xs[i] / X, ys[i] / Y), X, Y > 0."""
-        g, h = gcd(X, *xs), gcd(Y, *ys)
-        xs = tuple(x // g for x in xs) if g > 1 else tuple(xs)
-        ys = tuple(y // h for y in ys) if h > 1 else tuple(ys)
-        if not xs:
-            raise ComotionError("cocar needs at least one breakpoint")
-        for i in range(1, len(xs)):
-            if xs[i] <= xs[i - 1]:
-                raise ComotionError("positions must strictly increase")
-            if ys[i] < ys[i - 1]:
-                raise ComotionError("times may not decrease")
-        if type(degree) is not int or degree < 0:
-            raise ComotionError("degree must be a nonnegative integer")
-        if type(face) is not int:
-            raise ComotionError(f"face must be an int, got {face!r}")
+        xs, X, ys, Y = cls._checked(face, degree, xs, X, ys, Y, ComotionError,
+                                    ("cocar", "positions", "times"))
         self = object.__new__(cls)
-        self.__dict__.update(face=face, degree=degree, xs=xs, X=X // g, ys=ys, Y=Y // h)
+        self.__dict__.update(face=face, degree=degree, xs=xs, X=X, ys=ys, Y=Y, _tables={})
         return self
 
     def __repr__(self):
@@ -155,18 +146,6 @@ class Cocar:
 
     def __reduce__(self):  # copy and pickle rebuild through the ints
         return Cocar.from_ints, (self.face, self.degree, self.xs, self.X, self.ys, self.Y)
-
-    @cached_property
-    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The (position, time) pairs as Fractions, built on first read."""
-        X, Y = self.X, self.Y
-        return tuple((Fraction(x, X), Fraction(y, Y)) for x, y in zip(self.xs, self.ys))
-
-    @cached_property
-    def _laps(self) -> dict:
-        """Int lap tables with their scales, by (period numerator, period
-        denominator, face length), built by `_lap`."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -215,21 +194,12 @@ def _check(m: OrientedMap, com: Comotion) -> None:
 
 
 def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
-    """The cocar's int lap table on a face of length L, time over position,
-    with its scales (table, X, Y): the cocar's xs over its X, its ys moved
-    to Y, the lcm of its Y and T's denominator, closed by L * X and
-    degree * T * Y."""
+    """The cocar's int lap table on a face of length L, time over position:
+    ((xs, ys, span, climb), X, Y), closed one face lap on, climbing degree * T,
+    its times moved to Y, the lcm of its Y and T's denominator, even at degree 0."""
     key = (T.numerator, T.denominator, L)
-    lap = cocar._laps.get(key)
-    if lap is None:
-        X, Y = cocar.X, lcm(cocar.Y, T.denominator)
-        s = Y // cocar.Y
-        xs, ys = list(cocar.xs), [y * s for y in cocar.ys]
-        span, climb = L * X, cocar.degree * T.numerator * (Y // T.denominator)
-        xs.append(xs[0] + span)
-        ys.append(ys[0] + climb)
-        lap = cocar._laps[key] = (xs, ys, span, climb), X, Y
-    return lap
+    return cocar._tables.get(key) or cocar._lap_table(
+        key, (L, 1), (cocar.degree * T.numerator, T.denominator))
 
 
 def cotime_at(cocar: Cocar, T: Fraction, L: int, x) -> Fraction:

@@ -434,8 +434,9 @@ def comotion_to_json(m: OrientedMap, com: Comotion) -> dict:
                 "face": cocar.face,
                 "degree": cocar.degree,
                 "breakpoints": [
-                    {"at": position_to_json(p % L), "time": frac_to_str(t)}
-                    for p, t in cocar.breakpoints
+                    {"at": position_to_json(Fraction(x % (L * cocar.X), cocar.X)),
+                     "time": frac_to_str(Fraction(y, cocar.Y))}
+                    for x, y in zip(cocar.xs, cocar.ys)
                 ],
             }
         )

@@ -11,15 +11,16 @@ periods' numerators, a common multiple of the periods: a set is a sorted
 tuple of disjoint closed intervals inside [0, H].  The instants 0 and H
 are the same point, so a set holding one of them lists both.
 
-A car stores its breakpoints once, in ints over least scales, as a
-cocar does.  `CarSchedule.from_ints` is the one checked constructor: the
-document reader, the standard builders and the time shift hand it ints;
-`CarSchedule(face, period, breakpoints, degree)` converts rationals once
-and calls it.  `Fraction` breakpoints are built only when read.  Each
-car keeps one int lap table per face length (`car_lap`), read with one
-int bisect by `lap_read`, as are a cocar's in `comotion`, and by
-`lap_at` plus one Fraction in `position_at`.  The stop audit and the
-blow-up's reference time scan the same table.
+A car and a cocar share one int core, `_IntLap`: breakpoints in ints
+over least scales, position over time for a car and time over position
+for a cocar, with one check and one lap-table builder.
+`CarSchedule.from_ints` checks the period and the time range, then runs
+the core's check: the document reader, the standard builders and the
+time shift hand it ints.  `Fraction` breakpoints are built only when
+read.  A car keeps one int lap table per face length (`car_lap`), read
+with one int bisect by `lap_read`, and by `lap_at` plus one Fraction in
+`position_at`.  The stop audit and the blow-up's reference time scan
+the same table.
 
 Collision loci come from one index per car over [0, H] (`car_index`):
 the time sets at which it visits each corner, and its dart windows, the
@@ -69,6 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .surface import Corner, Dart, OrientedMap, b_profile, classify_map, d_profile
@@ -154,82 +156,61 @@ def intervals_instants(ivs, T: Fraction) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# int laps, the core of cars and cocars, and car schedules
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class CarSchedule:
-    """One car: a face index, a period, breakpoints, and a lap count.
+class _IntLap:
+    """The int core of a car and of a cocar: a lapping piecewise linear
+    function with breakpoints (us[i] / U, vs[i] / V), U, V > 0 the least
+    scales, the us strictly increasing and the vs never decreasing.  Each
+    kind reads its (us, U, vs, V) with `_axes`, an `attrgetter`, and keeps
+    its lap tables, and what its module caches beside them, in `_tables`."""
 
-    Breakpoint times live in [0, period) and strictly increase; lifted
-    positions never decrease.  The car climbs degree * L per period; with
-    a single breakpoint and degree 0 the car is parked.  Breakpoint i is
-    (ts[i] / Y, ps[i] / X), Y and X the least scales.
-    """
-
-    face: int
-    period: Fraction
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    degree: int = 0
-
-    def __new__(cls, face, period, breakpoints, degree=0):
-        period = rational(period, "period")
-        ts, Y, ps, X = scaled_pairs(breakpoints, "breakpoint time", "breakpoint position")
-        return cls.from_ints(face, period, ts, Y, ps, X, degree)
-
-    @classmethod
-    def from_ints(cls, face, period, ts, Y: int, ps, X: int, degree) -> CarSchedule:
-        """The car with breakpoints (ts[i] / Y, ps[i] / X), Y, X > 0 ints."""
-        period = rational(period, "period")
-        g, h = math.gcd(Y, *ts), math.gcd(X, *ps)
-        ts = tuple(t // g for t in ts) if g > 1 else tuple(ts)
-        ps = tuple(p // h for p in ps) if h > 1 else tuple(ps)
-        Y, X = Y // g, X // h
-        if period.numerator <= 0:
-            raise MotionError("period must be positive")
-        if not ts:
-            raise MotionError("car needs at least one breakpoint")
-        if ts[0] < 0 or ts[-1] * period.denominator >= period.numerator * Y:
-            raise MotionError("breakpoint times must lie in [0, period)")
-        for i in range(1, len(ts)):
-            if ts[i] <= ts[i - 1]:
-                raise MotionError("breakpoint times must strictly increase")
-            if ps[i] < ps[i - 1]:
-                raise MotionError("positions may not decrease")
+    @staticmethod
+    def _checked(face, degree, us, U: int, vs, V: int, error: type, words: tuple) -> tuple:
+        """(us, U, vs, V) reduced to least scales, once the breakpoints, the
+        degree and the face pass in turn; else `error`, worded by `words`:
+        the kind's noun, then what its first and its second axis hold."""
+        g, h = math.gcd(U, *us), math.gcd(V, *vs)
+        us = tuple(u // g for u in us) if g > 1 else tuple(us)
+        vs = tuple(v // h for v in vs) if h > 1 else tuple(vs)
+        noun, first, second = words
+        if not us:
+            raise error(f"{noun} needs at least one breakpoint")
+        for i in range(1, len(us)):
+            if us[i] <= us[i - 1]:
+                raise error(f"{first} must strictly increase")
+            if vs[i] < vs[i - 1]:
+                raise error(f"{second} may not decrease")
         if type(degree) is not int or degree < 0:
-            raise MotionError("degree must be a nonnegative integer")
+            raise error("degree must be a nonnegative integer")
         if type(face) is not int:
-            raise MotionError(f"face must be an int, got {face!r}")
-        self = object.__new__(cls)
-        self.__dict__.update(face=face, period=period, ts=ts, Y=Y, ps=ps, X=X, degree=degree)
-        return self
-
-    def _ints(self) -> tuple:
-        """The arguments of `from_ints` that rebuild the car."""
-        return self.face, self.period, self.ts, self.Y, self.ps, self.X, self.degree
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._ints() == other._ints()
-
-    def __hash__(self):
-        return hash(self._ints())
-
-    def __reduce__(self):  # copy and pickle rebuild through the ints
-        return CarSchedule.from_ints, self._ints()
+            raise error(f"face must be an int, got {face!r}")
+        return us, U // g, vs, V // h
 
     @cached_property
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The (time, position) pairs as Fractions, built on first read."""
-        return tuple((Fraction(t, self.Y), Fraction(p, self.X)) for t, p in zip(self.ts, self.ps))
+        """The pairs (us[i] / U, vs[i] / V) as Fractions, built on first read."""
+        us, U, vs, V = self._axes(self)
+        return tuple((Fraction(u, U), Fraction(v, V)) for u, v in zip(us, vs))
 
-    @cached_property
-    def _tables(self) -> dict:
-        """Lap tables by face length L (`car_lap`), time scales by
-        ("scale", L) (`car_scale`), indexes by (L, reps, D) (`car_index`)."""
-        return {}
+    def _lap_table(self, key, span: tuple[int, int], climb: tuple[int, int]) -> tuple:
+        """The int lap table ((us, vs, span, climb), U, V) of a lap that spans
+        span[0] / span[1] and climbs climb[0] / climb[1], cached under key:
+        each axis moved to the lcm of its scale and that denominator, and the
+        breakpoints closed one lap on by (us[0] + span, vs[0] + climb)."""
+        us, U, vs, V = self._axes(self)
+        (a, b), (c, d) = span, climb
+        su, sv = b // math.gcd(U, b), d // math.gcd(V, d)
+        U, V = U * su, V * sv
+        span, climb = a * (U // b), c * (V // d)
+        us = [u * su for u in us] if su > 1 else list(us)
+        vs = [v * sv for v in vs] if sv > 1 else list(vs)
+        us.append(us[0] + span)
+        vs.append(vs[0] + climb)
+        lap = self._tables[key] = (us, vs, span, climb), U, V
+        return lap
 
 
 def lap_read(lap: tuple, n: int, d: int = 1) -> tuple[int, int]:
@@ -255,20 +236,67 @@ def lap_at(lap: tuple, x) -> Fraction:
     return Fraction(y, w * sy)
 
 
+@dataclass(frozen=True, init=False, eq=False)
+class CarSchedule(_IntLap):
+    """One car: a face index, a period, breakpoints, and a lap count.
+
+    Breakpoint times live in [0, period) and strictly increase; lifted
+    positions never decrease.  The car climbs degree * L per period; with
+    a single breakpoint and degree 0 the car is parked.  Breakpoint i is
+    (ts[i] / Y, ps[i] / X), Y and X the least scales.
+    """
+
+    face: int
+    period: Fraction
+    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    degree: int = 0
+
+    _axes = attrgetter("ts", "Y", "ps", "X")
+
+    def __new__(cls, face, period, breakpoints, degree=0):
+        period = rational(period, "period")
+        ts, Y, ps, X = scaled_pairs(breakpoints, "breakpoint time", "breakpoint position")
+        return cls.from_ints(face, period, ts, Y, ps, X, degree)
+
+    @classmethod
+    def from_ints(cls, face, period, ts, Y: int, ps, X: int, degree) -> CarSchedule:
+        """The car with breakpoints (ts[i] / Y, ps[i] / X), Y, X > 0 ints."""
+        period = rational(period, "period")
+        if period.numerator <= 0:
+            raise MotionError("period must be positive")
+        # scale-invariant, so read on the unreduced ints; no ts is the core's refusal
+        if ts and (ts[0] < 0 or ts[-1] * period.denominator >= period.numerator * Y):
+            raise MotionError("breakpoint times must lie in [0, period)")
+        ts, Y, ps, X = cls._checked(face, degree, ts, Y, ps, X, MotionError,
+                                    ("car", "breakpoint times", "positions"))
+        self = object.__new__(cls)
+        self.__dict__.update(face=face, period=period, ts=ts, Y=Y, ps=ps, X=X, degree=degree,
+                             _tables={})
+        return self
+
+    def _ints(self) -> tuple:
+        """The arguments of `from_ints` that rebuild the car."""
+        return self.face, self.period, self.ts, self.Y, self.ps, self.X, self.degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ints() == other._ints()
+
+    def __hash__(self):
+        return hash(self._ints())
+
+    def __reduce__(self):  # copy and pickle rebuild through the ints
+        return CarSchedule.from_ints, self._ints()
+
+
 def car_lap(car: CarSchedule, L: int) -> tuple:
     """The car's int lap table on a face of length L, position over time:
-    ((ts, ps, span, climb), Y, X), the car's ps over its X and its ts moved
-    to Y, the lcm of its Y and the period's denominator, closed one lap on
-    by ts[0] + span and ps[0] + climb, the period and degree * L."""
-    lap = car._tables.get(L)
-    if lap is None:
-        P, X = car.period, car.X
-        s = P.denominator // math.gcd(car.Y, P.denominator)
-        Y = car.Y * s
-        span, climb = P.numerator * (Y // P.denominator), car.degree * L * X
-        ts = [t * s for t in car.ts] + [car.ts[0] * s + span]
-        lap = car._tables[L] = (ts, [*car.ps, car.ps[0] + climb], span, climb), Y, X
-    return lap
+    ((ts, ps, span, climb), Y, X), closed one period on, climbing degree * L,
+    its times moved to Y, the lcm of its Y and the period's denominator."""
+    P = car.period
+    return car._tables.get(L) or car._lap_table(
+        L, (P.numerator, P.denominator), (car.degree * L, 1))
 
 
 def position_at(car: CarSchedule, L: int, t) -> Fraction:

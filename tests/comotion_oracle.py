@@ -6,14 +6,22 @@ the oracle that the lap-table lookups are compared against.  Every
 dart-to-corner table.  Corner times, the span check, psi and the
 subdivision remap work on Fractions, as the integer corner ticks'
 oracle.  `parse_comotion` is the document reader that built every cocar
-from Fractions, the oracle of the int reader.  Slow on purpose: keep
+from Fractions, the oracle of the int reader.  `Cocar` is the cocar class
+whose `__post_init__` checked every breakpoint as a `Fraction`, its
+checks verbatim: the reference of the int-stored cocar's refusals and
+repr, as `motion_oracle.CarSchedule` is the car's.  It converts with
+`motion_oracle.rational_pairs`, the type check of `motion.scaled_pairs`,
+and leaves out the lap-table cache.  The solver and the reader build the
+int-stored cocars that `validate_comotion` reads.  Slow on purpose: keep
 inputs small.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
+from motion_oracle import rational_pairs
+from spheremotion import comotion
 from spheremotion.comotion import (
-    Cocar,
     Comotion,
     ComotionCollisions,
     ComotionError,
@@ -31,6 +39,37 @@ from spheremotion.jsonio import (
 from spheremotion.surface import OrientedMap, subdivide_edge
 
 ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class Cocar:
+    """Arrival times along one face boundary.
+
+    Breakpoints pair a lifted position with a lifted time; positions
+    strictly increase within one lap and times never decrease.  Time
+    jumps are not representable, so a cocar cannot express a car that
+    parks; dually, a flat piece sweeps a whole arc in one instant.
+    """
+
+    face: int
+    degree: int
+    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self):
+        bps = rational_pairs(self.breakpoints, "breakpoint position", "breakpoint time",
+                             ComotionError)
+        object.__setattr__(self, "breakpoints", bps)
+        if not bps:
+            raise ComotionError("cocar needs at least one breakpoint")
+        for i in range(1, len(bps)):
+            if bps[i][0] <= bps[i - 1][0]:
+                raise ComotionError("positions must strictly increase")
+            if bps[i][1] < bps[i - 1][1]:
+                raise ComotionError("times may not decrease")
+        if type(self.degree) is not int or self.degree < 0:
+            raise ComotionError("degree must be a nonnegative integer")
+        if type(self.face) is not int:
+            raise ComotionError(f"face must be an int, got {self.face!r}")
 
 
 def cotime_at(cocar, T, L, x):
@@ -213,7 +252,7 @@ def subdivide_comotion(m, com, edge, new_edges):
         bps = tuple(
             sorted((remap(x), cotime_at(cocar, T, L, x)) for x in xs)
         )
-        cocars.append(Cocar(cocar.face, cocar.degree, bps))
+        cocars.append(comotion.Cocar(cocar.face, cocar.degree, bps))
     return m2, Comotion(T, tuple(cocars))
 
 
@@ -313,7 +352,7 @@ def parse_comotion(doc, m: OrientedMap) -> Comotion:
             reduced.append(parse_position(_field(bp, "at"), L))
             times.append(parse_frac(_field(bp, "time")))
         cocars.append(
-            Cocar(
+            comotion.Cocar(
                 f,
                 degree,
                 tuple(zip(_lift_positions(reduced, L), times)),

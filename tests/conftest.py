@@ -22,15 +22,17 @@ their data through `rewriting._unchecked_data`, without
 `RelativePresentationData.__post_init__`.  Every presentation it makes is
 rebuilt with `RelativePresentationData(...)` and compared.
 
-Cocars and cars are stored in ints.  Every lap table `comotion._lap`
-builds is compared with `collision_oracle.int_lap` over the cocar's
-`Fraction` breakpoints, and every cocar `Cocar.from_ints` builds is
-compared, by equality, hash and repr, with `Cocar(face, degree,
-breakpoints)` over the Fractions its ints stand for.  Cars work the same
-way: every lap table `motion.car_lap` builds is compared with `int_lap`
-over the car's Fraction breakpoints, and every car `CarSchedule.from_ints`
-builds is compared with `CarSchedule(face, period, breakpoints, degree)`.
-No check leaves the breakpoints cached on a cocar or a car.
+Cars and cocars share one int core, `motion._IntLap`.  Every lap table
+its builder makes is compared with `collision_oracle.int_lap` over the
+object's `Fraction` breakpoints.  Every car or cocar that
+`CarSchedule.from_ints` or `Cocar.from_ints` builds is compared with the
+class that checked each breakpoint as a `Fraction`,
+`motion_oracle.CarSchedule` or `comotion_oracle.Cocar`, over the
+Fractions its ints stand for: the same repr, and ints over the least
+scales of its breakpoints.  It must also equal, with the same hash, what
+`CarSchedule(face, period, breakpoints, degree)` or `Cocar(face, degree,
+breakpoints)` builds from those Fractions.  No check leaves the
+breakpoints cached on a car or a cocar.
 
 A motion schedule keeps one record per map: `motion.validate_motion` makes
 it once the checks pass, and `motion._indexes_by_face` adds the cars'
@@ -51,6 +53,8 @@ from fractions import Fraction
 
 import pytest
 
+import comotion_oracle
+import motion_oracle
 from collision_oracle import int_lap
 from map_edit_oracle import edit_problem
 from spheremotion import comotion, diagram, groups, motion, rewriting
@@ -148,11 +152,10 @@ def checked_edit_oracle():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def int_cocar_oracle():
-    Cocar = comotion.Cocar
-    lap, from_ints = comotion._lap, Cocar.__dict__["from_ints"]
-    build = from_ints.__func__
-    fractions = Cocar.breakpoints.func  # builds them without caching them
+def int_lap_oracle():
+    core = motion._IntLap
+    table = core._lap_table
+    fractions = core.breakpoints.func  # builds them without caching them
     violations = []
     rebuilding = []
 
@@ -160,97 +163,63 @@ def int_cocar_oracle():
         violations.append((what, problem))
         raise AssertionError(f"{what}: {problem}")
 
-    @functools.wraps(lap)
-    def checked_lap(cocar, T, L):
-        table = lap(cocar, T, L)
-        want = int_lap(fractions(cocar), L, cocar.degree * T, T.denominator)
-        if table != want:
-            fail(f"_lap of {cocar!r} at T={T}, L={L}", f"{table} is not {want}")
-        return table
+    @functools.wraps(table)
+    def checked_table(obj, key, span, climb):
+        lap = table(obj, key, span, climb)
+        want = int_lap(fractions(obj), Fraction(*span), Fraction(*climb), climb[1])
+        if lap != want:
+            fail(f"lap table of {obj!r} at {key}", f"{lap} is not {want}")
+        return lap
 
-    @functools.wraps(build)
-    def checked_build(cls, face, degree, xs, X, ys, Y):
-        c = build(cls, face, degree, xs, X, ys, Y)
-        if rebuilding:
-            return c
-        bps = tuple((Fraction(x, X), Fraction(y, Y)) for x, y in zip(xs, ys))
-        rebuilding.append(True)  # the rebuild below goes through from_ints too
-        try:
-            full = Cocar(face, degree, bps)
-        except comotion.ComotionError as exc:
-            fail(f"from_ints{(face, degree, xs, X, ys, Y)}", f"the Fractions are refused: {exc}")
-        finally:
-            rebuilding.pop()
-        ints = (*c.xs, c.X, *c.ys, c.Y)
-        if not all(type(n) is int for n in ints):
-            fail(f"from_ints{(face, degree, xs, X, ys, Y)}", "stores a part that is not an int")
-        if (full, hash(full), repr(full)) != (c, hash(c), repr(c)):
-            fail(f"from_ints{(face, degree, xs, X, ys, Y)}", f"{c!r} is not {full!r}")
-        vars(c).pop("breakpoints")  # built by repr: leave it unbuilt
-        return c
+    def checked(cls, reference, parts):
+        # cls.from_ints(*args) against the Fraction class, reference(*parts(*args))
+        build = cls.__dict__["from_ints"].__func__
 
-    comotion._lap = checked_lap
-    Cocar.from_ints = classmethod(checked_build)
+        @functools.wraps(build)
+        def checked_build(cls, *args):
+            obj = build(cls, *args)
+            if rebuilding:
+                return obj
+            what = f"{cls.__name__}.from_ints{args}"
+            try:
+                ref = reference(*parts(*args))
+            except ValueError as exc:
+                fail(what, f"the Fraction class refuses it: {exc}")
+            X = math.lcm(*(x.denominator for x, _ in ref.breakpoints))
+            Y = math.lcm(*(y.denominator for _, y in ref.breakpoints))
+            want = (tuple(x.numerator * (X // x.denominator) for x, _ in ref.breakpoints), X,
+                    tuple(y.numerator * (Y // y.denominator) for _, y in ref.breakpoints), Y)
+            us, U, vs, V = ints = cls._axes(obj)
+            if ints != want or not all(type(n) is int for n in (*us, U, *vs, V)):
+                fail(what, f"stores {ints}, not the least ints {want}")
+            rebuilding.append(True)  # the rebuild goes through from_ints too
+            try:
+                full = cls(*parts(*args))
+            finally:
+                rebuilding.pop()
+            if (full, hash(full)) != (obj, hash(obj)) or {repr(full), repr(ref)} != {repr(obj)}:
+                fail(what, f"{obj!r} is not {full!r}, or not {ref!r}")
+            vars(obj).pop("breakpoints")  # built by repr: leave it unbuilt
+            return obj
+
+        return classmethod(checked_build)
+
+    def pairs(us, U, vs, V):
+        return tuple((Fraction(u, U), Fraction(v, V)) for u, v in zip(us, vs))
+
+    Car, Cocar = motion.CarSchedule, comotion.Cocar
+    saved = Car.__dict__["from_ints"], Cocar.__dict__["from_ints"]
+    core._lap_table = checked_table
+    Car.from_ints = checked(
+        Car, motion_oracle.CarSchedule,
+        lambda face, period, ts, Y, ps, X, degree: (face, period, pairs(ts, Y, ps, X), degree))
+    Cocar.from_ints = checked(Cocar, comotion_oracle.Cocar,
+                              lambda face, degree, *ints: (face, degree, pairs(*ints)))
     try:
         yield
     finally:
-        comotion._lap = lap
-        Cocar.from_ints = from_ints
-    assert not violations, violations[:5]
-
-
-@pytest.fixture(scope="session", autouse=True)
-def int_car_oracle():
-    Car = motion.CarSchedule
-    lap, from_ints = motion.car_lap, Car.__dict__["from_ints"]
-    build = from_ints.__func__
-    fractions = Car.breakpoints.func  # builds them without caching them
-    violations = []
-    rebuilding = []
-
-    def fail(what, problem):
-        violations.append((what, problem))
-        raise AssertionError(f"{what}: {problem}")
-
-    @functools.wraps(lap)
-    def checked_lap(car, L):
-        new = L not in car._tables
-        table = lap(car, L)
-        if new:
-            want = int_lap(fractions(car), car.period, car.degree * L)
-            if table != want:
-                fail(f"car_lap of {car!r} at L={L}", f"{table} is not {want}")
-        return table
-
-    @functools.wraps(build)
-    def checked_build(cls, face, period, ts, Y, ps, X, degree):
-        c = build(cls, face, period, ts, Y, ps, X, degree)
-        if rebuilding:
-            return c
-        what = f"from_ints{(face, period, ts, Y, ps, X, degree)}"
-        bps = tuple((Fraction(t, Y), Fraction(p, X)) for t, p in zip(ts, ps))
-        rebuilding.append(True)  # the rebuild below goes through from_ints too
-        try:
-            full = Car(face, period, bps, degree)
-        except motion.MotionError as exc:
-            fail(what, f"the Fractions are refused: {exc}")
-        finally:
-            rebuilding.pop()
-        ints = (*c.ts, c.Y, *c.ps, c.X)
-        if not all(type(n) is int for n in ints) or type(c.period) is not Fraction:
-            fail(what, "stores a part that is not an int, or a period that is no Fraction")
-        if (full, hash(full), repr(full)) != (c, hash(c), repr(c)):
-            fail(what, f"{c!r} is not {full!r}")
-        vars(c).pop("breakpoints")  # built by repr: leave it unbuilt
-        return c
-
-    motion.car_lap = checked_lap
-    Car.from_ints = classmethod(checked_build)
-    try:
-        yield
-    finally:
-        motion.car_lap = lap
-        Car.from_ints = from_ints
+        core._lap_table = table
+        Car.from_ints, Cocar.from_ints = saved
     assert not violations, violations[:5]
 
 

@@ -763,6 +763,67 @@ def test_words_and_diagrams_validate_no_element_after_parsing(tmp_path, capsys, 
     assert counts == {"abelian": 1}
 
 
+# -- deeply nested documents ------------------------------------------------------
+
+LOADING = ("validate", "motion", "comotion", "word", "diagram")
+
+
+def loading_command(goldens, command):
+    """A document the command reads, and the argv that runs it on a file."""
+    pinwheel = str(goldens / "pinwheel.map.json")
+    return {
+        "validate": (json.loads(Path(pinwheel).read_text()), lambda f: ["validate", f]),
+        "motion": (json.loads((goldens / "unit-motion.motion.json").read_text()),
+                   lambda f: ["motion", pinwheel, f]),
+        "comotion": (pinwheel_comotion_doc(goldens), lambda f: ["comotion", pinwheel, f]),
+        "word": (jsonio.word_to_json(difficult_word()), lambda f: ["word", f, "classify"]),
+        "diagram": (mirror_pentagon_doc(), lambda f: ["diagram", f]),
+    }[command]
+
+
+def nested_list(depth):
+    doc = []
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+def each_replaced(doc, value, where=()):
+    """Copies of doc with one entry replaced by value: the whole document,
+    every value of an object and the first item of every list."""
+    yield where, value
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc[:1]) if isinstance(doc, list) else ())
+    for key, inner in items:
+        for path, new in each_replaced(inner, value, where + (key,)):
+            outer = dict(doc) if isinstance(doc, dict) else list(doc)
+            outer[key] = new
+            yield path, outer
+
+
+@pytest.mark.parametrize("command", LOADING)
+def test_deeply_nested_documents_exit_2(goldens, tmp_path, capsys, command):
+    _, argv = loading_command(goldens, command)
+    for name, text in (("list", "[" * 100_000 + "]" * 100_000),
+                       ("object", '{"a":' * 3000 + "1" + "}" * 3000)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, report = run_json(capsys, *argv(str(path)))
+        assert code == 2
+        assert report["error"].startswith(f"{path}: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("command", LOADING)
+def test_readers_refuse_a_nesting_the_json_loader_accepts(goldens, tmp_path, capsys, command):
+    doc, argv = loading_command(goldens, command)
+    path = tmp_path / "nested.json"
+    for where, bad in each_replaced(doc, nested_list(900)):
+        path.write_text(json.dumps(bad))
+        json.loads(path.read_text())  # not too deep for the loader
+        code, report = run_json(capsys, *argv(str(path)))
+        assert code == 2 and report["error"], where
+
+
 # -- examples --------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import comotion_oracle
+import motion_oracle
 from spheremotion import comotion, motion
 from spheremotion.comotion import (
     Cocar,
@@ -37,7 +40,7 @@ from spheremotion.goldens import (
     pinwheel_unit_motion,
 )
 from spheremotion.jsonio import comotion_to_json, dumps, parse_comotion
-from spheremotion.motion import MotionError, standard_motion
+from spheremotion.motion import CarSchedule, MotionError, standard_motion
 from spheremotion.surface import classify_map
 
 
@@ -129,6 +132,73 @@ def test_cocars_store_ints_over_least_scales():
         c.X = 4
     with pytest.raises(ComotionError, match="^cocar needs at least one breakpoint$"):
         Cocar(0, 0, ())
+
+
+@st.composite
+def lap_arguments(draw):
+    """(face, period, us, U, vs, V, degree): the int arguments of a car's or a
+    cocar's `from_ints`, mostly valid, with any mix of faults, alone or at
+    once: no breakpoints, equal or falling us, falling vs, car times outside
+    [0, period), a period that is not positive or not rational, a negative or
+    non-int degree and a bool face."""
+
+    def mostly(good, bad):
+        return draw(bad if draw(st.integers(0, 4)) == 0 else good)
+
+    U, V = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    period = mostly(st.integers(1, 12) | st.builds(F, st.integers(1, 48), st.integers(1, 4)),
+                    st.integers(-1, 0) | st.builds(F, st.integers(-2, -1), st.integers(2, 4))
+                    | st.sampled_from([True, 1.5]))
+    n = mostly(st.integers(1, 4), st.just(0))
+    # strictly increasing times below top + n stay in [0, period)
+    top = max(math.ceil(period * U) - n, 0) if type(period) in (int, F) and period > 0 else 12
+    us = [mostly(st.integers(0, top), st.integers(-2, 40)) for _ in range(n)]
+    vs = draw(st.lists(st.integers(-4, 24), min_size=n, max_size=n))
+    order = mostly(st.just("strict"), st.sampled_from(["any", "sorted"]))
+    if order != "any":
+        us = [u + i * (order == "strict") for i, u in enumerate(sorted(us))]
+    if mostly(st.just(True), st.just(False)):
+        vs.sort()
+    degree = mostly(st.integers(0, 3), st.sampled_from([-1, True, 1.0, F(1)]))
+    face = mostly(st.integers(0, 3), st.booleans())
+    return face, period, us, U, vs, V, degree
+
+
+def _verdict(build, *args):
+    """What `build(*args)` makes, or the type and message of its refusal."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=lap_arguments())
+def test_int_cars_and_cocars_refuse_as_the_fraction_classes(args):
+    # each check fires in the order the Fraction classes run them, with the
+    # same error and message; what both accept is the same car or cocar
+    face, period, us, U, vs, V, degree = args
+    bps = tuple((F(u, U), F(v, V)) for u, v in zip(us, vs))
+    for got, want, ints, rebuild in (
+        (_verdict(CarSchedule.from_ints, face, period, us, U, vs, V, degree),
+         _verdict(motion_oracle.CarSchedule, face, period, bps, degree),
+         lambda c: (c.ts, c.Y, c.ps, c.X),
+         lambda ref: CarSchedule(face, period, ref.breakpoints, degree)),
+        (_verdict(Cocar.from_ints, face, degree, us, U, vs, V),
+         _verdict(comotion_oracle.Cocar, face, degree, bps),
+         lambda c: (c.xs, c.X, c.ys, c.Y),
+         lambda ref: Cocar(face, degree, ref.breakpoints)),
+    ):
+        if isinstance(got, tuple) or isinstance(want, tuple):
+            assert got == want
+            continue
+        assert repr(got) == repr(want)
+        pairs = want.breakpoints
+        X, Y = (math.lcm(*(pair[k].denominator for pair in pairs)) for k in (0, 1))
+        assert ints(got) == (tuple(x.numerator * X // x.denominator for x, _ in pairs), X,
+                             tuple(y.numerator * Y // y.denominator for _, y in pairs), Y)
+        same = rebuild(want)
+        assert (same, hash(same), repr(same)) == (got, hash(got), repr(got))
 
 
 def test_validate_comotion_rejects_mismatched_schedules():
@@ -344,4 +414,4 @@ def test_documents_to_weights_build_no_fraction_breakpoints(seed):
     comotion_collisions(m, com)
     assert not any(hasattr(mod, "int_lap") for mod in (motion, comotion))
     assert [c for c in com.cocars if "breakpoints" in vars(c)] == []
-    assert all(c._laps for c in com.cocars)
+    assert all(c._tables for c in com.cocars)

@@ -219,6 +219,7 @@ def test_comotion_round_trip():
         ),
     )
     doc = json.loads(dumps(comotion_to_json(m, com)))
+    assert [c for c in com.cocars if "breakpoints" in vars(c)] == []  # written from the ints
     assert parse_comotion(doc, m) == com
     at = doc["cocars"][1]["breakpoints"]
     assert at[0]["at"] == {"dart": 1, "lambda": "1/2"}
