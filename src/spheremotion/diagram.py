@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .groups import FreeProductWord
@@ -343,7 +342,7 @@ def _require_standard_on_interior(d: HowieDiagram, ms: MotionSchedule, info=None
         L = len(d.map.faces[f])
         want, got = by_face.get(f, []), given.get(f, [])
         if len(want) != len(got) or not all(
-            _offset(a, b, L, Fraction(0)) == 0
+            (offset := _offset(a, b, L, 0)) is not None and offset[0] == 0
             for a, b in zip(want, got)
         ):
             raise DiagramError(f"motion is not standard on interior face {f}")

@@ -29,10 +29,12 @@ which every corner of the vertex is visited; an edge locus is a point
 inside an edge where cars on its two sides meet, found by one linear
 solve per pair of windows on the two darts of that edge.  The index is
 cached on the car and shared by every audit, read-only.  The blow-up
-reads a car's stops and passes off its index over two periods, at the
-car's own scale: a visit to a stop corner that lasts is a stop, an
-instant one a pass, with the slopes of the dart windows that end and
-start there.  It builds Fractions for these events only.
+reads a car's stops and passes off its index over two periods, in ints
+at the car's own scale: a visit to a stop corner that lasts is a stop,
+an instant one a pass.  It decides each halving of its detour width in
+ints, from the visits at the two ends of each spur, since a centre never
+sees a collision, and then builds each blown-up car once, from ints,
+reading the old positions it keeps off the lap table.
 
 The whole collision search runs in integers, on one time scale per
 schedule.  A car's scale (`car_scale`) is D = Y * g, g the lcm over its
@@ -48,8 +50,9 @@ edge is solved and bounded by cross-multiplying.  A Fraction is built
 only for each reported value: a vertex instant, and a meeting's instant
 and dart parameter.  The successor check of multiple motions reads the
 two cars' lap tables at every breakpoint, on their common time scale,
-and compares the gaps crosswise.  Arithmetic is exact throughout: there
-are no floats.
+and compares the gaps crosswise; its periods, progress and lap offsets
+stay ints, and it builds no Fraction.  Arithmetic is exact throughout:
+there are no floats.
 
 A schedule is checked and indexed once per map.  The first
 `validate_motion` on a map runs the checks and keeps a record on the
@@ -633,9 +636,10 @@ def time_shifted_car(car: CarSchedule, L: int, shift) -> CarSchedule:
     return CarSchedule.from_ints(car.face, car.period, ts, Z, ps, X, car.degree)
 
 
-def _offset(car_a, car_b, L: int, shift: Fraction) -> Optional[Fraction]:
-    """The offset with car_a(t + shift) == car_b(t) + offset identically,
-    or None when the gap between the two is not constant."""
+def _offset(car_a, car_b, L: int, shift) -> Optional[tuple[int, int]]:
+    """The offset with car_a(t + shift) == car_b(t) + offset identically, as
+    ints (num, den), den > 0, of value num / den; None when the gap between
+    the two is not constant.  `shift` is an int or a Fraction."""
     if car_a.period != car_b.period or car_a.degree != car_b.degree:
         return None
     # the two lap tables on their common time scale Y, car_b's clock: the
@@ -659,7 +663,7 @@ def _offset(car_a, car_b, L: int, shift: Fraction) -> Optional[Fraction]:
             num, den = n, d
         elif n * den != num * d:
             return None
-    return Fraction(num, den)
+    return num, den
 
 
 def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
@@ -670,7 +674,8 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
     cars: unshifted, the last car wraps around to the first one lap on,
     but a schedule run earlier in time can lift the lap anywhere along
     the cycle.  Every face needs a car and every car a positive share of
-    the lap per period.
+    the lap per period.  The periods, positions and offsets are compared
+    in ints: no Fraction is built.
     """
     validate_motion(m, ms)
     T = ms.period
@@ -682,8 +687,11 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
     for f, cars in groups.items():
         L = len(m.faces[f])
         d = len(cars)
+        # d * T as a reduced (numerator, denominator)
+        g = math.gcd(d, T.denominator)
+        dT = (d // g * T.numerator, T.denominator // g)
         for car in cars:
-            if car.period != d * T:
+            if (car.period.numerator, car.period.denominator) != dT:
                 raise MotionError(
                     f"face {f}: car period {car.period} is not {d} * {T}"
                 )
@@ -693,18 +701,18 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
             y0, w0 = lap_read(lap, 0)
             if y1 * w0 <= y0 * w1:
                 raise MotionError(f"face {f}: car makes no progress over T")
-        offsets = []
+        laps = []  # each offset in whole laps
         for j in range(d):
             nxt = (j + 1) % d
             offset = _offset(cars[j], cars[nxt], L, T)
-            if offset is None or offset % L:
+            if offset is None or offset[0] % (L * offset[1]):
                 raise MotionError(
                     f"face {f}: car {j} shifted by T does not match car {nxt}"
                 )
-            offsets.append(offset)
-        if sum(offsets) != L:
+            laps.append(offset[0] // (L * offset[1]))
+        if sum(laps) != 1:
             # name the first car whose offset is not the unshifted one
-            j = next(j for j, o in enumerate(offsets) if o != (L if j == d - 1 else 0))
+            j = next(j for j, k in enumerate(laps) if k != (1 if j == d - 1 else 0))
             raise MotionError(
                 f"face {f}: car {j} shifted by T does not match car {(j + 1) % d}"
             )
@@ -917,90 +925,76 @@ def _reference_time(car: CarSchedule, L: int):
     raise MotionError("car never leaves the corners")
 
 
-def _car_events(car: CarSchedule, L: int, stops: set):
-    """Stops at and passes through the stop corners over one period.
+def _car_events(car: CarSchedule, L: int, stops: set) -> tuple[int, list, list]:
+    """The car's visits to the stop corners over one period, in ints over
+    2 * D, D = car_scale(car, L): the reference time, a midpoint, is an int
+    there.
 
-    Returns (t_ref, events), t_ref reduced into [0, period); events are
-    ("stop", u, u2, lifted_pos) or ("pass", t, lifted_pos, slope_in,
-    slope_out), time-ordered inside the window (t_ref, t_ref + period).
-    They are the car index's visits to the stop corners: a visit that
-    lasts is a stop, an instant one a pass, with the slopes of the dart
-    windows ending and starting at it.
+    Returns (r, events, kept): r / (2 * D) the reference time reduced into
+    [0, period); events the visits (a, b, j) to stop corner j with r < a <
+    r + period * 2 * D, in time order, a stop when a < b and a pass when
+    a == b; and kept the breakpoint times moved into that window that no
+    visit spans, the ones the blow-up keeps.  The visits are the car
+    index's, over two periods.  At r the car is inside a dart, so over the
+    window it climbs degree * L from inside a dart to inside one and, for
+    a regular car, visits each stop corner degree times, each visit whole.
     """
-    P = car.period
-    t_ref = _reference_time(car, L) % P
-    D, X = car_scale(car, L), car.X
-    visits, windows = car_index(car, L, 2, D)
-    lo, hi = t_ref * D, (t_ref + P) * D
-    events = []
-    for j in stops:
-        for a, b in visits.get(j, ()):
-            if not lo < a < hi:
-                continue
-            t = Fraction(a, D)
-            c = position_at(car, L, t)
-            if a < b:
-                events.append(("stop", t, Fraction(b, D), c))
-            else:
-                # the windows ending and starting at a pass are moving ones,
-                # of slopes D / (c * X)
-                c_in = next(w[3] for w in windows[(j - 1) % L] if w[1] == a)
-                c_out = next(w[3] for w in windows[j] if w[0] == a)
-                events.append(("pass", t, c, Fraction(D, c_in * X), Fraction(D, c_out * X)))
-    events.sort(key=lambda e: e[1])
-    return t_ref, events
+    D = car_scale(car, L)
+    (ts, _, span, _), Y, _ = car_lap(car, L)
+    w = 2 * D // Y
+    P = span * w
+    t = _reference_time(car, L)  # its denominator divides 2 * D
+    r = t.numerator * (2 * D // t.denominator) % P
+    visits = car_index(car, L, 2, D)[0]
+    events = sorted((2 * a, 2 * b, j) for j in stops for a, b in visits.get(j, ())
+                    if r < 2 * a < r + P)
+    # every breakpoint time lies in [0, P) and differs from r: moved a
+    # period on when below r, it falls into the window
+    moved = [t + P if t < r else t for t in (t * w for t in ts[:-1])]
+    return r, events, [t for t in moved if not any(a <= t <= b for a, b, _ in events)]
 
 
-def _free_times(car: CarSchedule, t_ref, events) -> list:
-    """The car's breakpoint times moved into (t_ref, t_ref + period) that
-    no stop or pass of `events` spans: the ones its blow-up keeps."""
-    P = car.period
-    busy = [(ev[1], ev[2] if ev[0] == "stop" else ev[1]) for ev in events]
-    out = []
-    for t, _ in car.breakpoints:
-        tt = t if t >= t_ref else t + P
-        if t_ref < tt < t_ref + P and not any(u <= tt <= u2 for u, u2 in busy):
-            out.append(tt)
-    return out
+def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, D: int, r: int,
+                 events: list, kept: list) -> CarSchedule:
+    """Reroute one car through the doubled corners of its face, in ints:
+    built once, by `CarSchedule.from_ints`.
 
-
-def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, t_ref, events):
-    """Reroute one car through the doubled corners of its face, given
-    `_car_events(car, L, stops)` as (t_ref, events).
-
-    An old lifted position p becomes p plus two for each stop corner
-    lifted below it: every stop corner it has passed grew a spur."""
-    P = car.period
-    if len(events) != car.degree * len(stops):
-        raise RuntimeError("miscounted corner crossings")  # pragma: no cover
+    r, events and kept are `_car_events(car, L, stops)`, over 2 * D, D a
+    multiple of the car's scale.  A visit [a, b] becomes the trip out
+    along the spur and back over [a, b], a pass widened to [a - eps/2,
+    a + eps/2]; the car keeps its old positions at r, at the kept times
+    and eps before and after each pass.  An old lifted position p becomes
+    p plus two for each stop corner lifted below it: every stop corner it
+    has passed grew a spur."""
+    e, E = eps.numerator, eps.denominator
+    lap = car_lap(car, L)
+    (_, _, span, _), Y, X = lap
+    Z = 2 * D * E  # the time scale
+    keep = [r * E] + [t * E for t in kept]
+    keep += [a * E + s for a, b, _ in events if a == b for s in (-2 * e * D, 2 * e * D)]
+    read = [lap_read(lap, t, Z // Y) for t in keep + [a * E for a, _, _ in events]]
+    # positions y / (w * X) over one scale S; at an event it is a corner
+    W = math.lcm(*(w for _, w in read))
+    S, n = W * X, len(stops)
+    lows = sorted(q * S for q in stops)
 
     def stretch(p):
-        laps, r = divmod(p, L)
-        return p + 2 * (laps * len(stops) + sum(1 for q in stops if q < r))
+        laps, rest = divmod(p, L * S)
+        return p + 2 * S * (laps * n + bisect_left(lows, rest))
 
-    out = [(t_ref, stretch(position_at(car, L, t_ref)))]
-    for ev in events:
-        if ev[0] == "stop":
-            _, u, u2, c = ev
-            out += [(u, stretch(c)), (u2, stretch(c) + 2)]
-        else:
-            _, t0, c, s1, s2 = ev
-            at = stretch(c)
-            out += [(t0 - eps, at - s1 * eps), (t0 - eps / 2, at),
-                    (t0 + eps / 2, at + 2), (t0 + eps, at + 2 + s2 * eps)]
-    out += [(tt, stretch(position_at(car, L, tt))) for tt in _free_times(car, t_ref, events)]
-
-    L2 = L + 2 * len(stops)
-    climb2 = car.degree * L2
-    norm = sorted((t % P, p - (t // P) * climb2) for t, p in out)
-    dedup: list[tuple[Fraction, Fraction]] = []
-    for t, p in norm:
-        if dedup and dedup[-1][0] == t:
-            if dedup[-1][1] != p:
-                raise RuntimeError("inconsistent rewrite")  # pragma: no cover
-            continue
-        dedup.append((t, p))
-    return CarSchedule(car.face, P, _shift_into_range(dedup, 0, L2), degree=car.degree)
+    ps = [stretch(y * (W // w)) for y, w in read]
+    out = list(zip(keep, ps))
+    for (a, b, _), at in zip(events, ps[len(keep):]):
+        a, b = (a * E - e * D, a * E + e * D) if a == b else (a * E, b * E)
+        out += [(a, at), (b, at + 2 * S)]
+    # every time lies in [r, r + period), and eps is at most a quarter of
+    # the least gap between r, the visits' ends and the kept times: no two
+    # points share a time mod the period
+    P, L2 = span * (Z // Y), L + 2 * n
+    climb = car.degree * L2 * S
+    out = sorted((t % P, p - (t // P) * climb) for t, p in out)
+    ts, ps = zip(*_shift_into_range(out, 0, L2 * S))
+    return CarSchedule.from_ints(car.face, car.period, ts, Z, ps, S, car.degree)
 
 
 def blow_up(m: OrientedMap, ms: MotionSchedule):
@@ -1010,12 +1004,27 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
     Returns (new_map, new_motion, report).  Needs a separated, regular
     schedule, and never refuses one.  A pass at t0 runs out along the spur
     and back over [t0 - eps/2, t0 + eps/2], a stop over the stop.  eps
-    halves ("retries") while a new edge or centre sees a collision, until
-    eps * D < 1, D the schedule's time scale.  Then no two cars share a
-    spur: visits to the consecutive stop corners on its two sides are int
-    intervals at scale D, so at least 1/D apart, and a pass widens its
-    visit by eps/2 each way; and a centre is occupied only at visit
-    instants.  A collision then is a bug.
+    starts at a quarter of the least gap between a car's kept times and
+    halves ("retries") while a spur would see a collision; the halvings
+    are decided from the cars' events in ints, and each car is built once,
+    for the final eps.
+
+    Spur i of a vertex runs from stop corner s_i to the centre and back to
+    s_{i+1}: only the cars at s_i enter it, on its + dart over [a - w, a),
+    and only those at s_{i+1} leave it, on its - dart over (b, b + w], w
+    the half-width of a visit [a - w, b + w] that their detour takes: the
+    visit's own half for a stop, eps/2 for a pass.  Two such stretches
+    meet inside the spur exactly when they overlap.  The schedule is
+    separated, so the visits [a, a2] at s_i and [b, b2] at s_{i+1} are
+    disjoint int intervals at the scale D, and only a visit at s_{i+1}
+    that ends at b2 before a visit at s_i starts at a can overlap it: they
+    do when a - b2 is less than eps/2 per pass among the two.  The least
+    such gap of two cars of periods Pa and Pb is (a - b2) mod gcd(Pa, Pb)
+    over their horizon, and it is at least 1/D, so eps stops halving at
+    the latest below 1/D.  A centre is occupied only at pass instants and
+    stop midpoints, inside the visits to its stop corners, and consecutive
+    ones are never visited at once: no centre sees a collision.  The old
+    edges and vertices are not checked: the old loci stay where they were.
     """
     if not ms.stop_corners:
         return m, ms, {"identity": True, "new_edges": (), "retries": 0}
@@ -1028,6 +1037,7 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
     next_edge = max(m.edge_ids) + 1
     first_new = next_edge
     insertions: dict[Corner, list[Dart]] = {}
+    spurs = []  # (s_i, s_{i+1}): the stop corners a spur leaves and enters
     for vertex in m.vertices():
         stops_here = [c for c in vertex if c in ms.stop_corners]
         if not stops_here:
@@ -1038,6 +1048,7 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
         for i, corner in enumerate(stops_here):
             # out along the fresh spur, back along the previous one
             insertions[corner] = [(ids[i], 1), (ids[i - 1], -1)]
+            spurs.append((corner, stops_here[(i + 1) % k]))
 
     new_faces = []
     for f, boundary in enumerate(m.faces):
@@ -1047,58 +1058,51 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
             out.append(dart)
         new_faces.append(tuple(out))
     new_map = OrientedMap(m.surface, tuple(new_faces))
-    new_edge_ids = set(range(first_new, next_edge))
 
     stops_by_face: dict[int, set] = {}
     for f, j in ms.stop_corners:
         stops_by_face.setdefault(f, set()).add(j)
 
-    events_by_car = {}  # car index -> (t_ref, events), for cars with stops
-    gaps = []
+    # each car with stops: its reference time, events and kept breakpoint
+    # times over 2 * D, D the schedule's time scale
+    D = validate_motion(m, ms)["D"]  # stored by check_separated_stops
+    runs, at_corner, gap = {}, {}, None
     for k, car in enumerate(ms.cars):
-        stops = stops_by_face.get(car.face, set())
+        stops = stops_by_face.get(car.face)
         if not stops:
             continue
-        t_ref, events = _car_events(car, len(m.faces[car.face]), stops)
-        events_by_car[k] = (t_ref, events)
-        times = {t_ref}
-        for ev in events:
-            times |= {ev[1] % car.period, ev[2] % car.period} if ev[0] == "stop" \
-                else {ev[1] % car.period}
-        # a breakpoint inside a stop is dropped by the blow-up: no gap
-        times |= {t % car.period for t in _free_times(car, t_ref, events)}
-        ordered = sorted(times)
-        for i, t in enumerate(ordered):
-            gap = (ordered[(i + 1) % len(ordered)] - t) % car.period
-            if gap > 0:
-                gaps.append(gap)
-    eps = min(gaps) / 4 if gaps else Fraction(1, 4)
+        L = len(m.faces[car.face])
+        r, events, kept = _car_events(car, L, stops)
+        x = D // car_scale(car, L)
+        r, kept = r * x, [t * x for t in kept]
+        events = [(a * x, b * x, j) for a, b, j in events]
+        runs[k] = (L, stops, r, events, kept)
+        P = car.period.numerator * (2 * D // car.period.denominator)
+        times = sorted([r, r + P, *kept, *(t for a, b, _ in events for t in {a, b})])
+        least = min(v - u for u, v in zip(times, times[1:]))
+        gap = least if gap is None else min(gap, least)
+        for a, b, j in events:
+            at_corner.setdefault((car.face, j), []).append((a, b, P))
 
-    D = validate_motion(m, ms)["D"]  # stored by check_separated_stops
-    for retries in count():
-        new_cars = []
-        for k, car in enumerate(ms.cars):
-            if k not in events_by_car:
-                new_cars.append(car)
-            else:
-                L = len(m.faces[car.face])
-                stops = stops_by_face[car.face]
-                new_cars.append(_blow_up_car(car, L, stops, eps, *events_by_car[k]))
-        new_ms = MotionSchedule(ms.period, tuple(new_cars), frozenset())
-        rep = complete_collisions(new_map, new_ms)
-        bad_edges = [key for key in rep.edge_loci if key[0] in new_edge_ids]
-        bad_centers = [
-            v
-            for v in rep.vertex_loci
-            if all(new_map.dart_at(c)[0] in new_edge_ids for c in v)
-        ]
-        if not bad_edges and not bad_centers:
-            return new_map, new_ms, {
-                "identity": False,
-                "new_edges": tuple(sorted(new_edge_ids)),
-                "epsilon": eps,
-                "retries": retries,
-            }
-        if eps * D < 1:
-            raise RuntimeError("spurs collide below the time scale")  # pragma: no cover
-        eps /= 2
+    # eps = gap / (8 * D * 2**retries), a quarter of the least gap halved
+    # until every spur is free: a pair of visits at its two ends, a - b2
+    # apart mod gcd(Pa, Pb), needs 2**retries >= passes * gap / (8 * (a - b2))
+    retries = 0
+    for s_out, s_in in spurs:
+        for a, a2, Pa in at_corner.get(s_out, ()):
+            for b, b2, Pb in at_corner.get(s_in, ()):
+                passes = (a == a2) + (b == b2)
+                if passes:
+                    q = -(-passes * gap // (8 * ((a - b2) % math.gcd(Pa, Pb))))
+                    retries = max(retries, (q - 1).bit_length())
+    eps = Fraction(gap, 8 * D << retries) if runs else Fraction(1, 4)
+
+    new_cars = list(ms.cars)
+    for k, (L, stops, r, events, kept) in runs.items():
+        new_cars[k] = _blow_up_car(ms.cars[k], L, stops, eps, D, r, events, kept)
+    return new_map, MotionSchedule(ms.period, tuple(new_cars), frozenset()), {
+        "identity": False,
+        "new_edges": tuple(range(first_new, next_edge)),
+        "epsilon": eps,
+        "retries": retries,
+    }

@@ -13,7 +13,11 @@ of the program's bisecting reader, and `car_index`, `reference_time`,
 `is_regular`, `offset` and `time_shifted_car` are the program's earlier
 Fraction walks over them.  `int_lap` is the program's earlier builder of
 lap tables from Fraction breakpoints, the oracle of the tables that cars
-and cocars build from their stored ints.
+and cocars build from their stored ints.  `multiple_motion_groups` is the
+successor check with its earlier Fraction bookkeeping, and
+`reference_blow_up` the blow-up's earlier retry loop: it rebuilds every
+blown-up car from Fraction pairs and runs `complete_collisions` over the
+whole new map for each eps.
 """
 
 import math
@@ -23,11 +27,15 @@ from spheremotion.motion import (
     CarSchedule,
     CollisionReport,
     MotionError,
+    MotionSchedule,
+    check_separated_stops,
     collision_horizon,
+    complete_collisions,
     intersect_intervals,
     normalize_intervals,
     validate_motion,
 )
+from spheremotion.surface import OrientedMap
 
 
 def car_segments(car, L: int):
@@ -117,6 +125,40 @@ def offset(car_a, car_b, L: int, shift: Fraction):
     times |= {(t - shift) % Pc for t, _ in car_a.breakpoints}
     gaps = {position_at(car_a, L, t + shift) - position_at(car_b, L, t) for t in times}
     return gaps.pop() if len(gaps) == 1 else None
+
+
+def multiple_motion_groups(m, ms) -> dict:
+    """`spheremotion.motion.as_multiple_motion` with Fraction bookkeeping:
+    periods, positions and offsets as Fractions, from `position_at` and
+    `offset` here; its oracle, down to the car each refusal names."""
+    validate_motion(m, ms)
+    T = ms.period
+    groups: dict[int, list] = {}
+    for car in ms.cars:
+        groups.setdefault(car.face, []).append(car)
+    if set(groups) != set(range(m.face_count())):
+        raise MotionError("a multiple motion needs cars on every face")
+    for f, cars in groups.items():
+        L = len(m.faces[f])
+        d = len(cars)
+        for car in cars:
+            if car.period != d * T:
+                raise MotionError(f"face {f}: car period {car.period} is not {d} * {T}")
+            if position_at(car, L, T) <= position_at(car, L, 0):
+                raise MotionError(f"face {f}: car makes no progress over T")
+        offsets = []
+        for j in range(d):
+            nxt = (j + 1) % d
+            o = offset(cars[j], cars[nxt], L, T)
+            if o is None or o % L:
+                raise MotionError(f"face {f}: car {j} shifted by T does not match car {nxt}")
+            offsets.append(o)
+        if sum(offsets) != L:
+            j = next(j for j, o in enumerate(offsets) if o != (L if j == d - 1 else 0))
+            raise MotionError(
+                f"face {f}: car {j} shifted by T does not match car {(j + 1) % d}"
+            )
+    return groups
 
 
 def time_shifted_car(car, L: int, shift: Fraction):
@@ -329,3 +371,163 @@ def reference_stop_audit(m, ms) -> dict:
             if intersect_intervals(occupied(a), occupied(b)):
                 problems.append(f"consecutive stop corners {a} and {b} occupied together")
     return {"ok": not problems, "problems": problems}
+
+
+def car_events(car, L: int, stops: set):
+    """The blow-up's stops and passes of one car over one period, from the
+    replica walk: (t_ref, events), t_ref reduced into [0, period) and
+    events ("stop", u, u2, lifted_pos) or ("pass", t, lifted_pos,
+    slope_in, slope_out), in time order inside (t_ref, t_ref + period)."""
+    P = car.period
+    t_ref = reference_time(car, L) % P
+    visits, windows = car_index(car, L, 2 * P)
+    events = []
+    for j in stops:
+        for a, b in visits.get(j, ()):
+            if not t_ref < a < t_ref + P:
+                continue
+            c = position_at(car, L, a)
+            if a < b:
+                events.append(("stop", a, b, c))
+            else:
+                s1 = next(w[3] for w in windows[(j - 1) % L] if w[1] == a)
+                s2 = next(w[3] for w in windows[j] if w[0] == a)
+                events.append(("pass", a, c, s1, s2))
+    events.sort(key=lambda e: e[1])
+    return t_ref, events
+
+
+def free_times(car, t_ref, events) -> list:
+    """The car's breakpoint times moved into (t_ref, t_ref + period) that
+    no stop or pass of `events` spans: the ones its blow-up keeps."""
+    P = car.period
+    busy = [(ev[1], ev[2] if ev[0] == "stop" else ev[1]) for ev in events]
+    out = []
+    for t, _ in car.breakpoints:
+        tt = t if t >= t_ref else t + P
+        if t_ref < tt < t_ref + P and not any(u <= tt <= u2 for u, u2 in busy):
+            out.append(tt)
+    return out
+
+
+def blow_up_car(car, L: int, stops: set, eps: Fraction, t_ref, events):
+    """One car rerouted through the spurs of its face, from Fraction pairs."""
+    P = car.period
+    if len(events) != car.degree * len(stops):
+        raise RuntimeError("miscounted corner crossings")
+
+    def stretch(p):
+        laps, r = divmod(p, L)
+        return p + 2 * (laps * len(stops) + sum(1 for q in stops if q < r))
+
+    out = [(t_ref, stretch(position_at(car, L, t_ref)))]
+    for ev in events:
+        if ev[0] == "stop":
+            _, u, u2, c = ev
+            out += [(u, stretch(c)), (u2, stretch(c) + 2)]
+        else:
+            _, t0, c, s1, s2 = ev
+            at = stretch(c)
+            out += [(t0 - eps, at - s1 * eps), (t0 - eps / 2, at),
+                    (t0 + eps / 2, at + 2), (t0 + eps, at + 2 + s2 * eps)]
+    out += [(tt, stretch(position_at(car, L, tt))) for tt in free_times(car, t_ref, events)]
+
+    L2 = L + 2 * len(stops)
+    climb2 = car.degree * L2
+    norm = sorted((t % P, p - (t // P) * climb2) for t, p in out)
+    dedup = []
+    for t, p in norm:
+        if dedup and dedup[-1][0] == t:
+            if dedup[-1][1] != p:
+                raise RuntimeError("inconsistent rewrite")
+            continue
+        dedup.append((t, p))
+    drop = L2 * (dedup[0][1] // L2)
+    return CarSchedule(car.face, P, tuple((t, p - drop) for t, p in dedup), degree=car.degree)
+
+
+def reference_blow_up(m, ms):
+    """`spheremotion.motion.blow_up` as a retry loop: every blown-up car is
+    rebuilt from Fraction pairs for each eps, and eps halves while
+    `complete_collisions` over the whole new map finds a collision inside a
+    spur or at a centre, until eps * D < 1, D the schedule's time scale."""
+    if not ms.stop_corners:
+        return m, ms, {"identity": True, "new_edges": (), "retries": 0}
+    sep = check_separated_stops(m, ms)
+    if not sep["ok"]:
+        raise MotionError("stops are not separated: " + "; ".join(sep["problems"]))
+    if not is_regular(m, ms):
+        raise MotionError("blow-up needs a regular schedule")
+
+    next_edge = max(m.edge_ids) + 1
+    first_new = next_edge
+    insertions = {}
+    for vertex in m.vertices():
+        stops_here = [c for c in vertex if c in ms.stop_corners]
+        if not stops_here:
+            continue
+        k = len(stops_here)
+        ids = list(range(next_edge, next_edge + k))
+        next_edge += k
+        for i, corner in enumerate(stops_here):
+            insertions[corner] = [(ids[i], 1), (ids[i - 1], -1)]
+    new_faces = []
+    for f, boundary in enumerate(m.faces):
+        out = []
+        for j, dart in enumerate(boundary):
+            out += insertions.get((f, j), [])
+            out.append(dart)
+        new_faces.append(tuple(out))
+    new_map = OrientedMap(m.surface, tuple(new_faces))
+    new_edge_ids = set(range(first_new, next_edge))
+
+    stops_by_face = {}
+    for f, j in ms.stop_corners:
+        stops_by_face.setdefault(f, set()).add(j)
+    events_by_car = {}
+    gaps = []
+    for k, car in enumerate(ms.cars):
+        stops = stops_by_face.get(car.face, set())
+        if not stops:
+            continue
+        t_ref, events = car_events(car, len(m.faces[car.face]), stops)
+        events_by_car[k] = (t_ref, events)
+        times = {t_ref}
+        for ev in events:
+            times |= {ev[1] % car.period, ev[2] % car.period} if ev[0] == "stop" \
+                else {ev[1] % car.period}
+        times |= {t % car.period for t in free_times(car, t_ref, events)}
+        ordered = sorted(times)
+        for i, t in enumerate(ordered):
+            gap = (ordered[(i + 1) % len(ordered)] - t) % car.period
+            if gap > 0:
+                gaps.append(gap)
+    eps = min(gaps) / 4 if gaps else Fraction(1, 4)
+
+    D = validate_motion(m, ms)["D"]
+    retries = 0
+    while True:
+        new_cars = []
+        for k, car in enumerate(ms.cars):
+            if k not in events_by_car:
+                new_cars.append(car)
+            else:
+                L = len(m.faces[car.face])
+                new_cars.append(blow_up_car(car, L, stops_by_face[car.face], eps,
+                                            *events_by_car[k]))
+        new_ms = MotionSchedule(ms.period, tuple(new_cars), frozenset())
+        rep = complete_collisions(new_map, new_ms)
+        bad_edges = [key for key in rep.edge_loci if key[0] in new_edge_ids]
+        bad_centers = [v for v in rep.vertex_loci
+                       if all(new_map.dart_at(c)[0] in new_edge_ids for c in v)]
+        if not bad_edges and not bad_centers:
+            return new_map, new_ms, {
+                "identity": False,
+                "new_edges": tuple(sorted(new_edge_ids)),
+                "epsilon": eps,
+                "retries": retries,
+            }
+        if eps * D < 1:
+            raise RuntimeError("spurs collide below the time scale")
+        eps /= 2
+        retries += 1

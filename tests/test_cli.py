@@ -242,11 +242,14 @@ def test_motion_file_analyses_the_schedule_once(goldens, monkeypatch, capsys):
                       "as_multiple_motion": 1}
 
 
-@pytest.mark.parametrize("args", [
+MOTION_GOLDENS = [
     ("pinwheel.map.json", "retimed.motion.json"),
     ("banded.map.json", "banded.motion.json"),
     ("banded.map.json", "--standard", "B", "--m", "1"),
-])
+]
+
+
+@pytest.mark.parametrize("args", MOTION_GOLDENS)
 def test_motion_builds_no_fraction_breakpoints(goldens, monkeypatch, capsys, args):
     # cars are read or built in ints and audited from their int lap tables:
     # no car has its Fraction breakpoints built, and the package has no
@@ -263,6 +266,30 @@ def test_motion_builds_no_fraction_breakpoints(goldens, monkeypatch, capsys, arg
     assert [c for c in cars if "breakpoints" in vars(c)] == []
     assert all(c._tables for c in cars)
     assert not hasattr(motion, "int_lap")
+
+
+@pytest.mark.parametrize("args", MOTION_GOLDENS)
+def test_successor_check_builds_no_fraction(goldens, monkeypatch, capsys, args):
+    # the successor check compares periods, positions and offsets in ints
+    built, verdicts = [], []
+    real, fraction = motion.as_multiple_motion, motion.Fraction
+
+    def watched(m, ms):
+        with monkeypatch.context() as patch:
+            patch.setattr(motion, "Fraction", lambda *a: built.append(a) or fraction(*a))
+            try:
+                groups = real(m, ms)
+            except motion.MotionError as e:
+                verdicts.append(str(e))
+                raise
+        verdicts.append({f: len(cars) for f, cars in groups.items()})
+        return groups
+
+    monkeypatch.setattr(motion, "as_multiple_motion", watched)
+    code, _ = run_json(
+        capsys, "motion", *(str(goldens / a) if a.endswith(".json") else a for a in args)
+    )
+    assert code == 0 and verdicts and built == []
 
 
 @pytest.mark.parametrize("mval", ["-1", "-3"])

@@ -27,6 +27,7 @@ from spheremotion.motion import (
     MotionSchedule,
     _offset,
     _reference_time,
+    as_multiple_motion,
     blow_up,
     car_index,
     car_lap,
@@ -229,11 +230,79 @@ def test_offset_matches_the_fraction_scan(drawn, d, kind, bump, shift):
     other = CarSchedule(0, period, bps, degree=degree + (kind == "degree"))
     # the shift that matches, a drawn one, and 0 as the diagram audit uses it
     for s in (P * Fraction(d, 48), shift, Fraction(0)):
-        got = _offset(car, other, L, s)
-        assert got == oracle.offset(car, other, L, s)
-        assert got is None or type(got) is Fraction
+        got, want = _offset(car, other, L, s), oracle.offset(car, other, L, s)
+        assert (got is None) == (want is None)
+        assert got is None or Fraction(*got) == want
+        assert got is None or [type(x) for x in got] == [int, int] and got[1] > 0
     if kind == "shifted":
         assert _offset(car, other, L, P * Fraction(d, 48)) is not None
+
+
+@st.composite
+def successor_cases(draw):
+    """A random multiple motion on a sphere map, of an int period or of
+    3/2, 5/12 or 7/3, its cars maybe all run a drawn time earlier, and
+    maybe one car replaced by a rogue: run a drawn time earlier on its
+    own, "fast" (degree 2), of twice the period, raised from one
+    breakpoint on; the cars listed in reverse; or the cars of its face
+    replaced by a chain of constant-speed cars that climb 0, 2 or 3 laps
+    per cycle, as a chain of one-lap cars would climb one."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_sphere_map(rng)
+    period = draw(st.sampled_from([None, Fraction(3, 2), Fraction(5, 12), Fraction(7, 3)]))
+    ms = random_multiple_motion(m, rng, period)
+    cars = list(ms.cars)
+    kind = draw(st.sampled_from(
+        ["none", "rogue", "fast", "period", "bumped", "reversed", "laps"]))
+    k = draw(st.integers(0, len(cars) - 1))
+    car, L = cars[k], len(m.faces[cars[k].face])
+    bps, period, degree = car.breakpoints, car.period, car.degree
+    if kind == "rogue":
+        cars[k] = time_shifted_car(car, L, period * Fraction(draw(st.integers(1, 11)), 12))
+    elif kind in ("fast", "period", "bumped"):
+        if kind == "bumped":
+            i = draw(st.integers(1, len(bps)))
+            bps = bps[:i] + tuple((t, p + Fraction(1, 12)) for t, p in bps[i:])
+        cars[k] = CarSchedule(car.face, period * (2 if kind == "period" else 1), bps,
+                              degree=degree + (kind == "fast"))
+    elif kind == "reversed":
+        cars.reverse()
+    elif kind == "laps":
+        chain = [c for c in cars if c.face == car.face]
+        base = CarSchedule(car.face, period, ((period * Fraction(draw(st.integers(0, 11)), 12),
+                                               draw(st.integers(0, L - 1))),),
+                           degree=draw(st.sampled_from([0, 2, 3])))
+        cars = [c for c in cars if c.face != car.face]
+        cars += [time_shifted_car(base, L, j * ms.period) for j in range(len(chain))]
+    if draw(st.booleans()):
+        d = Fraction(draw(st.integers(1, 24)), draw(st.integers(1, 4)))
+        cars = [time_shifted_car(c, len(m.faces[c.face]), d) for c in cars]
+    return m, MotionSchedule(ms.period, tuple(cars))
+
+
+def successor_outcome(check, m, ms):
+    try:
+        return check(m, ms)
+    except MotionError as e:
+        return str(e)
+
+
+# the two cars of face 0 run half a lap apart, an offset of 3/2 whose
+# numerator over its int denominator can be a multiple of L = 3
+HALF_LAP = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
+    CarSchedule(0, 6, ((Fraction(5, 2), Fraction(3, 2)), (Fraction(11, 2), 3)), degree=1),
+    CarSchedule(0, 6, ((0, Fraction(3, 2)), (3, 3)), degree=1),
+    CarSchedule(1, 3, ((0, 0),), degree=1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=successor_cases())
+@example(drawn=HALF_LAP)
+def test_successor_check_matches_the_fraction_bookkeeping(drawn):
+    # the same groups, or the same refusal naming the same car
+    m, ms = drawn
+    got = successor_outcome(as_multiple_motion, m, ms)
+    assert got == successor_outcome(oracle.multiple_motion_groups, m, ms)
 
 
 @st.composite

@@ -6,18 +6,22 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import collision_oracle as oracle
 import standard_oracle
+from test_blow_up_snapshot import criterion_8_cases
 from spheremotion import jsonio, motion
 from spheremotion.fuzzing import (
+    doubled_polygon,
     lune_map,
     make_rng,
     random_multiple_motion,
     random_shape_map,
     random_sphere_map,
+    relabel_map,
+    rotate_map,
 )
 from spheremotion.goldens import (
     PINWHEEL_VERTICES,
@@ -734,9 +738,19 @@ def test_car_events_pass_at_a_kink_takes_both_slopes():
     # corner 2 is a stop
     bps = ((F(0), F(0)), (F(1), F(1)), (F(3, 2), F(2)), (F(5, 2), F(2)))
     car = CarSchedule(0, F(4), bps, degree=1)
-    assert motion._car_events(car, 3, {1, 2}) == (
-        F(1, 2),
-        [("pass", F(1), F(1), F(1), F(2)), ("stop", F(3, 2), F(5, 2), F(2))],
+    # ints over 2 * D, D = 2 the car's scale: the reference time 1/2, the
+    # pass, the stop, and the one breakpoint kept, t = 0 a period on at 16
+    assert motion.car_scale(car, 3) == 2
+    events = motion._car_events(car, 3, {1, 2})
+    assert events == (2, [(4, 4, 1), (6, 10, 2)], [16])
+    # the blow-up leaves the old track eps before the pass at slope 1 and
+    # rejoins it eps after at slope 2, two spur darts on
+    eps = F(1, 8)
+    blown = motion._blow_up_car(car, 3, {1, 2}, eps, 2, *events)
+    assert blown.breakpoints == (
+        (F(0), F(0)), (F(1, 2), F(1, 2)),
+        (1 - eps, 1 - eps), (1 - eps / 2, F(1)), (1 + eps / 2, F(3)), (1 + eps, 3 + 2 * eps),
+        (F(3, 2), F(4)), (F(5, 2), F(6)),
     )
 
 
@@ -817,6 +831,94 @@ def test_blow_up_halves_epsilon_until_the_spurs_are_free(d, retries, eps):
     rep = complete_collisions(m2, ms2)
     assert not any(e in new_edges for e, _ in rep.edge_loci)
     assert not any(all(m2.dart_at(c)[0] in new_edges for c in v) for v in rep.vertex_loci)
+
+
+@st.composite
+def lune_passes(draw):
+    """Cars of periods 1/2 to 4, one per face of 2 to 4 lunes, at drawn
+    phases and speeds, some resting at a corner; stops declared on two or
+    more corners of each vertex, and drawn until separated."""
+    m = lune_map(draw(st.integers(2, 4)))
+    cars = []
+    for f in range(m.face_count()):
+        P = draw(st.sampled_from([F(1, 2), F(1), F(2), F(4)]))
+        t0 = P * F(draw(st.integers(0, 23)), 24)
+        p0 = draw(st.integers(0, 1))
+        bps = ((t0, p0),)
+        if draw(st.booleans()):
+            bps += ((t0 + (P - t0) * F(draw(st.integers(1, 3)), 4), p0),)
+        cars.append(CarSchedule(f, P, bps, degree=draw(st.integers(1, 2))))
+    stops = frozenset()
+    for vertex in m.vertices():
+        stops |= draw(st.sets(st.sampled_from(vertex), min_size=2) | st.just(frozenset()))
+    ms = MotionSchedule(F(1), tuple(cars), stops)
+    assume(check_separated_stops(m, ms)["ok"])
+    return m, ms
+
+
+@st.composite
+def separated_schedules(draw):
+    """A separated, regular schedule: a standard motion, time shifted, on a
+    family-A map, on a doubled b-profile polygon with stops, or lifted on a
+    family-B map; two passes a drawn d apart, as in `near_passes`; or
+    `lune_passes`."""
+    kind = draw(st.sampled_from(["A", "doubled", "lifted", "near", "lunes"]))
+    if kind == "near":
+        return near_passes(draw(st.fractions(0, 1, max_denominator=300).filter(lambda d: 0 < d < 1)))
+    if kind == "lunes":
+        return draw(lune_passes())
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "A":
+        m = random_shape_map(rng, "A")
+        ms = standard_motion(m)
+    elif kind == "doubled":
+        m = relabel_map(rotate_map(doubled_polygon(b_profile(rng.choice([1, 2]))), rng), rng)
+        ms = standard_motion(m)
+    else:
+        m = random_shape_map(rng, "B")
+        ms = standard_multiple_motion(m, dict(classify_map(m), m=rng.choice([1, 2])))
+    shift = draw(st.fractions(0, 12, max_denominator=8))
+    cars = tuple(time_shifted_car(c, len(m.faces[c.face]), shift) for c in ms.cars)
+    return m, MotionSchedule(ms.period, cars, ms.stop_corners)
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=separated_schedules())
+@example(drawn=near_passes(F(1, 10)))
+@example(drawn=near_passes(F(1, 100)))
+@example(drawn=near_passes(F(1, 2000)))
+def test_blow_up_matches_the_retry_loop(drawn):
+    # eps halvings decided from the events in ints, and each car built
+    # once, against the loop that rebuilds every car and searches the
+    # whole new map per eps
+    m, ms = drawn
+    assert blow_up(m, ms) == oracle.reference_blow_up(m, ms)
+
+
+def test_blow_up_reads_each_spur_over_the_horizon():
+    # the period-1/2 car passes each corner of face 0 twice for each pass
+    # of the period-1 car on face 1, so the closest passes at the two ends
+    # of a spur are found mod gcd(1/2, 1), not mod either period
+    m = lune_map(2)
+    cars = (CarSchedule(0, F(1, 2), ((F(1, 16), 0),), degree=1),
+            CarSchedule(1, F(1), ((F(1, 12), 0),), degree=1))
+    ms = MotionSchedule(F(1), cars, frozenset(c for v in m.vertices() for c in v))
+    blown = blow_up(m, ms)
+    assert (blown[2]["retries"], blown[2]["epsilon"]) == (1, F(1, 64))
+    assert blown == oracle.reference_blow_up(m, ms)
+
+
+def test_blow_up_runs_no_full_collision_search(monkeypatch):
+    # the spurs and centres are decided from the cars' events: no search
+    # over the whole new map, however many halvings
+    calls = []
+    real = motion.complete_collisions
+    monkeypatch.setattr(motion, "complete_collisions",
+                        lambda m, ms: calls.append(ms) or real(m, ms))
+    cases = list(criterion_8_cases().values())
+    cases += [near_passes(d) for d in (F(1, 10), F(1, 100), F(1, 2000))]
+    retries = sum(blow_up(m, ms)[2]["retries"] for m, ms in cases)
+    assert calls == [] and retries == 1 + 4 + 8
 
 
 def test_blow_up_keeps_the_car_of_a_face_without_stops():
