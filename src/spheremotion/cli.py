@@ -239,6 +239,8 @@ def cmd_motion(args) -> tuple[dict, int]:
         ms, info = _standard_schedule(m, family, args.m)
         standard = {"family": family, "m": info["m"]}
     elif args.motion is not None:
+        if args.m is not None:
+            raise jsonio.JsonError("--m needs --standard, not a motion file")
         mdoc, mdig = _load(args.motion)
         inputs.append(mdig)
         ms = jsonio.parse_motion(mdoc, m)
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FAMILY",
         help="build the standard A or B schedule instead of reading a file",
     )
-    p.add_argument("--m", type=int, help="override the inferred m parameter")
+    p.add_argument("--m", type=int, help="override the inferred m of --standard")
 
     p = sub.add_parser(
         "comotion",

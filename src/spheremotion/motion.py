@@ -27,11 +27,11 @@ the time sets at which it visits each corner, and its dart windows, the
 linear stretches it spends inside one dart.  A vertex locus is a time at
 which every corner of the vertex is visited; an edge locus is a point
 inside an edge where cars on its two sides meet, found by one linear
-solve per pair of windows on the two darts of that edge.  The index is
-cached on the car and shared by every audit, read-only.  The blow-up
-reads a car's stops and passes off its index over two periods, in ints
-at the car's own scale: a visit to a stop corner that lasts is a stop,
-an instant one a pass.  It decides each halving of its detour width in
+solve per pair of windows on the two darts of that edge.  The indexes
+live in the schedule's record and every audit reads them there,
+read-only.  The blow-up reads a car's stops and passes off its index
+over one period: a visit to a stop corner that lasts is a stop, an
+instant one a pass.  It decides each halving of its detour width in
 ints, from the visits at the two ends of each spur, since a centre never
 sees a collision, and then builds each blown-up car once, from ints,
 reading the old positions it keeps off the lap table.
@@ -59,8 +59,9 @@ A schedule is checked and indexed once per map.  The first
 schedule, as a comotion keeps one: the collision horizon, and, once
 `_indexes_by_face` has built them, the schedule's time scale D, the
 horizon times D and the cars' indexes grouped by face.  The collision
-search, the stop audit, the multiple-motion check, `jsonio.parse_motion`
-and the diagram audits read it, and `_check` compares the cars' ints.
+search, the stop audit, the blow-up, the multiple-motion check,
+`jsonio.parse_motion` and the diagram audits read it, and `_check`
+compares the cars' ints.
 The schedule constructors take ints and Fractions only; a period is kept
 as a Fraction.
 """
@@ -168,7 +169,7 @@ class _IntLap:
     function with breakpoints (us[i] / U, vs[i] / V), U, V > 0 the least
     scales, the us strictly increasing and the vs never decreasing.  Each
     kind reads its (us, U, vs, V) with `_axes`, an `attrgetter`, and keeps
-    its lap tables, and what its module caches beside them, in `_tables`."""
+    its lap tables, and nothing else, in `_tables`."""
 
     @staticmethod
     def _checked(face, degree, us, U: int, vs, V: int, error: type, words: tuple) -> tuple:
@@ -398,14 +399,10 @@ def car_scale(car: CarSchedule, L: int) -> int:
     """The least time scale D at which every corner crossing of the car on
     a face of length L is an int: Y * g, Y the time scale of its lap table
     and g the lcm over its moving pieces of each slope's reduced position
-    step, so that g clears every slope's denominator.  Cached on the car."""
-    D = car._tables.get(("scale", L))
-    if D is None:
-        (ts, ps, _, _), Y, _ = car_lap(car, L)
-        D = car._tables[("scale", L)] = Y * math.lcm(
-            *((pb - pa) // math.gcd(pb - pa, tb - ta)
-              for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]) if pb != pa))
-    return D
+    step, so that g clears every slope's denominator."""
+    (ts, ps, _, _), Y, _ = car_lap(car, L)
+    return Y * math.lcm(*((pb - pa) // math.gcd(pb - pa, tb - ta)
+                          for ta, pa, tb, pb in zip(ts, ps, ts[1:], ps[1:]) if pb != pa))
 
 
 def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
@@ -420,12 +417,8 @@ def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
     position unit 1 / X, X the position scale of the car's lap table, and
     is at dart parameter (u + t - t0) / (c * X); a rest has c == 0 and sits
     at u / X.  One walk forward over the lap table, from one period before
-    t = 0, finds them in time order.  The index is built once per (L,
-    reps, D) and cached on the car: read-only.
+    t = 0, finds them in time order; the schedule's record keeps them.
     """
-    index = car._tables.get((L, reps, D))
-    if index is not None:
-        return index
     # positions times X and times times Y are ints; times times D = Y * G
     # too, and G clears every slope, so each piece's time per position
     # unit c and every corner crossing are ints
@@ -475,9 +468,7 @@ def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
         if i == n:
             i, shift = 0, shift + P
     # the walk covers 0 and H both, so a set holding one lists the other
-    visits = {j: tuple(ivs) for j, ivs in visits.items()}
-    index = car._tables[(L, reps, D)] = (visits, windows)
-    return index
+    return {j: tuple(ivs) for j, ivs in visits.items()}, windows
 
 
 def _unscaled(ivs, D: int) -> tuple:
@@ -552,7 +543,7 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
         for corner in vertex[1:]:
             times = intersect_intervals(times, _corner_times(on_face, corner, H))
         if times:
-            vertex_loci[vertex] = _unscaled(normalize_intervals(times, H), D)
+            vertex_loci[vertex] = _unscaled(times, D)  # normalized, as the sets it meets
 
     edge_events: dict[tuple[int, Fraction], list] = {}
     for edge in m.edge_ids:
@@ -925,29 +916,35 @@ def _reference_time(car: CarSchedule, L: int):
     raise MotionError("car never leaves the corners")
 
 
-def _car_events(car: CarSchedule, L: int, stops: set) -> tuple[int, list, list]:
-    """The car's visits to the stop corners over one period, in ints over
-    2 * D, D = car_scale(car, L): the reference time, a midpoint, is an int
-    there.
+def _car_events(car: CarSchedule, L: int, stops: set, visits: dict, D: int) -> tuple:
+    """The car's visits to the stop corners over one period, read off its
+    `visits` in the schedule's record at the record's time scale D, in ints
+    over 2 * D: the reference time, a midpoint, is an int there.
 
     Returns (r, events, kept): r / (2 * D) the reference time reduced into
     [0, period); events the visits (a, b, j) to stop corner j with r < a <
     r + period * 2 * D, in time order, a stop when a < b and a pass when
     a == b; and kept the breakpoint times moved into that window that no
-    visit spans, the ones the blow-up keeps.  The visits are the car
-    index's, over two periods.  At r the car is inside a dart, so over the
-    window it climbs degree * L from inside a dart to inside one and, for
-    a regular car, visits each stop corner degree times, each visit whole.
+    visit spans, the ones the blow-up keeps.  At r the car is inside a
+    dart, so over the window it climbs degree * L from inside a dart to
+    inside one and, for a regular car, visits each stop corner degree
+    times, each visit whole.
     """
-    D = car_scale(car, L)
     (ts, _, span, _), Y, _ = car_lap(car, L)
     w = 2 * D // Y
     P = span * w
     t = _reference_time(car, L)  # its denominator divides 2 * D
     r = t.numerator * (2 * D // t.denominator) % P
-    visits = car_index(car, L, 2, D)[0]
-    events = sorted((2 * a, 2 * b, j) for j in stops for a, b in visits.get(j, ())
-                    if r < 2 * a < r + P)
+    events = []
+    for j in stops:
+        # the visits that start in [0, P), the one across P joined to its
+        # part listed first, from 0; those below r moved a period on
+        ivs = [(2 * a, 2 * b) for a, b in visits.get(j, ()) if 2 * a < P]
+        if ivs and ivs[-1][1] >= P:
+            (_, b), *ivs, (a, _) = ivs
+            ivs.append((a, P + b))
+        events += [(a + P, b + P, j) if a < r else (a, b, j) for a, b in ivs]
+    events.sort()
     # every breakpoint time lies in [0, P) and differs from r: moved a
     # period on when below r, it falls into the window
     moved = [t + P if t < r else t for t in (t * w for t in ts[:-1])]
@@ -959,13 +956,13 @@ def _blow_up_car(car: CarSchedule, L: int, stops: set, eps: Fraction, D: int, r:
     """Reroute one car through the doubled corners of its face, in ints:
     built once, by `CarSchedule.from_ints`.
 
-    r, events and kept are `_car_events(car, L, stops)`, over 2 * D, D a
-    multiple of the car's scale.  A visit [a, b] becomes the trip out
-    along the spur and back over [a, b], a pass widened to [a - eps/2,
-    a + eps/2]; the car keeps its old positions at r, at the kept times
-    and eps before and after each pass.  An old lifted position p becomes
-    p plus two for each stop corner lifted below it: every stop corner it
-    has passed grew a spur."""
+    r, events and kept are `_car_events`'s, over 2 * D, D a multiple of
+    the car's scale.  A visit [a, b] becomes the trip out along the spur
+    and back over [a, b], a pass widened to [a - eps/2, a + eps/2]; the car
+    keeps its old positions at r, at the kept times and eps before and
+    after each pass.  An old lifted position p becomes p plus two for each
+    stop corner lifted below it: every stop corner it has passed grew a
+    spur."""
     e, E = eps.numerator, eps.denominator
     lap = car_lap(car, L)
     (_, _, span, _), Y, X = lap
@@ -1064,18 +1061,18 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
         stops_by_face.setdefault(f, set()).add(j)
 
     # each car with stops: its reference time, events and kept breakpoint
-    # times over 2 * D, D the schedule's time scale
-    D = validate_motion(m, ms)["D"]  # stored by check_separated_stops
+    # times over 2 * D, read off the indexes check_separated_stops recorded,
+    # D the schedule's time scale; each face's are in car order
+    rec = validate_motion(m, ms)
+    D, indexes = rec["D"], {f: iter(on_face) for f, on_face in rec["faces"].items()}
     runs, at_corner, gap = {}, {}, None
     for k, car in enumerate(ms.cars):
+        visits = next(indexes[car.face])[0]
         stops = stops_by_face.get(car.face)
         if not stops:
             continue
         L = len(m.faces[car.face])
-        r, events, kept = _car_events(car, L, stops)
-        x = D // car_scale(car, L)
-        r, kept = r * x, [t * x for t in kept]
-        events = [(a * x, b * x, j) for a, b, j in events]
+        r, events, kept = _car_events(car, L, stops, visits, D)
         runs[k] = (L, stops, r, events, kept)
         P = car.period.numerator * (2 * D // car.period.denominator)
         times = sorted([r, r + P, *kept, *(t for a, b, _ in events for t in {a, b})])

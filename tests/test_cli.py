@@ -253,7 +253,8 @@ MOTION_GOLDENS = [
 def test_motion_builds_no_fraction_breakpoints(goldens, monkeypatch, capsys, args):
     # cars are read or built in ints and audited from their int lap tables:
     # no car has its Fraction breakpoints built, and the package has no
-    # builder of a lap table from Fraction breakpoints
+    # builder of a lap table from Fraction breakpoints; a car caches its
+    # lap tables, under face lengths, and nothing else
     schedules = []
     indexes = motion._indexes_by_face
     monkeypatch.setattr(motion, "_indexes_by_face",
@@ -264,7 +265,7 @@ def test_motion_builds_no_fraction_breakpoints(goldens, monkeypatch, capsys, arg
     assert code == 0 and schedules
     cars = [car for ms in schedules for car in ms.cars]
     assert [c for c in cars if "breakpoints" in vars(c)] == []
-    assert all(c._tables for c in cars)
+    assert all(c._tables and all(type(k) is int for k in c._tables) for c in cars)
     assert not hasattr(motion, "int_lap")
 
 
@@ -324,6 +325,14 @@ def test_motion_needs_schedule(goldens, capsys):
     code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"))
     assert code == 2
     assert "motion file or --standard" in report["error"]
+
+
+def test_motion_m_needs_standard(goldens, capsys):
+    # --m sets the standard schedule's parameter; a motion file has none
+    code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"),
+                            str(goldens / "unit-motion.motion.json"), "--m", "3")
+    assert code == 2
+    assert "--m needs --standard" in report["error"]
 
 
 def test_motion_cars_not_a_list(goldens, tmp_path, capsys):

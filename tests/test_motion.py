@@ -238,12 +238,17 @@ def test_normalize_intervals_is_idempotent(T, den, data):
     # ints stay ints (den None) and Fractions stay Fractions
     n = T * (den or 1)
     ends = st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
-    pairs = data.draw(st.lists(ends, max_size=8))
+    pairs, more = (data.draw(st.lists(ends, max_size=8)) for _ in range(2))
     if den is not None:
-        T, pairs = F(T), [(F(a, den), F(b, den)) for a, b in pairs]
+        T = F(T)
+        pairs, more = ([(F(a, den), F(b, den)) for a, b in p] for p in (pairs, more))
     once = normalize_intervals(pairs, T)
     assert normalize_intervals(once, T) == once
     assert all(type(x) is type(T) for iv in once for x in iv)
+    # and two normalized sets meet in a normalized set, so a vertex locus
+    # needs no normalizing of its own
+    both = intersect_intervals(once, normalize_intervals(more, T))
+    assert normalize_intervals(both, T) == both
 
 
 def test_intersect_intervals():
@@ -720,9 +725,9 @@ def test_blow_up_finds_each_cars_stop_events_once(monkeypatch):
     found = []
     real = motion._car_events
 
-    def counting(car, L, stops):
+    def counting(car, L, stops, visits, D):
         found.append(car)
-        return real(car, L, stops)
+        return real(car, L, stops, visits, D)
 
     monkeypatch.setattr(motion, "_car_events", counting)
     m = doubled_polygon_map(b_profile(2))
@@ -738,10 +743,13 @@ def test_car_events_pass_at_a_kink_takes_both_slopes():
     # corner 2 is a stop
     bps = ((F(0), F(0)), (F(1), F(1)), (F(3, 2), F(2)), (F(5, 2), F(2)))
     car = CarSchedule(0, F(4), bps, degree=1)
-    # ints over 2 * D, D = 2 the car's scale: the reference time 1/2, the
-    # pass, the stop, and the one breakpoint kept, t = 0 a period on at 16
-    assert motion.car_scale(car, 3) == 2
-    events = motion._car_events(car, 3, {1, 2})
+    m = doubled_polygon_map((1, 1, -1))
+    rec = motion._indexes_by_face(m, MotionSchedule(F(4), (car,), {(0, 1), (0, 2)}))
+    # the record's visits over one period, at D = 2 the car's scale; ints
+    # over 2 * D: the reference time 1/2, the pass, the stop, and the one
+    # breakpoint kept, t = 0 a period on at 16
+    assert (rec["D"], rec["H"], motion.car_scale(car, 3)) == (2, 8, 2)
+    events = motion._car_events(car, 3, {1, 2}, rec["faces"][0][0][0], rec["D"])
     assert events == (2, [(4, 4, 1), (6, 10, 2)], [16])
     # the blow-up leaves the old track eps before the pass at slope 1 and
     # rejoins it eps after at slope 2, two spur darts on
@@ -752,6 +760,22 @@ def test_car_events_pass_at_a_kink_takes_both_slopes():
         (1 - eps, 1 - eps), (1 - eps / 2, F(1)), (1 + eps / 2, F(3)), (1 + eps, 3 + 2 * eps),
         (F(3, 2), F(4)), (F(5, 2), F(6)),
     )
+
+
+@pytest.mark.parametrize("period", [F(4), F(8)], ids=["one period", "two periods"])
+def test_car_events_join_a_stop_across_the_seam(period):
+    # the car rests on corner 0 over [7/2, 5], across t = 4, and passes
+    # corner 1 at t = 2; over a one-period horizon its record lists the
+    # stop in two parts, (0, 1) and (7/2, 4), which the window joins
+    bps = ((F(0), F(0)), (F(1), F(0)), (F(2), F(1)), (F(3), F(2)), (F(7, 2), F(3)))
+    car = CarSchedule(0, F(4), bps, degree=1)
+    m = doubled_polygon_map((1, 1, -1))
+    rec = motion._indexes_by_face(m, MotionSchedule(period, (car,), {(0, 0), (0, 1)}))
+    assert rec["D"] == 2 and rec["H"] == 2 * period
+    # over 2 * D: the reference time 3/2, the pass, the stop, and the one
+    # breakpoint kept, t = 3
+    events = motion._car_events(car, 3, {0, 1}, rec["faces"][0][0][0], rec["D"])
+    assert events == (6, [(8, 8, 1), (14, 20, 0)], [12])
 
 
 @settings(max_examples=16, deadline=None)
@@ -919,6 +943,23 @@ def test_blow_up_runs_no_full_collision_search(monkeypatch):
     cases += [near_passes(d) for d in (F(1, 10), F(1, 100), F(1, 2000))]
     retries = sum(blow_up(m, ms)[2]["retries"] for m, ms in cases)
     assert calls == [] and retries == 1 + 4 + 8
+
+
+def test_blow_up_builds_no_index_of_its_own(monkeypatch):
+    # the stop audit indexes every car once, in the schedule's record, and
+    # the blow-up reads its stops and passes off that record; a car keeps
+    # only its lap tables, one per face length
+    calls = []
+    real = motion.car_index
+    monkeypatch.setattr(motion, "car_index", lambda car, *a: calls.append(car) or real(car, *a))
+    cases = list(criterion_8_cases().values())
+    cases += [near_passes(d) for d in (F(1, 10), F(1, 100), F(1, 2000))]
+    for m, ms in cases:
+        calls.clear()
+        check_separated_stops(m, ms)
+        blow_up(m, ms)
+        assert calls == list(ms.cars)
+        assert all(set(c._tables) <= {len(f) for f in m.faces} for c in ms.cars)
 
 
 def test_blow_up_keeps_the_car_of_a_face_without_stops():
