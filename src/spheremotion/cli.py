@@ -135,36 +135,20 @@ def _vertex_json(vertex) -> list:
     return [[f, j] for f, j in vertex]
 
 
-def _spans_json(spans) -> list:
-    return [[frac_to_str(a), frac_to_str(b)] for a, b in spans]
+def _locus_json(spans, horizon) -> dict:
+    """The "spans" and "instants" of one collision locus."""
+    return {
+        "spans": [[frac_to_str(a), frac_to_str(b)] for a, b in spans],
+        "instants": [frac_to_str(t) for t in intervals_instants(spans, horizon)],
+    }
 
 
 def _collisions_json(rep) -> dict:
-    vertices = []
-    for vertex in sorted(rep.vertex_loci):
-        spans = rep.vertex_loci[vertex]
-        vertices.append(
-            {
-                "vertex": _vertex_json(vertex),
-                "spans": _spans_json(spans),
-                "instants": [
-                    frac_to_str(t) for t in intervals_instants(spans, rep.horizon)
-                ],
-            }
-        )
-    edges = []
-    for key in sorted(rep.edge_loci):
-        spans = rep.edge_loci[key]
-        edges.append(
-            {
-                "edge": key[0],
-                "lambda": frac_to_str(key[1]),
-                "spans": _spans_json(spans),
-                "instants": [
-                    frac_to_str(t) for t in intervals_instants(spans, rep.horizon)
-                ],
-            }
-        )
+    H = rep.horizon
+    vertices = [{"vertex": _vertex_json(v), **_locus_json(rep.vertex_loci[v], H)}
+                for v in sorted(rep.vertex_loci)]
+    edges = [{"edge": e, "lambda": frac_to_str(lam), **_locus_json(rep.edge_loci[e, lam], H)}
+             for e, lam in sorted(rep.edge_loci)]
     return {
         "horizon": frac_to_str(rep.horizon),
         "spatial_count": rep.spatial_count,

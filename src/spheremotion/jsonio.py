@@ -102,8 +102,6 @@ def _write(x, out: list, nl: str) -> None:
 
 
 def frac_to_str(x: Fraction) -> str:
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -43,10 +43,10 @@ which every corner crossing is an integer.  The schedule's scale is the
 lcm of its cars' scales, and every index of the search is built at it
 by one forward walk over the lap table, lap after lap, clipped only at 0
 and H: visits and windows arrive in time order.  A window
-(t0, t1, u, c) holds c, the time per position unit 1 / X, so a moving
-car sits at dart parameter (u + t - t0) / (c * X) and a resting one at
-u / X.  Vertex loci intersect int visits, and each pair of windows on an
-edge is solved and bounded by cross-multiplying.  A Fraction is built
+(t0, t1, p, q, k) is one line: the car sits at dart parameter
+(p + q * t) / k, q = 1 while it moves and q = 0 while it rests.  Vertex
+loci intersect int visits, and each pair of windows on an edge is one
+line solve, bounded by cross-multiplying.  A Fraction is built
 only for each reported value: a vertex instant, and a meeting's instant
 and dart parameter.  The successor check of multiple motions reads the
 two cars' lap tables at every breakpoint, on their common time scale,
@@ -411,13 +411,15 @@ def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
     windows), every time times D.
 
     visits[j] is the time set at which the car sits on corner j of its
-    face.  windows[k] lists the stretches (t0, t1, u, c) it spends inside
-    dart k, with 0 <= t0 < t1 <= H * D; they are sorted and overlap at
-    most in their ends.  A moving stretch takes c > 0 time units per
-    position unit 1 / X, X the position scale of the car's lap table, and
-    is at dart parameter (u + t - t0) / (c * X); a rest has c == 0 and sits
-    at u / X.  One walk forward over the lap table, from one period before
-    t = 0, finds them in time order; the schedule's record keeps them.
+    face.  windows[j] lists the stretches (t0, t1, p, q, k) it spends
+    inside dart j, from corner j to j + 1, with 0 <= t0 < t1 <= H * D; they
+    are sorted and overlap at most in their ends.  Over a stretch the car sits at dart parameter
+    (p + q * t) / k: one that moves, entering the dart at corner time s,
+    has q = 1, p = -s and k = X * c, c the time per position unit 1 / X
+    and X the position scale of the car's lap table; a rest at r / X has
+    q = 0, p = r and k = X.  One walk forward over the lap table, from one
+    period before t = 0, finds them in time order; the schedule's record
+    keeps them.
     """
     # positions times X and times times Y are ints; times times D = Y * G
     # too, and G clears every slope, so each piece's time per position
@@ -450,20 +452,19 @@ def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
             if r == 0:
                 visit(j % L, lo, hi)
             elif lo < hi:
-                windows.setdefault(j % L, []).append((lo, hi, r, 0))
+                windows.setdefault(j % L, []).append((lo, hi, r, 0, X))
         else:
-            # the car reaches corner j + 1 at t1; a clip at 0 moves a
-            # moving stretch's start u on
+            # on the piece's line the car is at corner j at s, before the
+            # piece when r > 0, and at corner j + 1 a dart's time k later
             c = (tb - ta) // (pb - pa)
-            t0, u, t1 = ta, r * c, ta + (X - r) * c
-            while t0 < hi:
-                a, b = t0 if t0 > lo else lo, t1 if t1 < hi else hi
+            s, k = ta - r * c, X * c
+            while s < hi:
+                a, b = s if s > lo else lo, s + k if s + k < hi else hi
                 if a < b:
-                    windows.setdefault(j % L, []).append((a, b, u + a - t0, c))
-                j += 1
-                if lo <= t1 <= hi:
-                    visit(j % L, t1, t1)
-                t0, u, t1 = t1, 0, t1 + X * c
+                    windows.setdefault(j % L, []).append((a, b, -s, 1, k))
+                j, s = j + 1, s + k
+                if lo <= s <= hi:
+                    visit(j % L, s, s)
         i += 1
         if i == n:
             i, shift = 0, shift + P
@@ -494,8 +495,8 @@ def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
 def _indexes_by_face(m: OrientedMap, ms: MotionSchedule) -> dict:
     """The schedule's record on m (`validate_motion`) with the cars'
     indexes, built on the first call: at the schedule's time scale D, the
-    lcm of the cars' `car_scale`s, grouped by face as (visits, windows, X),
-    X the car's position scale."""
+    lcm of the cars' `car_scale`s, grouped by face as `car_index`'s
+    (visits, windows)."""
     rec = validate_motion(m, ms)
     if "faces" not in rec:
         horizon = rec["horizon"]
@@ -503,8 +504,7 @@ def _indexes_by_face(m: OrientedMap, ms: MotionSchedule) -> dict:
         D = math.lcm(*(car_scale(car, L) for car, L in cars))
         out: dict[int, list] = {}
         for car, L in cars:
-            visits, windows = car_index(car, L, int(horizon / car.period), D)
-            out.setdefault(car.face, []).append((visits, windows, car.X))
+            out.setdefault(car.face, []).append(car_index(car, L, int(horizon / car.period), D))
         rec.update(faces=out, D=D, H=horizon.numerator * D // horizon.denominator)
     return rec
 
@@ -516,7 +516,7 @@ def _corner_times(on_face: dict, corner: Corner, H: int):
     indexes = on_face.get(f, ())
     if len(indexes) == 1:
         return indexes[0][0].get(j, ())  # normalized by `car_index` already
-    items = [iv for visits, _, _ in indexes for iv in visits.get(j, ())]
+    items = [iv for visits, _ in indexes for iv in visits.get(j, ())]
     return normalize_intervals(items, H)
 
 
@@ -548,10 +548,9 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     edge_events: dict[tuple[int, Fraction], list] = {}
     for edge in m.edge_ids:
         (fp, jp), (fm, jm) = m.edge_sides[edge]
-        for _, plus, Xp in on_face.get(fp, ()):
-            for _, minus, Xm in on_face.get(fm, ()):
-                _window_meetings(edge, plus.get(jp, ()), Xp, minus.get(jm, ()), Xm, D,
-                                 edge_events)
+        for _, plus in on_face.get(fp, ()):
+            for _, minus in on_face.get(fm, ()):
+                _window_meetings(edge, plus.get(jp, ()), minus.get(jm, ()), D, edge_events)
     edge_loci = {
         key: normalize_intervals(items, horizon)
         for key, items in sorted(edge_events.items())
@@ -559,52 +558,33 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     return CollisionReport(horizon, vertex_loci, edge_loci)
 
 
-def _window_meetings(edge, plus, Xp, minus, Xm, D: int, out):
+def _window_meetings(edge, plus, minus, D: int, out):
     """Meetings inside one edge of a car on its + dart and one on its - dart.
 
-    The dart windows are `car_index`'s, at the time scale D, of cars with
-    the position scales Xp and Xm.  The + side car at dart parameter lam
-    and the - side car at mu meet when lam + mu = 1, both strictly inside
-    (0, 1).  Each overlapping pair is solved and tested in ints; a meeting
-    found adds its dart parameter lam and its time set to `out`, the only
-    Fractions built."""
+    The dart windows are `car_index`'s lines (t0, t1, p, q, k), at the
+    time scale D.  The + side car at dart parameter lam and the - side car
+    at mu meet when lam + mu = 1, both strictly inside (0, 1); that reads
+    den * t = num, solved and tested in ints for each overlapping pair.
+    den is 0 only when both cars rest, and then they meet on the whole
+    overlap or never.  A meeting found adds its dart parameter lam and its
+    time set to `out`, the only Fractions built."""
     ends = [w[1] for w in minus]
-    for a0, a1, ua, ca in plus:
+    for a0, a1, pa, qa, ka in plus:
         i = bisect_left(ends, a0)
         while i < len(minus) and minus[i][0] <= a1:
-            b0, b1, ub, cb = minus[i]
+            b0, b1, pb, qb, kb = minus[i]
             i += 1
             lo, hi = max(a0, b0), min(a1, b1)
-            if ca and cb:
-                # lam = (ua - a0 + t) / Ca and mu = (ub - b0 + t) / Cb, Ca and
-                # Cb the times per dart: the meeting's t and lam over den
-                Ca, Cb = ca * Xp, cb * Xm
-                den = Ca + Cb
-                t = Ca * Cb - (ua - a0) * Cb - (ub - b0) * Ca
-                lam = ua - a0 - ub + b0 + Cb
-                if not (lo * den <= t <= hi * den and 0 < lam < den):
-                    continue
-                lam, t = Fraction(lam, den), Fraction(t, den * D)
-            elif ca:
-                # the - car rests at mu = ub / Xm, strictly inside the dart
-                t = ca * Xp * (Xm - ub) - (ua - a0) * Xm  # over Xm
-                if not lo * Xm <= t <= hi * Xm:
-                    continue
-                lam, t = Fraction(Xm - ub, Xm), Fraction(t, Xm * D)
-            elif cb:
-                # the + car rests at lam = ua / Xp, strictly inside the dart
-                t = cb * Xm * (Xp - ua) - (ub - b0) * Xp  # over Xp
-                if not lo * Xp <= t <= hi * Xp:
-                    continue
-                lam, t = Fraction(ua, Xp), Fraction(t, Xp * D)
-            else:
-                # both cars rest, and meet where their dart parameters add up
-                # to one
-                if ua * Xm + ub * Xp == Xp * Xm:
-                    out.setdefault((edge, Fraction(ua, Xp)), []).append(
-                        (Fraction(lo, D), Fraction(hi, D)))
-                continue
-            out.setdefault((edge, lam), []).append((t, t))
+            den, num = qa * kb + qb * ka, ka * kb - pa * kb - pb * ka
+            if den:
+                # lam = (pa + qa * t) / ka at t = num / den, over ka * den
+                lam = pa * den + qa * num
+                if lo * den <= num <= hi * den and 0 < lam < ka * den:
+                    t = Fraction(num, den * D)
+                    out.setdefault((edge, Fraction(lam, ka * den)), []).append((t, t))
+            elif not num:
+                out.setdefault((edge, Fraction(pa, ka)), []).append(
+                    (Fraction(lo, D), Fraction(hi, D)))
 
 
 # ---------------------------------------------------------------------------

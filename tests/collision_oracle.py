@@ -17,7 +17,9 @@ and cocars build from their stored ints.  `multiple_motion_groups` is the
 successor check with its earlier Fraction bookkeeping, and
 `reference_blow_up` the blow-up's earlier retry loop: it rebuilds every
 blown-up car from Fraction pairs and runs `complete_collisions` over the
-whole new map for each eps.
+whole new map for each eps.  `window_meetings` finds where two dart
+windows meet by interpolating between the ends of their overlap, the
+oracle of the program's line solve.
 """
 
 import math
@@ -215,6 +217,36 @@ def car_index(car, L: int, horizon: Fraction) -> tuple[dict, dict]:
         {j: normalize_intervals(items, horizon) for j, items in visits.items()},
         {k: sorted(items) for k, items in windows.items()},
     )
+
+
+def window_meetings(edge, plus, minus, D: int) -> dict:
+    """`spheremotion.motion._window_meetings` over Fractions, every window
+    of `plus` against every one of `minus`: its oracle.  Each window
+    (t0, t1, p, q, k) is read only at the ends of an overlap [lo, hi], as
+    the dart parameter (p + q * t) / k at an int time t over D, and
+    f = lam + mu - 1 is interpolated between them: it is linear in t.  A
+    root at one instant is kept when 0 < lam < 1 there, and f zero at both
+    ends is a meeting over all of [lo, hi] when 0 < lam < 1 at lo.
+    Returns {(edge, lam): sorted times}."""
+    out: dict = {}
+    for a0, a1, pa, qa, ka in plus:
+        for b0, b1, pb, qb, kb in minus:
+            lo, hi = max(a0, b0), min(a1, b1)
+            if lo > hi:
+                continue
+            lam_lo, lam_hi = Fraction(pa + qa * lo, ka), Fraction(pa + qa * hi, ka)
+            f_lo = lam_lo + Fraction(pb + qb * lo, kb) - 1
+            f_hi = lam_hi + Fraction(pb + qb * hi, kb) - 1
+            if f_lo == f_hi:
+                if f_lo == 0 and 0 < lam_lo < 1:
+                    out.setdefault((edge, lam_lo), []).append((Fraction(lo, D), Fraction(hi, D)))
+                continue
+            x = f_lo / (f_lo - f_hi)  # the root's place in [lo, hi], from 0 to 1
+            lam = lam_lo + x * (lam_hi - lam_lo)
+            if 0 <= x <= 1 and 0 < lam < 1:
+                t = (lo + x * (hi - lo)) / D
+                out.setdefault((edge, lam), []).append((t, t))
+    return {key: sorted(items) for key, items in out.items()}
 
 
 def _reduce_interval(a: Fraction, b: Fraction, T: Fraction):

@@ -226,7 +226,7 @@ def int_lap_oracle():
 @pytest.fixture(scope="session", autouse=True)
 def motion_record_oracle():
     indexes = motion._indexes_by_face
-    check, scale, index, lap = motion._check, motion.car_scale, motion.car_index, motion.car_lap
+    check, scale, index = motion._check, motion.car_scale, motion.car_index
     violations = []
 
     def fail(what, problem):
@@ -247,7 +247,7 @@ def motion_record_oracle():
         faces = {}
         for car, L in on_face:
             reps = int(horizon / car.period)
-            faces.setdefault(car.face, []).append((*index(car, L, reps, D), lap(car, L)[2]))
+            faces.setdefault(car.face, []).append(index(car, L, reps, D))
         return {"horizon": horizon, "faces": faces, "D": D, "H": horizon * D}
 
     @functools.wraps(indexes)

@@ -27,6 +27,7 @@ from spheremotion.motion import (
     MotionSchedule,
     _offset,
     _reference_time,
+    _window_meetings,
     as_multiple_motion,
     blow_up,
     car_index,
@@ -344,19 +345,17 @@ STOPPING = CarSchedule(0, Fraction(7, 2), ((Fraction(1, 3), 0), (1, 1), (2, 1)),
 @example(drawn=(STOPPING, 3, Fraction(7)))
 def test_index_matches_the_replica_walk(drawn):
     car, L, H = drawn
-    X = car_lap(car, L)[2]
     # at the car's own scale, and at a multiple as a schedule's scale
     for D in (car_scale(car, L), 6 * car_scale(car, L)):
         visits, windows = car_index(car, L, int(H / car.period), D)
-        # the int index over D: windows as (t0, t1, lam0, slope), a rest
-        # at slope 0
+        # the int index over D: each window's line (p + q * t) / k as
+        # (t0, t1, lam0, slope), a rest at slope 0
         unscaled = (
             {j: tuple((Fraction(a, D), Fraction(b, D)) for a, b in times)
              for j, times in visits.items()},
-            {k: [(Fraction(t0, D), Fraction(t1, D),
-                  Fraction(u, c * X) if c else Fraction(u, X), Fraction(D, c * X) if c else 0)
-                 for t0, t1, u, c in stretches]
-             for k, stretches in windows.items()},
+            {j: [(Fraction(t0, D), Fraction(t1, D), Fraction(p + q * t0, k), Fraction(q * D, k))
+                 for t0, t1, p, q, k in stretches]
+             for j, stretches in windows.items()},
         )
         assert unscaled == oracle.car_index(car, L, H)
         values = [x for times in visits.values() for iv in times for x in iv]
@@ -382,3 +381,57 @@ def test_two_parked_cars_meet_where_their_dart_parameters_add_to_one(lam, mu, me
     assert got.vertex_loci == want.vertex_loci == {}
     expected = {(0, lam): ((0, 1),)} if meets else {}
     assert got.edge_loci == want.edge_loci == expected
+
+
+@st.composite
+def dart_windows(draw):
+    """One car's windows on a dart as `car_index` lists them: sorted, and
+    touching at most at their ends; moving lines (t - s) / k that stay in
+    [0, 1], the car at the dart's corners at s and s + k, and rests r / X
+    strictly inside."""
+    windows, t = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 4))):
+        t0 = t + draw(st.integers(0, 2))
+        t1 = t0 + draw(st.integers(1, 6))
+        if draw(st.booleans()):
+            k = draw(st.integers(t1 - t0, 10))
+            s = draw(st.integers(t1 - k, t0))
+            windows.append((t0, t1, -s, 1, k))
+        else:
+            X = draw(st.integers(2, 6))
+            windows.append((t0, t1, draw(st.integers(1, X - 1)), 0, X))
+        t = t1
+    return windows
+
+
+def meetings(plus, minus, D):
+    out = {}
+    _window_meetings(7, plus, minus, D, out)
+    return {key: sorted(items) for key, items in out.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(plus=dart_windows(), minus=dart_windows(), D=st.integers(1, 3))
+def test_window_meetings_match_the_fraction_solve(plus, minus, D):
+    assert meetings(plus, minus, D) == oracle.window_meetings(7, plus, minus, D)
+
+
+@pytest.mark.parametrize("plus, minus, want", [
+    # windows that touch at t = 2: a car a quarter of a dart per unit, at
+    # 1/2 there, against a rest at 1/2; two rests at 1/3 and 2/3
+    ([(0, 2, 0, 1, 4)], [(2, 5, 1, 0, 2)], {Fraction(1, 2): [(2, 2)]}),
+    ([(0, 2, 1, 0, 3)], [(2, 4, 2, 0, 3)], {Fraction(1, 3): [(2, 2)]}),
+    # t / 8 + (t - 1) / 6 = 1 at t = 4, the overlap's end
+    ([(0, 4, 0, 1, 8)], [(1, 4, -1, 1, 6)], {Fraction(1, 2): [(4, 4)]}),
+    ([(0, 4, 0, 1, 8)], [(1, 3, -1, 1, 6)], {}),
+    # lam + mu = 1 at t = 2 with lam on 0 and on 1: at the corners, no meeting
+    ([(2, 6, -2, 1, 4)], [(0, 2, 2, 1, 4)], {}),
+    ([(0, 2, 2, 1, 4)], [(2, 6, -2, 1, 4)], {}),
+    # two rests that do not add to one, and a moving car meeting a rest
+    ([(0, 4, 1, 0, 3)], [(0, 4, 1, 0, 2)], {}),
+    ([(0, 4, 0, 1, 4), (4, 9, 1, 0, 4)], [(1, 6, 1, 0, 4)], {Fraction(3, 4): [(3, 3)]}),
+])
+def test_window_meetings_at_ends_and_corners(plus, minus, want):
+    got = meetings(plus, minus, 1)
+    assert got == oracle.window_meetings(7, plus, minus, 1) == {
+        (7, lam): times for lam, times in want.items()}

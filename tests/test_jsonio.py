@@ -67,6 +67,7 @@ from spheremotion.surface import MapError, OrientedMap, classify_map
 def test_fraction_strings():
     assert frac_to_str(F(3, 2)) == "3/2"
     assert frac_to_str(F(4)) == "4"
+    assert frac_to_str(-4) == "-4"
     assert parse_frac("3/2") == F(3, 2)
     assert parse_frac("-7") == F(-7)
     assert parse_frac(5) == F(5)

@@ -806,9 +806,9 @@ def test_window_meetings_build_no_fraction_without_a_meeting(monkeypatch):
     # of moving and resting windows overlaps, and none meets
     built = []
     monkeypatch.setattr(motion, "Fraction", lambda *args: built.append(args))
-    windows = [(0, 4, 0, 4), (4, 8, 1, 0)]
+    windows = [(0, 4, 0, 1, 16), (4, 8, 1, 0, 4)]
     out = {}
-    motion._window_meetings(0, windows, 4, windows, 4, 1, out)
+    motion._window_meetings(0, windows, windows, 1, out)
     assert (out, built) == ({}, [])
 
 
