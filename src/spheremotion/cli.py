@@ -33,12 +33,11 @@ from .goldens import (
     pinwheel_unit_motion,
     square_torus_map,
 )
-from .jsonio import frac_to_str
+from .jsonio import frac_to_str, ratio_to_str
 from .motion import (
     MotionError,
     check_separated_stops,
     complete_collisions,
-    intervals_instants,
     is_regular,
     lemma16_bound,
     standard_motion,
@@ -135,20 +134,21 @@ def _vertex_json(vertex) -> list:
     return [[f, j] for f, j in vertex]
 
 
-def _locus_json(spans, horizon) -> dict:
-    """The "spans" and "instants" of one collision locus."""
+def _locus_json(locus) -> dict:
+    """The "spans" and "instants" of one collision locus, (S, spans,
+    instants) in ints over the scale S, written from the ints."""
+    S, spans, instants = locus
     return {
-        "spans": [[frac_to_str(a), frac_to_str(b)] for a, b in spans],
-        "instants": [frac_to_str(t) for t in intervals_instants(spans, horizon)],
+        "spans": [[ratio_to_str(a, S), ratio_to_str(b, S)] for a, b in spans],
+        "instants": [ratio_to_str(t, S) for t in instants],
     }
 
 
 def _collisions_json(rep) -> dict:
-    H = rep.horizon
-    vertices = [{"vertex": _vertex_json(v), **_locus_json(rep.vertex_loci[v], H)}
-                for v in sorted(rep.vertex_loci)]
-    edges = [{"edge": e, "lambda": frac_to_str(lam), **_locus_json(rep.edge_loci[e, lam], H)}
-             for e, lam in sorted(rep.edge_loci)]
+    vertices = [{"vertex": _vertex_json(v), **_locus_json(rep.vertex_ints[v])}
+                for v in sorted(rep.vertex_ints)]
+    edges = [{"edge": e, "lambda": frac_to_str(lam), **_locus_json(rep.edge_ints[e, lam])}
+             for e, lam in sorted(rep.edge_ints)]
     return {
         "horizon": frac_to_str(rep.horizon),
         "spatial_count": rep.spatial_count,

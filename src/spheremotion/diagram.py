@@ -13,6 +13,7 @@ diagram (`phi_reduce_move`) builds its result through one private builder,
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -22,11 +23,9 @@ from .motion import (
     _offset,
     check_separated_stops,
     complete_collisions,
-    intervals_instants,
     lemma16_bound,
     standard_motion,
     standard_multiple_motion,
-    validate_motion,
 )
 from .rewriting import RelativePresentation, in_P, phi
 from .surface import Corner, OrientedMap, classify_map
@@ -305,24 +304,19 @@ def _unchecked_diagram(*parts) -> HowieDiagram:
 
 
 def _interior_vertex_loci(d: HowieDiagram, ms: MotionSchedule, collisions=None):
-    """(vertex, instants) at interior vertices, plus leftover edge loci."""
+    """(vertex, instants) at interior vertices, read off the report's ints,
+    plus the keys of the edge loci off the exterior faces."""
     if collisions is None:
         collisions = complete_collisions(d.map, ms)
-    horizon = validate_motion(d.map, ms)["horizon"]
     vertex = []
-    for v, spans in collisions.vertex_loci.items():
+    for v, (S, _, instants) in collisions.vertex_ints.items():
         if v in d.exterior_vertices:
             continue
-        vertex.append((v, tuple(intervals_instants(spans, horizon))))
+        vertex.append((v, tuple(Fraction(t, S) for t in instants)))
     exterior_edges = {
         e for f in d.exterior_faces for e, _ in d.map.faces[f]
     }
-    edge = [
-        (key, spans)
-        for key, spans in collisions.edge_loci.items()
-        if key[0] not in exterior_edges
-    ]
-    return vertex, edge
+    return vertex, [key for key in collisions.edge_ints if key[0] not in exterior_edges]
 
 
 def _require_standard_on_interior(d: HowieDiagram, ms: MotionSchedule, info=None):
@@ -378,7 +372,7 @@ def audit_standard_collisions(
     return {
         "passes": passes,
         "vertices": tuple(records),
-        "interior_edge_loci": tuple(sorted(k for k, _ in edge_loci)),
+        "interior_edge_loci": tuple(sorted(edge_loci)),
     }
 
 
@@ -463,7 +457,7 @@ def bad_contact_report(d: HowieDiagram, collisions) -> tuple:
     if d.large_faces is None:
         raise DiagramError("bad contact needs the 2-grading")
     loci = [
-        v for v in collisions.vertex_loci if v not in d.exterior_vertices
+        v for v in collisions.vertex_ints if v not in d.exterior_vertices
     ]
     found = []
 
@@ -544,8 +538,8 @@ def lemma17_audit(
     )
     report["conditions"]["multiplicities"] = cond1
 
-    vertex_points = [v for v in collisions.vertex_loci if v not in d.exterior_vertices]
-    edge_points = list(collisions.edge_loci)
+    vertex_points = [v for v in collisions.vertex_ints if v not in d.exterior_vertices]
+    edge_points = list(collisions.edge_ints)
     report["interior_points"] = len(vertex_points) + len(edge_points)
 
     gamma_edges = []

@@ -105,6 +105,12 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def ratio_to_str(n: int, d: int) -> str:
+    """n / d, d > 0, as `frac_to_str` writes its Fraction, without one."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 # the largest decimal exponent `parse_frac` reads: `json.loads`'s digit
 # limit on an int literal (`sys.int_info.default_max_str_digits`)
 MAX_EXPONENT = 4300

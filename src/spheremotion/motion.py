@@ -36,32 +36,28 @@ ints, from the visits at the two ends of each spur, since a centre never
 sees a collision, and then builds each blown-up car once, from ints,
 reading the old positions it keeps off the lap table.
 
-The whole collision search runs in integers, on one time scale per
-schedule.  A car's scale (`car_scale`) is D = Y * g, g the lcm over its
-moving pieces of each slope's reduced position step: the least scale at
-which every corner crossing is an integer.  The schedule's scale is the
-lcm of its cars' scales, and every index of the search is built at it
-by one forward walk over the lap table, lap after lap, clipped only at 0
-and H: visits and windows arrive in time order.  A window
-(t0, t1, p, q, k) is one line: the car sits at dart parameter
-(p + q * t) / k, q = 1 while it moves and q = 0 while it rests.  Vertex
-loci intersect int visits, and each pair of windows on an edge is one
-line solve, bounded by cross-multiplying.  A Fraction is built
-only for each reported value: a vertex instant, and a meeting's instant
-and dart parameter.  The successor check of multiple motions reads the
-two cars' lap tables at every breakpoint, on their common time scale,
-and compares the gaps crosswise; its periods, progress and lap offsets
-stay ints, and it builds no Fraction.  Arithmetic is exact throughout:
-there are no floats.
+The whole collision search runs in integers, on one time scale D per
+schedule, the lcm of its cars' `car_scale`s: every index is built at it
+by one forward walk over the lap table, clipped only at 0 and H, so
+visits and windows arrive in time order.  Vertex loci intersect int
+visits, and each pair of windows on an edge is one line solve, bounded
+by cross-multiplying.  The `CollisionReport` keeps its loci in ints, with
+their instants computed once: vertex spans over D, edge spans over one
+scale per locus.  It builds a Fraction only for each edge locus's dart
+parameter and for the views a reader asks for; the writer formats the
+ints.  The successor check of multiple motions reads two cars' lap
+tables at every breakpoint, on their common time scale, and compares the
+gaps crosswise; a lone car's table closes one period on by its climb, so
+it reads none.  Its periods, progress and lap offsets stay ints, and it
+builds no Fraction.  Arithmetic is exact throughout: there are no floats.
 
 A schedule is checked and indexed once per map.  The first
 `validate_motion` on a map runs the checks and keeps a record on the
 schedule, as a comotion keeps one: the collision horizon, and, once
 `_indexes_by_face` has built them, the schedule's time scale D, the
 horizon times D and the cars' indexes grouped by face.  The collision
-search, the stop audit, the blow-up, the multiple-motion check,
-`jsonio.parse_motion` and the diagram audits read it, and `_check`
-compares the cars' ints.
+search, the stop audit, the blow-up, the multiple-motion check and
+`jsonio.parse_motion` read it, and `_check` compares the cars' ints.
 The schedule constructors take ints and Fractions only; a period is kept
 as a Fraction.
 """
@@ -73,7 +69,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -152,11 +147,6 @@ def intersect_intervals(A, B) -> tuple:
         else:
             j += 1
     return tuple(out)
-
-
-def intervals_instants(ivs, T: Fraction) -> list[Fraction]:
-    """One representative point per component, reduced into [0, T)."""
-    return sorted({a if a < T else Fraction(0) for a, b in ivs})
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +464,7 @@ def car_index(car: CarSchedule, L: int, reps: int, D: int) -> tuple[dict, dict]:
 
 def _unscaled(ivs, D: int) -> tuple:
     """Int intervals over the time scale D as Fraction pairs."""
-    out = []
-    for a, b in ivs:
-        q = Fraction(a, D)
-        out.append((q, q if a == b else Fraction(b, D)))
-    return tuple(out)
+    return tuple((Fraction(a, D), Fraction(b, D)) for a, b in ivs)
 
 
 def corner_occupancy(car: CarSchedule, L: int, j: int, horizon: Fraction):
@@ -504,7 +490,9 @@ def _indexes_by_face(m: OrientedMap, ms: MotionSchedule) -> dict:
         D = math.lcm(*(car_scale(car, L) for car, L in cars))
         out: dict[int, list] = {}
         for car, L in cars:
-            out.setdefault(car.face, []).append(car_index(car, L, int(horizon / car.period), D))
+            P = car.period
+            reps = horizon.numerator * P.denominator // (horizon.denominator * P.numerator)
+            out.setdefault(car.face, []).append(car_index(car, L, reps, D))
         rec.update(faces=out, D=D, H=horizon.numerator * D // horizon.denominator)
     return rec
 
@@ -520,15 +508,54 @@ def _corner_times(on_face: dict, corner: Corner, H: int):
     return normalize_intervals(items, H)
 
 
-@dataclass(frozen=True)
 class CollisionReport:
-    horizon: Fraction
-    vertex_loci: dict
-    edge_loci: dict
+    """Collision loci over the horizon, in ints: `vertex_ints` maps each
+    vertex, and `edge_ints` each edge locus (edge, lam), to (S, spans,
+    instants), its time set as int spans over the scale S and one instant
+    per span start, reduced into [0, horizon * S) and sorted.
+    `vertex_loci` and `edge_loci` are cached views of the same keys, with
+    Fraction spans.  The constructor takes the horizon and those views,
+    kept as given with no normalizing or check, and derives the ints;
+    `complete_collisions` builds the ints, normalized sets, through
+    `_from_ints`."""
+
+    def __init__(self, horizon: Fraction, vertex_loci: dict, edge_loci: dict):
+        self.horizon, self.vertex_loci, self.edge_loci = horizon, vertex_loci, edge_loci
+        self.vertex_ints = {k: _locus_ints(s, horizon) for k, s in vertex_loci.items()}
+        self.edge_ints = {k: _locus_ints(s, horizon) for k, s in edge_loci.items()}
+
+    @classmethod
+    def _from_ints(cls, horizon: Fraction, vertex_ints: dict, edge_ints: dict) -> CollisionReport:
+        self = object.__new__(cls)
+        self.horizon, self.vertex_ints, self.edge_ints = horizon, vertex_ints, edge_ints
+        return self
+
+    @cached_property
+    def vertex_loci(self) -> dict:
+        return {k: _unscaled(spans, S) for k, (S, spans, _) in self.vertex_ints.items()}
+
+    @cached_property
+    def edge_loci(self) -> dict:
+        return {k: _unscaled(spans, S) for k, (S, spans, _) in self.edge_ints.items()}
 
     @property
     def spatial_count(self) -> int:
-        return len(self.vertex_loci) + len(self.edge_loci)
+        return len(self.vertex_ints) + len(self.edge_ints)
+
+    def __eq__(self, other):
+        views = attrgetter("horizon", "vertex_loci", "edge_loci")
+        return views(self) == views(other) if type(other) is type(self) else NotImplemented
+
+
+def _locus_ints(spans, horizon: Fraction) -> tuple:
+    """Fraction spans as a locus of `CollisionReport`, over the least scale
+    of the spans and the horizon: a start at or past the horizon is the
+    instant 0."""
+    S = math.lcm(horizon.denominator, *(x.denominator for span in spans for x in span))
+    ints = [(a.numerator * (S // a.denominator), b.numerator * (S // b.denominator))
+            for a, b in spans]
+    H = horizon.numerator * (S // horizon.denominator)
+    return S, tuple(ints), tuple(sorted({a if a < H else 0 for a, _ in ints}))
 
 
 def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
@@ -537,25 +564,26 @@ def complete_collisions(m: OrientedMap, ms: MotionSchedule) -> CollisionReport:
     rec = _indexes_by_face(m, ms)
     horizon, on_face, D, H = rec["horizon"], rec["faces"], rec["D"], rec["H"]
 
-    vertex_loci = {}
+    vertex_ints = {}
     for vertex in m.vertices():
         times = _corner_times(on_face, vertex[0], H)
         for corner in vertex[1:]:
             times = intersect_intervals(times, _corner_times(on_face, corner, H))
-        if times:
-            vertex_loci[vertex] = _unscaled(times, D)  # normalized, as the sets it meets
+        if times:  # normalized, as the sets it meets: a start at H is also one at 0
+            vertex_ints[vertex] = (D, times, tuple(a for a, _ in times if a < H))
 
-    edge_events: dict[tuple[int, Fraction], list] = {}
+    edge_events: dict[tuple[int, int, int], list] = {}
     for edge in m.edge_ids:
         (fp, jp), (fm, jm) = m.edge_sides[edge]
         for _, plus in on_face.get(fp, ()):
             for _, minus in on_face.get(fm, ()):
                 _window_meetings(edge, plus.get(jp, ()), minus.get(jm, ()), D, edge_events)
-    edge_loci = {
-        key: normalize_intervals(items, horizon)
-        for key, items in sorted(edge_events.items())
-    }
-    return CollisionReport(horizon, vertex_loci, edge_loci)
+    edge_ints = {}
+    for (edge, n, d), items in edge_events.items():
+        w = math.lcm(*(v for _, _, v in items))  # the locus's times over w * D
+        spans = normalize_intervals([(a * (w // v), b * (w // v)) for a, b, v in items], H * w)
+        edge_ints[edge, Fraction(n, d)] = (w * D, spans, tuple(a for a, _ in spans if a < H * w))
+    return CollisionReport._from_ints(horizon, vertex_ints, dict(sorted(edge_ints.items())))
 
 
 def _window_meetings(edge, plus, minus, D: int, out):
@@ -566,8 +594,9 @@ def _window_meetings(edge, plus, minus, D: int, out):
     at mu meet when lam + mu = 1, both strictly inside (0, 1); that reads
     den * t = num, solved and tested in ints for each overlapping pair.
     den is 0 only when both cars rest, and then they meet on the whole
-    overlap or never.  A meeting found adds its dart parameter lam and its
-    time set to `out`, the only Fractions built."""
+    overlap or never.  A meeting over [a, b] / (w * D) adds (a, b, w) to
+    `out` under (edge, n, d), n / d its lam in lowest terms: no Fraction
+    is built."""
     ends = [w[1] for w in minus]
     for a0, a1, pa, qa, ka in plus:
         i = bisect_left(ends, a0)
@@ -578,13 +607,13 @@ def _window_meetings(edge, plus, minus, D: int, out):
             den, num = qa * kb + qb * ka, ka * kb - pa * kb - pb * ka
             if den:
                 # lam = (pa + qa * t) / ka at t = num / den, over ka * den
-                lam = pa * den + qa * num
-                if lo * den <= num <= hi * den and 0 < lam < ka * den:
-                    t = Fraction(num, den * D)
-                    out.setdefault((edge, Fraction(lam, ka * den)), []).append((t, t))
+                lam, k = pa * den + qa * num, ka * den
+                if lo * den <= num <= hi * den and 0 < lam < k:
+                    g = math.gcd(lam, k)
+                    out.setdefault((edge, lam // g, k // g), []).append((num, num, den))
             elif not num:
-                out.setdefault((edge, Fraction(pa, ka)), []).append(
-                    (Fraction(lo, D), Fraction(hi, D)))
+                g = math.gcd(pa, ka)
+                out.setdefault((edge, pa // g, ka // g), []).append((lo, hi, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +623,12 @@ def _window_meetings(edge, plus, minus, D: int, out):
 
 def time_shifted_car(car: CarSchedule, L: int, shift) -> CarSchedule:
     """The car running `shift`, an int or a Fraction, earlier: new(t) ==
-    old(t + shift)."""
+    old(t + shift).  A car whose last breakpoint lies past its first one
+    lap on, which `validate_motion` refuses, is refused the same way."""
     shift = rational(shift, "shift")
     (ts, ps, span, climb), Y, X = car_lap(car, L)
+    if ps[-2] > ps[-1]:  # the table closes below its last breakpoint
+        raise MotionError("positions climb past the declared degree")
     # on the time scale Z of the lap and the shift, breakpoint (t, p) moves to
     # tt = t - shift reduced into [0, period), k periods back: k climbs lower
     Z = math.lcm(Y, shift.denominator)
@@ -675,7 +707,8 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
         laps = []  # each offset in whole laps
         for j in range(d):
             nxt = (j + 1) % d
-            offset = _offset(cars[j], cars[nxt], L, T)
+            # a lone car's table closes one period, T, on by its climb
+            offset = (cars[j].degree * L, 1) if d == 1 else _offset(cars[j], cars[nxt], L, T)
             if offset is None or offset[0] % (L * offset[1]):
                 raise MotionError(
                     f"face {f}: car {j} shifted by T does not match car {nxt}"
@@ -859,19 +892,19 @@ def verify_source_sink_collisions(
     pure source vertices, sinks at even instants and sources at odd."""
     rep = collisions if collisions is not None else complete_collisions(m, ms)
     problems = []
-    if rep.edge_loci:
-        problems.append(f"edge collisions at {sorted(rep.edge_loci)}")
-    for vertex, times in rep.vertex_loci.items():
+    if rep.edge_ints:
+        problems.append(f"edge collisions at {sorted(rep.edge_ints)}")
+    for vertex, (S, spans, instants) in rep.vertex_ints.items():
         kind = m.classify_vertex(vertex)
         if kind not in ("sink", "source"):
             problems.append(f"collision at mixed vertex {vertex}")
             continue
-        if any(a != b for a, b in times):
+        if any(a != b for a, b in spans):
             problems.append(f"vertex {vertex} occupied over an interval")
         want = 0 if kind == "sink" else 1
-        for t in intervals_instants(times, rep.horizon):
-            if t.denominator != 1 or t % 2 != want:
-                problems.append(f"{kind} vertex {vertex} collides at t={t}")
+        for t in instants:
+            if t % S or t // S % 2 != want:
+                problems.append(f"{kind} vertex {vertex} collides at t={Fraction(t, S)}")
     return {"ok": not problems, "problems": problems, "report": rep}
 
 

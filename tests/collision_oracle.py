@@ -19,7 +19,9 @@ successor check with its earlier Fraction bookkeeping, and
 blown-up car from Fraction pairs and runs `complete_collisions` over the
 whole new map for each eps.  `window_meetings` finds where two dart
 windows meet by interpolating between the ends of their overlap, the
-oracle of the program's line solve.
+oracle of the program's line solve.  `intervals_instants` reads a
+locus's instants off its Fraction spans, the oracle of the int instants
+that a collision report keeps.
 """
 
 import math
@@ -38,6 +40,11 @@ from spheremotion.motion import (
     validate_motion,
 )
 from spheremotion.surface import OrientedMap
+
+
+def intervals_instants(ivs, T: Fraction) -> list[Fraction]:
+    """One representative point per component, reduced into [0, T)."""
+    return sorted({a if a < T else Fraction(0) for a, b in ivs})
 
 
 def car_segments(car, L: int):

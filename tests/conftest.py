@@ -44,6 +44,16 @@ equal.  The rebuild
 calls the functions as they were when the session started, so a test that
 counts calls does not see it.
 
+A collision report keeps its loci in ints, and its Fraction views are
+built only when read.  Every report that `motion.complete_collisions`
+builds, through `CollisionReport._from_ints`, is rebuilt through the
+public constructor from its views, built uncached: the two reports must
+be equal, and locus by locus, in order, the ints that the rebuild derives
+must stand for the same spans and instants.  Each locus's int instants
+must equal `collision_oracle.intervals_instants` of its Fraction spans,
+its spans must be ints over a positive int scale and a normalized set,
+and the edge loci must come sorted.  The views are left unbuilt.
+
 Run with `--noconftest` to time the suite without them.
 """
 
@@ -55,7 +65,7 @@ import pytest
 
 import comotion_oracle
 import motion_oracle
-from collision_oracle import int_lap
+from collision_oracle import int_lap, intervals_instants
 from map_edit_oracle import edit_problem
 from spheremotion import comotion, diagram, groups, motion, rewriting
 from spheremotion.surface import OrientedMap
@@ -268,4 +278,55 @@ def motion_record_oracle():
         yield
     finally:
         motion._indexes_by_face = indexes
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def collision_report_oracle():
+    Report = motion.CollisionReport
+    build = Report.__dict__["_from_ints"].__func__
+    views = Report.vertex_loci.func, Report.edge_loci.func  # without caching them
+    violations = []
+
+    def locus_problem(locus, derived, spans, horizon):
+        (S, ints, instants), (S2, ints2, instants2) = locus, derived
+        if type(S) is not int or S < 1 or not all(type(x) is int for iv in ints for x in iv):
+            return f"spans {ints} over {S!r} are not ints over a positive int scale"
+        if motion.normalize_intervals(ints, horizon * S) != ints:
+            return f"spans {ints} over {S} are no normalized set"
+        if [(a * S2, b * S2) for a, b in ints] != [(a * S, b * S) for a, b in ints2]:
+            return f"spans {ints} over {S} are not {ints2} over {S2}"
+        if [t * S2 for t in instants] != [t * S for t in instants2]:
+            return f"instants {instants} over {S} are not {instants2} over {S2}"
+        if [Fraction(t, S) for t in instants] != intervals_instants(spans, horizon):
+            return f"instants {instants} over {S} are not those of the spans {spans}"
+        return None
+
+    @functools.wraps(build)
+    def checked(cls, horizon, vertex_ints, edge_ints):
+        rep = build(cls, horizon, vertex_ints, edge_ints)
+        vertex_loci, edge_loci = (view(rep) for view in views)
+        rebuilt = cls(horizon, vertex_loci, edge_loci)
+        problems = [] if rebuilt == rep else ["not the report its views rebuild"]
+        if list(edge_ints) != sorted(edge_ints):
+            problems.append("edge loci out of order")
+        for ints, derived, loci in ((vertex_ints, rebuilt.vertex_ints, vertex_loci),
+                                    (edge_ints, rebuilt.edge_ints, edge_loci)):
+            if list(ints) != list(derived):
+                problems.append("loci keys differ from the rebuild's")
+                continue
+            problems += filter(None, (locus_problem(ints[k], derived[k], loci[k], horizon)
+                                      for k in ints))
+        for name in ("vertex_loci", "edge_loci"):
+            vars(rep).pop(name, None)  # built by the comparison: leave them unbuilt
+        if problems:
+            violations.append((horizon, problems))
+            raise AssertionError(f"collision report over {horizon}: {problems[:3]}")
+        return rep
+
+    Report._from_ints = classmethod(checked)
+    try:
+        yield
+    finally:
+        Report._from_ints = classmethod(build)
     assert not violations, violations[:5]

@@ -16,7 +16,13 @@ from spheremotion import cli, comotion, diagram, fuzzing, groups, jsonio, motion
 from spheremotion.cli import GOLDEN_NAMES, main
 from spheremotion.comotion import Cocar, Comotion
 from spheremotion.diagram import HowieDiagram
-from spheremotion.fuzzing import lune_map, make_rng, random_comotion
+from spheremotion.fuzzing import (
+    lune_map,
+    make_rng,
+    random_comotion,
+    random_multiple_motion,
+    random_sphere_map,
+)
 from spheremotion.goldens import doubled_polygon_map
 from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
 from spheremotion.motion import CollisionReport
@@ -291,6 +297,91 @@ def test_successor_check_builds_no_fraction(goldens, monkeypatch, capsys, args):
         capsys, "motion", *(str(goldens / a) if a.endswith(".json") else a for a in args)
     )
     assert code == 0 and verdicts and built == []
+
+
+@pytest.mark.parametrize("args", [("pinwheel.map.json", "--standard", "A"),
+                                  ("torus.map.json", "--standard", "A", "--m", "1")])
+def test_successor_check_reads_no_lap_of_a_lone_car(goldens, monkeypatch, capsys, args):
+    # every face of a standard A schedule has one car, whose offset over T
+    # is its climb: the check passes with no `_offset` call
+    calls = []
+    real = motion._offset
+    monkeypatch.setattr(motion, "_offset", lambda *a: calls.append(a) or real(*a))
+    code, report = run_json(
+        capsys, "motion", *(str(goldens / a) if a.endswith(".json") else a for a in args)
+    )
+    assert code == 0 and set(report["results"]["multiplicities"].values()) == {1}
+    assert calls == []
+
+
+def fractions_built_for_the_report(monkeypatch, capsys, argv):
+    """(built, report, meetings): the argument tuples of every Fraction built
+    inside the collision search, the source-sink audit and the writer of
+    `spheremotion motion`, the report, and the number of edge meetings the
+    search found.  The schedule's checks, `validate_motion`, which build
+    the horizon once per schedule, are not counted.  The program's own
+    functions run, not the wrappers of the session oracles in conftest.py:
+    those build Fractions of their own."""
+    for owner, name in ((motion, "_indexes_by_face"), (motion._IntLap, "_lap_table")):
+        monkeypatch.setattr(owner, name, inspect.unwrap(getattr(owner, name)))
+    Report = motion.CollisionReport
+    monkeypatch.setattr(Report, "_from_ints",
+                        classmethod(inspect.unwrap(Report.__dict__["_from_ints"].__func__)))
+    built, depth, outs = [], [0], []
+    new = F.__dict__["__new__"].__func__
+
+    def counting(cls, *args, **kwargs):
+        if depth[0] > 0:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def watched(f, step):
+        def call(*args, **kwargs):
+            depth[0] += step
+            try:
+                return f(*args, **kwargs)
+            finally:
+                depth[0] -= step
+        return call
+
+    for name in ("complete_collisions", "verify_source_sink_collisions", "_collisions_json"):
+        monkeypatch.setattr(cli, name, watched(getattr(cli, name), 1))
+    monkeypatch.setattr(motion, "validate_motion", watched(motion.validate_motion, -1))
+    meet = motion._window_meetings
+    monkeypatch.setattr(motion, "_window_meetings",
+                        lambda *a: outs.append(a[-1]) or meet(*a))
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    code, report = run_json(capsys, "motion", *argv)
+    assert code in (0, 1)
+    return built, report, sum(len(items) for items in outs[0].values()) if outs else 0
+
+
+@pytest.mark.parametrize("args", MOTION_GOLDENS)
+def test_collision_report_builds_no_fraction(goldens, monkeypatch, capsys, args):
+    # the loci stay ints from the search to the writer, which formats them
+    argv = [str(goldens / a) if a.endswith(".json") else a for a in args]
+    built, report, _ = fractions_built_for_the_report(monkeypatch, capsys, argv)
+    assert report["results"]["collisions"]["vertices"] and built == []
+
+
+def test_collision_report_builds_one_fraction_per_edge_locus(goldens, tmp_path, monkeypatch,
+                                                             capsys):
+    # an edge locus's dart parameter, its key, is the one Fraction built,
+    # once however many meetings the locus holds: 12 on 6 loci here
+    rng = make_rng(8)
+    m = random_sphere_map(rng)
+    ms = random_multiple_motion(m, rng)
+    (tmp_path / "m.json").write_text(jsonio.dumps(jsonio.map_to_json(m)))
+    (tmp_path / "ms.json").write_text(jsonio.dumps(jsonio.motion_to_json(m, ms)))
+    runs = [(goldens / "pinwheel.map.json", goldens / f"{name}.motion.json")
+            for name in ("unit-motion", "double-car")]
+    for paths in [*runs, (tmp_path / "m.json", tmp_path / "ms.json")]:
+        with monkeypatch.context() as patch:
+            built, report, meetings = fractions_built_for_the_report(
+                patch, capsys, [str(p) for p in paths])
+        lams = [F(e["lambda"]) for e in report["results"]["collisions"]["edges"]]
+        assert lams and len(built) <= len(lams) and {F(*a) for a in built} <= set(lams)
+    assert (len(lams), meetings) == (6, 12)
 
 
 @pytest.mark.parametrize("mval", ["-1", "-3"])

@@ -253,6 +253,11 @@ def successor_cases(draw):
     period = draw(st.sampled_from([None, Fraction(3, 2), Fraction(5, 12), Fraction(7, 3)]))
     ms = random_multiple_motion(m, rng, period)
     cars = list(ms.cars)
+    # shifted before a rogue is made: a raised car may climb past its
+    # degree, and then has no shifted form
+    if draw(st.booleans()):
+        d = Fraction(draw(st.integers(1, 24)), draw(st.integers(1, 4)))
+        cars = [time_shifted_car(c, len(m.faces[c.face]), d) for c in cars]
     kind = draw(st.sampled_from(
         ["none", "rogue", "fast", "period", "bumped", "reversed", "laps"]))
     k = draw(st.integers(0, len(cars) - 1))
@@ -275,9 +280,6 @@ def successor_cases(draw):
                            degree=draw(st.sampled_from([0, 2, 3])))
         cars = [c for c in cars if c.face != car.face]
         cars += [time_shifted_car(base, L, j * ms.period) for j in range(len(chain))]
-    if draw(st.booleans()):
-        d = Fraction(draw(st.integers(1, 24)), draw(st.integers(1, 4)))
-        cars = [time_shifted_car(c, len(m.faces[c.face]), d) for c in cars]
     return m, MotionSchedule(ms.period, tuple(cars))
 
 
@@ -296,14 +298,35 @@ HALF_LAP = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
     CarSchedule(1, 3, ((0, 0),), degree=1))))
 
 
+# each face with one car, which reads no lap table: a car of degree 2, two
+# laps per period, refused as car 0 against itself; and a car run 5/4
+# earlier, whose breakpoints sit off zero, accepted
+LONE_FAST = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
+    CarSchedule(0, 3, ((0, 0),), degree=2), CarSchedule(1, 3, ((0, 0),), degree=1))))
+LONE_SHIFTED = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
+    time_shifted_car(CarSchedule(0, 3, ((0, 0), (1, 1), (2, 3)), degree=1), 3, Fraction(5, 4)),
+    CarSchedule(1, 3, ((Fraction(1, 2), Fraction(1, 3)),), degree=1))))
+
+
 @settings(max_examples=150, deadline=None)
 @given(drawn=successor_cases())
 @example(drawn=HALF_LAP)
+@example(drawn=LONE_FAST)
+@example(drawn=LONE_SHIFTED)
 def test_successor_check_matches_the_fraction_bookkeeping(drawn):
     # the same groups, or the same refusal naming the same car
     m, ms = drawn
     got = successor_outcome(as_multiple_motion, m, ms)
     assert got == successor_outcome(oracle.multiple_motion_groups, m, ms)
+
+
+@pytest.mark.parametrize("drawn, want", [
+    (LONE_FAST, "face 0: car 0 shifted by T does not match car 0"),
+    (LONE_SHIFTED, {0: 1, 1: 1}),
+])
+def test_lone_cars_keep_their_verdicts(drawn, want):
+    got = successor_outcome(as_multiple_motion, *drawn)
+    assert (got if isinstance(got, str) else {f: len(c) for f, c in got.items()}) == want
 
 
 @st.composite
@@ -405,9 +428,14 @@ def dart_windows(draw):
 
 
 def meetings(plus, minus, D):
+    # each meeting (a, b, w) under (edge, n, d) read as the times [a, b] / (w * D)
+    # under (edge, n / d)
     out = {}
     _window_meetings(7, plus, minus, D, out)
-    return {key: sorted(items) for key, items in out.items()}
+    assert all(Fraction(n, d).as_integer_ratio() == (n, d) for _, n, d in out)  # lowest terms
+    return {(e, Fraction(n, d)): sorted((Fraction(a, w * D), Fraction(b, w * D))
+                                        for a, b, w in items)
+            for (e, n, d), items in out.items()}
 
 
 @settings(max_examples=400, deadline=None)

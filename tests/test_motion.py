@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import collision_oracle as oracle
+from collision_oracle import intervals_instants
 import standard_oracle
 from test_blow_up_snapshot import criterion_8_cases
 from spheremotion import jsonio, motion
@@ -45,7 +46,6 @@ from spheremotion.motion import (
     complete_collisions,
     corner_occupancy,
     fraction_lcm,
-    intervals_instants,
     intersect_intervals,
     is_regular,
     lemma16_bound,
@@ -308,6 +308,16 @@ def test_time_shifted_car_evaluates_shifted(shift, t):
     lhs = position_at(moved, 3, t)
     rhs = position_at(car, 3, t + shift)
     assert (lhs - rhs) % 3 == 0
+
+
+def test_time_shifted_car_refuses_a_car_past_its_degree():
+    # position 4 at t = 1 lies past 0 + 1 * 3, the first breakpoint one lap on;
+    # on a face of length 4 the car rests at 4, which reduces to 0
+    runaway = CarSchedule(0, F(3), ((F(0), F(0)), (F(1), F(4))), degree=1)
+    with pytest.raises(MotionError, match="^positions climb past the declared degree$"):
+        time_shifted_car(runaway, 3, F(1, 2))
+    assert time_shifted_car(runaway, 4, F(1, 2)) == CarSchedule(
+        0, F(3), ((F(1, 2), F(0)), (F(5, 2), F(0))), degree=1)
 
 
 # -- the worked examples -------------------------------------------------------
