@@ -298,7 +298,7 @@ def cmd_word(args) -> tuple[dict, int]:
     w = jsonio.parse_word(doc)
     results = {
         "base": jsonio.base_to_json(w.base),
-        "t_letters": len(w.t_sign_sequence()),
+        "t_letters": w.t_letters(),
         "t_exponent_sum": w.exponent_sum(),
     }
     checks = {}

@@ -425,14 +425,11 @@ class FreeProductWord:
         _require_symbol(j)
         return sum(s[2] for s in self.syllables if s[0] == "t" and s[1] == j)
 
-    def t_sign_sequence(self, j: int = 1) -> Tuple[int, ...]:
-        """Signs of the unit t_j letters in reading order."""
+    def t_letters(self, j: int = 1) -> int:
+        """Number of unit t_j letters: the sum of |exponent| over t_j runs,
+        counted without expanding them."""
         _require_symbol(j)
-        signs: list = []
-        for s in self.syllables:
-            if s[0] == "t" and s[1] == j:
-                signs.extend([1 if s[2] > 0 else -1] * abs(s[2]))
-        return tuple(signs)
+        return sum(abs(s[2]) for s in self.syllables if s[0] == "t" and s[1] == j)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -616,50 +613,3 @@ def word(base: BaseGroup, *items) -> FreeProductWord:
         else:
             raise GroupError(f"cannot interpret word item {it!r}")
     return FreeProductWord.from_syllables(base, syls)
-
-
-def enumerate_abstract_words(k: int, max_len: int) -> Iterator[Tuple[int, ...]]:
-    """All nonempty freely reduced words over k abstract letters, length <= max_len.
-
-    Letters are 1..k with negatives as inverses.
-    """
-    alphabet = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-
-    def extend(prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        for c in alphabet:
-            if prefix and prefix[-1] == -c:
-                continue
-            yield prefix + (c,)
-
-    frontier: Iterable[Tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for q in extend(p):
-                yield q
-                nxt.append(q)
-        frontier = nxt
-
-
-def free_subgroup_probe(generators: Sequence[FreeProductWord], depth: int) -> bool:
-    """Bounded freeness check: no reduced abstract word of length <= depth in
-    the generators evaluates to the identity.  Vacuously true for no
-    generators.
-    """
-    if depth < 1:
-        raise GroupError(f"probe depth must be >= 1, got {depth}")
-    gens = list(generators)
-    if not gens:
-        return True
-    base = gens[0].base
-    for g in gens:
-        if g.base != base:
-            raise GroupError("probe generators must share a base group")
-    for abstract in enumerate_abstract_words(len(gens), depth):
-        acc = FreeProductWord.one(base)
-        # evaluating each word from scratch is fine at these sizes
-        for c in abstract:
-            acc = acc * (gens[c - 1] if c > 0 else gens[-c - 1].inverse())
-        if acc.is_identity():
-            return False
-    return True

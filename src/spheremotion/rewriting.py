@@ -2,23 +2,16 @@
 
 A word w in G * <t> with total t-exponent 1 is conjugate to a relator of the
 shape c t (b_0 t^-1 a_0 t) ... (b_m t^-1 a_m t) over H = G(0) * ... * G(s).
-This module produces that shape, minimizes (s, m) by the substitution moves,
-and builds the auxiliary elements used by the augmented presentations.
+This module produces that shape and minimizes (s, m) by the substitution
+moves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .groups import (
-    BaseGroup,
-    FreeGroup,
-    FreeProductWord,
-    GroupError,
-    free_subgroup_probe,
-)
+from .groups import BaseGroup, FreeProductWord
 
 
 class RewriteError(ValueError):
@@ -51,14 +44,6 @@ class ShiftedForm:
 
     def signs(self) -> Tuple[int, ...]:
         return tuple(e for _, e in self.pairs)
-
-    def reassembled(self) -> FreeProductWord:
-        """The word prod_i t^-k_i g_i t^k_i times t; conjugate to the input."""
-        syls = []
-        for (g, _), k in zip(self.pairs, self.k):
-            syls += [("t", T_SYMBOL, -k), ("g", 0, g), ("t", T_SYMBOL, k)]
-        syls.append(("t", T_SYMBOL, 1))
-        return FreeProductWord.from_syllables(self.base, syls)
 
 
 def _validate_coefficient_word(w: FreeProductWord) -> None:
@@ -303,11 +288,6 @@ class RewriteResult:
     def n(self) -> int:
         return self.shifted.n
 
-    @property
-    def n_is_one(self) -> bool:
-        """The excluded one-t-letter case (relator c t, m stays -1)."""
-        return self.n == 1
-
 
 def rewrite_word(w: FreeProductWord) -> RewriteResult:
     """Full pipeline: orient, cyclically reduce, shift, minimize."""
@@ -364,8 +344,7 @@ def is_conjugate_to_t_pm_g(w: FreeProductWord) -> bool:
     """True iff w is conjugate to t g or t^-1 g for some g in G."""
     _validate_coefficient_word(w)
     core = w.cyclic_reduce()
-    units = sum(abs(s[2]) for s in core.syllables if s[0] == "t")
-    return units == 1
+    return core.t_letters(T_SYMBOL) == 1
 
 
 def main_theorem_verdict(g_is_simple: bool, w: FreeProductWord) -> dict:
@@ -386,168 +365,7 @@ def main_theorem_verdict(g_is_simple: bool, w: FreeProductWord) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary elements (free factor complements)
-# ---------------------------------------------------------------------------
-
-
-def _copy_generators(base: BaseGroup, copies: Sequence[int]) -> List[FreeProductWord]:
-    gens = []
-    for i in sorted(copies):
-        for g in base.generators():
-            gens.append(FreeProductWord.from_syllables(base, [("g", i, g)]))
-    return gens
-
-
-def _is_cyclic_factor(base: BaseGroup, copies) -> bool:
-    return len(copies) == 1 and base.rank == 1
-
-
-def primitive_root_word(w: FreeProductWord) -> Tuple[FreeProductWord, int]:
-    """Return (r, e) with w = r**e and e >= 1 maximal; w must be nontrivial."""
-    if w.is_identity():
-        raise GroupError("identity has no primitive root")
-    u, core = w.cyclic_decompose()
-    syls = core.syllables
-    n = len(syls)
-    if n >= 2:
-        for d in range(1, n + 1):
-            if n % d == 0 and syls[:d] * (n // d) == syls:
-                block = core.span(0, d)
-                return u * block * u.inverse(), n // d
-    tag, idx, val = syls[0]
-    if tag == "t":
-        e = abs(val)
-        root = FreeProductWord.from_syllables(w.base, [("t", idx, val // e)])
-    elif isinstance(w.base, FreeGroup):
-        r, e = w.base.primitive_root(val)
-        root = FreeProductWord.from_syllables(w.base, [("g", idx, r)])
-    else:
-        e = math.gcd(*(abs(c) for c in val))
-        root = FreeProductWord.from_syllables(
-            w.base, [("g", idx, tuple(c // e for c in val))]
-        )
-    return u * root * u.inverse(), e
-
-
-def _shares_root(x: FreeProductWord, y: FreeProductWord) -> bool:
-    """True iff <x, y> is cyclic, via common primitive roots."""
-    if x.is_identity() or y.is_identity():
-        return True
-    rx, _ = primitive_root_word(x)
-    ry, _ = primitive_root_word(y)
-    return rx == ry or rx == ry.inverse()
-
-
-def _ends_outside(w: FreeProductWord, copies) -> Tuple[int, int]:
-    """Indices of the first and last syllable of w whose factor index is
-    outside `copies`; w must have one."""
-    outside = [i for i, syl in enumerate(w.syllables) if syl[1] not in copies]
-    return outside[0], outside[-1]
-
-
-def lemma1_v(
-    base: BaseGroup,
-    A_copies: Sequence[int],
-    B_copies: Sequence[int],
-    u: FreeProductWord,
-) -> FreeProductWord:
-    """An element v = b^-1 a b with <A, u, v> = <A, u> * <v>, v of infinite order.
-
-    A and B are disjoint sets of base copies inside their free product; A must
-    be nontrivial, B noncyclic, u in <A u B> but not in <A>.
-    """
-    A = frozenset(A_copies)
-    B = frozenset(B_copies)
-    if A & B:
-        raise RewriteError("A and B must be disjoint copy sets")
-    if not A:
-        raise RewriteError("A must be a nontrivial free factor")
-    if not B or _is_cyclic_factor(base, B):
-        raise RewriteError("B must be a noncyclic free factor")
-    if u.base != base or u.has_t():
-        raise RewriteError("u must be a t-free word over the given base")
-    if not u.copies_used() <= (A | B):
-        raise RewriteError("u must lie in the span of A and B")
-    if u.copies_used() <= A:
-        raise RewriteError("u must not lie in A")
-
-    # factor u = pre * u0 * suf with pre, suf in A; <A, u> = <A, u0>
-    first, last = _ends_outside(u, A)
-    u0 = u.span(first, last + 1)
-
-    b_gens = _copy_generators(base, B)
-    if u0.copies_used() <= B:
-        # B noncyclic, so not every generator can share a root with u0
-        b = next((g for g in b_gens if not _shares_root(g, u0)), None)
-        if b is None:
-            raise RewriteError("no independent generator found in B")
-    else:
-        # u0 = b_1 a_1 ... b_k alternating; dodge the flanking B-runs
-        first, last = _ends_outside(u0, B)
-        b1 = u0.span(0, first)
-        bk = u0.span(last + 1, len(u0))
-        banned = {b1, b1.inverse(), bk, bk.inverse()}
-        x, y = b_gens[0], b_gens[1]
-        candidates = [x, y, x * y, x * y.inverse(), x * x * y]
-        b = next(c for c in candidates if c not in banned)
-
-    a_copy = min(A)
-    a = FreeProductWord.from_syllables(base, [("g", a_copy, base.generators()[0])])
-    return b.inverse() * a * b
-
-
-def _probe_freeness(samples, s: int, depth: int, with_p, with_p_phi,
-                    p_message: str, p_phi_message: str) -> None:
-    """Spot-check each nontrivial sample p: <p, *with_p> must look free up to
-    `depth` when p lies in P, and <p, *with_p_phi> when p lies in P^phi;
-    RewriteError with the matching message otherwise."""
-    for p in samples:
-        if p.is_identity():
-            continue
-        if in_P(p, s) and not free_subgroup_probe([p, *with_p], depth):
-            raise RewriteError(p_message)
-        if in_P_phi(p, s) and not free_subgroup_probe([p, *with_p_phi], depth):
-            raise RewriteError(p_phi_message)
-
-
-def lemma2_auxiliary(
-    data: RelativePresentationData,
-    i: int,
-    probe_depth: int = 0,
-    samples: Sequence[FreeProductWord] = (),
-) -> Tuple[FreeProductWord, FreeProductWord]:
-    """Auxiliary pair (a'_i, b'_i) with <P, a_i, a'_i> = P * <a_i> * <a'_i>
-    and the mirror property for b'_i; needs a noncyclic base and s >= 1.
-
-    When probe_depth > 0, the factorization is spot-checked on cyclic
-    subgroups <p> of P (resp. P^phi) drawn from samples: <p, a_i, a'_i> must
-    look free of rank 3 up to the given depth.  Probing whole generating sets
-    of P would be wrong for abelian bases, where distinct P-generators
-    commute.
-    """
-    if base_is_cyclic(data.base):
-        raise RewriteError("auxiliary elements need a noncyclic base group")
-    if data.s < 1:
-        raise RewriteError("auxiliary elements need a nontrivial P (s >= 1)")
-    if not 0 <= i <= data.m:
-        raise RewriteError(f"index {i} out of range")
-    lower = list(range(data.s))
-    upper = list(range(1, data.s + 1))
-    a_prime = lemma1_v(data.base, lower, [data.s], data.a[i])
-    b_prime = lemma1_v(data.base, upper, [0], data.b[i])
-    if probe_depth:
-        message = "auxiliary pair failed the freeness probe"
-        _probe_freeness(samples, data.s, probe_depth, (data.a[i], a_prime),
-                        (data.b[i], b_prime), message, message)
-    return a_prime, b_prime
-
-
-def base_is_cyclic(base: BaseGroup) -> bool:
-    return base.rank == 1
-
-
-# ---------------------------------------------------------------------------
-# augmented presentations
+# presentations the diagram audits check against
 # ---------------------------------------------------------------------------
 
 
@@ -569,65 +387,3 @@ class RelativePresentation:
                 raise RewriteError("relators must involve t")
             if any(i > self.s for i in r.copies_used()):
                 raise RewriteError("relator uses a copy above s")
-
-
-def build_augmented_presentation(
-    data: RelativePresentationData,
-    a: FreeProductWord,
-    b: FreeProductWord,
-    d: int,
-    power: int,
-    probe_depth: int = 4,
-    samples: Sequence[FreeProductWord] = (),
-) -> Tuple[RelativePresentation, dict]:
-    """Adjoin the relator (t^-d a t^d b)^power to the presentation of data.
-
-    power = 4 requires s = 0 and the hypotheses a^2 not in <a_m>, b^2 not in
-    <b_0>; power = 1 requires s >= 1 and spot-checks the freeness of
-    <P, a_m, a> and <P^phi, b_0, b> on the provided P-samples.
-    """
-    if data.m < 0:
-        raise RewriteError("augmentation needs at least one (a, b) pair")
-    if d < 1:
-        raise RewriteError(f"shift distance d must be >= 1, got {d}")
-    for w in (a, b):
-        if w.base != data.base or w.has_t():
-            raise RewriteError("a and b must be t-free words over the base")
-        if any(i > data.s for i in w.copies_used()):
-            raise RewriteError("a and b must lie in H")
-
-    if power == 4:
-        if data.s != 0:
-            raise RewriteError("the fourth-power relator applies only at s = 0")
-        if (a * a).is_power_of(data.a[data.m]):
-            raise RewriteError("hypothesis violated: a^2 is a power of a_m")
-        if (b * b).is_power_of(data.b[0]):
-            raise RewriteError("hypothesis violated: b^2 is a power of b_0")
-    elif power == 1:
-        if data.s < 1:
-            raise RewriteError("the single-power relator applies only at s >= 1")
-        _probe_freeness(samples, data.s, probe_depth, (data.a[data.m], a), (data.b[0], b),
-                        "freeness probe failed for <P, a_m, a>",
-                        "freeness probe failed for <P^phi, b_0, b>")
-    else:
-        raise RewriteError(f"power must be 1 or 4, got {power}")
-
-    t = FreeProductWord.t(data.base, T_SYMBOL, 1)
-    cell = (t ** (-d)) * a * (t ** d) * b
-    extra = cell ** power
-    pres = RelativePresentation(
-        data.base,
-        data.s,
-        (data.relator(), extra),
-        has_phi=data.s >= 1,
-    )
-    report = {
-        "power": power,
-        "d": d,
-        "extra_sign_pattern": extra.t_sign_sequence(T_SYMBOL),
-        "face_type": "d" if power == 1 else "c",
-        "face_k": d - 1,
-        "face_l": d - 1,
-        "face_s": 1 if power == 1 else 4,
-    }
-    return pres, report

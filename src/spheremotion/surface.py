@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class MapError(ValueError):
@@ -346,60 +346,6 @@ def classify_map(m: OrientedMap) -> dict:
         raise MapError(f"faces disagree on m: {sorted(m_values)}")
     m_common = m_values.pop() if m_values else None
     return {"family": family, "m": m_common, "faces": kinds}
-
-
-# ---------------------------------------------------------------------------
-# sparse embedded graphs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbeddedGraph:
-    """A graph on the sphere known only through its region census.
-
-    Each region is (perimeter, simply_connected).  Perimeters count dart
-    sides, so they sum to twice the edge count.
-    """
-
-    vertex_count: int
-    edge_count: int
-    regions: tuple[tuple[int, bool], ...]
-
-    def __post_init__(self):
-        if self.vertex_count < 0 or self.edge_count < 0:
-            raise MapError("negative counts")
-        total = sum(p for p, _ in self.regions)
-        if total != 2 * self.edge_count:
-            raise MapError(
-                f"region perimeters sum to {total}, expected {2 * self.edge_count}"
-            )
-
-    @classmethod
-    def from_sphere_map(cls, m: OrientedMap) -> "EmbeddedGraph":
-        if surface_euler_characteristic(m.surface) != 2:
-            raise MapError("only sphere maps embed with all regions simply connected")
-        regions = tuple((len(b), True) for b in m.faces)
-        return cls(len(m.vertices()), m.edge_count(), regions)
-
-    def sparsity_check(self) -> dict:
-        """No multiple short regions: then at most 3V - something edges.
-
-        Hypothesis: at most one simply connected region has perimeter
-        below three.  Under it the edge count is at most 3 * vertices.
-        """
-        short = [p for p, simply in self.regions if simply and p < 3]
-        ok = len(short) <= 1
-        report = {
-            "hypothesis_holds": ok,
-            "short_regions": len(short),
-            "bound_holds": self.edge_count <= 3 * self.vertex_count,
-        }
-        if ok and not report["bound_holds"]:
-            raise MapError(
-                "sparsity hypothesis holds but edge bound fails: "
-                f"E={self.edge_count}, V={self.vertex_count}"
-            )
-        return report
 
 
 # ---------------------------------------------------------------------------

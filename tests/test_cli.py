@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -436,6 +437,17 @@ def test_motion_cars_not_a_list(goldens, tmp_path, capsys):
     assert "cars must be a list of objects" in report["error"]
 
 
+@pytest.mark.parametrize("period", ["0", "-3"])
+def test_motion_refuses_a_nonpositive_period(goldens, tmp_path, capsys, period):
+    doc = json.loads((goldens / "unit-motion.motion.json").read_text())
+    doc["period"] = period
+    path = tmp_path / "bad.motion.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"), str(path))
+    assert code == 2
+    assert "period must be positive" in report["error"]
+
+
 @pytest.mark.parametrize("stops", [5, [5], [[0]], [[0, "1"]], [[True, 0]]])
 def test_motion_stop_corners_not_int_pairs(goldens, tmp_path, capsys, stops):
     doc = json.loads((goldens / "unit-motion.motion.json").read_text())
@@ -668,6 +680,25 @@ def test_word_refuses_bad_syllables_that_cancel(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, report = run_json(capsys, "word", str(path), "classify")
     assert (code, report["error"]) == (2, "bad factor index in ('g', -1, (1,))")
+
+
+def test_word_counts_t_letters_without_expanding_them(tmp_path, capsys):
+    # a ~70-byte document whose one t-run holds 10**12 unit letters: the
+    # count is the sum of |exp|, so neither action allocates by the exponent
+    doc = {"base": {"kind": "free", "rank": 2}, "syllables": [{"t": 1, "exp": 10**12}]}
+    path = tmp_path / "long-t.word.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "word", str(path), "classify")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert report["results"]["t_letters"] == 10**12
+    assert report["results"]["conjugate_to_t_pm_g"] is False
+    start = time.perf_counter()
+    code, report = run_json(capsys, "word", str(path), "rewrite")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["error"] == f"t-exponent sum must be +-1, got {10**12}"
 
 
 def test_word_criterion(tmp_path, capsys):

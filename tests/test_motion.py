@@ -97,6 +97,12 @@ def test_motion_schedule_refuses_a_boolean_period():
         MotionSchedule(True, (unit_car(0, 3),))
 
 
+def test_motion_schedule_refuses_a_nonpositive_period():
+    for period in (F(-1), 0):
+        with pytest.raises(MotionError, match="^period must be positive$"):
+            MotionSchedule(period, (unit_car(0, 3),))
+
+
 def test_car_schedule_refuses_float_and_boolean_breakpoints():
     with pytest.raises(MotionError, match=r"^breakpoint time must be an int or a Fraction, "
                                           r"got 0\.5$"):

@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,27 +11,22 @@ from spheremotion.rewriting import (
     RelativePresentationData,
     RewriteError,
     RewriteResult,
-    build_augmented_presentation,
     check_minimality,
     in_P,
     in_P_phi,
-    initial_data,
     is_conjugate_to_t_pm_g,
     is_difficult_case,
     is_difficult_pattern,
-    lemma1_v,
-    lemma2_auxiliary,
     main_theorem_verdict,
     minimize_presentation,
     move_absorb_b,
     move_lower_s,
-    phi,
-    primitive_root_word,
     reconstruct_relator,
     rewrite_word,
     substitute_copies,
     to_shifted_form,
 )
+from word_oracle import reassembled
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -47,6 +41,10 @@ def chain(base, *letters_and_eps):
         items.append(("g", 0, base.parse(lit)))
         items.append(("t", 1, eps))
     return FreeProductWord.from_syllables(base, items)
+
+
+def g_at(base, copy, literal):
+    return FreeProductWord.from_syllables(base, [("g", copy, base.parse(literal))])
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,7 @@ def test_shifted_form_min_k_zero_and_reassembly():
     w = chain(F3, ("a", 1), ("b", 1), ("c", -1))
     sf = to_shifted_form(w)
     assert min(sf.k) == 0
-    assert sf.reassembled().is_conjugate_to(w)
+    assert reassembled(sf).is_conjugate_to(w)
 
 
 def eps_one_words(base=F3, max_minus=2):
@@ -102,7 +100,7 @@ def eps_one_words(base=F3, max_minus=2):
 def test_reassembly_is_conjugate(w):
     sf = to_shifted_form(w)
     assert min(sf.k) == 0
-    assert sf.reassembled().is_conjugate_to(w.cyclic_reduce())
+    assert reassembled(sf).is_conjugate_to(w.cyclic_reduce())
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def test_minimize_easy_word_keeps_P_nontrivial():
 
 def test_minimize_n_is_one():
     res = rewrite_word(word(F2, "a", ("t", 1, 1)))
-    assert res.n_is_one
+    assert res.n == 1
     assert (res.data.s, res.data.m) == (0, -1)
     assert not is_difficult_case(word(F2, "a", ("t", 1, 1)))
 
@@ -230,158 +228,6 @@ def test_main_theorem_verdict():
     assert not v["simple"] and v["failing"] == ("word is not conjugate to t^{+-1} g",)
 
 
-# ---------------------------------------------------------------------------
-# auxiliary elements
-# ---------------------------------------------------------------------------
-
-
-def g_at(base, copy, literal):
-    return FreeProductWord.from_syllables(base, [("g", copy, base.parse(literal))])
-
-
-def test_primitive_root_word():
-    w = word(F2, "a", ("t", 1, 1)) ** 3
-    r, e = primitive_root_word(w)
-    assert e == 3 and r == word(F2, "a", ("t", 1, 1))
-    r, e = primitive_root_word(word(F2, ("t", 1, -6)))
-    assert (r, e) == (word(F2, ("t", 1, -1)), 6)
-    r, e = primitive_root_word(word(F2, "abab"))
-    assert e == 2 and r == word(F2, "ab")
-    z4 = FreeProductWord.from_syllables(Z2, [("g", 0, (4, 6))])
-    r, e = primitive_root_word(z4)
-    assert e == 2 and r == FreeProductWord.from_syllables(Z2, [("g", 0, (2, 3))])
-
-
-def test_lemma1_v_u_inside_B():
-    u = g_at(F2, 1, "a")
-    v = lemma1_v(F2, [0], [1], u)
-    # v = b^-1 a b with b from B avoiding roots of u
-    assert v == g_at(F2, 1, "b").inverse() * g_at(F2, 0, "a") * g_at(F2, 1, "b")
-    from spheremotion.groups import free_subgroup_probe
-
-    assert free_subgroup_probe([g_at(F2, 0, "a"), u, v], 4)
-
-
-def test_lemma1_v_mixed_u():
-    u = g_at(F2, 1, "a") * g_at(F2, 0, "b") * g_at(F2, 1, "ab")
-    v = lemma1_v(F2, [0], [1], u)
-    from spheremotion.groups import free_subgroup_probe
-
-    assert free_subgroup_probe([g_at(F2, 0, "a"), u, v], 4)
-
-
-def test_lemma1_v_strips_A_runs():
-    # u = (A-run) u0 (A-run); the flanking runs must not affect freeness
-    u = g_at(F2, 0, "b") * g_at(F2, 1, "a") * g_at(F2, 0, "a")
-    v = lemma1_v(F2, [0], [1], u)
-    from spheremotion.groups import free_subgroup_probe
-
-    assert free_subgroup_probe([g_at(F2, 0, "a"), u, v], 4)
-
-
-def test_lemma1_v_errors():
-    with pytest.raises(RewriteError):
-        lemma1_v(F2, [], [1], g_at(F2, 1, "a"))  # A trivial
-    with pytest.raises(RewriteError):
-        lemma1_v(FreeGroup(1), [0], [1], g_at(FreeGroup(1), 1, "a"))  # B cyclic
-    with pytest.raises(RewriteError):
-        lemma1_v(F2, [0], [1], g_at(F2, 0, "a"))  # u in A
-    with pytest.raises(RewriteError):
-        lemma1_v(F2, [0], [1], g_at(F2, 2, "a"))  # u outside <A, B>
-
-
-def test_lemma2_auxiliary_on_easy_word():
-    w = chain(FreeGroup(5), ("a", 1), ("b", 1), ("c", 1), ("d", -1), ("e", -1))
-    d = rewrite_word(w).data
-    assert d.s >= 1 and d.m >= 0
-    base = d.base
-    samples = [
-        g_at(base, 0, "a"),
-        g_at(base, 0, "ab") * g_at(base, 0, "c") if d.s > 1 else g_at(base, 0, "ba"),
-        phi(g_at(base, 0, "b")),
-    ]
-    a1, b1 = lemma2_auxiliary(d, 0, probe_depth=4, samples=samples)
-    assert not a1.is_identity() and not b1.is_identity()
-
-
-def test_lemma2_auxiliary_errors():
-    w = chain(F3, ("a", 1), ("b", -1), ("c", 1))
-    d = rewrite_word(w).data  # s = 0
-    with pytest.raises(RewriteError):
-        lemma2_auxiliary(d, 0)
-    one = FreeGroup(1)
-    dd = RelativePresentationData(
-        one, 1, 0, g_at(one, 1, "a"), (g_at(one, 1, "a"),), (g_at(one, 1, "a"),)
-    )
-    with pytest.raises(RewriteError):
-        lemma2_auxiliary(dd, 0)
-
-
-# ---------------------------------------------------------------------------
-# augmented presentations
-# ---------------------------------------------------------------------------
-
-
-def test_build_augmented_power_four():
-    w = chain(F3, ("a", 1), ("b", -1), ("c", 1))
-    d = rewrite_word(w).data  # s = 0, a_0 = c, b_0 = b
-    a = word(F3, "a")
-    b = word(F3, "a", "b") * word(F3, "a")  # generic
-    pres, report = build_augmented_presentation(d, a, b, d=2, power=4)
-    assert len(pres.relators) == 2
-    assert not pres.has_phi
-    assert report["face_type"] == "c" and report["face_s"] == 4
-    assert report["face_k"] == report["face_l"] == 1
-    assert pres.relators[1].t_sign_sequence() == (-1, -1, 1, 1) * 4
-
-
-def test_build_augmented_power_four_hypothesis_fail():
-    w = chain(F3, ("a", 1), ("b", -1), ("c", 1))
-    d = rewrite_word(w).data  # a_0 = c
-    bad_a = word(F3, "c")  # a^2 = c^2 is a power of a_0
-    with pytest.raises(RewriteError):
-        build_augmented_presentation(d, bad_a, word(F3, "a"), d=2, power=4)
-    bad_b = word(F3, "b")  # b^2 in <b_0>
-    with pytest.raises(RewriteError):
-        build_augmented_presentation(d, word(F3, "a"), bad_b, d=2, power=4)
-
-
-def test_build_augmented_power_one():
-    w = chain(FreeGroup(5), ("a", 1), ("b", 1), ("c", 1), ("d", -1), ("e", -1))
-    d = rewrite_word(w).data
-    assert d.s >= 1
-    base = d.base
-    samples = [g_at(base, 0, "a"), phi(g_at(base, 0, "b"))]
-    a_aux, b_aux = lemma2_auxiliary(d, d.m)
-    pres, report = build_augmented_presentation(
-        d, a_aux, b_aux, d=3, power=1, samples=samples
-    )
-    assert pres.has_phi
-    assert report["face_type"] == "d"
-    assert report["face_k"] == report["face_l"] == 2
-    assert pres.relators[1].t_sign_sequence() == (-1, -1, -1, 1, 1, 1)
-
-
-def test_build_augmented_power_one_failed_probes():
-    w = chain(FreeGroup(5), ("a", 1), ("b", 1), ("c", 1), ("d", -1), ("e", -1))
-    d = rewrite_word(w).data
-    base = d.base
-    a_aux, b_aux = lemma2_auxiliary(d, d.m)
-    # a sample equal to a (in P) or to b (in P^phi) repeats a generator
-    a, b = g_at(base, 0, "a"), phi(g_at(base, 0, "b"))
-    with pytest.raises(RewriteError, match=re.escape("probe failed for <P, a_m, a>")):
-        build_augmented_presentation(d, a, b_aux, d=3, power=1, samples=[a])
-    with pytest.raises(RewriteError, match=re.escape("probe failed for <P^phi, b_0, b>")):
-        build_augmented_presentation(d, a_aux, b, d=3, power=1, samples=[b])
-
-
-def test_build_augmented_power_one_wrong_s():
-    w = chain(F3, ("a", 1), ("b", -1), ("c", 1))
-    d = rewrite_word(w).data  # s = 0
-    with pytest.raises(RewriteError):
-        build_augmented_presentation(d, word(F3, "a"), word(F3, "b"), d=2, power=1)
-
-
 def test_shifted_form_abelian_base():
     w = FreeProductWord.from_syllables(
         Z2, [("g", 0, (1, 0)), ("t", 1, 1), ("g", 0, (0, 1)), ("t", 1, -1), ("g", 0, (2, 2)), ("t", 1, 1)]
@@ -451,7 +297,7 @@ def test_word_assembly_matches_left_folds(seed, base):
     w = random_unit_sum_word(make_rng(seed), base=base, max_minus=6)
     res = rewrite_word(w)
     for sf in (res.shifted, to_shifted_form(w.inverse() if res.inverted else w)):
-        assert sf.reassembled() == fold_reassembled(sf)
+        assert reassembled(sf) == fold_reassembled(sf)
     for data in presentations_along(res):
         relator = data.relator()
         assert relator == fold_relator(data)

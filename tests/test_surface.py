@@ -16,7 +16,6 @@ from spheremotion.fuzzing import (
 )
 from spheremotion.goldens import PINWHEEL_VERTICES, banded_sphere_map, genus_map, pinwheel_map
 from spheremotion.surface import (
-    EmbeddedGraph,
     MapError,
     OrientedMap,
     classify_face,
@@ -282,37 +281,6 @@ def test_subdivide_edge():
         subdivide_edge(m, 3, (0, 21))
     with pytest.raises(MapError):
         subdivide_edge(m, 99, (20, 21))
-
-
-def test_embedded_graph_validation():
-    with pytest.raises(MapError):
-        EmbeddedGraph(2, 3, ((3, True), (2, True)))  # perimeters sum to 5
-    g = EmbeddedGraph(2, 3, ((3, True), (3, True)))
-    assert g.sparsity_check()["bound_holds"]
-
-
-def test_embedded_graph_from_sphere_map():
-    g = EmbeddedGraph.from_sphere_map(pinwheel_map())
-    rep = g.sparsity_check()
-    assert rep["hypothesis_holds"] and rep["bound_holds"]
-
-
-def test_seven_parallel_edges_violate_hypothesis():
-    # two vertices joined by 7 parallel edges: E=7 > 3V=6, and indeed
-    # many 2-gon regions break the sparsity hypothesis
-    regions = tuple((2, True) for _ in range(7))
-    g = EmbeddedGraph(2, 7, regions)
-    rep = g.sparsity_check()
-    assert not rep["hypothesis_holds"]
-    assert rep["short_regions"] == 7
-    assert not rep["bound_holds"]
-
-
-def test_sparsity_bound_exact_statement():
-    # one short region is allowed and the bound still holds
-    g = EmbeddedGraph(3, 6, ((2, True), (4, True), (3, True), (3, False)))
-    rep = g.sparsity_check()
-    assert rep["hypothesis_holds"] and rep["bound_holds"]
 
 
 @st.composite
