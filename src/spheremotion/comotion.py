@@ -33,6 +33,9 @@ are no floats.  `validate_comotion` checks a comotion on a map once and
 keeps a record per map on the comotion, as each cocar keeps its lap
 tables: the `corner_ticks`, their `_residues` and, once
 `weight_report`'s span check has passed, the `solve_edges` result.
+`subdivide_comotion` hands solved edges over: when the parent's record
+holds them, the child's record is made and span-checked at once, carries
+every edge but the split one, and solves only the two new edges.
 
 The weight report and the vertex loci read corners in integers.
 `corner_ticks` reads every corner of a face with `motion.lap_read`, the
@@ -492,9 +495,14 @@ def subdivide_comotion(
     """Carry a comotion over to the map with one edge subdivided.
 
     The split dart doubles in length, so positions stretch through an
-    affine reparametrization; arrival times do not change.
+    affine reparametrization; arrival times do not change.  When the
+    parent's record holds solved edges, the child gets a record of its
+    own: it is checked and span-checked as `weight_report` would, and
+    every edge but the split one keeps its components, as an untouched
+    dart's positions shift by whole darts; only the two new edges are
+    solved.
     """
-    validate_comotion(m, com)
+    rec = validate_comotion(m, com)
     m2 = subdivide_edge(m, edge, new_edges)
     T = com.period
     cocars = []
@@ -528,4 +536,11 @@ def subdivide_comotion(
         ys = [y * (g // w) for y, w in reads]
         cocars.append(Cocar.from_ints(cocar.face, cocar.degree, [remap(x) for x in xs],
                                       X, ys, Y * g))
-    return m2, Comotion(T, tuple(cocars))
+    com2 = Comotion(T, tuple(cocars))
+    if "edges" in rec:
+        rec2 = validate_comotion(m2, com2)
+        span_check(m2, com2, rec2["ct"])
+        solved = rec["edges"]
+        rec2["edges"] = {e: solved[e] if e in solved else edge_components(m2, com2, e)
+                         for e in m2.edge_ids}
+    return m2, com2

@@ -217,15 +217,22 @@ class FreeGroup(BaseGroup):
 
 
 class FreeAbelianGroup(BaseGroup):
-    """Free abelian group of finite rank; elements are int vectors."""
+    """Free abelian group of rank 1..MAX_RANK; elements are int vectors.
+
+    The identity and every element are `rank`-tuples, so the rank is
+    bounded as the free group's is, and refused before any is built.
+    """
 
     kind = "abelian"
+    MAX_RANK = 26
 
     def __init__(self, rank: int):
         if type(rank) is not int:
             raise GroupError(f"abelian rank must be an int, got {rank!r}")
         if rank < 1:
             raise GroupError(f"abelian rank must be >= 1, got {rank}")
+        if rank > self.MAX_RANK:
+            raise GroupError(f"abelian rank must be at most {self.MAX_RANK}, got {rank}")
         self.rank = rank
 
     @property

@@ -9,12 +9,14 @@ corners they start at.  Dart owners, the corner rotation, the edge ids and
 the face components read it, and so do the edge loops of motion, comotion
 and diagram.  Vertices are not stored; they are the orbits of the corner
 rotation and get computed once per map, with the corner-to-vertex table.
-An edit (`remove_edge`) carries the orbits over to the map it builds
-instead of walking them again.
+Both edits, `remove_edge` and the split `subdivide_edge`, build their map
+without the constructor: they translate `edge_sides` and carry the orbits
+over instead of walking them again.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -357,7 +359,13 @@ def subdivide_edge(m: OrientedMap, edge: int, new_edges: tuple[int, int]) -> Ori
     """Replace an edge with a two-edge path through a fresh valence-2 vertex.
 
     The + dart becomes new_edges traversed (+, +), the - dart (-, -) in
-    the opposite order.
+    the opposite order.  V and E rise by one and connectivity cannot
+    change, so no invariant needs checking again: as in `remove_edge`, the
+    map is built without the constructor.  Each corner of the split faces
+    moves one place on for every split dart before it, which keeps the
+    corner order, so the old orbits translate corner by corner, keep their
+    starting corners and stay sorted; the new vertex's two corners, one
+    between the new darts on each side, go in as one more orbit.
     """
     e1, e2 = new_edges
     if type(e1) is not int or type(e2) is not int:
@@ -365,16 +373,30 @@ def subdivide_edge(m: OrientedMap, edge: int, new_edges: tuple[int, int]) -> Ori
     used = set(m.edge_ids)
     if e1 in used or e2 in used or e1 == e2:
         raise MapError("new edge ids must be fresh and distinct")
-    m.sides_of(edge)  # refuses an absent edge, or an id that is not an int
-    faces = []
-    for b in m.faces:
-        out: list[Dart] = []
-        for d in b:
+    plus, minus = m.sides_of(edge)  # refuses an absent edge, or an id that is not an int
+    split = {plus[0], minus[0]}
+    translate = {(f, j): (f, j + sum(g == f and i < j for g, i in (plus, minus)))
+                 for f in split for j in range(len(m.faces[f]))}
+    faces = list(m.faces)
+    for f in split:
+        darts: list[Dart] = []
+        for d in m.faces[f]:
             if d == (edge, 1):
-                out += [(e1, 1), (e2, 1)]
+                darts += [(e1, 1), (e2, 1)]
             elif d == (edge, -1):
-                out += [(e2, -1), (e1, -1)]
+                darts += [(e2, -1), (e1, -1)]
             else:
-                out.append(d)
-        faces.append(tuple(out))
-    return OrientedMap(m.surface, tuple(faces))
+                darts.append(d)
+        faces[f] = tuple(darts)
+    at = translate.get
+    (f1, i1), (f2, i2) = start1, start2 = at(plus, plus), at(minus, minus)
+    middle = (f1, i1 + 1), (f2, i2 + 1)  # the new corners, after (e1, +1) and (e2, -1)
+    sides = {e: (at(a, a), at(b, b)) for e, (a, b) in m.edge_sides.items() if e != edge}
+    sides[e1] = start1, middle[1]
+    sides[e2] = middle[0], start2
+    orbits = [tuple(at(c, c) for c in orbit) for orbit in m._orbits]
+    insort(orbits, tuple(sorted(middle)))
+    out = object.__new__(OrientedMap)
+    out.__dict__.update(surface=m.surface, faces=tuple(faces), edge_sides=sides,
+                        _orbits=tuple(orbits))
+    return out

@@ -5,7 +5,9 @@ the oracle that the lap-table lookups are compared against.  Every
 `cotime_at` call scans the whole face, and every edge rebuilds the
 dart-to-corner table.  Corner times, the span check, psi and the
 subdivision remap work on Fractions, as the integer corner ticks'
-oracle.  `parse_comotion` is the document reader that built every cocar
+oracle; `subdivide_comotion` builds its map with
+`map_edit_oracle.rebuilt_subdivision`, not with the split under test.
+`parse_comotion` is the document reader that built every cocar
 from Fractions, the oracle of the int reader.  `Cocar` is the cocar class
 whose `__post_init__` checked every breakpoint as a `Fraction`, its
 checks verbatim: the reference of the int-stored cocar's refusals and
@@ -19,6 +21,7 @@ inputs small.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from map_edit_oracle import rebuilt_subdivision
 from motion_oracle import rational_pairs
 from spheremotion import comotion
 from spheremotion.comotion import (
@@ -36,7 +39,7 @@ from spheremotion.jsonio import (
     _field,
     _plain_ratio,
 )
-from spheremotion.surface import OrientedMap, subdivide_edge
+from spheremotion.surface import OrientedMap
 
 ZERO = Fraction(0)
 
@@ -224,9 +227,10 @@ def weight_report(m, com):
 
 
 def subdivide_comotion(m, com, edge, new_edges):
-    """The comotion carried over to the map with one edge subdivided."""
+    """The comotion carried over to the map with one edge subdivided, the
+    map rebuilt in full."""
     validate_comotion(m, com)
-    m2 = subdivide_edge(m, edge, new_edges)
+    m2 = rebuilt_subdivision(m, edge, new_edges)
     T = com.period
     cocars = []
     for cocar in com.cocars:

@@ -8,14 +8,16 @@ and rebuilds every word it makes with the full check,
 `FreeProductWord(base, syllables)`; a word that fails the check or differs
 fails the test that made it, and the session as well.
 
-Map edits work the same way.  `OrientedMap.remove_edge` builds its map
-without the constructor and carries the vertex orbits over, and
-`diagram._unchecked_diagram` builds the diagram of a phi merge without
-`HowieDiagram.__post_init__`.  Every map the edit makes is compared with
-the full rebuild of `map_edit_oracle.edit_problem` (faces, `edge_sides`,
-`vertices()` in order, `vertex_of` and the corner translation), and every
-diagram the builder makes is rebuilt with `HowieDiagram(...)` over
-`OrientedMap(surface, faces)` and compared.
+Map edits work the same way.  `OrientedMap.remove_edge` and the split
+`surface.subdivide_edge` build their maps without the constructor and
+carry the vertex orbits over, and `diagram._unchecked_diagram` builds the
+diagram of a phi merge without `HowieDiagram.__post_init__`.  Every map
+an edit makes is compared with its full rebuild in `map_edit_oracle`
+(faces, `edge_sides`, `vertices()` in order, `vertex_of` and, for a
+removal, the corner translation), and every diagram the builder makes is
+rebuilt with `HowieDiagram(...)` over `OrientedMap(surface, faces)` and
+compared.  The split is a module function, so the fixture rebinds it in
+every loaded module that holds it, test modules included.
 
 The presentation moves `rewriting.move_lower_s` and `move_absorb_b` build
 their data through `rewriting._unchecked_data`, without
@@ -44,6 +46,16 @@ equal.  The rebuild
 calls the functions as they were when the session started, so a test that
 counts calls does not see it.
 
+A comotion keeps one record per map as well, and `subdivide_comotion`
+hands the child a record of its own when the parent's holds solved
+edges.  Every record handed over is compared with the analysis of a
+record-free copy: a fresh `Comotion` of the same cocars, rebuilt from
+their Fractions so that no lap table is shared, run through
+`validate_comotion`, the span check and every edge's `edge_components`.
+The corner ticks, residues and solved edges must be equal.  The rebuild
+calls the functions as they were when the session started, and the
+subdivision is rebound in every module that holds it, as the split is.
+
 A collision report keeps its loci in ints, and its Fraction views are
 built only when read.  Every report that `motion.complete_collisions`
 builds, through `CollisionReport._from_ints`, is rebuilt through the
@@ -59,6 +71,7 @@ Run with `--noconftest` to time the suite without them.
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -66,9 +79,24 @@ import pytest
 import comotion_oracle
 import motion_oracle
 from collision_oracle import int_lap, intervals_instants
-from map_edit_oracle import edit_problem
-from spheremotion import comotion, diagram, groups, motion, rewriting
+from map_edit_oracle import edit_problem, map_problem, rebuilt_subdivision
+from spheremotion import comotion, diagram, groups, motion, rewriting, surface
 from spheremotion.surface import OrientedMap
+
+
+def rebind(old, new):
+    """Bind `new` in place of `old` in every loaded module that holds it;
+    returns the undo."""
+    holders = [(vars(mod), name) for mod in list(sys.modules.values())
+               for name, value in list(getattr(mod, "__dict__", {}).items()) if value is old]
+    for namespace, name in holders:
+        namespace[name] = new
+
+    def undo():
+        for namespace, name in holders:
+            namespace[name] = old
+
+    return undo
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -123,7 +151,7 @@ def checked_presentation_oracle():
 
 @pytest.fixture(scope="session", autouse=True)
 def checked_edit_oracle():
-    remove = OrientedMap.remove_edge
+    remove, split = OrientedMap.remove_edge, surface.subdivide_edge
     build = diagram._unchecked_diagram
     violations = []
 
@@ -139,6 +167,14 @@ def checked_edit_oracle():
             fail(f"remove_edge({edge}) on {m.faces}", problem)
         return new, translate
 
+    @functools.wraps(split)
+    def checked_split(m, edge, new_edges):
+        new = split(m, edge, new_edges)
+        problem = map_problem(new, rebuilt_subdivision(m, edge, new_edges))
+        if problem is not None:
+            fail(f"subdivide_edge({edge}, {new_edges}) on {m.faces}", problem)
+        return new
+
     @functools.wraps(build)
     def checked_build(*parts):
         d = build(*parts)
@@ -153,11 +189,13 @@ def checked_edit_oracle():
 
     OrientedMap.remove_edge = checked_remove
     diagram._unchecked_diagram = checked_build
+    unbind = rebind(split, checked_split)
     try:
         yield
     finally:
         OrientedMap.remove_edge = remove
         diagram._unchecked_diagram = build
+        unbind()
     assert not violations, violations[:5]
 
 
@@ -278,6 +316,50 @@ def motion_record_oracle():
         yield
     finally:
         motion._indexes_by_face = indexes
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def comotion_record_oracle():
+    subdivide = comotion.subdivide_comotion
+    validate, span = comotion.validate_comotion, comotion.span_check
+    solve = comotion.edge_components
+    violations = []
+
+    def fail(what, problem):
+        violations.append((what, problem))
+        raise AssertionError(f"{what}: {problem}")
+
+    def analysis(m, com):
+        """The record's contents, from a copy of com with no record and no
+        cocar tables."""
+        fractions = comotion.Cocar.breakpoints.func  # without caching them
+        cocars = tuple(comotion.Cocar(c.face, c.degree, fractions(c)) for c in com.cocars)
+        fresh = comotion.Comotion(com.period, cocars)
+        rec = dict(validate(m, fresh))
+        span(m, fresh, rec["ct"])
+        rec["edges"] = {edge: solve(m, fresh, edge) for edge in m.edge_ids}
+        return rec
+
+    @functools.wraps(subdivide)
+    def checked_subdivide(m, com, edge, new_edges):
+        m2, com2 = subdivide(m, com, edge, new_edges)
+        rec = com2._records.get(m2)
+        if rec is not None:
+            what = f"record handed over by subdividing {edge} of {m.faces}"
+            try:
+                want = analysis(m2, com2)
+            except comotion.ComotionError as exc:
+                fail(what, f"the checks refuse the child: {exc}")
+            if rec != want:
+                fail(what, "not the analysis of a record-free copy")
+        return m2, com2
+
+    unbind = rebind(subdivide, checked_subdivide)
+    try:
+        yield
+    finally:
+        unbind()
     assert not violations, violations[:5]
 
 

@@ -2,9 +2,11 @@
 
 `rebuilt_without` removes an edge by listing the merged faces and calling
 the checked constructor, which walks every incidence and vertex orbit
-again; the corner translation is read off the darts.  `rebuilt_phi_move`
-is the original phi merge, which rebuilt the map and then the whole
-diagram through both constructors.  Slow on purpose.
+again; the corner translation is read off the darts.
+`rebuilt_subdivision` is the original `subdivide_edge`: it lists every
+face with the split dart replaced and calls the constructor.
+`rebuilt_phi_move` is the original phi merge, which rebuilt the map and
+then the whole diagram through both constructors.  Slow on purpose.
 """
 
 from spheremotion.diagram import HowieDiagram
@@ -29,9 +31,27 @@ def rebuilt_without(m: OrientedMap, edge: int):
     return rebuilt, {c: image(c) for c in m.corners()}
 
 
-def edit_problem(m: OrientedMap, edge: int, new: OrientedMap, translate) -> str | None:
-    """What `m.remove_edge(edge)` got wrong against the full rebuild, or None."""
-    rebuilt, want = rebuilt_without(m, edge)
+def rebuilt_subdivision(m: OrientedMap, edge: int, new_edges: tuple[int, int]) -> OrientedMap:
+    """`subdivide_edge(m, edge, new_edges)` built in full; the ids are
+    assumed fresh and the edge present."""
+    e1, e2 = new_edges
+    faces = []
+    for b in m.faces:
+        out = []
+        for d in b:
+            if d == (edge, 1):
+                out += [(e1, 1), (e2, 1)]
+            elif d == (edge, -1):
+                out += [(e2, -1), (e1, -1)]
+            else:
+                out.append(d)
+        faces.append(tuple(out))
+    return OrientedMap(m.surface, tuple(faces))
+
+
+def map_problem(new: OrientedMap, rebuilt: OrientedMap) -> str | None:
+    """Where a map built without the constructor differs from its full
+    rebuild, or None."""
     if new.surface != rebuilt.surface or new.faces != rebuilt.faces:
         return "faces differ"
     if new.edge_sides != rebuilt.edge_sides:
@@ -40,9 +60,16 @@ def edit_problem(m: OrientedMap, edge: int, new: OrientedMap, translate) -> str 
         return "vertices differ"
     if any(new.vertex_of(c) != rebuilt.vertex_of(c) for c in rebuilt.corners()):
         return "vertex_of differs"
-    if translate != want:
-        return "corner translation differs"
     return None
+
+
+def edit_problem(m: OrientedMap, edge: int, new: OrientedMap, translate) -> str | None:
+    """What `m.remove_edge(edge)` got wrong against the full rebuild, or None."""
+    rebuilt, want = rebuilt_without(m, edge)
+    problem = map_problem(new, rebuilt)
+    if problem is None and translate != want:
+        return "corner translation differs"
+    return problem
 
 
 def rebuilt_phi_move(d: HowieDiagram, edge: int) -> HowieDiagram:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -699,6 +700,21 @@ def test_word_counts_t_letters_without_expanding_them(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert report["error"] == f"t-exponent sum must be +-1, got {10**12}"
+
+
+def test_word_refuses_an_abelian_rank_above_its_maximum_before_building_it(tmp_path, capsys):
+    # a rank-10**7 identity would be a tuple of ten million zeros
+    doc = {"base": {"kind": "abelian", "rank": 10**7}, "syllables": [{"t": 1, "exp": 1}]}
+    path = tmp_path / "wide.word.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, report = run_json(capsys, "word", str(path), "classify")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, report["error"]) == (2, f"abelian rank must be at most 26, got {10**7}")
+    assert peak < 2**20
 
 
 def test_word_criterion(tmp_path, capsys):

@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import comotion_oracle
@@ -32,14 +32,22 @@ from spheremotion.comotion import (
     validate_comotion,
     weight_report,
 )
-from spheremotion.fuzzing import random_comotion, random_sphere_map, random_torus_map
+from spheremotion.fuzzing import (
+    make_rng,
+    pinwheel_variant,
+    random_comotion,
+    random_sphere_map,
+    random_torus_map,
+)
 from spheremotion.goldens import (
     doubled_polygon_map,
+    genus_map,
     pinwheel_double_car_motion,
     pinwheel_map,
     pinwheel_unit_motion,
+    square_torus_map,
 )
-from spheremotion.jsonio import comotion_to_json, dumps, parse_comotion
+from spheremotion.jsonio import comotion_to_json, dumps, map_to_json, parse_comotion, parse_map
 from spheremotion.motion import CarSchedule, MotionError, standard_motion
 from spheremotion.surface import classify_map
 
@@ -398,6 +406,74 @@ def test_subdivision_never_changes_the_total(seed):
     before = comotion_collisions(m, com).spatial_count
     after = comotion_collisions(m2, com2).spatial_count
     assert after >= before
+
+
+CHAIN_STARTS = {
+    "sphere": random_sphere_map,
+    "torus": random_torus_map,
+    "square torus": lambda rng: square_torus_map(),  # one face on both sides of each edge
+    "genus-2": lambda rng: genus_map(2),  # the 4g-gon: one face as well
+    "genus-3": lambda rng: genus_map(3),
+    "pinwheel": lambda rng: pinwheel_variant(rng.randint(1, 6)),
+}
+
+
+def _reports(m, com):
+    """The weight report, the collisions and the lemma-11 check, with every
+    dict read in order."""
+    weights = weight_report(m, com)
+    rep = comotion_collisions(m, com)
+    return ({k: list(v.items()) if type(v) is dict else v for k, v in weights.items()},
+            list(rep.vertex_loci.items()), list(rep.edge_loci.items()),
+            lemma11_check(m, com, rep))
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.sampled_from(sorted(CHAIN_STARTS)), seed=st.integers(0, 10**4),
+       period=st.sampled_from([None, F(3, 2), F(5, 12), F(7, 3)]), solve_start=st.booleans(),
+       steps=st.lists(st.tuples(st.integers(-1, 10**3), st.booleans()), min_size=1, max_size=6))
+@example(start="square torus", seed=0, period=None, solve_start=True, steps=[(0, True), (1, True)])
+@example(start="genus-2", seed=1, period=None, solve_start=True, steps=[(2, True), (3, False)])
+@example(start="sphere", seed=2, period=None, solve_start=True, steps=[(0, True), (-1, True),
+                                                                       (-1, False)])
+@example(start="torus", seed=3, period=F(5, 12), solve_start=False,
+         steps=[(1, False), (2, True), (3, True)])
+def test_subdivision_chains_report_as_their_documents(start, seed, period, solve_start, steps):
+    # each step's reports equal those of its documents read back, which carry
+    # no record; a step reads its own comotion, so that the next step hands
+    # the solved edges over, when `read` is drawn or once it already has
+    # them, and otherwise a record-free twin.  Pick -1 splits the edge the
+    # step before made last
+    rng = make_rng(seed)
+    m = CHAIN_STARTS[start](rng)
+    com = random_comotion(m, rng, period)
+    solved = solve_start
+    if solved:
+        weight_report(m, com)
+    for pick, read in steps:
+        ids = sorted(m.edge_ids)
+        nxt = ids[-1] + 1
+        m, com = subdivide_comotion(m, com, ids[pick % len(ids)], (nxt, nxt + 1))
+        assert ("edges" in validate_comotion(m, com)) == solved
+        solved = solved or read
+        read_back = parse_map(json.loads(dumps(map_to_json(m))))
+        doc = parse_comotion(json.loads(dumps(comotion_to_json(m, com))), read_back)
+        got = _reports(m, com if solved else Comotion(com.period, com.cocars))
+        assert got == _reports(read_back, doc)
+        assert got[0]["total"] == m.euler_characteristic()
+
+
+def test_a_handed_over_record_is_span_checked(monkeypatch):
+    checked = []
+    span = comotion.span_check
+    monkeypatch.setattr(comotion, "span_check", lambda m, com, ct: (checked.append(m),
+                                                                    span(m, com, ct)))
+    m = beach_ball()
+    com = beach_comotion()
+    weight_report(m, com)
+    m2, com2 = subdivide_comotion(m, com, 0, (2, 3))
+    assert checked == [m, m2]
+    assert "edges" in validate_comotion(m2, com2)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -176,6 +176,14 @@ def test_abelian_rank_must_be_an_int(rank):
 
 
 
+def test_abelian_rank_is_bounded_as_the_free_rank_is():
+    assert FreeAbelianGroup(FreeAbelianGroup.MAX_RANK).identity == (0,) * 26
+    for rank, message in ((0, "abelian rank must be >= 1, got 0"),
+                          (27, "abelian rank must be at most 26, got 27")):
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            FreeAbelianGroup(rank)
+
+
 def test_abelian_ops():
     assert Z2.multiply((1, 2), (3, -2)) == (4, 0)
     assert Z2.inverse((1, -5)) == (-1, 5)
