@@ -303,20 +303,14 @@ def _unchecked_diagram(*parts) -> HowieDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _interior_vertex_loci(d: HowieDiagram, ms: MotionSchedule, collisions=None):
-    """(vertex, instants) at interior vertices, read off the report's ints,
-    plus the keys of the edge loci off the exterior faces."""
-    if collisions is None:
-        collisions = complete_collisions(d.map, ms)
-    vertex = []
-    for v, (S, _, instants) in collisions.vertex_ints.items():
-        if v in d.exterior_vertices:
-            continue
-        vertex.append((v, tuple(Fraction(t, S) for t in instants)))
-    exterior_edges = {
-        e for f in d.exterior_faces for e, _ in d.map.faces[f]
-    }
-    return vertex, [key for key in collisions.edge_ints if key[0] not in exterior_edges]
+def _interior_loci(d: HowieDiagram, collisions) -> tuple[list, list]:
+    """The report's vertex loci off the exterior vertices and its edge loci
+    (edge, lam) off the exterior faces' edges, each in report order."""
+    exterior_edges = {e for f in d.exterior_faces for e, _ in d.map.faces[f]}
+    return (
+        [v for v in collisions.vertex_ints if v not in d.exterior_vertices],
+        [key for key in collisions.edge_ints if key[0] not in exterior_edges],
+    )
 
 
 def _require_standard_on_interior(d: HowieDiagram, ms: MotionSchedule, info=None):
@@ -340,7 +334,6 @@ def _require_standard_on_interior(d: HowieDiagram, ms: MotionSchedule, info=None
             for a, b in zip(want, got)
         ):
             raise DiagramError(f"motion is not standard on interior face {f}")
-    return info
 
 
 def audit_standard_collisions(
@@ -355,15 +348,18 @@ def audit_standard_collisions(
     edge.
     """
     _require_standard_on_interior(d, ms, info)
-    vertex_loci, edge_loci = _interior_vertex_loci(d, ms, collisions)
+    if collisions is None:
+        collisions = complete_collisions(d.map, ms)
+    vertex_loci, edge_loci = _interior_loci(d, collisions)
     records = []
-    for v, instants in vertex_loci:
+    for v in vertex_loci:
+        S, _, instants = collisions.vertex_ints[v]
         label = vertex_label(d, v)
         records.append(
             {
                 "vertex": v,
                 "kind": d.map.classify_vertex(v),
-                "instants": instants,
+                "instants": tuple(Fraction(t, S) for t in instants),
                 "label": label,
                 "refuted": not label.is_identity(),
             }
@@ -456,9 +452,7 @@ def bad_contact_report(d: HowieDiagram, collisions) -> tuple:
     """
     if d.large_faces is None:
         raise DiagramError("bad contact needs the 2-grading")
-    loci = [
-        v for v in collisions.vertex_ints if v not in d.exterior_vertices
-    ]
+    loci = _interior_loci(d, collisions)[0]
     found = []
 
     def corner_pairs(v, A, B):
@@ -538,8 +532,7 @@ def lemma17_audit(
     )
     report["conditions"]["multiplicities"] = cond1
 
-    vertex_points = [v for v in collisions.vertex_ints if v not in d.exterior_vertices]
-    edge_points = list(collisions.edge_ints)
+    vertex_points, edge_points = _interior_loci(d, collisions)
     report["interior_points"] = len(vertex_points) + len(edge_points)
 
     gamma_edges = []

@@ -1,18 +1,20 @@
 """Exact arithmetic in free products of group copies with cyclic generators.
 
 Words live in G(0) * G(1) * ... * <t_1> * <t_2> * ..., where every G(i) is a
-copy of one base group (free or free abelian) and each t_j generates an
-infinite cyclic factor.  Everything is immutable and hashable; all operations
-are pure.
+copy of one base group and each t_j generates an infinite cyclic factor.
+Everything is immutable and hashable; all operations are pure.
+
+A base group is a `FreeGroup` or a `FreeAbelianGroup`; each defines the
+whole element protocol that `BaseGroup` names.
 
 Elements are validated once, where they enter: the dataclass constructor
-called directly, `FreeProductWord.from_syllables` and `BaseGroup.parse`, on
-which `jsonio.parse_word` relies.  A word made from checked words (a
-product, inverse, power, copy shift, cyclic split or `FreeProductWord.span`)
-is already in normal form, so it is wrapped by the one private builder
-`_from_checked`, which skips the check.  Syllables joined from checked words
-or from their elements (`FreeProductWord.join`) are checked for shape and
-indices only, then brought to normal form.
+called directly, `FreeProductWord.from_syllables` and the base group's
+`parse`, on which `jsonio.parse_word` relies.  A word made from checked
+words (a product, inverse, power, copy shift, cyclic split or
+`FreeProductWord.span`) is already in normal form, so it is wrapped by the
+one private builder `_from_checked`, which skips the check.  Syllables
+joined from checked words or from their elements (`FreeProductWord.join`)
+are checked for shape and indices only, then brought to normal form.
 """
 
 from __future__ import annotations
@@ -34,25 +36,18 @@ def _divisors(n: int) -> Iterator[int]:
 class BaseGroup:
     """A torsion-free group with decidable equality and cyclic membership.
 
-    Concrete kinds: FreeGroup (rank r) and FreeAbelianGroup (rank n).
-    Elements are plain tuples so they hash and compare structurally.
+    Concrete kinds: FreeGroup (rank r) and FreeAbelianGroup (rank n), the
+    two that `jsonio.parse_base` builds.  Elements are plain tuples so they
+    hash and compare structurally.  Each kind defines the protocol that
+    words, rewriting and the document readers call: `identity`,
+    `multiply`, `inverse`, `is_identity`, `validate`, `generators`,
+    `cyclic_membership`, `is_conjugate`, `parse` and `format`.  This class
+    holds what the two share: `kind`, `rank`, equality, hashing and a
+    `power` by repeated multiplication.
     """
 
     kind: str = "abstract"
     rank: int = 0
-
-    @property
-    def identity(self):
-        raise NotImplementedError
-
-    def multiply(self, x, y):
-        raise NotImplementedError
-
-    def inverse(self, x):
-        raise NotImplementedError
-
-    def is_identity(self, x) -> bool:
-        raise NotImplementedError
 
     def power(self, x, k: int):
         if k < 0:
@@ -61,25 +56,6 @@ class BaseGroup:
         for _ in range(k):
             acc = self.multiply(acc, x)
         return acc
-
-    def validate(self, x) -> None:
-        raise NotImplementedError
-
-    def generators(self) -> tuple:
-        raise NotImplementedError
-
-    def cyclic_membership(self, g, h) -> bool:
-        """True iff g = h**k for some integer k."""
-        raise NotImplementedError
-
-    def is_conjugate(self, x, y) -> bool:
-        raise NotImplementedError
-
-    def parse(self, literal):
-        raise NotImplementedError
-
-    def format(self, x):
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, BaseGroup) and (self.kind, self.rank) == (
@@ -600,23 +576,3 @@ def _from_checked(base: BaseGroup, syllables: Tuple[Syllable, ...]) -> FreeProdu
 def _require_symbol(j) -> None:
     if type(j) is not int or j < 1:
         raise GroupError(f"unknown generator symbol t_{j}")
-
-
-def word(base: BaseGroup, *items) -> FreeProductWord:
-    """Build a word from loose syllable tuples or (parseable) shorthand.
-
-    Items may be syllable triples, strings (base literal in copy 0), or
-    ("t", j, exp) / ("g", copy, literal-or-element) tuples.
-    """
-    syls = []
-    for it in items:
-        if isinstance(it, str):
-            syls.append(("g", 0, base.parse(it)))
-        elif isinstance(it, tuple) and len(it) == 3 and it[0] in ("g", "t"):
-            tag, idx, val = it
-            if tag == "g" and isinstance(val, (str, list)):
-                val = base.parse(val)
-            syls.append((tag, idx, val))
-        else:
-            raise GroupError(f"cannot interpret word item {it!r}")
-    return FreeProductWord.from_syllables(base, syls)

@@ -325,13 +325,15 @@ def reconstruct_relator(data: RelativePresentationData) -> FreeProductWord:
 
 
 def is_difficult_pattern(signs: Sequence[int]) -> bool:
-    """Sign pattern test: some rotation equals + (- +)^(m+1) for some m >= 0."""
+    """Sign pattern test: some rotation equals + (- +)^(m+1) for some m >= 0.
+
+    For n odd >= 3, signs all +-1 and sum 1, there are (n - 1) / 2 minus
+    signs among n; they fit between the plus signs exactly when no two of
+    them are cyclically adjacent, so one pass decides it."""
     n = len(signs)
-    if n < 3 or n % 2 == 0 or sum(signs) != 1:
+    if n < 3 or n % 2 == 0 or sum(signs) != 1 or any(s not in (1, -1) for s in signs):
         return False
-    target = (1,) + (-1, 1) * ((n - 1) // 2)
-    doubled = tuple(signs) + tuple(signs)
-    return any(doubled[i : i + n] == target for i in range(n))
+    return all(signs[i] == 1 or signs[i - 1] == 1 for i in range(n))
 
 
 def is_difficult_case(w: FreeProductWord) -> bool:

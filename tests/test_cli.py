@@ -26,9 +26,10 @@ from spheremotion.fuzzing import (
     random_sphere_map,
 )
 from spheremotion.goldens import doubled_polygon_map
-from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
+from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord
 from spheremotion.motion import CollisionReport
 from spheremotion.rewriting import phi, rewrite_word
+from word_oracle import difficult_pattern_by_rotation, word
 
 B2 = FreeGroup(2)
 
@@ -700,6 +701,33 @@ def test_word_counts_t_letters_without_expanding_them(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert report["error"] == f"t-exponent sum must be +-1, got {10**12}"
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5])
+def test_word_classify_reads_a_long_sign_pattern_in_one_pass(tmp_path, capsys, n):
+    # a t^n b t^-(n-1) has 2n - 1 signs, so a pattern test quadratic in
+    # them takes minutes at n = 10**5
+    doc = {"base": {"kind": "free", "rank": 2}, "syllables": [
+        {"copy": 0, "elem": "a"}, {"t": 1, "exp": n},
+        {"copy": 0, "elem": "b"}, {"t": 1, "exp": -(n - 1)},
+    ]}
+    path = tmp_path / "long-runs.word.json"
+    path.write_text(json.dumps(doc))
+    # a line tracer, as in tests/tools/unreached.py, runs about 3x slower
+    limit = 2 if sys.gettrace() is None else 10
+    start = time.perf_counter()
+    code, report = run_json(capsys, "word", str(path), "classify")
+    assert time.perf_counter() - start < limit
+    assert code == 0
+    signs = report["results"]["signs"]
+    assert (len(signs), signs.count("+")) == (2 * n - 1, n)
+    # the rotation test as one substring search of the doubled signs
+    want = "+" + "-+" * (n - 1) in signs + signs
+    assert want is False
+    assert report["results"]["pattern_difficult"] is want
+    if n <= 10**3:
+        as_ints = tuple(1 if c == "+" else -1 for c in signs)
+        assert difficult_pattern_by_rotation(as_ints) is want
 
 
 def test_word_refuses_an_abelian_rank_above_its_maximum_before_building_it(tmp_path, capsys):

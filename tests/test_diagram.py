@@ -29,7 +29,7 @@ from spheremotion.diagram import (
 )
 from spheremotion.fuzzing import lune_map, make_rng, random_base_element, random_sphere_map
 from spheremotion.goldens import banded_sphere_map, doubled_polygon_map, unit_speed_motion
-from spheremotion.groups import FreeGroup, FreeProductWord, word
+from spheremotion.groups import FreeGroup, FreeProductWord
 from spheremotion.motion import (
     CarSchedule,
     CollisionReport,
@@ -43,6 +43,7 @@ from spheremotion.motion import (
 )
 from spheremotion.rewriting import RelativePresentation, phi
 from spheremotion.surface import MapError, OrientedMap, classify_map
+from word_oracle import word
 
 B2 = FreeGroup(2)
 

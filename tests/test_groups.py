@@ -7,11 +7,10 @@ from spheremotion.groups import (
     FreeProductWord,
     GroupError,
     reduce_letters,
-    word,
 )
 from spheremotion.fuzzing import make_rng, random_unit_sum_word
 from spheremotion.rewriting import reconstruct_relator, rewrite_word
-from word_oracle import reassembled
+from word_oracle import reassembled, word
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -90,6 +89,20 @@ def words_z2(max_size=8):
 word_triples = st.sampled_from([words_f2, words_z2]).flatmap(
     lambda words: st.tuples(words(), words(), words())
 )
+
+
+# the base-group protocol ----------------------------------------------------
+
+PROTOCOL = ("identity", "multiply", "inverse", "is_identity", "validate", "generators",
+            "cyclic_membership", "is_conjugate", "parse", "format")
+
+
+def test_each_base_group_implements_the_protocol():
+    # each kind defines the whole protocol itself: BaseGroup declares none
+    # of it, so a method dropped here would first fail where it is called
+    for kind in (FreeGroup, FreeAbelianGroup):
+        missing = [name for name in PROTOCOL if name not in vars(kind)]
+        assert not missing, f"{kind.__name__} lacks {missing}"
 
 
 # free base -------------------------------------------------------------------

@@ -30,7 +30,7 @@ from spheremotion.goldens import (
     pinwheel_retimed_motion,
     pinwheel_unit_motion,
 )
-from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
+from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord
 from spheremotion.jsonio import (
     MAX_EXPONENT,
     JsonError,
@@ -62,6 +62,7 @@ from spheremotion.motion import (
 )
 from spheremotion.rewriting import rewrite_word
 from spheremotion.surface import MapError, OrientedMap, classify_map
+from word_oracle import word
 
 
 def test_fraction_strings():
@@ -703,7 +704,7 @@ def _read_word(parse, doc, base):
 @settings(max_examples=400, deadline=None)
 @given(doc=word_docs(), base=st.sampled_from([None, FreeGroup(2), FreeAbelianGroup(2)]))
 def test_word_documents_read_as_the_twice_validating_reader(doc, base):
-    # parse_word joins the elements that BaseGroup.parse validated, without
+    # parse_word joins the elements that the base group's parse validated, without
     # validating them again
     want = _read_word(word_oracle.parse_word, doc, base)
     assert _read_word(parse_word, doc, base) == want

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from spheremotion import fuzzing
 from spheremotion.fuzzing import make_rng, random_base_element, random_unit_sum_word
-from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord, word
+from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord
 from spheremotion.rewriting import (
     T_SYMBOL,
     RelativePresentationData,
@@ -26,7 +26,7 @@ from spheremotion.rewriting import (
     substitute_copies,
     to_shifted_form,
 )
-from word_oracle import reassembled
+from word_oracle import difficult_pattern_by_rotation, reassembled, word
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -202,6 +202,38 @@ def test_difficult_pattern_examples():
     assert is_difficult_pattern((1, 1, -1))
     assert not is_difficult_pattern((1, 1, 1, -1, -1))
     assert not is_difficult_pattern((1,))
+
+
+def test_difficult_pattern_agrees_with_the_rotation_scan_on_every_short_sign_tuple():
+    for n in range(12):
+        for signs in itertools.product((1, -1), repeat=n):
+            assert is_difficult_pattern(signs) == difficult_pattern_by_rotation(signs), signs
+
+
+@st.composite
+def plus_between(draw):
+    """A rotation of + x_1 + x_2 ... + x_k +: no two non-plus entries are
+    cyclically adjacent, the shape the one-pass test looks for."""
+    xs = draw(st.lists(st.sampled_from((-1, -1, 0, -2, 2)), min_size=1, max_size=10))
+    signs = [v for x in xs for v in (1, x)] + [1]
+    r = draw(st.integers(0, len(signs) - 1))
+    return signs[r:] + signs[:r]
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.lists(st.sampled_from((1, -1)), max_size=25),
+    st.lists(st.integers(-3, 3), max_size=9),
+    st.lists(st.sampled_from((1, -1, 0, 2, -2)), min_size=3, max_size=9)
+    .filter(lambda s: sum(s) == 1),
+    plus_between(),
+))
+def test_difficult_pattern_agrees_with_the_rotation_scan(signs):
+    # lengths 0-2 and even lengths, and entries other than +-1 summing to 1
+    # in the difficult shape, which only the entry check refuses
+    want = difficult_pattern_by_rotation(signs)
+    assert is_difficult_pattern(signs) == want
+    assert is_difficult_pattern(tuple(signs)) == want
 
 
 # ---------------------------------------------------------------------------
