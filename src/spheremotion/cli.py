@@ -304,29 +304,7 @@ def cmd_word(args) -> tuple[dict, int]:
     checks = {}
     if args.action == "classify":
         results["conjugate_to_t_pm_g"] = is_conjugate_to_t_pm_g(w)
-        if w.exponent_sum() in (1, -1):
-            res = rewrite_word(w)
-            signs = res.shifted.signs()
-            results["signs"] = "".join("+" if e == 1 else "-" for e in signs)
-            results["s"] = res.data.s
-            results["m"] = res.data.m
-            results["difficult"] = res.data.s == 0 and res.data.m >= 0
-            results["pattern_difficult"] = is_difficult_pattern(signs)
-    elif args.action == "rewrite":
-        res = rewrite_word(w)
-        target = (w.inverse() if res.inverted else w).cyclic_reduce()
-        results["inverted"] = res.inverted
-        results["n"] = res.n
-        results["s"] = res.data.s
-        results["m"] = res.data.m
-        results["difficult"] = res.data.s == 0 and res.data.m >= 0
-        results["presentation"] = jsonio.presentation_to_json(res.data)
-        results["moves"] = [list(step) for step in res.trace]
-        results["minimality"] = check_minimality(res.data)
-        checks["roundtrip_conjugate"] = reconstruct_relator(res.data).is_conjugate_to(
-            target
-        )
-    else:
+    if args.action == "criterion":
         verdict = main_theorem_verdict(args.assume_simple, w)
         results["conjugate_to_t_pm_g"] = verdict["conjugate_to_t_pm_g"]
         results["verdict"] = {
@@ -334,6 +312,22 @@ def cmd_word(args) -> tuple[dict, int]:
             "g_is_simple": verdict["g_is_simple"],
             "failing": list(verdict["failing"]),
         }
+    elif args.action == "rewrite" or w.exponent_sum() in (1, -1):
+        res = rewrite_word(w)
+        results.update(s=res.data.s, m=res.data.m, difficult=res.data.difficult)
+        if args.action == "classify":
+            signs = res.shifted.signs()
+            results["signs"] = "".join("+" if e == 1 else "-" for e in signs)
+            results["pattern_difficult"] = is_difficult_pattern(signs)
+        else:
+            target = (w.inverse() if res.inverted else w).cyclic_reduce()
+            results["inverted"] = res.inverted
+            results["n"] = res.n
+            results["presentation"] = jsonio.presentation_to_json(res.data)
+            results["moves"] = [list(step) for step in res.trace]
+            results["minimality"] = check_minimality(res.data)
+            relator = reconstruct_relator(res.data)
+            checks["roundtrip_conjugate"] = relator.is_conjugate_to(target)
     return _checked("word", [digest], results, checks, action=args.action)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations, product
 from typing import Optional, Sequence
 
 from .groups import FreeProductWord
@@ -377,66 +378,50 @@ def audit_standard_collisions(
 # ---------------------------------------------------------------------------
 
 
-def _nonadjacent_at(d: HowieDiagram, vertex, c1: Corner, c2: Corner) -> bool:
-    fan = d.map.vertex_of(min(vertex))
-    if c1 == c2 or c1 not in fan or c2 not in fan:
-        return False
-    n = len(fan)
-    i, j = fan.index(c1), fan.index(c2)
-    return (i - j) % n not in (1, n - 1)
+def _large_corner_pairs(d: HowieDiagram, loci) -> dict:
+    """Each locus's ordered pairs (a, b) of nonadjacent corners of large
+    faces, in the locus's corner order by a, then by b."""
+    table = {}
+    for v in loci:
+        fan = d.map.vertex_of(min(v))
+        n = len(fan)
+        at = {c: i for i, c in enumerate(fan) if c[0] in d.large_faces}
+        ends = [c for c in v if c in at]
+        table[v] = [
+            (a, b) for a in ends for b in ends if (at[a] - at[b]) % n not in (0, 1, n - 1)
+        ]
+    return table
 
 
-def _fragment_darts(m: OrientedMap, f: int, start_corner: int, end_corner: int):
-    """Darts of face f walked anticlockwise from one corner to another."""
+def _walk(m: OrientedMap, f: int, start: int, end: int) -> tuple[list, list]:
+    """The darts of face f anticlockwise from corner `start` to another
+    corner `end`, and the corners they join: dart j runs from corner j to
+    corner j + 1."""
     L = len(m.faces[f])
-    out = []
-    j = start_corner
-    while j != end_corner:
-        out.append(m.faces[f][j])
-        j = (j + 1) % L
-    return out
+    steps = (end - start) % L
+    darts = [m.faces[f][(start + k) % L] for k in range(steps)]
+    return darts, [(f, (start + k) % L) for k in range(steps + 1)]
 
 
-def _path_vertices(m: OrientedMap, darts):
-    verts = []
-    for e, s in darts:
-        f, i = m.dart_owner((e, s))
-        L = len(m.faces[f])
-        verts.append(m.vertex_of((f, i)))
-        verts.append(m.vertex_of((f, (i + 1) % L)))
-    return set(verts)
+def _contact_region(d: HowieDiagram, legs):
+    """The first quiet side of the closed path walked along `legs`, each
+    (face, start corner, end corner) as `_walk` takes them, or None.
 
-
-def _region_is_quiet(d: HowieDiagram, region, path_vertices) -> bool:
-    """Only small interior cells, and interior vertices off the path."""
-    large = d.large_faces or frozenset()
-    for f in region:
-        if f in large or f in d.exterior_faces:
-            return False
-    for v in d.map.vertices():
-        owners = {c[0] for c in v}
-        if owners <= set(region) and v not in path_vertices:
-            if v in d.exterior_vertices:
-                return False
-    return True
-
-
-def _contact_region(d: HowieDiagram, A, B, a1, a2, b1, b2):
-    """The side bounded by [a1,a2] on A plus [b2,b1] on B, if it is quiet.
-
-    The path is never empty: a1 and a2 are distinct corners of A, as they
-    sit at distinct vertices or are the nonadjacent pair of a self-contact.
+    The path must pass no exterior vertex.  A side is quiet when it holds
+    no large face (so neither contacting face) and no exterior face, and no
+    exterior vertex has all its corners' faces inside it; none of those
+    vertices lies on the path.  No leg is empty: its two corners sit at
+    distinct vertices or are the nonadjacent pair of a self-contact.
     """
     m = d.map
-    darts = _fragment_darts(m, A, a1[1], a2[1]) + _fragment_darts(m, B, b2[1], b1[1])
-    path_vertices = _path_vertices(m, darts)
-    if any(v in d.exterior_vertices for v in path_vertices):
+    walks = [_walk(m, *leg) for leg in legs]
+    if any(m.vertex_of(c) in d.exterior_vertices for _, path in walks for c in path):
         return None
-    sides = m.face_components(frozenset(e for e, _ in darts))
-    candidates = [s for s in sides if A not in s and B not in s]
-    for region in candidates:
-        if _region_is_quiet(d, region, path_vertices):
-            return region
+    cut = frozenset(e for darts, _ in walks for e, _ in darts)
+    for region in m.face_components(cut):
+        if region.isdisjoint(d.large_faces) and region.isdisjoint(d.exterior_faces):
+            if not any(all(f in region for f, _ in v) for v in d.exterior_vertices):
+                return region
     return None
 
 
@@ -445,58 +430,39 @@ def bad_contact_report(d: HowieDiagram, collisions) -> tuple:
 
     Two large faces (or one face with itself) contact badly when they
     hold nonadjacent corners at two distinct interior vertex loci of
-    `collisions` and one side of the resulting closed path contains
-    neither of them, no exterior or large cell, and no exterior vertex.
-    The one-vertex self-contact clause is included.  Corners at distinct
-    vertices are distinct, so a self-contact at two vertices has four.
+    `collisions` and one side of the resulting closed path is quiet in
+    `_contact_region`'s sense: it holds neither of them, no exterior or
+    large cell, and no exterior vertex.  The one-vertex self-contact clause
+    is included.  Corners at distinct vertices are distinct, so a
+    self-contact at two vertices has four.  Contacts come by face pair A <= B
+    in order, each A's self-contacts after its pairs, then by locus order.
     """
     if d.large_faces is None:
         raise DiagramError("bad contact needs the 2-grading")
     loci = _interior_loci(d, collisions)[0]
-    found = []
-
-    def corner_pairs(v, A, B):
-        for a in v:
-            if a[0] != A:
-                continue
-            for b in v:
-                if b[0] == B and _nonadjacent_at(d, v, a, b):
-                    yield a, b
-
+    table = _large_corner_pairs(d, loci)
+    # each candidate's faces, vertices, corners and path legs: [a1,a2] on A
+    # and [b2,b1] on B between two vertices, [a,b] on A alone at one
+    candidates = []
     large = sorted(d.large_faces)
-    for A in large:
-        for B in large:
-            if B < A:
-                continue
-            for v1 in loci:
-                for v2 in loci:
-                    if v1 == v2:
-                        continue
-                    for a1, b1 in corner_pairs(v1, A, B):
-                        for a2, b2 in corner_pairs(v2, A, B):
-                            region = _contact_region(d, A, B, a1, a2, b1, b2)
-                            if region is not None:
-                                found.append(
-                                    {
-                                        "faces": (A, B),
-                                        "vertices": (v1, v2),
-                                        "corners": ((a1, b1), (a2, b2)),
-                                        "region": region,
-                                    }
-                                )
-        # self contact at a single vertex
+    for i, A in enumerate(large):
+        for B in large[i:]:
+            for v1, v2 in permutations(loci, 2):
+                for (a1, b1), (a2, b2) in product(table[v1], table[v2]):
+                    if a1[0] == a2[0] == A and b1[0] == b2[0] == B:
+                        legs = ((A, a1[1], a2[1]), (B, b2[1], b1[1]))
+                        candidates.append(((A, B), (v1, v2), ((a1, b1), (a2, b2)), legs))
         for v in loci:
-            for a, b in corner_pairs(v, A, A):
-                region = _contact_region(d, A, A, a, b, b, a)
-                if region is not None:
-                    found.append(
-                        {
-                            "faces": (A, A),
-                            "vertices": (v,),
-                            "corners": ((a, b),),
-                            "region": region,
-                        }
-                    )
+            for a, b in table[v]:
+                if a[0] == b[0] == A:
+                    candidates.append(((A, A), (v,), ((a, b),), ((A, a[1], b[1]),)))
+    found = []
+    for faces, vertices, corners, legs in candidates:
+        region = _contact_region(d, legs)
+        if region is not None:
+            found.append(
+                {"faces": faces, "vertices": vertices, "corners": corners, "region": region}
+            )
     return tuple(found)
 
 
@@ -537,16 +503,9 @@ def lemma17_audit(
 
     gamma_edges = []
     cond2 = True
+    table = _large_corner_pairs(d, vertex_points)
     for v in vertex_points:
-        pairs = [
-            (a, b)
-            for a in v
-            for b in v
-            if a < b
-            and a[0] in d.large_faces
-            and b[0] in d.large_faces
-            and _nonadjacent_at(d, v, a, b)
-        ]
+        pairs = [(a, b) for a, b in table[v] if a < b]
         if pairs:
             gamma_edges.append((pairs[0][0][0], pairs[0][1][0]))
         else:

@@ -33,6 +33,12 @@ def _divisors(n: int) -> Iterator[int]:
             yield d
 
 
+def _is_rotation(x: tuple, y: tuple) -> bool:
+    """True iff y is a cyclic rotation of the nonempty x."""
+    doubled = x + x
+    return len(x) == len(y) and any(doubled[i : i + len(y)] == y for i in range(len(x)))
+
+
 class BaseGroup:
     """A torsion-free group with decidable equality and cyclic membership.
 
@@ -184,12 +190,9 @@ class FreeGroup(BaseGroup):
     def is_conjugate(self, x, y) -> bool:
         cx = self._cyclic_core(x)[1]
         cy = self._cyclic_core(y)[1]
-        if len(cx) != len(cy):
-            return False
         if not cx:
-            return True
-        doubled = cx + cx
-        return any(doubled[i : i + len(cy)] == cy for i in range(len(cx)))
+            return not cy
+        return _is_rotation(cx, cy)
 
 
 class FreeAbelianGroup(BaseGroup):
@@ -501,9 +504,7 @@ class FreeProductWord:
             if sa[0] == "t":
                 return sa[2] == sb[2]
             return self.base.is_conjugate(sa[2], sb[2])
-        n = len(a)
-        doubled = a.syllables + a.syllables
-        return any(doubled[i : i + n] == b.syllables for i in range(n))
+        return _is_rotation(a.syllables, b.syllables)
 
     def is_power_of(self, h: "FreeProductWord") -> bool:
         """True iff self = h**k for some integer k."""

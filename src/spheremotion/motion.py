@@ -1074,9 +1074,9 @@ def blow_up(m: OrientedMap, ms: MotionSchedule):
         stops_by_face.setdefault(f, set()).add(j)
 
     # each car with stops: its reference time, events and kept breakpoint
-    # times over 2 * D, read off the indexes check_separated_stops recorded,
+    # times over 2 * D, read off the cars' indexes in the schedule's record,
     # D the schedule's time scale; each face's are in car order
-    rec = validate_motion(m, ms)
+    rec = _indexes_by_face(m, ms)
     D, indexes = rec["D"], {f: iter(on_face) for f, on_face in rec["faces"].items()}
     runs, at_corner, gap = {}, {}, None
     for k, car in enumerate(ms.cars):

@@ -121,6 +121,11 @@ class RelativePresentationData:
             if any(i > self.s for i in w.copies_used()):
                 raise RewriteError(f"coefficient uses a copy above s = {self.s}")
 
+    @property
+    def difficult(self) -> bool:
+        """The difficult case: s = 0 with at least one (b, a) pair."""
+        return self.s == 0 and self.m >= 0
+
     def relator(self) -> FreeProductWord:
         """The relator c t prod_i (b_i t^-1 a_i t) as a word over H and t."""
         t, t_inv = ("t", T_SYMBOL, 1), ("t", T_SYMBOL, -1)
@@ -338,8 +343,7 @@ def is_difficult_pattern(signs: Sequence[int]) -> bool:
 
 def is_difficult_case(w: FreeProductWord) -> bool:
     """True iff minimization lands at s = 0 with at least one (a, b) pair."""
-    res = rewrite_word(w)
-    return res.data.s == 0 and res.data.m >= 0
+    return rewrite_word(w).data.difficult
 
 
 def is_conjugate_to_t_pm_g(w: FreeProductWord) -> bool:

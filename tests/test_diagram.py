@@ -537,6 +537,50 @@ def test_self_contact_at_one_vertex():
     assert contact_regions(both, hub) == [frozenset({0})]
 
 
+def test_bad_contact_report_in_full():
+    # every field of every contact, in order: the two-vertex contacts follow
+    # the order of the loci, the self-contacts that of the hub's corners
+    d = beach4_diagram(large_faces=frozenset({0, 2}))
+    north, south = poles(d.map)
+    assert north == ((0, 0), (1, 0), (2, 0), (3, 0))
+    assert south == ((0, 1), (3, 1), (2, 1), (1, 1))
+    fake = CollisionReport(
+        F(2), {north: ((F(0), F(0)),), south: ((F(1), F(1)),)}, {}
+    )
+    assert bad_contact_report(d, collisions=fake) == (
+        {
+            "faces": (0, 2),
+            "vertices": (north, south),
+            "corners": (((0, 0), (2, 0)), ((0, 1), (2, 1))),
+            "region": frozenset({3}),
+        },
+        {
+            "faces": (0, 2),
+            "vertices": (south, north),
+            "corners": (((0, 1), (2, 1)), ((0, 0), (2, 0))),
+            "region": frozenset({1}),
+        },
+    )
+    hub = OrientedMap("sphere", TWO_LOOPS).vertices()[0]
+    assert hub == ((0, 0), (2, 0), (1, 0), (2, 1))
+    outer = blank_diagram(TWO_LOOPS, large_faces=frozenset({2}))
+    fake = CollisionReport(F(1), {hub: ((F(0), F(0)),)}, {})
+    assert bad_contact_report(outer, collisions=fake) == (
+        {
+            "faces": (2, 2),
+            "vertices": (hub,),
+            "corners": (((2, 0), (2, 1)),),
+            "region": frozenset({0}),
+        },
+        {
+            "faces": (2, 2),
+            "vertices": (hub,),
+            "corners": (((2, 1), (2, 0)),),
+            "region": frozenset({1}),
+        },
+    )
+
+
 @pytest.mark.parametrize("faces", [PENDANT, CUT_LOOP], ids=["inside", "on_path"])
 def test_exterior_vertex_in_a_region_or_on_its_path_blocks_it(faces):
     hub, other = OrientedMap("sphere", faces).vertices()

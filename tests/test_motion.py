@@ -978,6 +978,18 @@ def test_blow_up_builds_no_index_of_its_own(monkeypatch):
         assert all(set(c._tables) <= {len(f) for f in m.faces} for c in ms.cars)
 
 
+def test_blow_up_indexes_the_cars_without_the_stop_audit(monkeypatch):
+    # the blow-up asks the schedule's record for the cars' indexes itself,
+    # so it does not depend on the stop audit having filled the record
+    m = doubled_polygon(b_profile(1))
+    expected = blow_up(m, standard_motion(m))
+    assert expected[2]["new_edges"] == (5, 6)
+    monkeypatch.setattr(
+        motion, "check_separated_stops", lambda m, ms: {"ok": True, "problems": []}
+    )
+    assert blow_up(m, standard_motion(m)) == expected
+
+
 def test_blow_up_keeps_the_car_of_a_face_without_stops():
     m = lune_map(3)
     stops = frozenset(c for c in m.vertices()[0] if c[0] in (0, 1))
