@@ -158,23 +158,15 @@ def _collisions_json(rep) -> dict:
 
 
 def _comotion_collisions_json(crep) -> dict:
-    vertices = [
-        {"vertex": _vertex_json(v), "time": frac_to_str(crep.vertex_loci[v])}
-        for v in sorted(crep.vertex_loci)
-    ]
-
-    def flatten(key):
-        e, where = key
-        return (e, where, where) if not isinstance(where, tuple) else (e, *where)
-
+    vertices = [{"vertex": _vertex_json(v), "time": ratio_to_str(*crep.vertex_ints[v])}
+                for v in sorted(crep.vertex_ints)]
     edges = []
-    for key in sorted(crep.edge_loci, key=flatten):
-        e, where = key
-        entry = {"edge": e, "time": frac_to_str(crep.edge_loci[key])}
-        if isinstance(where, tuple):
-            entry["arc"] = [frac_to_str(where[0]), frac_to_str(where[1])]
+    for (e, where), t in crep.edge_ints.items():  # by edge, then by lambda
+        entry = {"edge": e, "time": ratio_to_str(*t)}
+        if type(where[0]) is tuple:
+            entry["arc"] = [ratio_to_str(*where[0]), ratio_to_str(*where[1])]
         else:
-            entry["lambda"] = frac_to_str(where)
+            entry["lambda"] = ratio_to_str(*where)
         edges.append(entry)
     return {
         "spatial_count": crep.spatial_count,

@@ -15,11 +15,11 @@ scales that clear them.  `Cocar.from_ints` runs the core's check and
 builds every cocar: the document reader, `subdivide_comotion` and
 `induce_comotion` hand it ints, and `Cocar(face, degree, breakpoints)`
 converts its rational pairs once, with `motion.scaled_pairs`, and calls
-it.  The `Fraction` breakpoints are built only when read.  The core's
-builder makes each cocar's lap table per (period, face length): `_lap`
-closes the lap with L and degree * T, so the times move to Y, the lcm
-of the cocar's Y and T's denominator.  `cotime_at` reads it with
-`motion.lap_at`, the reader that gives a car's position.
+it.  The `Fraction` breakpoints are built only when read.  A comotion
+keeps its period as ints, T = p / q, and the core's builder makes each
+cocar's lap table per (p, q, face length): `_lap` closes the lap with L
+and degree * T, so the times move to Y, the lcm of the cocar's Y and q.
+`cotime_at` reads it with `motion.lap_at`, as a car's position is read.
 
 An edge is solved by `edge_components` on one scale for the edge: the
 lcm of its two cocars' X for positions and of their Y for times, so the
@@ -27,15 +27,16 @@ integers stay bounded by the two cocars, not by the map.  A two-pointer
 walk over the two sides' sorted pieces cuts the edge into arcs on which
 each side is one linear piece; scaled by both piece widths, the
 difference of arrival times is an integer linear function there, and
-floor division finds the multiples of the period it meets.  A Fraction
-is built only for each reported parameter, arc end and instant; there
-are no floats.  `validate_comotion` checks a comotion on a map once and
-keeps a record per map on the comotion, as each cocar keeps its lap
-tables: the `corner_ticks`, their `_residues` and, once
-`weight_report`'s span check has passed, the `solve_edges` result.
-`subdivide_comotion` hands solved edges over: when the parent's record
-holds them, the child's record is made and span-checked at once, carries
-every edge but the split one, and solves only the two new edges.
+floor division finds the multiples of the period it meets.  Every
+parameter, arc end and instant is a reduced int pair (n, d) for n / d,
+through `comotion_collisions` to the report writer; there are no floats.
+`validate_comotion` checks a comotion on a map once and keeps a record
+per map on the comotion, as each cocar keeps its lap tables: the
+`corner_ticks`, their `_residues` and, once `weight_report`'s span check
+has passed, the `solve_edges` result.  `subdivide_comotion` hands solved
+edges over: when the parent's record holds them, the child's record is
+made and span-checked at once, carries every edge but the split one, and
+solves only the two new edges.
 
 The weight report and the vertex loci read corners in integers.
 `corner_ticks` reads every corner of a face with `motion.lap_read`, the
@@ -45,14 +46,13 @@ fall in.  The scale stays per face, never one lcm over the comotion, so
 the integers stay bounded by one cocar.  `_periods` gives T in each
 face's ticks.  Instants on the time circle are residues mod that period;
 the span check compares ticks, psi counts descents by cross-multiplying
-(residue, scale) pairs, and a Fraction is built only for each reported
-vertex instant.  `corner_times`, for `lemma14_total` and other Fraction
-callers, divides the recorded ticks by the scales.  `subdivide_comotion`
-remaps a cocar's breakpoints and the stretch's kinks in the lap table's
-X units with divmod, reads each time with `lap_read`, puts the times
-over one scale, Y times the lcm of the widths, and hands the ints to
-`Cocar.from_ints`.  `psi` and `chi_indicator` stay the Fraction
-definitions.
+(residue, scale) pairs, and a vertex locus is its residue pair, reduced.
+`corner_times`, for `lemma14_total` and other Fraction callers, divides
+the recorded ticks by the scales.  `subdivide_comotion` remaps a cocar's
+breakpoints and the stretch's kinks in the lap table's X units with
+divmod, reads each time with `lap_read`, puts the times over one scale,
+Y times the lcm of the widths, and hands the ints to `Cocar.from_ints`.
+`psi` and `chi_indicator` stay the Fraction definitions.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -161,6 +161,7 @@ class Comotion:
         object.__setattr__(self, "cocars", tuple(self.cocars))
         if self.period <= 0:
             raise ComotionError("period must be positive")
+        object.__setattr__(self, "_pq", (self.period.numerator, self.period.denominator))
 
     @cached_property
     def _records(self) -> dict:
@@ -184,7 +185,7 @@ def _check(m: OrientedMap, com: Comotion) -> None:
     """Refuse a comotion whose cocars do not fit the faces of m."""
     if [c.face for c in com.cocars] != list(range(m.face_count())):
         raise ComotionError("need exactly one cocar per face, in face order")
-    T = com.period
+    p, q = com._pq
     for cocar in com.cocars:
         L = len(m.faces[cocar.face])
         xs, X, ys = cocar.xs, cocar.X, cocar.ys
@@ -192,22 +193,21 @@ def _check(m: OrientedMap, com: Comotion) -> None:
             raise ComotionError(f"first position {Fraction(xs[0], X)} outside [0, {L})")
         if xs[-1] >= xs[0] + L * X:
             raise ComotionError("breakpoints span more than one lap")
-        if (ys[-1] - ys[0]) * T.denominator > cocar.degree * T.numerator * cocar.Y:
+        if (ys[-1] - ys[0]) * q > cocar.degree * p * cocar.Y:
             raise ComotionError("times climb past the declared degree")
 
 
-def _lap(cocar: Cocar, T: Fraction, L: int) -> tuple:
+def _lap(cocar: Cocar, pq: tuple[int, int], L: int) -> tuple:
     """The cocar's int lap table on a face of length L, time over position:
     ((xs, ys, span, climb), X, Y), closed one face lap on, climbing degree * T,
-    its times moved to Y, the lcm of its Y and T's denominator, even at degree 0."""
-    key = (T.numerator, T.denominator, L)
-    return cocar._tables.get(key) or cocar._lap_table(
-        key, (L, 1), (cocar.degree * T.numerator, T.denominator))
+    T = p / q, its times moved to Y, the lcm of its Y and q, even at degree 0."""
+    key = (*pq, L)
+    return cocar._tables.get(key) or cocar._lap_table(key, (L, 1), (cocar.degree * pq[0], pq[1]))
 
 
 def cotime_at(cocar: Cocar, T: Fraction, L: int, x) -> Fraction:
     """Lifted arrival time at lifted position x, an int or a Fraction."""
-    return lap_at(_lap(cocar, T, L), x)
+    return lap_at(_lap(cocar, (T.numerator, T.denominator), L), x)
 
 
 def _side(lap: tuple, j: int, sign: int, X: int, Y: int):
@@ -239,7 +239,7 @@ def corner_ticks(m: OrientedMap, com: Comotion) -> tuple[dict, list]:
     ticks, scales = {}, []
     for f, boundary in enumerate(m.faces):
         L = len(boundary)
-        lap = _lap(com.cocars[f], com.period, L)
+        lap = _lap(com.cocars[f], com._pq, L)
         reads = [lap_read(lap, j * lap[1]) for j in range(L)]
         g = lcm(*(w for _, w in reads))
         for j, (y, w) in enumerate(reads):
@@ -251,8 +251,8 @@ def corner_ticks(m: OrientedMap, com: Comotion) -> tuple[dict, list]:
 def _periods(com: Comotion, scales: list) -> list:
     """T in each face's ticks, T * scale: an int, as each scale is a
     multiple of its lap's Y and so of T's denominator."""
-    T = com.period
-    return [T.numerator * (s // T.denominator) for s in scales]
+    p, q = com._pq
+    return [p * (s // q) for s in scales]
 
 
 def corner_times(m: OrientedMap, com: Comotion) -> dict:
@@ -274,36 +274,57 @@ def _residues(com: Comotion, ct: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n / d, d > 0, as the int pair in lowest terms."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 @dataclass(frozen=True)
 class ComotionCollisions:
-    vertex_loci: dict
-    edge_loci: dict
+    """Collision loci, each rational r / s a reduced int pair (r, s):
+    `vertex_ints` maps vertices, and `edge_ints` (edge, lam) of a point or
+    (edge, (a, b)) of an arc swept at once, by edge and lam, to the instant.
+    `vertex_loci` and `edge_loci` are cached views of them in Fractions."""
+
+    vertex_ints: dict
+    edge_ints: dict
+
+    @cached_property
+    def vertex_loci(self) -> dict:
+        return {v: Fraction(*t) for v, t in self.vertex_ints.items()}
+
+    @cached_property
+    def edge_loci(self) -> dict:
+        return {(e, tuple(Fraction(*x) for x in w) if type(w[0]) is tuple else Fraction(*w)):
+                Fraction(*t) for (e, w), t in self.edge_ints.items()}
 
     @property
     def spatial_count(self) -> int:
-        return len(self.vertex_loci) + len(self.edge_loci)
+        return len(self.vertex_ints) + len(self.edge_ints)
 
 
 def edge_components(m: OrientedMap, com: Comotion, edge: int):
     """Maximal solution components of the meeting equation on one edge.
 
-    Returns a list of (a, b, time): the two sides sweep past the points
-    with dart parameter in [a, b] at the same instant, `time` mod T.
-    Components are closed in [0, 1]; a and b can coincide.
+    Returns (a, b, time) per component, each a reduced int pair (n, d) for
+    n / d: both sides sweep past the points with dart parameter in [a, b]
+    at `time` mod T, in [0, T).  Components are closed in [0, 1] and come
+    by increasing a; a and b can coincide.
     """
-    T = com.period
+    p, q = com._pq
     (fp, jp), (fm, jm) = m.edge_sides[edge]
-    lp = _lap(com.cocars[fp], T, len(m.faces[fp]))
-    lm = _lap(com.cocars[fm], T, len(m.faces[fm]))
+    lp = _lap(com.cocars[fp], com._pq, len(m.faces[fp]))
+    lm = _lap(com.cocars[fm], com._pq, len(m.faces[fm]))
     X, Y = lcm(lp[1], lm[1]), lcm(lp[2], lm[2])
-    TY = T.numerator * (Y // T.denominator)
+    TY = p * (Y // q)
     plus, minus = _side(lp, jp, 1, X, Y), _side(lm, jm, -1, X, Y)
     # on [u, v] each side is one line, so wp * wm * Y times the + side's
     # time minus the - side's is the int line A + B * u, B >= 0 as both
     # times are monotone; the sides meet where it is a multiple of
     # K = wp * wm * Y * T.  Hits arrive in order of u and can only touch
     # the last component at its end.
-    comps = []  # [n, d, e, f, time]: lam runs from n / (d * X) to e / (f * X)
+    comps = []  # [n, d, e, f, t, s]: lam runs from n / (d * X) to e / (f * X) at t / s
     i = j = u = 0
     while u < X:
         ep, wp, ap, bp = plus[i]
@@ -320,11 +341,12 @@ def edge_components(m: OrientedMap, com: Comotion, edge: int):
                 comps[-1][2:4] = e, f
             else:
                 t = (ap * d + bp * n) % (TY * wp * d)
-                comps.append([n, d, e, f, Fraction(t, wp * d * Y)])
+                comps.append([n, d, e, f, t, wp * d * Y])
         i += ep == v
         j += em == v
         u = v
-    return [(Fraction(n, d * X), Fraction(e, f * X), t) for n, d, e, f, t in comps]
+    return [(_reduced(n, d * X), _reduced(e, f * X), _reduced(t, s))
+            for n, d, e, f, t, s in comps]
 
 
 def solve_edges(m: OrientedMap, com: Comotion) -> dict:
@@ -333,29 +355,26 @@ def solve_edges(m: OrientedMap, com: Comotion) -> dict:
 
 
 def comotion_collisions(m: OrientedMap, com: Comotion) -> ComotionCollisions:
-    """Points of the surface all of whose sides sweep past together.
-
-    Vertex loci map a vertex to the common instant; edge loci are keyed
-    by (edge, lam) for isolated meetings and (edge, (a, b)) for whole
-    arcs swept in one instant.  Components touching only the endpoints
-    of an edge belong to the vertices and are dropped here.  Reads the
-    edges `weight_report` recorded, or solves them without the span check.
+    """Points of the surface all of whose sides sweep past together, in
+    ints, keyed as `ComotionCollisions` says: the edge loci are the
+    `edge_components` of each edge in turn.  Components touching only the
+    endpoints of an edge belong to the vertices and are dropped here.
+    Reads the edges `weight_report` recorded, or solves them without the
+    span check.
     """
     rec = validate_comotion(m, com)
     components = rec["edges"] if "edges" in rec else solve_edges(m, com)
-    vertex_loci = {}
+    vertex_ints = {}
     for vertex in m.vertices():
         (r, s), *rest = (rec["res"][c] for c in vertex)
         if all(r2 * s == r * s2 for r2, s2 in rest):
-            vertex_loci[vertex] = Fraction(r, s)
-    edge_loci = {}
+            vertex_ints[vertex] = _reduced(r, s)
+    edge_ints = {}
     for edge in m.edge_ids:
         for a, b, t in components[edge]:
-            if (a, b) in ((ZERO, ZERO), (Fraction(1), Fraction(1))):
-                continue
-            key = (edge, a) if a == b else (edge, (a, b))
-            edge_loci[key] = t
-    return ComotionCollisions(vertex_loci, edge_loci)
+            if a != b or a[0] % a[1]:  # an arc, or a point off the ends 0 and 1
+                edge_ints[edge, a if a == b else (a, b)] = t
+    return ComotionCollisions(vertex_ints, edge_ints)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +411,9 @@ def weight_report(m: OrientedMap, com: Comotion) -> dict:
     faces = {f: 1 - com.cocars[f].degree for f in range(m.face_count())}
     edges = {}
     for edge in m.edge_ids:
-        comps = rec["edges"][edge]
-        free = len(comps) - 1 if comps else 0
-        if comps:
-            free += int(comps[0][0] > 0) + int(comps[-1][1] < 1)
-        else:
-            free = 1
-        edges[edge] = -1 + free
+        comps = rec["edges"][edge]  # free arcs: between components and at the ends
+        edges[edge] = (len(comps) - 2 + (comps[0][0] != (0, 1)) + (comps[-1][1] != (1, 1))
+                       if comps else 0)
     # psi of a vertex counts the descents of its cyclic tuple of instants
     vertices = {}
     for vertex in m.vertices():
@@ -504,7 +519,6 @@ def subdivide_comotion(
     """
     rec = validate_comotion(m, com)
     m2 = subdivide_edge(m, edge, new_edges)
-    T = com.period
     cocars = []
     for cocar in com.cocars:
         boundary = m.faces[cocar.face]
@@ -515,7 +529,7 @@ def subdivide_comotion(
             continue
 
         # positions in the lap table's X units, times read from it
-        lap = _lap(cocar, T, L)
+        lap = _lap(cocar, com._pq, L)
         (ps, _, span, _), X, Y = lap
         stretched = (L + len(js)) * X
 
@@ -536,7 +550,7 @@ def subdivide_comotion(
         ys = [y * (g // w) for y, w in reads]
         cocars.append(Cocar.from_ints(cocar.face, cocar.degree, [remap(x) for x in xs],
                                       X, ys, Y * g))
-    com2 = Comotion(T, tuple(cocars))
+    com2 = Comotion(com.period, tuple(cocars))
     if "edges" in rec:
         rec2 = validate_comotion(m2, com2)
         span_check(m2, com2, rec2["ct"])

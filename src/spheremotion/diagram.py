@@ -440,7 +440,11 @@ def bad_contact_report(d: HowieDiagram, collisions) -> tuple:
     if d.large_faces is None:
         raise DiagramError("bad contact needs the 2-grading")
     loci = _interior_loci(d, collisions)[0]
-    table = _large_corner_pairs(d, loci)
+    return _bad_contacts(d, loci, _large_corner_pairs(d, loci))
+
+
+def _bad_contacts(d: HowieDiagram, loci, table) -> tuple:
+    """`bad_contact_report` over the interior vertex loci and their table."""
     # each candidate's faces, vertices, corners and path legs: [a1,a2] on A
     # and [b2,b1] on B between two vertices, [a,b] on A alone at one
     candidates = []
@@ -518,7 +522,7 @@ def lemma17_audit(
             cond2 = False
     report["conditions"]["nonadjacent_large_corners"] = cond2
 
-    contacts = bad_contact_report(d, collisions)
+    contacts = _bad_contacts(d, vertex_points, table)
     report["conditions"]["no_bad_contact"] = not contacts
     report["bad_contacts"] = contacts
 

@@ -14,12 +14,16 @@ checks verbatim: the reference of the int-stored cocar's refusals and
 repr, as `motion_oracle.CarSchedule` is the car's.  It converts with
 `motion_oracle.rational_pairs`, the type check of `motion.scaled_pairs`,
 and leaves out the lap-table cache.  The solver and the reader build the
-int-stored cocars that `validate_comotion` reads.  Slow on purpose: keep
-inputs small.
+int-stored cocars that `validate_comotion` reads.  `collisions_from_fractions`
+builds a `ComotionCollisions` from Fraction loci, as its constructor did
+before the loci moved to ints, and `ints` converts one rational to the
+reduced pair that `edge_components` and the loci hold.  Slow on purpose:
+keep inputs small.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from map_edit_oracle import rebuilt_subdivision
 from motion_oracle import rational_pairs
@@ -164,6 +168,28 @@ def edge_components(m, com, edge):
     return [(a, b, at_plus(a) % T) for a, b in merged]
 
 
+def ints(x) -> tuple[int, int]:
+    """A Fraction or an int as the reduced int pair (numerator, denominator)."""
+    return x.numerator, x.denominator
+
+
+def is_int_pair(x) -> bool:
+    """Whether x is a reduced pair of ints, not bools, with a positive
+    denominator."""
+    return (type(x) is tuple and len(x) == 2 and all(type(n) is int for n in x)
+            and x[1] > 0 and gcd(*x) == 1)
+
+
+def collisions_from_fractions(vertex_loci, edge_loci):
+    """The `ComotionCollisions` whose Fraction views are these loci."""
+
+    def where(w):
+        return (ints(w[0]), ints(w[1])) if type(w) is tuple else ints(w)
+
+    return ComotionCollisions({v: ints(t) for v, t in vertex_loci.items()},
+                              {(e, where(w)): ints(t) for (e, w), t in edge_loci.items()})
+
+
 def comotion_collisions(m, com):
     """Vertex and edge loci, every edge solved by the reference solver."""
     validate_comotion(m, com)
@@ -181,7 +207,7 @@ def comotion_collisions(m, com):
                 continue
             key = (edge, a) if a == b else (edge, (a, b))
             edge_loci[key] = t
-    return ComotionCollisions(vertex_loci, edge_loci)
+    return collisions_from_fractions(vertex_loci, edge_loci)
 
 
 def _span_check(m, com):

@@ -66,6 +66,15 @@ must equal `collision_oracle.intervals_instants` of its Fraction spans,
 its spans must be ints over a positive int scale and a normalized set,
 and the edge loci must come sorted.  The views are left unbuilt.
 
+A comotion's collisions are built in ints as well, each rational a reduced
+int pair.  Every `ComotionCollisions` that `comotion.comotion_collisions`
+returns is rebuilt from its Fraction views, built uncached, through
+`comotion_oracle.collisions_from_fractions` and must be equal.  Every
+instant, lambda and arc end must be a reduced pair of ints, and the edge
+loci must come in the order the writer once sorted them into: by edge, then
+by lambda or arc.  The views are built with the `Fraction` class even
+where a test counts the ones that `comotion` builds, and left unbuilt.
+
 Run with `--noconftest` to time the suite without them.
 """
 
@@ -411,4 +420,46 @@ def collision_report_oracle():
         yield
     finally:
         Report._from_ints = classmethod(build)
+    assert not violations, violations[:5]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def comotion_collisions_oracle():
+    collisions = comotion.comotion_collisions
+    Collisions = comotion.ComotionCollisions
+    views = Collisions.vertex_loci.func, Collisions.edge_loci.func  # without caching them
+    violations = []
+
+    def flatten(key):  # the writer's sort key before the loci came in order
+        e, where = key
+        return (e, where, where) if not isinstance(where, tuple) else (e, *where)
+
+    @functools.wraps(collisions)
+    def checked(m, com):
+        rep = collisions(m, com)
+        counted, comotion.Fraction = comotion.Fraction, Fraction  # not the program's builds
+        try:
+            vertex_loci, edge_loci = (view(rep) for view in views)
+        finally:
+            comotion.Fraction = counted
+        problems = []
+        if comotion_oracle.collisions_from_fractions(vertex_loci, edge_loci) != rep:
+            problems.append("not the collisions its views rebuild")
+        pairs = [*rep.vertex_ints.values(), *rep.edge_ints.values()]
+        for _, where in rep.edge_ints:
+            pairs += where if type(where[0]) is tuple else [where]
+        if not all(map(comotion_oracle.is_int_pair, pairs)):
+            problems.append("an instant or a locus that is no reduced pair of ints")
+        if list(edge_loci) != sorted(edge_loci, key=flatten):
+            problems.append("edge loci out of order")
+        if problems:
+            violations.append((m, com, problems))
+            raise AssertionError(f"comotion collisions on {m.faces}: {problems}")
+        return rep
+
+    unbind = rebind(collisions, checked)
+    try:
+        yield
+    finally:
+        unbind()
     assert not violations, violations[:5]

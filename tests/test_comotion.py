@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import comotion_oracle
 import motion_oracle
-from spheremotion import comotion, motion
+from spheremotion import cli, comotion, motion
 from spheremotion.comotion import (
     Cocar,
     Comotion,
@@ -491,3 +491,17 @@ def test_documents_to_weights_build_no_fraction_breakpoints(seed):
     assert not any(hasattr(mod, "int_lap") for mod in (motion, comotion))
     assert [c for c in com.cocars if "breakpoints" in vars(c)] == []
     assert all(c._tables for c in com.cocars)
+
+
+def test_weights_collisions_and_their_json_build_no_fraction(monkeypatch):
+    # a pinwheel comotion with vertex, point and arc loci is solved, weighed
+    # and written in ints
+    m = pinwheel_variant(1)
+    com = random_comotion(m, make_rng(0), 2)
+    built = []
+    monkeypatch.setattr(comotion, "Fraction", lambda *args: built.append(args))
+    weights = weight_report(m, com)
+    doc = cli._comotion_collisions_json(comotion_collisions(m, com))
+    assert built == []
+    assert weights["total"] == weights["chi"] == 2
+    assert doc["vertices"] and {"arc" in e for e in doc["edges"]} == {True, False}

@@ -661,6 +661,32 @@ def test_lemma17_edge_point_between_large_faces_is_a_gamma_edge():
     assert out["gamma"]["edges"] == ((0, 2), (f1, f2))
 
 
+def test_lemma17_builds_its_tables_once(monkeypatch):
+    # the audit's contact search reads the interior loci and the corner-pair
+    # table that its condition 2 built, and finds what the report finds
+    m = beach4()
+    north, south = poles(m)
+    d = beach4_diagram(large_faces=frozenset({0, 2}), exterior_vertices=frozenset({south}))
+    fake = CollisionReport(F(2), {north: ((F(0), F(0)),)}, {(1, F(1, 2)): ((F(1), F(1)),)})
+    builds = Counter()
+
+    def counted(name):
+        real = getattr(diagram, name)
+
+        def build(*args):
+            builds[name] += 1
+            return real(*args)
+
+        return build
+
+    for name in ("_interior_loci", "_large_corner_pairs"):
+        monkeypatch.setattr(diagram, name, counted(name))
+    out = lemma17_audit(d, beach4_multiple_motion(), collisions=fake)
+    assert builds == {"_interior_loci": 1, "_large_corner_pairs": 1}
+    assert out["bad_contacts"] == bad_contact_report(d, collisions=fake)
+    assert builds == {"_interior_loci": 2, "_large_corner_pairs": 2}
+
+
 def test_lemma17_banded_map_fails_honestly():
     m = banded_sphere_map()
     ms = standard_multiple_motion(m, dict(classify_map(m), m=1))
