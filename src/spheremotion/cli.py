@@ -3,9 +3,9 @@
 Every command assembles one JSON-able report and prints it with sorted
 keys, so identical inputs (and seed) give byte-identical output.  Exit
 codes: 0 all checks passed, 1 an invariant check failed, 2 unreadable
-or invalid input.  A failed internal consistency check raises
-RuntimeError: it is a bug, not bad input.  The fuzz suites live in
-`spheremotion.fuzzing`; `fuzz` runs one of them over its cases.
+or invalid input, an `errors.InputError`; any other exception, such as
+a failed consistency check's RuntimeError, is a bug.  The fuzz suites
+live in `spheremotion.fuzzing`; `fuzz` runs one of them over its cases.
 
 The argument parser is built once per process, on the first `main` call,
 and reused.  A command dispatches by name to the module's `cmd_<command>`
@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from . import fuzzing, jsonio
 from .comotion import comotion_collisions, lemma11_check, weight_report
 from .diagram import check_diagram_over, find_reducible_pair, is_phi_reduced, phi_cells
+from .errors import InputError
 from .goldens import (
     banded_sphere_map,
     pinwheel_double_car_motion,
@@ -68,7 +69,7 @@ def _load(path):
         raise jsonio.JsonError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits, nesting
         raise jsonio.JsonError(f"{path}: {exc}") from exc
     return doc, {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}
 
@@ -545,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"SPHEREMOTION_SEED must be an integer, got {env_seed!r}")
     try:
         report, code = globals()[f"cmd_{args.command}"](args)
-    except ValueError as exc:
+    except InputError as exc:
         _print_report(
             {"command": args.command, "error": str(exc), "ok": False}, args.format
         )

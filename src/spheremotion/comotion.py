@@ -65,6 +65,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Sequence
 
+from .errors import InputError
 from .motion import (MotionSchedule, _IntLap, as_multiple_motion, lap_at, lap_read, rational,
                      scaled_pairs)
 from .surface import OrientedMap, subdivide_edge
@@ -72,7 +73,7 @@ from .surface import OrientedMap, subdivide_edge
 ZERO = Fraction(0)
 
 
-class ComotionError(ValueError):
+class ComotionError(InputError):
     pass
 
 

@@ -18,6 +18,7 @@ from functools import cached_property
 from itertools import permutations, product
 from typing import Optional, Sequence
 
+from .errors import InputError
 from .groups import FreeProductWord
 from .motion import (
     MotionSchedule,
@@ -32,7 +33,7 @@ from .rewriting import RelativePresentation, in_P, phi
 from .surface import Corner, OrientedMap, classify_map
 
 
-class DiagramError(ValueError):
+class DiagramError(InputError):
     pass
 
 

@@ -304,28 +304,28 @@ def weight_total_problems(m: OrientedMap, com: Comotion) -> list[str]:
 def bridge_problems(m: OrientedMap, ms: MotionSchedule, rep) -> list[str]:
     """A regular multiple motion's collision report `rep` against the
     collisions of its induced comotion, locus by locus and instant by
-    instant modulo the period."""
+    instant modulo the period, in ints."""
     if not is_regular(m, ms):
         return ["motion is not regular"]
-    T = ms.period
+    p, q = ms.period.numerator, ms.period.denominator
     problems = []
     groups = as_multiple_motion(m, ms)
     com = induce_comotion(m, ms, groups)
     if [c.degree for c in com.cocars] != [len(groups[f]) for f in range(m.face_count())]:
         problems.append("cocar degrees disagree with face multiplicities")
     crep = comotion_collisions(m, com)
-    if set(rep.vertex_loci) != set(crep.vertex_loci):
-        problems.append("vertex loci differ")
-    else:
-        for v, spans in rep.vertex_loci.items():
-            if {a % T for a, _ in spans} != {crep.vertex_loci[v] % T}:
-                problems.append(f"instants differ at vertex {v}")
-    if set(rep.edge_loci) != set(crep.edge_loci):
-        problems.append("edge loci differ")
-    else:
-        for key, spans in rep.edge_loci.items():
-            if {a % T for a, _ in spans} != {crep.edge_loci[key] % T}:
-                problems.append(f"instants differ inside edge {key[0]}")
+    edges = {(e, (lam.numerator, lam.denominator)): locus
+             for (e, lam), locus in rep.edge_ints.items()}
+    for kind, ours, theirs in (("vertex", rep.vertex_ints, crep.vertex_ints),
+                               ("edge", edges, crep.edge_ints)):
+        if set(ours) != set(theirs):
+            problems.append(f"{kind} loci differ")
+        else:  # a / S and r / s agree mod p / q iff a * q * s and r * q * S do mod p * S * s
+            for key, (S, spans, _) in ours.items():
+                r, s = theirs[key]
+                if {a * q * s % (p * S * s) for a, _ in spans} != {r * q * S % (p * S * s)}:
+                    problems.append(f"instants differ at vertex {key}" if kind == "vertex"
+                                    else f"instants differ inside edge {key[0]}")
     return problems
 
 

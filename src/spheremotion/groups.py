@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
+from .errors import InputError
 
-class GroupError(ValueError):
+
+class GroupError(InputError):
     """Raised for malformed elements, mixed universes, or unmet capabilities."""
 
 

@@ -12,10 +12,10 @@ runs only without an indent, so `json.dumps` would take its pure-Python
 one here.)
 
 Rationals and dart points are read as reduced (p, q) pairs, q > 0, by
-`_ratio` and `_position`, the one home of the grammar; `parse_frac` and
-`parse_position` wrap their pairs in one `Fraction`.  A digit string "p"
-or "p/q" with q nonzero is read straight into ints, and a dart point
-with such a lambda, 0 < p < q, is (k * q + p, q).  Every other string
+`_ratio` and `_position`, the one home of the grammar; `parse_frac`
+wraps its pair in one `Fraction`.  A digit string "p" or "p/q" with q
+nonzero is read straight into ints, and a dart point with such a
+lambda, 0 < p < q, is (k * q + p, q).  Every other string
 goes to `Fraction(str)`, so the accepted language (signs, surrounding
 spaces, decimals, `_`) and every error message are `Fraction`'s, with
 one bound of our own: a decimal exponent beyond +-4300, the digit limit
@@ -38,13 +38,14 @@ from math import gcd, lcm
 
 from .comotion import Cocar, Comotion, validate_comotion
 from .diagram import HowieDiagram
+from .errors import InputError
 from .groups import BaseGroup, FreeAbelianGroup, FreeGroup, FreeProductWord
 from .motion import CarSchedule, MotionSchedule, validate_motion
 from .rewriting import RelativePresentationData
 from .surface import OrientedMap
 
 
-class JsonError(ValueError):
+class JsonError(InputError):
     pass
 
 
@@ -345,10 +346,6 @@ def _position(doc, L: int) -> tuple[int, int]:
     if not 0 < p < q:
         raise JsonError(f"lambda {Fraction(p, q)} not strictly inside the dart")
     return k * q + p, q
-
-
-def parse_position(doc, L: int) -> Fraction:
-    return Fraction(*_position(doc, L))
 
 
 def _lift_positions(reduced, L: int) -> tuple[list, int]:

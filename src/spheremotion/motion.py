@@ -72,10 +72,11 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
+from .errors import InputError
 from .surface import Corner, Dart, OrientedMap, b_profile, classify_map, d_profile
 
 
-class MotionError(ValueError):
+class MotionError(InputError):
     pass
 
 

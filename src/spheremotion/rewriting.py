@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from .errors import InputError
 from .groups import BaseGroup, FreeProductWord
 
 
-class RewriteError(ValueError):
+class RewriteError(InputError):
     pass
 
 

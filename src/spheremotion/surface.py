@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .errors import InputError
 
-class MapError(ValueError):
+
+class MapError(InputError):
     pass
 
 

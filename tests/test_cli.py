@@ -421,6 +421,13 @@ def test_motion_needs_schedule(goldens, capsys):
     assert "motion file or --standard" in report["error"]
 
 
+def test_motion_refuses_a_file_and_standard_together(goldens, capsys):
+    code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"),
+                            str(goldens / "unit-motion.motion.json"), "--standard", "A")
+    assert code == 2
+    assert report["error"] == "give a motion file or --standard, not both"
+
+
 def test_motion_m_needs_standard(goldens, capsys):
     # --m sets the standard schedule's parameter; a motion file has none
     code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"),
@@ -437,6 +444,28 @@ def test_motion_cars_not_a_list(goldens, tmp_path, capsys):
     code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"), str(path))
     assert code == 2
     assert "cars must be a list of objects" in report["error"]
+
+
+def test_motion_refuses_a_schedule_without_cars(goldens, tmp_path, capsys):
+    doc = json.loads((goldens / "unit-motion.motion.json").read_text())
+    doc["cars"] = []
+    path = tmp_path / "bad.motion.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"), str(path))
+    assert code == 2
+    assert report["error"] == "schedule needs at least one car"
+
+
+def test_motion_with_a_face_without_cars_reports_no_bound(goldens, tmp_path, capsys):
+    # not a multiple motion: `as_multiple_motion` refuses it, and the report
+    # leaves the multiplicity bound out instead of exiting 2
+    doc = json.loads((goldens / "double-car.motion.json").read_text())
+    doc["cars"] = [car for car in doc["cars"] if car["face"] != 0]
+    path = tmp_path / "partial.motion.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "motion", str(goldens / "pinwheel.map.json"), str(path))
+    assert code == 0
+    assert "locus_bound" not in report["results"] and "loci_meet_bound" not in report["checks"]
 
 
 @pytest.mark.parametrize("period", ["0", "-3"])
@@ -659,8 +688,10 @@ def test_word_rewrite_rejects_balanced_words(tmp_path, capsys):
         (("syllables", 1, "exp"), True, "exp must be an int"),
         (("syllables", 1, "t"), True, "t must be an int"),
         (("syllables", 0, "copy"), True, "copy must be an int"),
+        (("syllables", 0, "copy"), 1, "input word must use base copy 0 only"),
+        (("syllables", 1, "t"), 2, "input word must use t_1 only"),
     ],
-    ids=["syllables", "syllable", "exp", "t", "copy"],
+    ids=["syllables", "syllable", "exp", "t", "copy", "copy_above_0", "second_t"],
 )
 def test_word_rejects_malformed_syllables(tmp_path, capsys, where, value, message):
     doc = set_at(jsonio.word_to_json(difficult_word()), where, value)
@@ -874,6 +905,9 @@ def test_diagram_rejects_malformed_fields(tmp_path, capsys, where, value, messag
     assert message in report["error"]
 
 
+FREE2_A = {"base": {"kind": "free", "rank": 2}, "syllables": [{"copy": 0, "elem": "a"}]}
+
+
 @pytest.mark.parametrize(
     "where, value, message",
     [
@@ -881,8 +915,17 @@ def test_diagram_rejects_malformed_fields(tmp_path, capsys, where, value, messag
         (("extra_relators",), 5, "extra_relators must be a list of objects"),
         (("s",), "0", "s must be an int"),
         (("m",), None, "m must be an int"),
+        (("s",), -1, "bad (s, m) = (-1, 0)"),
+        (("m",), 1, "a and b lists must have length m + 1"),
+        (("c", "syllables"), [{"t": 1, "exp": 1}], "coefficients must lie in H (no t letters)"),
+        (("c", "syllables"), [{"copy": 1, "elem": "a"}], "coefficient uses a copy above s = 0"),
+        (("extra_relators",), [FREE2_A], "relators must involve t"),
+        (("extra_relators",),
+         [dict(FREE2_A, syllables=[{"t": 1, "exp": 1}, {"copy": 1, "elem": "a"}])],
+         "relator uses a copy above s"),
     ],
-    ids=["b", "extra_relators", "s", "m"],
+    ids=["b", "extra_relators", "s", "m", "negative_s", "m_misfits_lists", "c_has_t",
+         "c_copy_above_s", "extra_without_t", "extra_copy_above_s"],
 )
 def test_diagram_rejects_malformed_presentations(tmp_path, capsys, where, value, message):
     dpath = tmp_path / "mirror.diagram.json"
@@ -1029,6 +1072,18 @@ def test_readers_refuse_a_nesting_the_json_loader_accepts(goldens, tmp_path, cap
 # -- examples --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("blocked, message", [
+    ("work", "cannot create"),  # a file where the directory should go
+    ("work/pinwheel.map.json/x", "cannot write"),  # a directory where a golden should go
+], ids=["create", "write"])
+def test_examples_emit_refuses_a_blocked_path(tmp_path, capsys, blocked, message):
+    (tmp_path / blocked).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / blocked).write_text("")
+    code, report = run_json(capsys, "examples", "emit", "all", "--dir", str(tmp_path / "work"))
+    assert code == 2
+    assert report["error"].startswith(message)
+
+
 def test_examples_list(capsys):
     code, report = run_json(capsys, "examples", "list")
     assert code == 0
@@ -1167,6 +1222,29 @@ def test_internal_invariant_failure_is_not_bad_input(tmp_path, capsys, monkeypat
     with pytest.raises(RuntimeError, match="minimization failed to terminate"):
         main(["word", word_file(tmp_path, w), "rewrite"])
     capsys.readouterr()
+
+
+def test_a_builtin_value_error_is_a_bug_not_bad_input(tmp_path, capsys, monkeypatch):
+    # exit 2 is for the package's input errors; any other exception propagates
+    def broken(args):
+        a, b = (1, 2, 3)
+
+    monkeypatch.setattr(cli, "cmd_word", broken)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        main(["word", word_file(tmp_path, difficult_word()), "classify"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"surface": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["bad_utf8", "too_many_digits"])
+def test_a_document_json_refuses_is_bad_input(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.map.json"
+    path.write_bytes(raw)
+    code, report = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert report["error"].startswith(f"{path}: ") and message in report["error"]
 
 
 # -- one parser per process ------------------------------------------------------

@@ -33,9 +33,11 @@ from spheremotion.comotion import (
     weight_report,
 )
 from spheremotion.fuzzing import (
+    bridge_problems,
     make_rng,
     pinwheel_variant,
     random_comotion,
+    random_multiple_motion,
     random_sphere_map,
     random_torus_map,
 )
@@ -48,7 +50,8 @@ from spheremotion.goldens import (
     square_torus_map,
 )
 from spheremotion.jsonio import comotion_to_json, dumps, map_to_json, parse_comotion, parse_map
-from spheremotion.motion import CarSchedule, MotionError, standard_motion
+from spheremotion.motion import (CarSchedule, CollisionReport, MotionError, complete_collisions,
+                                 standard_motion)
 from spheremotion.surface import classify_map
 
 
@@ -359,6 +362,22 @@ def test_induce_comotion_refuses_parked_cars():
     ms = standard_motion(m, classify_map(m))
     with pytest.raises(ComotionError, match="rests"):
         induce_comotion(m, ms)
+
+
+@pytest.mark.parametrize("period", [F(5, 3), F(7, 2)])
+def test_the_bridge_reads_instants_modulo_a_fractional_period(period):
+    # the fuzz suites draw int periods only; a period p / q scales the compare by q
+    rng = make_rng(4)
+    for _ in range(5):
+        m = random_sphere_map(rng)
+        ms = random_multiple_motion(m, rng, period)
+        rep = complete_collisions(m, ms)
+        assert bridge_problems(m, ms, rep) == []
+        late = [{key: [(a + period / 2, b + period / 2) for a, b in spans]
+                 for key, spans in loci.items()} for loci in (rep.vertex_loci, rep.edge_loci)]
+        problems = bridge_problems(m, ms, CollisionReport(rep.horizon, *late))
+        assert len(problems) == rep.spatial_count
+        assert all(p.startswith("instants differ") for p in problems)
 
 
 # -- subdivision ------------------------------------------------------------------

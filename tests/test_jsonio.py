@@ -35,13 +35,13 @@ from spheremotion.jsonio import (
     MAX_EXPONENT,
     JsonError,
     _lift_positions,
+    _position,
     comotion_to_json,
     diagram_to_json,
     dumps,
     frac_to_str,
     map_to_json,
     motion_to_json,
-    parse_position,
     parse_comotion,
     parse_diagram,
     parse_frac,
@@ -422,10 +422,10 @@ def test_parse_position_matches_dart_plus_lambda(k, lam):
     want = _fraction_or_refusal(lam)
     if want == "refused" or not 0 <= k < L or not 0 < want < 1:
         with pytest.raises(JsonError):
-            parse_position({"dart": k, "lambda": lam}, L)
+            _position({"dart": k, "lambda": lam}, L)
     else:
-        got = parse_position({"dart": k, "lambda": lam}, L)
-        assert type(got) is F and got == k + want
+        got = _position({"dart": k, "lambda": lam}, L)
+        assert got == ((k + want).numerator, (k + want).denominator)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,27 +1,29 @@
 """List the functions in src/spheremotion that no program path calls.
 
-`tests/test_src_reach.py` checks reach by a name graph, which matches
-simple names and so over-approximates: a definition survives when its name
-matches any identifier string the program mentions, a subcommand's name
-for one.  This is the runtime check beside it.  Under `sys.setprofile` it
-runs what the program runs:
+Under `sys.setprofile`, switched on before the package is first imported,
+it runs a light plan of what the program runs, all into a temporary
+directory:
 
-- each benchmark workload, through `perfbench/run.py` (imported, not
-  changed), at `--seed 0 --seconds 1 --trace 0`;
-- `spheremotion examples emit all`, into a temporary directory;
-- `spheremotion fuzz` on each suite, at its default seed and case count;
-- `tests/test_acceptance.py`, without the session oracles of
-  `tests/conftest.py`.
+- instance 0 of every job class of the three benchmark workloads, planned
+  with `perfbench/workloads.describe` and run with `perfbench/jobs.execute`
+  (both imported, not changed);
+- `spheremotion examples emit all`, then `validate` on each shipped map,
+  the last one as a `--format text` report;
+- `diagram --presentation` on a mirror diagram, whose interior face is
+  read as a word;
+- `spheremotion fuzz` on each suite at `--cases 3`;
+- each acceptance criterion of `tests/test_acceptance.py`, called in
+  turn, without the session oracles of `tests/conftest.py`.
 
 It prints every function and method defined under src/spheremotion whose
-code none of them called, then their count.  A call at import time counts:
-the profiler is on before the package is first imported.  It is a
-diagnostic and gates nothing; its exit code is 1 only when one of the runs
-above fails.
+code none of them called, as `module.qualname`, one a line.  A call at
+import time counts.  Its exit code is 1 when a run exits with a code
+other than its expected one or a criterion fails.
 
     python tests/tools/program_reach.py
 
-It takes about 15 s on a 2-core x86-64 machine.
+`tests/test_program_reach.py` runs it and compares its list with an
+allowlist.
 """
 
 from __future__ import annotations
@@ -31,17 +33,13 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "spheremotion"
-PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("timetables", "weights", "words")
-FUZZ_SUITES = ("weights", "collisions", "rewriting", "diagrams")
 
 
 def functions(path: Path) -> dict[int, str]:
@@ -65,36 +63,63 @@ def functions(path: Path) -> dict[int, str]:
     return found
 
 
-def program_runs() -> list[tuple[str, int]]:
-    """Run each program path once; return (name, exit code) per run."""
-    sys.path[:0] = [str(PERFBENCH), str(PACKAGE.parent)]
-    import run as perfbench_run  # perfbench/run.py; imports the package
+def program_runs(tmp: Path) -> list[str]:
+    """Run the plan; return the runs that exited with a code they should not."""
+    sys.path[:0] = [str(ROOT / "perfbench"), str(PACKAGE.parent)]
+    os.environ.pop("SPHEREMOTION_SEED", None)  # fuzz runs carry their own seeds
+    import jobs  # perfbench/jobs.py; imports the package
+    import workloads
 
+    from spheremotion import jsonio
     from spheremotion.cli import main
+    from spheremotion.groups import FreeProductWord
+    from spheremotion.rewriting import RelativePresentationData
 
-    outcomes = []
-    for workload in WORKLOADS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            perfbench_run.main(["--workload", workload, "--seed", "0",
-                                "--seconds", "1", "--trace", "0"])
-        correct = json.loads(out.getvalue().splitlines()[-1])["correct"]
-        outcomes.append((f"perfbench {workload}", 0 if correct else 1))
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        outcomes.append(("examples emit all", main(["examples", "emit", "all", "--dir", tmp])))
-    for suite in FUZZ_SUITES:
+    failed = []
+
+    def cli(*argv: str, want: int = 0) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
-            outcomes.append((f"fuzz {suite}", main(["fuzz", "--suite", suite])))
+            code = main(list(argv))
+        if code != want:
+            failed.append(f"{' '.join(argv)}: exit {code}")
+
+    art = workloads.Artifacts(tmp)
+    for workload, classes in workloads.WORKLOADS.items():
+        described, reports = {}, {}
+        for cls in classes:
+            job = workloads.describe(workload, cls, 0, art, described)
+            described[job["key"]] = job
+            out = jobs.execute(job, reports)
+            if job.get("argv") is not None:
+                reports[job["key"]] = json.loads(out.text)
+            if out.code != 0:
+                failed.append(f"{workload} job {job['key']}: exit {out.code}")
+    cli("examples", "emit", "all", "--dir", str(tmp))
+    for name in ("pinwheel", "banded", "torus"):
+        cli("validate", str(tmp / f"{name}.map.json"))
+    cli("--format", "text", "validate", str(tmp / "torus.map.json"))
+    mirror = workloads.mirror_polygon(random.Random(0))
+    pres = RelativePresentationData(mirror.base, 1, -1, FreeProductWord.one(mirror.base), (), ())
+    # exit 1: the diagram's faces read no relator of this presentation
+    cli("diagram", art.write("mirror.diagram", jsonio.diagram_to_json(mirror)),
+        "--presentation", art.write("mirror.presentation", jsonio.presentation_to_json(pres)),
+        want=1)
+    for suite in ("weights", "collisions", "rewriting", "diagrams"):
+        cli("fuzz", "--suite", suite, "--cases", "3")
+    # each criterion called in turn: not under pytest, whose machinery would
+    # triple the profiled time, nor with tests/conftest.py's session oracles,
+    # which call the package too
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_acceptance
+
     with contextlib.redirect_stdout(io.StringIO()):
-        # without tests/conftest.py, whose session oracles call the package too
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "--noconftest",
-                            str(ROOT / "tests" / "test_acceptance.py")])
-    outcomes.append(("tests/test_acceptance.py", int(code)))
-    return outcomes
+        for name, criterion in vars(test_acceptance).items():
+            if name.startswith("test_"):
+                criterion()  # a failed criterion raises
+    return failed
 
 
 def main() -> int:
-    os.chdir(ROOT)
     prefix = str(PACKAGE) + os.sep
     called: set[tuple[str, int]] = set()
 
@@ -106,19 +131,17 @@ def main() -> int:
 
     sys.setprofile(profile)
     try:
-        outcomes = program_runs()
+        with tempfile.TemporaryDirectory() as tmp:
+            failed = program_runs(Path(tmp))
     finally:
         sys.setprofile(None)
-    for name, code in outcomes:
-        print(f"ran {name}: exit {code}", file=sys.stderr)
-    count = 0
+    for run in failed:
+        print(f"failed: {run}", file=sys.stderr)
     for path in sorted(PACKAGE.glob("*.py")):
         for line, name in sorted(functions(path).items()):
             if (str(path), line) not in called:
-                print(f"{path.relative_to(ROOT)}:{line}: {name}")
-                count += 1
-    print(f"{count} functions under {PACKAGE.relative_to(ROOT)} that no program path called")
-    return int(any(code != 0 for _, code in outcomes))
+                print(f"{path.stem}.{name}")
+    return int(bool(failed))
 
 
 if __name__ == "__main__":
