@@ -75,27 +75,19 @@ def _load(path):
 
 
 def _text_lines(doc, indent: int = 0) -> list[str]:
+    """A dict's items by key, or a list's as "-", one a line: a nonempty
+    dict or list opens an indented block, any other value is inline JSON."""
     pad = "  " * indent
-    if isinstance(doc, dict):
-        lines = []
-        for k in sorted(doc):
-            v = doc[k]
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines += _text_lines(v, indent + 1)
-            else:
-                lines.append(f"{pad}{k}: {json.dumps(v)}")
-        return lines
-    if isinstance(doc, list):
-        lines = []
-        for v in doc:
-            if isinstance(v, (dict, list)) and v:
-                lines.append(pad + "-")
-                lines += _text_lines(v, indent + 1)
-            else:
-                lines.append(f"{pad}- {json.dumps(v)}")
-        return lines
-    return [pad + json.dumps(doc)]
+    items = ([(f"{k}:", doc[k]) for k in sorted(doc)] if isinstance(doc, dict)
+             else [("-", v) for v in doc])
+    lines = []
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v:
+            lines.append(pad + head)
+            lines += _text_lines(v, indent + 1)
+        else:
+            lines.append(f"{pad}{head} {json.dumps(v)}")
+    return lines
 
 
 def _print_report(report: dict, fmt: str) -> None:

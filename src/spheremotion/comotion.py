@@ -45,14 +45,17 @@ scale: its lap's Y times the lcm of the widths of the pieces its corners
 fall in.  The scale stays per face, never one lcm over the comotion, so
 the integers stay bounded by one cocar.  `_periods` gives T in each
 face's ticks.  Instants on the time circle are residues mod that period;
-the span check compares ticks, psi counts descents by cross-multiplying
-(residue, scale) pairs, and a vertex locus is its residue pair, reduced.
+the span check compares ticks, `_descents` counts a vertex's descents
+by cross-multiplying (residue, scale) pairs, and a vertex locus is its
+residue pair, reduced with `motion._reduced`.
 `corner_times`, for `lemma14_total` and other Fraction callers, divides
 the recorded ticks by the scales.  `subdivide_comotion` remaps a cocar's
 breakpoints and the stretch's kinks in the lap table's X units with
 divmod, reads each time with `lap_read`, puts the times over one scale,
 Y times the lcm of the widths, and hands the ints to `Cocar.from_ints`.
-`psi` and `chi_indicator` stay the Fraction definitions.
+`chi_indicator` and `psi_progress` stay the paper's Fraction definitions;
+`psi` reduces its Fraction instants mod T to int pairs and counts them
+with `_descents`, the count `weight_report` runs.
 """
 
 from __future__ import annotations
@@ -61,13 +64,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import attrgetter
 from typing import Callable, Sequence
 
 from .errors import InputError
-from .motion import (MotionSchedule, _IntLap, as_multiple_motion, lap_at, lap_read, rational,
-                     scaled_pairs)
+from .motion import (MotionSchedule, _IntLap, _reduced, as_multiple_motion, lap_at, lap_read,
+                     rational, scaled_pairs)
 from .surface import OrientedMap, subdivide_edge
 
 ZERO = Fraction(0)
@@ -88,12 +91,15 @@ def chi_indicator(T: Fraction, x, y, reference=ZERO) -> int:
 
 
 def psi(T: Fraction, values: Sequence, reference=ZERO) -> int:
-    """Winding number of a cyclic tuple of instants: counts descents."""
-    vals = list(values)
-    return sum(
-        chi_indicator(T, vals[i], vals[(i + 1) % len(vals)], reference)
-        for i in range(len(vals))
-    )
+    """Winding number of a cyclic tuple of instants: the `_descents` of
+    their residues mod T, read from the reference cut."""
+    return _descents([((v - reference) % T).as_integer_ratio() for v in values])
+
+
+def _descents(pairs: Sequence) -> int:
+    """How often a cyclic list of instants (r, s), each r / s with s > 0,
+    steps down: the arcs from one to the next that cross the cut at 0."""
+    return sum(r * s2 > r2 * s for (r, s), (r2, s2) in zip(pairs, pairs[1:] + pairs[:1]))
 
 
 def psi_progress(T: Fraction, values: Sequence) -> Fraction:
@@ -275,12 +281,6 @@ def _residues(com: Comotion, ct: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    """n / d, d > 0, as the int pair in lowest terms."""
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 @dataclass(frozen=True)
 class ComotionCollisions:
     """Collision loci, each rational r / s a reduced int pair (r, s):
@@ -415,12 +415,8 @@ def weight_report(m: OrientedMap, com: Comotion) -> dict:
         comps = rec["edges"][edge]  # free arcs: between components and at the ends
         edges[edge] = (len(comps) - 2 + (comps[0][0] != (0, 1)) + (comps[-1][1] != (1, 1))
                        if comps else 0)
-    # psi of a vertex counts the descents of its cyclic tuple of instants
-    vertices = {}
-    for vertex in m.vertices():
-        ins = [rec["res"][c] for c in vertex]
-        pairs = zip(ins, ins[1:] + ins[:1])
-        vertices[vertex] = 1 - sum(r * s2 > r2 * s for (r, s), (r2, s2) in pairs)
+    res = rec["res"]  # psi of a vertex: the descents of its corner instants
+    vertices = {vertex: 1 - _descents([res[c] for c in vertex]) for vertex in m.vertices()}
     total = sum(faces.values()) + sum(edges.values()) + sum(vertices.values())
     return {
         "faces": faces,

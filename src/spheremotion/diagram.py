@@ -103,14 +103,10 @@ class HowieDiagram:
     def _reducible_pair(self):
         """`find_reducible_pair`'s witness, searched once per diagram."""
         for e in self.map.edge_ids:
-            (f1, i1), (f2, i2) = self.map.edge_sides[e]
-            if f1 == f2:
+            (f1, _), (f2, _) = self.map.edge_sides[e]
+            if f1 == f2 or f1 in self.exterior_faces or f2 in self.exterior_faces:
                 continue
-            if f1 in self.exterior_faces or f2 in self.exterior_faces:
-                continue
-            cells1 = face_cells(self, f1, i1)
-            cells2 = face_cells(self, f2, i2)
-            if len(cells1) == len(cells2) and cells2 == mirror_cells(cells1):
+            if _folds(self, e):
                 return (f1, f2, e)
         return None
 
@@ -214,13 +210,16 @@ def check_diagram_over(d: HowieDiagram, pres: RelativePresentation) -> dict:
 
 def mirror_cells(cells: Sequence) -> tuple:
     """The cell list of a face folding onto the given one across cell 0."""
-    (j1, s1, h1) = cells[0]
-    rest = list(cells[1:])
-    labels = [c[2] for c in cells]
-    out = [(j1, -s1, labels[-1].inverse())]
-    for i, (j, s, _) in enumerate(reversed(rest)):
-        out.append((j, -s, labels[len(rest) - 1 - i].inverse()))
-    return tuple(out)
+    return tuple((cells[-k][0], -cells[-k][1], cells[-k - 1][2].inverse())
+                 for k in range(len(cells)))
+
+
+def _folds(d: HowieDiagram, edge: int) -> bool:
+    """Whether the faces on the two sides of `edge`, read from it, fold
+    onto each other across it: their cells are each other's mirror."""
+    (f1, i1), (f2, i2) = d.map.edge_sides[edge]
+    cells = face_cells(d, f1, i1)
+    return len(d.map.faces[f2]) == len(cells) and face_cells(d, f2, i2) == mirror_cells(cells)
 
 
 def find_reducible_pair(d: HowieDiagram):
@@ -269,7 +268,7 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
         raise DiagramError("phi reduction needs interior cells")
     if not (is_phi_cell(d, f1) and is_phi_cell(d, f2)):
         raise DiagramError("phi reduction needs two phi cells")
-    if face_cells(d, f2, i2) == mirror_cells(face_cells(d, f1, i1)):
+    if _folds(d, edge):
         raise DiagramError("mutually inverse cells form a reducible pair")
 
     new_map, translate = d.map.remove_edge(edge)

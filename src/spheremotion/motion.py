@@ -105,6 +105,12 @@ def scaled_pairs(pairs, first: str, second: str, error=MotionError) -> tuple:
             [b.numerator * (Y // b.denominator) for _, b in pairs], Y)
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n / d, d > 0, as the int pair in lowest terms."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def fraction_lcm(values: Iterable[Fraction]) -> Fraction:
     # the lcm of the numerators: a common multiple of the values, and the
     # least one unless the denominators have a common factor
@@ -610,11 +616,9 @@ def _window_meetings(edge, plus, minus, D: int, out):
                 # lam = (pa + qa * t) / ka at t = num / den, over ka * den
                 lam, k = pa * den + qa * num, ka * den
                 if lo * den <= num <= hi * den and 0 < lam < k:
-                    g = math.gcd(lam, k)
-                    out.setdefault((edge, lam // g, k // g), []).append((num, num, den))
+                    out.setdefault((edge, *_reduced(lam, k)), []).append((num, num, den))
             elif not num:
-                g = math.gcd(pa, ka)
-                out.setdefault((edge, pa // g, ka // g), []).append((lo, hi, 1))
+                out.setdefault((edge, *_reduced(pa, ka)), []).append((lo, hi, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +695,7 @@ def as_multiple_motion(m: OrientedMap, ms: MotionSchedule) -> dict:
     for f, cars in groups.items():
         L = len(m.faces[f])
         d = len(cars)
-        # d * T as a reduced (numerator, denominator)
-        g = math.gcd(d, T.denominator)
-        dT = (d // g * T.numerator, T.denominator // g)
+        dT = _reduced(d * T.numerator, T.denominator)  # d * T
         for car in cars:
             if (car.period.numerator, car.period.denominator) != dT:
                 raise MotionError(

@@ -5,7 +5,10 @@ the oracle that the lap-table lookups are compared against.  Every
 `cotime_at` call scans the whole face, and every edge rebuilds the
 dart-to-corner table.  Corner times, the span check, psi and the
 subdivision remap work on Fractions, as the integer corner ticks'
-oracle; `subdivide_comotion` builds its map with
+oracle.  `psi` is the library's old definition verbatim, a sum of
+`comotion.chi_indicator`, so a vertex weight here shares no code with
+`comotion._descents`, which `weight_report` and `comotion.psi` run.
+`subdivide_comotion` builds its map with
 `map_edit_oracle.rebuilt_subdivision`, not with the split under test.
 `parse_comotion` is the document reader that built every cocar
 from Fractions, the oracle of the int reader.  `Cocar` is the cocar class
@@ -32,7 +35,7 @@ from spheremotion.comotion import (
     Comotion,
     ComotionCollisions,
     ComotionError,
-    psi,
+    chi_indicator,
     validate_comotion,
 )
 from spheremotion.jsonio import (
@@ -221,6 +224,15 @@ def _span_check(m, com):
                 raise ComotionError(
                     f"dart {j} of face {f} sweeps a full period; subdivide first"
                 )
+
+
+def psi(T, values, reference=ZERO):
+    """Winding number of a cyclic tuple of instants: counts descents."""
+    vals = list(values)
+    return sum(
+        chi_indicator(T, vals[i], vals[(i + 1) % len(vals)], reference)
+        for i in range(len(vals))
+    )
 
 
 def weight_report(m, com):

@@ -29,6 +29,7 @@ from spheremotion.goldens import doubled_polygon_map
 from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord
 from spheremotion.motion import CollisionReport
 from spheremotion.rewriting import phi, rewrite_word
+from spheremotion.surface import OrientedMap
 from word_oracle import difficult_pattern_by_rotation, word
 
 B2 = FreeGroup(2)
@@ -413,6 +414,17 @@ def test_motion_standard_rejects_an_m_that_misfits_the_faces(tmp_path, capsys, m
     code, report = run_json(capsys, "motion", str(path), "--standard", "A", "--m", override)
     assert code == 2
     assert "does not match pattern" in report["error"]
+
+
+def test_motion_standard_refuses_faces_that_disagree_on_m(tmp_path, capsys):
+    # a d-face, a b-face with m = 0 and a c-face with m = 1, on the sphere
+    m = OrientedMap("sphere", (((0, 1), (1, 1), (2, -1), (5, -1)), ((3, 1), (4, -1), (5, 1)),
+                               ((4, 1), (3, -1), (2, 1), (1, -1), (0, -1))))
+    path = tmp_path / "mixed.map.json"
+    path.write_text(jsonio.dumps(jsonio.map_to_json(m)))
+    code, report = run_json(capsys, "motion", str(path), "--standard", "A")
+    assert code == 2
+    assert report["error"] == "faces disagree on m: [0, 1]"
 
 
 def test_motion_needs_schedule(goldens, capsys):

@@ -306,6 +306,9 @@ LONE_FAST = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
 LONE_SHIFTED = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
     time_shifted_car(CarSchedule(0, 3, ((0, 0), (1, 1), (2, 3)), degree=1), 3, Fraction(5, 4)),
     CarSchedule(1, 3, ((Fraction(1, 2), Fraction(1, 3)),), degree=1))))
+# a parked car of degree 0 on face 0, one breakpoint: no progress over T
+LONE_STUCK = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
+    CarSchedule(0, 3, ((0, 0),)), CarSchedule(1, 3, ((0, 0),), degree=1))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,6 +316,7 @@ LONE_SHIFTED = (doubled_polygon((1, 1, 1)), MotionSchedule(3, (
 @example(drawn=HALF_LAP)
 @example(drawn=LONE_FAST)
 @example(drawn=LONE_SHIFTED)
+@example(drawn=LONE_STUCK)
 def test_successor_check_matches_the_fraction_bookkeeping(drawn):
     # the same groups, or the same refusal naming the same car
     m, ms = drawn
@@ -323,6 +327,7 @@ def test_successor_check_matches_the_fraction_bookkeeping(drawn):
 @pytest.mark.parametrize("drawn, want", [
     (LONE_FAST, "face 0: car 0 shifted by T does not match car 0"),
     (LONE_SHIFTED, {0: 1, 1: 1}),
+    (LONE_STUCK, "face 0: car makes no progress over T"),
 ])
 def test_lone_cars_keep_their_verdicts(drawn, want):
     got = successor_outcome(as_multiple_motion, *drawn)

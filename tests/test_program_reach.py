@@ -17,7 +17,9 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent / "tools" / "program_reach.py"
 
-TRACED = "perfbench/tracing.py wraps it by name, until the tracer names only live code"
+TRACED = ("perfbench/tracing.py wraps it by name, or calls it hashing arguments to count"
+          " distinct calls, until the tracer names only live code and counts by identity")
+READ = "perfbench/jobs.canon reads it, until canon reads no schedule's dataclass fields"
 PUBLIC = "public API a library user needs"
 NO_PATH = "no program path yet: the lemma-17 region search has no subcommand"
 COPIED = "perfbench/workloads.py copies it instead of importing it"
@@ -48,11 +50,11 @@ ALLOWED = {
     "groups.FreeProductWord.is_power_of": TRACED,
     "groups.FreeProductWord.unit_syllables": TRACED,
     "groups.FreeProductWord.__repr__": PUBLIC,
-    "motion._IntLap.breakpoints": PUBLIC,
+    "motion._IntLap.breakpoints": READ,
     "motion.lap_at": PUBLIC,
-    "motion.CarSchedule._ints": PUBLIC,
+    "motion.CarSchedule._ints": TRACED,
     "motion.CarSchedule.__eq__": PUBLIC,
-    "motion.CarSchedule.__hash__": PUBLIC,
+    "motion.CarSchedule.__hash__": TRACED,
     "motion.CarSchedule.__reduce__": PUBLIC,
     "motion.position_at": PUBLIC,
     "motion.corner_occupancy": TRACED,

@@ -15,6 +15,12 @@ directory:
 - each acceptance criterion of `tests/test_acceptance.py`, called in
   turn, without the session oracles of `tests/conftest.py`.
 
+The acceptance criteria are part of the plan, as the paper's checks that
+the program ships: without them the list grows by the functions that only
+they call, `comotion.chi_indicator`, `psi` and `psi_progress`,
+`motion._unscaled`, `CollisionReport.vertex_loci` and `edge_loci`, and
+`rewriting.is_difficult_case`.
+
 It prints every function and method defined under src/spheremotion whose
 code none of them called, as `module.qualname`, one a line.  A call at
 import time counts.  Its exit code is 1 when a run exits with a code
