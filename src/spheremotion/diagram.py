@@ -7,7 +7,9 @@ both from the single global anticlockwise convention by reversal.
 
 A diagram is checked once, by its constructor.  A move on a checked
 diagram (`phi_reduce_move`) builds its result through one private builder,
-`_unchecked_diagram`, which skips that check.
+`_unchecked_diagram`, which skips that check.  The move carries the
+diagram's phi cells, tested once per chain, over to its result, and its
+exterior vertices too, so a chain of moves walks no vertex orbit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError
 from .groups import FreeProductWord
@@ -73,9 +75,11 @@ class HowieDiagram:
         for e, j in self.edge_labels.items():
             if type(j) is not int or j < 1:
                 raise DiagramError(f"edge {e}: symbol index must be a positive int")
-        vertices = set(self.map.vertices())
-        if not set(self.exterior_vertices) <= vertices:
-            raise DiagramError("exterior vertex mark is not a vertex of the map")
+        if self.exterior_vertices:
+            at = self.map._corner_vertex
+            for v in self.exterior_vertices:
+                if type(v) is not tuple or not v or at.get(v[0]) != v:
+                    raise DiagramError("exterior vertex mark is not a vertex of the map")
         faces = set(range(self.map.face_count()))
         if not set(self.exterior_faces) <= faces:
             raise DiagramError("exterior face mark is not a face of the map")
@@ -208,18 +212,28 @@ def check_diagram_over(d: HowieDiagram, pres: RelativePresentation) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def mirror_cells(cells: Sequence) -> tuple:
-    """The cell list of a face folding onto the given one across cell 0."""
-    return tuple((cells[-k][0], -cells[-k][1], cells[-k - 1][2].inverse())
-                 for k in range(len(cells)))
-
-
 def _folds(d: HowieDiagram, edge: int) -> bool:
     """Whether the faces on the two sides of `edge`, read from it, fold
-    onto each other across it: their cells are each other's mirror."""
+    onto each other across it: their cells are each other's mirror.
+
+    Cell k of the - side (as `face_cells` reads it from the edge) mirrors
+    cell -k of the + side: the same symbol, the opposite sign, and the
+    inverse of the label of the corner before that cell.  The cells are
+    compared in order up to the first that differs, and a label is
+    inverted only when its symbol and sign agree."""
     (f1, i1), (f2, i2) = d.map.edge_sides[edge]
-    cells = face_cells(d, f1, i1)
-    return len(d.map.faces[f2]) == len(cells) and face_cells(d, f2, i2) == mirror_cells(cells)
+    b1, b2 = d.map.faces[f1], d.map.faces[f2]
+    L = len(b1)
+    if len(b2) != L:
+        return False
+    symbols, labels = d.edge_labels, d.corner_labels
+    for k in range(L):
+        (e1, s1), (e2, s2) = b1[(i1 - k) % L], b2[(i2 + k) % L]
+        if s2 != -s1 or symbols[e2] != symbols[e1]:
+            return False
+        if labels[(f2, (i2 + k + 1) % L)] != labels[(f1, (i1 - k) % L)].inverse():
+            return False
+    return True
 
 
 def find_reducible_pair(d: HowieDiagram):
@@ -260,13 +274,21 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     pq.  Faces and edges both drop by one, exterior labels survive.  A
     mutually inverse pair (q = p^-1) is refused: that is a reducible
     pair, not a removable edge.
+
+    The result inherits the phi cells: f2 leaves, the faces after it move
+    down by one, and the merged cell stays one, as pq is a nonidentity
+    P-word (pq = 1 exactly when the two cells fold) and phi is a
+    homomorphism.  Each exterior vertex drops the removed edge's two
+    corners and is read again from its least corner, as its orbit in the
+    new map is.
     """
-    (f1, i1), (f2, i2) = d.map.sides_of(edge)
+    (f1, i1), (f2, i2) = plus, minus = d.map.sides_of(edge)
     if f1 == f2:
         raise DiagramError("both sides of the edge lie on one face")
     if f1 in d.exterior_faces or f2 in d.exterior_faces:
         raise DiagramError("phi reduction needs interior cells")
-    if not (is_phi_cell(d, f1) and is_phi_cell(d, f2)):
+    cells = d._phi_cells
+    if f1 not in cells or f2 not in cells:
         raise DiagramError("phi reduction needs two phi cells")
     if _folds(d, edge):
         raise DiagramError("mutually inverse cells form a reducible pair")
@@ -275,27 +297,35 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     old = d.corner_labels
     labels = {translate[c]: w for c, w in old.items()}
     # each merged corner reads the + cell's label, then the - cell's
-    labels[translate[(f1, i1)]] = old[(f1, i1)] * old[(f2, 1 - i2)]
-    labels[translate[(f2, i2)]] = old[(f2, i2)] * old[(f1, 1 - i1)]
+    labels[translate[plus]] = old[plus] * old[(f2, 1 - i2)]
+    labels[translate[minus]] = old[minus] * old[(f1, 1 - i1)]
+    exterior_vertices = []
+    for v in d.exterior_vertices:
+        new = [translate[c] for c in v if c != plus and c != minus]
+        k = new.index(min(new))
+        exterior_vertices.append(tuple(new[k:] + new[:k]))
     return _unchecked_diagram(
         new_map,
         labels,
         {e: j for e, j in d.edge_labels.items() if e != edge},
-        frozenset(new_map.vertex_of(translate[v[0]]) for v in d.exterior_vertices),
+        frozenset(exterior_vertices),
         frozenset(f - (f > f2) for f in d.exterior_faces),
         d.phi_s,
         None
         if d.large_faces is None
         else frozenset(f - (f > f2) for f in d.large_faces if f != f2),
+        phi_cells=tuple(f - (f > f2) for f in cells if f != f2),
     )
 
 
-def _unchecked_diagram(*parts) -> HowieDiagram:
+def _unchecked_diagram(*parts, phi_cells: tuple[int, ...]) -> HowieDiagram:
     """`HowieDiagram(*parts)` without `__post_init__`, for a move on a checked
     diagram: each part is translated from that diagram's, and each new corner
-    label is a product of two of its t-free labels over its base."""
+    label is a product of two of its t-free labels over its base.  The
+    result's `_phi_cells` is set to `phi_cells` instead of being tested."""
     d = object.__new__(HowieDiagram)
     d.__dict__.update(zip(_DIAGRAM_FIELDS, parts, strict=True))
+    d.__dict__["_phi_cells"] = phi_cells
     return d
 
 

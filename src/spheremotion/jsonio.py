@@ -251,14 +251,30 @@ def parse_word(doc, base: BaseGroup = None) -> FreeProductWord:
     found = parse_base(_field(doc, "base"))
     if base is not None and found != base:
         raise JsonError(f"word base {found!r} does not match {base!r}")
+    return _word_over(doc, found)
+
+
+def _word_over(doc, base: BaseGroup) -> FreeProductWord:
+    """The word of doc's syllables over `base`, its base field read."""
     syllables = []
     for syl in _objects(doc, "syllables"):
         if "t" in syl:
             syllables.append(("t", _int(syl, "t"), _int(syl, "exp")))
         else:
-            elem = found.parse(_field(syl, "elem"))
+            elem = base.parse(_field(syl, "elem"))
             syllables.append(("g", _int(syl, "copy"), elem))
-    return FreeProductWord.join(found, syllables)  # parse validated each elem
+    return FreeProductWord.join(base, syllables)  # parse validated each elem
+
+
+def _names_base(doc, base: BaseGroup) -> bool:
+    """Whether doc is a word document whose base field names `base` in the
+    form `base_to_json` writes: its kind, and its rank as an int (a bool or
+    a float equal to it goes through `parse_base`)."""
+    bdoc = doc.get("base") if isinstance(doc, dict) else None
+    if not isinstance(bdoc, dict):
+        return False
+    rank = bdoc.get("rank")
+    return type(rank) is int and rank == base.rank and bdoc.get("kind") == base.kind
 
 
 def presentation_to_json(data: RelativePresentationData, extra_relators=()) -> dict:
@@ -480,12 +496,12 @@ def _parse_corner(key: str):
         raise JsonError(f"bad corner key {key!r}") from None
 
 
-def _spelled_once(spellings: dict, table: str, key: str, parsed, what: str) -> None:
+def _spelled_once(spellings: dict, table: str, key: str, parsed, noun: str) -> None:
     """Refuse a key of `table` that names what an earlier key named: JSON
     keeps both spellings, and the later label would silently win."""
     first = spellings.setdefault(parsed, key)
     if first != key:
-        raise JsonError(f"{table} keys {first!r} and {key!r} both name {what}")
+        raise JsonError(f"{table} keys {first!r} and {key!r} both name {noun} {parsed}")
 
 
 def diagram_to_json(d) -> dict:
@@ -514,10 +530,15 @@ def parse_diagram(doc):
     spellings = {}
     base = None
     for key, wdoc in _table(doc, "corner_labels").items():
-        w = parse_word(wdoc, base)
-        base = w.base
+        # the first label's base is read once; a later label that names it
+        # again is not read into a second base
+        if base is not None and _names_base(wdoc, base):
+            w = _word_over(wdoc, base)
+        else:
+            w = parse_word(wdoc, base)
+            base = w.base
         corner = _parse_corner(key)
-        _spelled_once(spellings, "corner_labels", key, corner, f"corner {corner}")
+        _spelled_once(spellings, "corner_labels", key, corner, "corner")
         corner_labels[corner] = w
     edge_labels = {}
     spellings = {}
@@ -526,14 +547,13 @@ def parse_diagram(doc):
             raise JsonError(f"edge symbol must look like 't_j', got {sym!r}")
         j = _int_text(sym[2:], f"the j of edge_labels[{key!r}] = {sym!r}")
         edge = _int_text(key, "edge_labels key")
-        _spelled_once(spellings, "edge_labels", key, edge, f"edge {edge}")
+        _spelled_once(spellings, "edge_labels", key, edge, "edge")
         edge_labels[edge] = j
     for key, owner in _table(doc, "arrows", {}).items():
         edge = _int_text(key, "arrows key")
         if not isinstance(owner, list) or m.dart_owner((edge, 1)) != tuple(owner):
             raise JsonError(f"arrow on edge {key} does not match the map")
 
-    by_corners = {frozenset(v): v for v in m.vertices()}
     exterior_vertices = []
     vertex_docs = doc.get("exterior_vertices", [])
     if not isinstance(vertex_docs, list) or not all(
@@ -541,10 +561,12 @@ def parse_diagram(doc):
     ):
         raise JsonError("exterior_vertices must be a list of corner-key lists")
     for corners in vertex_docs:
-        wanted = frozenset(_parse_corner(c) for c in corners)
-        if wanted not in by_corners:
+        wanted = {_parse_corner(c) for c in corners}
+        # the vertex at one of the corners, when they are all of its corners
+        v = m._corner_vertex.get(min(wanted)) if wanted else None
+        if v is None or wanted != set(v):
             raise JsonError(f"exterior vertex {sorted(corners)} is not a vertex")
-        exterior_vertices.append(by_corners[wanted])
+        exterior_vertices.append(v)
 
     phi_s = _table(doc, "phi", {}).get("s")
     if phi_s is not None and type(phi_s) is not int:

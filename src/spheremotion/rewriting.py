@@ -144,11 +144,11 @@ class RelativePresentationData:
 
 def in_P(w: FreeProductWord, s: int) -> bool:
     """Membership in P = <copies 0..s-1>; structural in a free product."""
-    return not w.has_t() and all(i < s for i in w.copies_used())
+    return all(tag == "g" and i < s for tag, i, _ in w.syllables)
 
 
 def in_P_phi(w: FreeProductWord, s: int) -> bool:
-    return not w.has_t() and all(1 <= i <= s for i in w.copies_used())
+    return all(tag == "g" and 1 <= i <= s for tag, i, _ in w.syllables)
 
 
 def phi(w: FreeProductWord) -> FreeProductWord:

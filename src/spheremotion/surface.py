@@ -10,8 +10,8 @@ the face components read it, and so do the edge loops of motion, comotion
 and diagram.  Vertices are not stored; they are the orbits of the corner
 rotation and get computed once per map, with the corner-to-vertex table.
 Both edits, `remove_edge` and the split `subdivide_edge`, build their map
-without the constructor: they translate `edge_sides` and carry the orbits
-over instead of walking them again.
+without the constructor: they translate `edge_sides`.  The split carries
+the orbits over as well; a removal leaves them to be walked when read.
 """
 
 from __future__ import annotations
@@ -222,7 +222,9 @@ class OrientedMap:
         then the - dart's face; it takes the + face's index, and the faces
         after the - face move down by one.  V stays and E and F drop by one,
         so no invariant needs checking again: the map is built without the
-        constructor, with the old vertex orbits translated.
+        constructor.  Its vertex orbits are walked when first read, as a
+        parsed map's are; a caller that carries vertices translates them
+        itself.
         """
         (f1, i1), (f2, i2) = plus, minus = self.sides_of(edge)
         if f1 == f2:
@@ -241,20 +243,13 @@ class OrientedMap:
         merged += [(f2, (i2 + k) % L2) for k in range(1, L2)]
         translate.update((c, (nf, k)) for k, c in enumerate(merged))
         # the corner the + dart starts at merges with the one after the -
-        # dart, and the other way round; orbits keep one corner of each pair
+        # dart, and the other way round; a vertex keeps one corner of each pair
         translate[plus] = (nf, (L1 - 1) % (L1 + L2 - 2))
         translate[minus] = (nf, 0)
-        orbits = []
-        for orbit in self._orbits:
-            new = [translate[c] for c in orbit if c != plus and c != minus]
-            k = new.index(min(new))
-            orbits.append(tuple(new[k:] + new[:k]))
-        orbits.sort()
         sides = {e: (translate[a], translate[b])
                  for e, (a, b) in self.edge_sides.items() if e != edge}
         out = object.__new__(OrientedMap)
-        out.__dict__.update(surface=self.surface, faces=tuple(faces),
-                            edge_sides=sides, _orbits=tuple(orbits))
+        out.__dict__.update(surface=self.surface, faces=tuple(faces), edge_sides=sides)
         return out, translate
 
     # -- face profiles -------------------------------------------------------

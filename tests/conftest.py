@@ -9,14 +9,17 @@ and rebuilds every word it makes with the full check,
 fails the test that made it, and the session as well.
 
 Map edits work the same way.  `OrientedMap.remove_edge` and the split
-`surface.subdivide_edge` build their maps without the constructor and
-carry the vertex orbits over, and `diagram._unchecked_diagram` builds the
-diagram of a phi merge without `HowieDiagram.__post_init__`.  Every map
-an edit makes is compared with its full rebuild in `map_edit_oracle`
-(faces, `edge_sides`, `vertices()` in order, `vertex_of` and, for a
-removal, the corner translation), and every diagram the builder makes is
-rebuilt with `HowieDiagram(...)` over `OrientedMap(surface, faces)` and
-compared.  The split is a module function, so the fixture rebinds it in
+`surface.subdivide_edge` build their maps without the constructor; the
+split carries the vertex orbits over, and a removal leaves them to be
+walked when read.  `diagram._unchecked_diagram` builds the diagram of a
+phi merge without `HowieDiagram.__post_init__`, with its phi cells and
+exterior vertices carried over from the merged diagram.  Every map an
+edit makes is compared with its full rebuild in `map_edit_oracle` (faces,
+`edge_sides`, `vertices()` in order, `vertex_of` and, for a removal, the
+corner translation), and every diagram the builder makes is rebuilt with
+`HowieDiagram(...)` over `OrientedMap(surface, faces)` and compared; its
+carried `_phi_cells` must be the faces that `diagram.is_phi_cell` finds,
+in order.  The split is a module function, so the fixture rebinds it in
 every loaded module that holds it, test modules included.
 
 The presentation moves `rewriting.move_lower_s` and `move_absorb_b` build
@@ -185,8 +188,8 @@ def checked_edit_oracle():
         return new
 
     @functools.wraps(build)
-    def checked_build(*parts):
-        d = build(*parts)
+    def checked_build(*parts, **carried):
+        d = build(*parts, **carried)
         m = parts[0]
         try:
             full = diagram.HowieDiagram(OrientedMap(m.surface, m.faces), *parts[1:])
@@ -194,6 +197,10 @@ def checked_edit_oracle():
             fail("unchecked diagram", f"the full check refuses it: {exc}")
         if full != d or full.map.vertices() != d.map.vertices():
             fail("unchecked diagram", "not the diagram the full check builds")
+        if "_phi_cells" in vars(d):
+            want = tuple(f for f in range(m.face_count()) if diagram.is_phi_cell(d, f))
+            if d._phi_cells != want:
+                fail("unchecked diagram", f"carries phi cells {d._phi_cells}, not {want}")
         return d
 
     OrientedMap.remove_edge = checked_remove

@@ -1217,6 +1217,11 @@ def test_fuzz_env_seed_override(capsys, monkeypatch):
                         "--seed", "999")
     assert json.loads(overridden)["seed"] == 11
     assert overridden == plain
+    monkeypatch.setenv("SPHEREMOTION_SEED", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["fuzz", "--suite", "weights", "--cases", "1"])
+    assert info.value.code == 2
+    assert "SPHEREMOTION_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_fuzz_rejects_zero_cases(capsys):

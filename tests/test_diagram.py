@@ -23,7 +23,6 @@ from spheremotion.diagram import (
     is_phi_cell,
     is_phi_reduced,
     lemma17_audit,
-    mirror_cells,
     phi_reduce_move,
     vertex_label,
 )
@@ -83,6 +82,13 @@ def mirror_pentagon():
         (_, jf), (fb, jb) = sorted(v)
         labels[(fb, jb)] = labels[(0, jf)].inverse()
     return HowieDiagram(m, labels, {e: 1 for e in m.edge_ids})
+
+
+def mirror_cells(cells):
+    """The cell list of a face folding onto the given one across cell 0,
+    built whole: the reading `diagram._folds` compares cell by cell."""
+    return tuple((cells[-k][0], -cells[-k][1], cells[-k - 1][2].inverse())
+                 for k in range(len(cells)))
 
 
 # -- construction and labels ---------------------------------------------------
@@ -166,6 +172,40 @@ def test_label_rotation_is_conjugation(seed):
     assert vertex_label(d, v, start=c).is_conjugate_to(vertex_label(d, v))
     cells = face_cells(d, f, k)
     assert mirror_cells(mirror_cells(cells)) == cells
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.sampled_from(["none", "label", "symbol"]))
+def test_folds_stops_where_the_whole_mirror_differs(seed, perturb):
+    """`_folds` agrees with comparing the whole mirrored cell list: on a
+    random labelled map, and on a random doubled polygon whose back labels
+    invert the front ones, as is or with one label or symbol changed."""
+    rng = make_rng(seed)
+    m = random_sphere_map(rng)
+    labels = {c: FreeProductWord.g(B2, random_base_element(B2, rng)) for c in m.corners()}
+    diagrams = [HowieDiagram(m, labels, {e: 1 + rng.randrange(3) for e in m.edge_ids})]
+    n = rng.randint(1, 6)
+    m = doubled_polygon_map(tuple(rng.choice((1, -1)) for _ in range(n)))
+    labels = {(0, j): FreeProductWord.g(B2, random_base_element(B2, rng)) for j in range(n)}
+    for v in m.vertices():
+        (_, jf), (fb, jb) = sorted(v)
+        labels[(fb, jb)] = labels[(0, jf)].inverse()
+    symbols = {e: 1 for e in m.edge_ids}
+    if perturb == "label":
+        c = rng.choice(m.corners())
+        labels[c] = labels[c] * gw(rng.choice((1, -1, 2, -2)))
+    elif perturb == "symbol":
+        symbols[rng.choice(m.edge_ids)] = 2
+    diagrams.append(HowieDiagram(m, labels, symbols))
+    for d in diagrams:
+        for e in d.map.edge_ids:
+            (f1, i1), (f2, i2) = d.map.edge_sides[e]
+            cells = face_cells(d, f1, i1)
+            whole = len(d.map.faces[f2]) == len(cells) and (
+                face_cells(d, f2, i2) == mirror_cells(cells))
+            assert diagram._folds(d, e) == whole
+    if perturb == "none":
+        assert all(diagram._folds(diagrams[1], e) for e in m.edge_ids)
 
 
 def test_mirror_pentagon_is_valid_and_reducible():
@@ -278,6 +318,17 @@ def test_phi_merge_refusals():
 
     with pytest.raises(DiagramError, match="two phi cells"):
         phi_reduce_move(balloon_diagram(), 0)
+    # the phi cells a move carries over: a face that is no phi cell on the
+    # merged diagram is still refused there
+    d3 = phi_chain(3)
+    tail = HowieDiagram(
+        d3.map, {**d3.corner_labels, (2, 1): FreeProductWord.one(d3.base)}, d3.edge_labels,
+        phi_s=1,
+    )
+    child = phi_reduce_move(tail, 1)
+    assert diagram.phi_cells(child) == [0] and child.map.face_count() == 2
+    with pytest.raises(DiagramError, match="two phi cells"):
+        phi_reduce_move(child, 0)
 
     purse = OrientedMap("sphere", (((0, -1), (0, 1)),))
     one = FreeProductWord.one(base)

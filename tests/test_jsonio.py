@@ -240,9 +240,11 @@ def test_diagram_round_trip():
         labels,
         {e: 1 + (e % 2) for e in m.edge_ids},
         exterior_vertices=frozenset({m.vertices()[0]}),
+        exterior_faces=frozenset({1}),
         large_faces=frozenset({0}),
     )
     doc = json.loads(dumps(diagram_to_json(d)))
+    assert doc["exterior_faces"] == [1]
     assert parse_diagram(doc) == d
 
     lunes = lune_map(2)
@@ -283,6 +285,42 @@ def test_diagram_parse_rejections():
     doc["corner_labels"]["9"] = doc["corner_labels"]["0,0"]
     with pytest.raises(JsonError, match="bad corner key"):
         parse_diagram(doc)
+
+    def refused(doc):
+        with pytest.raises(JsonError) as info:
+            parse_diagram(doc)
+        return str(info.value)
+
+    # a later label's base is read in full unless it names the first one's
+    # kind and int rank: true and 2.0 equal 1 and 2, and are still refused
+    for first, later, message in [
+        (1, {"kind": "free", "rank": True}, "rank must be an int, got True"),
+        (2, {"kind": "free", "rank": 2.0}, "rank must be an int, got 2.0"),
+        (1, {"kind": "abelian", "rank": 1},
+         "word base FreeAbelianGroup(1) does not match FreeGroup(1)"),
+        (1, {"kind": "free", "rank": 2}, "word base FreeGroup(2) does not match FreeGroup(1)"),
+        (1, {"kind": "free"}, "missing field 'rank'"),
+    ]:
+        doc = diagram_to_json(d)
+        doc["corner_labels"]["0,0"]["base"]["rank"] = first
+        doc["corner_labels"]["1,0"]["base"] = later
+        assert refused(doc) == message
+    doc = diagram_to_json(d)
+    doc["corner_labels"]["0,00"] = doc["corner_labels"].pop("1,0")
+    assert refused(doc) == "corner_labels keys '0,0' and '0,00' both name corner (0, 0)"
+
+    # an exterior vertex names all of one vertex's corners and nothing else
+    two = HowieDiagram(
+        doubled_polygon_map((1, -1)),
+        {c: FreeProductWord.one(B) for c in doubled_polygon_map((1, -1)).corners()},
+        {0: 1, 1: 1},
+    )
+    for corners in (["0,0"], ["0,0", "1,0", "0,1"], [], ["0,0", "1,0", "5,5"], ["5,5"]):
+        doc = diagram_to_json(two)
+        doc["exterior_vertices"] = [corners]
+        assert refused(doc) == f"exterior vertex {sorted(corners)} is not a vertex"
+    doc["exterior_vertices"] = [["1,0", "0,0", "0,0"], ["1,1", "0,1"]]
+    assert parse_diagram(doc).exterior_vertices == frozenset(two.map.vertices())
 
 
 def test_dumps_is_deterministic():

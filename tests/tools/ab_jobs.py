@@ -1,4 +1,4 @@
-"""Interleaved A/B of two checkouts on one workload's CLI jobs.
+"""Interleaved A/B of two checkouts on one workload's jobs.
 
     python tests/tools/ab_jobs.py OLD NEW --workload weights --seed 3 [--k 5]
 
@@ -8,15 +8,22 @@ and `ab_new`; the package imports itself relatively, so both load side by
 side in one process.  The jobs are planned by OLD's `perfbench/workloads.py`,
 read and not changed, with OLD's own `spheremotion` building the inputs,
 for the given seed at `--seconds 30`, so every pool instance is in the plan.
-Each distinct CLI job then runs k times per side, in-process through the
-package's `cli.main` with stdout captured, the two sides alternating and
-the side that goes first switching each time.
+Each distinct job then runs k times per side, the two sides alternating and
+the side that goes first switching each time.  A CLI job runs in-process
+through the package's `cli.main` with stdout captured.  A library job runs
+through OLD's `perfbench/jobs.py`, loaded once per side with `spheremotion`
+standing for that side's package: its untimed preparation parses the
+inputs (and the producer's report, from that side's own run of the
+producer) with that side's reader, and its timed call and canonical form
+are that side's.  The CLI jobs run first, so every producer has run.
 
 It prints, per job class, the sum over its jobs of each side's minimum
-wall time and the speedup old / new, then the same over all jobs, and the
-count of jobs whose exit code or stdout differ between the sides (each
-side's first run; the artifact paths in stdout are the same for both).
-Its exit code is 1 when any output differs.  Library jobs are skipped.
+wall time (a library job's: its timed call alone) and the speedup
+old / new, then the same over all jobs, and the count of jobs whose
+output differs between the sides (each side's first run: the exit code
+and stdout of a CLI job, whose artifact paths are the same for both, or
+the canonical result of a library job, or the exception it raised).
+Its exit code is 1 when any output differs.
 
 Minimum times of interleaved runs cancel most of the drift of a shared
 machine.  On a 2-core x86-64 VM with Python 3.11, ten 30-s benchmark runs
@@ -29,7 +36,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -48,8 +58,32 @@ def load_packages(old: Path, new: Path, into: Path) -> tuple:
     return ab_old.cli.main, ab_new.cli.main
 
 
-def planned_cli_jobs(old: Path, workload: str, seed: int, art_dir: Path) -> list:
-    """Each distinct CLI job of the workload's plan, in plan order."""
+def load_jobs(perfbench: Path, package: str, into: Path):
+    """perfbench/jobs.py as a module of its own whose `spheremotion` is the
+    given package, each of its submodules imported under both names."""
+    aliases = {"spheremotion": importlib.import_module(package)}
+    for path in sorted((into / package).glob("*.py")):
+        if path.stem != "__init__":
+            aliases[f"spheremotion.{path.stem}"] = importlib.import_module(
+                f"{package}.{path.stem}")
+    saved = {name: sys.modules.get(name) for name in aliases}
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location(f"{package}_jobs", perfbench / "jobs.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        for name, mod in saved.items():
+            if mod is None:
+                sys.modules.pop(name)
+            else:
+                sys.modules[name] = mod
+    return module
+
+
+def planned_jobs(old: Path, workload: str, seed: int, art_dir: Path) -> list:
+    """Each distinct job of the workload's plan: the CLI jobs in plan order,
+    then the library jobs in plan order."""
     sys.path[:0] = [str(old / "perfbench"), str(old / "src")]
     import workloads
 
@@ -57,12 +91,12 @@ def planned_cli_jobs(old: Path, workload: str, seed: int, art_dir: Path) -> list
     once, rounds, _ = workloads.plan(workload, seed, art, workloads.round_count(workload, 30))
     jobs = {}
     for job in [*once, *(j for r in rounds for j in r)]:
-        if job.get("argv") is not None:
-            jobs.setdefault(job["key"], job)
-    return list(jobs.values())
+        jobs.setdefault(job["key"], job)
+    return sorted(jobs.values(), key=lambda job: job.get("argv") is None)
 
 
-def run_once(main, argv) -> tuple[float, int, str]:
+def run_once(main, argv) -> tuple[float, tuple[int, str]]:
+    """The run's seconds, and its exit code and stdout."""
     buf = io.StringIO()
     start = time.perf_counter()
     try:
@@ -70,7 +104,16 @@ def run_once(main, argv) -> tuple[float, int, str]:
             code = main(argv)
     except SystemExit as exc:  # argparse refusals
         code = exc.code if isinstance(exc.code, int) else 2
-    return time.perf_counter() - start, code, buf.getvalue()
+    return time.perf_counter() - start, (code, buf.getvalue())
+
+
+def run_library(jobs, job, reports) -> tuple[float, str]:
+    """The timed call's seconds and the canonical result, as JSON text."""
+    try:
+        out = jobs.execute(job, reports)
+    except Exception as exc:  # a refusal is an output to compare
+        return float("nan"), f"{type(exc).__name__}: {exc}"
+    return out.seconds, json.dumps(jobs.output_doc(job, out)[1], sort_keys=True)
 
 
 def main(argv=None) -> int:
@@ -84,7 +127,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         mains = load_packages(args.old.resolve(), args.new.resolve(), tmp)
-        jobs = planned_cli_jobs(args.old.resolve(), args.workload, args.seed, tmp / "art")
+        sides = [load_jobs(args.old.resolve() / "perfbench", name, tmp)
+                 for name in ("ab_old", "ab_new")]
+        jobs = planned_jobs(args.old.resolve(), args.workload, args.seed, tmp / "art")
+        needed = {job["needs"] for job in jobs if job.get("needs")}
+        reports = ({}, {})  # each side's report of every producer job
         best = {}  # class -> [old seconds, new seconds, jobs]
         differ = []
         for n, job in enumerate(jobs):
@@ -92,16 +139,24 @@ def main(argv=None) -> int:
             for rep in range(args.k):
                 order = (0, 1) if (n + rep) % 2 == 0 else (1, 0)
                 for side in order:
-                    t, code, text = run_once(mains[side], job["argv"])
+                    if job.get("argv") is not None:
+                        t, out = run_once(mains[side], job["argv"])
+                    else:
+                        t, out = run_library(sides[side], job, reports[side])
                     times[side].append(t)
-                    first[side] = first[side] or (code, text)
+                    first[side] = first[side] or out
+            if job["key"] in needed:
+                for side in (0, 1):
+                    reports[side][job["key"]] = json.loads(first[side][1])
             if first[0] != first[1]:
                 differ.append(job["key"])
             sums = best.setdefault(job["cls"], [0.0, 0.0, 0])
             sums[0] += min(times[0])
             sums[1] += min(times[1])
             sums[2] += 1
-    print(f"{args.workload} seed {args.seed}, k = {args.k}: {len(jobs)} CLI jobs")
+    library = sum(job.get("argv") is None for job in jobs)
+    print(f"{args.workload} seed {args.seed}, k = {args.k}: {len(jobs) - library} CLI jobs, "
+          f"{library} library jobs")
     print(f"{'class':24} {'jobs':>5} {'old ms':>10} {'new ms':>10} {'old/new':>8}")
     for cls, (a, b, count) in [*sorted(best.items()),
                                ("all", [sum(v[i] for v in best.values()) for i in range(3)])]:
