@@ -75,11 +75,9 @@ class HowieDiagram:
         for e, j in self.edge_labels.items():
             if type(j) is not int or j < 1:
                 raise DiagramError(f"edge {e}: symbol index must be a positive int")
-        if self.exterior_vertices:
-            at = self.map._corner_vertex
-            for v in self.exterior_vertices:
-                if type(v) is not tuple or not v or at.get(v[0]) != v:
-                    raise DiagramError("exterior vertex mark is not a vertex of the map")
+        for v in self.exterior_vertices:
+            if type(v) is not tuple or not v or self.map.vertex_at(v[0]) != v:
+                raise DiagramError("exterior vertex mark is not a vertex of the map")
         faces = set(range(self.map.face_count()))
         if not set(self.exterior_faces) <= faces:
             raise DiagramError("exterior face mark is not a face of the map")
@@ -278,9 +276,8 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     The result inherits the phi cells: f2 leaves, the faces after it move
     down by one, and the merged cell stays one, as pq is a nonidentity
     P-word (pq = 1 exactly when the two cells fold) and phi is a
-    homomorphism.  Each exterior vertex drops the removed edge's two
-    corners and is read again from its least corner, as its orbit in the
-    new map is.
+    homomorphism.  The exterior vertices are carried over by the map's
+    `carry_vertex`, so the new map's orbits are not walked.
     """
     (f1, i1), (f2, i2) = plus, minus = d.map.sides_of(edge)
     if f1 == f2:
@@ -299,16 +296,11 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     # each merged corner reads the + cell's label, then the - cell's
     labels[translate[plus]] = old[plus] * old[(f2, 1 - i2)]
     labels[translate[minus]] = old[minus] * old[(f1, 1 - i1)]
-    exterior_vertices = []
-    for v in d.exterior_vertices:
-        new = [translate[c] for c in v if c != plus and c != minus]
-        k = new.index(min(new))
-        exterior_vertices.append(tuple(new[k:] + new[:k]))
     return _unchecked_diagram(
         new_map,
         labels,
         {e: j for e, j in d.edge_labels.items() if e != edge},
-        frozenset(exterior_vertices),
+        frozenset(d.map.carry_vertex(v, edge, translate) for v in d.exterior_vertices),
         frozenset(f - (f > f2) for f in d.exterior_faces),
         d.phi_s,
         None

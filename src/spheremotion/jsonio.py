@@ -251,30 +251,14 @@ def parse_word(doc, base: BaseGroup = None) -> FreeProductWord:
     found = parse_base(_field(doc, "base"))
     if base is not None and found != base:
         raise JsonError(f"word base {found!r} does not match {base!r}")
-    return _word_over(doc, found)
-
-
-def _word_over(doc, base: BaseGroup) -> FreeProductWord:
-    """The word of doc's syllables over `base`, its base field read."""
     syllables = []
     for syl in _objects(doc, "syllables"):
         if "t" in syl:
             syllables.append(("t", _int(syl, "t"), _int(syl, "exp")))
         else:
-            elem = base.parse(_field(syl, "elem"))
+            elem = found.parse(_field(syl, "elem"))
             syllables.append(("g", _int(syl, "copy"), elem))
-    return FreeProductWord.join(base, syllables)  # parse validated each elem
-
-
-def _names_base(doc, base: BaseGroup) -> bool:
-    """Whether doc is a word document whose base field names `base` in the
-    form `base_to_json` writes: its kind, and its rank as an int (a bool or
-    a float equal to it goes through `parse_base`)."""
-    bdoc = doc.get("base") if isinstance(doc, dict) else None
-    if not isinstance(bdoc, dict):
-        return False
-    rank = bdoc.get("rank")
-    return type(rank) is int and rank == base.rank and bdoc.get("kind") == base.kind
+    return FreeProductWord.join(found, syllables)  # parse validated each elem
 
 
 def presentation_to_json(data: RelativePresentationData, extra_relators=()) -> dict:
@@ -530,13 +514,8 @@ def parse_diagram(doc):
     spellings = {}
     base = None
     for key, wdoc in _table(doc, "corner_labels").items():
-        # the first label's base is read once; a later label that names it
-        # again is not read into a second base
-        if base is not None and _names_base(wdoc, base):
-            w = _word_over(wdoc, base)
-        else:
-            w = parse_word(wdoc, base)
-            base = w.base
+        w = parse_word(wdoc, base)
+        base = w.base
         corner = _parse_corner(key)
         _spelled_once(spellings, "corner_labels", key, corner, "corner")
         corner_labels[corner] = w
@@ -563,7 +542,7 @@ def parse_diagram(doc):
     for corners in vertex_docs:
         wanted = {_parse_corner(c) for c in corners}
         # the vertex at one of the corners, when they are all of its corners
-        v = m._corner_vertex.get(min(wanted)) if wanted else None
+        v = m.vertex_at(min(wanted)) if wanted else None
         if v is None or wanted != set(v):
             raise JsonError(f"exterior vertex {sorted(corners)} is not a vertex")
         exterior_vertices.append(v)

@@ -11,7 +11,8 @@ and diagram.  Vertices are not stored; they are the orbits of the corner
 rotation and get computed once per map, with the corner-to-vertex table.
 Both edits, `remove_edge` and the split `subdivide_edge`, build their map
 without the constructor: they translate `edge_sides`.  The split carries
-the orbits over as well; a removal leaves them to be walked when read.
+the orbits over as well; a removal leaves them to be walked when read, and
+`carry_vertex` translates one vertex through it.
 """
 
 from __future__ import annotations
@@ -191,6 +192,10 @@ class OrientedMap:
         """Corner orbits of the rotation, each read anticlockwise."""
         return list(self._orbits)
 
+    def vertex_at(self, corner: Corner) -> Optional[tuple[Corner, ...]]:
+        """The vertex at `corner`, or None when the map has no such corner."""
+        return self._corner_vertex.get(corner)
+
     def vertex_of(self, corner: Corner) -> tuple[Corner, ...]:
         vertex = self._corner_vertex.get(corner)
         if vertex is None:
@@ -223,8 +228,8 @@ class OrientedMap:
         after the - face move down by one.  V stays and E and F drop by one,
         so no invariant needs checking again: the map is built without the
         constructor.  Its vertex orbits are walked when first read, as a
-        parsed map's are; a caller that carries vertices translates them
-        itself.
+        parsed map's are; a caller that carries some vertices over
+        translates each with `carry_vertex`.
         """
         (f1, i1), (f2, i2) = plus, minus = self.sides_of(edge)
         if f1 == f2:
@@ -251,6 +256,17 @@ class OrientedMap:
         out = object.__new__(OrientedMap)
         out.__dict__.update(surface=self.surface, faces=tuple(faces), edge_sides=sides)
         return out, translate
+
+    def carry_vertex(self, vertex: Sequence[Corner], edge: int,
+                     translate: dict[Corner, Corner]) -> tuple[Corner, ...]:
+        """`vertex` of this map as a vertex of `remove_edge(edge)`'s map,
+        whose corner dict is `translate`: the removed edge's two corners
+        drop out, and the rest is read from its least corner, as `_orbits`
+        reads every vertex."""
+        plus, minus = self.edge_sides[edge]
+        new = [translate[c] for c in vertex if c != plus and c != minus]
+        k = new.index(min(new))
+        return tuple(new[k:] + new[:k])
 
     # -- face profiles -------------------------------------------------------
 

@@ -374,6 +374,8 @@ def test_absent_darts_and_corners_still_raise():
         m.vertex_of((0, 99))
     with pytest.raises(MapError):
         m.vertex_of((99, 0))
+    assert m.vertex_at((0, 99)) is None and m.vertex_at((99, 0)) is None
+    assert m.vertex_at((0, 1)) == m.vertex_of((0, 1))
 
 
 def test_dart_owner_refuses_a_boolean_edge():
@@ -558,4 +560,7 @@ def test_remove_edge_matches_the_full_rebuild(kind, seed):
             with pytest.raises(MapError, match="on both sides"):
                 m.remove_edge(edge)
         else:
-            assert edit_problem(m, edge, *m.remove_edge(edge)) is None
+            new, translate = m.remove_edge(edge)
+            assert edit_problem(m, edge, new, translate) is None
+            for v in m.vertices():
+                assert m.carry_vertex(v, edge, translate) == new.vertex_of(translate[v[0]])

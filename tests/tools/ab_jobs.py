@@ -23,7 +23,8 @@ old / new, then the same over all jobs, and the count of jobs whose
 output differs between the sides (each side's first run: the exit code
 and stdout of a CLI job, whose artifact paths are the same for both, or
 the canonical result of a library job, or the exception it raised).
-Its exit code is 1 when any output differs.
+A library job whose run raised on either side is counted and named apart,
+and left out of the times.  Its exit code is 1 when any output differs.
 
 Minimum times of interleaved runs cancel most of the drift of a shared
 machine.  On a 2-core x86-64 VM with Python 3.11, ten 30-s benchmark runs
@@ -107,12 +108,13 @@ def run_once(main, argv) -> tuple[float, tuple[int, str]]:
     return time.perf_counter() - start, (code, buf.getvalue())
 
 
-def run_library(jobs, job, reports) -> tuple[float, str]:
-    """The timed call's seconds and the canonical result, as JSON text."""
+def run_library(jobs, job, reports) -> tuple[float | None, str]:
+    """The timed call's seconds (None when it raised) and the canonical
+    result, as JSON text, or the exception it raised."""
     try:
         out = jobs.execute(job, reports)
-    except Exception as exc:  # a refusal is an output to compare
-        return float("nan"), f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # a refusal is an output to compare, not a time
+        return None, f"{type(exc).__name__}: {exc}"
     return out.seconds, json.dumps(jobs.output_doc(job, out)[1], sort_keys=True)
 
 
@@ -133,7 +135,7 @@ def main(argv=None) -> int:
         needed = {job["needs"] for job in jobs if job.get("needs")}
         reports = ({}, {})  # each side's report of every producer job
         best = {}  # class -> [old seconds, new seconds, jobs]
-        differ = []
+        differ, raised = [], []
         for n, job in enumerate(jobs):
             times, first = ([], []), [None, None]
             for rep in range(args.k):
@@ -150,6 +152,9 @@ def main(argv=None) -> int:
                     reports[side][job["key"]] = json.loads(first[side][1])
             if first[0] != first[1]:
                 differ.append(job["key"])
+            if None in times[0] or None in times[1]:
+                raised.append(job["key"])
+                continue
             sums = best.setdefault(job["cls"], [0.0, 0.0, 0])
             sums[0] += min(times[0])
             sums[1] += min(times[1])
@@ -160,7 +165,11 @@ def main(argv=None) -> int:
     print(f"{'class':24} {'jobs':>5} {'old ms':>10} {'new ms':>10} {'old/new':>8}")
     for cls, (a, b, count) in [*sorted(best.items()),
                                ("all", [sum(v[i] for v in best.values()) for i in range(3)])]:
-        print(f"{cls:24} {count:>5} {a * 1e3:>10.2f} {b * 1e3:>10.2f} {a / b:>8.3f}")
+        ratio = a / b if b else float("nan")  # every job of the workload raised
+        print(f"{cls:24} {count:>5} {a * 1e3:>10.2f} {b * 1e3:>10.2f} {ratio:>8.3f}")
+    if raised:
+        print(f"jobs left out of the times, as a run raised: {len(raised)} "
+              f"({', '.join(raised[:10])})")
     print(f"outputs differing: {len(differ)}" + (f" ({', '.join(differ[:10])})" if differ else ""))
     return 1 if differ else 0
 
