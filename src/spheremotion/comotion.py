@@ -482,18 +482,17 @@ def lemma11_check(m: OrientedMap, com: Comotion, collisions=None) -> dict:
 def induce_comotion(m: OrientedMap, ms: MotionSchedule, groups=None) -> Comotion:
     """Invert the first car of each face of a multiple motion.
 
-    Works when every car strictly climbs (stops would need time jumps)
-    and laps exactly once per period.  The cocar degree comes out as the
-    face multiplicity.  Pass the `as_multiple_motion` result as `groups`
-    to reuse it.
+    Works when every car strictly climbs: a stop would need a time jump.
+    Each car laps exactly once per period, as `as_multiple_motion` chains
+    a face's d cars one lap on over the d global periods of one car's
+    period.  The cocar degree comes out as the face multiplicity.  Pass
+    the `as_multiple_motion` result as `groups` to reuse it.
     """
     if groups is None:
         groups = as_multiple_motion(m, ms)
     cocars = []
     for f in range(m.face_count()):
         car = groups[f][0]
-        if car.degree != 1:
-            raise ComotionError("only single-lap cars invert to one-lap cocars")
         positions = [*car.ps, car.ps[0] + len(m.faces[f]) * car.X]  # wrap segment
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ComotionError(f"face {f}: car rests, arrival time would jump")

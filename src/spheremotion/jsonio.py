@@ -23,10 +23,17 @@ one bound of our own: a decimal exponent beyond +-4300, the digit limit
 computes the power: `Fraction("1e999999999")` would build a
 billion-digit int.
 
-`_lift_positions` lifts a face's positions in ints, over the lcm of
-their qs, for motions and comotions alike, and `parse_motion` and
-`parse_comotion` hand the ints to `CarSchedule.from_ints` and
-`Cocar.from_ints` without building a `Fraction` per breakpoint.
+A car and a cocar travel alike: a face, a degree and breakpoints, each
+a position under `at` and a time, under `t` for a car and `time` for a
+cocar.  One generator, `_laps`, reads them: each breakpoint's `at` and
+then its time, with the positions lifted in ints over the lcm of their
+qs by `_lift_positions` and the times put over the lcm of theirs.
+`parse_motion` and `parse_comotion` hand the ints to
+`CarSchedule.from_ints` and `Cocar.from_ints` without building a
+`Fraction` per breakpoint, and `_breakpoints_to_json` writes them back.
+The two readers and writers keep only what differs: a motion's car
+periods and `stop_corners`, and the writer's refusal of a car that laps
+between breakpoints.
 """
 
 from __future__ import annotations
@@ -204,18 +211,6 @@ def _ints(items, key: str) -> list:
     return items
 
 
-def _face_entries(doc: dict, key: str, m: OrientedMap):
-    """(entry, face, face length, breakpoints, degree) of each car or cocar."""
-    for entry in _objects(doc, key):
-        f = _field(entry, "face")
-        if type(f) is not int or not 0 <= f < m.face_count():
-            raise JsonError(f"no such face: {f!r}")
-        bps, degree = _objects(entry, "breakpoints"), _int(entry, "degree")
-        if not bps:
-            raise JsonError("breakpoints must not be empty")
-        yield entry, f, len(m.faces[f]), bps, degree
-
-
 # ---------------------------------------------------------------------------
 # words and presentations
 # ---------------------------------------------------------------------------
@@ -359,6 +354,35 @@ def _lift_positions(reduced, L: int) -> tuple[list, int]:
     return xs, X
 
 
+def _laps(doc: dict, key: str, time: str, m: OrientedMap):
+    """(entry, face, degree, (xs, X, ys, Y)) of each car or cocar listed
+    under `key`: breakpoint i at position xs[i] / X, lifted, and at time
+    ys[i] / Y, read from the field `time`.  Each breakpoint's `at` is read
+    before its time, in the order of the writer's sorted keys."""
+    for entry in _objects(doc, key):
+        f = _field(entry, "face")
+        if type(f) is not int or not 0 <= f < m.face_count():
+            raise JsonError(f"no such face: {f!r}")
+        bps, degree = _objects(entry, "breakpoints"), _int(entry, "degree")
+        if not bps:
+            raise JsonError("breakpoints must not be empty")
+        L = len(m.faces[f])
+        reduced, times = [], []
+        for bp in bps:
+            reduced.append(_position(_field(bp, "at"), L))
+            times.append(_ratio(_field(bp, time)))
+        xs, X = _lift_positions(reduced, L)
+        Y = lcm(*(q for _, q in times))
+        yield entry, f, degree, (xs, X, [p * (Y // q) for p, q in times], Y)
+
+
+def _breakpoints_to_json(xs, X: int, ys, Y: int, L: int, time: str) -> list:
+    """Breakpoint i as its position xs[i] / X on a face of length L, under
+    `at`, and its time ys[i] / Y, under `time`."""
+    return [{"at": position_to_json(Fraction(x % (L * X), X)), time: frac_to_str(Fraction(y, Y))}
+            for x, y in zip(xs, ys)]
+
+
 # ---------------------------------------------------------------------------
 # motions
 # ---------------------------------------------------------------------------
@@ -375,18 +399,8 @@ def motion_to_json(m: OrientedMap, ms: MotionSchedule) -> dict:
                     f"face {car.face}: a car laps between breakpoints; "
                     "subdivide first"
                 )
-        cars.append(
-            {
-                "face": car.face,
-                "period": frac_to_str(car.period),
-                "degree": car.degree,
-                "breakpoints": [
-                    {"t": frac_to_str(Fraction(t, car.Y)),
-                     "at": position_to_json(Fraction(p % (L * car.X), car.X))}
-                    for t, p in zip(car.ts, car.ps)
-                ],
-            }
-        )
+        cars.append({"face": car.face, "period": frac_to_str(car.period), "degree": car.degree,
+                     "breakpoints": _breakpoints_to_json(car.ps, car.X, car.ts, car.Y, L, "t")})
     return {
         "period": frac_to_str(ms.period),
         "cars": cars,
@@ -395,18 +409,8 @@ def motion_to_json(m: OrientedMap, ms: MotionSchedule) -> dict:
 
 
 def parse_motion(doc, m: OrientedMap) -> MotionSchedule:
-    cars = []
-    for entry, f, L, bps, degree in _face_entries(doc, "cars", m):
-        times = []
-        reduced = []
-        for bp in bps:
-            times.append(_ratio(_field(bp, "t")))
-            reduced.append(_position(_field(bp, "at"), L))
-        xs, X = _lift_positions(reduced, L)
-        Y = lcm(*(q for _, q in times))
-        ts = [p * (Y // q) for p, q in times]
-        period = parse_frac(_field(entry, "period"))
-        cars.append(CarSchedule.from_ints(f, period, ts, Y, xs, X, degree))
+    cars = [CarSchedule.from_ints(f, parse_frac(_field(entry, "period")), ts, Y, xs, X, degree)
+            for entry, f, degree, (xs, X, ts, Y) in _laps(doc, "cars", "t", m)]
     stops = doc.get("stop_corners", [])
     if not isinstance(stops, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c)
@@ -427,35 +431,17 @@ def parse_motion(doc, m: OrientedMap) -> MotionSchedule:
 
 def comotion_to_json(m: OrientedMap, com: Comotion) -> dict:
     validate_comotion(m, com)
-    cocars = []
-    for cocar in com.cocars:
-        L = len(m.faces[cocar.face])
-        cocars.append(
-            {
-                "face": cocar.face,
-                "degree": cocar.degree,
-                "breakpoints": [
-                    {"at": position_to_json(Fraction(x % (L * cocar.X), cocar.X)),
-                     "time": frac_to_str(Fraction(y, cocar.Y))}
-                    for x, y in zip(cocar.xs, cocar.ys)
-                ],
-            }
-        )
+    cocars = [
+        {"face": c.face, "degree": c.degree,
+         "breakpoints": _breakpoints_to_json(c.xs, c.X, c.ys, c.Y, len(m.faces[c.face]), "time")}
+        for c in com.cocars
+    ]
     return {"period": frac_to_str(com.period), "cocars": cocars}
 
 
 def parse_comotion(doc, m: OrientedMap) -> Comotion:
-    cocars = []
-    for entry, f, L, bps, degree in _face_entries(doc, "cocars", m):
-        reduced = []
-        times = []
-        for bp in bps:
-            reduced.append(_position(_field(bp, "at"), L))
-            times.append(_ratio(_field(bp, "time")))
-        xs, X = _lift_positions(reduced, L)
-        Y = lcm(*(q for _, q in times))
-        ys = [p * (Y // q) for p, q in times]
-        cocars.append(Cocar.from_ints(f, degree, xs, X, ys, Y))
+    cocars = [Cocar.from_ints(f, degree, xs, X, ys, Y)
+              for _, f, degree, (xs, X, ys, Y) in _laps(doc, "cocars", "time", m)]
     com = Comotion(parse_frac(_field(doc, "period")), tuple(cocars))
     validate_comotion(m, com)
     return com

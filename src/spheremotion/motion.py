@@ -73,7 +73,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .surface import Corner, Dart, OrientedMap, b_profile, classify_map, d_profile
+from .surface import Corner, Dart, OrientedMap, classify_map, rotation, shape_profile
 
 
 class MotionError(InputError):
@@ -788,25 +788,6 @@ def check_separated_stops(m: OrientedMap, ms: MotionSchedule) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _pattern(kind: str, mval: int, extras: dict) -> tuple[int, ...]:
-    if kind == "a":
-        return (1, -1)
-    if kind == "b":
-        return b_profile(mval)
-    if kind == "c":
-        return tuple(-sign for sign in b_profile(mval))
-    return d_profile(extras["k"], extras["l"], extras["s"])
-
-
-def _anchor_rotation(profile, pattern) -> int:
-    L = len(profile)
-    if len(pattern) == L:
-        for r in range(L):
-            if all(profile[(r + p) % L] == pattern[p] for p in range(L)):
-                return r
-    raise MotionError(f"profile {profile} does not match pattern {pattern}")
-
-
 def _base_breakpoints(kind: str, mval: int, extras: dict):
     """Pattern-coordinate breakpoints of the standard car as int pairs
     (t * Y, p), and Y: 2 for the half-integer times of the m = 0 b and c
@@ -843,16 +824,20 @@ def _saddle_corners(m: OrientedMap) -> frozenset[Corner]:
 def _standard_schedule(m: OrientedMap, info: dict, lift: bool) -> MotionSchedule:
     """The standard schedule of `info`; with `lift`, a face of s repeated
     blocks carries s cars, each one block apart and one period behind the
-    next, and 2-gon faces are refused once m > 0.  Breakpoints are built
-    in ints and handed to `CarSchedule.from_ints`."""
+    next, and 2-gon faces are refused once m > 0.  Each face's car starts
+    at the least `rotation` that takes the face's profile to the
+    `shape_profile` of its kind at `info`'s m.  Breakpoints are built in
+    ints and handed to `CarSchedule.from_ints`."""
     mval = info["m"] if info["m"] is not None else 0
     if type(mval) is not int or mval < 0:
         raise MotionError(f"m must be a nonnegative integer, got {mval!r}")
     T = 4 * mval + 2
     cars = []
     for f, (kind, extras) in enumerate(info["faces"]):
-        profile = m.face_sign_profile(f)
-        r = _anchor_rotation(profile, _pattern(kind, mval, extras))
+        profile, pattern = m.face_sign_profile(f), shape_profile(kind, mval, extras)
+        r = rotation(profile, pattern)
+        if r is None:
+            raise MotionError(f"profile {profile} does not match pattern {pattern}")
         if lift and kind == "a" and mval > 0:
             raise MotionError("2-gon faces have no lift at this period")
         s = 1 if kind in ("a", "b", "c") else extras["s"]

@@ -13,6 +13,11 @@ Both edits, `remove_edge` and the split `subdivide_edge`, build their map
 without the constructor: they translate `edge_sides`.  The split carries
 the orbits over as well; a removal leaves them to be walked when read, and
 `carry_vertex` translates one vertex through it.
+
+The standard face shapes a, b, c and d of the main theorem's diagrams
+live here too, once: `shape_profile` gives each one's sign profile, and
+`classify_face` reads a face as the first shape whose profile it rotates
+to, by the least `rotation`, which also anchors the standard schedules.
 """
 
 from __future__ import annotations
@@ -210,11 +215,8 @@ class OrientedMap:
             return "sink"
         if all(t == (-1, 1) for t in types):
             return "source"
-        # at a mixed vertex the saddle corners (++)/(--) alternate in between
-        saddles = [t for t in types if t in ((1, 1), (-1, -1))]
-        for i, t in enumerate(saddles):
-            if t == saddles[i - 1]:
-                raise MapError("saddle corners fail to alternate around vertex")
+        # a mixed vertex: its saddle corners (++) and (--) alternate, as the
+        # up and down steps of the corners' in-signs around the vertex do
         return "mixed"
 
     # -- edits ---------------------------------------------------------------
@@ -274,20 +276,6 @@ class OrientedMap:
         return tuple(s for _, s in self.faces[f])
 
 
-def _runs(signs: Sequence[int]) -> list[tuple[int, int]]:
-    """Run-length encoding of a cyclic sign sequence, merged across the seam."""
-    out: list[tuple[int, int]] = []
-    for s in signs:
-        if out and out[-1][0] == s:
-            out[-1] = (s, out[-1][1] + 1)
-        else:
-            out.append((s, 1))
-    if len(out) > 1 and out[0][0] == out[-1][0]:
-        first = out.pop(0)
-        out[-1] = (out[-1][0], out[-1][1] + first[1])
-    return out
-
-
 def b_profile(m: int) -> tuple[int, ...]:
     """The sign profile of the b shape with number m: 2m + 3 darts,
     alternating but for one doubled + run.  Negated, the c shape."""
@@ -299,45 +287,54 @@ def d_profile(k: int, l: int, s: int) -> tuple[int, ...]:
     return ((1,) * (k + 1) + (-1,) * (l + 1)) * s
 
 
+def shape_profile(kind: str, m: int, extras: dict) -> tuple[int, ...]:
+    """The sign profile of a standard shape, as `classify_face` reports it:
+    the 2-gon a, the b shape with number m, its negation c, or the d shape
+    of `extras`."""
+    if kind == "a":
+        return (1, -1)
+    if kind == "b":
+        return b_profile(m)
+    if kind == "c":
+        return tuple(-sign for sign in b_profile(m))
+    return d_profile(extras["k"], extras["l"], extras["s"])
+
+
+def rotation(signs: Sequence[int], profile: Sequence[int]) -> Optional[int]:
+    """The least r with signs[r:] + signs[:r] == profile, or None."""
+    signs, profile = tuple(signs), tuple(profile)
+    if len(signs) == len(profile):
+        for r in range(len(signs)):
+            if signs[r:] + signs[:r] == profile:
+                return r
+    return None
+
+
 def classify_face(signs: Sequence[int]) -> tuple[str, Optional[int], dict]:
     """Classify a cyclic sign profile as one of the standard face shapes.
 
     Returns (kind, m, extras) where kind is "a", "b", "c" or "d" and m is
     the number the b/c shapes determine (None for the others).  The d shape
     reports its two run lengths k, l >= 1 and its repetition count s.
+
+    The face is the first shape, in that order, whose `shape_profile` it
+    rotates to.  The counts fix each shape's parameters: b and c have
+    2m + 3 darts, b one more + than - and c one more - than +, and d has
+    s blocks, half the sign changes around the face, each of k + 1 +
+    darts and l + 1 - darts.
     """
-    runs = _runs(signs)
-    n = len(signs)
-    if len(runs) == 2 and runs[0][1] == 1 and runs[1][1] == 1:
-        return ("a", None, {})
-    # b and c are alternating except for a single doubled run; length 2m+3
-    if n >= 3 and n % 2 == 1 and all(r[1] <= 2 for r in runs):
-        plus = sum(1 for s in signs if s == 1)
-        minus = n - plus
-        doubles = [r for r in runs if r[1] == 2]
-        if len(doubles) == 1:
-            if plus == minus + 1 and doubles[0][0] == 1:
-                return ("b", (n - 3) // 2, {})
-            if minus == plus + 1 and doubles[0][0] == -1:
-                return ("c", (n - 3) // 2, {})
-    # d: ((+)^{k+1} (-)^{l+1})^s with k, l >= 1
-    if len(runs) % 2 == 0 and len(runs) >= 2:
-        plus_runs = [r[1] for r in runs if r[0] == 1]
-        minus_runs = [r[1] for r in runs if r[0] == -1]
-        if (
-            len(plus_runs) == len(minus_runs)
-            and len(set(plus_runs)) == 1
-            and len(set(minus_runs)) == 1
-            and plus_runs[0] >= 2
-            and minus_runs[0] >= 2
-            and runs[0][0] != runs[1][0]
-        ):
-            return (
-                "d",
-                None,
-                {"k": plus_runs[0] - 1, "l": minus_runs[0] - 1, "s": len(plus_runs)},
-            )
-    raise MapError(f"face profile {tuple(signs)} matches no standard shape")
+    signs = tuple(signs)
+    n, plus = len(signs), signs.count(1)
+    shapes = [("a", None, {})]
+    if n >= 3 and n % 2:
+        shapes.append(("b" if 2 * plus > n else "c", (n - 3) // 2, {}))
+    s = sum(a != b for a, b in zip(signs, signs[1:] + signs[:1])) // 2
+    if s and plus % s == (n - plus) % s == 0 and min(plus, n - plus) >= 2 * s:
+        shapes.append(("d", None, {"k": plus // s - 1, "l": (n - plus) // s - 1, "s": s}))
+    for kind, m, extras in shapes:
+        if rotation(signs, shape_profile(kind, m, extras)) is not None:
+            return kind, m, extras
+    raise MapError(f"face profile {signs} matches no standard shape")
 
 
 def classify_map(m: OrientedMap) -> dict:

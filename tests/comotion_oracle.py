@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from map_edit_oracle import rebuilt_subdivision
-from motion_oracle import rational_pairs
+from motion_oracle import _face_entries, rational_pairs
 from spheremotion import comotion
 from spheremotion.comotion import (
     Comotion,
@@ -42,7 +42,6 @@ from spheremotion.jsonio import (
     _EXPONENT,
     MAX_EXPONENT,
     JsonError,
-    _face_entries,
     _field,
     _plain_ratio,
 )

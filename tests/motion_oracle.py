@@ -10,6 +10,9 @@ one the int-stored car must print; it leaves out only the lap-table
 cache, which nothing here reads.
 The rational and position grammar, `_lift_positions` and the field
 readers are shared with `jsonio`: they are the same in both readers.
+`_face_entries`, the per-car entry reader that this reader and
+`comotion_oracle.parse_comotion` share, is `jsonio`'s as it was before
+one generator read a car's and a cocar's breakpoints, verbatim.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from fractions import Fraction
 
 from spheremotion.jsonio import (
     JsonError,
-    _face_entries,
     _field,
+    _int,
     _lift_positions,
+    _objects,
     _position,
     frac_to_str,
     parse_frac,
@@ -29,6 +33,18 @@ from spheremotion.jsonio import (
 )
 from spheremotion.motion import _RATIONALS, MotionError, MotionSchedule, rational
 from spheremotion.surface import OrientedMap
+
+
+def _face_entries(doc: dict, key: str, m: OrientedMap):
+    """(entry, face, face length, breakpoints, degree) of each car or cocar."""
+    for entry in _objects(doc, key):
+        f = _field(entry, "face")
+        if type(f) is not int or not 0 <= f < m.face_count():
+            raise JsonError(f"no such face: {f!r}")
+        bps, degree = _objects(entry, "breakpoints"), _int(entry, "degree")
+        if not bps:
+            raise JsonError("breakpoints must not be empty")
+        yield entry, f, len(m.faces[f]), bps, degree
 
 
 def rational_pairs(pairs, first: str, second: str, error=MotionError) -> tuple:

@@ -211,6 +211,25 @@ def test_motion_parse_rejections():
         parse_motion(doc, m)
 
 
+def test_a_breakpoint_with_both_fields_broken_names_its_position():
+    # cars and cocars read each breakpoint's `at` before its time, the
+    # order of the writer's sorted keys; a car used to name its time first
+    m = pinwheel_map()
+    doc = motion_to_json(m, pinwheel_unit_motion())
+    doc["cars"][0]["breakpoints"][1].update(t="x", at={"corner": 99})
+    with pytest.raises(JsonError) as info:
+        parse_motion(doc, m)
+    assert str(info.value) == f"corner index 99 outside 0..{len(m.faces[0]) - 1}"
+    m = doubled_polygon_map((1, -1))
+    com = Comotion(F(4), (Cocar(0, 1, ((F(0), F(0)), (F(1), F(1)))),
+                          Cocar(1, 1, ((F(0), F(2)), (F(1), F(3))))))
+    doc = comotion_to_json(m, com)
+    doc["cocars"][1]["breakpoints"][0].update(time="x", at={"corner": 99})
+    with pytest.raises(JsonError) as info:
+        parse_comotion(doc, m)
+    assert str(info.value) == "corner index 99 outside 0..1"
+
+
 def test_comotion_round_trip():
     m = doubled_polygon_map((1, -1))
     com = Comotion(

@@ -435,6 +435,38 @@ def test_lap_offsets_must_add_up_to_one_lap():
             as_multiple_motion(m, MotionSchedule(F(3), cars))
 
 
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_car_of_a_multiple_motion_has_degree_one(seed, data):
+    # a face's d cars are one car of period d * T and degree g run 0, T, ...,
+    # (d - 1) * T earlier: car 0 at t + d * T is car 0 at t moved by the sum
+    # of the offsets, g laps, so the chain closes exactly when g is 1.
+    # `comotion.induce_comotion` inverts these cars and relies on it
+    rng = make_rng(seed)
+    m = random_sphere_map(rng)
+    T = data.draw(st.integers(1, 3))
+    cars, degrees = [], set()
+    for f, boundary in enumerate(m.faces):
+        L = len(boundary)
+        d, g = data.draw(st.integers(1, 3)), data.draw(st.sampled_from([1, 1, 1, 2]))
+        n = data.draw(st.integers(1, 4))
+        ts = sorted(data.draw(st.lists(st.integers(0, 4 * d * T - 1), min_size=n,
+                                       max_size=n, unique=True)))
+        ps = sorted(rng.randrange(2 * g * L) for _ in range(n))
+        ps = [p - ps[0] // (2 * L) * 2 * L for p in ps]  # the first one in [0, L)
+        base = CarSchedule(f, F(d * T), tuple((F(t, 4), F(p, 2)) for t, p in zip(ts, ps)),
+                           degree=g)
+        cars += [time_shifted_car(base, L, j * T) for j in range(d)]
+        degrees.add(g)
+    try:
+        groups = as_multiple_motion(m, MotionSchedule(F(T), tuple(cars)))
+    except MotionError as exc:
+        assert degrees == {1, 2} or degrees == {2} or "no progress" in str(exc), str(exc)
+        return
+    assert degrees == {1}
+    assert all(car.degree == 1 for face_cars in groups.values() for car in face_cars)
+
+
 def test_second_car_is_the_time_shift_of_the_first():
     ms = pinwheel_double_car_motion()
     first = ms.cars[1]
@@ -1005,6 +1037,13 @@ def test_blow_up_requires_separated_stops():
     ms = standard_motion(m)
     with pytest.raises(MotionError, match="not separated"):
         blow_up(m, MotionSchedule(ms.period, ms.cars, frozenset({(0, 1)})))
+    # separated stops, but a car parked inside a dart: not regular
+    m = doubled_polygon_map((1, -1))
+    parked = (CarSchedule(0, F(1), ((F(0), F(0)),)), CarSchedule(1, F(1), ((F(0), F(1, 2)),)))
+    ms = MotionSchedule(F(1), parked, frozenset(m.vertex_of((0, 0))))
+    assert check_separated_stops(m, ms)["ok"]
+    with pytest.raises(MotionError, match="^blow-up needs a regular schedule$"):
+        blow_up(m, ms)
 
 
 def test_fraction_lcm():

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import standard_oracle
 from map_edit_oracle import edit_problem
 from spheremotion.cli import main
 from spheremotion.fuzzing import (
@@ -20,6 +21,8 @@ from spheremotion.surface import (
     OrientedMap,
     classify_face,
     classify_map,
+    rotation,
+    shape_profile,
     subdivide_edge,
     surface_euler_characteristic,
 )
@@ -181,7 +184,7 @@ def test_corner_types_and_alternation():
     assert m.corner_type((0, 0)) == (-1, 1)  # source corner at the tip
     assert m.corner_type((0, 2)) == (1, -1)  # sink corner at the attach vertex
     assert m.corner_type((2, 0)) == (-1, 1)  # source corner at the center
-    # mixed vertex P has saddle corners alternating; classify does not raise
+    # mixed vertex P has saddle corners alternating
     assert m.classify_vertex(m.vertex_of((1, 1))) == "mixed"
 
 
@@ -204,6 +207,90 @@ def test_face_classify_seam_rotation():
     # the doubled run may straddle the cyclic seam
     assert classify_face((1, -1, 1, -1, 1)) == ("b", 1, {})
     assert classify_face((-1, 1, -1, 1, -1)) == ("c", 1, {})
+
+
+def _classified(classify, signs):
+    try:
+        return classify(signs)
+    except MapError as exc:
+        return str(exc)
+
+
+def test_classify_face_matches_the_run_classifier_on_every_short_profile():
+    # the run-length classifier the shapes were first read with, kept in
+    # the oracle, refusals and their messages included
+    for n in range(1, 15):
+        for bits in range(2**n):
+            signs = tuple(-1 if bits >> i & 1 else 1 for i in range(n))
+            want = _classified(standard_oracle.classify_face, signs)
+            assert _classified(classify_face, signs) == want, signs
+
+
+def _shape_profiles(most: int):
+    """(kind, m, extras) and the profile of every standard shape of at most
+    `most` darts."""
+    yield ("a", None, {}), (1, -1)
+    for m in range((most - 1) // 2):
+        for kind in "bc":
+            yield (kind, m, {}), shape_profile(kind, m, {})
+    for k in range(1, most):
+        for l in range(1, most):
+            for s in range(1, most // (k + l + 2) + 1):
+                extras = {"k": k, "l": l, "s": s}
+                yield ("d", None, extras), shape_profile("d", None, extras)
+
+
+def test_rotation_is_the_least_rotation_onto_every_shape_profile():
+    count = 0
+    for shape, profile in _shape_profiles(20):
+        n = len(profile)
+        assert 2 <= n <= 20
+        assert profile == standard_oracle._pattern(*shape)
+        for r in range(n):
+            signs = profile[n - r:] + profile[:n - r]
+            least = next(q for q in range(n)
+                         if all(signs[(q + i) % n] == profile[i] for i in range(n)))
+            assert rotation(signs, profile) == least <= r
+            assert rotation(list(signs), profile) == least
+            assert classify_face(signs) == standard_oracle.classify_face(signs)
+            count += 1
+        assert rotation(profile + (1,), profile) is None
+        assert rotation(profile[1:], profile) is None
+    assert count > 1000
+
+
+def _random_map(kind: str, rng) -> OrientedMap:
+    if kind == "sphere":
+        return random_sphere_map(rng)
+    if kind == "torus":
+        return random_torus_map(rng)
+    return random_subdivisions(genus_map(rng.randint(2, 3)), rng, rng.randint(0, 4))
+
+
+@given(st.sampled_from(["sphere", "torus", "genus"]), st.integers(0, 2**32), st.data())
+@settings(max_examples=100, deadline=None)
+def test_saddle_corners_alternate_around_every_vertex(kind, seed, data):
+    # corner i + 1's outgoing dart reverses corner i's incoming one, so with
+    # d_i the in-sign of corner i, corner i + 1 has type (d_{i+1}, -d_i):
+    # the saddles (+, +) and (-, -) are the up and down steps of d around
+    # the vertex, and those alternate on any cycle
+    rng = make_rng(seed)
+    m = _random_map(kind, rng)
+    for _ in range(data.draw(st.integers(0, 2))):
+        removable = [e for e, ((f1, _), (f2, _)) in m.edge_sides.items()
+                     if f1 != f2 and len(m.faces[f1]) + len(m.faces[f2]) > 2]
+        if removable:
+            m = m.remove_edge(data.draw(st.sampled_from(removable)))[0]
+    for vertex in m.vertices():
+        types = [m.corner_type(c) for c in vertex]
+        assert all(out == -types[i - 1][0] for i, (_, out) in enumerate(types))
+        saddles = [t for t in types if t[0] == t[1]]
+        assert all(t != saddles[i - 1] for i, t in enumerate(saddles))
+        if saddles:
+            assert m.classify_vertex(vertex) == "mixed"
+        else:
+            assert len(set(types)) == 1
+            assert m.classify_vertex(vertex) == {(1, -1): "sink", (-1, 1): "source"}[types[0]]
 
 
 def test_classify_pinwheel_map():
