@@ -10,6 +10,12 @@ diagram (`phi_reduce_move`) builds its result through one private builder,
 `_unchecked_diagram`, which skips that check.  The move carries the
 diagram's phi cells, tested once per chain, over to its result, and its
 exterior vertices too, so a chain of moves walks no vertex orbit.
+
+The constructor's base check passes on identity, as the labels of a
+parsed document share one base object.  The two label tests that compare
+a label with another's inverse, the phi-cell test and the fold test,
+compare syllable tuples (`_mirrors`): neither builds a word nor calls `==`
+on one.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .motion import (
     standard_motion,
     standard_multiple_motion,
 )
-from .rewriting import RelativePresentation, in_P, phi
+from .rewriting import RelativePresentation, in_P
 from .surface import Corner, OrientedMap, classify_map
 
 
@@ -68,7 +74,7 @@ class HowieDiagram:
                 raise DiagramError(f"corner {c}: label must be a t-free word")
             if base is None:
                 base = w.base
-            elif w.base != base:
+            elif w.base is not base and w.base != base:
                 raise DiagramError("corner labels over mixed base groups")
         if set(self.edge_labels) != set(self.map.edge_ids):
             raise DiagramError("every edge needs a symbol, and nothing else")
@@ -161,8 +167,29 @@ def vertex_label(d: HowieDiagram, vertex, start: Optional[Corner] = None):
 # ---------------------------------------------------------------------------
 
 
+def _mirrors(q: FreeProductWord, p: FreeProductWord, shift: int) -> bool:
+    """Whether the t-free label q is the inverse of p with every copy moved
+    up by `shift`: q = phi^shift(p)^-1, for two labels of one diagram.
+
+    q's syllables are compared with p's read backwards, each moved `shift`
+    copies up and its element inverted, up to the first that differs; no
+    word is built.  Both labels are t-free and over one base, so their
+    syllables are g-syllables and the bases need no comparison."""
+    ps, qs = p.syllables, q.syllables
+    if len(ps) != len(qs):
+        return False
+    inverse = p.base.inverse
+    for (_, i, x), (_, k, y) in zip(reversed(ps), qs):
+        if k != i + shift or y != inverse(x):
+            return False
+    return True
+
+
 def is_phi_cell(d: HowieDiagram, f: int) -> bool:
-    """A 2-gon reading t^-1 p t (p^phi)^-1 with p a nonidentity P-word."""
+    """A 2-gon reading t^-1 p t (p^phi)^-1 with p a nonidentity P-word.
+
+    The last test, q = phi(p)^-1, compares q's syllables with p's reversed,
+    moved one copy up and inverted (`_mirrors`), without building phi(p)."""
     if d.phi_s is None or len(d.map.faces[f]) != 2:
         return False
     cells = face_cells(d, f)
@@ -173,7 +200,7 @@ def is_phi_cell(d: HowieDiagram, f: int) -> bool:
         return False
     if p.is_identity() or not in_P(p, d.phi_s):
         return False
-    return q == phi(p).inverse()
+    return _mirrors(q, p, 1)
 
 
 def check_diagram_over(d: HowieDiagram, pres: RelativePresentation) -> dict:
@@ -218,7 +245,8 @@ def _folds(d: HowieDiagram, edge: int) -> bool:
     cell -k of the + side: the same symbol, the opposite sign, and the
     inverse of the label of the corner before that cell.  The cells are
     compared in order up to the first that differs, and a label is
-    inverted only when its symbol and sign agree."""
+    compared with the other's inverse syllable by syllable (`_mirrors`),
+    only when its symbol and sign agree; no inverse word is built."""
     (f1, i1), (f2, i2) = d.map.edge_sides[edge]
     b1, b2 = d.map.faces[f1], d.map.faces[f2]
     L = len(b1)
@@ -229,7 +257,7 @@ def _folds(d: HowieDiagram, edge: int) -> bool:
         (e1, s1), (e2, s2) = b1[(i1 - k) % L], b2[(i2 + k) % L]
         if s2 != -s1 or symbols[e2] != symbols[e1]:
             return False
-        if labels[(f2, (i2 + k + 1) % L)] != labels[(f1, (i1 - k) % L)].inverse():
+        if not _mirrors(labels[(f2, (i2 + k + 1) % L)], labels[(f1, (i1 - k) % L)], 0):
             return False
     return True
 
@@ -276,8 +304,10 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     The result inherits the phi cells: f2 leaves, the faces after it move
     down by one, and the merged cell stays one, as pq is a nonidentity
     P-word (pq = 1 exactly when the two cells fold) and phi is a
-    homomorphism.  The exterior vertices are carried over by the map's
-    `carry_vertex`, so the new map's orbits are not walked.
+    homomorphism.  The labels and the exterior vertices, by the map's
+    `carry_vertex`, go through the one corner dict that `remove_edge`
+    builds, so the new map's orbits are not walked, and the edge symbols
+    are copied with the removed edge dropped.
     """
     (f1, i1), (f2, i2) = plus, minus = d.map.sides_of(edge)
     if f1 == f2:
@@ -296,10 +326,12 @@ def phi_reduce_move(d: HowieDiagram, edge: int) -> HowieDiagram:
     # each merged corner reads the + cell's label, then the - cell's
     labels[translate[plus]] = old[plus] * old[(f2, 1 - i2)]
     labels[translate[minus]] = old[minus] * old[(f1, 1 - i1)]
+    symbols = dict(d.edge_labels)
+    del symbols[edge]
     return _unchecked_diagram(
         new_map,
         labels,
-        {e: j for e, j in d.edge_labels.items() if e != edge},
+        symbols,
         frozenset(d.map.carry_vertex(v, edge, translate) for v in d.exterior_vertices),
         frozenset(f - (f > f2) for f in d.exterior_faces),
         d.phi_s,

@@ -31,7 +31,7 @@ from .diagram import (
     phi_reduce_move,
 )
 from .goldens import doubled_polygon_map, square_torus_map
-from .groups import BaseGroup, FreeAbelianGroup, FreeGroup, FreeProductWord, reduce_letters
+from .groups import BaseGroup, FreeAbelianGroup, FreeProductWord, reduce_letters, shared_base
 from .motion import (
     CarSchedule,
     MotionSchedule,
@@ -252,8 +252,8 @@ def random_multiple_motion(m: OrientedMap, rng, period=None) -> MotionSchedule:
 def random_base(rng) -> BaseGroup:
     rng = make_rng(rng)
     if rng.random() < 0.5:
-        return FreeGroup(rng.randint(1, 3))
-    return FreeAbelianGroup(rng.randint(1, 3))
+        return shared_base("free", rng.randint(1, 3))
+    return shared_base("abelian", rng.randint(1, 3))
 
 
 def random_base_element(base: BaseGroup, rng, allow_identity=True):

@@ -5,7 +5,14 @@ copy of one base group and each t_j generates an infinite cyclic factor.
 Everything is immutable and hashable; all operations are pure.
 
 A base group is a `FreeGroup` or a `FreeAbelianGroup`; each defines the
-whole element protocol that `BaseGroup` names.
+whole element protocol that `BaseGroup` names.  The program holds one
+instance per kind and rank: `shared_base` hands it out, and the document
+reader and the fuzzers take their bases from it.  Both kinds cap the rank
+at 26, so the 52 instances are built once, at import.  Words over one base then compare their
+(base, syllables) through the identity shortcut, and the base checks of
+words and diagrams test identity before equality; a base built directly
+by its constructor is equal to the shared one, not the same object, and
+is still accepted wherever the shared one is.
 
 Elements are validated once, where they enter: the dataclass constructor
 called directly, `FreeProductWord.from_syllables` and the base group's
@@ -45,7 +52,8 @@ class BaseGroup:
     """A torsion-free group with decidable equality and cyclic membership.
 
     Concrete kinds: FreeGroup (rank r) and FreeAbelianGroup (rank n), the
-    two that `jsonio.parse_base` builds.  Elements are plain tuples so they
+    two that `shared_base` keeps one instance of per rank, for
+    `jsonio.parse_base` and the fuzzers.  Elements are plain tuples so they
     hash and compare structurally.  Each kind defines the protocol that
     words, rewriting and the document readers call: `identity`,
     `multiply`, `inverse`, `is_identity`, `validate`, `generators`,
@@ -271,6 +279,22 @@ class FreeAbelianGroup(BaseGroup):
         return x == y
 
 
+_BASE_KINDS = {"free": FreeGroup, "abelian": FreeAbelianGroup}
+# the one instance of each base group: both kinds take the ranks 1..26
+_SHARED_BASES = {(kind, rank): cls(rank)
+                 for kind, cls in _BASE_KINDS.items() for rank in range(1, 27)}
+
+
+def shared_base(kind: str, rank: int) -> BaseGroup:
+    """The one instance of the base group of this kind, "free" or
+    "abelian", and int rank (not a bool, which hashes like 0 or 1).
+    A rank the kind refuses raises the constructor's error."""
+    base = _SHARED_BASES.get((kind, rank))
+    if base is None:
+        return _BASE_KINDS[kind](rank)  # refuses the rank
+    return base
+
+
 # A syllable is ("g", copy_index, base_element) or ("t", symbol_index, exponent).
 Syllable = Tuple
 
@@ -422,7 +446,7 @@ class FreeProductWord:
     # -- arithmetic ----------------------------------------------------------
 
     def _require_same_base(self, other: "FreeProductWord") -> None:
-        if self.base != other.base:
+        if self.base is not other.base and self.base != other.base:
             raise GroupError("operands have different base groups")
 
     def __mul__(self, other: "FreeProductWord") -> "FreeProductWord":

@@ -34,6 +34,20 @@ qs by `_lift_positions` and the times put over the lcm of theirs.
 The two readers and writers keep only what differs: a motion's car
 periods and `stop_corners`, and the writer's refusal of a car that laps
 between breakpoints.
+
+A word document names its base group, and a diagram repeats it in every
+corner label.  `parse_base` hands out the shared instance of
+`groups.shared_base`, so the labels of one document hold one base object,
+and the base checks of `parse_word` and of the diagram constructor pass
+on identity.  A base passed to `parse_word` need not be the shared one;
+an equal one is accepted too.
+
+`parse_base`, `parse_word`'s syllables and `parse_map`'s darts read each
+field once, by `dict.get` or by an index after a membership test, and
+test the values' types.  The field helpers `_field` and `_int` run only
+on the refusal path: when a value is missing or of the wrong type they
+read the fields again, in the order they always did, and raise their
+messages word for word.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ from math import gcd, lcm
 from .comotion import Cocar, Comotion, validate_comotion
 from .diagram import HowieDiagram
 from .errors import InputError
-from .groups import BaseGroup, FreeAbelianGroup, FreeGroup, FreeProductWord
+from .groups import BaseGroup, FreeProductWord, shared_base
 from .motion import CarSchedule, MotionSchedule, validate_motion
 from .rewriting import RelativePresentationData
 from .surface import OrientedMap
@@ -221,15 +235,14 @@ def base_to_json(base: BaseGroup) -> dict:
 
 
 def parse_base(doc) -> BaseGroup:
-    kind = _field(doc, "kind")
-    rank = _field(doc, "rank")
-    if type(rank) is not int:
-        raise JsonError(f"rank must be an int, got {rank!r}")
-    if kind == "free":
-        return FreeGroup(rank)
-    if kind == "abelian":
-        return FreeAbelianGroup(rank)
-    raise JsonError(f"unknown base kind {kind!r}")
+    """The shared base group the document names."""
+    kind, rank = (doc.get("kind"), doc.get("rank")) if isinstance(doc, dict) else (None, None)
+    if type(rank) is not int or kind not in ("free", "abelian"):
+        kind, rank = _field(doc, "kind"), _field(doc, "rank")
+        if type(rank) is not int:
+            raise JsonError(f"rank must be an int, got {rank!r}")
+        raise JsonError(f"unknown base kind {kind!r}")
+    return shared_base(kind, rank)
 
 
 def word_to_json(w: FreeProductWord) -> dict:
@@ -244,15 +257,19 @@ def word_to_json(w: FreeProductWord) -> dict:
 
 def parse_word(doc, base: BaseGroup = None) -> FreeProductWord:
     found = parse_base(_field(doc, "base"))
-    if base is not None and found != base:
+    if base is not None and found is not base and found != base:
         raise JsonError(f"word base {found!r} does not match {base!r}")
     syllables = []
     for syl in _objects(doc, "syllables"):
         if "t" in syl:
-            syllables.append(("t", _int(syl, "t"), _int(syl, "exp")))
+            j, k = syl["t"], syl.get("exp")
+            if type(j) is not int or type(k) is not int:
+                j, k = _int(syl, "t"), _int(syl, "exp")
+            syllables.append(("t", j, k))
         else:
-            elem = found.parse(_field(syl, "elem"))
-            syllables.append(("g", _int(syl, "copy"), elem))
+            elem = found.parse(syl["elem"] if "elem" in syl else _field(syl, "elem"))
+            copy = syl.get("copy")
+            syllables.append(("g", copy if type(copy) is int else _int(syl, "copy"), elem))
     return FreeProductWord.join(found, syllables)  # parse validated each elem
 
 
@@ -306,9 +323,9 @@ def parse_map(doc) -> OrientedMap:
     for boundary in boundaries:
         darts = []
         for dart in boundary:
-            e = _field(dart, "edge")
-            d = _field(dart, "dir")
+            e, d = (dart.get("edge"), dart.get("dir")) if isinstance(dart, dict) else (None, None)
             if type(e) is not int or d not in ("+", "-"):
+                e, d = _field(dart, "edge"), _field(dart, "dir")
                 raise JsonError(f"bad dart on edge {e!r}: dir {d!r}")
             darts.append((e, 1 if d == "+" else -1))
         faces.append(tuple(darts))

@@ -295,12 +295,27 @@ class RewriteResult:
         return self.shifted.n
 
 
+# the most unit t-letters `rewrite_word` expands.  The shifted form holds
+# one pair per letter: `word W rewrite` on a t^N b t^-(N-1) with 249,999
+# letters peaks at 66 MB of RSS, 44 MB above the import, in 0.5 s (Python
+# 3.11, x86-64), and the peak grows linearly with the letters
+MAX_T_LETTERS = 250_000
+
+
 def rewrite_word(w: FreeProductWord) -> RewriteResult:
-    """Full pipeline: orient, cyclically reduce, shift, minimize."""
+    """Full pipeline: orient, cyclically reduce, shift, minimize.
+
+    A word with more than `MAX_T_LETTERS` unit t-letters is refused after
+    the exponent-sum check and before any is expanded: the letters are
+    counted from the t-runs' exponents."""
     _validate_coefficient_word(w)
     total = w.exponent_sum(T_SYMBOL)
     if total not in (1, -1):
         raise RewriteError(f"t-exponent sum must be +-1, got {total}")
+    letters = w.t_letters(T_SYMBOL)
+    if letters > MAX_T_LETTERS:
+        raise RewriteError(
+            f"word has {letters} t-letters; a rewrite expands at most {MAX_T_LETTERS}")
     inverted = total == -1
     oriented = w.inverse() if inverted else w
     sf = to_shifted_form(oriented)

@@ -229,7 +229,10 @@ class OrientedMap:
         then the - dart's face; it takes the + face's index, and the faces
         after the - face move down by one.  V stays and E and F drop by one,
         so no invariant needs checking again: the map is built without the
-        constructor.  Its vertex orbits are walked when first read, as a
+        constructor.  The corner dict is built face by face, in one pass over
+        the corners: a face before the - face keeps its corners, one after it
+        moves down by one, and the two merged faces' corners take their
+        places along the merged face.  Its vertex orbits are walked when first read, as a
         parsed map's are; a caller that carries some vertices over
         translates each with `carry_vertex`.
         """
@@ -244,8 +247,13 @@ class OrientedMap:
         faces[f1] = b1[i1 + 1:] + b1[:i1] + b2[i2 + 1:] + b2[:i2]
         del faces[f2]
         nf = f1 - (f2 < f1)
-        translate = {(f, j): (f - (f > f2), j) for f, b in enumerate(self.faces)
-                     if f != f1 and f != f2 for j in range(len(b))}
+        translate = {}  # face by face; a corner that keeps its name maps to itself
+        for f, b in enumerate(self.faces):
+            if f != f1 and f != f2:
+                g = f - (f > f2)
+                for j in range(len(b)):
+                    c = (f, j)
+                    translate[c] = c if g == f else (g, j)
         merged = [(f1, (i1 + k) % L1) for k in range(1, L1)]
         merged += [(f2, (i2 + k) % L2) for k in range(1, L2)]
         translate.update((c, (nf, k)) for k, c in enumerate(merged))

@@ -18,8 +18,8 @@ edit makes is compared with its full rebuild in `map_edit_oracle` (faces,
 `edge_sides`, `vertices()` in order, `vertex_of` and, for a removal, the
 corner translation), and every diagram the builder makes is rebuilt with
 `HowieDiagram(...)` over `OrientedMap(surface, faces)` and compared; its
-carried `_phi_cells` must be the faces that `diagram.is_phi_cell` finds,
-in order.  The split is a module function, so the fixture rebinds it in
+carried `_phi_cells` must be the faces that the word-level definition,
+`phi_oracle.is_phi_cell`, finds, in order.  The split is a module function, so the fixture rebinds it in
 every loaded module that holds it, test modules included.
 
 The presentation moves `rewriting.move_lower_s` and `move_absorb_b` build
@@ -90,6 +90,7 @@ import pytest
 
 import comotion_oracle
 import motion_oracle
+import phi_oracle
 from collision_oracle import int_lap, intervals_instants
 from map_edit_oracle import edit_problem, map_problem, rebuilt_subdivision
 from spheremotion import comotion, diagram, groups, motion, rewriting, surface
@@ -198,7 +199,7 @@ def checked_edit_oracle():
         if full != d or full.map.vertices() != d.map.vertices():
             fail("unchecked diagram", "not the diagram the full check builds")
         if "_phi_cells" in vars(d):
-            want = tuple(f for f in range(m.face_count()) if diagram.is_phi_cell(d, f))
+            want = tuple(f for f in range(m.face_count()) if phi_oracle.is_phi_cell(d, f))
             if d._phi_cells != want:
                 fail("unchecked diagram", f"carries phi cells {d._phi_cells}, not {want}")
         return d

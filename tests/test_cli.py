@@ -773,6 +773,35 @@ def test_word_classify_reads_a_long_sign_pattern_in_one_pass(tmp_path, capsys, n
         assert difficult_pattern_by_rotation(as_ints) is want
 
 
+def test_word_refuses_more_t_letters_than_a_rewrite_expands(tmp_path, capsys):
+    # a t^n b t^-(n-1) at n = 10**9 has exponent sum 1, so both actions would
+    # rewrite it, expanding 2 * 10**9 - 1 unit letters; they refuse it from
+    # the count instead, and the criterion, which does not rewrite, reads it
+    n = 10**9
+    doc = {"base": {"kind": "free", "rank": 2}, "syllables": [
+        {"copy": 0, "elem": "a"}, {"t": 1, "exp": n},
+        {"copy": 0, "elem": "b"}, {"t": 1, "exp": -(n - 1)},
+    ]}
+    path = tmp_path / "huge-runs.word.json"
+    path.write_text(json.dumps(doc))
+    cap = rewriting.MAX_T_LETTERS
+    assert 2 * 10**5 - 1 < cap < 10**6  # the long sign-pattern test stays under it
+    for action in ("rewrite", "classify"):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, report = run_json(capsys, "word", str(path), action)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, report["error"]) == (
+            2, f"word has {2 * n - 1} t-letters; a rewrite expands at most {cap}")
+        assert seconds < 1 and peak < 2**20
+    code, report = run_json(capsys, "word", str(path), "criterion")
+    assert code == 0 and report["results"]["t_letters"] == 2 * n - 1
+
+
 def test_word_refuses_an_abelian_rank_above_its_maximum_before_building_it(tmp_path, capsys):
     # a rank-10**7 identity would be a tuple of ten million zeros
     doc = {"base": {"kind": "abelian", "rank": 10**7}, "syllables": [{"t": 1, "exp": 1}]}

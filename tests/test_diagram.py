@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phi_oracle
 from map_edit_oracle import rebuilt_phi_move
 from spheremotion import diagram
 from spheremotion.diagram import (
@@ -26,7 +27,13 @@ from spheremotion.diagram import (
     phi_reduce_move,
     vertex_label,
 )
-from spheremotion.fuzzing import lune_map, make_rng, random_base_element, random_sphere_map
+from spheremotion.fuzzing import (
+    lune_map,
+    make_rng,
+    random_base,
+    random_base_element,
+    random_sphere_map,
+)
 from spheremotion.goldens import banded_sphere_map, doubled_polygon_map, unit_speed_motion
 from spheremotion.groups import FreeGroup, FreeProductWord
 from spheremotion.motion import (
@@ -264,6 +271,72 @@ def test_phi_cell_reads_one_symbol_against_and_along():
     m = OrientedMap("sphere", (((0, 1), (1, 1)), ((1, -1), (0, -1))))
     along = HowieDiagram(m, d.corner_labels, {0: 1, 1: 1}, phi_s=1)
     assert not is_phi_cell(along, 0) and not is_phi_cell(along, 1)
+
+
+def random_p_word(base, rng, copies: int) -> FreeProductWord:
+    """A nonidentity word of one to three syllables in copies 0..copies-1."""
+    while True:
+        syllables = [("g", rng.randrange(copies), random_base_element(base, rng))
+                     for _ in range(rng.randint(1, 3))]
+        p = FreeProductWord.from_syllables(base, syllables)
+        if not p.is_identity():
+            return p
+
+
+def changed_label(w: FreeProductWord, change: str, phi_s: int, rng) -> FreeProductWord:
+    """w with one change: every copy moved one up or down, one element
+    changed, the identity, or a syllable in a copy at or above phi_s."""
+    base = w.base
+    if change == "shift":
+        down = w.copies_used() and min(w.copies_used()) >= 1 and rng.random() < 0.5
+        return w.shift_copies(-1 if down else 1)
+    if change == "element":
+        if w.is_identity():
+            return FreeProductWord.g(base, base.generators()[0])
+        k = rng.randrange(len(w))
+        _, copy, x = w.syllables[k]
+        other = base.multiply(x, rng.choice(base.generators()))
+        return w.span(0, k) * FreeProductWord.g(base, other, copy) * w.span(k + 1, len(w))
+    if change == "identity":
+        return FreeProductWord.one(base)
+    high = FreeProductWord.g(base, random_base_element(base, rng, allow_identity=False),
+                             phi_s + rng.randint(0, 1))
+    return w * high if rng.random() < 0.5 else high
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["none", "shift", "element", "identity", "high"]))
+def test_is_phi_cell_is_the_word_level_definition(seed, change):
+    """`is_phi_cell`, which compares syllable tuples, agrees with the word-level
+    q == phi(p)^-1 on every face: of a random phi necklace from `fuzzing`
+    whose P-words have up to three syllables below phi_s, and of a mirrored
+    doubled polygon whose back labels are the front ones inverted, moved up
+    by no copy or by one; each with one label changed or none."""
+    rng = make_rng(seed)
+    base = random_base(rng)
+    phi_s = rng.randint(1, 3)
+    n = rng.randint(2, 5)
+    m = lune_map(n)
+    labels = {}
+    for i in range(n):
+        p = random_p_word(base, rng, phi_s)
+        labels[(i, 1)], labels[(i, 0)] = p, phi(p).inverse()
+    necklace = (m, labels, True)
+    m = doubled_polygon_map(tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 3))))
+    labels = {(0, j): random_p_word(base, rng, phi_s) for j in range(len(m.faces[0]))}
+    shift = rng.randint(0, 1)
+    for v in m.vertices():
+        (_, jf), (fb, jb) = sorted(v)
+        labels[(fb, jb)] = labels[(0, jf)].shift_copies(shift).inverse()
+    for m, labels, all_cells in (necklace, (m, labels, False)):
+        if change != "none":
+            c = rng.choice(m.corners())
+            labels[c] = changed_label(labels[c], change, phi_s, rng)
+        d = HowieDiagram(m, labels, {e: 1 for e in m.edge_ids}, phi_s=phi_s)
+        for f in range(m.face_count()):
+            assert is_phi_cell(d, f) == phi_oracle.is_phi_cell(d, f)
+        if change == "none" and all_cells:
+            assert all(is_phi_cell(d, f) for f in range(n))
 
 
 def test_phi_cells_satisfy_diagram_over():

@@ -30,7 +30,13 @@ from spheremotion.goldens import (
     pinwheel_retimed_motion,
     pinwheel_unit_motion,
 )
-from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord
+from spheremotion.groups import (
+    FreeAbelianGroup,
+    FreeGroup,
+    FreeProductWord,
+    GroupError,
+    shared_base,
+)
 from spheremotion.jsonio import (
     MAX_EXPONENT,
     JsonError,
@@ -42,6 +48,7 @@ from spheremotion.jsonio import (
     frac_to_str,
     map_to_json,
     motion_to_json,
+    parse_base,
     parse_comotion,
     parse_diagram,
     parse_frac,
@@ -116,6 +123,56 @@ def test_parse_word_normalizes_and_checks_base():
         parse_word({"base": {"kind": "braid", "rank": 2}, "syllables": []})
     with pytest.raises(JsonError, match="missing field"):
         parse_word({"syllables": []})
+
+
+def test_equal_base_documents_read_as_one_shared_instance():
+    kinds = {"free": FreeGroup, "abelian": FreeAbelianGroup}
+    docs = [{"kind": kind, "rank": rank} for kind in kinds for rank in (1, 2, 26)]
+    bases = [parse_base(dict(doc)) for doc in docs]
+    # equal documents give the same object; other kinds or ranks distinct ones
+    assert all(parse_base(dict(doc)) is base for doc, base in zip(docs, bases))
+    assert len({id(base) for base in bases}) == len(docs)
+    for doc, base in zip(docs, bases):
+        built = kinds[doc["kind"]](doc["rank"])
+        assert base is shared_base(doc["kind"], doc["rank"])
+        assert base == built and base is not built
+    # every label of a diagram document reads its base as the one instance
+    p = FreeProductWord.g(FreeGroup(2), (1, -2))
+    q = p.shift_copies(1).inverse()
+    lunes = HowieDiagram(lune_map(2), {(0, 1): p, (0, 0): q, (1, 1): p, (1, 0): q}, {0: 1, 1: 1})
+    d = parse_diagram(json.loads(dumps(diagram_to_json(lunes))))
+    assert {id(w.base) for w in d.corner_labels.values()} == {id(shared_base("free", 2))}
+    # a bool or float rank hashes like the int rank it equals, and is still refused
+    for rank in (True, 1.0):
+        with pytest.raises(JsonError) as info:
+            parse_base({"kind": "free", "rank": rank})
+        assert str(info.value) == f"rank must be an int, got {rank!r}"
+    # a rank out of range is the constructor's refusal
+    for kind, rank, message in (("abelian", 27, "abelian rank must be at most 26, got 27"),
+                                ("free", 0, "free rank must be in 1..26, got 0")):
+        with pytest.raises(GroupError) as info:
+            parse_base({"kind": kind, "rank": rank})
+        assert str(info.value) == message
+
+
+def test_parse_word_reads_over_an_equal_base_that_is_not_shared():
+    for built, literal in ((FreeGroup(2), "aB"), (FreeAbelianGroup(2), [1, -2])):
+        doc = word_to_json(word(built, ("g", 0, literal), ("t", 1, 1), ("g", 1, literal)))
+        got = parse_word(doc, built)
+        assert got == parse_word(doc) and got.base == built
+        # words over the equal bases multiply, and label one diagram together
+        one = FreeProductWord.one(built)
+        assert (got * one).syllables == (one * got).syllables == got.syllables
+        balloon = OrientedMap("sphere", (((0, 1),), ((0, -1),)))
+        labels = {(0, 0): FreeProductWord.g(built, built.generators()[0]),
+                  (1, 0): parse_word(word_to_json(FreeProductWord.g(built, built.generators()[1])))}
+        assert HowieDiagram(balloon, labels, {0: 1}).base == built
+    # an unequal base is refused, shared or not
+    doc = word_to_json(FreeProductWord.g(FreeGroup(2), (1,)))
+    for other in (FreeGroup(3), shared_base("free", 3), FreeAbelianGroup(2)):
+        with pytest.raises(JsonError) as info:
+            parse_word(doc, other)
+        assert str(info.value) == f"word base FreeGroup(2) does not match {other!r}"
 
 
 def test_presentation_round_trip():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spheremotion import fuzzing
+from spheremotion import fuzzing, rewriting
 from spheremotion.fuzzing import make_rng, random_base_element, random_unit_sum_word
 from spheremotion.groups import FreeAbelianGroup, FreeGroup, FreeProductWord
 from spheremotion.rewriting import (
@@ -431,3 +431,17 @@ def test_minimality_check_flags_what_the_two_moves_leave(c_copy, top_used, monke
     fixpoint = RewriteResult(w, False, to_shifted_form(w), data, data, ())
     monkeypatch.setattr(fuzzing, "rewrite_word", lambda _: fixpoint)
     assert fuzzing.rewrite_problems(w) == ["fixpoint violates the minimality conditions"]
+
+
+def test_rewrite_word_refuses_more_t_letters_than_its_cap(monkeypatch):
+    B = FreeGroup(2)
+    monkeypatch.setattr(rewriting, "MAX_T_LETTERS", 5)
+    # a t^3 b t^-2 has 5 letters, at the cap; a t^4 b t^-3 has 7
+    assert rewrite_word(word(B, "a", ("t", 1, 3), "b", ("t", 1, -2))).n == 5
+    with pytest.raises(RewriteError) as info:
+        rewrite_word(word(B, "a", ("t", 1, 4), "b", ("t", 1, -3)))
+    assert str(info.value) == "word has 7 t-letters; a rewrite expands at most 5"
+    # the exponent sum is checked first: a t^4 b t^-2 has 6 letters and sum 2
+    with pytest.raises(RewriteError) as info:
+        rewrite_word(word(B, "a", ("t", 1, 4), "b", ("t", 1, -2)))
+    assert str(info.value) == "t-exponent sum must be +-1, got 2"

@@ -1,6 +1,7 @@
 """Interleaved A/B of two checkouts on one workload's jobs.
 
-    python tests/tools/ab_jobs.py OLD NEW --workload weights --seed 3 [--k 5]
+    python tests/tools/ab_jobs.py OLD NEW --workload weights --seed 3 [--k 5] \
+        [--classes CLS ...]
 
 OLD and NEW are the roots of two checkouts.  Each one's `src/spheremotion`
 is copied into a temporary directory under its own package name, `ab_old`
@@ -17,9 +18,16 @@ inputs (and the producer's report, from that side's own run of the
 producer) with that side's reader, and its timed call and canonical form
 are that side's.  The CLI jobs run first, so every producer has run.
 
+`--classes` keeps the jobs of the named classes, and the producer jobs
+whose reports their library jobs read.
+
 It prints, per job class, the sum over its jobs of each side's minimum
 wall time (a library job's: its timed call alone) and the speedup
-old / new, then the same over all jobs, and the count of jobs whose
+old / new, then the same over all jobs.  Next come each side's
+nearest-rank p50 and p90 over those minimum times, one per distinct job,
+as the benchmark takes its percentiles over instances, so a change to
+`latency_p90_ms` can be previewed before the 30-s benchmark runs.  Last
+is the count of jobs whose
 output differs between the sides (each side's first run: the exit code
 and stdout of a CLI job, whose artifact paths are the same for both, or
 the canonical result of a library job, or the exception it raised).
@@ -41,6 +49,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -96,6 +105,13 @@ def planned_jobs(old: Path, workload: str, seed: int, art_dir: Path) -> list:
     return sorted(jobs.values(), key=lambda job: job.get("argv") is None)
 
 
+def nearest_rank(times: list, q: float) -> float:
+    """The nearest-rank q-quantile of the times, as `perfbench/run.py`
+    takes its p90."""
+    ordered = sorted(times)
+    return ordered[math.ceil(q * len(ordered)) - 1]
+
+
 def run_once(main, argv) -> tuple[float, tuple[int, str]]:
     """The run's seconds, and its exit code and stdout."""
     buf = io.StringIO()
@@ -125,6 +141,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("timetables", "weights", "words"))
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--k", type=int, default=5, help="runs of each job per side")
+    parser.add_argument("--classes", nargs="+", metavar="CLS",
+                        help="time only these job classes (and their producers)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -132,9 +150,14 @@ def main(argv=None) -> int:
         sides = [load_jobs(args.old.resolve() / "perfbench", name, tmp)
                  for name in ("ab_old", "ab_new")]
         jobs = planned_jobs(args.old.resolve(), args.workload, args.seed, tmp / "art")
+        if args.classes:
+            kept = [job for job in jobs if job["cls"] in args.classes]
+            keys = {job["key"] for job in kept} | {job["needs"] for job in kept if job.get("needs")}
+            jobs = [job for job in jobs if job["key"] in keys]
         needed = {job["needs"] for job in jobs if job.get("needs")}
         reports = ({}, {})  # each side's report of every producer job
         best = {}  # class -> [old seconds, new seconds, jobs]
+        minima = ([], [])  # each side's minimum seconds, one per timed job
         differ, raised = [], []
         for n, job in enumerate(jobs):
             times, first = ([], []), [None, None]
@@ -156,8 +179,9 @@ def main(argv=None) -> int:
                 raised.append(job["key"])
                 continue
             sums = best.setdefault(job["cls"], [0.0, 0.0, 0])
-            sums[0] += min(times[0])
-            sums[1] += min(times[1])
+            for side in (0, 1):
+                sums[side] += min(times[side])
+                minima[side].append(min(times[side]))
             sums[2] += 1
     library = sum(job.get("argv") is None for job in jobs)
     print(f"{args.workload} seed {args.seed}, k = {args.k}: {len(jobs) - library} CLI jobs, "
@@ -167,6 +191,11 @@ def main(argv=None) -> int:
                                ("all", [sum(v[i] for v in best.values()) for i in range(3)])]:
         ratio = a / b if b else float("nan")  # every job of the workload raised
         print(f"{cls:24} {count:>5} {a * 1e3:>10.2f} {b * 1e3:>10.2f} {ratio:>8.3f}")
+    if minima[0]:
+        for name, q in (("p50", 0.5), ("p90", 0.9)):
+            a, b = (nearest_rank(minima[side], q) for side in (0, 1))
+            print(f"{name + ' (ms)':24} {len(minima[0]):>5} {a * 1e3:>10.3f} {b * 1e3:>10.3f} "
+                  f"{a / b:>8.3f}")
     if raised:
         print(f"jobs left out of the times, as a run raised: {len(raised)} "
               f"({', '.join(raised[:10])})")
