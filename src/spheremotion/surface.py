@@ -229,12 +229,15 @@ class OrientedMap:
         then the - dart's face; it takes the + face's index, and the faces
         after the - face move down by one.  V stays and E and F drop by one,
         so no invariant needs checking again: the map is built without the
-        constructor.  The corner dict is built face by face, in one pass over
-        the corners: a face before the - face keeps its corners, one after it
-        moves down by one, and the two merged faces' corners take their
-        places along the merged face.  Its vertex orbits are walked when first read, as a
+        constructor.  Its vertex orbits are walked when first read, as a
         parsed map's are; a caller that carries some vertices over
         translates each with `carry_vertex`.
+
+        The corner dict starts with the merged face's corners, and the rest
+        go in during the one pass over `edge_sides` that translates it:
+        every corner starts one dart, so that pass meets each once.  A
+        corner of a face before the - face keeps its name, one after it
+        moves down by one face.
         """
         (f1, i1), (f2, i2) = plus, minus = self.sides_of(edge)
         if f1 == f2:
@@ -247,22 +250,23 @@ class OrientedMap:
         faces[f1] = b1[i1 + 1:] + b1[:i1] + b2[i2 + 1:] + b2[:i2]
         del faces[f2]
         nf = f1 - (f2 < f1)
-        translate = {}  # face by face; a corner that keeps its name maps to itself
-        for f, b in enumerate(self.faces):
-            if f != f1 and f != f2:
-                g = f - (f > f2)
-                for j in range(len(b)):
-                    c = (f, j)
-                    translate[c] = c if g == f else (g, j)
         merged = [(f1, (i1 + k) % L1) for k in range(1, L1)]
         merged += [(f2, (i2 + k) % L2) for k in range(1, L2)]
-        translate.update((c, (nf, k)) for k, c in enumerate(merged))
+        translate = {c: (nf, k) for k, c in enumerate(merged)}
         # the corner the + dart starts at merges with the one after the -
         # dart, and the other way round; a vertex keeps one corner of each pair
         translate[plus] = (nf, (L1 - 1) % (L1 + L2 - 2))
         translate[minus] = (nf, 0)
-        sides = {e: (translate[a], translate[b])
-                 for e, (a, b) in self.edge_sides.items() if e != edge}
+        sides = {}
+        for e, (a, b) in self.edge_sides.items():
+            if e != edge:
+                na = translate.get(a)
+                if na is None:
+                    na = translate[a] = a if a[0] < f2 else (a[0] - 1, a[1])
+                nb = translate.get(b)
+                if nb is None:
+                    nb = translate[b] = b if b[0] < f2 else (b[0] - 1, b[1])
+                sides[e] = (na, nb)
         out = object.__new__(OrientedMap)
         out.__dict__.update(surface=self.surface, faces=tuple(faces), edge_sides=sides)
         return out, translate
