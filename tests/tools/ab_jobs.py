@@ -23,14 +23,14 @@ whose reports their library jobs read.
 
 It prints, per job class, the sum over its jobs of each side's minimum
 wall time (a library job's: its timed call alone) and the speedup
-old / new, then the same over all jobs.  Next come each side's
-nearest-rank p50 and p90 over those minimum times, one per distinct job,
-as the benchmark takes its percentiles over instances, so a change to
-`latency_p90_ms` can be previewed before the 30-s benchmark runs.  Last
-is the count of jobs whose
-output differs between the sides (each side's first run: the exit code
-and stdout of a CLI job, whose artifact paths are the same for both, or
-the canonical result of a library job, or the exception it raised).
+old / new, then the same over all jobs.  Next comes each side's
+nearest-rank p90 over those minimum times, one per distinct job, as the
+benchmark takes its p90 over instances, so a change to `latency_p90_ms`
+can be previewed before the 30-s benchmark runs.  Last is the count of
+jobs whose output differs between the sides (each side's first run: the
+exit code and stdout of a CLI job, whose artifact paths are the same for
+both, or the canonical result of a library job, or the exception it
+raised).
 A library job whose run raised on either side is counted and named apart,
 and left out of the times.  Its exit code is 1 when any output differs.
 
@@ -105,11 +105,9 @@ def planned_jobs(old: Path, workload: str, seed: int, art_dir: Path) -> list:
     return sorted(jobs.values(), key=lambda job: job.get("argv") is None)
 
 
-def nearest_rank(times: list, q: float) -> float:
-    """The nearest-rank q-quantile of the times, as `perfbench/run.py`
-    takes its p90."""
-    ordered = sorted(times)
-    return ordered[math.ceil(q * len(ordered)) - 1]
+def p90(times: list) -> float:
+    """The nearest-rank p90 of the times, as `perfbench/run.py` takes it."""
+    return sorted(times)[math.ceil(0.9 * len(times)) - 1]
 
 
 def run_once(main, argv) -> tuple[float, tuple[int, str]]:
@@ -192,10 +190,8 @@ def main(argv=None) -> int:
         ratio = a / b if b else float("nan")  # every job of the workload raised
         print(f"{cls:24} {count:>5} {a * 1e3:>10.2f} {b * 1e3:>10.2f} {ratio:>8.3f}")
     if minima[0]:
-        for name, q in (("p50", 0.5), ("p90", 0.9)):
-            a, b = (nearest_rank(minima[side], q) for side in (0, 1))
-            print(f"{name + ' (ms)':24} {len(minima[0]):>5} {a * 1e3:>10.3f} {b * 1e3:>10.3f} "
-                  f"{a / b:>8.3f}")
+        a, b = p90(minima[0]), p90(minima[1])
+        print(f"{'p90 (ms)':24} {len(minima[0]):>5} {a * 1e3:>10.3f} {b * 1e3:>10.3f} {a / b:>8.3f}")
     if raised:
         print(f"jobs left out of the times, as a run raised: {len(raised)} "
               f"({', '.join(raised[:10])})")
